@@ -21,7 +21,7 @@ from .models import (
     objective,
     sparsity_target,
 )
-from .admm import MadmmOptions, SolveReport, block_shrink, lemma1_gap, run_madmm
+from .admm import MadmmOptions, SolveReport, block_shrink, run_madmm
 from .batch import (
     LMConfig,
     batch_nonlinear_solve,
@@ -83,7 +83,6 @@ __all__ = [
     "coordinated_turn_model",
     "gn_ieks",
     "initial_trajectory",
-    "lemma1_gap",
     "linearize",
     "lm_ieks",
     "load_track_csv",

@@ -72,16 +72,6 @@ def block_shrink(z: np.ndarray, kappa: float) -> np.ndarray:
     return (1.0 - kappa / norm) * np.asarray(z, dtype=float)
 
 
-def update_w(v_t: np.ndarray, eta_under_t: np.ndarray, reg: GroupRegularizer,
-             gamma: float) -> np.ndarray:
-    """Single-step w update: shrink each group of G v - eta_under/gamma."""
-    z = reg.G_stack @ v_t - eta_under_t / gamma
-    out = np.empty_like(z)
-    for g, sl in enumerate(reg.slices):
-        out[sl] = block_shrink(z[sl], reg.weights[g] / gamma)
-    return out
-
-
 def update_w_all(V: np.ndarray, eta_under: np.ndarray, reg: GroupRegularizer,
                  gamma: float) -> np.ndarray:
     """Vectorised w update across all time steps."""
@@ -105,19 +95,6 @@ def v_update_factor(reg: GroupRegularizer):
     return cho_factor(M, lower=True)
 
 
-def update_v(u_t: np.ndarray, w_t: np.ndarray, eta_t: np.ndarray,
-             reg: GroupRegularizer, gamma: float, factor=None) -> np.ndarray:
-    """Single-step v update; with no groups it reduces to u + eta_bar/gamma."""
-    n = reg.n_x if reg.n_groups else u_t.shape[0]
-    eta_bar, eta_under = eta_t[:n], eta_t[n:]
-    if reg.total_rows == 0:
-        return u_t + eta_bar / gamma
-    if factor is None:
-        factor = v_update_factor(reg)
-    rhs = (gamma * u_t + eta_bar) + reg.G_stack.T @ (gamma * w_t + eta_under)
-    return cho_solve(factor, rhs) / gamma
-
-
 def update_v_all(U: np.ndarray, W: np.ndarray, eta: np.ndarray,
                  reg: GroupRegularizer, gamma: float, factor=None) -> np.ndarray:
     """Vectorised v update across all time steps."""
@@ -129,13 +106,6 @@ def update_v_all(U: np.ndarray, W: np.ndarray, eta: np.ndarray,
         factor = v_update_factor(reg)
     rhs = (gamma * U + eta_bar) + (gamma * W + eta_under) @ reg.G_stack
     return cho_solve(factor, rhs.T).T / gamma
-
-
-def update_dual(u_t: np.ndarray, w_t: np.ndarray, v_t: np.ndarray, eta_t: np.ndarray,
-                reg: GroupRegularizer, gamma: float) -> np.ndarray:
-    """Single-step dual ascent eta + gamma ([u; w] - [I; G] v)."""
-    resid = np.concatenate([u_t - v_t, w_t - reg.G_stack @ v_t])
-    return eta_t + gamma * resid
 
 
 def update_dual_all(U: np.ndarray, W: np.ndarray, V: np.ndarray, eta: np.ndarray,
@@ -243,17 +213,3 @@ def omega_norm_sq(dv: np.ndarray, deta: np.ndarray, reg: GroupRegularizer,
     val = gamma * float(np.sum(dv * dv)) + float(np.sum(Gdv * Gdv))
     val += float(np.sum(deta * deta)) / gamma
     return val
-
-
-def lemma1_gap(state_k: SplitState, state_k1: SplitState, state_star: SplitState,
-               gamma: float, reg: GroupRegularizer):
-    """Both sides of the fixed-point contraction inequality on (v, eta).
-
-    Returns (lhs, rhs) with lhs = ||s_{k+1} - s*||^2 and
-    rhs = ||s_k - s*||^2 - ||s_k - s_{k+1}||^2 in the weighted norm; the
-    contraction property asserts lhs <= rhs.
-    """
-    lhs = omega_norm_sq(state_k1.v - state_star.v, state_k1.eta - state_star.eta, reg, gamma)
-    rhs = omega_norm_sq(state_k.v - state_star.v, state_k.eta - state_star.eta, reg, gamma)
-    rhs -= omega_norm_sq(state_k.v - state_k1.v, state_k.eta - state_k1.eta, reg, gamma)
-    return lhs, rhs

@@ -9,7 +9,7 @@ module solves the same systems in linear time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -17,9 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .models import (SingularSystemError, TrackingProblem, prior_mean_trajectory,
                      x_subproblem_cost)
-from .smoothers import linearize
-
-PROPOSAL_FLOOR = 1e-10
+from .smoothers import LMConfig, gauss_newton, linearize
 
 
 @dataclass(eq=False)
@@ -137,13 +135,15 @@ def make_affine_x_solver():
     """x-update callable for the ADMM loop, caching the factorised normal matrix.
 
     The normal matrix depends only on the problem and gamma, so it is
-    factorised once and only the penalty right-hand side is refreshed.
+    factorised once and only the penalty right-hand side is refreshed.  The
+    cache holds the last (problem, gamma) by reference: a problem built
+    after the cached one was dropped can never be mistaken for it.
     """
-    cache = {}
+    cache = None
 
     def solver(problem, V, eta_bar, gamma, x_warm):
-        key = (id(problem), gamma)
-        if key not in cache:
+        nonlocal cache
+        if cache is None or cache[0] is not problem or cache[1] != gamma:
             stacked = stack_problem(problem, V, eta_bar, gamma)
             M, _ = normal_system(stacked, 0.0)
             M = M + gamma * stacked.Phi.T @ stacked.Phi
@@ -155,38 +155,12 @@ def make_affine_x_solver():
                 factor = cho_factor(M, lower=True)
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError("stacked normal matrix is numerically singular") from exc
-            cache[key] = (stacked, factor, rhs_data)
-        stacked, factor, rhs_data = cache[key]
+            cache = (problem, gamma, stacked, factor, rhs_data)
+        _, _, stacked, factor, rhs_data = cache
         rhs = rhs_data + gamma * stacked.Phi.T @ (stacked.d + V.ravel() - eta_bar.ravel() / gamma)
         return cho_solve(factor, rhs).reshape(stacked.T, stacked.n_x)
 
     return solver
-
-
-@dataclass(frozen=True)
-class LMConfig:
-    """Damping schedule for the Levenberg-Marquardt solver.
-
-    lambda0 is the initial damping, alpha the multiplicative schedule
-    (divide on accept, multiply on reject), s_cov an optional damping
-    metric (n_x, n_x) or (T, n_x, n_x) defaulting to the identity, i_max
-    the accepted-iteration cap, and step_tol the relative step size below
-    which the iteration is declared converged.
-    """
-
-    lambda0: float = 1e-2
-    alpha: float = 10.0
-    s_cov: Optional[np.ndarray] = None
-    i_max: int = 10
-    step_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.lambda0 < 0:
-            raise ValueError("lambda0 must be nonnegative")
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
-        if self.i_max < 1:
-            raise ValueError("i_max must be positive")
 
 
 def _damping_blocks(s_cov, T: int, n: int) -> np.ndarray:
@@ -240,10 +214,6 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
     return out.reshape(stacked.T, stacked.n_x)
 
 
-def _rel_step(x_new: np.ndarray, x_old: np.ndarray) -> float:
-    return float(np.linalg.norm(x_new - x_old) / (1.0 + np.linalg.norm(x_old)))
-
-
 def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
                           gamma: float, method: str = "gn",
                           cfg: Optional[LMConfig] = None,
@@ -252,51 +222,23 @@ def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.n
                           lambda_trace: Optional[List[float]] = None) -> np.ndarray:
     """Iterate dense Gauss-Newton or Levenberg-Marquardt steps to solve for x.
 
-    LM accepts a proposal only if the subproblem cost decreases (damping is
-    divided by alpha), otherwise the damping is multiplied by alpha and the
-    iterate kept.  lambda0 = 0 reduces LM to the Gauss-Newton iteration.
+    The steps run under the same damped Gauss-Newton loop as the iterated
+    smoothers; method "gn" sets lambda0 = 0, which accepts every step.
     """
     cfg = cfg or LMConfig()
-    x = np.asarray(x0, dtype=float).copy() if x0 is not None else prior_mean_trajectory(problem.model)
-    if trace is not None:
-        trace.append(x.copy())
-
     if method == "gn":
-        for _ in range(cfg.i_max):
-            x_new = batch_gn_step(problem, x, v, eta_bar, gamma)
-            step = _rel_step(x_new, x)
-            x = x_new
-            if trace is not None:
-                trace.append(x.copy())
-            if step < cfg.step_tol:
-                break
-        return x
-    if method != "lm":
+        cfg = replace(cfg, lambda0=0.0)
+    elif method != "lm":
         raise ValueError(f"unknown method {method!r}")
+    if x0 is None:
+        x0 = prior_mean_trajectory(problem.model)
 
-    lam = cfg.lambda0
-    targets = problem.penalty_targets(nominal=x)
-    cost = x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
-    i = 0
-    while i < cfg.i_max:
-        x_prop = batch_lm_step(problem, x, v, eta_bar, gamma, lam, cfg.s_cov)
-        step = _rel_step(x_prop, x)
-        if step < PROPOSAL_FLOOR:
-            break
-        cost_prop = x_subproblem_cost(problem, x_prop, v, eta_bar, gamma, targets)
-        if lam == 0.0 or cost_prop < cost:
-            x = x_prop
-            targets = problem.penalty_targets(nominal=x)
-            cost = x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
-            if lam > 0:
-                lam /= cfg.alpha
-            i += 1
-            if trace is not None:
-                trace.append(x.copy())
-            if lambda_trace is not None:
-                lambda_trace.append(lam)
-            if step < cfg.step_tol:
-                break
-        else:
-            lam *= cfg.alpha
-    return x
+    def propose(x, targets, lam):
+        if method == "gn":
+            return batch_gn_step(problem, x, v, eta_bar, gamma)
+        return batch_lm_step(problem, x, v, eta_bar, gamma, lam, cfg.s_cov)
+
+    def cost(x, targets):
+        return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
+
+    return gauss_newton(problem, propose, x0, cost, cfg, trace, lambda_trace)

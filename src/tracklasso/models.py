@@ -74,6 +74,17 @@ def _check_spd_steps(covs: np.ndarray, name: str, start: int = 0) -> None:
         spd_chol(covs[t], f"{name}[{t}]")
 
 
+def _check_finite(arr: np.ndarray, name: str, start: int = 0, stepped: bool = True) -> None:
+    """Raise ValueError naming arr and, for stacked input, its first non-finite step."""
+    finite = np.isfinite(arr[start:] if stepped else arr)
+    if finite.all():
+        return
+    if not stepped:
+        raise ValueError(f"{name}: contains a non-finite value")
+    t = start + int(np.argmin(finite.reshape(finite.shape[0], -1).all(axis=1)))
+    raise ValueError(f"{name}: non-finite value at step {t}")
+
+
 def _half_weighted_sq(res: np.ndarray, covs: np.ndarray, start: int = 0) -> float:
     """0.5 * sum_{t >= start} res_t' covs_t^{-1} res_t."""
     res = res[start:]
@@ -158,8 +169,14 @@ class AffineModel:
         if P1.shape != (n, n):
             raise ValueError(f"P1: expected ({n}, {n}), got {P1.shape}")
         if self.validate:
+            first = 1 if T > 1 else 0
+            for name, val, start in (("A", A, first), ("b", b, first), ("H", H, 0),
+                                     ("e", e, 0), ("Q", Q, first), ("R", R, 0)):
+                _check_finite(val, name, start)
+            _check_finite(m1, "m1", stepped=False)
+            _check_finite(P1, "P1", stepped=False)
             spd_chol(P1, "P1")
-            _check_spd_steps(Q, "Q", start=1 if T > 1 else 0)
+            _check_spd_steps(Q, "Q", start=first)
             _check_spd_steps(R, "R")
         for name, val in (("A", A), ("b", b), ("H", H), ("e", e), ("Q", Q),
                           ("R", R), ("m1", m1), ("P1", P1), ("T", int(T))):
@@ -423,6 +440,7 @@ class TrackingProblem:
             raise ValueError(f"y has {y.shape[0]} steps, model has {self.model.T}")
         if y.shape[1] != self.model.n_y:
             raise ValueError("y disagrees with the model measurement dimension")
+        _check_finite(y, "y")
         if self.reg.n_groups and self.reg.n_x != self.model.n_x:
             raise ValueError("penalty matrices disagree with the state dimension")
         object.__setattr__(self, "y", y)

@@ -10,13 +10,15 @@ measurement of x_{t-1}, keeping the smoother an exact minimiser for every
 coupling.  A Rauch-Tung-Striebel pass over the fused model then solves the
 subproblem in O(T) instead of the O(T^3) dense solve.  Levenberg-Marquardt
 damping enters the same pass as one extra pseudo-measurement update per
-step with covariance S_t / lambda.
+step with covariance S_t / lambda.  The iterated smoothers and the dense
+stacked solvers share one damped Gauss-Newton loop, gauss_newton; they
+differ only in the step each proposes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -329,91 +331,123 @@ def _annotate(exc: SingularSystemError, i: int) -> SingularSystemError:
     return err
 
 
-def gn_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
-            gamma: float, x0: np.ndarray, i_max: int = 10, step_tol: float = 1e-8,
-            trace: Optional[List[np.ndarray]] = None) -> np.ndarray:
-    """Gauss-Newton iterated smoother for the coupled subproblem.
+@dataclass(frozen=True)
+class LMConfig:
+    """Damping schedule for the Gauss-Newton / Levenberg-Marquardt loop.
 
-    Each inner iteration relinearises the model (and, in process_noise mode,
-    the penalty targets) about the current trajectory, fuses, and smooths.
-    Iterates match the dense Gauss-Newton sequence on the stacked problem.
+    lambda0 is the initial damping (0 gives plain Gauss-Newton), alpha the
+    multiplicative schedule (divide on accept, multiply on reject), s_cov an
+    optional damping metric (n_x, n_x) or (T, n_x, n_x) defaulting to the
+    identity, i_max the accepted-iteration cap, and step_tol the relative
+    step size below which the iteration is declared converged.
     """
-    nl = _as_nonlinear(problem.model)
-    x = np.asarray(x0, dtype=float).copy()
-    if trace is not None:
-        trace.append(x.copy())
-    for i in range(1, i_max + 1):
-        lin = linearize(nl, x)
-        B, d = problem.penalty_targets(nominal=x)
-        fused = build_fused(lin, B, d, v, eta_bar, gamma)
-        try:
-            x_new = augmented_ks(fused, problem.y, keep_covariances=False).m_smooth
-        except SingularSystemError as exc:
-            raise _annotate(exc, i) from exc
-        step = _rel_step(x_new, x)
-        x = x_new
-        if trace is not None:
-            trace.append(x.copy())
-        if step < step_tol:
-            break
-    return x
+
+    lambda0: float = 1e-2
+    alpha: float = 10.0
+    s_cov: Optional[np.ndarray] = None
+    i_max: int = 10
+    step_tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.lambda0 < 0:
+            raise ValueError("lambda0 must be nonnegative")
+        if self.alpha <= 1:
+            raise ValueError("alpha must exceed 1")
+        if self.i_max < 1:
+            raise ValueError("i_max must be positive")
 
 
-def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
-            gamma: float, x0: np.ndarray, cfg=None,
-            trace: Optional[List[np.ndarray]] = None,
-            lambda_trace: Optional[List[float]] = None) -> np.ndarray:
-    """Levenberg-Marquardt iterated smoother for the coupled subproblem.
+Proposal = Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray], float], np.ndarray]
 
-    Damping is realised as a per-step pseudo-measurement of the current
-    iterate with covariance S_t / lambda, applied directly after each data
-    update.  Proposals are accepted only when the subproblem cost decreases;
-    lambda0 = 0 reduces the iteration to gn_ieks.
+
+def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
+                 cost: Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray]], float],
+                 cfg: LMConfig, trace: Optional[List[np.ndarray]] = None,
+                 lambda_trace: Optional[List[float]] = None) -> np.ndarray:
+    """Damped Gauss-Newton loop shared by the smoother and dense engines.
+
+    propose(x, targets, lam) returns the minimiser of the subproblem
+    linearised at x (penalty targets taken at x), damped towards x by lam;
+    cost(x, targets) is the subproblem cost.  With lam > 0 a proposal is
+    accepted only on a strict cost decrease (lam divided by alpha), else
+    lam is multiplied by alpha and x kept; proposals closer than
+    PROPOSAL_FLOOR to x end the loop.  lambda0 = 0 accepts every proposal
+    without evaluating the cost: plain Gauss-Newton, i.e. the iterated
+    smoother.  Every accepted iterate extends trace and lambda_trace.
     """
-    from .batch import LMConfig
-    cfg = cfg or LMConfig()
-    nl = _as_nonlinear(problem.model)
-    T, n = problem.T, problem.n_x
-    s_cov = np.asarray(cfg.s_cov, dtype=float) if cfg.s_cov is not None else np.eye(n)
-
     x = np.asarray(x0, dtype=float).copy()
     lam = cfg.lambda0
     targets = problem.penalty_targets(nominal=x)
-    cost = x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
+    f = cost(x, targets) if lam > 0 else None
     if trace is not None:
         trace.append(x.copy())
     i = 0
     while i < cfg.i_max:
+        try:
+            x_prop = propose(x, targets, lam)
+        except SingularSystemError as exc:
+            raise _annotate(exc, i + 1) from exc
+        step = _rel_step(x_prop, x)
+        if lam > 0:
+            if step < PROPOSAL_FLOOR:
+                break
+            if not cost(x_prop, targets) < f:
+                lam *= cfg.alpha
+                continue
+        x = x_prop
+        targets = problem.penalty_targets(nominal=x)
+        if lam > 0:
+            f = cost(x, targets)
+            lam /= cfg.alpha
+        i += 1
+        if trace is not None:
+            trace.append(x.copy())
+        if lambda_trace is not None:
+            lambda_trace.append(lam)
+        if step < cfg.step_tol:
+            break
+    return x
+
+
+def gn_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
+            gamma: float, x0: np.ndarray, i_max: int = 10, step_tol: float = 1e-8,
+            trace: Optional[List[np.ndarray]] = None) -> np.ndarray:
+    """Gauss-Newton iterated smoother: lm_ieks without damping.
+
+    Iterates match the dense Gauss-Newton sequence on the stacked problem.
+    """
+    return lm_ieks(problem, v, eta_bar, gamma, x0,
+                   LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol), trace=trace)
+
+
+def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
+            gamma: float, x0: np.ndarray, cfg: Optional[LMConfig] = None,
+            trace: Optional[List[np.ndarray]] = None,
+            lambda_trace: Optional[List[float]] = None) -> np.ndarray:
+    """Levenberg-Marquardt iterated smoother for the coupled subproblem.
+
+    Each proposal relinearises the model about the current trajectory,
+    fuses it with the penalty coupling, and smooths.  Damping is realised
+    as a per-step pseudo-measurement of the current iterate with covariance
+    S_t / lambda, applied directly after each data update.
+    """
+    cfg = cfg or LMConfig()
+    nl = _as_nonlinear(problem.model)
+    s_cov = np.asarray(cfg.s_cov, dtype=float) if cfg.s_cov is not None else np.eye(problem.n_x)
+
+    def propose(x, targets, lam):
         lin = linearize(nl, x)
         B, d = targets
         if lam > 0:
             fused = build_fused(lin, B, d, v, eta_bar, gamma, z=x, sigma=s_cov / lam)
         else:
             fused = build_fused(lin, B, d, v, eta_bar, gamma)
-        try:
-            x_prop = augmented_ks(fused, problem.y, keep_covariances=False).m_smooth
-        except SingularSystemError as exc:
-            raise _annotate(exc, i + 1) from exc
-        step = _rel_step(x_prop, x)
-        if step < PROPOSAL_FLOOR:
-            break
-        cost_prop = x_subproblem_cost(problem, x_prop, v, eta_bar, gamma, targets)
-        if lam == 0.0 or cost_prop < cost:
-            x = x_prop
-            targets = problem.penalty_targets(nominal=x)
-            cost = x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
-            if lam > 0:
-                lam /= cfg.alpha
-            i += 1
-            if trace is not None:
-                trace.append(x.copy())
-            if lambda_trace is not None:
-                lambda_trace.append(lam)
-            if step < cfg.step_tol:
-                break
-        else:
-            lam *= cfg.alpha
-    return x
+        return augmented_ks(fused, problem.y, keep_covariances=False).m_smooth
+
+    def cost(x, targets):
+        return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
+
+    return gauss_newton(problem, propose, x0, cost, cfg, trace, lambda_trace)
 
 
 def ks_x_solver():

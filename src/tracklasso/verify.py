@@ -16,16 +16,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .admm import (
-    MadmmOptions,
-    block_shrink,
-    omega_norm_sq,
-    run_madmm,
-    update_dual_all,
-    update_v_all,
-    update_w_all,
-    v_update_factor,
-)
+from .admm import MadmmOptions, block_shrink, omega_norm_sq, run_madmm
 from .batch import LMConfig, batch_nonlinear_solve, batch_x_affine, stack_problem
 from .models import (
     AffineModel,
@@ -271,38 +262,21 @@ def madmm_stage_trace(problem: TrackingProblem, x_solver, gamma: float,
     x, w, or v minimisation stage produced at iteration k, and excess[k] is
     the post-iteration Lagrangian minus its starting value.  Only the dual
     ascent may raise the Lagrangian, so stage_rise should stay at roundoff
-    and excess should stay nonpositive for a correct x update.
+    and excess should stay nonpositive for a correct x update.  The stage
+    states are rebuilt from consecutive states recorded by run_madmm.
     """
-    reg = problem.reg
-    state = SplitState.feasible(problem, np.asarray(x0, dtype=float))
-    factor = v_update_factor(reg) if reg.total_rows else None
-    lag = augmented_lagrangian(problem, state, gamma)
-    start = lag
-    stage_rise, excess = [], []
-    for _ in range(k_max):
-        x = x_solver(problem, state.v, state.eta_bar, gamma, state.x)
-        rises = []
-        cur = SplitState(x=x, w=state.w, v=state.v, eta=state.eta, n_x=state.n_x)
-        val = augmented_lagrangian(problem, cur, gamma)
-        rises.append(val - lag)
-        lag = val
-        W = update_w_all(state.v, state.eta_under, reg, gamma)
-        cur = SplitState(x=x, w=W, v=state.v, eta=state.eta, n_x=state.n_x)
-        val = augmented_lagrangian(problem, cur, gamma)
-        rises.append(val - lag)
-        lag = val
-        U = problem.u(x)
-        V = update_v_all(U, W, state.eta, reg, gamma, factor)
-        cur = SplitState(x=x, w=W, v=V, eta=state.eta, n_x=state.n_x)
-        val = augmented_lagrangian(problem, cur, gamma)
-        rises.append(val - lag)
-        lag = val
-        eta = update_dual_all(U, W, V, state.eta, reg, gamma)
-        state = SplitState(x=x, w=W, v=V, eta=eta, n_x=state.n_x)
-        lag = augmented_lagrangian(problem, state, gamma)
-        stage_rise.append(max(rises))
-        excess.append(lag - start)
-    return np.asarray(stage_rise), np.asarray(excess)
+    opts = MadmmOptions(gamma=gamma, k_max=k_max, eps_primal=0.0, eps_dual=0.0)
+    states = run_madmm(problem, x_solver, opts, np.asarray(x0, dtype=float),
+                       record_states=True).states
+    lag = [augmented_lagrangian(problem, s, gamma) for s in states]
+    stage_rise = []
+    for prev, cur, lag_prev in zip(states, states[1:], lag):
+        stages = (SplitState(x=cur.x, w=prev.w, v=prev.v, eta=prev.eta, n_x=prev.n_x),
+                  SplitState(x=cur.x, w=cur.w, v=prev.v, eta=prev.eta, n_x=prev.n_x),
+                  SplitState(x=cur.x, w=cur.w, v=cur.v, eta=prev.eta, n_x=prev.n_x))
+        vals = [lag_prev] + [augmented_lagrangian(problem, s, gamma) for s in stages]
+        stage_rise.append(max(np.diff(vals)))
+    return np.asarray(stage_rise), np.asarray(lag[1:]) - lag[0]
 
 
 def _lemma2_one(args) -> float:

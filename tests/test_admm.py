@@ -11,9 +11,9 @@ from tracklasso.admm import (
     omega_norm_sq,
     residuals,
     run_madmm,
-    update_dual,
-    update_v,
-    update_w,
+    update_dual_all,
+    update_v_all,
+    update_w_all,
     v_update_factor,
 )
 from tracklasso.models import (
@@ -75,9 +75,9 @@ def test_update_v_hand_value():
     from tracklasso.models import GroupRegularizer
 
     reg = GroupRegularizer(groups=[np.array([[2.0]])], weights=1.0)
-    v = update_v(np.array([1.0]), np.array([3.0]), np.array([0.2, -0.4]),
-                 reg, 0.5)
-    np.testing.assert_allclose(v, [1.16], rtol=1e-12)
+    v = update_v_all(np.array([[1.0]]), np.array([[3.0]]),
+                     np.array([[0.2, -0.4]]), reg, 0.5)
+    np.testing.assert_allclose(v, [[1.16]], rtol=1e-12)
 
 
 def test_update_v_no_groups():
@@ -85,9 +85,9 @@ def test_update_v_no_groups():
     from tracklasso.models import GroupRegularizer
 
     empty = GroupRegularizer(groups=[], weights=np.zeros(0))
-    v = update_v(np.array([1.0, 2.0]), np.zeros(0), np.array([0.5, -0.5]),
-                 empty, 2.0)
-    np.testing.assert_allclose(v, [1.25, 1.75])
+    v = update_v_all(np.array([[1.0, 2.0]]), np.zeros((1, 0)),
+                     np.array([[0.5, -0.5]]), empty, 2.0)
+    np.testing.assert_allclose(v, [[1.25, 1.75]])
 
 
 def w_objective(w, v_t, eta_under_t, reg, gamma):
@@ -105,7 +105,7 @@ def test_update_w_minimises_its_objective(seed):
     gamma = float(rng.uniform(0.2, 3.0))
     v_t = rng.normal(size=4)
     eta_under = rng.normal(size=4)
-    w_star = update_w(v_t, eta_under, reg, gamma)
+    w_star = update_w_all(v_t[None], eta_under[None], reg, gamma)[0]
     base = w_objective(w_star, v_t, eta_under, reg, gamma)
     for _ in range(8):
         trial = w_star + rng.normal(scale=0.3, size=4)
@@ -122,7 +122,8 @@ def test_update_v_stationarity(seed):
     u_t = rng.normal(size=3)
     w_t = rng.normal(size=reg.total_rows)
     eta_t = rng.normal(size=3 + reg.total_rows)
-    v = update_v(u_t, w_t, eta_t, reg, gamma, v_update_factor(reg))
+    v = update_v_all(u_t[None], w_t[None], eta_t[None], reg, gamma,
+                     v_update_factor(reg))[0]
     G = reg.G_stack
     grad = (-gamma * (u_t - v + eta_t[:3] / gamma)
             - gamma * G.T @ (w_t - G @ v + eta_t[3:] / gamma))
@@ -135,7 +136,7 @@ def test_update_dual_formula():
     w = np.array([0.5, 0.5])
     v = np.array([0.25, 0.75])
     eta = np.array([0.1, 0.2, 0.3, 0.4])
-    out = update_dual(u, w, v, eta, reg, 2.0)
+    out = update_dual_all(u[None], w[None], v[None], eta[None], reg, 2.0)[0]
     resid = np.concatenate([u - v, w - reg.G_stack @ v])
     np.testing.assert_allclose(out, eta + 2.0 * resid)
 

@@ -151,3 +151,21 @@ def test_batch_affine_gamma_zero_is_unregularised_fit():
     res = minimize(cost, x_hat.ravel() + 0.3, method="BFGS",
                    options=dict(gtol=1e-12, maxiter=500))
     assert cost(x_hat.ravel()) <= res.fun + 1e-10
+
+
+def test_affine_x_solver_never_serves_a_dropped_problem():
+    # one cached solver over many short-lived problems: a new problem may
+    # reuse a freed one's id, and must still get its own solution
+    from tracklasso.batch import make_affine_x_solver
+
+    solver = make_affine_x_solver()
+    rng = np.random.default_rng(8)
+    for i in range(40):
+        prob = random_affine_problem(rng, T=6, n_x=2, n_y=1)
+        V = rng.normal(size=(6, 2))
+        eta = rng.normal(size=(6, 2))
+        want = batch_x_affine(stack_problem(prob, V, eta, 1.0), 1.0)
+        got = solver(prob, V, eta, 1.0, None)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12,
+                                   err_msg=f"problem {i}")
+        del prob

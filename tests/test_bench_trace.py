@@ -1,0 +1,41 @@
+"""The benchmark tracer still reaches every call site it wraps.
+
+bench/tracing.py patches library functions at the module bindings their
+callers look them up by, and refuses to install when one is gone.  Entering
+it here makes a refactor that unbinds a traced name fail in the test suite,
+not only in a benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from tracing import Tracer  # noqa: E402
+
+import tracklasso.smoothers as smoothers  # noqa: E402
+from tracklasso.admm import MadmmOptions  # noqa: E402
+from tracklasso.models import TrackingProblem, make_regularizer  # noqa: E402
+from tracklasso.scenarios import scenario_defaults, simulate_range  # noqa: E402
+from tracklasso.solve import solve_problem  # noqa: E402
+
+
+def test_tracer_installs_and_records_the_lm_path():
+    data, model = simulate_range(scenario_defaults("range", T=10, seed=0))
+    reg = make_regularizer("group", 4, groups=[[2, 3]], weights=1.0)
+    prob = TrackingProblem(model=model, reg=reg, y=data.y)
+    original = smoothers.lm_ieks
+    tracer = Tracer()
+    with tracer.installed():
+        assert smoothers.lm_ieks is not original
+        rep = solve_problem(prob, solver="lm_ieks_madmm",
+                            opts=MadmmOptions(gamma=1.0, k_max=2), i_max=3)
+    assert smoothers.lm_ieks is original
+    assert np.all(np.isfinite(rep.x))
+    names = {span[0] for span in tracer.spans}
+    assert {"smoothers.lm_ieks", "smoothers.augmented_ks", "smoothers.linearize",
+            "models.x_subproblem_cost", "admm.x_update"} <= names
+    accepted = sum(v for name, v, _ in tracer.counts if name == "smoothers.lm.accepted")
+    assert accepted > 0

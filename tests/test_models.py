@@ -184,3 +184,41 @@ def test_nonlinear_model_roundtrip():
     np.testing.assert_allclose(model.measurement(0, np.array([3.0])), [9.0])
     np.testing.assert_allclose(model.measurement_jacobian(0, np.array([3.0])),
                                [[6.0]])
+
+
+def test_problem_rejects_non_finite_measurements():
+    prob = scalar_problem()
+    for bad in (np.nan, np.inf):
+        y = np.array([[1.0], [bad]])
+        with pytest.raises(ValueError, match="y: non-finite value at step 1"):
+            TrackingProblem(model=prob.model, reg=prob.reg, y=y)
+
+
+def _stacked_inputs(T=4):
+    return dict(A=np.tile(np.eye(2), (T, 1, 1)), b=np.zeros((T, 2)),
+                H=np.tile(np.eye(2), (T, 1, 1)), e=np.zeros((T, 2)),
+                Q=np.tile(np.eye(2), (T, 1, 1)), R=np.tile(np.eye(2), (T, 1, 1)),
+                m1=np.zeros(2), P1=np.eye(2), T=T)
+
+
+@pytest.mark.parametrize("name", ["A", "b", "H", "e", "Q", "R", "m1", "P1"])
+def test_affine_model_rejects_non_finite_input(name):
+    inputs = _stacked_inputs()
+    arr = inputs[name].copy()
+    stacked = name not in ("m1", "P1")
+    arr[(2,) if stacked else (0,)] = np.nan
+    inputs[name] = arr
+    where = f"{name}: non-finite value at step 2" if stacked else f"{name}: contains a non-finite"
+    with pytest.raises(ValueError, match=where):
+        AffineModel(**inputs)
+    # linearisations skip validation and are never rejected here
+    AffineModel(**inputs, validate=False)
+
+
+def test_affine_model_ignores_unused_transition_entries():
+    # index 0 of A, b and Q is never consulted, so it may hold anything
+    inputs = _stacked_inputs()
+    for name in ("A", "b", "Q"):
+        inputs[name] = inputs[name].copy()
+        inputs[name][0] = np.nan
+    AffineModel(**inputs)
