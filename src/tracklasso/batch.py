@@ -145,12 +145,8 @@ def make_affine_x_solver():
         nonlocal cache
         if cache is None or cache[0] is not problem or cache[1] != gamma:
             stacked = stack_problem(problem, V, eta_bar, gamma)
-            M, _ = normal_system(stacked, 0.0)
+            M, rhs_data = normal_system(stacked, 0.0)
             M = M + gamma * stacked.Phi.T @ stacked.Phi
-            Rf = cho_factor(stacked.R, lower=True)
-            Qf = cho_factor(stacked.Q, lower=True)
-            rhs_data = (stacked.H.T @ cho_solve(Rf, stacked.y - stacked.e)
-                        + stacked.A.T @ cho_solve(Qf, stacked.m + stacked.b))
             try:
                 factor = cho_factor(M, lower=True)
             except np.linalg.LinAlgError as exc:

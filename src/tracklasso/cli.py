@@ -127,12 +127,29 @@ class RunConfig:
             raise UsageError("jobs must be at least 1")
 
 
-_CASTS = {
-    "scenario": str, "input": str, "solver": str, "regularizer": str,
-    "groups": str, "mu": float, "gamma": float, "kmax": int, "imax": int,
-    "lambda0": float, "alpha": float, "sparsity": str, "seed": int,
-    "steps": int, "dt": float, "p0": float, "out": str, "jobs": int,
-}
+# (name, type, choices, help) of every RunConfig option except command: the
+# simulate/solve flags, the config-file keys and their casts all come from here
+_OPTIONS = (
+    ("scenario", str, SCENARIOS, None),
+    ("input", str, None, "measurement CSV (t,x,y header)"),
+    ("solver", str, SOLVERS, None),
+    ("regularizer", str, REG_KINDS, None),
+    ("groups", str, None, "index sets, e.g. '2,3' or '0,1;2,3'"),
+    ("mu", float, None, "penalty weight"),
+    ("gamma", float, None, "ADMM penalty parameter"),
+    ("kmax", int, None, "outer ADMM iteration cap"),
+    ("imax", int, None, "inner smoother iteration cap"),
+    ("lambda0", float, None, "initial LM damping"),
+    ("alpha", float, None, "LM damping scale factor"),
+    ("sparsity", str, ("state", "process_noise"), None),
+    ("seed", int, None, None),
+    ("steps", int, None, "trajectory length override"),
+    ("dt", float, None, "sampling interval override"),
+    ("p0", float, None, "probability of zero process noise"),
+    ("out", str, None, "output directory"),
+    ("jobs", int, None, "worker processes for seed sweeps"),
+)
+_CASTS = {name: cast for name, cast, _, _ in _OPTIONS}
 
 
 def parse_groups(text: str) -> Tuple[Tuple[int, ...], ...]:
@@ -451,24 +468,8 @@ def cmd_benchmark(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="flat key=value config file")
-    p.add_argument("--scenario", choices=SCENARIOS)
-    p.add_argument("--input", help="measurement CSV (t,x,y header)")
-    p.add_argument("--solver", choices=SOLVERS)
-    p.add_argument("--regularizer", choices=REG_KINDS)
-    p.add_argument("--groups", help="index sets, e.g. '2,3' or '0,1;2,3'")
-    p.add_argument("--mu", type=float, help="penalty weight")
-    p.add_argument("--gamma", type=float, help="ADMM penalty parameter")
-    p.add_argument("--kmax", type=int, help="outer ADMM iteration cap")
-    p.add_argument("--imax", type=int, help="inner smoother iteration cap")
-    p.add_argument("--lambda0", type=float, help="initial LM damping")
-    p.add_argument("--alpha", type=float, help="LM damping scale factor")
-    p.add_argument("--sparsity", choices=("state", "process_noise"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--steps", type=int, help="trajectory length override")
-    p.add_argument("--dt", type=float, help="sampling interval override")
-    p.add_argument("--p0", type=float, help="probability of zero process noise")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--jobs", type=int, help="worker processes for seed sweeps")
+    for name, cast, choices, text in _OPTIONS:
+        p.add_argument(f"--{name}", type=cast, choices=choices, help=text)
 
 
 def build_parser() -> _Parser:

@@ -197,18 +197,22 @@ class AffineModel:
 
 @dataclass(frozen=True, eq=False)
 class NonlinearModel:
-    """State-space model with callable transition and measurement functions.
+    """State-space model with time-stacked transition and measurement callables.
 
-    ``transition(t, x)`` maps x_{t-1} to the mean of x_t (valid for t >= 1),
-    ``measurement(t, x)`` maps x_t to the mean of y_t (valid for t >= 0).
-    The Jacobian callables share those signatures and return (n_x, n_x) and
-    (n_y, n_x) arrays.
+    Each callable evaluates k steps at once: it takes an int step array
+    ``t`` of shape (k,) and the states ``X`` of shape (k, n_x) at those
+    steps.  ``transition(t, X)`` maps each x_{t-1} to the mean of x_t
+    (steps t >= 1) and returns (k, n_x); ``measurement(t, X)`` maps each x_t
+    to the mean of y_t and returns (k, n_y); ``transition_jacobian`` and
+    ``measurement_jacobian`` return (k, n_x, n_x) and (k, n_y, n_x).  A
+    return value that broadcasts to its shape is accepted, so a constant
+    Jacobian may be a single matrix.
     """
 
-    transition: Callable[[int, np.ndarray], np.ndarray]
-    transition_jacobian: Callable[[int, np.ndarray], np.ndarray]
-    measurement: Callable[[int, np.ndarray], np.ndarray]
-    measurement_jacobian: Callable[[int, np.ndarray], np.ndarray]
+    transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    transition_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    measurement: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    measurement_jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
     Q: np.ndarray
     R: np.ndarray
     m1: np.ndarray
@@ -248,9 +252,9 @@ class NonlinearModel:
         """Wrap an affine model in callable form (Jacobians are exact)."""
         A, b, H, e = model.A, model.b, model.H, model.e
         return cls(
-            transition=lambda t, x: A[t] @ x + b[t],
+            transition=lambda t, x: (A[t] @ x[..., None])[..., 0] + b[t],
             transition_jacobian=lambda t, x: A[t],
-            measurement=lambda t, x: H[t] @ x + e[t],
+            measurement=lambda t, x: (H[t] @ x[..., None])[..., 0] + e[t],
             measurement_jacobian=lambda t, x: H[t],
             Q=model.Q, R=model.R, m1=model.m1, P1=model.P1, T=model.T,
         )
@@ -395,6 +399,23 @@ def make_regularizer(kind: str, n_x: int, groups: Optional[Sequence[Sequence[int
     return GroupRegularizer(groups=tuple(mats), weights=weights, target_mode=target_mode)
 
 
+def transition_linearization(model: NonlinearModel, nominal: np.ndarray):
+    """Affine expansion (J, d) of the transition about a nominal trajectory.
+
+    J_t = J_a(t, nominal_{t-1}) and d_t = a_t(nominal_{t-1}) - J_t nominal_{t-1},
+    evaluated for all steps at once; shapes (T, n_x, n_x) and (T, n_x), with
+    zero placeholders at index 0.
+    """
+    nominal = np.asarray(nominal, dtype=float)
+    T, n = model.T, model.n_x
+    t, X = np.arange(1, T), nominal[:-1]
+    J = np.zeros((T, n, n))
+    d = np.zeros((T, n))
+    J[1:] = model.transition_jacobian(t, X)
+    d[1:] = model.transition(t, X) - (J[1:] @ X[..., None])[..., 0]
+    return J, d
+
+
 def sparsity_target(model: Model, mode: str, nominal: Optional[np.ndarray] = None):
     """Per-step (B, d) defining the penalised increment x_t - B_t x_{t-1} - d_t.
 
@@ -414,14 +435,7 @@ def sparsity_target(model: Model, mode: str, nominal: Optional[np.ndarray] = Non
         return model.A, model.b
     if nominal is None:
         raise ValueError("process_noise targets for a nonlinear model need a nominal trajectory")
-    nominal = np.asarray(nominal, dtype=float)
-    B = np.zeros((T, n, n))
-    d = np.zeros((T, n))
-    for t in range(1, T):
-        Bt = np.asarray(model.transition_jacobian(t, nominal[t - 1]), dtype=float)
-        B[t] = Bt
-        d[t] = model.transition(t, nominal[t - 1]) - Bt @ nominal[t - 1]
-    return B, d
+    return transition_linearization(model, nominal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,7 +501,7 @@ def prior_mean_trajectory(model: Model) -> np.ndarray:
             x[t] = model.A[t] @ x[t - 1] + model.b[t]
     else:
         for t in range(1, model.T):
-            x[t] = model.transition(t, x[t - 1])
+            x[t:t + 1] = model.transition(np.array([t]), x[t - 1:t])
     return x
 
 
@@ -495,10 +509,7 @@ def measurement_residuals(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndar
     """y_t minus the model measurement of x_t, shape (T, n_y)."""
     if isinstance(model, AffineModel):
         return y - np.einsum("tij,tj->ti", model.H, x) - model.e
-    out = np.empty_like(y, dtype=float)
-    for t in range(model.T):
-        out[t] = y[t] - model.measurement(t, x[t])
-    return out
+    return y - model.measurement(np.arange(model.T), x)
 
 
 def dynamics_residuals(model: Model, x: np.ndarray) -> np.ndarray:
@@ -511,8 +522,7 @@ def dynamics_residuals(model: Model, x: np.ndarray) -> np.ndarray:
     if isinstance(model, AffineModel):
         out[1:] = x[1:] - np.einsum("tij,tj->ti", model.A[1:], x[:-1]) - model.b[1:]
     else:
-        for t in range(1, model.T):
-            out[t] = x[t] - model.transition(t, x[t - 1])
+        out[1:] = x[1:] - model.transition(np.arange(1, model.T), x[:-1])
     return out
 
 

@@ -168,27 +168,27 @@ def range_model(sensors, dt: float, T: int, r_std: float = 0.2,
     """Constant-velocity motion observed through per-sensor range measurements."""
     sensors = np.asarray(sensors, dtype=float).reshape(-1, 2)
     A, _ = wiener_velocity_matrices(dt, 1.0)
-    n_s = sensors.shape[0]
     Q = np.asarray(Q, dtype=float) if Q is not None else np.diag([0.01, 0.01, 0.1, 0.1])
-    R = r_std ** 2 * np.eye(n_s)
+    R = r_std ** 2 * np.eye(sensors.shape[0])
     m1 = np.asarray(m1, dtype=float) if m1 is not None else np.zeros(4)
     P1 = np.asarray(P1, dtype=float) if P1 is not None else np.eye(4) / 10.0
 
+    # x is one state (4,) or a stack (k, 4); sensors broadcast over its leading
+    # axes, and the transition is a stacked matmul so that it rounds as A @ x
     def ranges(t, x):
-        diff = x[:2] - sensors
-        return np.sqrt(np.sum(diff * diff, axis=1))
+        diff = x[..., None, :2] - sensors
+        return np.sqrt(np.sum(diff * diff, axis=-1))
 
     def range_jacobian(t, x):
-        diff = x[:2] - sensors
-        r = np.sqrt(np.sum(diff * diff, axis=1))
+        diff = x[..., None, :2] - sensors
+        r = np.sqrt(np.sum(diff * diff, axis=-1))
         r = np.maximum(r, RANGE_CLAMP)
-        J = np.zeros((n_s, 4))
-        J[:, 0] = diff[:, 0] / r
-        J[:, 1] = diff[:, 1] / r
+        J = np.zeros(diff.shape[:-1] + (4,))
+        J[..., :2] = diff / r[..., None]
         return J
 
     return NonlinearModel(
-        transition=lambda t, x: A @ x,
+        transition=lambda t, x: (A @ x[..., None])[..., 0],
         transition_jacobian=lambda t, x: A,
         measurement=ranges,
         measurement_jacobian=range_jacobian,
@@ -228,59 +228,56 @@ def simulate_range(params: ScenarioParams, seed: Optional[int] = None):
             x[t, 2:] = 0.0
         remaining -= 1
 
-    y = np.empty((T, model.n_y))
-    for t in range(T):
-        y[t] = model.measurement(t, x[t]) + params.sigma * rng.standard_normal(model.n_y)
+    y = model.measurement(np.arange(T), x) + params.sigma * rng.standard_normal((T, model.n_y))
     times = np.arange(T) * params.dt
     return TrackDataset(y=y, times=times, truth=x), model
 
 
-def _ct_coeffs(omega: float, dt: float):
+def _ct_coeffs(omega, dt: float):
     """sin(w dt)/w and (1 - cos(w dt))/w with series branches near w = 0."""
     z = omega * dt
-    if abs(z) < 1e-4:
-        s = dt * (1.0 - z * z / 6.0 + z ** 4 / 120.0)
-        c = dt * z / 2.0 * (1.0 - z * z / 12.0)
-    else:
-        s = np.sin(z) / omega
-        c = (1.0 - np.cos(z)) / omega
+    small = np.abs(z) < 1e-4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(small, dt * (1.0 - z * z / 6.0 + z ** 4 / 120.0), np.sin(z) / omega)
+        c = np.where(small, dt * z / 2.0 * (1.0 - z * z / 12.0), (1.0 - np.cos(z)) / omega)
     return s, c
 
 
 def ct_transition(x: np.ndarray, dt: float) -> np.ndarray:
-    """Coordinated-turn step for state (px, py, vx, vy, omega)."""
-    px, py, vx, vy, w = x
+    """Coordinated-turn step for states (..., 5) = (px, py, vx, vy, omega)."""
+    px, py, vx, vy, w = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
     s, c = _ct_coeffs(w, dt)
     z = w * dt
     cos_z, sin_z = np.cos(z), np.sin(z)
-    return np.array([
+    return np.stack([
         px + s * vx - c * vy,
         py + c * vx + s * vy,
         cos_z * vx - sin_z * vy,
         sin_z * vx + cos_z * vy,
         w,
-    ])
+    ], axis=-1)
 
 
 def ct_jacobian(x: np.ndarray, dt: float) -> np.ndarray:
-    """Exact coordinated-turn Jacobian with analytic omega -> 0 limits."""
-    px, py, vx, vy, w = x
+    """Exact coordinated-turn Jacobians (..., 5, 5) with analytic omega -> 0 limits."""
+    x = np.asarray(x, dtype=float)
+    px, py, vx, vy, w = np.moveaxis(x, -1, 0)
     s, c = _ct_coeffs(w, dt)
     z = w * dt
     cos_z, sin_z = np.cos(z), np.sin(z)
-    if abs(z) < 1e-4:
+    small = np.abs(z) < 1e-4
+    with np.errstate(divide="ignore", invalid="ignore"):
         # series of (z cos z - sin z)/w^2 and (z sin z - 1 + cos z)/w^2
-        ds = dt * dt * (-z / 3.0 + z ** 3 / 30.0)
-        dc = dt * dt * (0.5 - z * z / 8.0)
-    else:
-        ds = (z * cos_z - sin_z) / (w * w)
-        dc = (z * sin_z - 1.0 + cos_z) / (w * w)
-    J = np.zeros((5, 5))
-    J[0] = [1.0, 0.0, s, -c, vx * ds - vy * dc]
-    J[1] = [0.0, 1.0, c, s, vx * dc + vy * ds]
-    J[2] = [0.0, 0.0, cos_z, -sin_z, dt * (-sin_z * vx - cos_z * vy)]
-    J[3] = [0.0, 0.0, sin_z, cos_z, dt * (cos_z * vx - sin_z * vy)]
-    J[4] = [0.0, 0.0, 0.0, 0.0, 1.0]
+        ds = np.where(small, dt * dt * (-z / 3.0 + z ** 3 / 30.0),
+                      (z * cos_z - sin_z) / (w * w))
+        dc = np.where(small, dt * dt * (0.5 - z * z / 8.0),
+                      (z * sin_z - 1.0 + cos_z) / (w * w))
+    J = np.zeros(x.shape[:-1] + (5, 5))
+    J[..., 0, 0] = J[..., 1, 1] = J[..., 4, 4] = 1.0
+    J[..., 0, 2:] = np.stack([s, -c, vx * ds - vy * dc], axis=-1)
+    J[..., 1, 2:] = np.stack([c, s, vx * dc + vy * ds], axis=-1)
+    J[..., 2, 2:] = np.stack([cos_z, -sin_z, dt * (-sin_z * vx - cos_z * vy)], axis=-1)
+    J[..., 3, 2:] = np.stack([sin_z, cos_z, dt * (cos_z * vx - sin_z * vy)], axis=-1)
     return J
 
 
@@ -299,7 +296,7 @@ def coordinated_turn_model(params: ScenarioParams, m1=None, P1=None) -> Nonlinea
     return NonlinearModel(
         transition=lambda t, x: ct_transition(x, dt),
         transition_jacobian=lambda t, x: ct_jacobian(x, dt),
-        measurement=lambda t, x: H @ x,
+        measurement=lambda t, x: x @ H.T,
         measurement_jacobian=lambda t, x: H,
         Q=Q, R=R, m1=m1, P1=P1, T=params.T,
     )

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
 from .models import (AffineModel, Model, NonlinearModel, SingularSystemError,
                      TrackingProblem, per_step, prior_mean_trajectory,
-                     time_invariant, x_subproblem_cost)
+                     time_invariant, transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
 
@@ -34,9 +34,11 @@ PROPOSAL_FLOOR = 1e-10
 class FusedModel:
     """Affine model with the quadratic penalty folded into dynamics and prior.
 
-    Index 0 of Atil, btil, Qtil is never consulted.  When z and sigma are
-    set, the smoother applies an extra update against the pseudo
-    measurement z_t with covariance sigma_t after each data update.
+    For gamma > 0, build_fused produces Atil, btil, Qtil in one stacked fuse
+    with the prior as step 0, so btil[0] and Qtil[0] are m1til and P1til;
+    index 0 of Atil is never consulted.  When z and sigma are set, the
+    smoother applies an extra update against the pseudo measurement z_t with
+    covariance sigma_t after each data update.
 
     Folding the penalty into the transition is lossless only when B_t = A_t;
     otherwise the Gaussian product leaves an evidence factor
@@ -88,53 +90,45 @@ class SmootherPass:
     G: Optional[np.ndarray] = None
 
 
-def _spd_inverse(mat: np.ndarray, name: str) -> np.ndarray:
+def _compact(arr: np.ndarray) -> np.ndarray:
+    """One step of a broadcast (time-invariant) stack, else the stack itself."""
+    return arr[:1] if time_invariant(arr) else arr
+
+
+def _fuse(Q, A, b, B, d, v, eta, gamma: float, what: str, first: int = 0):
+    """Fuse k steps with the penalty coupling, returning stacked (A~, b~, Q~).
+
+    With Qi = Q^{-1}: Q~ = (Qi + gamma I)^{-1}, A~ = Q~ (Qi A + gamma B) and
+    b~ = Q~ (Qi b + gamma (d + v) - eta), over (k, n, n) and (k, n) stacks.
+    Broadcast Q, A and B stacks are fused once.  A Q that is not positive
+    definite raises SingularSystemError naming ``what`` and its first bad
+    step, counted from ``first``.
+    """
+    Q, A, B = _compact(Q), _compact(A), _compact(B)
     try:
-        f = cho_factor(mat, lower=True)
+        Li = np.linalg.inv(np.linalg.cholesky(Q))
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{name} is not positive definite") from exc
-    inv = cho_solve(f, np.eye(mat.shape[0]))
-    return 0.5 * (inv + inv.T)
-
-
-def fuse_dynamics(A_t, b_t, Q_t, B_t, d_t, v_t, eta_bar_t, gamma: float):
-    """Fuse one transition with the penalty coupling, returning (A~, b~, Q~)."""
-    A_t, Q_t, B_t = (np.asarray(a, dtype=float) for a in (A_t, Q_t, B_t))
-    b_t, d_t, v_t, eta_bar_t = (np.asarray(a, dtype=float) for a in (b_t, d_t, v_t, eta_bar_t))
-    if gamma == 0:
-        return A_t.copy(), b_t.copy(), Q_t.copy()
-    n = A_t.shape[0]
-    Qi = _spd_inverse(Q_t, "transition covariance")
-    M = Qi + gamma * np.eye(n)
-    Mf = cho_factor(M, lower=True)
-    Atil = cho_solve(Mf, Qi @ A_t + gamma * B_t)
-    btil = cho_solve(Mf, Qi @ b_t + gamma * (d_t + v_t) - eta_bar_t)
-    Qtil = cho_solve(Mf, np.eye(n))
-    return Atil, btil, 0.5 * (Qtil + Qtil.T)
-
-
-def fuse_prior(m1, P1, v_1, eta_bar_1, gamma: float):
-    """Fuse the prior with the first penalty increment u_0 = x_0 - m1."""
-    m1, P1 = np.asarray(m1, dtype=float), np.asarray(P1, dtype=float)
-    if gamma == 0:
-        return m1.copy(), P1.copy()
-    n = m1.shape[0]
-    Pi = _spd_inverse(P1, "prior covariance")
-    M = Pi + gamma * np.eye(n)
-    Mf = cho_factor(M, lower=True)
-    m1til = cho_solve(Mf, Pi @ m1 + gamma * (m1 + np.asarray(v_1, dtype=float))
-                      - np.asarray(eta_bar_1, dtype=float))
-    P1til = cho_solve(Mf, np.eye(n))
-    return m1til, 0.5 * (P1til + P1til.T)
+        ok = np.all(np.linalg.eigvalsh(Q) > 0, axis=-1)
+        raise SingularSystemError(f"{what} at step {first + int(np.argmin(ok))} "
+                                  f"is not positive definite") from exc
+    Qi = np.swapaxes(Li, -1, -2) @ Li
+    Qtil = np.linalg.inv(Qi + gamma * np.eye(Q.shape[-1]))
+    Qtil = 0.5 * (Qtil + np.swapaxes(Qtil, -1, -2))
+    Atil = Qtil @ (Qi @ A + gamma * B)
+    rhs = Qi @ b[..., None] + (gamma * (d + v) - eta)[..., None]
+    shape = b.shape + b.shape[-1:]
+    return np.broadcast_to(Atil, shape), (Qtil @ rhs)[..., 0], np.broadcast_to(Qtil, shape)
 
 
 def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float,
                 z: Optional[np.ndarray] = None,
                 sigma: Optional[np.ndarray] = None) -> FusedModel:
-    """Fuse a whole affine model with the penalty coupling.
+    """Fuse a whole affine model with the penalty coupling in one stacked pass.
 
-    Vectorised over time when the transition covariance is time invariant;
-    otherwise steps are fused one by one.
+    The prior is fused as step 0 of the same algebra, with A = B = 0,
+    b = d = m1 and Q = P1 (the convention of the dense stacked problem), and
+    the transitions as steps 1..T-1.  With gamma = 0 there is no coupling
+    and the model is returned unchanged.
     """
     T, n = model.T, model.n_x
     V = np.asarray(V, dtype=float)
@@ -145,42 +139,18 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float,
     if gamma == 0:
         return FusedModel(model.A, model.b, model.Q, model.m1.copy(), model.P1.copy(),
                           model.H, model.e, model.R, z=z, sigma=sigma)
+    B, d = np.asarray(B, dtype=float), np.asarray(d, dtype=float)
+    zero, m1 = np.zeros((1, n, n)), model.m1[None]
+    prior = _fuse(model.P1[None], zero, m1, zero, m1, V[:1], eta_bar[:1], gamma, "P1")
+    steps = _fuse(model.Q[1:], model.A[1:], model.b[1:], B[1:], d[1:], V[1:],
+                  eta_bar[1:], gamma, "Q", first=1)
+    Atil, btil, Qtil = (np.concatenate(pair) for pair in zip(prior, steps))
     ev_H = ev_z = ev_R = None
-    if T > 1 and not np.array_equal(np.asarray(B), np.asarray(model.A)):
-        ev_H = np.asarray(model.A)[1:] - np.asarray(B)[1:]
-        ev_z = (np.asarray(d) + V - eta_bar / gamma - np.asarray(model.b))[1:]
-        if time_invariant(model.Q):
-            ev_R = np.broadcast_to(model.Q[min(1, T - 1)] + np.eye(n) / gamma,
-                                   (T - 1, n, n))
-        else:
-            ev_R = model.Q[1:] + np.eye(n) / gamma
-    m1til, P1til = fuse_prior(model.m1, model.P1, V[0], eta_bar[0], gamma)
-    if T == 1:
-        Atil, btil, Qtil = model.A, model.b, model.Q
-    elif time_invariant(model.Q):
-        Q0 = model.Q[min(1, T - 1)]
-        Qi = _spd_inverse(Q0, "transition covariance")
-        Mf = cho_factor(Qi + gamma * np.eye(n), lower=True)
-        Qtil0 = cho_solve(Mf, np.eye(n))
-        Qtil = np.broadcast_to(0.5 * (Qtil0 + Qtil0.T), (T, n, n))
-        if time_invariant(model.A) and time_invariant(B):
-            At0 = cho_solve(Mf, Qi @ model.A[min(1, T - 1)] + gamma * np.asarray(B[min(1, T - 1)]))
-            Atil = np.broadcast_to(At0, (T, n, n))
-        else:
-            # batched solve: stack the T right-hand sides column-wise
-            rhs = np.matmul(Qi, np.asarray(model.A)) + gamma * np.asarray(B)
-            sol = cho_solve(Mf, rhs.transpose(1, 0, 2).reshape(n, T * n))
-            Atil = sol.reshape(n, T, n).transpose(1, 0, 2)
-        lin = (np.asarray(model.b) @ Qi.T) + gamma * (np.asarray(d) + V) - eta_bar
-        btil = cho_solve(Mf, lin.T).T
-    else:
-        Atil = np.zeros((T, n, n))
-        btil = np.zeros((T, n))
-        Qtil = np.zeros((T, n, n))
-        for t in range(1, T):
-            Atil[t], btil[t], Qtil[t] = fuse_dynamics(
-                model.A[t], model.b[t], model.Q[t], B[t], d[t], V[t], eta_bar[t], gamma)
-    return FusedModel(Atil, btil, Qtil, m1til, P1til, model.H, model.e, model.R,
+    if not np.array_equal(B[1:], model.A[1:]):
+        ev_H = model.A[1:] - B[1:]
+        ev_z = (d + V - eta_bar / gamma - model.b)[1:]
+        ev_R = np.broadcast_to(_compact(model.Q[1:]) + np.eye(n) / gamma, (T - 1, n, n))
+    return FusedModel(Atil, btil, Qtil, btil[0], Qtil[0], model.H, model.e, model.R,
                       z=z, sigma=sigma, ev_H=ev_H, ev_z=ev_z, ev_R=ev_R)
 
 
@@ -281,23 +251,16 @@ def linearize(model: NonlinearModel, nominal: np.ndarray) -> AffineModel:
     """First-order affine expansion of a nonlinear model about a trajectory.
 
     A_t = J_a(t, nominal_{t-1}), b_t = a_t(nominal_{t-1}) - A_t nominal_{t-1},
-    H_t = J_h(t, nominal_t), e_t = h_t(nominal_t) - H_t nominal_t.
+    H_t = J_h(t, nominal_t), e_t = h_t(nominal_t) - H_t nominal_t, each
+    evaluated for all steps in one call of the model's callables.
     """
     nominal = np.asarray(nominal, dtype=float)
     T, n, n_y = model.T, model.n_x, model.n_y
-    A = np.zeros((T, n, n))
-    b = np.zeros((T, n))
+    A, b = transition_linearization(model, nominal)
+    t = np.arange(T)
     H = np.empty((T, n_y, n))
-    e = np.empty((T, n_y))
-    A[0] = np.eye(n)
-    for t in range(1, T):
-        At = np.asarray(model.transition_jacobian(t, nominal[t - 1]), dtype=float)
-        A[t] = At
-        b[t] = model.transition(t, nominal[t - 1]) - At @ nominal[t - 1]
-    for t in range(T):
-        Ht = np.asarray(model.measurement_jacobian(t, nominal[t]), dtype=float)
-        H[t] = Ht
-        e[t] = model.measurement(t, nominal[t]) - Ht @ nominal[t]
+    H[:] = model.measurement_jacobian(t, nominal)
+    e = model.measurement(t, nominal) - (H @ nominal[..., None])[..., 0]
     return AffineModel(A=A, b=b, H=H, e=e, Q=model.Q, R=model.R,
                        m1=model.m1, P1=model.P1, T=T, validate=False)
 
@@ -426,17 +389,22 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
             lambda_trace: Optional[List[float]] = None) -> np.ndarray:
     """Levenberg-Marquardt iterated smoother for the coupled subproblem.
 
-    Each proposal relinearises the model about the current trajectory,
-    fuses it with the penalty coupling, and smooths.  Damping is realised
-    as a per-step pseudo-measurement of the current iterate with covariance
-    S_t / lambda, applied directly after each data update.
+    Each proposal linearises the model about the current trajectory, fuses
+    it with the penalty coupling, and smooths; after a rejected step the
+    trajectory is the same object and its linearisation is reused.  Damping
+    is realised as a per-step pseudo-measurement of the current iterate
+    with covariance S_t / lambda, applied directly after each data update.
     """
     cfg = cfg or LMConfig()
     nl = _as_nonlinear(problem.model)
     s_cov = np.asarray(cfg.s_cov, dtype=float) if cfg.s_cov is not None else np.eye(problem.n_x)
+    last = (None, None)
 
     def propose(x, targets, lam):
-        lin = linearize(nl, x)
+        nonlocal last
+        if last[0] is not x:
+            last = (x, linearize(nl, x))
+        lin = last[1]
         B, d = targets
         if lam > 0:
             fused = build_fused(lin, B, d, v, eta_bar, gamma, z=x, sigma=s_cov / lam)

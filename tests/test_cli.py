@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -83,6 +84,12 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert echoed["mu"] == "0.5"          # flag beats file
     assert echoed["solver"] == "batch_madmm"  # file beats default
     assert echoed["seed"] == "3"
+
+
+def test_option_table_declares_every_config_field():
+    names = [name for name, _, _, _ in cli._OPTIONS]
+    assert names == [f.name for f in fields(cli.RunConfig) if f.name != "command"]
+    assert list(cli._CASTS) == names
 
 
 def test_usage_errors_exit_64(tmp_path):

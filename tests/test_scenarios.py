@@ -133,6 +133,23 @@ def test_ct_jacobian_finite_difference():
         np.testing.assert_allclose(J[:, j], fd, atol=1e-5)
 
 
+@pytest.mark.parametrize("kind", ["range", "coordinated_turn"])
+def test_stacked_callables_match_single_state_calls(kind):
+    """One stacked call per callable gives bit for bit the per-state values."""
+    sim = simulate_range if kind == "range" else simulate_coordinated_turn
+    data, model = sim(scenario_defaults(kind, T=40, seed=3))
+    X = data.truth + np.random.default_rng(0).normal(scale=0.1, size=data.truth.shape)
+    if kind == "coordinated_turn":
+        X[::3, 4] = 0.0      # exact omega = 0 and the series branch
+        X[1::3, 4] = 2e-4
+    t, n_x, n_y = np.arange(40), model.n_x, model.n_y
+    for fn, core in ((model.transition, (n_x,)), (model.transition_jacobian, (n_x, n_x)),
+                     (model.measurement, (n_y,)), (model.measurement_jacobian, (n_y, n_x))):
+        stacked = np.broadcast_to(fn(t, X), (40,) + core)
+        single = np.stack([np.broadcast_to(fn(s, X[s]), core) for s in t])
+        np.testing.assert_array_equal(stacked, single)
+
+
 def test_simulate_range_and_turn_shapes():
     data, model = simulate_range(scenario_defaults("range", T=12, seed=2))
     assert data.y.shape == (12, 3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tracklasso.batch import (
     LMConfig,
@@ -20,8 +22,6 @@ from tracklasso.scenarios import scenario_defaults, simulate_range
 from tracklasso.smoothers import (
     augmented_ks,
     build_fused,
-    fuse_dynamics,
-    fuse_prior,
     gn_ieks,
     linearize,
     lm_ieks,
@@ -31,30 +31,34 @@ from tracklasso.smoothers import (
 from tracklasso.verify import random_affine_problem
 
 
+def fuse_two_step_scalar(A, v, eta, gamma):
+    """build_fused on T=2, n_x=1: Q=P1=1, m1=2, b=0, state targets B=d=0."""
+    model = AffineModel(A=np.array([[A]]), b=np.zeros(1), H=np.eye(1),
+                        e=np.zeros(1), Q=np.eye(1), R=np.eye(1),
+                        m1=np.array([2.0]), P1=np.eye(1), T=2)
+    return build_fused(model, np.zeros((2, 1, 1)), np.zeros((2, 1)),
+                       np.reshape(v, (2, 1)), np.reshape(eta, (2, 1)), gamma)
+
+
 def test_fuse_dynamics_scalar():
     # Q=1, gamma=1, A=2, B=0: Atil = (Q^-1 A + gamma B)/(Q^-1 + gamma) = 1
-    Atil, btil, Qtil = fuse_dynamics(
-        np.array([[2.0]]), np.zeros(1), np.eye(1), np.zeros((1, 1)),
-        np.zeros(1), np.zeros(1), np.zeros(1), 1.0)
-    np.testing.assert_allclose(Atil, [[1.0]])
-    np.testing.assert_allclose(btil, [0.0])
-    np.testing.assert_allclose(Qtil, [[0.5]])
+    fused = fuse_two_step_scalar(2.0, [0.0, 0.0], [0.0, 0.0], 1.0)
+    np.testing.assert_allclose(fused.Atil[1], [[1.0]])
+    np.testing.assert_allclose(fused.btil[1], [0.0])
+    np.testing.assert_allclose(fused.Qtil[1], [[0.5]])
 
 
 def test_fuse_prior_scalar():
     # P=1, gamma=1, m=2, v=1: mtil = (m + (m + v))/2 = 2.5
-    mtil, Ptil = fuse_prior(np.array([2.0]), np.eye(1), np.array([1.0]),
-                            np.zeros(1), 1.0)
-    np.testing.assert_allclose(mtil, [2.5])
-    np.testing.assert_allclose(Ptil, [[0.5]])
+    fused = fuse_two_step_scalar(2.0, [1.0, 0.0], [0.0, 0.0], 1.0)
+    np.testing.assert_allclose(fused.m1til, [2.5])
+    np.testing.assert_allclose(fused.P1til, [[0.5]])
 
 
 def test_fuse_dual_enters_unscaled():
     # btil picks up -eta_bar, not -gamma eta_bar
-    _, btil, _ = fuse_dynamics(
-        np.array([[1.0]]), np.zeros(1), np.eye(1), np.zeros((1, 1)),
-        np.zeros(1), np.zeros(1), np.array([0.6]), 2.0)
-    np.testing.assert_allclose(btil, [-0.2])  # (0 + 0 - 0.6)/(1 + 2)
+    fused = fuse_two_step_scalar(1.0, [0.0, 0.0], [0.0, 0.6], 2.0)
+    np.testing.assert_allclose(fused.btil[1], [-0.2])  # (0 + 0 - 0.6)/(1 + 2)
 
 
 def test_build_fused_gamma_zero_returns_model():
@@ -67,6 +71,24 @@ def test_build_fused_gamma_zero_returns_model():
     np.testing.assert_allclose(fused.Qtil, prob.model.Q)
     np.testing.assert_allclose(fused.m1til, prob.model.m1)
     assert fused.ev_H is None
+
+
+def test_build_fused_names_first_non_spd_step():
+    Q = np.tile(np.eye(2), (5, 1, 1))
+    Q[3] = -Q[3]
+    Q[4, 0, 0] = 0.0
+    model = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
+                        Q=Q, R=np.eye(2), m1=np.zeros(2), P1=np.eye(2), T=5,
+                        validate=False)
+    z = np.zeros((5, 2))
+    B, d = np.zeros((5, 2, 2)), z
+    with pytest.raises(SingularSystemError, match="Q at step 3 "):
+        build_fused(model, B, d, z, z, 1.0)
+    bad_prior = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
+                            Q=np.eye(2), R=np.eye(2), m1=np.zeros(2),
+                            P1=np.diag([1.0, -1.0]), T=5, validate=False)
+    with pytest.raises(SingularSystemError, match="P1 at step 0 "):
+        build_fused(bad_prior, B, d, z, z, 1.0)
 
 
 def test_evidence_channel_present_only_when_targets_differ():
@@ -114,6 +136,43 @@ def test_augmented_ks_matches_batch(seed, target_mode):
     gap = (x_subproblem_cost(prob, x_ks, V, eta, gamma)
            - x_subproblem_cost(prob, x_batch, V, eta, gamma))
     assert abs(gap) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 8),
+       n_x=st.integers(1, 3), n_y=st.integers(1, 4),
+       per_step_AQ=st.booleans(),
+       target_mode=st.sampled_from(["state", "process_noise"]))
+@example(seed=0, T=1, n_x=2, n_y=3, per_step_AQ=True, target_mode="state")
+@example(seed=1, T=1, n_x=1, n_y=2, per_step_AQ=False, target_mode="process_noise")
+@example(seed=2, T=6, n_x=2, n_y=4, per_step_AQ=True, target_mode="process_noise")
+@example(seed=3, T=6, n_x=3, n_y=1, per_step_AQ=True, target_mode="state")
+def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ,
+                                             target_mode):
+    """build_fused + augmented_ks is the exact stacked minimiser, also for
+    per-step A and Q stacks, a single step, and more measurements than states."""
+    rng = np.random.default_rng(seed)
+    k = T if per_step_AQ else 1
+
+    def spd(*shape):
+        M = rng.normal(size=shape + (shape[-1],))
+        return M @ np.swapaxes(M, -1, -2) / shape[-1] + 0.3 * np.eye(shape[-1])
+
+    A = 0.9 * rng.normal(size=(k, n_x, n_x)) / np.sqrt(n_x)
+    Q = spd(k, n_x)
+    model = AffineModel(A=A if per_step_AQ else A[0], b=0.1 * rng.normal(size=(T, n_x)),
+                        H=rng.normal(size=(n_y, n_x)), e=rng.normal(size=n_y),
+                        Q=Q if per_step_AQ else Q[0], R=spd(n_y),
+                        m1=rng.normal(size=n_x), P1=spd(n_x), T=T)
+    reg = make_regularizer("l2", n_x, target_mode=target_mode)
+    prob = TrackingProblem(model=model, reg=reg, y=rng.normal(size=(T, n_y)))
+    gamma = float(rng.uniform(0.2, 3.0))
+    V = rng.normal(size=(T, n_x))
+    eta = rng.normal(size=(T, n_x))
+    B, d = prob.penalty_targets()
+    x_ks = augmented_ks(build_fused(model, B, d, V, eta, gamma), prob.y).m_smooth
+    x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
+    np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
 
 
 def test_plain_smoother_is_unregularised_batch():
