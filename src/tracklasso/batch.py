@@ -160,16 +160,11 @@ def make_affine_x_solver():
 
 
 def _damping_blocks(s_cov, T: int, n: int) -> np.ndarray:
-    """Block diagonal of S_t^{-1}; identity metric gives the identity."""
+    """Block diagonal of S_t^{-1} (LMConfig checks every block); None gives I."""
     if s_cov is None:
         return np.eye(T * n)
-    s_cov = np.asarray(s_cov, dtype=float)
-    if s_cov.ndim == 2:
-        s_inv = _spd_solve_dense(s_cov, np.eye(n), "damping metric")
-        return _block_diag(np.broadcast_to(s_inv, (T, n, n)))
-    return _block_diag(np.stack([
-        _spd_solve_dense(s_cov[t], np.eye(n), f"damping metric[{t}]") for t in range(T)
-    ]))
+    s_inv = np.linalg.inv(np.asarray(s_cov, dtype=float))
+    return _block_diag(np.broadcast_to(s_inv, (T, n, n)))
 
 
 def _linearized(problem: TrackingProblem, x: np.ndarray) -> TrackingProblem:

@@ -5,14 +5,16 @@ eta_bar_t/gamma||^2 fuses with the Gaussian transition density into a
 modified affine model (A~, b~, Q~) with Q~^{-1} = Q^{-1} + gamma I, and the
 prior fuses the same way.  The product of the two densities also leaves an
 evidence factor N(zeta_t; (A_t - B_t) x_{t-1}, Q_t + I/gamma); it is
-constant when B_t = A_t and otherwise enters the pass as an extra linear
-measurement of x_{t-1}, keeping the smoother an exact minimiser for every
-coupling.  A Rauch-Tung-Striebel pass over the fused model then solves the
-subproblem in O(T) instead of the O(T^3) dense solve.  Levenberg-Marquardt
-damping enters the same pass as one extra pseudo-measurement update per
-step with covariance S_t / lambda.  The iterated smoothers and the dense
-stacked solvers share one damped Gauss-Newton loop, gauss_newton; they
-differ only in the step each proposes.
+constant when B_t = A_t and otherwise becomes extra measurement rows of
+x_{t-1}, keeping the smoother an exact minimiser for every coupling.
+Levenberg-Marquardt damping adds rows too: a pseudo-measurement of the
+current iterate with covariance S_t / lambda.  Both sets of rows observe
+x_t with noise independent of the data, so they are stacked below the data
+rows and every step takes one measurement update.  A Rauch-Tung-Striebel
+mean pass over the fused model then solves the subproblem in O(T) instead
+of the O(T^3) dense solve.  The iterated smoothers and the dense stacked
+solvers share one damped Gauss-Newton loop, gauss_newton; they differ only
+in the step each proposes.
 """
 
 from __future__ import annotations
@@ -36,16 +38,9 @@ class FusedModel:
 
     For gamma > 0, build_fused produces Atil, btil, Qtil in one stacked fuse
     with the prior as step 0, so btil[0] and Qtil[0] are m1til and P1til;
-    index 0 of Atil is never consulted.  When z and sigma are set, the
-    smoother applies an extra update against the pseudo measurement z_t with
-    covariance sigma_t after each data update.
-
-    Folding the penalty into the transition is lossless only when B_t = A_t;
-    otherwise the Gaussian product leaves an evidence factor
-    N(zeta_t; (A_t - B_t) x_{t-1}, Q_t + I/gamma) coupling to the earlier
-    state.  That factor is carried as a second measurement channel: ev_H[t],
-    ev_z[t], ev_R[t] describe an observation of x_t taken at step t
-    (entries exist for t = 0..T-2; the channel is omitted when B_t = A_t).
+    index 0 of Atil is never consulted.  H, e and R hold the data rows
+    first, then any pseudo-measurement and coupling-evidence rows, whose
+    observations are zero (the smoother pads y with zeros).
     """
 
     Atil: np.ndarray
@@ -56,11 +51,6 @@ class FusedModel:
     H: np.ndarray
     e: np.ndarray
     R: np.ndarray
-    z: Optional[np.ndarray] = None
-    sigma: Optional[np.ndarray] = None
-    ev_H: Optional[np.ndarray] = None
-    ev_z: Optional[np.ndarray] = None
-    ev_R: Optional[np.ndarray] = None
 
     @property
     def T(self) -> int:
@@ -69,25 +59,6 @@ class FusedModel:
     @property
     def n_x(self) -> int:
         return self.m1til.shape[0]
-
-
-@dataclass(eq=False)
-class SmootherPass:
-    """Forward-backward quantities of one smoother run.
-
-    P_smooth, S, K and G are only retained when the pass is run with
-    keep_covariances=True; the solver path skips them to bound memory.
-    """
-
-    m_pred: np.ndarray
-    P_pred: np.ndarray
-    m_filt: np.ndarray
-    P_filt: np.ndarray
-    m_smooth: np.ndarray
-    P_smooth: Optional[np.ndarray] = None
-    S: Optional[np.ndarray] = None
-    K: Optional[np.ndarray] = None
-    G: Optional[np.ndarray] = None
 
 
 def _compact(arr: np.ndarray) -> np.ndarray:
@@ -120,6 +91,34 @@ def _fuse(Q, A, b, B, d, v, eta, gamma: float, what: str, first: int = 0):
     return np.broadcast_to(Atil, shape), (Qtil @ rhs)[..., 0], np.broadcast_to(Qtil, shape)
 
 
+def _block_diag(mats: List[np.ndarray]) -> np.ndarray:
+    """Block-diagonal stack of (k, p_i, p_i) stacks, shape (k, sum p_i, sum p_i)."""
+    edges = np.cumsum([0] + [m.shape[-1] for m in mats])
+    out = np.zeros(mats[0].shape[:1] + (edges[-1], edges[-1]))
+    for m, lo, hi in zip(mats, edges, edges[1:]):
+        out[:, lo:hi, lo:hi] = m
+    return out
+
+
+def _stack_rows(channels, T: int):
+    """Measurement channels (H, e, R) stacked row-wise, with R block diagonal.
+
+    A single channel is returned as it is; H and R stay broadcast views when
+    all their blocks are time-invariant.
+    """
+    if len(channels) == 1:
+        return channels[0]
+
+    def steps(arrs):
+        k = 1 if all(time_invariant(a) for a in arrs) else T
+        return [np.broadcast_to(_compact(a), (k,) + a.shape[1:]) for a in arrs]
+
+    H, e, R = zip(*channels)
+    H, R = np.concatenate(steps(H), axis=1), _block_diag(steps(R))
+    return (np.broadcast_to(H, (T,) + H.shape[1:]), np.concatenate(e, axis=1),
+            np.broadcast_to(R, (T,) + R.shape[1:]))
+
+
 def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float,
                 z: Optional[np.ndarray] = None,
                 sigma: Optional[np.ndarray] = None) -> FusedModel:
@@ -128,30 +127,37 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float,
     The prior is fused as step 0 of the same algebra, with A = B = 0,
     b = d = m1 and Q = P1 (the convention of the dense stacked problem), and
     the transitions as steps 1..T-1.  With gamma = 0 there is no coupling
-    and the model is returned unchanged.
+    and the dynamics are the model's own.
+
+    Rows go below the data rows, each observing 0 with offset -obs: with z
+    and sigma, the pseudo-measurement H = I, obs z_t, covariance sigma_t;
+    when B_t != A_t, the coupling evidence of step t + 1, H = A_{t+1} -
+    B_{t+1}, obs (d + V - eta_bar/gamma - b)_{t+1}, covariance Q_{t+1} +
+    I/gamma, and at t = T-1 zero rows that keep the row count fixed.
     """
     T, n = model.T, model.n_x
-    V = np.asarray(V, dtype=float)
-    eta_bar = np.asarray(eta_bar, dtype=float)
+    channels = [(model.H, model.e, model.R)]
     if z is not None:
-        z = per_step(z, T, 1, "z")
-        sigma = per_step(sigma, T, 2, "sigma")
+        channels.append((np.broadcast_to(np.eye(n), (T, n, n)), -per_step(z, T, 1, "z"),
+                         per_step(sigma, T, 2, "sigma")))
     if gamma == 0:
         return FusedModel(model.A, model.b, model.Q, model.m1.copy(), model.P1.copy(),
-                          model.H, model.e, model.R, z=z, sigma=sigma)
-    B, d = np.asarray(B, dtype=float), np.asarray(d, dtype=float)
+                          *_stack_rows(channels, T))
+    V, eta_bar, B, d = (np.asarray(a, dtype=float) for a in (V, eta_bar, B, d))
     zero, m1 = np.zeros((1, n, n)), model.m1[None]
     prior = _fuse(model.P1[None], zero, m1, zero, m1, V[:1], eta_bar[:1], gamma, "P1")
     steps = _fuse(model.Q[1:], model.A[1:], model.b[1:], B[1:], d[1:], V[1:],
                   eta_bar[1:], gamma, "Q", first=1)
     Atil, btil, Qtil = (np.concatenate(pair) for pair in zip(prior, steps))
-    ev_H = ev_z = ev_R = None
     if not np.array_equal(B[1:], model.A[1:]):
-        ev_H = model.A[1:] - B[1:]
-        ev_z = (d + V - eta_bar / gamma - model.b)[1:]
-        ev_R = np.broadcast_to(_compact(model.Q[1:]) + np.eye(n) / gamma, (T - 1, n, n))
-    return FusedModel(Atil, btil, Qtil, btil[0], Qtil[0], model.H, model.e, model.R,
-                      z=z, sigma=sigma, ev_H=ev_H, ev_z=ev_z, ev_R=ev_R)
+        ev_H, ev_e = np.zeros((T, n, n)), np.zeros((T, n))
+        ev_H[:-1] = model.A[1:] - B[1:]
+        ev_e[:-1] = -(d + V - eta_bar / gamma - model.b)[1:]
+        ev_R = _compact(model.Q[1:]) + np.eye(n) / gamma
+        if ev_R.shape[0] > 1:
+            ev_R = np.concatenate([ev_R, ev_R[-1:]])
+        channels.append((ev_H, ev_e, np.broadcast_to(ev_R, (T, n, n))))
+    return FusedModel(Atil, btil, Qtil, btil[0], Qtil[0], *_stack_rows(channels, T))
 
 
 def _chol(mat: np.ndarray, what: str, t: int) -> np.ndarray:
@@ -161,26 +167,23 @@ def _chol(mat: np.ndarray, what: str, t: int) -> np.ndarray:
         raise SingularSystemError(f"{what} at step {t} is not positive definite") from exc
 
 
-def augmented_ks(fused: FusedModel, y: np.ndarray,
-                 keep_covariances: bool = True) -> SmootherPass:
-    """Rauch-Tung-Striebel smoother over a fused model.
+def augmented_ks(fused: FusedModel, y: np.ndarray) -> np.ndarray:
+    """Rauch-Tung-Striebel mean pass over a fused model, returning x (T, n_x).
 
-    The prior acts as the first predicted moment pair.  Smoother gains are
-    computed through the Cholesky factor of the predicted covariance; any
-    factorisation failure raises SingularSystemError naming the step.
+    The prior acts as the first predicted moment pair, and each step takes
+    one measurement update over all rows of H, with y padded by zeros for
+    the rows below the data.  Smoother gains are computed through the
+    Cholesky factor of the predicted covariance; any factorisation failure
+    raises SingularSystemError naming the step.
     """
     T, n = fused.T, fused.n_x
     y = np.asarray(y, dtype=float)
-    pseudo = fused.z is not None
+    y = np.pad(y, ((0, 0), (0, fused.H.shape[1] - y.shape[1])))
 
     m_pred = np.empty((T, n))
     P_pred = np.empty((T, n, n))
     m_filt = np.empty((T, n))
     P_filt = np.empty((T, n, n))
-    n_y = fused.H.shape[1]
-    S_hist = np.empty((T, n_y, n_y)) if keep_covariances else None
-    K_hist = np.empty((T, n, n_y)) if keep_covariances else None
-
     m = fused.m1til
     P = fused.P1til
     for t in range(T):
@@ -191,60 +194,31 @@ def augmented_ks(fused: FusedModel, y: np.ndarray,
             P = 0.5 * (P + P.T)
         m_pred[t] = m
         P_pred[t] = P
-        H, e, R = fused.H[t], fused.e[t], fused.R[t]
-        S = H @ P @ H.T + R
+        H = fused.H[t]
+        HP = H @ P
+        S = HP @ H.T + fused.R[t]
         L = _chol(S, "innovation covariance", t)
-        K = cho_solve((L, True), H @ P).T
-        m = m + K @ (y[t] - H @ m - e)
+        K = cho_solve((L, True), HP).T
+        m = m + K @ (y[t] - H @ m - fused.e[t])
         P = P - K @ S @ K.T
         P = 0.5 * (P + P.T)
-        if keep_covariances:
-            S_hist[t] = S
-            K_hist[t] = K
-        if pseudo:
-            S2 = P + fused.sigma[t]
-            L2 = _chol(S2, "pseudo-measurement covariance", t)
-            K2 = cho_solve((L2, True), P).T
-            m = m + K2 @ (fused.z[t] - m)
-            P = P - K2 @ S2 @ K2.T
-            P = 0.5 * (P + P.T)
-        if fused.ev_H is not None and t < T - 1:
-            Hv = fused.ev_H[t]
-            S3 = Hv @ P @ Hv.T + fused.ev_R[t]
-            L3 = _chol(S3, "coupling-evidence covariance", t)
-            K3 = cho_solve((L3, True), Hv @ P).T
-            m = m + K3 @ (fused.ev_z[t] - Hv @ m)
-            P = P - K3 @ S3 @ K3.T
-            P = 0.5 * (P + P.T)
         m_filt[t] = m
         P_filt[t] = P
 
-    m_smooth = m_filt.copy()
-    P_smooth = P_filt.copy() if keep_covariances else None
-    G_hist = np.empty((T - 1, n, n)) if keep_covariances and T > 1 else None
-    Ps_next = P_filt[T - 1]
+    x = m_filt
     for t in range(T - 2, -1, -1):
         A = fused.Atil[t + 1]
         L = _chol(P_pred[t + 1], "predicted covariance", t + 1)
         G = cho_solve((L, True), A @ P_filt[t]).T
-        m_smooth[t] = m_filt[t] + G @ (m_smooth[t + 1] - m_pred[t + 1])
-        Ps_t = P_filt[t] + G @ (Ps_next - P_pred[t + 1]) @ G.T
-        Ps_t = 0.5 * (Ps_t + Ps_t.T)
-        Ps_next = Ps_t
-        if keep_covariances:
-            P_smooth[t] = Ps_t
-            G_hist[t] = G
-    return SmootherPass(m_pred=m_pred, P_pred=P_pred, m_filt=m_filt, P_filt=P_filt,
-                        m_smooth=m_smooth, P_smooth=P_smooth, S=S_hist, K=K_hist,
-                        G=G_hist)
+        x[t] = x[t] + G @ (x[t + 1] - m_pred[t + 1])
+    return x
 
 
-def plain_smoother(model: AffineModel, y: np.ndarray,
-                   keep_covariances: bool = True) -> SmootherPass:
-    """Standard RTS smoother on an affine model (no penalty coupling)."""
+def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
+    """Standard RTS smoother mean (T, n_x) on an affine model (no penalty coupling)."""
     fused = FusedModel(model.A, model.b, model.Q, model.m1.copy(), model.P1.copy(),
                        model.H, model.e, model.R)
-    return augmented_ks(fused, y, keep_covariances=keep_covariances)
+    return augmented_ks(fused, y)
 
 
 def linearize(model: NonlinearModel, nominal: np.ndarray) -> AffineModel:
@@ -280,7 +254,7 @@ def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
     x = np.asarray(x0, dtype=float).copy() if x0 is not None else prior_mean_trajectory(nl)
     for _ in range(i_max):
         lin = linearize(nl, x)
-        x_new = plain_smoother(lin, y, keep_covariances=False).m_smooth
+        x_new = plain_smoother(lin, y)
         step = _rel_step(x_new, x)
         x = x_new
         if step < step_tol:
@@ -300,9 +274,10 @@ class LMConfig:
 
     lambda0 is the initial damping (0 gives plain Gauss-Newton), alpha the
     multiplicative schedule (divide on accept, multiply on reject), s_cov an
-    optional damping metric (n_x, n_x) or (T, n_x, n_x) defaulting to the
-    identity, i_max the accepted-iteration cap, and step_tol the relative
-    step size below which the iteration is declared converged.
+    optional damping metric (n_x, n_x) or (T, n_x, n_x) of finite positive
+    definite blocks, defaulting to the identity, i_max the accepted-iteration
+    cap, and step_tol the relative step size below which the iteration is
+    declared converged.
     """
 
     lambda0: float = 1e-2
@@ -318,6 +293,25 @@ class LMConfig:
             raise ValueError("alpha must exceed 1")
         if self.i_max < 1:
             raise ValueError("i_max must be positive")
+        if self.s_cov is None:
+            return
+        s_cov = np.asarray(self.s_cov, dtype=float)
+        if s_cov.ndim not in (2, 3) or s_cov.shape[-1] != s_cov.shape[-2]:
+            raise ValueError(f"s_cov: expected (n_x, n_x) or (T, n_x, n_x), got {s_cov.shape}")
+        blocks = s_cov.reshape((-1,) + s_cov.shape[-2:])
+        if not _factors(blocks):
+            t = next(t for t, block in enumerate(blocks) if not _factors(block))
+            where = f" at step {t}" if s_cov.ndim == 3 else ""
+            raise ValueError(f"s_cov{where} is not a finite positive definite matrix")
+
+
+def _factors(mats: np.ndarray) -> bool:
+    """True when every block is finite and factors by Cholesky."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(mats).all())
 
 
 Proposal = Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray], float], np.ndarray]
@@ -336,8 +330,14 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     lam is multiplied by alpha and x kept; proposals closer than
     PROPOSAL_FLOOR to x end the loop.  lambda0 = 0 accepts every proposal
     without evaluating the cost: plain Gauss-Newton, i.e. the iterated
-    smoother.  Every accepted iterate extends trace and lambda_trace.
+    smoother.  Unless the targets depend on x (a nonlinear model with
+    process_noise targets and no explicit B), an accepted proposal's cost
+    is the cost at the new iterate and is not evaluated again.  Every
+    accepted iterate extends trace and lambda_trace.
     """
+    reg = problem.reg
+    fixed_targets = (problem.is_affine or reg.B is not None
+                     or reg.target_mode != "process_noise")
     x = np.asarray(x0, dtype=float).copy()
     lam = cfg.lambda0
     targets = problem.penalty_targets(nominal=x)
@@ -354,13 +354,14 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
         if lam > 0:
             if step < PROPOSAL_FLOOR:
                 break
-            if not cost(x_prop, targets) < f:
+            f_prop = cost(x_prop, targets)
+            if not f_prop < f:
                 lam *= cfg.alpha
                 continue
         x = x_prop
         targets = problem.penalty_targets(nominal=x)
         if lam > 0:
-            f = cost(x, targets)
+            f = f_prop if fixed_targets else cost(x, targets)
             lam /= cfg.alpha
         i += 1
         if trace is not None:
@@ -393,7 +394,7 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     it with the penalty coupling, and smooths; after a rejected step the
     trajectory is the same object and its linearisation is reused.  Damping
     is realised as a per-step pseudo-measurement of the current iterate
-    with covariance S_t / lambda, applied directly after each data update.
+    with covariance S_t / lambda, stacked below the data rows.
     """
     cfg = cfg or LMConfig()
     nl = _as_nonlinear(problem.model)
@@ -410,7 +411,7 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
             fused = build_fused(lin, B, d, v, eta_bar, gamma, z=x, sigma=s_cov / lam)
         else:
             fused = build_fused(lin, B, d, v, eta_bar, gamma)
-        return augmented_ks(fused, problem.y, keep_covariances=False).m_smooth
+        return augmented_ks(fused, problem.y)
 
     def cost(x, targets):
         return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
@@ -425,7 +426,7 @@ def ks_x_solver():
             raise ValueError("the Kalman-smoother x update needs an affine model")
         B, d = problem.penalty_targets()
         fused = build_fused(problem.model, B, d, V, eta_bar, gamma)
-        return augmented_ks(fused, problem.y, keep_covariances=False).m_smooth
+        return augmented_ks(fused, problem.y)
     return solver
 
 

@@ -27,38 +27,36 @@ SOLVERS = ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm", "batch_madmm")
 def initial_trajectory(problem: TrackingProblem) -> np.ndarray:
     """Unregularised smoother estimate; the standard split initialiser."""
     if problem.is_affine:
-        return plain_smoother(problem.model, problem.y, keep_covariances=False).m_smooth
+        return plain_smoother(problem.model, problem.y)
     return plain_ieks(problem.model, problem.y)
 
 
-def batch_x_solver(method: str = "gn", cfg: Optional[LMConfig] = None):
-    """Dense reference x update (stacked normal equations over all steps)."""
+def batch_x_solver(cfg: Optional[LMConfig] = None):
+    """Dense reference x update (stacked normal equations over all steps):
+    one cached solve for affine problems, the dense LM loop with cfg otherwise."""
     affine = make_affine_x_solver()
 
     def solver(problem, V, eta_bar, gamma, x_warm):
         if problem.is_affine:
             return affine(problem, V, eta_bar, gamma, x_warm)
-        return batch_nonlinear_solve(problem, V, eta_bar, gamma, method=method,
+        return batch_nonlinear_solve(problem, V, eta_bar, gamma, method="lm",
                                      cfg=cfg, x0=x_warm)
 
     return solver
 
 
 def make_x_solver(solver: str, i_max: int = 10, step_tol: float = 1e-8,
-                  lm_cfg: Optional[LMConfig] = None, affine: bool = True):
+                  lm_cfg: Optional[LMConfig] = None):
     """Build the x-update callable for a named solver."""
     if solver == "ks_madmm":
         return ks_x_solver()
     if solver == "gn_ieks_madmm":
         return gn_ieks_x_solver(i_max=i_max, step_tol=step_tol)
+    cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max, step_tol=step_tol)
     if solver == "lm_ieks_madmm":
-        cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max, step_tol=step_tol)
         return lm_ieks_x_solver(cfg)
     if solver == "batch_madmm":
-        if affine:
-            return batch_x_solver()
-        cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max, step_tol=step_tol)
-        return batch_x_solver(method="lm", cfg=cfg)
+        return batch_x_solver(cfg)
     raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
 
 
@@ -81,6 +79,5 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     opts = opts if opts is not None else MadmmOptions()
     if x0 is None:
         x0 = initial_trajectory(problem)
-    x_solver = make_x_solver(solver, i_max=i_max, step_tol=step_tol,
-                             lm_cfg=lm_cfg, affine=problem.is_affine)
+    x_solver = make_x_solver(solver, i_max=i_max, step_tol=step_tol, lm_cfg=lm_cfg)
     return run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)

@@ -119,7 +119,7 @@ def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> C
         eta_bar = rng.normal(size=(problem.T, problem.n_x))
         B, d = problem.penalty_targets()
         fused = build_fused(problem.model, B, d, V, eta_bar, gamma)
-        x_ks = augmented_ks(fused, problem.y, keep_covariances=False).m_smooth
+        x_ks = augmented_ks(fused, problem.y)
         x_batch = batch_x_affine(stack_problem(problem, V, eta_bar, gamma), gamma)
         rel = np.linalg.norm(x_ks - x_batch) / max(1.0, np.linalg.norm(x_batch))
         worst = max(worst, rel)
@@ -286,7 +286,7 @@ def _lemma2_one(args) -> float:
     if inject_fault:
         x_solver = faulty_x_solver()
     else:
-        x_solver = make_x_solver("lm_ieks_madmm", i_max=5, affine=False)
+        x_solver = make_x_solver("lm_ieks_madmm", i_max=5)
     stage_rise, excess = madmm_stage_trace(problem, x_solver, 1.0, k_max,
                                            initial_trajectory(problem))
     return float(max(np.max(stage_rise), np.max(excess)))
@@ -310,7 +310,7 @@ def faulty_x_solver(eps: float = 0.05):
         fused.Atil = np.array(np.broadcast_to(fused.Atil, (problem.T, problem.n_x,
                                                            problem.n_x)), copy=True)
         fused.Atil[1:] += eps
-        return augmented_ks(fused, problem.y, keep_covariances=False).m_smooth
+        return augmented_ks(fused, problem.y)
 
     return solver
 

@@ -69,8 +69,7 @@ def test_criterion_01_smoother_equals_batch_on_random_systems():
         V = rng.normal(size=(prob.T, prob.n_x))
         eta = rng.normal(size=(prob.T, prob.n_x))
         B, d = prob.penalty_targets()
-        x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, gamma),
-                            prob.y, keep_covariances=False).m_smooth
+        x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, gamma), prob.y)
         x_b = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
         worst = max(worst, np.linalg.norm(x_ks - x_b) / np.linalg.norm(x_b))
     elapsed = time.perf_counter() - t0

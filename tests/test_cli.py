@@ -58,7 +58,7 @@ def test_solve_zero_weight_matches_plain_smoother(tmp_path):
     rows = np.genfromtxt(out / "trajectory.csv", delimiter=",", skip_header=1)
     x_cli = rows[:, 1:5]
     data, model = simulate_wiener(scenario_defaults("wiener", T=40, seed=6))
-    x_ref = plain_smoother(model, data.y).m_smooth
+    x_ref = plain_smoother(model, data.y)
     np.testing.assert_allclose(x_cli, x_ref, atol=1e-8)
 
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tracklasso.smoothers as smoothers
 from tracklasso.batch import (
     LMConfig,
+    batch_lm_step,
     batch_nonlinear_solve,
     batch_x_affine,
     stack_problem,
@@ -16,9 +18,10 @@ from tracklasso.models import (
     SingularSystemError,
     TrackingProblem,
     make_regularizer,
+    time_invariant,
     x_subproblem_cost,
 )
-from tracklasso.scenarios import scenario_defaults, simulate_range
+from tracklasso.scenarios import scenario_defaults, simulate_range, simulate_wiener
 from tracklasso.smoothers import (
     augmented_ks,
     build_fused,
@@ -70,7 +73,7 @@ def test_build_fused_gamma_zero_returns_model():
     np.testing.assert_allclose(fused.Atil, prob.model.A)
     np.testing.assert_allclose(fused.Qtil, prob.model.Q)
     np.testing.assert_allclose(fused.m1til, prob.model.m1)
-    assert fused.ev_H is None
+    assert fused.H.shape[1] == prob.model.n_y
 
 
 def test_build_fused_names_first_non_spd_step():
@@ -98,14 +101,15 @@ def test_evidence_channel_present_only_when_targets_differ():
     z = np.zeros((5, 2))
     B, d = prob_s.penalty_targets()
     fused = build_fused(prob_s.model, B, d, z, z, 1.0)
-    assert fused.ev_H is not None
-    np.testing.assert_allclose(fused.ev_H[0], prob_s.model.A[1])
+    assert fused.H.shape[1] == 2 + 2
+    np.testing.assert_allclose(fused.H[0, 2:], prob_s.model.A[1])
+    np.testing.assert_array_equal(fused.H[-1, 2:], 0.0)
 
     prob_p = random_affine_problem(rng, T=5, n_x=2, n_y=2, kind="l2",
                                    target_mode="process_noise")
     B, d = prob_p.penalty_targets()
     fused = build_fused(prob_p.model, B, d, z, z, 1.0)
-    assert fused.ev_H is None
+    assert fused.H.shape[1] == 2
 
 
 def test_single_step_posterior():
@@ -113,9 +117,7 @@ def test_single_step_posterior():
     model = AffineModel(A=np.eye(1), b=np.zeros(1), H=np.eye(1),
                         e=np.zeros(1), Q=np.eye(1), R=np.eye(1),
                         m1=np.zeros(1), P1=np.eye(1), T=1)
-    out = plain_smoother(model, np.array([[3.0]]))
-    np.testing.assert_allclose(out.m_smooth, [[1.5]])
-    np.testing.assert_allclose(out.P_smooth, [[[0.5]]])
+    np.testing.assert_allclose(plain_smoother(model, np.array([[3.0]])), [[1.5]])
 
 
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])
@@ -130,7 +132,7 @@ def test_augmented_ks_matches_batch(seed, target_mode):
     eta = rng.normal(size=(12, 3))
     B, d = prob.penalty_targets()
     fused = build_fused(prob.model, B, d, V, eta, gamma)
-    x_ks = augmented_ks(fused, prob.y).m_smooth
+    x_ks = augmented_ks(fused, prob.y)
     x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
     np.testing.assert_allclose(x_ks, x_batch, atol=1e-9)
     gap = (x_subproblem_cost(prob, x_ks, V, eta, gamma)
@@ -142,15 +144,26 @@ def test_augmented_ks_matches_batch(seed, target_mode):
 @given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 8),
        n_x=st.integers(1, 3), n_y=st.integers(1, 4),
        per_step_AQ=st.booleans(),
-       target_mode=st.sampled_from(["state", "process_noise"]))
-@example(seed=0, T=1, n_x=2, n_y=3, per_step_AQ=True, target_mode="state")
-@example(seed=1, T=1, n_x=1, n_y=2, per_step_AQ=False, target_mode="process_noise")
-@example(seed=2, T=6, n_x=2, n_y=4, per_step_AQ=True, target_mode="process_noise")
-@example(seed=3, T=6, n_x=3, n_y=1, per_step_AQ=True, target_mode="state")
+       target_mode=st.sampled_from(["state", "process_noise"]),
+       damping=st.sampled_from([None, "broadcast", "per_step"]))
+@example(seed=0, T=1, n_x=2, n_y=3, per_step_AQ=True, target_mode="state", damping=None)
+@example(seed=1, T=1, n_x=1, n_y=2, per_step_AQ=False, target_mode="process_noise",
+         damping=None)
+@example(seed=2, T=6, n_x=2, n_y=4, per_step_AQ=True, target_mode="process_noise",
+         damping=None)
+@example(seed=3, T=6, n_x=3, n_y=1, per_step_AQ=True, target_mode="state", damping=None)
+@example(seed=4, T=1, n_x=2, n_y=3, per_step_AQ=False, target_mode="state",
+         damping="per_step")
+@example(seed=5, T=6, n_x=2, n_y=4, per_step_AQ=True, target_mode="state",
+         damping="per_step")
+@example(seed=6, T=5, n_x=3, n_y=2, per_step_AQ=False, target_mode="state",
+         damping="broadcast")
 def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ,
-                                             target_mode):
+                                             target_mode, damping):
     """build_fused + augmented_ks is the exact stacked minimiser, also for
-    per-step A and Q stacks, a single step, and more measurements than states."""
+    per-step A and Q stacks, a single step, more measurements than states,
+    and with the damping pseudo-measurement stacked next to the
+    coupling-evidence rows (against the dense damped step)."""
     rng = np.random.default_rng(seed)
     k = T if per_step_AQ else 1
 
@@ -170,25 +183,53 @@ def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ,
     V = rng.normal(size=(T, n_x))
     eta = rng.normal(size=(T, n_x))
     B, d = prob.penalty_targets()
-    x_ks = augmented_ks(build_fused(model, B, d, V, eta, gamma), prob.y).m_smooth
-    x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
+    if damping is None:
+        x_ks = augmented_ks(build_fused(model, B, d, V, eta, gamma), prob.y)
+        x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
+    else:
+        lam = float(rng.uniform(0.1, 5.0))
+        x = rng.normal(size=(T, n_x))
+        s_cov = spd(T, n_x) if damping == "per_step" else spd(n_x)
+        fused = build_fused(model, B, d, V, eta, gamma, z=x, sigma=s_cov / lam)
+        x_ks = augmented_ks(fused, prob.y)
+        x_batch = batch_lm_step(prob, x, V, eta, gamma, lam, s_cov)
     np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
+
+
+def test_stacked_rows_keep_model_arrays_and_broadcast_noise():
+    # range LM proposal in state mode: data, pseudo and evidence rows, all
+    # with time-invariant covariances, so the stacked R is a broadcast view
+    prob = range_problem(T=50)
+    x = np.tile(prob.model.m1, (50, 1))
+    lin = linearize(prob.model, x)
+    B, d = prob.penalty_targets()
+    z = np.zeros((50, 4))
+    fused = build_fused(lin, B, d, z, z, 1.0, z=x, sigma=np.eye(4) / 1e-2)
+    assert fused.H.shape[1] == prob.model.n_y + 4 + 4
+    assert time_invariant(fused.R)
+    # Wiener in process_noise mode: no extra rows, the model's own arrays
+    data, model = simulate_wiener(scenario_defaults("wiener", T=30, seed=0))
+    reg = make_regularizer("l2", 4, target_mode="process_noise")
+    B, d = TrackingProblem(model=model, reg=reg, y=data.y).penalty_targets()
+    z = np.zeros((30, 4))
+    fused = build_fused(model, B, d, z, z, 1.0)
+    assert fused.H is model.H and fused.e is model.e and fused.R is model.R
 
 
 def test_plain_smoother_is_unregularised_batch():
     rng = np.random.default_rng(7)
     prob = random_affine_problem(rng, T=15, n_x=2, n_y=2)
     z = np.zeros((15, 2))
-    x_sm = plain_smoother(prob.model, prob.y).m_smooth
+    x_sm = plain_smoother(prob.model, prob.y)
     x_batch = batch_x_affine(stack_problem(prob, z, z, 0.0), 0.0)
     np.testing.assert_allclose(x_sm, x_batch, atol=1e-9)
 
 
-def range_problem(seed=0, T=15):
+def range_problem(seed=0, T=15, target_mode="state"):
     params = scenario_defaults("range", T=T, seed=seed)
     data, model = simulate_range(params)
     reg = make_regularizer("group", 4, groups=[[2, 3]], weights=1.0,
-                           target_mode="state")
+                           target_mode=target_mode)
     return TrackingProblem(model=model, reg=reg, y=data.y)
 
 
@@ -221,6 +262,48 @@ def test_lm_ieks_trace_matches_batch():
     assert len(tr_s) == len(tr_b)
     for a, b in zip(tr_s, tr_b):
         np.testing.assert_allclose(a, b, atol=1e-8)
+
+
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+def test_lm_ieks_evaluates_cost_once_per_proposal(monkeypatch, target_mode):
+    """With targets that do not depend on x an accepted proposal's cost is
+    reused; process_noise targets of a nonlinear model move with x, so each
+    accepted step is costed again at its new targets."""
+    calls = {"cost": 0, "ks": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(smoothers, "x_subproblem_cost",
+                        counted("cost", smoothers.x_subproblem_cost))
+    monkeypatch.setattr(smoothers, "augmented_ks", counted("ks", smoothers.augmented_ks))
+    prob = range_problem(seed=1, target_mode=target_mode)
+    z = np.zeros((prob.T, 4))
+    x0 = np.tile(prob.model.m1, (prob.T, 1))
+    lam = []
+    lm_ieks(prob, z, z, 1.0, x0, LMConfig(i_max=4, step_tol=0.0), lambda_trace=lam)
+    assert len(lam) == 4
+    accepted_recosts = len(lam) if target_mode == "process_noise" else 0
+    assert calls["cost"] == 1 + calls["ks"] + accepted_recosts
+
+
+@pytest.mark.parametrize("s_cov, match", [
+    (np.ones(3), r"s_cov: expected"),
+    (np.ones((2, 3)), r"s_cov: expected"),
+    (np.ones((1, 2, 2, 2)), r"s_cov: expected"),
+    (np.diag([1.0, np.nan]), r"s_cov is not"),
+    (np.diag([1.0, -1.0]), r"s_cov is not"),
+    (np.stack([np.eye(2), np.eye(2), np.diag([1.0, 0.0])]), r"s_cov at step 2 "),
+    (np.stack([np.eye(2), np.full((2, 2), np.inf), -np.eye(2)]), r"s_cov at step 1 "),
+])
+def test_lm_config_rejects_bad_damping_metric(s_cov, match):
+    with pytest.raises(ValueError, match=match):
+        LMConfig(s_cov=s_cov)
+    LMConfig(s_cov=np.eye(2))
+    LMConfig(s_cov=np.stack([np.eye(2), 2.0 * np.eye(2)]))
 
 
 def test_lm_zero_initial_damping_matches_gn():
@@ -263,7 +346,7 @@ def test_linearize_produces_tangent_model():
 def test_plain_ieks_on_affine_is_plain_smoother():
     rng = np.random.default_rng(9)
     prob = random_affine_problem(rng, T=10, n_x=2, n_y=2)
-    x_sm = plain_smoother(prob.model, prob.y).m_smooth
+    x_sm = plain_smoother(prob.model, prob.y)
     x_ieks = plain_ieks(prob.model, prob.y)
     np.testing.assert_allclose(x_ieks, x_sm, atol=1e-10)
 
