@@ -12,9 +12,10 @@ current iterate with covariance S_t / lambda.  Both sets of rows observe
 x_t with noise independent of the data, so they are stacked below the data
 rows and every step takes one measurement update.  A Rauch-Tung-Striebel
 mean pass over the fused model then solves the subproblem in O(T) instead
-of the O(T^3) dense solve.  The iterated smoothers and the dense stacked
-solvers share one damped Gauss-Newton loop, gauss_newton; they differ only
-in the step each proposes.
+of the O(T^3) dense solve, with a covariance sweep that stops at the exact
+fixed point of the Riccati recursion and banded solves for the means.  The
+iterated smoothers and the dense stacked solvers share one damped
+Gauss-Newton loop, gauss_newton; they differ only in the step each proposes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dtbtrs, dtrtrs
 
 from .models import (AffineModel, Model, NonlinearModel, SingularSystemError,
                      TrackingProblem, per_step, prior_mean_trajectory,
@@ -66,6 +67,16 @@ def _compact(arr: np.ndarray) -> np.ndarray:
     return arr[:1] if time_invariant(arr) else arr
 
 
+def _cholesky(mats: np.ndarray, what: str, steps) -> np.ndarray:
+    """Batched Cholesky factors of a (k, n, n) stack; the first block that
+    does not factor raises SingularSystemError naming what and its step."""
+    try:
+        return np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError as exc:
+        i = next(i for i, block in enumerate(mats) if not _factors(block))
+        raise SingularSystemError(f"{what} at step {steps[i]} is not positive definite") from exc
+
+
 def _fuse(Q, A, b, B, d, v, eta, gamma: float, what: str, first: int = 0):
     """Fuse k steps with the penalty coupling, returning stacked (A~, b~, Q~).
 
@@ -76,12 +87,7 @@ def _fuse(Q, A, b, B, d, v, eta, gamma: float, what: str, first: int = 0):
     step, counted from ``first``.
     """
     Q, A, B = _compact(Q), _compact(A), _compact(B)
-    try:
-        Li = np.linalg.inv(np.linalg.cholesky(Q))
-    except np.linalg.LinAlgError as exc:
-        ok = np.all(np.linalg.eigvalsh(Q) > 0, axis=-1)
-        raise SingularSystemError(f"{what} at step {first + int(np.argmin(ok))} "
-                                  f"is not positive definite") from exc
+    Li = np.linalg.inv(_cholesky(Q, what, range(first, first + len(Q))))
     Qi = np.swapaxes(Li, -1, -2) @ Li
     Qtil = np.linalg.inv(Qi + gamma * np.eye(Q.shape[-1]))
     Qtil = 0.5 * (Qtil + np.swapaxes(Qtil, -1, -2))
@@ -160,11 +166,17 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float,
     return FusedModel(Atil, btil, Qtil, btil[0], Qtil[0], *_stack_rows(channels, T))
 
 
-def _chol(mat: np.ndarray, what: str, t: int) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{what} at step {t} is not positive definite") from exc
+def _bidiagonal_solve(M: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
+                      trans: str) -> np.ndarray:
+    """Solve L x = rhs (trans "N") or L' x = rhs (trans "T") for rhs (T, n),
+    L unit lower block bidiagonal with block (t + 1, t) = -M[idx[t]]."""
+    T, n = rhs.shape
+    ab = np.zeros((T, n, 2 * n))  # the (2n, T n) band, column-major
+    for r, c in np.ndindex(n, n):
+        ab[:-1, c, n + r - c] = -M[idx, r, c]
+    x, _ = dtbtrs(ab.reshape(T * n, 2 * n).T, rhs.reshape(-1, 1), uplo="L",
+                  trans=trans, diag="U")
+    return x.reshape(T, n)
 
 
 def augmented_ks(fused: FusedModel, y: np.ndarray) -> np.ndarray:
@@ -172,46 +184,65 @@ def augmented_ks(fused: FusedModel, y: np.ndarray) -> np.ndarray:
 
     The prior acts as the first predicted moment pair, and each step takes
     one measurement update over all rows of H, with y padded by zeros for
-    the rows below the data.  Smoother gains are computed through the
-    Cholesky factor of the predicted covariance; any factorisation failure
-    raises SingularSystemError naming the step.
+    the rows below the data.  In a run of steps with equal inputs (Atil,
+    Qtil, H, R), once the covariance sweep reaches a step whose filtered
+    covariance is bit for bit the step before's, the rest of the run repeats
+    that step (the Riccati steady state) and is not recomputed.  Gains are
+    then batched, and the filter and smoother means are two banded
+    triangular solves.  A failed factorisation raises SingularSystemError
+    naming the step.
     """
-    T, n = fused.T, fused.n_x
-    y = np.asarray(y, dtype=float)
-    y = np.pad(y, ((0, 0), (0, fused.H.shape[1] - y.shape[1])))
+    T, n, m = fused.T, fused.n_x, fused.H.shape[1]
+    Atil, Qtil, H, R = fused.Atil, fused.Qtil, fused.H, fused.R
+    y = np.pad(np.asarray(y, dtype=float), ((0, 0), (0, m - np.shape(y)[1])))
 
-    m_pred = np.empty((T, n))
-    P_pred = np.empty((T, n, n))
-    m_filt = np.empty((T, n))
-    P_filt = np.empty((T, n, n))
-    m = fused.m1til
-    P = fused.P1til
-    for t in range(T):
-        if t > 0:
-            A = fused.Atil[t]
-            m = A @ m + fused.btil[t]
-            P = A @ P @ A.T + fused.Qtil[t]
+    same = np.zeros(T + 1, dtype=bool)  # step t has the inputs of step t - 1
+    same[2:T] = True
+    for arr in (Atil, Qtil, H, R):
+        if not time_invariant(arr):
+            same[2:T] &= (arr[2:] == arr[1:-1]).all(axis=(1, 2))
+    same = same.tolist()
+    rows = []
+    P, prev, t = fused.P1til, None, 0
+    while t < T:
+        if t:
+            A = Atil[t]
+            P = A @ P @ A.T + Qtil[t]
             P = 0.5 * (P + P.T)
-        m_pred[t] = m
-        P_pred[t] = P
-        H = fused.H[t]
-        HP = H @ P
-        S = HP @ H.T + fused.R[t]
-        L = _chol(S, "innovation covariance", t)
-        K = cho_solve((L, True), HP).T
-        m = m + K @ (y[t] - H @ m - fused.e[t])
-        P = P - K @ S @ K.T
-        P = 0.5 * (P + P.T)
-        m_filt[t] = m
-        P_filt[t] = P
+        Pp, HP = P, H[t] @ P
+        L, info = dpotrf(HP @ H[t].T + R[t], lower=1)
+        if info:
+            raise SingularSystemError(f"innovation covariance at step {t} "
+                                      f"is not positive definite")
+        W = dtrtrs(L, HP, lower=1)[0]
+        P = Pp - W.T @ W
+        rows.append((t, Pp, P, L, W))
+        key = P.tobytes()
+        if same[t + 1] and key == prev:
+            t = same.index(False, t + 1) - 1  # the rest of the run repeats step t
+        prev = key
+        t += 1
+    steps, P_pred, P_filt, L, W = (np.array(a) for a in zip(*rows))
+    K = np.swapaxes(np.linalg.solve(np.swapaxes(L, 1, 2), W), 1, 2)
+    fresh = np.zeros(T, dtype=bool)
+    fresh[steps] = True
+    src = np.cumsum(fresh) - 1  # the computed row that step t repeats
 
-    x = m_filt
-    for t in range(T - 2, -1, -1):
-        A = fused.Atil[t + 1]
-        L = _chol(P_pred[t + 1], "predicted covariance", t + 1)
-        G = cho_solve((L, True), A @ P_filt[t]).T
-        x[t] = x[t] + G @ (x[t + 1] - m_pred[t + 1])
-    return x
+    # filter: m_t - F_t m_{t-1} = b_t + K_t (y_t - e_t - H_t b_t), F_t = (I - K_t H_t) A_t
+    F = (np.eye(n) - K @ H[fresh]) @ Atil[fresh]
+    rhs = np.concatenate([fused.m1til[None], fused.btil[1:]])
+    rhs += (K[src] @ (y - fused.e - (H @ rhs[..., None])[..., 0])[..., None])[..., 0]
+    x = _bidiagonal_solve(F, src[1:], rhs, "N")
+
+    # smoother: x_t - G_t x_{t+1} = m_t - G_t x_pred_{t+1}; G_t changes only by computed steps
+    need = fresh[:-1] | fresh[1:]
+    tn = np.flatnonzero(need)
+    Pn = P_pred[src[tn + 1]]
+    _cholesky(Pn, "predicted covariance", tn + 1)
+    Gt, gi = np.linalg.solve(Pn, Atil[tn + 1] @ P_filt[src[tn]]), np.cumsum(need) - 1
+    x_pred = (Atil[1:] @ x[:-1, :, None])[..., 0] + fused.btil[1:]
+    x[:-1] -= (x_pred[:, None] @ Gt[gi])[:, 0]
+    return _bidiagonal_solve(Gt, gi, x, "T")
 
 
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
@@ -226,7 +257,8 @@ def linearize(model: NonlinearModel, nominal: np.ndarray) -> AffineModel:
 
     A_t = J_a(t, nominal_{t-1}), b_t = a_t(nominal_{t-1}) - A_t nominal_{t-1},
     H_t = J_h(t, nominal_t), e_t = h_t(nominal_t) - H_t nominal_t, each
-    evaluated for all steps in one call of the model's callables.
+    evaluated for all steps in one call of the model's callables.  A non-finite
+    output raises ValueError naming the callable (Jacobians first) and step.
     """
     nominal = np.asarray(nominal, dtype=float)
     T, n, n_y = model.T, model.n_x, model.n_y
@@ -235,6 +267,11 @@ def linearize(model: NonlinearModel, nominal: np.ndarray) -> AffineModel:
     H = np.empty((T, n_y, n))
     H[:] = model.measurement_jacobian(t, nominal)
     e = model.measurement(t, nominal) - (H @ nominal[..., None])[..., 0]
+    for name, arr in (("transition_jacobian", A), ("transition", b),
+                      ("measurement_jacobian", H), ("measurement", e)):
+        ok = np.isfinite(arr.reshape(T, -1)).all(axis=1)
+        if not ok.all():
+            raise ValueError(f"{name} returned a non-finite value at step {np.argmin(ok)}")
     return AffineModel(A=A, b=b, H=H, e=e, Q=model.Q, R=model.R,
                        m1=model.m1, P1=model.P1, T=T, validate=False)
 
@@ -328,12 +365,13 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     cost(x, targets) is the subproblem cost.  With lam > 0 a proposal is
     accepted only on a strict cost decrease (lam divided by alpha), else
     lam is multiplied by alpha and x kept; proposals closer than
-    PROPOSAL_FLOOR to x end the loop.  lambda0 = 0 accepts every proposal
-    without evaluating the cost: plain Gauss-Newton, i.e. the iterated
-    smoother.  Unless the targets depend on x (a nonlinear model with
-    process_noise targets and no explicit B), an accepted proposal's cost
-    is the cost at the new iterate and is not evaluated again.  Every
-    accepted iterate extends trace and lambda_trace.
+    PROPOSAL_FLOOR to x end the loop; a non-finite proposal raises
+    SingularSystemError.  lambda0 = 0 accepts every proposal without
+    evaluating the cost: plain Gauss-Newton, i.e. the iterated smoother.
+    Unless the targets depend on x (a nonlinear model with process_noise
+    targets and no explicit B), an accepted proposal's cost is the cost at
+    the new iterate and is not evaluated again.  Every accepted iterate
+    extends trace and lambda_trace.
     """
     reg = problem.reg
     fixed_targets = (problem.is_affine or reg.B is not None
@@ -348,6 +386,8 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     while i < cfg.i_max:
         try:
             x_prop = propose(x, targets, lam)
+            if not np.isfinite(x_prop).all():
+                raise SingularSystemError("proposal is not finite")
         except SingularSystemError as exc:
             raise _annotate(exc, i + 1) from exc
         step = _rel_step(x_prop, x)

@@ -18,7 +18,8 @@ from tracing import Tracer  # noqa: E402
 import tracklasso.smoothers as smoothers  # noqa: E402
 from tracklasso.admm import MadmmOptions  # noqa: E402
 from tracklasso.models import TrackingProblem, make_regularizer  # noqa: E402
-from tracklasso.scenarios import scenario_defaults, simulate_range  # noqa: E402
+from tracklasso.scenarios import (scenario_defaults, simulate_range,  # noqa: E402
+                                  simulate_wiener)
 from tracklasso.solve import solve_problem  # noqa: E402
 
 
@@ -39,3 +40,20 @@ def test_tracer_installs_and_records_the_lm_path():
             "models.x_subproblem_cost", "admm.x_update"} <= names
     accepted = sum(v for name, v, _ in tracer.counts if name == "smoothers.lm.accepted")
     assert accepted > 0
+
+
+def test_ks_madmm_runs_one_smoother_pass_per_iteration():
+    """The check bench/run.py makes on wiener_ks: the initial pass plus one
+    augmented_ks pass per x update, and no nonlinear or cost layer."""
+    data, model = simulate_wiener(scenario_defaults("wiener", T=60, seed=0))
+    reg = make_regularizer("l2", 4, weights=1.0, target_mode="process_noise")
+    prob = TrackingProblem(model=model, reg=reg, y=data.y)
+    k = 3
+    tracer = Tracer()
+    with tracer.installed():
+        solve_problem(prob, solver="ks_madmm",
+                      opts=MadmmOptions(gamma=1.0, k_max=k, eps_primal=0.0, eps_dual=0.0))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("smoothers.augmented_ks") == k + 1
+    assert names.count("admm.x_update") == k
+    assert not {"smoothers.linearize", "models.x_subproblem_cost"} & set(names)

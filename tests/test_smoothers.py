@@ -1,11 +1,14 @@
 """Kalman-smoother x updates and their iterated extensions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tracklasso.smoothers as smoothers
+from tracklasso.admm import MadmmOptions, run_madmm
 from tracklasso.batch import (
     LMConfig,
     batch_lm_step,
@@ -31,6 +34,7 @@ from tracklasso.smoothers import (
     plain_ieks,
     plain_smoother,
 )
+from tracklasso.solve import solve_problem
 from tracklasso.verify import random_affine_problem
 
 
@@ -358,3 +362,125 @@ def test_singular_innovation_raises_with_step():
                         validate=False)
     with pytest.raises(SingularSystemError, match="step 0"):
         plain_smoother(model, np.zeros((3, 1)))
+
+
+def count_factorisations(monkeypatch):
+    """Count innovation-covariance factorisations in augmented_ks."""
+    calls = [0]
+    dpotrf = smoothers.dpotrf
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(smoothers, "dpotrf", counted)
+    return calls
+
+
+def wiener_problem(T, target_mode, q_scale=None):
+    data, model = simulate_wiener(scenario_defaults("wiener", T=T, seed=2))
+    if q_scale is not None:
+        model = AffineModel(A=model.A, b=model.b, H=model.H, e=model.e,
+                            Q=model.Q * q_scale, R=model.R, m1=model.m1,
+                            P1=model.P1, T=T)
+    reg = make_regularizer("l2", 4, target_mode=target_mode)
+    return TrackingProblem(model=model, reg=reg, y=data.y)
+
+
+@pytest.mark.parametrize("damped", [False, True])
+@pytest.mark.parametrize("gamma", [0.0, 1.3])
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+def test_steady_state_shortcut_matches_batch(monkeypatch, target_mode, gamma, damped):
+    """Long Wiener passes reach the Riccati fixed point, copy it to the end
+    of the run (in state mode the run ends a step early, where the evidence
+    rows drop out), and still return the dense minimiser."""
+    T = 300
+    prob = wiener_problem(T, target_mode)
+    rng = np.random.default_rng(3)
+    V, eta = rng.normal(size=(T, 4)), rng.normal(size=(T, 4))
+    B, d = prob.penalty_targets()
+    calls = count_factorisations(monkeypatch)
+    if damped:
+        lam, x, s_cov = 0.5, rng.normal(size=(T, 4)), np.diag([1.0, 2.0, 0.5, 1.0])
+        x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, gamma, z=x,
+                                        sigma=s_cov / lam), prob.y)
+        x_batch = batch_lm_step(prob, x, V, eta, gamma, lam, s_cov)
+    else:
+        x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, gamma), prob.y)
+        x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
+    assert calls[0] < T // 2
+    np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
+
+
+def test_shortcut_resumes_when_the_inputs_change(monkeypatch):
+    """A run of constant inputs that ends at T-3 (Q changes there) is left
+    at its last step and the sweep resumes exactly."""
+    T = 300
+    q_scale = np.where(np.arange(T)[:, None, None] >= T - 3, 4.0, 1.0)
+    prob = wiener_problem(T, "process_noise", q_scale=q_scale)
+    rng = np.random.default_rng(4)
+    V, eta = rng.normal(size=(T, 4)), rng.normal(size=(T, 4))
+    B, d = prob.penalty_targets()
+    calls = count_factorisations(monkeypatch)
+    x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, 0.8), prob.y)
+    x_batch = batch_x_affine(stack_problem(prob, V, eta, 0.8), 0.8)
+    assert calls[0] < T // 2
+    np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
+
+
+def test_long_pass_factors_only_the_head(monkeypatch):
+    T = 2000
+    data, model = simulate_wiener(scenario_defaults("wiener", T=T, seed=0))
+    calls = count_factorisations(monkeypatch)
+    plain_smoother(model, data.y)
+    assert calls[0] < T // 4
+
+
+def test_non_spd_predicted_covariance_raises_with_step():
+    Q = np.tile(np.eye(2), (8, 1, 1))
+    Q[3] = Q[5] = -4.0 * np.eye(2)
+    model = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
+                        Q=Q, R=100.0 * np.eye(2), m1=np.zeros(2), P1=np.eye(2),
+                        T=8, validate=False)
+    with pytest.raises(SingularSystemError,
+                       match="predicted covariance at step 3 is not positive definite"):
+        plain_smoother(model, np.zeros((8, 2)))
+
+
+def test_non_finite_proposal_raises_with_iterations():
+    """A NaN proposal fails the strict-decrease test forever; it must raise
+    with the inner and ADMM iteration attached instead."""
+    prob = range_problem()
+    calls = [0]
+
+    def propose(x, targets, lam):
+        calls[0] += 1
+        if calls[0] > 50:
+            raise RuntimeError("the loop kept proposing")
+        return np.full_like(x, np.nan)
+
+    def x_solver(problem, V, eta_bar, gamma, x_warm):
+        def cost(x, targets):
+            return x_subproblem_cost(problem, x, V, eta_bar, gamma, targets)
+        return smoothers.gauss_newton(problem, propose, x_warm, cost, LMConfig(i_max=3))
+
+    x0 = np.tile(prob.model.m1, (prob.T, 1))
+    with pytest.raises(SingularSystemError, match="ADMM iteration 1: inner iteration 1: "
+                                                  "proposal is not finite"):
+        run_madmm(prob, x_solver, MadmmOptions(k_max=2), x0=x0)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("solver", ["gn_ieks_madmm", "lm_ieks_madmm"])
+def test_linearize_names_non_finite_callable(solver):
+    prob = range_problem(T=12)
+
+    def measurement(t, X):
+        out = np.array(prob.model.measurement(t, X), dtype=float)
+        out[np.asarray(t) == 7] = np.nan
+        return out
+
+    bad = TrackingProblem(model=replace(prob.model, measurement=measurement),
+                          reg=prob.reg, y=prob.y)
+    with pytest.raises(ValueError, match="^measurement returned a non-finite value at step 7"):
+        solve_problem(bad, solver, opts=MadmmOptions(k_max=2), i_max=3)
