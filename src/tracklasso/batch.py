@@ -173,35 +173,25 @@ def _linearized(problem: TrackingProblem, x: np.ndarray) -> TrackingProblem:
     return TrackingProblem(linearize(problem.model, x), problem.reg, problem.y)
 
 
-def batch_gn_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
-                  eta_bar: np.ndarray, gamma: float) -> np.ndarray:
-    """One Gauss-Newton step on the stacked subproblem, linearised about x.
-
-    In process_noise mode the penalty targets are refreshed at x, so the
-    penalty operator itself is part of the linearisation.
-    """
-    lin = _linearized(problem, x)
-    stacked = stack_problem(lin, v, eta_bar, gamma)
-    try:
-        return batch_x_affine(stacked, gamma)
-    except SingularSystemError as exc:
-        raise SingularSystemError(
-            f"Gauss-Newton normal matrix is singular at the current linearisation; "
-            f"consider the Levenberg-Marquardt solver ({exc})") from exc
-
-
 def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
                   eta_bar: np.ndarray, gamma: float, lam: float,
                   s_cov=None) -> np.ndarray:
-    """One damped step: Gauss-Newton system plus lam * S^{-1} anchored at x."""
+    """One damped step: Gauss-Newton system plus lam * S^{-1} anchored at x.
+
+    lam = 0 is the plain Gauss-Newton step.  In process_noise mode the
+    penalty targets are refreshed at x, so the penalty operator itself is
+    part of the linearisation.
+    """
     lin = _linearized(problem, x)
     stacked = stack_problem(lin, v, eta_bar, gamma)
     M, rhs = normal_system(stacked, gamma)
+    name = "normal matrix"
     if lam > 0:
         D = _damping_blocks(s_cov, stacked.T, stacked.n_x)
         M = M + lam * D
         rhs = rhs + lam * (D @ np.asarray(x, dtype=float).ravel())
-    out = _spd_solve_dense(M, rhs, "damped normal matrix")
+        name = "damped normal matrix"
+    out = _spd_solve_dense(M, rhs, name)
     return out.reshape(stacked.T, stacked.n_x)
 
 
@@ -213,8 +203,11 @@ def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.n
                           lambda_trace: Optional[List[float]] = None) -> np.ndarray:
     """Iterate dense Gauss-Newton or Levenberg-Marquardt steps to solve for x.
 
-    The steps run under the same damped Gauss-Newton loop as the iterated
-    smoothers; method "gn" sets lambda0 = 0, which accepts every step.
+    Every proposal is batch_lm_step, run under the same damped Gauss-Newton
+    loop as the iterated smoothers with cfg (default LMConfig()).  Method
+    "gn" is cfg with lambda0 = 0: the damping stays 0, each step is the
+    undamped normal solve and every step is accepted.  x0 defaults to the
+    prior mean trajectory.
     """
     cfg = cfg or LMConfig()
     if method == "gn":
@@ -225,8 +218,6 @@ def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.n
         x0 = prior_mean_trajectory(problem.model)
 
     def propose(x, targets, lam):
-        if method == "gn":
-            return batch_gn_step(problem, x, v, eta_bar, gamma)
         return batch_lm_step(problem, x, v, eta_bar, gamma, lam, cfg.s_cov)
 
     def cost(x, targets):

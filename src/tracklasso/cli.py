@@ -87,7 +87,6 @@ class RunConfig:
     dt: Optional[float] = None
     p0: Optional[float] = None
     out: str = "tracklasso_out"
-    jobs: int = 1
 
     def __post_init__(self):
         if self.command in ("simulate", "solve"):
@@ -123,8 +122,6 @@ class RunConfig:
             raise UsageError("steps must be at least 2")
         if self.dt is not None and self.dt <= 0:
             raise UsageError("dt must be positive")
-        if self.jobs < 1:
-            raise UsageError("jobs must be at least 1")
 
 
 # (name, type, choices, help) of every RunConfig option except command: the
@@ -147,7 +144,6 @@ _OPTIONS = (
     ("dt", float, None, "sampling interval override"),
     ("p0", float, None, "probability of zero process noise"),
     ("out", str, None, "output directory"),
-    ("jobs", int, None, "worker processes for seed sweeps"),
 )
 _CASTS = {name: cast for name, cast, _, _ in _OPTIONS}
 
@@ -341,8 +337,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     opts = MadmmOptions(gamma=cfg.gamma, k_max=cfg.kmax)
     lm_cfg = LMConfig(lambda0=cfg.lambda0, alpha=cfg.alpha, i_max=cfg.imax)
     try:
-        report = solve_problem(problem, solver=cfg.solver, opts=opts,
-                               i_max=cfg.imax, lm_cfg=lm_cfg)
+        report = solve_problem(problem, solver=cfg.solver, opts=opts, lm_cfg=lm_cfg)
     except (SingularSystemError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -362,6 +357,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     jobs = args.jobs if args.jobs is not None else 1
+    if jobs < 1:
+        raise UsageError("jobs must be at least 1")
     out = Path(args.out) if args.out is not None else Path("tracklasso_out")
     results = run_all_checks(seed=seed, jobs=jobs, inject_fault=args.inject_fault)
     width = max(len(r.name) for r in results)
@@ -485,7 +482,7 @@ def build_parser() -> _Parser:
     _add_common(p_solve)
     p_verify = sub.add_parser("verify", help="run the cross-oracle checks")
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--jobs", type=int)
+    p_verify.add_argument("--jobs", type=int, help="worker processes for seed sweeps")
     p_verify.add_argument("--out", help="directory for failure dumps")
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="negative control: corrupt the x update and "

@@ -458,27 +458,3 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
 
     return gauss_newton(problem, propose, x0, cost, cfg, trace, lambda_trace)
 
-
-def ks_x_solver():
-    """x-update callable running one augmented smoother pass (affine models)."""
-    def solver(problem, V, eta_bar, gamma, x_warm):
-        if not problem.is_affine:
-            raise ValueError("the Kalman-smoother x update needs an affine model")
-        B, d = problem.penalty_targets()
-        fused = build_fused(problem.model, B, d, V, eta_bar, gamma)
-        return augmented_ks(fused, problem.y)
-    return solver
-
-
-def gn_ieks_x_solver(i_max: int = 10, step_tol: float = 1e-8):
-    """x-update callable running the Gauss-Newton iterated smoother."""
-    def solver(problem, V, eta_bar, gamma, x_warm):
-        return gn_ieks(problem, V, eta_bar, gamma, x_warm, i_max=i_max, step_tol=step_tol)
-    return solver
-
-
-def lm_ieks_x_solver(cfg=None):
-    """x-update callable running the Levenberg-Marquardt iterated smoother."""
-    def solver(problem, V, eta_bar, gamma, x_warm):
-        return lm_ieks(problem, V, eta_bar, gamma, x_warm, cfg)
-    return solver

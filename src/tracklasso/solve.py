@@ -6,6 +6,7 @@ unregularised smoother run, and hands off to the ADMM loop.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -13,13 +14,7 @@ import numpy as np
 from .admm import MadmmOptions, SolveReport, run_madmm
 from .batch import LMConfig, batch_nonlinear_solve, make_affine_x_solver
 from .models import TrackingProblem
-from .smoothers import (
-    gn_ieks_x_solver,
-    ks_x_solver,
-    lm_ieks_x_solver,
-    plain_ieks,
-    plain_smoother,
-)
+from .smoothers import augmented_ks, build_fused, lm_ieks, plain_ieks, plain_smoother
 
 SOLVERS = ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm", "batch_madmm")
 
@@ -31,45 +26,54 @@ def initial_trajectory(problem: TrackingProblem) -> np.ndarray:
     return plain_ieks(problem.model, problem.y)
 
 
-def batch_x_solver(cfg: Optional[LMConfig] = None):
-    """Dense reference x update (stacked normal equations over all steps):
-    one cached solve for affine problems, the dense LM loop with cfg otherwise."""
-    affine = make_affine_x_solver()
+def make_x_solver(solver: str, i_max: int = 10, lm_cfg: Optional[LMConfig] = None):
+    """Build the x-update callable solver(problem, V, eta_bar, gamma, x_warm).
 
-    def solver(problem, V, eta_bar, gamma, x_warm):
-        if problem.is_affine:
-            return affine(problem, V, eta_bar, gamma, x_warm)
-        return batch_nonlinear_solve(problem, V, eta_bar, gamma, method="lm",
-                                     cfg=cfg, x0=x_warm)
-
-    return solver
-
-
-def make_x_solver(solver: str, i_max: int = 10, step_tol: float = 1e-8,
-                  lm_cfg: Optional[LMConfig] = None):
-    """Build the x-update callable for a named solver."""
+    Every inner setting comes from one LMConfig: lm_cfg if given, else
+    LMConfig(i_max=i_max), so i_max is read only when lm_cfg is None.
+    ks_madmm runs one augmented smoother pass (affine models only);
+    gn_ieks_madmm and lm_ieks_madmm run the iterated smoother, GN being the
+    config with lambda0 = 0; batch_madmm runs the dense reference, one
+    cached factorisation for affine problems and the dense LM loop otherwise.
+    """
+    cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
     if solver == "ks_madmm":
-        return ks_x_solver()
-    if solver == "gn_ieks_madmm":
-        return gn_ieks_x_solver(i_max=i_max, step_tol=step_tol)
-    cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max, step_tol=step_tol)
-    if solver == "lm_ieks_madmm":
-        return lm_ieks_x_solver(cfg)
+        def ks(problem, V, eta_bar, gamma, x_warm):
+            if not problem.is_affine:
+                raise ValueError("the Kalman-smoother x update needs an affine model")
+            B, d = problem.penalty_targets()
+            return augmented_ks(build_fused(problem.model, B, d, V, eta_bar, gamma), problem.y)
+        return ks
+    if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):
+        if solver == "gn_ieks_madmm":
+            cfg = replace(cfg, lambda0=0.0)
+
+        def ieks(problem, V, eta_bar, gamma, x_warm):
+            return lm_ieks(problem, V, eta_bar, gamma, x_warm, cfg)
+        return ieks
     if solver == "batch_madmm":
-        return batch_x_solver(cfg)
+        affine = make_affine_x_solver()
+
+        def dense(problem, V, eta_bar, gamma, x_warm):
+            if problem.is_affine:
+                return affine(problem, V, eta_bar, gamma, x_warm)
+            return batch_nonlinear_solve(problem, V, eta_bar, gamma, method="lm",
+                                         cfg=cfg, x0=x_warm)
+        return dense
     raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
 
 
 def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
-                  opts: Optional[MadmmOptions] = None,
-                  i_max: int = 10, step_tol: float = 1e-8,
+                  opts: Optional[MadmmOptions] = None, i_max: int = 10,
                   lm_cfg: Optional[LMConfig] = None,
                   x0: Optional[np.ndarray] = None,
                   record_states: bool = False) -> SolveReport:
     """Solve a regularised tracking problem with the named solver.
 
     ks_madmm requires an affine model; the iterated variants and the dense
-    batch reference accept both affine and nonlinear models.
+    batch reference accept both affine and nonlinear models.  The inner
+    GN/LM settings are lm_cfg, or LMConfig(i_max=i_max) when lm_cfg is None
+    (see make_x_solver).  x0 defaults to initial_trajectory(problem).
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
@@ -79,5 +83,5 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     opts = opts if opts is not None else MadmmOptions()
     if x0 is None:
         x0 = initial_trajectory(problem)
-    x_solver = make_x_solver(solver, i_max=i_max, step_tol=step_tol, lm_cfg=lm_cfg)
+    x_solver = make_x_solver(solver, i_max=i_max, lm_cfg=lm_cfg)
     return run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)

@@ -6,7 +6,6 @@ from scipy.optimize import minimize
 
 from tracklasso.batch import (
     LMConfig,
-    batch_gn_step,
     batch_lm_step,
     batch_nonlinear_solve,
     batch_x_affine,
@@ -34,10 +33,10 @@ def quadratic_problem():
 
 
 def test_gn_step_hand_value():
-    # linearise x^2 at x0=1: H=2, e=-1; (H^2+1)x = H(y-e)+m1 -> 1.3
+    # undamped step; linearise x^2 at x0=1: H=2, e=-1; (H^2+1)x = H(y-e)+m1 -> 1.3
     prob = quadratic_problem()
     z = np.zeros((1, 1))
-    x1 = batch_gn_step(prob, np.array([[1.0]]), z, z, 0.0)
+    x1 = batch_lm_step(prob, np.array([[1.0]]), z, z, 0.0, lam=0.0)
     np.testing.assert_allclose(x1, [[1.3]], rtol=1e-12)
 
 
@@ -47,14 +46,6 @@ def test_lm_step_hand_value():
     z = np.zeros((1, 1))
     x1 = batch_lm_step(prob, np.array([[1.0]]), z, z, 0.0, lam=1.0)
     np.testing.assert_allclose(x1, [[1.25]], rtol=1e-12)
-
-
-def test_lm_step_zero_damping_is_gn():
-    prob = quadratic_problem()
-    z = np.zeros((1, 1))
-    gn = batch_gn_step(prob, np.array([[1.0]]), z, z, 0.0)
-    lm = batch_lm_step(prob, np.array([[1.0]]), z, z, 0.0, lam=0.0)
-    np.testing.assert_allclose(lm, gn, rtol=1e-12)
 
 
 def test_heavy_damping_freezes_iterate():

@@ -13,7 +13,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from tracing import Tracer  # noqa: E402
+from tracing import Tracer, ancestors  # noqa: E402
 
 import tracklasso.smoothers as smoothers  # noqa: E402
 from tracklasso.admm import MadmmOptions  # noqa: E402
@@ -57,3 +57,40 @@ def test_ks_madmm_runs_one_smoother_pass_per_iteration():
     assert names.count("smoothers.augmented_ks") == k + 1
     assert names.count("admm.x_update") == k
     assert not {"smoothers.linearize", "models.x_subproblem_cost"} & set(names)
+
+
+def test_affine_batch_madmm_factors_once_off_the_smoother():
+    """batch_madmm on an affine model: one cached dense factorisation, then
+    back-substitution; the x updates never reach the smoother."""
+    data, model = simulate_wiener(scenario_defaults("wiener", T=40, seed=0))
+    reg = make_regularizer("l2", 4, weights=1.0, target_mode="process_noise")
+    prob = TrackingProblem(model=model, reg=reg, y=data.y)
+    k = 3
+    tracer = Tracer()
+    with tracer.installed():
+        solve_problem(prob, solver="batch_madmm",
+                      opts=MadmmOptions(gamma=1.0, k_max=k, eps_primal=0.0, eps_dual=0.0))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("batch.x_first") == 1
+    assert names.count("batch.x_repeat") == k - 1
+    assert names.count("batch.stack_problem") >= 1
+    assert names.count("batch.normal_system") >= 1
+    assert not any(name == "smoothers.augmented_ks"
+                   and "admm.x_update" in ancestors(tracer.spans, sid)
+                   for sid, name in enumerate(names))
+
+
+def test_gn_ieks_madmm_runs_the_smoother_loop_without_costs():
+    """gn_ieks_madmm is the iterated smoother with lambda0 = 0: one lm_ieks
+    span per x update, and undamped steps evaluate no subproblem cost."""
+    data, model = simulate_range(scenario_defaults("range", T=10, seed=0))
+    reg = make_regularizer("group", 4, groups=[[2, 3]], weights=1.0)
+    prob = TrackingProblem(model=model, reg=reg, y=data.y)
+    k = 2
+    tracer = Tracer()
+    with tracer.installed():
+        solve_problem(prob, solver="gn_ieks_madmm", i_max=3,
+                      opts=MadmmOptions(gamma=1.0, k_max=k, eps_primal=0.0, eps_dual=0.0))
+    names = [span[0] for span in tracer.spans]
+    assert names.count("smoothers.lm_ieks") == k
+    assert names.count("models.x_subproblem_cost") == 0

@@ -102,6 +102,17 @@ def test_usage_errors_exit_64(tmp_path):
                    "--out", str(tmp_path / "w")) == 64
 
 
+def test_jobs_is_verify_only_and_at_least_one(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--scenario", "wiener", "--jobs", "2",
+                "--out", str(tmp_path / "s"))
+    assert exc.value.code == 64
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("scenario = wiener\njobs = 1\n")
+    assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "c")) == 64
+    assert run_cli("verify", "--jobs", "0", "--out", str(tmp_path / "v")) == 64
+
+
 def test_missing_input_file_exits_2(tmp_path):
     assert run_cli("solve", "--input", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path / "out")) == 2

@@ -34,7 +34,7 @@ from tracklasso.smoothers import (
     plain_ieks,
     plain_smoother,
 )
-from tracklasso.solve import solve_problem
+from tracklasso.solve import initial_trajectory, solve_problem
 from tracklasso.verify import random_affine_problem
 
 
@@ -484,3 +484,23 @@ def test_linearize_names_non_finite_callable(solver):
                           reg=prob.reg, y=prob.y)
     with pytest.raises(ValueError, match="^measurement returned a non-finite value at step 7"):
         solve_problem(bad, solver, opts=MadmmOptions(k_max=2), i_max=3)
+
+
+@pytest.mark.parametrize("solver", ["gn_ieks_madmm", "lm_ieks_madmm"])
+def test_iterated_solvers_take_inner_settings_from_lm_cfg(monkeypatch, solver):
+    """lm_cfg sets the inner iteration cap of GN as well as of LM: with
+    i_max = 1 each ADMM iteration linearises the model once."""
+    prob = range_problem(T=30)
+    x0 = initial_trajectory(prob)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return linearize(*args, **kwargs)
+
+    monkeypatch.setattr(smoothers, "linearize", counted)
+    k = 3
+    rep = solve_problem(prob, solver, x0=x0, lm_cfg=LMConfig(i_max=1, step_tol=0.0),
+                        opts=MadmmOptions(gamma=1.0, k_max=k, eps_primal=0.0, eps_dual=0.0))
+    assert rep.iterations == k
+    assert calls[0] == k
