@@ -15,8 +15,8 @@ from typing import List, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .models import (SingularSystemError, TrackingProblem, prior_mean_trajectory,
-                     x_subproblem_cost)
+from .models import (SingularSystemError, TrackingProblem, per_problem,
+                     prior_mean_trajectory, x_subproblem_cost)
 from .smoothers import LMConfig, gauss_newton, linearize
 
 
@@ -135,24 +135,23 @@ def make_affine_x_solver():
     """x-update callable for the ADMM loop, caching the factorised normal matrix.
 
     The normal matrix depends only on the problem and gamma, so it is
-    factorised once and only the penalty right-hand side is refreshed.  The
-    cache holds the last (problem, gamma) by reference: a problem built
-    after the cached one was dropped can never be mistaken for it.
+    factorised once per (problem, gamma) (models.per_problem) and only the
+    penalty right-hand side is refreshed.
     """
-    cache = None
+    def build(problem, gamma, V, eta_bar):
+        stacked = stack_problem(problem, V, eta_bar, gamma)
+        M, rhs_data = normal_system(stacked, 0.0)
+        M = M + gamma * stacked.Phi.T @ stacked.Phi
+        try:
+            factor = cho_factor(M, lower=True)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError("stacked normal matrix is numerically singular") from exc
+        return stacked, factor, rhs_data
+
+    factored = per_problem(build)
 
     def solver(problem, V, eta_bar, gamma, x_warm):
-        nonlocal cache
-        if cache is None or cache[0] is not problem or cache[1] != gamma:
-            stacked = stack_problem(problem, V, eta_bar, gamma)
-            M, rhs_data = normal_system(stacked, 0.0)
-            M = M + gamma * stacked.Phi.T @ stacked.Phi
-            try:
-                factor = cho_factor(M, lower=True)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError("stacked normal matrix is numerically singular") from exc
-            cache = (problem, gamma, stacked, factor, rhs_data)
-        _, _, stacked, factor, rhs_data = cache
+        stacked, factor, rhs_data = factored(problem, gamma, V, eta_bar)
         rhs = rhs_data + gamma * stacked.Phi.T @ (stacked.d + V.ravel() - eta_bar.ravel() / gamma)
         return cho_solve(factor, rhs).reshape(stacked.T, stacked.n_x)
 

@@ -206,7 +206,10 @@ class NonlinearModel:
     to the mean of y_t and returns (k, n_y); ``transition_jacobian`` and
     ``measurement_jacobian`` return (k, n_x, n_x) and (k, n_y, n_x).  A
     return value that broadcasts to its shape is accepted, so a constant
-    Jacobian may be a single matrix.
+    Jacobian may be a single matrix.  Construction calls each callable once,
+    on every step it serves with the prior mean m1 as the state, and raises
+    ValueError naming the callable whose output has the wrong shape or a
+    non-finite value.
     """
 
     transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -234,6 +237,23 @@ class NonlinearModel:
         _check_spd_steps(R, "R")
         for name, val in (("Q", Q), ("R", R), ("m1", m1), ("P1", P1)):
             object.__setattr__(self, name, val)
+        n_y, t = R.shape[1], np.arange(self.T)
+        for name, steps, core in (("transition", t[1:], (n,)),
+                                  ("transition_jacobian", t[1:], (n, n)),
+                                  ("measurement", t, (n_y,)),
+                                  ("measurement_jacobian", t, (n_y, n))):
+            out = np.asarray(getattr(self, name)(steps, np.broadcast_to(m1, (len(steps), n))),
+                             dtype=float)
+            shape = (len(steps),) + core
+            try:
+                out = np.broadcast_to(out, shape)
+            except ValueError:
+                raise ValueError(f"{name} returned shape {out.shape} for {len(steps)} "
+                                 f"steps, expected {shape}") from None
+            ok = np.isfinite(out.reshape(len(steps), int(np.prod(core)))).all(axis=1)
+            if not ok.all():
+                raise ValueError(f"{name} returned a non-finite value at step "
+                                 f"{steps[np.argmin(ok)]} with the state at m1")
 
     @property
     def n_x(self) -> int:
@@ -490,6 +510,24 @@ class TrackingProblem:
         if x.shape[0] > 1:
             out[1:] = x[1:] - np.einsum("tij,tj->ti", B[1:], x[:-1]) - d[1:]
         return out
+
+
+def per_problem(build: Callable) -> Callable:
+    """Keep build(problem, gamma, *args) for the last (problem, gamma) only.
+
+    The kept problem is held by reference and matched with ``is``, gamma by
+    value, so a problem built after the kept one was dropped can never be
+    served its result (an ``id`` key could be reused).  The extra arguments
+    feed a rebuild and are not part of the key.
+    """
+    last = None
+
+    def kept(problem, gamma, *args):
+        nonlocal last
+        if last is None or last[0] is not problem or last[1] != gamma:
+            last = (problem, gamma, build(problem, gamma, *args))
+        return last[2]
+    return kept
 
 
 def prior_mean_trajectory(model: Model) -> np.ndarray:

@@ -11,11 +11,15 @@ Levenberg-Marquardt damping adds rows too: a pseudo-measurement of the
 current iterate with covariance S_t / lambda.  Both sets of rows observe
 x_t with noise independent of the data, so they are stacked below the data
 rows and every step takes one measurement update.  A Rauch-Tung-Striebel
-mean pass over the fused model then solves the subproblem in O(T) instead
-of the O(T^3) dense solve, with a covariance sweep that stops at the exact
-fixed point of the Riccati recursion and banded solves for the means.  The
-iterated smoothers and the dense stacked solvers share one damped
-Gauss-Newton loop, gauss_newton; they differ only in the step each proposes.
+pass over the fused model then solves the subproblem in O(T) instead of the
+O(T^3) dense solve.  The pass is split in two: rts_factor, the covariance
+sweep (stopped at the exact fixed point of the Riccati recursion), the
+gains and the banded matrices of the two mean recursions, which read only
+the fused dynamics and noise (so one factor serves every x update of an
+affine problem at one gamma); and augmented_ks, the mean pass, two banded
+triangular solves.  The iterated smoothers and the dense stacked solvers
+share one damped Gauss-Newton loop, gauss_newton; they differ only in the
+step each proposes.
 """
 
 from __future__ import annotations
@@ -38,10 +42,11 @@ class FusedModel:
     """Affine model with the quadratic penalty folded into dynamics and prior.
 
     For gamma > 0, build_fused produces Atil, btil, Qtil in one stacked fuse
-    with the prior as step 0, so btil[0] and Qtil[0] are m1til and P1til;
-    index 0 of Atil is never consulted.  H, e and R hold the data rows
-    first, then any pseudo-measurement and coupling-evidence rows, whose
-    observations are zero (the smoother pads y with zeros).
+    with the prior as step 0, so btil[0] is m1til; the prior's covariance is
+    P1til, and index 0 of Atil and Qtil is never consulted (a time-invariant
+    model keeps both as broadcast views of one step).  H, e and R hold the
+    data rows first, then any pseudo-measurement and coupling-evidence rows,
+    whose observations are zero (the smoother pads y with zeros).
     """
 
     Atil: np.ndarray
@@ -154,7 +159,8 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float,
     prior = _fuse(model.P1[None], zero, m1, zero, m1, V[:1], eta_bar[:1], gamma, "P1")
     steps = _fuse(model.Q[1:], model.A[1:], model.b[1:], B[1:], d[1:], V[1:],
                   eta_bar[1:], gamma, "Q", first=1)
-    Atil, btil, Qtil = (np.concatenate(pair) for pair in zip(prior, steps))
+    btil = np.concatenate([prior[1], steps[1]])
+    Atil, Qtil = (_after_prior(p, a) for p, a in ((prior[0], steps[0]), (prior[2], steps[2])))
     if not np.array_equal(B[1:], model.A[1:]):
         ev_H, ev_e = np.zeros((T, n, n)), np.zeros((T, n))
         ev_H[:-1] = model.A[1:] - B[1:]
@@ -163,38 +169,67 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float,
         if ev_R.shape[0] > 1:
             ev_R = np.concatenate([ev_R, ev_R[-1:]])
         channels.append((ev_H, ev_e, np.broadcast_to(ev_R, (T, n, n))))
-    return FusedModel(Atil, btil, Qtil, btil[0], Qtil[0], *_stack_rows(channels, T))
+    return FusedModel(Atil, btil, Qtil, btil[0], prior[2][0], *_stack_rows(channels, T))
 
 
-def _bidiagonal_solve(M: np.ndarray, idx: np.ndarray, rhs: np.ndarray,
-                      trans: str) -> np.ndarray:
-    """Solve L x = rhs (trans "N") or L' x = rhs (trans "T") for rhs (T, n),
-    L unit lower block bidiagonal with block (t + 1, t) = -M[idx[t]]."""
-    T, n = rhs.shape
-    ab = np.zeros((T, n, 2 * n))  # the (2n, T n) band, column-major
+def _after_prior(prior: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """(T, n, n) stack of steps 1..T-1 behind an index 0 that is never
+    consulted: a broadcast stack of steps stays a view (index 0 repeats step
+    1), anything else is copied behind the prior's block."""
+    if len(steps) and time_invariant(steps):
+        return np.broadcast_to(steps[:1], (len(steps) + 1,) + steps.shape[1:])
+    return np.concatenate([prior, steps])
+
+
+def _band(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """LAPACK lower band (2n, T n) of the unit lower block bidiagonal L of
+    T = len(idx) + 1 block rows, with block (t + 1, t) = -M[idx[t]]."""
+    T, n = len(idx) + 1, M.shape[-1]
+    ab = np.zeros((T, n, 2 * n))  # the band, column-major
     for r, c in np.ndindex(n, n):
         ab[:-1, c, n + r - c] = -M[idx, r, c]
-    x, _ = dtbtrs(ab.reshape(T * n, 2 * n).T, rhs.reshape(-1, 1), uplo="L",
-                  trans=trans, diag="U")
-    return x.reshape(T, n)
+    return ab.reshape(T * n, 2 * n).T
 
 
-def augmented_ks(fused: FusedModel, y: np.ndarray) -> np.ndarray:
-    """Rauch-Tung-Striebel mean pass over a fused model, returning x (T, n_x).
+def _band_solve(ab: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
+    """Solve L x = rhs (trans "N") or L' x = rhs (trans "T") for rhs (T, n)."""
+    x, _ = dtbtrs(ab, rhs.reshape(-1, 1), uplo="L", trans=trans, diag="U")
+    return x.reshape(rhs.shape)
 
-    The prior acts as the first predicted moment pair, and each step takes
-    one measurement update over all rows of H, with y padded by zeros for
-    the rows below the data.  In a run of steps with equal inputs (Atil,
-    Qtil, H, R), once the covariance sweep reaches a step whose filtered
-    covariance is bit for bit the step before's, the rest of the run repeats
-    that step (the Riccati steady state) and is not recomputed.  Gains are
-    then batched, and the filter and smoother means are two banded
-    triangular solves.  A failed factorisation raises SingularSystemError
-    naming the step.
+
+@dataclass(eq=False)
+class RTSFactor:
+    """The part of an RTS pass that reads only Atil, Qtil, H, R and P1til.
+
+    K[src] is the Kalman gain of each step; G[gi] is the transposed smoother
+    gain of steps 0..T-2; filter_band and smoother_band pack the unit lower
+    block-bidiagonal matrices of the filter and smoother mean recursions.
     """
-    T, n, m = fused.T, fused.n_x, fused.H.shape[1]
+
+    K: np.ndarray
+    src: np.ndarray
+    G: np.ndarray
+    gi: np.ndarray
+    filter_band: np.ndarray
+    smoother_band: np.ndarray
+
+
+def rts_factor(fused: FusedModel) -> RTSFactor:
+    """Covariance sweep, gains and mean-recursion bands of a fused model.
+
+    This is the block LDL' factorisation of the x subproblem's normal
+    matrix in RTS form, so it depends only on (Atil, Qtil, H, R, P1til):
+    for an affine problem, on (problem, gamma).  The prior acts as the first
+    predicted covariance, and each step takes one measurement update over
+    all rows of H.  In a run of steps with equal inputs, once the sweep
+    reaches a step whose filtered covariance is bit for bit the step
+    before's, the rest of the run repeats that step (the Riccati steady
+    state) and is not recomputed; gains are then batched over the computed
+    steps.  A failed factorisation raises SingularSystemError naming the
+    step.
+    """
+    T, n = fused.T, fused.n_x
     Atil, Qtil, H, R = fused.Atil, fused.Qtil, fused.H, fused.R
-    y = np.pad(np.asarray(y, dtype=float), ((0, 0), (0, m - np.shape(y)[1])))
 
     same = np.zeros(T + 1, dtype=bool)  # step t has the inputs of step t - 1
     same[2:T] = True
@@ -227,22 +262,39 @@ def augmented_ks(fused: FusedModel, y: np.ndarray) -> np.ndarray:
     fresh = np.zeros(T, dtype=bool)
     fresh[steps] = True
     src = np.cumsum(fresh) - 1  # the computed row that step t repeats
-
     # filter: m_t - F_t m_{t-1} = b_t + K_t (y_t - e_t - H_t b_t), F_t = (I - K_t H_t) A_t
     F = (np.eye(n) - K @ H[fresh]) @ Atil[fresh]
-    rhs = np.concatenate([fused.m1til[None], fused.btil[1:]])
-    rhs += (K[src] @ (y - fused.e - (H @ rhs[..., None])[..., 0])[..., None])[..., 0]
-    x = _bidiagonal_solve(F, src[1:], rhs, "N")
-
     # smoother: x_t - G_t x_{t+1} = m_t - G_t x_pred_{t+1}; G_t changes only by computed steps
     need = fresh[:-1] | fresh[1:]
     tn = np.flatnonzero(need)
     Pn = P_pred[src[tn + 1]]
     _cholesky(Pn, "predicted covariance", tn + 1)
-    Gt, gi = np.linalg.solve(Pn, Atil[tn + 1] @ P_filt[src[tn]]), np.cumsum(need) - 1
-    x_pred = (Atil[1:] @ x[:-1, :, None])[..., 0] + fused.btil[1:]
-    x[:-1] -= (x_pred[:, None] @ Gt[gi])[:, 0]
-    return _bidiagonal_solve(Gt, gi, x, "T")
+    G, gi = np.linalg.solve(Pn, Atil[tn + 1] @ P_filt[src[tn]]), np.cumsum(need) - 1
+    return RTSFactor(K, src, G, gi, _band(F, src[1:]), _band(G, gi))
+
+
+def augmented_ks(fused: FusedModel, y: np.ndarray,
+                 factor: Optional[RTSFactor] = None) -> np.ndarray:
+    """Rauch-Tung-Striebel mean pass over a fused model, returning x (T, n_x).
+
+    factor defaults to rts_factor(fused); a factor of another fused model
+    with the same (Atil, Qtil, H, R, P1til), as every x update of one affine
+    problem at one gamma has, gives the same x bit for bit.  The pass itself
+    reads btil, m1til, e and the dynamics, with y padded by zeros for the
+    rows below the data, and is two banded triangular solves (the filter and
+    smoother mean recursions) plus batched products.
+    """
+    if factor is None:
+        factor = rts_factor(fused)
+    m = fused.H.shape[1]
+    y = np.pad(np.asarray(y, dtype=float), ((0, 0), (0, m - np.shape(y)[1])))
+    rhs = np.concatenate([fused.m1til[None], fused.btil[1:]])
+    rhs += (factor.K[factor.src]
+            @ (y - fused.e - (fused.H @ rhs[..., None])[..., 0])[..., None])[..., 0]
+    x = _band_solve(factor.filter_band, rhs, "N")
+    x_pred = (fused.Atil[1:] @ x[:-1, :, None])[..., 0] + fused.btil[1:]
+    x[:-1] -= (x_pred[:, None] @ factor.G[factor.gi])[:, 0]
+    return _band_solve(factor.smoother_band, x, "T")
 
 
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:

@@ -160,3 +160,21 @@ def test_affine_x_solver_never_serves_a_dropped_problem():
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12,
                                    err_msg=f"problem {i}")
         del prob
+
+
+def test_ks_x_solver_never_serves_a_dropped_problem():
+    # the smoother engine keeps its RTS factor under the same rule
+    from tracklasso.smoothers import augmented_ks, build_fused
+    from tracklasso.solve import make_x_solver
+
+    solver = make_x_solver("ks_madmm")
+    rng = np.random.default_rng(8)
+    for i in range(40):
+        prob = random_affine_problem(rng, T=6, n_x=2, n_y=1)
+        V = rng.normal(size=(6, 2))
+        eta = rng.normal(size=(6, 2))
+        B, d = prob.penalty_targets()
+        want = augmented_ks(build_fused(prob.model, B, d, V, eta, 1.0), prob.y)
+        got = solver(prob, V, eta, 1.0, None)
+        np.testing.assert_array_equal(got, want, err_msg=f"problem {i}")
+        del prob

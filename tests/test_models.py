@@ -186,6 +186,56 @@ def test_nonlinear_model_roundtrip():
                                [[6.0]])
 
 
+def _range_model(T=6):
+    from tracklasso.scenarios import scenario_defaults, simulate_range
+    return simulate_range(scenario_defaults("range", T=T, seed=0))[1]
+
+
+@pytest.mark.parametrize("name, bad, match", [
+    ("measurement", lambda f: lambda t, X: f(t, X)[:, :-1],
+     r"^measurement returned shape \(6, 2\) for 6 steps, expected \(6, 3\)"),
+    ("transition_jacobian", lambda f: lambda t, X: np.eye(3),
+     r"^transition_jacobian returned shape \(3, 3\) for 5 steps, expected \(5, 4, 4\)"),
+    ("transition", lambda f: lambda t, X: f(t, X)[..., None],
+     r"^transition returned shape \(5, 4, 1\)"),
+    ("measurement_jacobian",
+     lambda f: lambda t, X: np.where((t == 3)[:, None, None], np.inf, f(t, X)),
+     "^measurement_jacobian returned a non-finite value at step 3 with the state at m1"),
+    ("transition", lambda f: lambda t, X: np.where((t == 1)[:, None], np.nan, f(t, X)),
+     "^transition returned a non-finite value at step 1 "),
+], ids=["measurement-shape", "transition_jacobian-shape", "transition-shape",
+        "measurement_jacobian-inf", "transition-nan"])
+def test_nonlinear_model_probes_each_callable(name, bad, match):
+    from dataclasses import replace
+    model = _range_model()
+    assert model.n_y == 3
+    with pytest.raises(ValueError, match=match):
+        replace(model, **{name: bad(getattr(model, name))})
+
+
+def test_nonlinear_model_calls_each_callable_once():
+    from dataclasses import replace
+    model = _range_model(T=7)
+    seen = []
+
+    def counted(name):
+        fn = getattr(model, name)
+
+        def call(t, X):
+            seen.append((name, tuple(t), X.shape))
+            return fn(t, X)
+        return call
+
+    names = ("transition", "transition_jacobian", "measurement", "measurement_jacobian")
+    replace(model, **{name: counted(name) for name in names})
+    assert [s[0] for s in seen] == list(names)
+    assert [s[1] for s in seen] == [tuple(range(1, 7))] * 2 + [tuple(range(7))] * 2
+    # a single step has no transition: the probe passes empty stacks, as linearize does
+    seen.clear()
+    replace(model, T=1, Q=model.Q[0], R=model.R[0], **{name: counted(name) for name in names})
+    assert [s[2] for s in seen] == [(0, 4), (0, 4), (1, 4), (1, 4)]
+
+
 def test_problem_rejects_non_finite_measurements():
     prob = scalar_problem()
     for bad in (np.nan, np.inf):
