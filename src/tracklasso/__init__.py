@@ -32,7 +32,6 @@ from .batch import (
 from .smoothers import (
     augmented_ks,
     build_fused,
-    gn_ieks,
     linearize,
     lm_ieks,
     plain_ieks,
@@ -81,7 +80,6 @@ __all__ = [
     "block_shrink",
     "build_fused",
     "coordinated_turn_model",
-    "gn_ieks",
     "initial_trajectory",
     "linearize",
     "lm_ieks",

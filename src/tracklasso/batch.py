@@ -166,12 +166,6 @@ def _damping_blocks(s_cov, T: int, n: int) -> np.ndarray:
     return _block_diag(np.broadcast_to(s_inv, (T, n, n)))
 
 
-def _linearized(problem: TrackingProblem, x: np.ndarray) -> TrackingProblem:
-    if problem.is_affine:
-        return problem
-    return TrackingProblem(linearize(problem.model, x), problem.reg, problem.y)
-
-
 def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
                   eta_bar: np.ndarray, gamma: float, lam: float,
                   s_cov=None) -> np.ndarray:
@@ -181,7 +175,7 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
     penalty targets are refreshed at x, so the penalty operator itself is
     part of the linearisation.
     """
-    lin = _linearized(problem, x)
+    lin = TrackingProblem(linearize(problem.model, x), problem.reg, problem.y)
     stacked = stack_problem(lin, v, eta_bar, gamma)
     M, rhs = normal_system(stacked, gamma)
     name = "normal matrix"

@@ -29,6 +29,7 @@ from .scenarios import (
     TrackDataset,
     load_track_csv,
     relative_error,
+    repr_rows,
     scenario_defaults,
     simulate_coordinated_turn,
     simulate_range,
@@ -278,8 +279,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     n_x = data.truth.shape[1]
     _write_csv(out / "truth.csv", ["t"] + [f"x{i + 1}" for i in range(n_x)],
-               ([_fmt(t)] + [_fmt(v) for v in row]
-                for t, row in zip(data.times, data.truth)))
+               repr_rows(data.times, data.truth))
     n_y = data.y.shape[1]
     meas_cols = ("x", "y") if n_y == 2 else tuple(f"y{i + 1}" for i in range(n_y))
     write_track_csv(out / "measurements.csv", data,
@@ -300,13 +300,14 @@ def write_report(out: Path, cfg: RunConfig, problem: TrackingProblem,
                         report.r_dual, report.seconds))))
     n_x = problem.n_x
     _write_csv(out / "trajectory.csv", ["t"] + [f"x{i + 1}" for i in range(n_x)],
-               ([_fmt(t)] + [_fmt(v) for v in row]
-                for t, row in zip(data.times, report.x)))
+               repr_rows(data.times, report.x))
     norms = problem.reg.group_norms(report.state.w)
+    T, G = norms.shape
     _write_csv(out / "sparsity.csv", ["t", "group", "norm", "is_zero"],
-               ([_fmt(data.times[t]), g, _fmt(norms[t, g]),
-                 int(report.zero_groups[t, g])]
-                for t in range(problem.T) for g in range(problem.reg.n_groups)))
+               zip(map(repr, np.repeat(data.times, G).tolist()),
+                   np.tile(np.arange(G), T).tolist(),
+                   map(repr, norms.ravel().tolist()),
+                   report.zero_groups.ravel().astype(int).tolist()))
 
     lines = [
         f"tracklasso_version: {__version__}",

@@ -267,18 +267,6 @@ class NonlinearModel:
     def is_affine(self) -> bool:
         return False
 
-    @classmethod
-    def from_affine(cls, model: AffineModel) -> "NonlinearModel":
-        """Wrap an affine model in callable form (Jacobians are exact)."""
-        A, b, H, e = model.A, model.b, model.H, model.e
-        return cls(
-            transition=lambda t, x: (A[t] @ x[..., None])[..., 0] + b[t],
-            transition_jacobian=lambda t, x: A[t],
-            measurement=lambda t, x: (H[t] @ x[..., None])[..., 0] + e[t],
-            measurement_jacobian=lambda t, x: H[t],
-            Q=model.Q, R=model.R, m1=model.m1, P1=model.P1, T=model.T,
-        )
-
 
 Model = Union[AffineModel, NonlinearModel]
 

@@ -413,8 +413,12 @@ def write_track_csv(path, dataset: TrackDataset, schema: CsvSchema = CsvSchema()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=schema.delimiter)
         writer.writerow([schema.time_column, *schema.measurement_columns])
-        for t, row in zip(dataset.times, dataset.y):
-            writer.writerow([repr(float(t)), *[repr(float(v)) for v in row]])
+        writer.writerows(repr_rows(dataset.times, dataset.y))
+
+
+def repr_rows(*columns: np.ndarray):
+    """Rows of repr strings of float columns (T,) or (T, k), stacked side by side."""
+    return (map(repr, row) for row in np.column_stack(columns).tolist())
 
 
 def make_vessel_track(T: int = 100, dt: float = 1.0, seed: int = 0,

@@ -19,7 +19,10 @@ the fused dynamics and noise (so one factor serves every x update of an
 affine problem at one gamma); and augmented_ks, the mean pass, two banded
 triangular solves.  The iterated smoothers and the dense stacked solvers
 share one damped Gauss-Newton loop, gauss_newton; they differ only in the
-step each proposes.
+step each proposes.  Gauss-Newton is that loop with lambda0 = 0.  Both
+engines linearise with linearize, which returns an affine model unchanged
+(it is its own linearisation), so on an affine problem the iterated
+smoother is the augmented smoother.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtbtrs, dtrtrs
 
-from .models import (AffineModel, Model, NonlinearModel, SingularSystemError,
-                     TrackingProblem, per_step, prior_mean_trajectory,
-                     time_invariant, transition_linearization, x_subproblem_cost)
+from .models import (AffineModel, Model, SingularSystemError, TrackingProblem,
+                     per_step, prior_mean_trajectory, time_invariant,
+                     transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
 
@@ -304,14 +307,19 @@ def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     return augmented_ks(fused, y)
 
 
-def linearize(model: NonlinearModel, nominal: np.ndarray) -> AffineModel:
-    """First-order affine expansion of a nonlinear model about a trajectory.
+def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
+    """First-order affine expansion of a model about a trajectory.
 
-    A_t = J_a(t, nominal_{t-1}), b_t = a_t(nominal_{t-1}) - A_t nominal_{t-1},
+    An affine model is its own linearisation and is returned unchanged; this
+    is the one linearisation rule of the smoother and dense engines.  A
+    nonlinear model gives A_t = J_a(t, nominal_{t-1}),
+    b_t = a_t(nominal_{t-1}) - A_t nominal_{t-1},
     H_t = J_h(t, nominal_t), e_t = h_t(nominal_t) - H_t nominal_t, each
     evaluated for all steps in one call of the model's callables.  A non-finite
     output raises ValueError naming the callable (Jacobians first) and step.
     """
+    if model.is_affine:
+        return model
     nominal = np.asarray(nominal, dtype=float)
     T, n, n_y = model.T, model.n_x, model.n_y
     A, b = transition_linearization(model, nominal)
@@ -328,22 +336,20 @@ def linearize(model: NonlinearModel, nominal: np.ndarray) -> AffineModel:
                        m1=model.m1, P1=model.P1, T=T, validate=False)
 
 
-def _as_nonlinear(model: Model) -> NonlinearModel:
-    return model if isinstance(model, NonlinearModel) else NonlinearModel.from_affine(model)
-
-
 def _rel_step(x_new: np.ndarray, x_old: np.ndarray) -> float:
     return float(np.linalg.norm(x_new - x_old) / (1.0 + np.linalg.norm(x_old)))
 
 
 def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
                i_max: int = 20, step_tol: float = 1e-8) -> np.ndarray:
-    """Unregularised iterated smoother: relinearise, smooth, repeat."""
-    nl = _as_nonlinear(model)
-    x = np.asarray(x0, dtype=float).copy() if x0 is not None else prior_mean_trajectory(nl)
+    """Unregularised iterated smoother: relinearise, smooth, repeat.
+
+    On an affine model (its own linearisation) the first pass is the plain
+    smoother's estimate and the second, identical, ends the loop.
+    """
+    x = np.asarray(x0, dtype=float).copy() if x0 is not None else prior_mean_trajectory(model)
     for _ in range(i_max):
-        lin = linearize(nl, x)
-        x_new = plain_smoother(lin, y)
+        x_new = plain_smoother(linearize(model, x), y)
         step = _rel_step(x_new, x)
         x = x_new
         if step < step_tol:
@@ -465,17 +471,6 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     return x
 
 
-def gn_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
-            gamma: float, x0: np.ndarray, i_max: int = 10, step_tol: float = 1e-8,
-            trace: Optional[List[np.ndarray]] = None) -> np.ndarray:
-    """Gauss-Newton iterated smoother: lm_ieks without damping.
-
-    Iterates match the dense Gauss-Newton sequence on the stacked problem.
-    """
-    return lm_ieks(problem, v, eta_bar, gamma, x0,
-                   LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol), trace=trace)
-
-
 def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
             gamma: float, x0: np.ndarray, cfg: Optional[LMConfig] = None,
             trace: Optional[List[np.ndarray]] = None,
@@ -486,17 +481,20 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     it with the penalty coupling, and smooths; after a rejected step the
     trajectory is the same object and its linearisation is reused.  Damping
     is realised as a per-step pseudo-measurement of the current iterate
-    with covariance S_t / lambda, stacked below the data rows.
+    with covariance S_t / lambda, stacked below the data rows.  Gauss-Newton
+    (the GN-IEKS) is cfg with lambda0 = 0, and its iterates match the dense
+    Gauss-Newton sequence on the stacked problem.  An affine model is its
+    own linearisation, so there the first GN proposal is the augmented
+    smoother's x update.
     """
     cfg = cfg or LMConfig()
-    nl = _as_nonlinear(problem.model)
     s_cov = np.asarray(cfg.s_cov, dtype=float) if cfg.s_cov is not None else np.eye(problem.n_x)
     last = (None, None)
 
     def propose(x, targets, lam):
         nonlocal last
         if last[0] is not x:
-            last = (x, linearize(nl, x))
+            last = (x, linearize(problem.model, x))
         lin = last[1]
         B, d = targets
         if lam > 0:

@@ -35,7 +35,7 @@ from .scenarios import (
     simulate_range,
     simulate_wiener,
 )
-from .smoothers import augmented_ks, build_fused, gn_ieks, lm_ieks
+from .smoothers import augmented_ks, build_fused, linearize, lm_ieks
 from .solve import initial_trajectory, make_x_solver
 
 
@@ -148,13 +148,11 @@ def check_ieks_vs_batch(seed: int, tol: float = 1e-7) -> CheckResult:
     eta_bar = 0.1 * rng.normal(size=(problem.T, 4))
     x0 = initial_trajectory(problem)
     worst = 0.0
+    cfg = LMConfig(lambda0=1e-2, alpha=10.0, i_max=5)
+    smoother_cfg = {"gn": LMConfig(lambda0=0.0, i_max=5, step_tol=0.0), "lm": cfg}
     for method in ("gn", "lm"):
-        cfg = LMConfig(lambda0=1e-2, alpha=10.0, i_max=5)
         tr_s, tr_b = [], []
-        if method == "gn":
-            gn_ieks(problem, V, eta_bar, 1.0, x0, i_max=5, step_tol=0.0, trace=tr_s)
-        else:
-            lm_ieks(problem, V, eta_bar, 1.0, x0, cfg, trace=tr_s)
+        lm_ieks(problem, V, eta_bar, 1.0, x0, smoother_cfg[method], trace=tr_s)
         batch_nonlinear_solve(problem, V, eta_bar, 1.0, method=method, cfg=cfg,
                               x0=x0, trace=tr_b)
         if len(tr_s) != len(tr_b):
@@ -299,12 +297,8 @@ def faulty_x_solver(eps: float = 0.05):
     returned x no longer decreases the true subproblem and the
     augmented-Lagrangian descent property must break.
     """
-    from .smoothers import linearize, _as_nonlinear
-
     def solver(problem, V, eta_bar, gamma, x_warm):
-        model = problem.model
-        if not problem.is_affine:
-            model = linearize(_as_nonlinear(model), np.asarray(x_warm, dtype=float))
+        model = linearize(problem.model, x_warm)
         B, d = problem.penalty_targets(nominal=x_warm)
         fused = build_fused(model, B, d, V, eta_bar, gamma)
         fused.Atil = np.array(np.broadcast_to(fused.Atil, (problem.T, problem.n_x,

@@ -36,7 +36,6 @@ from tracklasso.scenarios import (
 from tracklasso.smoothers import (
     augmented_ks,
     build_fused,
-    gn_ieks,
     lm_ieks,
     plain_ieks,
     plain_smoother,
@@ -89,7 +88,7 @@ def test_criterion_02_ieks_iterates_equal_batch_iterates():
     worst = 0.0
 
     tr_s, tr_b = [], []
-    gn_ieks(prob, V, eta, 1.0, x0, i_max=5, step_tol=0.0, trace=tr_s)
+    lm_ieks(prob, V, eta, 1.0, x0, LMConfig(lambda0=0.0, i_max=5, step_tol=0.0), trace=tr_s)
     batch_nonlinear_solve(prob, V, eta, 1.0, method="gn",
                           cfg=LMConfig(i_max=5, step_tol=0.0), x0=x0,
                           trace=tr_b)
@@ -296,7 +295,7 @@ def test_criterion_10_damping_survives_an_ill_conditioned_fit():
     x0 = prior_mean_trajectory(model)
 
     with pytest.raises(SingularSystemError):
-        gn_ieks(prob, z, z, 0.0, x0, i_max=5, step_tol=0.0)
+        lm_ieks(prob, z, z, 0.0, x0, LMConfig(lambda0=0.0, i_max=5, step_tol=0.0))
 
     cfg = LMConfig(lambda0=1e-2, alpha=10.0, i_max=5, step_tol=0.0,
                    s_cov=1e-5 * np.eye(4))

@@ -28,7 +28,6 @@ from tracklasso.scenarios import scenario_defaults, simulate_range, simulate_wie
 from tracklasso.smoothers import (
     augmented_ks,
     build_fused,
-    gn_ieks,
     linearize,
     lm_ieks,
     plain_ieks,
@@ -292,7 +291,7 @@ def test_gn_ieks_trace_matches_batch():
     eta = 0.1 * rng.normal(size=(prob.T, 4))
     x0 = np.tile(prob.model.m1, (prob.T, 1))
     tr_s, tr_b = [], []
-    gn_ieks(prob, V, eta, 1.0, x0, i_max=4, step_tol=0.0, trace=tr_s)
+    lm_ieks(prob, V, eta, 1.0, x0, LMConfig(lambda0=0.0, i_max=4, step_tol=0.0), trace=tr_s)
     batch_nonlinear_solve(prob, V, eta, 1.0, method="gn",
                           cfg=LMConfig(i_max=4, step_tol=0.0), x0=x0,
                           trace=tr_b)
@@ -363,7 +362,7 @@ def test_lm_zero_initial_damping_matches_gn():
     z = np.zeros((prob.T, 4))
     x0 = np.tile(prob.model.m1, (prob.T, 1))
     tr_gn, tr_lm = [], []
-    gn_ieks(prob, z, z, 1.0, x0, i_max=3, step_tol=0.0, trace=tr_gn)
+    lm_ieks(prob, z, z, 1.0, x0, LMConfig(lambda0=0.0, i_max=3, step_tol=0.0), trace=tr_gn)
     lm_ieks(prob, z, z, 1.0, x0,
             LMConfig(lambda0=0.0, alpha=10.0, i_max=3, step_tol=0.0),
             trace=tr_lm)
@@ -401,6 +400,23 @@ def test_plain_ieks_on_affine_is_plain_smoother():
     x_sm = plain_smoother(prob.model, prob.y)
     x_ieks = plain_ieks(prob.model, prob.y)
     np.testing.assert_allclose(x_ieks, x_sm, atol=1e-10)
+
+
+def test_gn_x_update_on_affine_problem_is_the_smoother_x_update():
+    """An affine model is its own linearisation, so the GN-IEKS x update is
+    the augmented smoother's bit for bit, with b and e nonzero too."""
+    rng = np.random.default_rng(21)
+    gn, ks = make_x_solver("gn_ieks_madmm"), make_x_solver("ks_madmm")
+    for _ in range(20):
+        prob = random_affine_problem(rng)
+        model = replace(prob.model, e=rng.normal(size=(prob.T, prob.model.n_y)))
+        prob = TrackingProblem(model=model, reg=prob.reg, y=prob.y)
+        assert np.any(model.b != 0) and np.any(model.e != 0)
+        V, eta, x0 = rng.normal(size=(3, prob.T, prob.n_x))
+        assert linearize(model, x0) is model
+        gamma = float(rng.uniform(0.5, 2.0))
+        np.testing.assert_array_equal(gn(prob, V, eta, gamma, x0),
+                                      ks(prob, V, eta, gamma, x0))
 
 
 def test_singular_innovation_raises_with_step():
