@@ -14,7 +14,7 @@ drives dense stacked solvers and Kalman-smoother solvers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -62,29 +62,26 @@ class SolveReport:
     states: Optional[List[SplitState]] = None
 
 
-def block_shrink(z: np.ndarray, kappa: float) -> np.ndarray:
-    """Euclidean soft threshold max(0, 1 - kappa/||z||) z; returns 0 at z = 0."""
+def block_shrink(Z: np.ndarray, kappa: float) -> np.ndarray:
+    """Row-wise Euclidean soft threshold max(0, 1 - kappa/||z||) z over the
+    last axis of Z; rows with ||z|| <= kappa (z = 0 included) map to 0."""
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    norm = float(np.linalg.norm(z))
-    if norm <= kappa or norm == 0.0:
-        return np.zeros_like(np.asarray(z, dtype=float))
-    return (1.0 - kappa / norm) * np.asarray(z, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    norms = np.linalg.norm(Z, axis=-1, keepdims=True)
+    scale = np.zeros_like(norms)
+    active = norms > kappa
+    scale[active] = 1.0 - kappa / norms[active]
+    return Z * scale
 
 
 def update_w_all(V: np.ndarray, eta_under: np.ndarray, reg: GroupRegularizer,
                  gamma: float) -> np.ndarray:
-    """Vectorised w update across all time steps."""
+    """Vectorised w update across all time steps: block_shrink per group."""
     Z = V @ reg.G_stack.T - eta_under / gamma
     W = np.empty_like(Z)
     for g, sl in enumerate(reg.slices):
-        block = Z[:, sl]
-        norms = np.linalg.norm(block, axis=1)
-        scale = np.zeros_like(norms)
-        kappa = reg.weights[g] / gamma
-        active = norms > kappa
-        scale[active] = 1.0 - kappa / norms[active]
-        W[:, sl] = block * scale[:, None]
+        W[:, sl] = block_shrink(Z[:, sl], reg.weights[g] / gamma)
     return W
 
 

@@ -9,7 +9,7 @@ module solves the same systems in linear time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -189,24 +189,19 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
 
 
 def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
-                          gamma: float, method: str = "gn",
-                          cfg: Optional[LMConfig] = None,
+                          gamma: float, cfg: Optional[LMConfig] = None,
                           x0: Optional[np.ndarray] = None,
                           trace: Optional[List[np.ndarray]] = None,
                           lambda_trace: Optional[List[float]] = None) -> np.ndarray:
-    """Iterate dense Gauss-Newton or Levenberg-Marquardt steps to solve for x.
+    """Iterate dense Levenberg-Marquardt steps to solve for x.
 
     Every proposal is batch_lm_step, run under the same damped Gauss-Newton
-    loop as the iterated smoothers with cfg (default LMConfig()).  Method
-    "gn" is cfg with lambda0 = 0: the damping stays 0, each step is the
+    loop as the iterated smoothers with cfg (default LMConfig()).  Gauss-
+    Newton is cfg with lambda0 = 0: the damping stays 0, each step is the
     undamped normal solve and every step is accepted.  x0 defaults to the
     prior mean trajectory.
     """
     cfg = cfg or LMConfig()
-    if method == "gn":
-        cfg = replace(cfg, lambda0=0.0)
-    elif method != "lm":
-        raise ValueError(f"unknown method {method!r}")
     if x0 is None:
         x0 = prior_mean_trajectory(problem.model)
 

@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, solve, verify, benchmark.
+"""Command-line front end: simulate, solve, verify.
 
 Flags mirror a flat key=value config file; explicit flags win over file
 entries, which win over per-scenario defaults.  All commands are
@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from .batch import LMConfig
 from .models import SingularSystemError, TrackingProblem, make_regularizer
 from .scenarios import (
     CsvSchema,
-    ScenarioParams,
     TrackDataset,
     load_track_csv,
     relative_error,
@@ -378,92 +375,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
-def _memory_budget_bytes() -> int:
-    try:
-        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (ValueError, OSError):
-        total = 4 << 30
-    return int(total * 0.4)
-
-
-def _benchmark_problem(T: int, seed: int) -> TrackingProblem:
-    params = scenario_defaults("wiener", T=T, seed=seed)
-    data, model = simulate_wiener(params)
-    reg = make_regularizer("l2", 4, weights=1.0, target_mode="process_noise")
-    return TrackingProblem(model=model, reg=reg, y=data.y)
-
-
-def benchmark_one(solver: str, T: int, repeats: int, kmax: int,
-                  seed: int = 0) -> Tuple[Optional[float], str]:
-    """Median wall time of a fixed-iteration solve; (None, 'skipped') when the
-    dense solver cannot fit in memory."""
-    if solver == "batch_madmm":
-        need = 6 * (T * 4) ** 2 * 8
-        if need > _memory_budget_bytes():
-            return None, "skipped"
-    problem = _benchmark_problem(T, seed)
-    opts = MadmmOptions(gamma=1.0, k_max=kmax, eps_primal=0.0, eps_dual=0.0)
-
-    def once() -> float:
-        tic = time.perf_counter()
-        solve_problem(problem, solver=solver, opts=opts)
-        return time.perf_counter() - tic
-
-    try:
-        once()  # warm-up
-        times = [once() for _ in range(repeats)]
-    except MemoryError:
-        return None, "skipped"
-    return float(np.median(times)), "ok"
-
-
-def fit_slopes(rows: List[Tuple[str, int, Optional[float], str]]) -> Dict[str, float]:
-    slopes = {}
-    for solver in {r[0] for r in rows}:
-        pts = [(T, sec) for s, T, sec, status in rows
-               if s == solver and status == "ok"]
-        if len(pts) >= 2:
-            logT = np.log([p[0] for p in pts])
-            logt = np.log([p[1] for p in pts])
-            slopes[solver] = float(np.polyfit(logT, logt, 1)[0])
-    return slopes
-
-
-def cmd_benchmark(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    if not sizes or any(T < 10 for T in sizes):
-        raise UsageError("benchmark sizes must all be >= 10")
-    solvers = [tok.strip() for tok in args.solvers.split(",") if tok.strip()]
-    bad = [s for s in solvers if s not in SOLVERS]
-    if bad or not solvers:
-        raise UsageError(f"unknown benchmark solvers: {bad}")
-    repeats = args.repeats if args.repeats is not None else 3
-    if repeats < 3:
-        raise UsageError("benchmark needs at least 3 repeats (median)")
-    kmax = args.kmax if args.kmax is not None else 3
-    seed = args.seed if args.seed is not None else 0
-    out = Path(args.out) if args.out is not None else Path("tracklasso_out")
-    out.mkdir(parents=True, exist_ok=True)
-
-    rows: List[Tuple[str, int, Optional[float], str]] = []
-    for solver in solvers:
-        for T in sizes:
-            sec, status = benchmark_one(solver, T, repeats, kmax, seed)
-            rows.append((solver, T, sec, status))
-            shown = f"{sec:.4f}s" if sec is not None else "skipped"
-            print(f"{solver:>14}  T={T:<8d}  {shown}")
-    _write_csv(out / "benchmark.csv", ["solver", "T", "seconds", "status"],
-               ([s, T, "" if sec is None else _fmt(sec), status]
-                for s, T, sec, status in rows))
-    slopes = fit_slopes(rows)
-    _write_csv(out / "slopes.csv", ["solver", "loglog_slope"],
-               ([s, _fmt(v)] for s, v in sorted(slopes.items())))
-    for solver, slope in sorted(slopes.items()):
-        print(f"{solver:>14}  log-log slope {slope:.3f}")
-    print(f"benchmark tables written to {out}")
-    return EXIT_OK
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="flat key=value config file")
     for name, cast, choices, text in _OPTIONS:
@@ -488,14 +399,6 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="negative control: corrupt the x update and "
                                "expect the descent check to fail")
-    p_bench = sub.add_parser("benchmark", help="wall-time scaling table")
-    p_bench.add_argument("--sizes", default="1000,4000,16000",
-                         help="comma-separated trajectory lengths")
-    p_bench.add_argument("--solvers", default="ks_madmm,batch_madmm")
-    p_bench.add_argument("--repeats", type=int)
-    p_bench.add_argument("--kmax", type=int)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--out")
     return parser
 
 
@@ -509,8 +412,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_solve(resolve_config(args, "solve"))
         if args.command == "verify":
             return cmd_verify(args)
-        if args.command == "benchmark":
-            return cmd_benchmark(args)
     except UsageError as exc:
         print(f"tracklasso: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 
 class SingularSystemError(RuntimeError):
@@ -130,25 +130,14 @@ class AffineModel:
         n = m1.shape[0]
         T = self.T
         if T is None:
-            for name in ("A", "Q"):
+            for name, stacked_ndim in (("A", 3), ("Q", 3), ("H", 3), ("R", 3),
+                                       ("b", 2), ("e", 2)):
                 arr = np.asarray(getattr(self, name))
-                if arr.ndim == 3:
+                if arr.ndim == stacked_ndim:
                     T = arr.shape[0]
                     break
             else:
-                for name in ("H", "R"):
-                    arr = np.asarray(getattr(self, name))
-                    if arr.ndim == 3:
-                        T = arr.shape[0]
-                        break
-                else:
-                    for name in ("b", "e"):
-                        arr = np.asarray(getattr(self, name))
-                        if arr.ndim == 2:
-                            T = arr.shape[0]
-                            break
-                    else:
-                        raise ValueError("T cannot be inferred; pass it explicitly")
+                raise ValueError("T cannot be inferred; pass it explicitly")
         A = per_step(self.A, T, 2, "A")
         b = per_step(self.b, T, 1, "b")
         H = per_step(self.H, T, 2, "H")

@@ -11,9 +11,9 @@ its tests.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -364,7 +364,8 @@ def load_track_csv(path, schema: CsvSchema = CsvSchema()) -> TrackDataset:
 
     Rows are sorted by timestamp when needed (recorded as a warning), time
     gaps well above the typical spacing are reported as warnings, and
-    duplicate timestamps or malformed rows raise errors naming the line.
+    duplicate timestamps or malformed rows (missing, unparsable or
+    non-finite fields) raise errors naming the line.
     """
     path = Path(path)
     if not path.exists():
@@ -379,13 +380,17 @@ def load_track_csv(path, schema: CsvSchema = CsvSchema()) -> TrackDataset:
                    if c not in reader.fieldnames]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
+        columns = (schema.time_column, *schema.measurement_columns)
         for line_no, row in enumerate(reader, start=2):
             try:
-                if any(row[c] is None or row[c] == "" for c in
-                       (schema.time_column, *schema.measurement_columns)):
+                if any(row[c] is None or row[c] == "" for c in columns):
                     raise ValueError("missing field")
-                times.append(float(row[schema.time_column]))
-                rows.append([float(row[c]) for c in schema.measurement_columns])
+                values = [float(row[c]) for c in columns]
+                bad = [c for c, v in zip(columns, values) if not np.isfinite(v)]
+                if bad:
+                    raise ValueError(f"non-finite {bad[0]}")
+                times.append(values[0])
+                rows.append(values[1:])
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: malformed row at line {line_no} ({exc})") from None
     if not rows:

@@ -64,8 +64,7 @@ def make_x_solver(solver: str, i_max: int = 10, lm_cfg: Optional[LMConfig] = Non
         def dense(problem, V, eta_bar, gamma, x_warm):
             if problem.is_affine:
                 return affine(problem, V, eta_bar, gamma, x_warm)
-            return batch_nonlinear_solve(problem, V, eta_bar, gamma, method="lm",
-                                         cfg=cfg, x0=x_warm)
+            return batch_nonlinear_solve(problem, V, eta_bar, gamma, cfg=cfg, x0=x_warm)
         return dense
     raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
 

@@ -11,7 +11,7 @@ arrays needed to replay it.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -26,14 +26,11 @@ from .models import (
     make_regularizer,
 )
 from .scenarios import (
-    ScenarioParams,
-    coordinated_turn_model,
     ct_jacobian,
     ct_transition,
     range_model,
     scenario_defaults,
     simulate_range,
-    simulate_wiener,
 )
 from .smoothers import augmented_ks, build_fused, linearize, lm_ieks
 from .solve import initial_trajectory, make_x_solver
@@ -150,10 +147,11 @@ def check_ieks_vs_batch(seed: int, tol: float = 1e-7) -> CheckResult:
     worst = 0.0
     cfg = LMConfig(lambda0=1e-2, alpha=10.0, i_max=5)
     smoother_cfg = {"gn": LMConfig(lambda0=0.0, i_max=5, step_tol=0.0), "lm": cfg}
+    batch_cfg = {"gn": replace(cfg, lambda0=0.0), "lm": cfg}
     for method in ("gn", "lm"):
         tr_s, tr_b = [], []
         lm_ieks(problem, V, eta_bar, 1.0, x0, smoother_cfg[method], trace=tr_s)
-        batch_nonlinear_solve(problem, V, eta_bar, 1.0, method=method, cfg=cfg,
+        batch_nonlinear_solve(problem, V, eta_bar, 1.0, cfg=batch_cfg[method],
                               x0=x0, trace=tr_b)
         if len(tr_s) != len(tr_b):
             return CheckResult("ieks_vs_batch_nonlinear", False,

@@ -38,7 +38,6 @@ from tracklasso.smoothers import (
     build_fused,
     lm_ieks,
     plain_ieks,
-    plain_smoother,
 )
 from tracklasso.solve import initial_trajectory, make_x_solver, solve_problem
 from tracklasso.verify import grid_shrink, random_affine_problem
@@ -89,8 +88,8 @@ def test_criterion_02_ieks_iterates_equal_batch_iterates():
 
     tr_s, tr_b = [], []
     lm_ieks(prob, V, eta, 1.0, x0, LMConfig(lambda0=0.0, i_max=5, step_tol=0.0), trace=tr_s)
-    batch_nonlinear_solve(prob, V, eta, 1.0, method="gn",
-                          cfg=LMConfig(i_max=5, step_tol=0.0), x0=x0,
+    batch_nonlinear_solve(prob, V, eta, 1.0,
+                          cfg=LMConfig(lambda0=0.0, i_max=5, step_tol=0.0), x0=x0,
                           trace=tr_b)
     assert len(tr_s) == len(tr_b) == 6
     for a, b in zip(tr_s, tr_b):
@@ -99,7 +98,7 @@ def test_criterion_02_ieks_iterates_equal_batch_iterates():
     cfg = LMConfig(lambda0=1e-2, alpha=10.0, i_max=5, step_tol=0.0)
     tr_s, tr_b, lam_s, lam_b = [], [], [], []
     lm_ieks(prob, V, eta, 1.0, x0, cfg, trace=tr_s, lambda_trace=lam_s)
-    batch_nonlinear_solve(prob, V, eta, 1.0, method="lm", cfg=cfg, x0=x0,
+    batch_nonlinear_solve(prob, V, eta, 1.0, cfg=cfg, x0=x0,
                           trace=tr_b, lambda_trace=lam_b)
     assert lam_s == lam_b
     assert len(tr_s) == len(tr_b)

@@ -60,8 +60,8 @@ def test_nonlinear_solve_gn_trace():
     prob = quadratic_problem()
     z = np.zeros((1, 1))
     trace = []
-    batch_nonlinear_solve(prob, z, z, 0.0, method="gn",
-                          cfg=LMConfig(i_max=1), x0=np.array([[1.0]]),
+    batch_nonlinear_solve(prob, z, z, 0.0,
+                          cfg=LMConfig(lambda0=0.0, i_max=1), x0=np.array([[1.0]]),
                           trace=trace)
     assert len(trace) == 2
     np.testing.assert_allclose(trace[0], [[1.0]])
@@ -74,7 +74,7 @@ def test_nonlinear_solve_lm_accepts_and_relaxes():
     prob = quadratic_problem()
     z = np.zeros((1, 1))
     lambdas = []
-    x = batch_nonlinear_solve(prob, z, z, 0.0, method="lm",
+    x = batch_nonlinear_solve(prob, z, z, 0.0,
                               cfg=LMConfig(lambda0=1.0, alpha=10.0, i_max=1),
                               x0=np.array([[1.0]]), lambda_trace=lambdas)
     np.testing.assert_allclose(x, [[1.25]], rtol=1e-12)
@@ -84,8 +84,8 @@ def test_nonlinear_solve_lm_accepts_and_relaxes():
 def test_nonlinear_solve_converges_to_stationary_point():
     prob = quadratic_problem()
     z = np.zeros((1, 1))
-    x = batch_nonlinear_solve(prob, z, z, 0.0, method="gn",
-                              cfg=LMConfig(i_max=50, step_tol=1e-12),
+    x = batch_nonlinear_solve(prob, z, z, 0.0,
+                              cfg=LMConfig(lambda0=0.0, i_max=50, step_tol=1e-12),
                               x0=np.array([[1.0]]))
     # stationarity of 0.5(2 - x^2)^2 + 0.5(x - 0.5)^2
     g = -2.0 * x[0, 0] * (2.0 - x[0, 0] ** 2) + (x[0, 0] - 0.5)

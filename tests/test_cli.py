@@ -118,6 +118,15 @@ def test_missing_input_file_exits_2(tmp_path):
                    "--out", str(tmp_path / "out")) == 2
 
 
+def test_non_finite_csv_time_exits_2(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("t,x,y\n0.0,0.0,0.0\n1.0,0.5,0.5\ninf,1.0,1.0\n")
+    assert run_cli("solve", "--input", str(path),
+                   "--out", str(tmp_path / "out")) == 2
+    assert "line 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_flag_exits_64_from_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tracklasso.cli", "frobnicate"],
@@ -143,20 +152,6 @@ def test_verify_injected_fault_fails(tmp_path, capsys):
     assert "FAIL" in text
     assert any(p.name.startswith("failed_") and p.suffix == ".npz"
                for p in out.iterdir())
-
-
-def test_benchmark_writes_tables(tmp_path, capsys):
-    out = tmp_path / "bench"
-    assert run_cli("benchmark", "--sizes", "100,200", "--solvers", "ks_madmm",
-                   "--repeats", "3", "--kmax", "2", "--out", str(out)) == 0
-    assert (out / "benchmark.csv").exists()
-    assert (out / "slopes.csv").exists()
-    assert "log-log slope" in capsys.readouterr().out
-
-
-def test_benchmark_rejects_single_repeat(tmp_path):
-    assert run_cli("benchmark", "--sizes", "100", "--repeats", "1",
-                   "--out", str(tmp_path / "b")) == 64
 
 
 def test_parse_groups():

@@ -265,6 +265,16 @@ def test_affine_model_rejects_non_finite_input(name):
     AffineModel(**inputs, validate=False)
 
 
+@pytest.mark.parametrize("name", ["A", "Q", "H", "R", "b", "e"])
+def test_affine_model_infers_T_from_the_one_stacked_array(name):
+    inputs = {key: val[0] if key not in ("m1", "P1") else val
+              for key, val in _stacked_inputs(T=5).items() if key != "T"}
+    with pytest.raises(ValueError, match="T cannot be inferred"):
+        AffineModel(**inputs)
+    inputs[name] = _stacked_inputs(T=5)[name]
+    assert AffineModel(**inputs).T == 5
+
+
 def test_affine_model_ignores_unused_transition_entries():
     # index 0 of A, b and Q is never consulted, so it may hold anything
     inputs = _stacked_inputs()

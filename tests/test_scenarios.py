@@ -9,7 +9,6 @@ from tracklasso.scenarios import (
     ct_transition,
     load_track_csv,
     make_vessel_track,
-    range_model,
     relative_error,
     scenario_defaults,
     simulate_coordinated_turn,
@@ -198,9 +197,11 @@ def test_csv_duplicate_timestamp_raises(tmp_path):
 
 def test_csv_malformed_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("t,x,y\n1.0,0.0,0.0\n2.0,oops,1.0\n")
-    with pytest.raises(ValueError, match="line 3"):
-        load_track_csv(path)
+    for row in ("2.0,oops,1.0", "nan,0.5,1.0", "inf,0.5,1.0",
+                "2.0,nan,1.0", "2.0,-inf,1.0"):
+        path.write_text(f"t,x,y\n1.0,0.0,0.0\n{row}\n3.0,1.0,1.0\n")
+        with pytest.raises(ValueError, match="line 3"):
+            load_track_csv(path)
 
 
 def test_csv_missing_column_raises(tmp_path):

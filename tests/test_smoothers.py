@@ -292,8 +292,8 @@ def test_gn_ieks_trace_matches_batch():
     x0 = np.tile(prob.model.m1, (prob.T, 1))
     tr_s, tr_b = [], []
     lm_ieks(prob, V, eta, 1.0, x0, LMConfig(lambda0=0.0, i_max=4, step_tol=0.0), trace=tr_s)
-    batch_nonlinear_solve(prob, V, eta, 1.0, method="gn",
-                          cfg=LMConfig(i_max=4, step_tol=0.0), x0=x0,
+    batch_nonlinear_solve(prob, V, eta, 1.0,
+                          cfg=LMConfig(lambda0=0.0, i_max=4, step_tol=0.0), x0=x0,
                           trace=tr_b)
     assert len(tr_s) == len(tr_b) == 5
     for a, b in zip(tr_s, tr_b):
@@ -307,7 +307,7 @@ def test_lm_ieks_trace_matches_batch():
     cfg = LMConfig(lambda0=1e-2, alpha=10.0, i_max=4, step_tol=0.0)
     tr_s, lam_s, tr_b, lam_b = [], [], [], []
     lm_ieks(prob, z, z, 1.0, x0, cfg, trace=tr_s, lambda_trace=lam_s)
-    batch_nonlinear_solve(prob, z, z, 1.0, method="lm", cfg=cfg, x0=x0,
+    batch_nonlinear_solve(prob, z, z, 1.0, cfg=cfg, x0=x0,
                           trace=tr_b, lambda_trace=lam_b)
     assert lam_s == lam_b
     assert len(tr_s) == len(tr_b)
@@ -358,16 +358,15 @@ def test_lm_config_rejects_bad_damping_metric(s_cov, match):
 
 
 def test_lm_zero_initial_damping_matches_gn():
+    """gn_ieks_madmm forces lambda0 = 0 onto the LM config it is given."""
     prob = range_problem(seed=2)
     z = np.zeros((prob.T, 4))
     x0 = np.tile(prob.model.m1, (prob.T, 1))
-    tr_gn, tr_lm = [], []
-    lm_ieks(prob, z, z, 1.0, x0, LMConfig(lambda0=0.0, i_max=3, step_tol=0.0), trace=tr_gn)
-    lm_ieks(prob, z, z, 1.0, x0,
-            LMConfig(lambda0=0.0, alpha=10.0, i_max=3, step_tol=0.0),
-            trace=tr_lm)
-    for a, b in zip(tr_gn, tr_lm):
-        np.testing.assert_allclose(a, b, atol=1e-8)
+    lm_cfg = LMConfig(lambda0=1e-2, i_max=3, step_tol=0.0)
+    x_gn = make_x_solver("gn_ieks_madmm", lm_cfg=lm_cfg)(prob, z, z, 1.0, x0)
+    np.testing.assert_array_equal(
+        x_gn, lm_ieks(prob, z, z, 1.0, x0, replace(lm_cfg, lambda0=0.0)))
+    assert not np.array_equal(x_gn, lm_ieks(prob, z, z, 1.0, x0, lm_cfg))
 
 
 def test_lm_heavy_damping_keeps_iterate():
