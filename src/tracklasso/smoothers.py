@@ -10,14 +10,21 @@ x_{t-1}, keeping the smoother an exact minimiser for every coupling.
 Levenberg-Marquardt damping adds rows too: a pseudo-measurement of the
 current iterate with covariance S_t / lambda.  Both sets of rows observe
 x_t with noise independent of the data, so they are stacked below the data
-rows and every step takes one measurement update.  A Rauch-Tung-Striebel
-pass over the fused model then solves the subproblem in O(T) instead of the
-O(T^3) dense solve.  The pass is split in two: rts_factor, the covariance
-sweep (stopped at the exact fixed point of the Riccati recursion), the
-gains and the banded matrices of the two mean recursions, which read only
-the fused dynamics and noise (so one factor serves every x update of an
-affine problem at one gamma); and augmented_ks, the mean pass, two banded
-triangular solves.  The iterated smoothers and the dense stacked solvers
+rows and every step takes one measurement update.  The fused model's
+normal matrix is block tridiagonal, so the subproblem is solved in O(T)
+instead of the O(T^3) dense solve, by one of two factors of that matrix
+that read only the fused dynamics and noise, and one mean pass,
+augmented_ks, that takes either.  rts_factor is the Rauch-Tung-Striebel
+form: the covariance sweep (stopped at the exact fixed point of the
+Riccati recursion), the gains and the banded matrices of the two mean
+recursions; one such factor serves every x update of an affine problem at
+one gamma.  band_factor is the information form: the diagonal and
+sub-diagonal blocks assembled for all steps at once and factored by one
+banded LAPACK Cholesky, with no per-step loop.  The affine engines and
+undamped Gauss-Newton proposals use the RTS factor; damped LM proposals
+and the plain_ieks initialiser, whose linearisations change every step so
+that the covariance sweep never reaches a fixed point, use the band.  The
+iterated smoothers and the dense stacked solvers
 share one damped Gauss-Newton loop, gauss_newton; they differ only in the
 step each proposes.  Gauss-Newton is that loop with lambda0 = 0.  Both
 engines linearise with linearize, which returns an affine model unchanged
@@ -28,10 +35,10 @@ smoother is the augmented smoother.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtbtrs, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dtbtrs, dtrtrs
 
 from .models import (AffineModel, Model, SingularSystemError, TrackingProblem,
                      per_step, prior_mean_trajectory, time_invariant,
@@ -85,6 +92,13 @@ def _cholesky(mats: np.ndarray, what: str, steps) -> np.ndarray:
         raise SingularSystemError(f"{what} at step {steps[i]} is not positive definite") from exc
 
 
+def _spd_inverse(mats: np.ndarray, what: str, steps) -> np.ndarray:
+    """Inverses of a (k, n, n) stack of positive definite blocks, through
+    _cholesky, so a block that does not factor is named by what and step."""
+    Li = np.linalg.inv(_cholesky(mats, what, steps))
+    return np.swapaxes(Li, -1, -2) @ Li
+
+
 def _fuse(Q, A, b, B, d, v, eta, gamma: float, what: str, first: int = 0):
     """Fuse k steps with the penalty coupling, returning stacked (A~, b~, Q~).
 
@@ -95,8 +109,7 @@ def _fuse(Q, A, b, B, d, v, eta, gamma: float, what: str, first: int = 0):
     step, counted from ``first``.
     """
     Q, A, B = _compact(Q), _compact(A), _compact(B)
-    Li = np.linalg.inv(_cholesky(Q, what, range(first, first + len(Q))))
-    Qi = np.swapaxes(Li, -1, -2) @ Li
+    Qi = _spd_inverse(Q, what, range(first, first + len(Q)))
     Qtil = np.linalg.inv(Qi + gamma * np.eye(Q.shape[-1]))
     Qtil = 0.5 * (Qtil + np.swapaxes(Qtil, -1, -2))
     Atil = Qtil @ (Qi @ A + gamma * B)
@@ -276,22 +289,75 @@ def rts_factor(fused: FusedModel) -> RTSFactor:
     return RTSFactor(K, src, G, gi, _band(F, src[1:]), _band(G, gi))
 
 
+@dataclass(eq=False)
+class BandFactor:
+    """Cholesky factor of the x subproblem's information matrix.
+
+    band is the factor in LAPACK lower band storage (kd = 2 n_x - 1); Qi
+    holds the inverse fused transition covariances, with the prior's at
+    index 0, and HRi the products H_t' R_t^{-1} that the right-hand side
+    needs.
+    """
+
+    band: np.ndarray
+    Qi: np.ndarray
+    HRi: np.ndarray
+
+
+def band_factor(fused: FusedModel) -> BandFactor:
+    """Banded Cholesky factor of a fused model's block-tridiagonal information matrix.
+
+    With Q~_0 = P1til, the diagonal blocks are D_t = Q~_t^{-1} +
+    H_t' R_t^{-1} H_t + A~_{t+1}' Q~_{t+1}^{-1} A~_{t+1} and the
+    sub-diagonal blocks -Q~_t^{-1} A~_t, assembled for all t at once and
+    factored by one LAPACK call (dpbtrf), with no per-step loop; it is the
+    matrix that the RTS sweep factors step by step.  A Q~, P1til or R block
+    that does not factor, or an information matrix that is not positive
+    definite, raises SingularSystemError naming the step.
+    """
+    T, n = fused.T, fused.n_x
+    Qi = _spd_inverse(_compact(fused.Qtil[1:]), "Q", range(1, T))
+    Qi = np.concatenate([_spd_inverse(fused.P1til[None], "P1", [0]),
+                         np.broadcast_to(Qi, (T - 1, n, n))])
+    HRi = np.swapaxes(fused.H, 1, 2) @ _spd_inverse(_compact(fused.R), "R", range(T))
+    QiA = Qi[1:] @ fused.Atil[1:]
+    D = Qi + HRi @ fused.H
+    D[:-1] += np.swapaxes(fused.Atil[1:], 1, 2) @ QiA
+    ab = _band(QiA, np.arange(T - 1))  # sub-diagonal blocks; diagonal rows still 0
+    r, c = np.tril_indices(n)
+    ab.T.reshape(T, n, 2 * n)[:, c, r - c] = D[:, r, c]
+    band, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise SingularSystemError(f"information matrix at step {(info - 1) // n} "
+                                  f"is not positive definite")
+    return BandFactor(band, Qi, HRi)
+
+
 def augmented_ks(fused: FusedModel, y: np.ndarray,
-                 factor: Optional[RTSFactor] = None) -> np.ndarray:
-    """Rauch-Tung-Striebel mean pass over a fused model, returning x (T, n_x).
+                 factor: Optional[Union[RTSFactor, BandFactor]] = None) -> np.ndarray:
+    """Mean pass over a fused model, returning x (T, n_x).
 
     factor defaults to rts_factor(fused); a factor of another fused model
     with the same (Atil, Qtil, H, R, P1til), as every x update of one affine
-    problem at one gamma has, gives the same x bit for bit.  The pass itself
-    reads btil, m1til, e and the dynamics, with y padded by zeros for the
-    rows below the data, and is two banded triangular solves (the filter and
-    smoother mean recursions) plus batched products.
+    problem at one gamma has, gives the same x bit for bit.  The pass reads
+    btil, m1til, e and the dynamics, with y padded by zeros for the rows
+    below the data.  With an RTSFactor it is the Rauch-Tung-Striebel mean
+    recursion: two banded triangular solves (filter and smoother) plus
+    batched products.  With a BandFactor it forms the information vector
+    h_t = Q~_t^{-1} b~_t - A~_{t+1}' Q~_{t+1}^{-1} b~_{t+1} +
+    H_t' R_t^{-1} (y_t - e_t), with b~_0 = m1til, and solves with the banded
+    Cholesky factor (dpbtrs).  Both solve the same normal equations.
     """
     if factor is None:
         factor = rts_factor(fused)
     m = fused.H.shape[1]
     y = np.pad(np.asarray(y, dtype=float), ((0, 0), (0, m - np.shape(y)[1])))
     rhs = np.concatenate([fused.m1til[None], fused.btil[1:]])
+    if isinstance(factor, BandFactor):
+        Qb = (factor.Qi @ rhs[..., None])[..., 0]
+        h = Qb + (factor.HRi @ (y - fused.e)[..., None])[..., 0]
+        h[:-1] -= (Qb[1:, None] @ fused.Atil[1:])[:, 0]
+        return dpbtrs(factor.band, h.reshape(-1, 1), lower=1)[0].reshape(h.shape)
     rhs += (factor.K[factor.src]
             @ (y - fused.e - (fused.H @ rhs[..., None])[..., 0])[..., None])[..., 0]
     x = _band_solve(factor.filter_band, rhs, "N")
@@ -300,11 +366,15 @@ def augmented_ks(fused: FusedModel, y: np.ndarray,
     return _band_solve(factor.smoother_band, x, "T")
 
 
+def _unfused(model: AffineModel) -> FusedModel:
+    """An affine model as a fused model with no penalty coupling."""
+    return FusedModel(model.A, model.b, model.Q, model.m1.copy(), model.P1.copy(),
+                      model.H, model.e, model.R)
+
+
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     """Standard RTS smoother mean (T, n_x) on an affine model (no penalty coupling)."""
-    fused = FusedModel(model.A, model.b, model.Q, model.m1.copy(), model.P1.copy(),
-                       model.H, model.e, model.R)
-    return augmented_ks(fused, y)
+    return augmented_ks(_unfused(model), y)
 
 
 def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
@@ -344,12 +414,17 @@ def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
                i_max: int = 20, step_tol: float = 1e-8) -> np.ndarray:
     """Unregularised iterated smoother: relinearise, smooth, repeat.
 
-    On an affine model (its own linearisation) the first pass is the plain
-    smoother's estimate and the second, identical, ends the loop.
+    Each pass solves the linearised model's normal equations with the banded
+    information-form factor (band_factor), one LAPACK call in place of the
+    per-step RTS covariance sweep, which a linearisation that changes every
+    step would run in full.  On an affine model (its own linearisation) the
+    first pass is the plain smoother's estimate to rounding and the second
+    ends the loop.
     """
     x = np.asarray(x0, dtype=float).copy() if x0 is not None else prior_mean_trajectory(model)
     for _ in range(i_max):
-        x_new = plain_smoother(linearize(model, x), y)
+        fused = _unfused(linearize(model, x))
+        x_new = augmented_ks(fused, y, band_factor(fused))
         step = _rel_step(x_new, x)
         x = x_new
         if step < step_tol:
@@ -422,8 +497,10 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     linearised at x (penalty targets taken at x), damped towards x by lam;
     cost(x, targets) is the subproblem cost.  With lam > 0 a proposal is
     accepted only on a strict cost decrease (lam divided by alpha), else
-    lam is multiplied by alpha and x kept; proposals closer than
-    PROPOSAL_FLOOR to x end the loop; a non-finite proposal raises
+    lam is multiplied by alpha and x kept; a rejected proposal whose cost
+    ties f within 4 ulps, or a proposal closer than PROPOSAL_FLOOR to x,
+    ends the loop, since no damping can then decrease the cost by more than
+    rounding; a non-finite proposal raises
     SingularSystemError.  lambda0 = 0 accepts every proposal without
     evaluating the cost: plain Gauss-Newton, i.e. the iterated smoother.
     Unless the targets depend on x (a nonlinear model with process_noise
@@ -454,6 +531,8 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
                 break
             f_prop = cost(x_prop, targets)
             if not f_prop < f:
+                if abs(f_prop - f) <= 4 * np.spacing(abs(f)):
+                    break
                 lam *= cfg.alpha
                 continue
         x = x_prop
@@ -478,13 +557,19 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     """Levenberg-Marquardt iterated smoother for the coupled subproblem.
 
     Each proposal linearises the model about the current trajectory, fuses
-    it with the penalty coupling, and smooths; after a rejected step the
-    trajectory is the same object and its linearisation is reused.  Damping
-    is realised as a per-step pseudo-measurement of the current iterate
-    with covariance S_t / lambda, stacked below the data rows.  Gauss-Newton
-    (the GN-IEKS) is cfg with lambda0 = 0, and its iterates match the dense
-    Gauss-Newton sequence on the stacked problem.  An affine model is its
-    own linearisation, so there the first GN proposal is the augmented
+    it with the penalty coupling, and solves the fused model with one
+    augmented_ks call; after a rejected step the trajectory is the same
+    object and its linearisation is reused.  Damping is realised as a
+    per-step pseudo-measurement of the current iterate with covariance
+    S_t / lambda, stacked below the data rows.  A damped proposal
+    (lambda > 0) is solved with the banded information-form factor
+    (band_factor): a linearisation changes every step, so the RTS
+    covariance sweep would run in full.  An undamped proposal stays on the
+    RTS factor, whose covariance form is what fails on a near-singular
+    innovation (acceptance criterion 10).  Gauss-Newton (the GN-IEKS) is
+    cfg with lambda0 = 0, and its iterates match the dense Gauss-Newton
+    sequence on the stacked problem.  An affine model is its own
+    linearisation, so there the first GN proposal is the augmented
     smoother's x update.
     """
     cfg = cfg or LMConfig()
@@ -499,9 +584,8 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
         B, d = targets
         if lam > 0:
             fused = build_fused(lin, B, d, v, eta_bar, gamma, z=x, sigma=s_cov / lam)
-        else:
-            fused = build_fused(lin, B, d, v, eta_bar, gamma)
-        return augmented_ks(fused, problem.y)
+            return augmented_ks(fused, problem.y, band_factor(fused))
+        return augmented_ks(build_fused(lin, B, d, v, eta_bar, gamma), problem.y)
 
     def cost(x, targets):
         return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)

@@ -27,6 +27,7 @@ from tracklasso.models import (
 from tracklasso.scenarios import scenario_defaults, simulate_range, simulate_wiener
 from tracklasso.smoothers import (
     augmented_ks,
+    band_factor,
     build_fused,
     linearize,
     lm_ieks,
@@ -182,10 +183,11 @@ def stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode):
          damping="broadcast")
 def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ,
                                              target_mode, damping):
-    """build_fused + augmented_ks is the exact stacked minimiser, also for
-    per-step A and Q stacks, a single step, more measurements than states,
-    and with the damping pseudo-measurement stacked next to the
-    coupling-evidence rows (against the dense damped step)."""
+    """build_fused + augmented_ks is the exact stacked minimiser with either
+    factor (RTS and banded), also for per-step A and Q stacks, a single
+    step, more measurements than states, and with the damping
+    pseudo-measurement stacked next to the coupling-evidence rows (against
+    the dense damped step)."""
     rng = np.random.default_rng(seed)
     prob = stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode)
     model = prob.model
@@ -194,16 +196,19 @@ def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ,
     eta = rng.normal(size=(T, n_x))
     B, d = prob.penalty_targets()
     if damping is None:
-        x_ks = augmented_ks(build_fused(model, B, d, V, eta, gamma), prob.y)
+        fused = build_fused(model, B, d, V, eta, gamma)
         x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
     else:
         lam = float(rng.uniform(0.1, 5.0))
         x = rng.normal(size=(T, n_x))
         s_cov = spd(rng, T, n_x) if damping == "per_step" else spd(rng, n_x)
         fused = build_fused(model, B, d, V, eta, gamma, z=x, sigma=s_cov / lam)
-        x_ks = augmented_ks(fused, prob.y)
         x_batch = batch_lm_step(prob, x, V, eta, gamma, lam, s_cov)
+    x_ks = augmented_ks(fused, prob.y)
+    x_band = augmented_ks(fused, prob.y, band_factor(fused))
     np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(x_band, x_batch, rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(x_band, x_ks, rtol=1e-8, atol=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -563,6 +568,76 @@ def test_non_finite_proposal_raises_with_iterations():
                                                   "proposal is not finite"):
         run_madmm(prob, x_solver, MadmmOptions(k_max=2), x0=x0)
     assert calls[0] == 1
+
+
+def test_cost_tie_within_rounding_ends_the_lm_loop():
+    """A rejected proposal whose cost is the current cost plus one ulp ends
+    the loop: no damping can decrease the cost by more than rounding."""
+    prob = range_problem()
+    x0 = np.tile(prob.model.m1, (prob.T, 1))
+    calls = [0]
+
+    def propose(x, targets, lam):
+        calls[0] += 1
+        if calls[0] > 5:
+            raise RuntimeError("the loop kept proposing")
+        return x + 1.0
+
+    def cost(x, targets):
+        return 2.0 if np.array_equal(x, x0) else 2.0 + np.spacing(2.0)
+
+    lam = []
+    x = smoothers.gauss_newton(prob, propose, x0, cost, LMConfig(i_max=3), lambda_trace=lam)
+    assert calls[0] == 1 and lam == []
+    np.testing.assert_array_equal(x, x0)
+
+
+def test_damped_proposals_and_the_initialiser_take_the_band(monkeypatch):
+    """lm_ieks solves a damped proposal with band_factor and an undamped one
+    with rts_factor, one augmented_ks call per proposal either way, and
+    every plain_ieks pass takes the band."""
+    calls = {"band": 0, "rts": 0, "ks": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(smoothers, "band_factor", counted("band", smoothers.band_factor))
+    monkeypatch.setattr(smoothers, "rts_factor", counted("rts", smoothers.rts_factor))
+    monkeypatch.setattr(smoothers, "augmented_ks", counted("ks", smoothers.augmented_ks))
+    prob = range_problem(seed=1)
+    z = np.zeros((prob.T, 4))
+    x0 = np.tile(prob.model.m1, (prob.T, 1))
+    lm_ieks(prob, z, z, 1.0, x0, LMConfig(lambda0=0.0, i_max=3, step_tol=0.0))
+    assert calls == {"band": 0, "rts": 3, "ks": 3}
+    calls.update(band=0, rts=0, ks=0)
+    lm_ieks(prob, z, z, 1.0, x0, LMConfig(i_max=3, step_tol=0.0))
+    assert calls["rts"] == 0 and calls["band"] == calls["ks"] >= 3
+    calls.update(band=0, rts=0, ks=0)
+    plain_ieks(prob.model, prob.y, x0, i_max=4, step_tol=0.0)
+    assert calls == {"band": 4, "rts": 0, "ks": 4}
+
+
+def test_band_factor_names_the_bad_step():
+    """A transition covariance of 1e-20 at step 3 is positive definite, but
+    the information matrix it gives is not to rounding at that step; a
+    noise block that does not factor is named before any assembly."""
+    Q = np.tile(np.eye(2), (8, 1, 1))
+    Q[3] = 1e-20 * np.eye(2)
+    model = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
+                        Q=Q, R=np.eye(2), m1=np.zeros(2), P1=np.eye(2), T=8)
+    with pytest.raises(SingularSystemError,
+                       match="^information matrix at step 3 is not positive definite$"):
+        plain_ieks(model, np.zeros((8, 2)), i_max=1)
+    R = np.tile(np.eye(2), (8, 1, 1))
+    R[5] = np.diag([1.0, -1.0])
+    for bad, match in ((dict(Q=np.eye(2), R=R), "R at step 5 "),
+                       (dict(Q=-Q), "Q at step 1 "),
+                       (dict(P1=np.diag([1.0, 0.0])), "P1 at step 0 ")):
+        with pytest.raises(SingularSystemError, match=f"^{match}is not positive definite"):
+            plain_ieks(replace(model, validate=False, **bad), np.zeros((8, 2)), i_max=1)
 
 
 @pytest.mark.parametrize("solver", ["gn_ieks_madmm", "lm_ieks_madmm"])
