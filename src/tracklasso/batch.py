@@ -104,17 +104,19 @@ def stack_problem(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     )
 
 
-def _spd_solve_dense(M: np.ndarray, rhs: np.ndarray, name: str) -> np.ndarray:
+def _dense_factor(M: np.ndarray, what: str):
+    """cho_factor of a dense symmetric matrix; one that is not finite or not
+    positive definite raises SingularSystemError naming what."""
     try:
-        return cho_solve(cho_factor(M, lower=True), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{name} is numerically singular") from exc
+        return cho_factor(M, lower=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SingularSystemError(f"{what} is not positive definite") from exc
 
 
 def normal_system(stacked: StackedProblem, gamma: float):
-    """Normal matrix and right-hand side of the stacked subproblem."""
-    Rf = cho_factor(stacked.R, lower=True)
-    Qf = cho_factor(stacked.Q, lower=True)
+    """Normal matrix and right-hand side; a bad P1 is reported as Q (its first block)."""
+    Rf = _dense_factor(stacked.R, "R")
+    Qf = _dense_factor(stacked.Q, "Q")
     M = stacked.H.T @ cho_solve(Rf, stacked.H) + stacked.A.T @ cho_solve(Qf, stacked.A)
     rhs = (stacked.H.T @ cho_solve(Rf, stacked.y - stacked.e)
            + stacked.A.T @ cho_solve(Qf, stacked.m + stacked.b))
@@ -127,7 +129,7 @@ def normal_system(stacked: StackedProblem, gamma: float):
 def batch_x_affine(stacked: StackedProblem, gamma: float) -> np.ndarray:
     """Exact minimiser of the affine subproblem, reshaped to (T, n_x)."""
     M, rhs = normal_system(stacked, gamma)
-    x = _spd_solve_dense(M, rhs, "stacked normal matrix")
+    x = cho_solve(_dense_factor(M, "stacked normal matrix"), rhs)
     return x.reshape(stacked.T, stacked.n_x)
 
 
@@ -142,11 +144,7 @@ def make_affine_x_solver():
         stacked = stack_problem(problem, V, eta_bar, gamma)
         M, rhs_data = normal_system(stacked, 0.0)
         M = M + gamma * stacked.Phi.T @ stacked.Phi
-        try:
-            factor = cho_factor(M, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError("stacked normal matrix is numerically singular") from exc
-        return stacked, factor, rhs_data
+        return stacked, _dense_factor(M, "stacked normal matrix"), rhs_data
 
     factored = per_problem(build)
 
@@ -184,7 +182,7 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
         M = M + lam * D
         rhs = rhs + lam * (D @ np.asarray(x, dtype=float).ravel())
         name = "damped normal matrix"
-    out = _spd_solve_dense(M, rhs, name)
+    out = cho_solve(_dense_factor(M, name), rhs)
     return out.reshape(stacked.T, stacked.n_x)
 
 

@@ -354,11 +354,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
-    jobs = args.jobs if args.jobs is not None else 1
-    if jobs < 1:
-        raise UsageError("jobs must be at least 1")
     out = Path(args.out) if args.out is not None else Path("tracklasso_out")
-    results = run_all_checks(seed=seed, jobs=jobs, inject_fault=args.inject_fault)
+    results = run_all_checks(seed=seed, inject_fault=args.inject_fault)
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -394,7 +391,6 @@ def build_parser() -> _Parser:
     _add_common(p_solve)
     p_verify = sub.add_parser("verify", help="run the cross-oracle checks")
     p_verify.add_argument("--seed", type=int)
-    p_verify.add_argument("--jobs", type=int, help="worker processes for seed sweeps")
     p_verify.add_argument("--out", help="directory for failure dumps")
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="negative control: corrupt the x update and "

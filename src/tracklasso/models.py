@@ -12,6 +12,10 @@ consulted; the prior (m1, P1) plays that role, and the first penalty
 increment is fixed to u_0 = x_0 - m1.  Time-invariant inputs may be passed
 as single matrices and are kept as zero-copy broadcast views of shape
 (T, ...).
+
+Every covariance block (Q, R, P1, and in the smoothers each fused block and
+the damping metric) is factored by one rule, spd_factor, whose error names
+the block: "<name> [at step t] is not positive definite".
 """
 
 from __future__ import annotations
@@ -48,30 +52,38 @@ def per_step(arr, T: int, core_ndim: int, name: str) -> np.ndarray:
     raise ValueError(f"{name}: expected {core_ndim} or {core_ndim + 1} axes, got {arr.ndim}")
 
 
-def spd_chol(mat: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+def _cholesky_or_none(mats: np.ndarray) -> Optional[np.ndarray]:
+    """Lower Cholesky factors when every block is finite and factors, else None."""
+    if np.isfinite(mats).all():
+        try:
+            return np.linalg.cholesky(mats)
+        except np.linalg.LinAlgError:
+            pass
+    return None
 
-    Symmetry is required up to 1e-8 relative; factorisation happens on the
-    symmetrised matrix so harmless rounding asymmetry is tolerated.
+
+def spd_factor(mats, what: str, steps=None) -> np.ndarray:
+    """Lower Cholesky factors of one (n, n) matrix or of a (k, n, n) stack.
+
+    The one rule for whether a covariance block factors (only the lower
+    triangle is read): a block that is not finite or not positive definite
+    raises SingularSystemError, "<what> is not positive definite" for one
+    matrix and "<what> at step <steps[i]> is not positive definite" for the
+    first bad block i of a stack (steps defaults to 0..k-1), found by
+    halving the stack.
     """
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{name}: expected a square matrix, got shape {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.T).max() > 1e-8 * scale:
-        raise ValueError(f"{name}: matrix is not symmetric")
-    try:
-        return np.linalg.cholesky(0.5 * (mat + mat.T))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{name}: matrix is not positive definite") from exc
-
-
-def _check_spd_steps(covs: np.ndarray, name: str, start: int = 0) -> None:
-    """Validate that every used step of a stacked covariance factorises."""
-    if time_invariant(covs):
-        spd_chol(covs[min(start, covs.shape[0] - 1)], name)
-        return
-    for t in range(start, covs.shape[0]):
-        spd_chol(covs[t], f"{name}[{t}]")
+    mats = np.asarray(mats, dtype=float)
+    L = _cholesky_or_none(mats)
+    if L is not None:
+        return L
+    if mats.ndim == 2:
+        raise SingularSystemError(f"{what} is not positive definite")
+    lo, hi = 0, len(mats)  # blocks before lo factor; [lo, hi) holds a bad one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _cholesky_or_none(mats[lo:mid]) is None else (mid, hi)
+    raise SingularSystemError(f"{what} at step {lo if steps is None else steps[lo]} "
+                              f"is not positive definite")
 
 
 def _check_finite(arr: np.ndarray, name: str, start: int = 0, stepped: bool = True) -> None:
@@ -85,21 +97,44 @@ def _check_finite(arr: np.ndarray, name: str, start: int = 0, stepped: bool = Tr
     raise ValueError(f"{name}: non-finite value at step {t}")
 
 
-def _half_weighted_sq(res: np.ndarray, covs: np.ndarray, start: int = 0) -> float:
-    """0.5 * sum_{t >= start} res_t' covs_t^{-1} res_t."""
+def _check_covariance(covs: np.ndarray, name: str, start: int = 0) -> None:
+    """One matrix, or every step from start on of a stack (a broadcast stack
+    once), must be finite, symmetric to 1e-8 relative and positive definite."""
+    one = covs.ndim == 2
+    _check_finite(covs, name, start, stepped=not one)
+    if not one and time_invariant(covs):
+        covs, one = covs[-1], True
+    blocks = covs if one else covs[start:]
+    scale = np.maximum(1.0, np.abs(blocks).max(axis=(-2, -1)))
+    asym = np.abs(blocks - np.swapaxes(blocks, -1, -2)).max(axis=(-2, -1)) > 1e-8 * scale
+    if asym.any():
+        where = "" if one else f" at step {start + int(np.argmax(asym))}"
+        raise ValueError(f"{name}{where} is not symmetric")
+    spd_factor(blocks, name, None if one else range(start, len(covs)))
+
+
+def _check_noise(m1: np.ndarray, P1: np.ndarray, Q: np.ndarray, R: np.ndarray) -> None:
+    """Validate the noise model that both model classes share: a finite m1,
+    and P1, every used step of Q (index 0 is never consulted when T > 1) and
+    every step of R through _check_covariance."""
+    _check_finite(m1, "m1", stepped=False)
+    _check_covariance(P1, "P1")
+    _check_covariance(Q, "Q", start=1 if len(Q) > 1 else 0)
+    _check_covariance(R, "R")
+
+
+def _half_weighted_sq(res: np.ndarray, covs: np.ndarray, what: str, start: int = 0) -> float:
+    """0.5 * sum_{t >= start} res_t' covs_t^{-1} res_t, with every block
+    factored by spd_factor, so a bad one is named by what (and its step)."""
     res = res[start:]
     if res.shape[0] == 0:
         return 0.0
     if time_invariant(covs):
-        L = spd_chol(covs[start], "covariance")
-        z = solve_triangular(L, res.T, lower=True)
-        return 0.5 * float(np.sum(z * z))
-    total = 0.0
-    for i, t in enumerate(range(start, covs.shape[0])):
-        L = spd_chol(covs[t], f"covariance[{t}]")
-        z = solve_triangular(L, res[i], lower=True)
-        total += 0.5 * float(z @ z)
-    return total
+        z = solve_triangular(spd_factor(covs[start], what), res.T, lower=True)
+    else:
+        L = spd_factor(covs[start:], what, range(start, len(covs)))
+        z = np.linalg.solve(L, res[..., None])
+    return 0.5 * float(np.sum(z * z))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,7 +145,9 @@ class AffineModel:
     y_t = H_t x_t + e_t + r_t,      r_t ~ N(0, R_t),  t >= 0
     x_0 ~ N(m1, P1)
 
-    A, b, Q entries at index 0 are never consulted.
+    A, b, Q entries at index 0 are never consulted.  With validate (the
+    default) A, b, H and e must be finite and the noise model pass the
+    check NonlinearModel also runs; linearisations skip both.
     """
 
     A: np.ndarray
@@ -160,13 +197,9 @@ class AffineModel:
         if self.validate:
             first = 1 if T > 1 else 0
             for name, val, start in (("A", A, first), ("b", b, first), ("H", H, 0),
-                                     ("e", e, 0), ("Q", Q, first), ("R", R, 0)):
+                                     ("e", e, 0)):
                 _check_finite(val, name, start)
-            _check_finite(m1, "m1", stepped=False)
-            _check_finite(P1, "P1", stepped=False)
-            spd_chol(P1, "P1")
-            _check_spd_steps(Q, "Q", start=first)
-            _check_spd_steps(R, "R")
+            _check_noise(m1, P1, Q, R)
         for name, val in (("A", A), ("b", b), ("H", H), ("e", e), ("Q", Q),
                           ("R", R), ("m1", m1), ("P1", P1), ("T", int(T))):
             object.__setattr__(self, name, val)
@@ -195,10 +228,11 @@ class NonlinearModel:
     to the mean of y_t and returns (k, n_y); ``transition_jacobian`` and
     ``measurement_jacobian`` return (k, n_x, n_x) and (k, n_y, n_x).  A
     return value that broadcasts to its shape is accepted, so a constant
-    Jacobian may be a single matrix.  Construction calls each callable once,
-    on every step it serves with the prior mean m1 as the state, and raises
-    ValueError naming the callable whose output has the wrong shape or a
-    non-finite value.
+    Jacobian may be a single matrix.  Construction first checks the noise
+    model as AffineModel does (a finite m1; finite, symmetric, positive
+    definite P1, Q and R), then calls each callable once, on every step it
+    serves with the prior mean m1 as the state, and raises ValueError naming
+    the callable whose output has the wrong shape or a non-finite value.
     """
 
     transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -219,11 +253,9 @@ class NonlinearModel:
         n = m1.shape[0]
         Q = per_step(self.Q, self.T, 2, "Q")
         R = per_step(self.R, self.T, 2, "R")
-        if Q.shape[1:] != (n, n) or P1.shape != (n, n):
-            raise ValueError("Q blocks and P1 must be (n_x, n_x)")
-        spd_chol(P1, "P1")
-        _check_spd_steps(Q, "Q", start=1 if self.T > 1 else 0)
-        _check_spd_steps(R, "R")
+        if Q.shape[1:] != (n, n) or P1.shape != (n, n) or R.shape[1] != R.shape[2]:
+            raise ValueError("Q blocks and P1 must be (n_x, n_x), R blocks square")
+        _check_noise(m1, P1, Q, R)
         for name, val in (("Q", Q), ("R", R), ("m1", m1), ("P1", P1)):
             object.__setattr__(self, name, val)
         n_y, t = R.shape[1], np.arange(self.T)
@@ -546,9 +578,9 @@ def data_cost(problem: TrackingProblem, x: np.ndarray) -> float:
     model = problem.model
     r_meas = measurement_residuals(model, x, problem.y)
     r_dyn = dynamics_residuals(model, x)
-    cost = _half_weighted_sq(r_meas, model.R)
-    cost += _half_weighted_sq(r_dyn[:1], model.P1[None])
-    cost += _half_weighted_sq(r_dyn, model.Q, start=1)
+    cost = _half_weighted_sq(r_meas, model.R, "R")
+    cost += _half_weighted_sq(r_dyn[:1], model.P1[None], "P1")
+    cost += _half_weighted_sq(r_dyn, model.Q, "Q", start=1)
     return cost
 
 

@@ -29,7 +29,10 @@ share one damped Gauss-Newton loop, gauss_newton; they differ only in the
 step each proposes.  Gauss-Newton is that loop with lambda0 = 0.  Both
 engines linearise with linearize, which returns an affine model unchanged
 (it is its own linearisation), so on an affine problem the iterated
-smoother is the augmented smoother.
+smoother is the augmented smoother.  Every covariance block factored or
+checked here (Q~, P1til, R, the predicted covariances and LMConfig's
+damping metric S) goes through models.spd_factor, so a bad one raises an
+error naming the matrix and its step.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dtbtrs, dtrtrs
 
 from .models import (AffineModel, Model, SingularSystemError, TrackingProblem,
-                     per_step, prior_mean_trajectory, time_invariant,
+                     per_step, prior_mean_trajectory, spd_factor, time_invariant,
                      transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
@@ -82,20 +85,10 @@ def _compact(arr: np.ndarray) -> np.ndarray:
     return arr[:1] if time_invariant(arr) else arr
 
 
-def _cholesky(mats: np.ndarray, what: str, steps) -> np.ndarray:
-    """Batched Cholesky factors of a (k, n, n) stack; the first block that
-    does not factor raises SingularSystemError naming what and its step."""
-    try:
-        return np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError as exc:
-        i = next(i for i, block in enumerate(mats) if not _factors(block))
-        raise SingularSystemError(f"{what} at step {steps[i]} is not positive definite") from exc
-
-
 def _spd_inverse(mats: np.ndarray, what: str, steps) -> np.ndarray:
     """Inverses of a (k, n, n) stack of positive definite blocks, through
-    _cholesky, so a block that does not factor is named by what and step."""
-    Li = np.linalg.inv(_cholesky(mats, what, steps))
+    spd_factor, so a block that does not factor is named by what and step."""
+    Li = np.linalg.inv(spd_factor(mats, what, steps))
     return np.swapaxes(Li, -1, -2) @ Li
 
 
@@ -284,7 +277,7 @@ def rts_factor(fused: FusedModel) -> RTSFactor:
     need = fresh[:-1] | fresh[1:]
     tn = np.flatnonzero(need)
     Pn = P_pred[src[tn + 1]]
-    _cholesky(Pn, "predicted covariance", tn + 1)
+    spd_factor(Pn, "predicted covariance", tn + 1)
     G, gi = np.linalg.solve(Pn, Atil[tn + 1] @ P_filt[src[tn]]), np.cumsum(need) - 1
     return RTSFactor(K, src, G, gi, _band(F, src[1:]), _band(G, gi))
 
@@ -468,20 +461,10 @@ class LMConfig:
         s_cov = np.asarray(self.s_cov, dtype=float)
         if s_cov.ndim not in (2, 3) or s_cov.shape[-1] != s_cov.shape[-2]:
             raise ValueError(f"s_cov: expected (n_x, n_x) or (T, n_x, n_x), got {s_cov.shape}")
-        blocks = s_cov.reshape((-1,) + s_cov.shape[-2:])
-        if not _factors(blocks):
-            t = next(t for t, block in enumerate(blocks) if not _factors(block))
-            where = f" at step {t}" if s_cov.ndim == 3 else ""
-            raise ValueError(f"s_cov{where} is not a finite positive definite matrix")
-
-
-def _factors(mats: np.ndarray) -> bool:
-    """True when every block is finite and factors by Cholesky."""
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(mats).all())
+        try:
+            spd_factor(s_cov, "s_cov")
+        except SingularSystemError as exc:
+            raise ValueError(str(exc)) from exc
 
 
 Proposal = Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray], float], np.ndarray]

@@ -10,7 +10,6 @@ arrays needed to replay it.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
@@ -275,9 +274,8 @@ def madmm_stage_trace(problem: TrackingProblem, x_solver, gamma: float,
     return np.asarray(stage_rise), np.asarray(lag[1:]) - lag[0]
 
 
-def _lemma2_one(args) -> float:
+def _lemma2_one(seed: int, k_max: int, inject_fault: bool) -> float:
     """Worst descent violation of the Lagrangian stages on one range seed."""
-    seed, k_max, inject_fault = args
     problem = _range_problem(seed, T=40)
     if inject_fault:
         x_solver = faulty_x_solver()
@@ -307,7 +305,7 @@ def faulty_x_solver(eps: float = 0.05):
     return solver
 
 
-def check_lemma2(seed: int, n_seeds: int = 3, k_max: int = 12, jobs: int = 1,
+def check_lemma2(seed: int, n_seeds: int = 3, k_max: int = 12,
                  inject_fault: bool = False, slack: float = 1e-7) -> CheckResult:
     """Descent diagnostics of the augmented Lagrangian along the iterations.
 
@@ -318,8 +316,7 @@ def check_lemma2(seed: int, n_seeds: int = 3, k_max: int = 12, jobs: int = 1,
     squared constraint residual, which is positive until the split is
     exactly feasible.
     """
-    args = [(seed + i, k_max, inject_fault) for i in range(n_seeds)]
-    increases = _pmap(_lemma2_one, args, jobs)
+    increases = [_lemma2_one(seed + i, k_max, inject_fault) for i in range(n_seeds)]
     worst = max(increases)
     name = "lemma2_descent"
     if worst > slack:
@@ -332,9 +329,8 @@ def check_lemma2(seed: int, n_seeds: int = 3, k_max: int = 12, jobs: int = 1,
                        f"{n_seeds} seeds, worst descent violation {worst:.3e}")
 
 
-def _lemma1_one(args) -> float:
+def _lemma1_one(seed: int, k_ref: int, k_check: int) -> float:
     """Worst increase of the weighted distance-to-reference on one system."""
-    seed, k_ref, k_check = args
     rng = np.random.default_rng(seed)
     problem = random_affine_problem(rng, T=12, n_x=int(rng.integers(2, 5)))
     gamma = 1.0
@@ -350,11 +346,9 @@ def _lemma1_one(args) -> float:
     return float(np.max(diffs) / max(1.0, dist[0]))
 
 
-def check_lemma1(seed: int, systems: int = 3, jobs: int = 1,
-                 slack: float = 1e-9) -> CheckResult:
+def check_lemma1(seed: int, systems: int = 3, slack: float = 1e-9) -> CheckResult:
     """Weighted (v, eta) distance to a converged run never increases."""
-    args = [(seed + i, 400, 50) for i in range(systems)]
-    worst = max(_pmap(_lemma1_one, args, jobs))
+    worst = max(_lemma1_one(seed + i, 400, 50) for i in range(systems))
     if worst > slack:
         return CheckResult("lemma1_contraction", False,
                            f"distance rose by relative {worst:.3e}",
@@ -363,22 +357,14 @@ def check_lemma1(seed: int, systems: int = 3, jobs: int = 1,
                        f"{systems} systems, worst relative change {worst:.3e}")
 
 
-def _pmap(fn, items, jobs: int):
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
-def run_all_checks(seed: int = 0, jobs: int = 1,
-                   inject_fault: bool = False) -> List[CheckResult]:
+def run_all_checks(seed: int = 0, inject_fault: bool = False) -> List[CheckResult]:
     """The full verification battery, deterministic given the seed."""
     results = [
         check_affine_equivalence(seed),
         check_ieks_vs_batch(seed + 100),
         check_shrink_vs_grid(seed + 200),
         check_jacobians(seed + 300),
-        check_lemma2(seed + 400, jobs=jobs, inject_fault=inject_fault),
-        check_lemma1(seed + 500, jobs=jobs),
+        check_lemma2(seed + 400, inject_fault=inject_fault),
+        check_lemma1(seed + 500),
     ]
     return results

@@ -12,7 +12,9 @@ from tracklasso.batch import (
     stack_problem,
 )
 from tracklasso.models import (
+    AffineModel,
     NonlinearModel,
+    SingularSystemError,
     TrackingProblem,
     make_regularizer,
     x_subproblem_cost,
@@ -178,3 +180,13 @@ def test_ks_x_solver_never_serves_a_dropped_problem():
         got = solver(prob, V, eta, 1.0, None)
         np.testing.assert_array_equal(got, want, err_msg=f"problem {i}")
         del prob
+
+
+def test_dense_factor_names_a_bad_noise_matrix():
+    model = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
+                        Q=np.eye(2), R=np.diag([1.0, -1.0]), m1=np.zeros(2),
+                        P1=np.eye(2), T=5, validate=False)
+    prob = TrackingProblem(model=model, reg=make_regularizer("l2", 2), y=np.zeros((5, 2)))
+    z = np.zeros((5, 2))
+    with pytest.raises(SingularSystemError, match="^R is not positive definite$"):
+        batch_x_affine(stack_problem(prob, z, z, 1.0), 1.0)

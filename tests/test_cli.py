@@ -102,7 +102,7 @@ def test_usage_errors_exit_64(tmp_path):
                    "--out", str(tmp_path / "w")) == 64
 
 
-def test_jobs_is_verify_only_and_at_least_one(tmp_path):
+def test_jobs_is_refused_by_every_command(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve", "--scenario", "wiener", "--jobs", "2",
                 "--out", str(tmp_path / "s"))
@@ -110,7 +110,9 @@ def test_jobs_is_verify_only_and_at_least_one(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("scenario = wiener\njobs = 1\n")
     assert run_cli("solve", "--config", str(cfg), "--out", str(tmp_path / "c")) == 64
-    assert run_cli("verify", "--jobs", "0", "--out", str(tmp_path / "v")) == 64
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--jobs", "2", "--out", str(tmp_path / "v"))
+    assert exc.value.code == 64
 
 
 def test_missing_input_file_exits_2(tmp_path):

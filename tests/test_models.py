@@ -1,5 +1,7 @@
 """Model containers, penalty structures, and cost functions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ import hypothesis.strategies as st
 from tracklasso.models import (
     AffineModel,
     NonlinearModel,
+    SingularSystemError,
     SplitState,
     TrackingProblem,
     augmented_lagrangian,
@@ -38,6 +41,44 @@ def test_objective_hand_value():
     assert data_cost(prob, x) == pytest.approx(11.7425, abs=1e-12)
     assert penalty_value(prob, x) == pytest.approx(0.9, abs=1e-12)
     assert objective(prob, x) == pytest.approx(12.6425, abs=1e-12)
+
+
+def test_data_cost_names_a_bad_covariance_block_and_its_step():
+    # linearisations skip validation, so the cost itself must name the block
+    R = np.tile(np.eye(1), (4, 1, 1))
+    R[2] = -1.0
+    model = AffineModel(A=np.eye(1), b=np.zeros(1), H=np.eye(1), e=np.zeros(1),
+                        Q=np.eye(1), R=R, m1=np.zeros(1), P1=np.eye(1), T=4,
+                        validate=False)
+    prob = TrackingProblem(model=model, reg=make_regularizer("l2", 1), y=np.zeros((4, 1)))
+    with pytest.raises(SingularSystemError, match="^R at step 2 is not positive definite$"):
+        data_cost(prob, np.zeros((4, 1)))
+    for key in ("Q", "P1"):
+        bad = replace(model, R=np.eye(1), **{key: -np.eye(1)})
+        with pytest.raises(SingularSystemError, match=f"^{key} is not positive definite$"):
+            data_cost(TrackingProblem(model=bad, reg=prob.reg, y=prob.y), np.zeros((4, 1)))
+
+
+def test_data_cost_with_per_step_covariances_matches_the_written_out_sum():
+    A = np.array([[1.0, 0.5], [0.0, 0.9]])
+    H = np.array([[1.0, 0.0]])
+    Q = np.stack([np.full((2, 2), np.nan), [[2.0, 0.3], [0.3, 1.0]],
+                  [[0.5, -0.1], [-0.1, 0.8]], [[1.5, 0.0], [0.0, 3.0]]])
+    R = np.array([[[0.25]], [[0.5]], [[2.0]], [[4.0]]])
+    m1, P1 = np.array([0.1, -0.2]), np.array([[2.0, 0.4], [0.4, 1.0]])
+    model = AffineModel(A=A, b=np.array([0.1, 0.0]), H=H, e=np.zeros(1), Q=Q, R=R,
+                        m1=m1, P1=P1, T=4)
+    y = np.array([[1.0], [0.4], [-0.7], [2.0]])
+    prob = TrackingProblem(model=model, reg=make_regularizer("l2", 2), y=y)
+    x = np.array([[0.5, 0.1], [-0.3, 0.7], [1.2, -0.4], [0.0, 2.0]])
+    want = 0.5 * (x[0] - m1) @ np.linalg.solve(P1, x[0] - m1)
+    for t in range(4):
+        r = y[t] - H @ x[t]
+        want += 0.5 * r @ np.linalg.solve(R[t], r)
+    for t in range(1, 4):
+        q = x[t] - A @ x[t - 1] - model.b[t]
+        want += 0.5 * q @ np.linalg.solve(Q[t], q)
+    assert data_cost(prob, x) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_u_state_mode_convention():
@@ -127,8 +168,6 @@ def test_group_norms_shape():
 
 
 def test_model_validation_rejects_bad_covariances():
-    from tracklasso.models import SingularSystemError
-
     good = dict(A=np.eye(1), b=np.zeros(1), H=np.eye(1), e=np.zeros(1),
                 Q=np.eye(1), R=np.eye(1), m1=np.zeros(1), P1=np.eye(1), T=3)
     AffineModel(**good)
@@ -141,6 +180,28 @@ def test_model_validation_rejects_bad_covariances():
     ok = dict(good)
     ok["Q"] = np.zeros((1, 1))
     AffineModel(**ok, validate=False)
+    # a per-step Q bad at one step is named by that step, as the fuse names it
+    Q = np.tile(np.eye(2), (6, 1, 1))
+    Q[3] = np.diag([1.0, -1.0])
+    with pytest.raises(SingularSystemError, match="^Q at step 3 is not positive definite$"):
+        AffineModel(**{**_stacked_inputs(T=6), "Q": Q})
+    Q[3] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="^Q at step 3 is not symmetric$"):
+        AffineModel(**{**_stacked_inputs(T=6), "Q": Q})
+    # the nonlinear model shares the noise checks: a NaN or inf block is named,
+    # and a NaN m1 is reported as m1 before any callable sees it
+    model = _range_model()
+    for key in ("Q", "R", "P1"):
+        block = model.P1 if key == "P1" else getattr(model, key)[1]
+        for bad in (np.nan, np.inf):
+            arr = block.copy()
+            arr[0, 0] = bad
+            with pytest.raises(ValueError, match=f"^{key}: "):
+                replace(model, **{key: arr})
+        with pytest.raises(SingularSystemError, match=f"^{key} is not positive definite$"):
+            replace(model, **{key: -block})
+    with pytest.raises(ValueError, match="^m1: contains a non-finite value$"):
+        replace(model, m1=np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_feasible_split_state():
@@ -206,7 +267,6 @@ def _range_model(T=6):
 ], ids=["measurement-shape", "transition_jacobian-shape", "transition-shape",
         "measurement_jacobian-inf", "transition-nan"])
 def test_nonlinear_model_probes_each_callable(name, bad, match):
-    from dataclasses import replace
     model = _range_model()
     assert model.n_y == 3
     with pytest.raises(ValueError, match=match):
@@ -214,7 +274,6 @@ def test_nonlinear_model_probes_each_callable(name, bad, match):
 
 
 def test_nonlinear_model_calls_each_callable_once():
-    from dataclasses import replace
     model = _range_model(T=7)
     seen = []
 
