@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .models import (SingularSystemError, TrackingProblem, per_problem,
+from .models import (SingularSystemError, TrackingProblem, noise_factors, per_problem,
                      prior_mean_trajectory, x_subproblem_cost)
 from .smoothers import LMConfig, gauss_newton, linearize
 
@@ -68,13 +68,16 @@ def stack_problem(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
 
     The first dynamics block row holds the prior (identity against m1) and
     the first penalty block row fixes u_0 = x_0 - m1, so B_1 and d_1 of the
-    penalty targets are never consulted.
+    penalty targets are never consulted.  P1, Q and R are factored block by
+    block before stacking (models.noise_factors), so a bad block is named
+    with its step, as on the smoother path.
     """
     model = problem.model
     if not model.is_affine:
         raise ValueError("stack_problem needs an affine model; linearise first")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
+    noise_factors(model)
     T, n, n_y = model.T, model.n_x, model.n_y
 
     B, d_steps = problem.penalty_targets(nominal)
@@ -114,7 +117,7 @@ def _dense_factor(M: np.ndarray, what: str):
 
 
 def normal_system(stacked: StackedProblem, gamma: float):
-    """Normal matrix and right-hand side; a bad P1 is reported as Q (its first block)."""
+    """Normal matrix and right-hand side (stack_problem has checked every noise block)."""
     Rf = _dense_factor(stacked.R, "R")
     Qf = _dense_factor(stacked.Q, "Q")
     M = stacked.H.T @ cho_solve(Rf, stacked.H) + stacked.A.T @ cho_solve(Qf, stacked.A)

@@ -40,6 +40,11 @@ def time_invariant(arr: np.ndarray) -> bool:
     return arr.shape[0] == 1 or arr.strides[0] == 0
 
 
+def compact(arr: np.ndarray) -> np.ndarray:
+    """One step of a broadcast (time-invariant) stack, else the stack itself."""
+    return arr[:1] if time_invariant(arr) else arr
+
+
 def per_step(arr, T: int, core_ndim: int, name: str) -> np.ndarray:
     """Return a (T, ...) float view of ``arr``, broadcasting single-step input."""
     arr = np.asarray(arr, dtype=float)
@@ -121,6 +126,16 @@ def _check_noise(m1: np.ndarray, P1: np.ndarray, Q: np.ndarray, R: np.ndarray) -
     _check_covariance(P1, "P1")
     _check_covariance(Q, "Q", start=1 if len(Q) > 1 else 0)
     _check_covariance(R, "R")
+
+
+def noise_factors(model: "Model"):
+    """Lower Cholesky factors of P1 (as a one-step stack), of Q[1:] and of R,
+    each stack compacted to one step when time-invariant, through
+    spd_factor: a bad block raises "<P1|Q|R> at step t is not positive
+    definite", with t counted as in the model."""
+    return (spd_factor(model.P1[None], "P1", [0]),
+            spd_factor(compact(model.Q[1:]), "Q", range(1, model.T)),
+            spd_factor(compact(model.R), "R", range(model.T)))
 
 
 def _half_weighted_sq(res: np.ndarray, covs: np.ndarray, what: str, start: int = 0) -> float:

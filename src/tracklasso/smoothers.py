@@ -10,27 +10,27 @@ x_{t-1}, keeping the smoother an exact minimiser for every coupling.
 Levenberg-Marquardt damping adds rows too: a pseudo-measurement of the
 current iterate with covariance S_t / lambda.  Both sets of rows observe
 x_t with noise independent of the data, so they are stacked below the data
-rows and every step takes one measurement update.  The fused model's
-normal matrix is block tridiagonal, so the subproblem is solved in O(T)
-instead of the O(T^3) dense solve, by one of two factors of that matrix
-that read only the fused dynamics and noise, and one mean pass,
-augmented_ks, that takes either.  rts_factor is the Rauch-Tung-Striebel
-form: the covariance sweep (stopped at the exact fixed point of the
-Riccati recursion), the gains and the banded matrices of the two mean
-recursions; one such factor serves every x update of an affine problem at
-one gamma.  band_factor is the information form: the diagonal and
-sub-diagonal blocks assembled for all steps at once and factored by one
-banded LAPACK Cholesky, with no per-step loop.  The affine engines and
-undamped Gauss-Newton proposals use the RTS factor; damped LM proposals
-and the plain_ieks initialiser, whose linearisations change every step so
-that the covariance sweep never reaches a fixed point, use the band.  The
-iterated smoothers and the dense stacked solvers
-share one damped Gauss-Newton loop, gauss_newton; they differ only in the
-step each proposes.  Gauss-Newton is that loop with lambda0 = 0.  Both
-engines linearise with linearize, which returns an affine model unchanged
-(it is its own linearisation), so on an affine problem the iterated
-smoother is the augmented smoother.  Every covariance block factored or
-checked here (Q~, P1til, R, the predicted covariances and LMConfig's
+rows and every step takes one measurement update.  The normal matrix is
+block tridiagonal, so the subproblem is solved in O(T) instead of the
+O(T^3) dense solve, in one of two forms, each one augmented_ks call.
+rts_factor is the Rauch-Tung-Striebel form of the fused model: the
+covariance sweep (stopped at the exact fixed point of the Riccati
+recursion), the gains and the banded matrices of the two mean recursions;
+one such factor serves every x update of an affine problem at one gamma.
+normal_equations is the information form, assembled unfused, straight from
+the model, its noise precisions and the coupling for all steps at once, and
+solved by one banded LAPACK Cholesky, with no per-step loop.  The affine
+engines and undamped Gauss-Newton proposals use the RTS form; damped LM
+proposals (the undamped equations plus lambda S^{-1} on the diagonal) and
+the plain_ieks initialiser, whose linearisations change every step so that
+the covariance sweep never reaches a fixed point, use the information form.
+The iterated smoothers and the dense stacked solvers share one damped
+Gauss-Newton loop, gauss_newton; they differ only in the step each
+proposes.  Gauss-Newton is that loop with lambda0 = 0.  Both engines
+linearise with linearize, which returns an affine model unchanged (it is
+its own linearisation), so on an affine problem the iterated smoother is
+the augmented smoother.  Every covariance block factored or
+checked here (P1, Q, R, Q~, the predicted covariances and LMConfig's
 damping metric S) goes through models.spd_factor, so a bad one raises an
 error naming the matrix and its step.
 """
@@ -43,9 +43,9 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dtbtrs, dtrtrs
 
-from .models import (AffineModel, Model, SingularSystemError, TrackingProblem,
-                     per_step, prior_mean_trajectory, spd_factor, time_invariant,
-                     transition_linearization, x_subproblem_cost)
+from .models import (AffineModel, Model, SingularSystemError, TrackingProblem, compact,
+                     noise_factors, per_step, prior_mean_trajectory, spd_factor,
+                     time_invariant, transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
 
@@ -80,15 +80,10 @@ class FusedModel:
         return self.m1til.shape[0]
 
 
-def _compact(arr: np.ndarray) -> np.ndarray:
-    """One step of a broadcast (time-invariant) stack, else the stack itself."""
-    return arr[:1] if time_invariant(arr) else arr
-
-
-def _spd_inverse(mats: np.ndarray, what: str, steps) -> np.ndarray:
-    """Inverses of a (k, n, n) stack of positive definite blocks, through
-    spd_factor, so a block that does not factor is named by what and step."""
-    Li = np.linalg.inv(spd_factor(mats, what, steps))
+def _inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses L^{-T} L^{-1} of the matrices whose Cholesky factors are L
+    (from spd_factor, so a block that does not factor is already named)."""
+    Li = np.linalg.inv(L)
     return np.swapaxes(Li, -1, -2) @ Li
 
 
@@ -101,8 +96,8 @@ def _fuse(Q, A, b, B, d, v, eta, gamma: float, what: str, first: int = 0):
     definite raises SingularSystemError naming ``what`` and its first bad
     step, counted from ``first``.
     """
-    Q, A, B = _compact(Q), _compact(A), _compact(B)
-    Qi = _spd_inverse(Q, what, range(first, first + len(Q)))
+    Q, A, B = compact(Q), compact(A), compact(B)
+    Qi = _inverse(spd_factor(Q, what, range(first, first + len(Q))))
     Qtil = np.linalg.inv(Qi + gamma * np.eye(Q.shape[-1]))
     Qtil = 0.5 * (Qtil + np.swapaxes(Qtil, -1, -2))
     Atil = Qtil @ (Qi @ A + gamma * B)
@@ -131,7 +126,7 @@ def _stack_rows(channels, T: int):
 
     def steps(arrs):
         k = 1 if all(time_invariant(a) for a in arrs) else T
-        return [np.broadcast_to(_compact(a), (k,) + a.shape[1:]) for a in arrs]
+        return [np.broadcast_to(compact(a), (k,) + a.shape[1:]) for a in arrs]
 
     H, e, R = zip(*channels)
     H, R = np.concatenate(steps(H), axis=1), _block_diag(steps(R))
@@ -174,7 +169,7 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float,
         ev_H, ev_e = np.zeros((T, n, n)), np.zeros((T, n))
         ev_H[:-1] = model.A[1:] - B[1:]
         ev_e[:-1] = -(d + V - eta_bar / gamma - model.b)[1:]
-        ev_R = _compact(model.Q[1:]) + np.eye(n) / gamma
+        ev_R = compact(model.Q[1:]) + np.eye(n) / gamma
         if ev_R.shape[0] > 1:
             ev_R = np.concatenate([ev_R, ev_R[-1:]])
         channels.append((ev_H, ev_e, np.broadcast_to(ev_R, (T, n, n))))
@@ -190,13 +185,17 @@ def _after_prior(prior: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return np.concatenate([prior, steps])
 
 
-def _band(M: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """LAPACK lower band (2n, T n) of the unit lower block bidiagonal L of
-    T = len(idx) + 1 block rows, with block (t + 1, t) = -M[idx[t]]."""
-    T, n = len(idx) + 1, M.shape[-1]
+def _band(sub: np.ndarray, diag: Optional[np.ndarray] = None) -> np.ndarray:
+    """LAPACK lower band (2n, T n) of the block tridiagonal matrix of
+    T = len(sub) + 1 block rows with block (t + 1, t) = -sub[t] and, when
+    given, the lower triangles of diag[t] on the diagonal (else zeros there,
+    which the unit-diagonal solves of _band_solve never read)."""
+    T, n = len(sub) + 1, sub.shape[-1]
     ab = np.zeros((T, n, 2 * n))  # the band, column-major
-    for r, c in np.ndindex(n, n):
-        ab[:-1, c, n + r - c] = -M[idx, r, c]
+    for c in range(n):  # column c of block column t: diag[t] from row c, then -sub[t]
+        if diag is not None:
+            ab[:, c, :n - c] = diag[:, c:, c]
+        np.negative(sub[:, :, c], out=ab[:-1, c, n - c:2 * n - c])
     return ab.reshape(T * n, 2 * n).T
 
 
@@ -279,78 +278,99 @@ def rts_factor(fused: FusedModel) -> RTSFactor:
     Pn = P_pred[src[tn + 1]]
     spd_factor(Pn, "predicted covariance", tn + 1)
     G, gi = np.linalg.solve(Pn, Atil[tn + 1] @ P_filt[src[tn]]), np.cumsum(need) - 1
-    return RTSFactor(K, src, G, gi, _band(F, src[1:]), _band(G, gi))
+    return RTSFactor(K, src, G, gi, _band(F[src[1:]]), _band(G[gi]))
 
 
 @dataclass(eq=False)
-class BandFactor:
-    """Cholesky factor of the x subproblem's information matrix.
+class NormalEquations:
+    """The x subproblem's block-tridiagonal normal equations, information form.
 
-    band is the factor in LAPACK lower band storage (kd = 2 n_x - 1); Qi
-    holds the inverse fused transition covariances, with the prior's at
-    index 0, and HRi the products H_t' R_t^{-1} that the right-hand side
-    needs.
+    D (T, n_x, n_x) are the diagonal blocks, -E[t] (E is (T - 1, n_x, n_x))
+    the blocks (t + 1, t) below them and h (T, n_x) the right-hand side.
     """
 
-    band: np.ndarray
-    Qi: np.ndarray
-    HRi: np.ndarray
+    D: np.ndarray
+    E: np.ndarray
+    h: np.ndarray
+
+    def damped(self, lam: float, s_inv: np.ndarray, z: np.ndarray) -> "NormalEquations":
+        """These equations plus the LM term lam/2 sum_t ||x_t - z_t||^2 in
+        the metric s_inv = S^{-1} ((n, n), or one block per step): lam S^{-1}
+        on the diagonal and lam S^{-1} z in h.  self is not changed."""
+        lam_s = lam * s_inv
+        return NormalEquations(self.D + lam_s, self.E, self.h + (lam_s @ z[..., None])[..., 0])
 
 
-def band_factor(fused: FusedModel) -> BandFactor:
-    """Banded Cholesky factor of a fused model's block-tridiagonal information matrix.
+def noise_precisions(model: Model):
+    """P1^{-1} (1, n, n), Q[1:]^{-1} and R^{-1}, each compacted to one step
+    when time-invariant (models.noise_factors names a bad block)."""
+    return tuple(_inverse(L) for L in noise_factors(model))
 
-    With Q~_0 = P1til, the diagonal blocks are D_t = Q~_t^{-1} +
-    H_t' R_t^{-1} H_t + A~_{t+1}' Q~_{t+1}^{-1} A~_{t+1} and the
-    sub-diagonal blocks -Q~_t^{-1} A~_t, assembled for all t at once and
-    factored by one LAPACK call (dpbtrf), with no per-step loop; it is the
-    matrix that the RTS sweep factors step by step.  A Q~, P1til or R block
-    that does not factor, or an information matrix that is not positive
-    definite, raises SingularSystemError naming the step.
+
+def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None,
+                     v=None, eta_bar=None, gamma: float = 0.0) -> NormalEquations:
+    """Undamped normal equations of the x subproblem on an affine model.
+
+    Assembled unfused for all steps at once from the model (A, b, H, e), its
+    noise_precisions and, for gamma > 0, the coupling gamma/2 ||x_t - B_t
+    x_{t-1} - d_t - V_t + eta_bar_t/gamma||^2, with B_0 = 0 and d_0 = m1.
+    With Q_0 = P1, A_0 = 0 and b_0 = m1: D_t = Q_t^{-1} + H_t' R_t^{-1} H_t
+    + A_{t+1}' Q_{t+1}^{-1} A_{t+1} + gamma (I + B_{t+1}' B_{t+1}) and
+    E_t = Q_{t+1}^{-1} A_{t+1} + gamma B_{t+1}, the t + 1 terms absent at
+    t = T - 1.  This is the matrix the fused model's rows add up to, with no
+    evidence rows.
     """
-    T, n = fused.T, fused.n_x
-    Qi = _spd_inverse(_compact(fused.Qtil[1:]), "Q", range(1, T))
-    Qi = np.concatenate([_spd_inverse(fused.P1til[None], "P1", [0]),
-                         np.broadcast_to(Qi, (T - 1, n, n))])
-    HRi = np.swapaxes(fused.H, 1, 2) @ _spd_inverse(_compact(fused.R), "R", range(T))
-    QiA = Qi[1:] @ fused.Atil[1:]
-    D = Qi + HRi @ fused.H
-    D[:-1] += np.swapaxes(fused.Atil[1:], 1, 2) @ QiA
-    ab = _band(QiA, np.arange(T - 1))  # sub-diagonal blocks; diagonal rows still 0
-    r, c = np.tril_indices(n)
-    ab.T.reshape(T, n, 2 * n)[:, c, r - c] = D[:, r, c]
-    band, info = dpbtrf(ab, lower=1, overwrite_ab=1)
-    if info > 0:
-        raise SingularSystemError(f"information matrix at step {(info - 1) // n} "
-                                  f"is not positive definite")
-    return BandFactor(band, Qi, HRi)
+    Pi, Qi, Ri = precisions
+    A, b, m1 = lin.A[1:], lin.b[1:], lin.m1
+    HRi = np.swapaxes(lin.H, 1, 2) @ Ri
+    D = HRi @ lin.H
+    h = (HRi @ (y - lin.e)[..., None])[..., 0]
+    QiA, Qib = Qi @ A, (Qi @ b[..., None])[..., 0]
+    D[0] += Pi[0]
+    D[1:] += Qi
+    D[:-1] += np.swapaxes(A, 1, 2) @ QiA
+    h[0] += Pi[0] @ m1
+    h[1:] += Qib
+    h[:-1] -= (Qib[:, None] @ A)[:, 0]
+    E = QiA
+    if gamma > 0:
+        Bn = compact(B[1:])
+        g = gamma * (d + v) - eta_bar
+        g[0] = gamma * (m1 + v[0]) - eta_bar[0]
+        D += gamma * np.eye(lin.n_x)
+        D[:-1] += gamma * np.swapaxes(Bn, 1, 2) @ Bn
+        E += gamma * Bn
+        h += g
+        h[:-1] -= (g[1:, None] @ Bn)[:, 0]
+    return NormalEquations(D, E, h)
 
 
-def augmented_ks(fused: FusedModel, y: np.ndarray,
-                 factor: Optional[Union[RTSFactor, BandFactor]] = None) -> np.ndarray:
-    """Mean pass over a fused model, returning x (T, n_x).
+def augmented_ks(fused: Union[FusedModel, NormalEquations], y: Optional[np.ndarray] = None,
+                 factor: Optional[RTSFactor] = None) -> np.ndarray:
+    """One solve of the x subproblem, returning x (T, n_x).
 
-    factor defaults to rts_factor(fused); a factor of another fused model
-    with the same (Atil, Qtil, H, R, P1til), as every x update of one affine
-    problem at one gamma has, gives the same x bit for bit.  The pass reads
-    btil, m1til, e and the dynamics, with y padded by zeros for the rows
-    below the data.  With an RTSFactor it is the Rauch-Tung-Striebel mean
-    recursion: two banded triangular solves (filter and smoother) plus
-    batched products.  With a BandFactor it forms the information vector
-    h_t = Q~_t^{-1} b~_t - A~_{t+1}' Q~_{t+1}^{-1} b~_{t+1} +
-    H_t' R_t^{-1} (y_t - e_t), with b~_0 = m1til, and solves with the banded
-    Cholesky factor (dpbtrs).  Both solve the same normal equations.
+    NormalEquations (h holds the data; y is not read) are packed into
+    LAPACK band storage (kd = 2 n_x - 1) and solved by one dpbtrf and
+    dpbtrs; an information matrix that is not positive definite raises
+    SingularSystemError naming the step.  A FusedModel takes the RTS mean
+    pass, two banded triangular solves plus batched products, reading btil,
+    m1til, e and the dynamics, with y padded by zeros for the rows below the
+    data.  factor defaults to rts_factor(fused); a factor of another fused
+    model with the same (Atil, Qtil, H, R, P1til), as every x update of one
+    affine problem at one gamma has, gives the same x bit for bit.
     """
+    if isinstance(fused, NormalEquations):
+        T, n = fused.h.shape
+        band, info = dpbtrf(_band(fused.E, fused.D), lower=1, overwrite_ab=1)
+        if info > 0:
+            raise SingularSystemError(f"information matrix at step {(info - 1) // n} "
+                                      f"is not positive definite")
+        return dpbtrs(band, fused.h.reshape(-1, 1), lower=1)[0].reshape(T, n)
     if factor is None:
         factor = rts_factor(fused)
     m = fused.H.shape[1]
     y = np.pad(np.asarray(y, dtype=float), ((0, 0), (0, m - np.shape(y)[1])))
     rhs = np.concatenate([fused.m1til[None], fused.btil[1:]])
-    if isinstance(factor, BandFactor):
-        Qb = (factor.Qi @ rhs[..., None])[..., 0]
-        h = Qb + (factor.HRi @ (y - fused.e)[..., None])[..., 0]
-        h[:-1] -= (Qb[1:, None] @ fused.Atil[1:])[:, 0]
-        return dpbtrs(factor.band, h.reshape(-1, 1), lower=1)[0].reshape(h.shape)
     rhs += (factor.K[factor.src]
             @ (y - fused.e - (fused.H @ rhs[..., None])[..., 0])[..., None])[..., 0]
     x = _band_solve(factor.filter_band, rhs, "N")
@@ -359,15 +379,10 @@ def augmented_ks(fused: FusedModel, y: np.ndarray,
     return _band_solve(factor.smoother_band, x, "T")
 
 
-def _unfused(model: AffineModel) -> FusedModel:
-    """An affine model as a fused model with no penalty coupling."""
-    return FusedModel(model.A, model.b, model.Q, model.m1.copy(), model.P1.copy(),
-                      model.H, model.e, model.R)
-
-
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     """Standard RTS smoother mean (T, n_x) on an affine model (no penalty coupling)."""
-    return augmented_ks(_unfused(model), y)
+    return augmented_ks(FusedModel(model.A, model.b, model.Q, model.m1.copy(),
+                                   model.P1.copy(), model.H, model.e, model.R), y)
 
 
 def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
@@ -407,17 +422,18 @@ def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
                i_max: int = 20, step_tol: float = 1e-8) -> np.ndarray:
     """Unregularised iterated smoother: relinearise, smooth, repeat.
 
-    Each pass solves the linearised model's normal equations with the banded
-    information-form factor (band_factor), one LAPACK call in place of the
-    per-step RTS covariance sweep, which a linearisation that changes every
-    step would run in full.  On an affine model (its own linearisation) the
-    first pass is the plain smoother's estimate to rounding and the second
-    ends the loop.
+    Each pass assembles the linearised model's normal equations in
+    information form (normal_equations, from the noise precisions factored
+    once per call) and solves them with one augmented_ks call, a banded
+    Cholesky in place of the per-step RTS covariance sweep, which a
+    linearisation that changes every step would run in full.  On an affine
+    model (its own linearisation) the first pass is the plain smoother's
+    estimate to rounding and the second ends the loop.
     """
     x = np.asarray(x0, dtype=float).copy() if x0 is not None else prior_mean_trajectory(model)
+    precisions = noise_precisions(model)
     for _ in range(i_max):
-        fused = _unfused(linearize(model, x))
-        x_new = augmented_ks(fused, y, band_factor(fused))
+        x_new = augmented_ks(normal_equations(linearize(model, x), precisions, y))
         step = _rel_step(x_new, x)
         x = x_new
         if step < step_tol:
@@ -539,16 +555,16 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
             lambda_trace: Optional[List[float]] = None) -> np.ndarray:
     """Levenberg-Marquardt iterated smoother for the coupled subproblem.
 
-    Each proposal linearises the model about the current trajectory, fuses
-    it with the penalty coupling, and solves the fused model with one
-    augmented_ks call; after a rejected step the trajectory is the same
-    object and its linearisation is reused.  Damping is realised as a
-    per-step pseudo-measurement of the current iterate with covariance
-    S_t / lambda, stacked below the data rows.  A damped proposal
-    (lambda > 0) is solved with the banded information-form factor
-    (band_factor): a linearisation changes every step, so the RTS
-    covariance sweep would run in full.  An undamped proposal stays on the
-    RTS factor, whose covariance form is what fails on a near-singular
+    Each proposal linearises the model about the current trajectory and is
+    solved with one augmented_ks call.  A damped proposal (lambda > 0) is
+    the Levenberg-Marquardt smoother of Sarkka and Svensson (ICASSP 2020):
+    the undamped normal_equations (from noise precisions factored once per
+    call) plus lambda S^{-1} on the diagonal blocks and lambda S^{-1} x in
+    h.  They are kept with the trajectory object they were built at, so
+    after a rejected step a proposal only adds lambda S^{-1} again, calling
+    neither linearize nor the assembly.  An undamped proposal fuses the
+    penalty coupling into the dynamics (build_fused) and stays on the RTS
+    factor, whose covariance form is what fails on a near-singular
     innovation (acceptance criterion 10).  Gauss-Newton (the GN-IEKS) is
     cfg with lambda0 = 0, and its iterates match the dense Gauss-Newton
     sequence on the stacked problem.  An affine model is its own
@@ -556,22 +572,24 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     smoother's x update.
     """
     cfg = cfg or LMConfig()
-    s_cov = np.asarray(cfg.s_cov, dtype=float) if cfg.s_cov is not None else np.eye(problem.n_x)
+    if cfg.lambda0 > 0:
+        precisions = noise_precisions(problem.model)
+        s_cov = np.eye(problem.n_x) if cfg.s_cov is None else cfg.s_cov
+        s_inv = np.linalg.inv(compact(per_step(s_cov, problem.T, 2, "s_cov")))  # checked by cfg
     last = (None, None)
 
     def propose(x, targets, lam):
         nonlocal last
-        if last[0] is not x:
-            last = (x, linearize(problem.model, x))
-        lin = last[1]
         B, d = targets
-        if lam > 0:
-            fused = build_fused(lin, B, d, v, eta_bar, gamma, z=x, sigma=s_cov / lam)
-            return augmented_ks(fused, problem.y, band_factor(fused))
-        return augmented_ks(build_fused(lin, B, d, v, eta_bar, gamma), problem.y)
+        if lam == 0:
+            lin = linearize(problem.model, x)
+            return augmented_ks(build_fused(lin, B, d, v, eta_bar, gamma), problem.y)
+        if last[0] is not x:
+            last = (x, normal_equations(linearize(problem.model, x), precisions, problem.y,
+                                        B, d, v, eta_bar, gamma))
+        return augmented_ks(last[1].damped(lam, s_inv, x))
 
     def cost(x, targets):
         return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
 
     return gauss_newton(problem, propose, x0, cost, cfg, trace, lambda_trace)
-

@@ -183,10 +183,20 @@ def test_ks_x_solver_never_serves_a_dropped_problem():
 
 
 def test_dense_factor_names_a_bad_noise_matrix():
-    model = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
-                        Q=np.eye(2), R=np.diag([1.0, -1.0]), m1=np.zeros(2),
-                        P1=np.eye(2), T=5, validate=False)
-    prob = TrackingProblem(model=model, reg=make_regularizer("l2", 2), y=np.zeros((5, 2)))
-    z = np.zeros((5, 2))
-    with pytest.raises(SingularSystemError, match="^R is not positive definite$"):
-        batch_x_affine(stack_problem(prob, z, z, 1.0), 1.0)
+    """Each noise block is factored before stacking, so the dense path
+    names the bad matrix and its step as the smoother path does."""
+    bad = np.diag([1.0, -1.0])
+    Q_steps, R_steps = np.tile(np.eye(2), (2, 5, 1, 1))
+    Q_steps[2], R_steps[3] = bad, bad
+    for noise, match in ((dict(R=bad), "R at step 0 "),
+                         (dict(R=R_steps), "R at step 3 "),
+                         (dict(Q=bad), "Q at step 1 "),
+                         (dict(Q=Q_steps), "Q at step 2 "),
+                         (dict(P1=-np.eye(2)), "P1 at step 0 ")):
+        kw = dict(Q=np.eye(2), R=np.eye(2), P1=np.eye(2)) | noise
+        model = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
+                            m1=np.zeros(2), T=5, validate=False, **kw)
+        prob = TrackingProblem(model=model, reg=make_regularizer("l2", 2), y=np.zeros((5, 2)))
+        z = np.zeros((5, 2))
+        with pytest.raises(SingularSystemError, match=f"^{match}is not positive definite$"):
+            batch_x_affine(stack_problem(prob, z, z, 1.0), 1.0)

@@ -18,6 +18,7 @@ from tracklasso.batch import (
 )
 from tracklasso.models import (
     AffineModel,
+    NonlinearModel,
     SingularSystemError,
     TrackingProblem,
     make_regularizer,
@@ -27,10 +28,11 @@ from tracklasso.models import (
 from tracklasso.scenarios import scenario_defaults, simulate_range, simulate_wiener
 from tracklasso.smoothers import (
     augmented_ks,
-    band_factor,
     build_fused,
     linearize,
     lm_ieks,
+    noise_precisions,
+    normal_equations,
     plain_ieks,
     plain_smoother,
     rts_factor,
@@ -168,33 +170,50 @@ def stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode):
        n_x=st.integers(1, 3), n_y=st.integers(1, 4),
        per_step_AQ=st.booleans(),
        target_mode=st.sampled_from(["state", "process_noise"]),
-       damping=st.sampled_from([None, "broadcast", "per_step"]))
-@example(seed=0, T=1, n_x=2, n_y=3, per_step_AQ=True, target_mode="state", damping=None)
+       damping=st.sampled_from([None, "broadcast", "per_step"]),
+       coupled=st.booleans())
+@example(seed=0, T=1, n_x=2, n_y=3, per_step_AQ=True, target_mode="state", damping=None,
+         coupled=True)
 @example(seed=1, T=1, n_x=1, n_y=2, per_step_AQ=False, target_mode="process_noise",
-         damping=None)
+         damping=None, coupled=True)
 @example(seed=2, T=6, n_x=2, n_y=4, per_step_AQ=True, target_mode="process_noise",
-         damping=None)
-@example(seed=3, T=6, n_x=3, n_y=1, per_step_AQ=True, target_mode="state", damping=None)
+         damping=None, coupled=True)
+@example(seed=3, T=6, n_x=3, n_y=1, per_step_AQ=True, target_mode="state", damping=None,
+         coupled=True)
 @example(seed=4, T=1, n_x=2, n_y=3, per_step_AQ=False, target_mode="state",
-         damping="per_step")
+         damping="per_step", coupled=True)
 @example(seed=5, T=6, n_x=2, n_y=4, per_step_AQ=True, target_mode="state",
-         damping="per_step")
+         damping="per_step", coupled=True)
 @example(seed=6, T=5, n_x=3, n_y=2, per_step_AQ=False, target_mode="state",
-         damping="broadcast")
+         damping="broadcast", coupled=True)
+@example(seed=7, T=1, n_x=2, n_y=2, per_step_AQ=True, target_mode="process_noise",
+         damping="broadcast", coupled=False)
+@example(seed=8, T=6, n_x=3, n_y=2, per_step_AQ=True, target_mode="process_noise",
+         damping="per_step", coupled=False)
+@example(seed=9, T=5, n_x=2, n_y=1, per_step_AQ=False, target_mode="state",
+         damping="broadcast", coupled=False)
 def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ,
-                                             target_mode, damping):
-    """build_fused + augmented_ks is the exact stacked minimiser with either
-    factor (RTS and banded), also for per-step A and Q stacks, a single
-    step, more measurements than states, and with the damping
-    pseudo-measurement stacked next to the coupling-evidence rows (against
-    the dense damped step)."""
+                                             target_mode, damping, coupled):
+    """The RTS pass of build_fused and the information-form solve of
+    normal_equations are the exact stacked minimiser, also for per-step A
+    and Q stacks, a single step, more measurements than states, gamma = 0,
+    and with the damping (pseudo-measurement rows next to the
+    coupling-evidence rows; lam S^{-1} added to the undamped equations)
+    against the dense damped step.  The equations kept from a rejected
+    proposal, damped again at the next lam, give a fresh assembly's step
+    bit for bit."""
     rng = np.random.default_rng(seed)
     prob = stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode)
     model = prob.model
-    gamma = float(rng.uniform(0.2, 3.0))
+    gamma = float(rng.uniform(0.2, 3.0)) if coupled else 0.0
     V = rng.normal(size=(T, n_x))
     eta = rng.normal(size=(T, n_x))
     B, d = prob.penalty_targets()
+
+    def assemble():
+        return normal_equations(model, noise_precisions(model), prob.y, B, d, V, eta, gamma)
+
+    eqs = assemble()
     if damping is None:
         fused = build_fused(model, B, d, V, eta, gamma)
         x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
@@ -204,11 +223,16 @@ def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ,
         s_cov = spd(rng, T, n_x) if damping == "per_step" else spd(rng, n_x)
         fused = build_fused(model, B, d, V, eta, gamma, z=x, sigma=s_cov / lam)
         x_batch = batch_lm_step(prob, x, V, eta, gamma, lam, s_cov)
+        s_inv = np.linalg.inv(s_cov)
+        augmented_ks(eqs.damped(lam / 10.0, s_inv, x))  # the rejected proposal
+        eqs = eqs.damped(lam, s_inv, x)
+        np.testing.assert_array_equal(augmented_ks(eqs),
+                                      augmented_ks(assemble().damped(lam, s_inv, x)))
     x_ks = augmented_ks(fused, prob.y)
-    x_band = augmented_ks(fused, prob.y, band_factor(fused))
+    x_info = augmented_ks(eqs)
     np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
-    np.testing.assert_allclose(x_band, x_batch, rtol=1e-8, atol=1e-8)
-    np.testing.assert_allclose(x_band, x_ks, rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(x_info, x_batch, rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(x_info, x_ks, rtol=1e-8, atol=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -593,10 +617,11 @@ def test_cost_tie_within_rounding_ends_the_lm_loop():
 
 
 def test_damped_proposals_and_the_initialiser_take_the_band(monkeypatch):
-    """lm_ieks solves a damped proposal with band_factor and an undamped one
-    with rts_factor, one augmented_ks call per proposal either way, and
-    every plain_ieks pass takes the band."""
-    calls = {"band": 0, "rts": 0, "ks": 0}
+    """lm_ieks solves a damped proposal in information form (normal_equations)
+    and an undamped one with rts_factor, one augmented_ks call per proposal
+    either way; a rejected step calls neither linearize nor the undamped
+    assembly again; and every plain_ieks pass takes the information form."""
+    calls = {"normal": 0, "rts": 0, "ks": 0, "lin": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -604,20 +629,35 @@ def test_damped_proposals_and_the_initialiser_take_the_band(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(smoothers, "band_factor", counted("band", smoothers.band_factor))
+    monkeypatch.setattr(smoothers, "normal_equations",
+                        counted("normal", smoothers.normal_equations))
     monkeypatch.setattr(smoothers, "rts_factor", counted("rts", smoothers.rts_factor))
     monkeypatch.setattr(smoothers, "augmented_ks", counted("ks", smoothers.augmented_ks))
+    monkeypatch.setattr(smoothers, "linearize", counted("lin", smoothers.linearize))
     prob = range_problem(seed=1)
     z = np.zeros((prob.T, 4))
     x0 = np.tile(prob.model.m1, (prob.T, 1))
     lm_ieks(prob, z, z, 1.0, x0, LMConfig(lambda0=0.0, i_max=3, step_tol=0.0))
-    assert calls == {"band": 0, "rts": 3, "ks": 3}
-    calls.update(band=0, rts=0, ks=0)
+    assert calls == {"normal": 0, "rts": 3, "ks": 3, "lin": 3}
+    calls.update(normal=0, rts=0, ks=0, lin=0)
     lm_ieks(prob, z, z, 1.0, x0, LMConfig(i_max=3, step_tol=0.0))
-    assert calls["rts"] == 0 and calls["band"] == calls["ks"] >= 3
-    calls.update(band=0, rts=0, ks=0)
+    assert calls["rts"] == 0 and calls["normal"] == calls["lin"] == 3 <= calls["ks"]
+    # fitting y = x^2 = 4 from x = 0.05 overshoots, so the first proposals are rejected
+    quad = NonlinearModel(transition=lambda t, X: X, transition_jacobian=lambda t, X: np.eye(1),
+                          measurement=lambda t, X: X ** 2,
+                          measurement_jacobian=lambda t, X: 2.0 * X[:, :, None],
+                          Q=np.eye(1), R=1e-2 * np.eye(1), m1=np.array([0.05]),
+                          P1=100 * np.eye(1), T=4)
+    fit = TrackingProblem(model=quad, reg=make_regularizer("l2", 1), y=np.full((4, 1), 4.0))
+    calls.update(normal=0, rts=0, ks=0, lin=0)
+    lam, z = [], np.zeros((4, 1))
+    lm_ieks(fit, z, z, 1.0, np.full((4, 1), 0.05), LMConfig(lambda0=1e-6, i_max=3, step_tol=0.0),
+            lambda_trace=lam)
+    assert calls["rts"] == 0 and calls["normal"] == calls["lin"] == len(lam) == 3
+    assert calls["ks"] > len(lam)  # the rejected proposals, one pass each
+    calls.update(normal=0, rts=0, ks=0, lin=0)
     plain_ieks(prob.model, prob.y, x0, i_max=4, step_tol=0.0)
-    assert calls == {"band": 4, "rts": 0, "ks": 4}
+    assert calls == {"normal": 4, "rts": 0, "ks": 4, "lin": 4}
 
 
 def test_band_factor_names_the_bad_step():
