@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .models import (SingularSystemError, TrackingProblem, noise_factors, per_problem,
                      prior_mean_trajectory, x_subproblem_cost)
-from .smoothers import LMConfig, gauss_newton, linearize
+from .smoothers import LMConfig, damping_inverse, gauss_newton, linearize
 
 
 @dataclass(eq=False)
@@ -159,14 +159,6 @@ def make_affine_x_solver():
     return solver
 
 
-def _damping_blocks(s_cov, T: int, n: int) -> np.ndarray:
-    """Block diagonal of S_t^{-1} (LMConfig checks every block); None gives I."""
-    if s_cov is None:
-        return np.eye(T * n)
-    s_inv = np.linalg.inv(np.asarray(s_cov, dtype=float))
-    return _block_diag(np.broadcast_to(s_inv, (T, n, n)))
-
-
 def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
                   eta_bar: np.ndarray, gamma: float, lam: float,
                   s_cov=None) -> np.ndarray:
@@ -181,7 +173,8 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
     M, rhs = normal_system(stacked, gamma)
     name = "normal matrix"
     if lam > 0:
-        D = _damping_blocks(s_cov, stacked.T, stacked.n_x)
+        T, n = stacked.T, stacked.n_x
+        D = _block_diag(np.broadcast_to(damping_inverse(s_cov, T, n), (T, n, n)))
         M = M + lam * D
         rhs = rhs + lam * (D @ np.asarray(x, dtype=float).ravel())
         name = "damped normal matrix"

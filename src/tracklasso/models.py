@@ -138,16 +138,14 @@ def noise_factors(model: "Model"):
             spd_factor(compact(model.R), "R", range(model.T)))
 
 
-def _half_weighted_sq(res: np.ndarray, covs: np.ndarray, what: str, start: int = 0) -> float:
-    """0.5 * sum_{t >= start} res_t' covs_t^{-1} res_t, with every block
-    factored by spd_factor, so a bad one is named by what (and its step)."""
-    res = res[start:]
+def _half_weighted_sq(res: np.ndarray, L: np.ndarray) -> float:
+    """0.5 * sum_t res_t' (L_t L_t')^{-1} res_t for a stack L of
+    noise_factors: one block for every row of res, or one per row."""
     if res.shape[0] == 0:
         return 0.0
-    if time_invariant(covs):
-        z = solve_triangular(spd_factor(covs[start], what), res.T, lower=True)
+    if len(L) == 1:
+        z = solve_triangular(L[0], res.T, lower=True)
     else:
-        L = spd_factor(covs[start:], what, range(start, len(covs)))
         z = np.linalg.solve(L, res[..., None])
     return 0.5 * float(np.sum(z * z))
 
@@ -593,9 +591,10 @@ def data_cost(problem: TrackingProblem, x: np.ndarray) -> float:
     model = problem.model
     r_meas = measurement_residuals(model, x, problem.y)
     r_dyn = dynamics_residuals(model, x)
-    cost = _half_weighted_sq(r_meas, model.R, "R")
-    cost += _half_weighted_sq(r_dyn[:1], model.P1[None], "P1")
-    cost += _half_weighted_sq(r_dyn, model.Q, "Q", start=1)
+    P1_f, Q_f, R_f = noise_factors(model)
+    cost = _half_weighted_sq(r_meas, R_f)
+    cost += _half_weighted_sq(r_dyn[:1], P1_f)
+    cost += _half_weighted_sq(r_dyn[1:], Q_f)
     return cost
 
 

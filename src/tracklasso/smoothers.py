@@ -6,13 +6,12 @@ modified affine model (A~, b~, Q~) with Q~^{-1} = Q^{-1} + gamma I, and the
 prior fuses the same way.  The product of the two densities also leaves an
 evidence factor N(zeta_t; (A_t - B_t) x_{t-1}, Q_t + I/gamma); it is
 constant when B_t = A_t and otherwise becomes extra measurement rows of
-x_{t-1}, keeping the smoother an exact minimiser for every coupling.
-Levenberg-Marquardt damping adds rows too: a pseudo-measurement of the
-current iterate with covariance S_t / lambda.  Both sets of rows observe
-x_t with noise independent of the data, so they are stacked below the data
-rows and every step takes one measurement update.  The normal matrix is
-block tridiagonal, so the subproblem is solved in O(T) instead of the
-O(T^3) dense solve, in one of two forms, each one augmented_ks call.
+x_{t-1}, stacked below the data rows with noise independent of the data,
+keeping the smoother an exact minimiser for every coupling.  The fused
+model (build_fused) is an AffineModel, so the augmented smoother is the
+plain RTS smoother run on it.  The normal matrix is block tridiagonal, so
+the subproblem is solved in O(T) instead of the O(T^3) dense solve, in one
+of two forms, each one augmented_ks call.
 rts_factor is the Rauch-Tung-Striebel form of the fused model: the
 covariance sweep (stopped at the exact fixed point of the Riccati
 recursion), the gains and the banded matrices of the two mean recursions;
@@ -50,36 +49,6 @@ from .models import (AffineModel, Model, SingularSystemError, TrackingProblem, c
 PROPOSAL_FLOOR = 1e-10
 
 
-@dataclass(eq=False)
-class FusedModel:
-    """Affine model with the quadratic penalty folded into dynamics and prior.
-
-    For gamma > 0, build_fused produces Atil, btil, Qtil in one stacked fuse
-    with the prior as step 0, so btil[0] is m1til; the prior's covariance is
-    P1til, and index 0 of Atil and Qtil is never consulted (a time-invariant
-    model keeps both as broadcast views of one step).  H, e and R hold the
-    data rows first, then any pseudo-measurement and coupling-evidence rows,
-    whose observations are zero (the smoother pads y with zeros).
-    """
-
-    Atil: np.ndarray
-    btil: np.ndarray
-    Qtil: np.ndarray
-    m1til: np.ndarray
-    P1til: np.ndarray
-    H: np.ndarray
-    e: np.ndarray
-    R: np.ndarray
-
-    @property
-    def T(self) -> int:
-        return self.H.shape[0]
-
-    @property
-    def n_x(self) -> int:
-        return self.m1til.shape[0]
-
-
 def _inverse(L: np.ndarray) -> np.ndarray:
     """Inverses L^{-T} L^{-1} of the matrices whose Cholesky factors are L
     (from spd_factor, so a block that does not factor is already named)."""
@@ -106,74 +75,47 @@ def _fuse(Q, A, b, B, d, v, eta, gamma: float, what: str, first: int = 0):
     return np.broadcast_to(Atil, shape), (Qtil @ rhs)[..., 0], np.broadcast_to(Qtil, shape)
 
 
-def _block_diag(mats: List[np.ndarray]) -> np.ndarray:
-    """Block-diagonal stack of (k, p_i, p_i) stacks, shape (k, sum p_i, sum p_i)."""
-    edges = np.cumsum([0] + [m.shape[-1] for m in mats])
-    out = np.zeros(mats[0].shape[:1] + (edges[-1], edges[-1]))
-    for m, lo, hi in zip(mats, edges, edges[1:]):
-        out[:, lo:hi, lo:hi] = m
-    return out
-
-
-def _stack_rows(channels, T: int):
-    """Measurement channels (H, e, R) stacked row-wise, with R block diagonal.
-
-    A single channel is returned as it is; H and R stay broadcast views when
-    all their blocks are time-invariant.
-    """
-    if len(channels) == 1:
-        return channels[0]
-
-    def steps(arrs):
-        k = 1 if all(time_invariant(a) for a in arrs) else T
-        return [np.broadcast_to(compact(a), (k,) + a.shape[1:]) for a in arrs]
-
-    H, e, R = zip(*channels)
-    H, R = np.concatenate(steps(H), axis=1), _block_diag(steps(R))
-    return (np.broadcast_to(H, (T,) + H.shape[1:]), np.concatenate(e, axis=1),
-            np.broadcast_to(R, (T,) + R.shape[1:]))
-
-
-def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float,
-                z: Optional[np.ndarray] = None,
-                sigma: Optional[np.ndarray] = None) -> FusedModel:
+def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float) -> AffineModel:
     """Fuse a whole affine model with the penalty coupling in one stacked pass.
 
-    The prior is fused as step 0 of the same algebra, with A = B = 0,
-    b = d = m1 and Q = P1 (the convention of the dense stacked problem), and
+    The fused model is an AffineModel (built with validate=False) whose RTS
+    smoother minimises the x subproblem.  The prior is fused as step 0 of
+    the same algebra, with A = B = 0, b = d = m1 and Q = P1 (the convention
+    of the dense stacked problem), so b[0] is the fused prior mean m1, and
     the transitions as steps 1..T-1.  With gamma = 0 there is no coupling
-    and the dynamics are the model's own.
+    and the model is returned as it is: it is its own fused model.
 
-    Rows go below the data rows, each observing 0 with offset -obs: with z
-    and sigma, the pseudo-measurement H = I, obs z_t, covariance sigma_t;
-    when B_t != A_t, the coupling evidence of step t + 1, H = A_{t+1} -
-    B_{t+1}, obs (d + V - eta_bar/gamma - b)_{t+1}, covariance Q_{t+1} +
-    I/gamma, and at t = T-1 zero rows that keep the row count fixed.
+    When B_t != A_t the coupling evidence of step t + 1 goes below the data
+    rows, observing 0 with offset -obs: H = A_{t+1} - B_{t+1}, obs (d + V -
+    eta_bar/gamma - b)_{t+1}, covariance Q_{t+1} + I/gamma, and at t = T-1
+    zero rows that keep the row count fixed.  R is then block diagonal, a
+    broadcast view when R and Q are time-invariant; without evidence rows H,
+    e and R are the model's own arrays.
     """
-    T, n = model.T, model.n_x
-    channels = [(model.H, model.e, model.R)]
-    if z is not None:
-        channels.append((np.broadcast_to(np.eye(n), (T, n, n)), -per_step(z, T, 1, "z"),
-                         per_step(sigma, T, 2, "sigma")))
     if gamma == 0:
-        return FusedModel(model.A, model.b, model.Q, model.m1.copy(), model.P1.copy(),
-                          *_stack_rows(channels, T))
+        return model
+    T, n, m = model.T, model.n_x, model.n_y
     V, eta_bar, B, d = (np.asarray(a, dtype=float) for a in (V, eta_bar, B, d))
     zero, m1 = np.zeros((1, n, n)), model.m1[None]
     prior = _fuse(model.P1[None], zero, m1, zero, m1, V[:1], eta_bar[:1], gamma, "P1")
     steps = _fuse(model.Q[1:], model.A[1:], model.b[1:], B[1:], d[1:], V[1:],
                   eta_bar[1:], gamma, "Q", first=1)
-    btil = np.concatenate([prior[1], steps[1]])
-    Atil, Qtil = (_after_prior(p, a) for p, a in ((prior[0], steps[0]), (prior[2], steps[2])))
+    b = np.concatenate([prior[1], steps[1]])
+    A, Q = (_after_prior(p, a) for p, a in ((prior[0], steps[0]), (prior[2], steps[2])))
+    H, e, R = model.H, model.e, model.R
     if not np.array_equal(B[1:], model.A[1:]):
-        ev_H, ev_e = np.zeros((T, n, n)), np.zeros((T, n))
-        ev_H[:-1] = model.A[1:] - B[1:]
-        ev_e[:-1] = -(d + V - eta_bar / gamma - model.b)[1:]
+        H, e = np.zeros((T, m + n, n)), np.zeros((T, m + n))
+        H[:, :m], e[:, :m] = model.H, model.e
+        H[:-1, m:] = model.A[1:] - B[1:]
+        e[:-1, m:] = -(d + V - eta_bar / gamma - model.b)[1:]
         ev_R = compact(model.Q[1:]) + np.eye(n) / gamma
-        if ev_R.shape[0] > 1:
+        if len(ev_R) > 1:
             ev_R = np.concatenate([ev_R, ev_R[-1:]])
-        channels.append((ev_H, ev_e, np.broadcast_to(ev_R, (T, n, n))))
-    return FusedModel(Atil, btil, Qtil, btil[0], prior[2][0], *_stack_rows(channels, T))
+        R = np.zeros((max(len(ev_R), len(compact(model.R))), m + n, m + n))
+        R[:, :m, :m], R[:, m:, m:] = compact(model.R), ev_R
+        R = np.broadcast_to(R, (T,) + R.shape[1:])
+    return AffineModel(A=A, b=b, H=H, e=e, Q=Q, R=R, m1=b[0], P1=prior[2][0], T=T,
+                       validate=False)
 
 
 def _after_prior(prior: np.ndarray, steps: np.ndarray) -> np.ndarray:
@@ -207,7 +149,7 @@ def _band_solve(ab: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
 
 @dataclass(eq=False)
 class RTSFactor:
-    """The part of an RTS pass that reads only Atil, Qtil, H, R and P1til.
+    """The part of an RTS pass that reads only A, Q, H, R and P1.
 
     K[src] is the Kalman gain of each step; G[gi] is the transposed smoother
     gain of steps 0..T-2; filter_band and smoother_band pack the unit lower
@@ -222,11 +164,11 @@ class RTSFactor:
     smoother_band: np.ndarray
 
 
-def rts_factor(fused: FusedModel) -> RTSFactor:
+def rts_factor(fused: AffineModel) -> RTSFactor:
     """Covariance sweep, gains and mean-recursion bands of a fused model.
 
     This is the block LDL' factorisation of the x subproblem's normal
-    matrix in RTS form, so it depends only on (Atil, Qtil, H, R, P1til):
+    matrix in RTS form, so it depends only on (A, Q, H, R, P1):
     for an affine problem, on (problem, gamma).  The prior acts as the first
     predicted covariance, and each step takes one measurement update over
     all rows of H.  In a run of steps with equal inputs, once the sweep
@@ -237,20 +179,19 @@ def rts_factor(fused: FusedModel) -> RTSFactor:
     step.
     """
     T, n = fused.T, fused.n_x
-    Atil, Qtil, H, R = fused.Atil, fused.Qtil, fused.H, fused.R
+    A, Q, H, R = fused.A, fused.Q, fused.H, fused.R
 
     same = np.zeros(T + 1, dtype=bool)  # step t has the inputs of step t - 1
     same[2:T] = True
-    for arr in (Atil, Qtil, H, R):
+    for arr in (A, Q, H, R):
         if not time_invariant(arr):
             same[2:T] &= (arr[2:] == arr[1:-1]).all(axis=(1, 2))
     same = same.tolist()
     rows = []
-    P, prev, t = fused.P1til, None, 0
+    P, prev, t = fused.P1, None, 0
     while t < T:
         if t:
-            A = Atil[t]
-            P = A @ P @ A.T + Qtil[t]
+            P = A[t] @ P @ A[t].T + Q[t]
             P = 0.5 * (P + P.T)
         Pp, HP = P, H[t] @ P
         L, info = dpotrf(HP @ H[t].T + R[t], lower=1)
@@ -271,13 +212,13 @@ def rts_factor(fused: FusedModel) -> RTSFactor:
     fresh[steps] = True
     src = np.cumsum(fresh) - 1  # the computed row that step t repeats
     # filter: m_t - F_t m_{t-1} = b_t + K_t (y_t - e_t - H_t b_t), F_t = (I - K_t H_t) A_t
-    F = (np.eye(n) - K @ H[fresh]) @ Atil[fresh]
+    F = (np.eye(n) - K @ H[fresh]) @ A[fresh]
     # smoother: x_t - G_t x_{t+1} = m_t - G_t x_pred_{t+1}; G_t changes only by computed steps
     need = fresh[:-1] | fresh[1:]
     tn = np.flatnonzero(need)
     Pn = P_pred[src[tn + 1]]
     spd_factor(Pn, "predicted covariance", tn + 1)
-    G, gi = np.linalg.solve(Pn, Atil[tn + 1] @ P_filt[src[tn]]), np.cumsum(need) - 1
+    G, gi = np.linalg.solve(Pn, A[tn + 1] @ P_filt[src[tn]]), np.cumsum(need) - 1
     return RTSFactor(K, src, G, gi, _band(F[src[1:]]), _band(G[gi]))
 
 
@@ -345,19 +286,20 @@ def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None
     return NormalEquations(D, E, h)
 
 
-def augmented_ks(fused: Union[FusedModel, NormalEquations], y: Optional[np.ndarray] = None,
+def augmented_ks(fused: Union[AffineModel, NormalEquations], y: Optional[np.ndarray] = None,
                  factor: Optional[RTSFactor] = None) -> np.ndarray:
     """One solve of the x subproblem, returning x (T, n_x).
 
     NormalEquations (h holds the data; y is not read) are packed into
     LAPACK band storage (kd = 2 n_x - 1) and solved by one dpbtrf and
     dpbtrs; an information matrix that is not positive definite raises
-    SingularSystemError naming the step.  A FusedModel takes the RTS mean
-    pass, two banded triangular solves plus batched products, reading btil,
-    m1til, e and the dynamics, with y padded by zeros for the rows below the
-    data.  factor defaults to rts_factor(fused); a factor of another fused
-    model with the same (Atil, Qtil, H, R, P1til), as every x update of one
-    affine problem at one gamma has, gives the same x bit for bit.
+    SingularSystemError naming the step.  An affine model (build_fused's
+    fused model, or a model with no coupling) takes the RTS mean pass, two
+    banded triangular solves plus batched products, reading b, m1, e and the
+    dynamics, with y padded by zeros for the rows below the data.  factor
+    defaults to rts_factor(fused); a factor of another fused model with the
+    same (A, Q, H, R, P1), as every x update of one affine problem at one
+    gamma has, gives the same x bit for bit.
     """
     if isinstance(fused, NormalEquations):
         T, n = fused.h.shape
@@ -370,19 +312,18 @@ def augmented_ks(fused: Union[FusedModel, NormalEquations], y: Optional[np.ndarr
         factor = rts_factor(fused)
     m = fused.H.shape[1]
     y = np.pad(np.asarray(y, dtype=float), ((0, 0), (0, m - np.shape(y)[1])))
-    rhs = np.concatenate([fused.m1til[None], fused.btil[1:]])
+    rhs = np.concatenate([fused.m1[None], fused.b[1:]])
     rhs += (factor.K[factor.src]
             @ (y - fused.e - (fused.H @ rhs[..., None])[..., 0])[..., None])[..., 0]
     x = _band_solve(factor.filter_band, rhs, "N")
-    x_pred = (fused.Atil[1:] @ x[:-1, :, None])[..., 0] + fused.btil[1:]
+    x_pred = (fused.A[1:] @ x[:-1, :, None])[..., 0] + fused.b[1:]
     x[:-1] -= (x_pred[:, None] @ factor.G[factor.gi])[:, 0]
     return _band_solve(factor.smoother_band, x, "T")
 
 
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     """Standard RTS smoother mean (T, n_x) on an affine model (no penalty coupling)."""
-    return augmented_ks(FusedModel(model.A, model.b, model.Q, model.m1.copy(),
-                                   model.P1.copy(), model.H, model.e, model.R), y)
+    return augmented_ks(model, y)
 
 
 def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
@@ -483,6 +424,17 @@ class LMConfig:
             raise ValueError(str(exc)) from exc
 
 
+def damping_inverse(s_cov: Optional[np.ndarray], T: int, n: int) -> np.ndarray:
+    """S^{-1} of LMConfig's damping metric (None gives I) on a problem of T
+    steps and n states: one (1, n, n) block when time-invariant, else
+    (T, n, n).  LMConfig has checked the blocks themselves; a block size or
+    leading axis that does not fit the problem raises ValueError "s_cov: ..."."""
+    s_cov = per_step(np.eye(n) if s_cov is None else s_cov, T, 2, "s_cov")
+    if s_cov.shape[1:] != (n, n):
+        raise ValueError(f"s_cov: expected ({n}, {n}) blocks, got {s_cov.shape[1:]}")
+    return np.linalg.inv(compact(s_cov))
+
+
 Proposal = Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray], float], np.ndarray]
 
 
@@ -574,8 +526,7 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     cfg = cfg or LMConfig()
     if cfg.lambda0 > 0:
         precisions = noise_precisions(problem.model)
-        s_cov = np.eye(problem.n_x) if cfg.s_cov is None else cfg.s_cov
-        s_inv = np.linalg.inv(compact(per_step(s_cov, problem.T, 2, "s_cov")))  # checked by cfg
+        s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x)
     last = (None, None)
 
     def propose(x, targets, lam):

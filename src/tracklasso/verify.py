@@ -297,10 +297,9 @@ def faulty_x_solver(eps: float = 0.05):
         model = linearize(problem.model, x_warm)
         B, d = problem.penalty_targets(nominal=x_warm)
         fused = build_fused(model, B, d, V, eta_bar, gamma)
-        fused.Atil = np.array(np.broadcast_to(fused.Atil, (problem.T, problem.n_x,
-                                                           problem.n_x)), copy=True)
-        fused.Atil[1:] += eps
-        return augmented_ks(fused, problem.y)
+        A = np.array(np.broadcast_to(fused.A, (problem.T, problem.n_x, problem.n_x)))
+        A[1:] += eps
+        return augmented_ks(replace(fused, A=A), problem.y)
 
     return solver
 

@@ -53,9 +53,10 @@ def test_data_cost_names_a_bad_covariance_block_and_its_step():
     prob = TrackingProblem(model=model, reg=make_regularizer("l2", 1), y=np.zeros((4, 1)))
     with pytest.raises(SingularSystemError, match="^R at step 2 is not positive definite$"):
         data_cost(prob, np.zeros((4, 1)))
-    for key in ("Q", "P1"):
+    for key, step in (("Q", 1), ("P1", 0)):
         bad = replace(model, R=np.eye(1), **{key: -np.eye(1)})
-        with pytest.raises(SingularSystemError, match=f"^{key} is not positive definite$"):
+        with pytest.raises(SingularSystemError,
+                           match=f"^{key} at step {step} is not positive definite$"):
             data_cost(TrackingProblem(model=bad, reg=prob.reg, y=prob.y), np.zeros((4, 1)))
 
 

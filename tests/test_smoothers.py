@@ -51,24 +51,25 @@ def fuse_two_step_scalar(A, v, eta, gamma):
 
 
 def test_fuse_dynamics_scalar():
-    # Q=1, gamma=1, A=2, B=0: Atil = (Q^-1 A + gamma B)/(Q^-1 + gamma) = 1
+    # Q=1, gamma=1, A=2, B=0: A~ = (Q^-1 A + gamma B)/(Q^-1 + gamma) = 1
     fused = fuse_two_step_scalar(2.0, [0.0, 0.0], [0.0, 0.0], 1.0)
-    np.testing.assert_allclose(fused.Atil[1], [[1.0]])
-    np.testing.assert_allclose(fused.btil[1], [0.0])
-    np.testing.assert_allclose(fused.Qtil[1], [[0.5]])
+    np.testing.assert_allclose(fused.A[1], [[1.0]])
+    np.testing.assert_allclose(fused.b[1], [0.0])
+    np.testing.assert_allclose(fused.Q[1], [[0.5]])
 
 
 def test_fuse_prior_scalar():
-    # P=1, gamma=1, m=2, v=1: mtil = (m + (m + v))/2 = 2.5
+    # P=1, gamma=1, m=2, v=1: m1~ = (m + (m + v))/2 = 2.5
     fused = fuse_two_step_scalar(2.0, [1.0, 0.0], [0.0, 0.0], 1.0)
-    np.testing.assert_allclose(fused.m1til, [2.5])
-    np.testing.assert_allclose(fused.P1til, [[0.5]])
+    np.testing.assert_allclose(fused.m1, [2.5])
+    np.testing.assert_allclose(fused.b[0], [2.5])
+    np.testing.assert_allclose(fused.P1, [[0.5]])
 
 
 def test_fuse_dual_enters_unscaled():
-    # btil picks up -eta_bar, not -gamma eta_bar
+    # b~ picks up -eta_bar, not -gamma eta_bar
     fused = fuse_two_step_scalar(1.0, [0.0, 0.0], [0.0, 0.6], 2.0)
-    np.testing.assert_allclose(fused.btil[1], [-0.2])  # (0 + 0 - 0.6)/(1 + 2)
+    np.testing.assert_allclose(fused.b[1], [-0.2])  # (0 + 0 - 0.6)/(1 + 2)
 
 
 def test_build_fused_gamma_zero_returns_model():
@@ -76,11 +77,7 @@ def test_build_fused_gamma_zero_returns_model():
     prob = random_affine_problem(rng, T=4, n_x=2, n_y=1)
     B, d = prob.penalty_targets()
     z = np.zeros((4, 2))
-    fused = build_fused(prob.model, B, d, z, z, 0.0)
-    np.testing.assert_allclose(fused.Atil, prob.model.A)
-    np.testing.assert_allclose(fused.Qtil, prob.model.Q)
-    np.testing.assert_allclose(fused.m1til, prob.model.m1)
-    assert fused.H.shape[1] == prob.model.n_y
+    assert build_fused(prob.model, B, d, z, z, 0.0) is prob.model
 
 
 def test_build_fused_names_first_non_spd_step():
@@ -152,14 +149,16 @@ def spd(rng, *shape):
     return M @ np.swapaxes(M, -1, -2) / shape[-1] + 0.3 * np.eye(shape[-1])
 
 
-def stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode):
-    """Random affine l2 problem with broadcast or per-step A and Q stacks."""
+def stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode, per_step_R=False):
+    """Random affine l2 problem with broadcast or per-step A and Q stacks
+    and, with per_step_R, one R per step."""
     k = T if per_step_AQ else 1
     A = 0.9 * rng.normal(size=(k, n_x, n_x)) / np.sqrt(n_x)
     Q = spd(rng, k, n_x)
     model = AffineModel(A=A if per_step_AQ else A[0], b=0.1 * rng.normal(size=(T, n_x)),
                         H=rng.normal(size=(n_y, n_x)), e=rng.normal(size=n_y),
-                        Q=Q if per_step_AQ else Q[0], R=spd(rng, n_y),
+                        Q=Q if per_step_AQ else Q[0],
+                        R=spd(rng, T, n_y) if per_step_R else spd(rng, n_y),
                         m1=rng.normal(size=n_x), P1=spd(rng, n_x), T=T)
     reg = make_regularizer("l2", n_x, target_mode=target_mode)
     return TrackingProblem(model=model, reg=reg, y=rng.normal(size=(T, n_y)))
@@ -168,42 +167,47 @@ def stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 8),
        n_x=st.integers(1, 3), n_y=st.integers(1, 4),
-       per_step_AQ=st.booleans(),
+       per_step_AQ=st.booleans(), per_step_R=st.booleans(),
        target_mode=st.sampled_from(["state", "process_noise"]),
        damping=st.sampled_from([None, "broadcast", "per_step"]),
        coupled=st.booleans())
-@example(seed=0, T=1, n_x=2, n_y=3, per_step_AQ=True, target_mode="state", damping=None,
-         coupled=True)
-@example(seed=1, T=1, n_x=1, n_y=2, per_step_AQ=False, target_mode="process_noise",
+@example(seed=0, T=1, n_x=2, n_y=3, per_step_AQ=True, per_step_R=False, target_mode="state",
          damping=None, coupled=True)
-@example(seed=2, T=6, n_x=2, n_y=4, per_step_AQ=True, target_mode="process_noise",
+@example(seed=1, T=1, n_x=1, n_y=2, per_step_AQ=False, per_step_R=False,
+         target_mode="process_noise", damping=None, coupled=True)
+@example(seed=2, T=6, n_x=2, n_y=4, per_step_AQ=True, per_step_R=False,
+         target_mode="process_noise", damping=None, coupled=True)
+@example(seed=3, T=6, n_x=3, n_y=1, per_step_AQ=True, per_step_R=False, target_mode="state",
          damping=None, coupled=True)
-@example(seed=3, T=6, n_x=3, n_y=1, per_step_AQ=True, target_mode="state", damping=None,
-         coupled=True)
-@example(seed=4, T=1, n_x=2, n_y=3, per_step_AQ=False, target_mode="state",
+@example(seed=4, T=1, n_x=2, n_y=3, per_step_AQ=False, per_step_R=False, target_mode="state",
          damping="per_step", coupled=True)
-@example(seed=5, T=6, n_x=2, n_y=4, per_step_AQ=True, target_mode="state",
+@example(seed=5, T=6, n_x=2, n_y=4, per_step_AQ=True, per_step_R=False, target_mode="state",
          damping="per_step", coupled=True)
-@example(seed=6, T=5, n_x=3, n_y=2, per_step_AQ=False, target_mode="state",
+@example(seed=6, T=5, n_x=3, n_y=2, per_step_AQ=False, per_step_R=False, target_mode="state",
          damping="broadcast", coupled=True)
-@example(seed=7, T=1, n_x=2, n_y=2, per_step_AQ=True, target_mode="process_noise",
+@example(seed=7, T=1, n_x=2, n_y=2, per_step_AQ=True, per_step_R=False,
+         target_mode="process_noise", damping="broadcast", coupled=False)
+@example(seed=8, T=6, n_x=3, n_y=2, per_step_AQ=True, per_step_R=False,
+         target_mode="process_noise", damping="per_step", coupled=False)
+@example(seed=9, T=5, n_x=2, n_y=1, per_step_AQ=False, per_step_R=False, target_mode="state",
          damping="broadcast", coupled=False)
-@example(seed=8, T=6, n_x=3, n_y=2, per_step_AQ=True, target_mode="process_noise",
-         damping="per_step", coupled=False)
-@example(seed=9, T=5, n_x=2, n_y=1, per_step_AQ=False, target_mode="state",
-         damping="broadcast", coupled=False)
-def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ,
+@example(seed=10, T=6, n_x=2, n_y=3, per_step_AQ=False, per_step_R=True, target_mode="state",
+         damping=None, coupled=True)
+@example(seed=11, T=5, n_x=3, n_y=2, per_step_AQ=True, per_step_R=True, target_mode="state",
+         damping=None, coupled=True)
+@example(seed=12, T=2, n_x=2, n_y=1, per_step_AQ=True, per_step_R=True, target_mode="state",
+         damping=None, coupled=True)
+def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ, per_step_R,
                                              target_mode, damping, coupled):
     """The RTS pass of build_fused and the information-form solve of
     normal_equations are the exact stacked minimiser, also for per-step A
-    and Q stacks, a single step, more measurements than states, gamma = 0,
-    and with the damping (pseudo-measurement rows next to the
-    coupling-evidence rows; lam S^{-1} added to the undamped equations)
-    against the dense damped step.  The equations kept from a rejected
-    proposal, damped again at the next lam, give a fresh assembly's step
-    bit for bit."""
+    and Q stacks, per-step R (stacked beside the coupling-evidence rows in
+    state mode), a single step, more measurements than states and gamma =
+    0.  With damping, lam S^{-1} added to the undamped equations gives the
+    dense damped step, and the equations kept from a rejected proposal,
+    damped again at the next lam, give a fresh assembly's step bit for bit."""
     rng = np.random.default_rng(seed)
-    prob = stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode)
+    prob = stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode, per_step_R)
     model = prob.model
     gamma = float(rng.uniform(0.2, 3.0)) if coupled else 0.0
     V = rng.normal(size=(T, n_x))
@@ -215,24 +219,20 @@ def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ,
 
     eqs = assemble()
     if damping is None:
-        fused = build_fused(model, B, d, V, eta, gamma)
+        x_ks = augmented_ks(build_fused(model, B, d, V, eta, gamma), prob.y)
         x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
+        np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
     else:
         lam = float(rng.uniform(0.1, 5.0))
         x = rng.normal(size=(T, n_x))
         s_cov = spd(rng, T, n_x) if damping == "per_step" else spd(rng, n_x)
-        fused = build_fused(model, B, d, V, eta, gamma, z=x, sigma=s_cov / lam)
         x_batch = batch_lm_step(prob, x, V, eta, gamma, lam, s_cov)
         s_inv = np.linalg.inv(s_cov)
         augmented_ks(eqs.damped(lam / 10.0, s_inv, x))  # the rejected proposal
         eqs = eqs.damped(lam, s_inv, x)
         np.testing.assert_array_equal(augmented_ks(eqs),
                                       augmented_ks(assemble().damped(lam, s_inv, x)))
-    x_ks = augmented_ks(fused, prob.y)
-    x_info = augmented_ks(eqs)
-    np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
-    np.testing.assert_allclose(x_info, x_batch, rtol=1e-8, atol=1e-8)
-    np.testing.assert_allclose(x_info, x_ks, rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(augmented_ks(eqs), x_batch, rtol=1e-8, atol=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -262,30 +262,29 @@ def test_rts_factor_serves_every_coupling_of_its_problem(seed, T, n_x, n_y, per_
 
 
 def test_build_fused_keeps_time_invariant_steps_as_views():
-    """A time-invariant model fuses to broadcast Atil and Qtil views of one
-    step; per-step stacks stay per step."""
+    """A time-invariant model fuses to broadcast A and Q views of one step;
+    per-step stacks stay per step."""
     prob = wiener_problem(50, "process_noise")
     B, d = prob.penalty_targets()
     z = np.zeros((50, 4))
     fused = build_fused(prob.model, B, d, z, z, 1.0)
-    assert fused.Atil.shape == fused.Qtil.shape == (50, 4, 4)
-    assert time_invariant(fused.Atil) and time_invariant(fused.Qtil)
+    assert fused.A.shape == fused.Q.shape == (50, 4, 4)
+    assert time_invariant(fused.A) and time_invariant(fused.Q)
     q_scale = np.where(np.arange(50)[:, None, None] >= 40, 2.0, 1.0)
     prob = wiener_problem(50, "process_noise", q_scale=q_scale)
     fused = build_fused(prob.model, B, d, z, z, 1.0)
-    assert not time_invariant(fused.Qtil)
+    assert not time_invariant(fused.Q)
 
 
 def test_stacked_rows_keep_model_arrays_and_broadcast_noise():
-    # range LM proposal in state mode: data, pseudo and evidence rows, all
-    # with time-invariant covariances, so the stacked R is a broadcast view
+    # range GN proposal in state mode: data and evidence rows, both with
+    # time-invariant covariances, so the stacked R is a broadcast view
     prob = range_problem(T=50)
-    x = np.tile(prob.model.m1, (50, 1))
-    lin = linearize(prob.model, x)
+    lin = linearize(prob.model, np.tile(prob.model.m1, (50, 1)))
     B, d = prob.penalty_targets()
     z = np.zeros((50, 4))
-    fused = build_fused(lin, B, d, z, z, 1.0, z=x, sigma=np.eye(4) / 1e-2)
-    assert fused.H.shape[1] == prob.model.n_y + 4 + 4
+    fused = build_fused(lin, B, d, z, z, 1.0)
+    assert fused.H.shape[1] == prob.model.n_y + 4
     assert time_invariant(fused.R)
     # Wiener in process_noise mode: no extra rows, the model's own arrays
     data, model = simulate_wiener(scenario_defaults("wiener", T=30, seed=0))
@@ -384,6 +383,22 @@ def test_lm_config_rejects_bad_damping_metric(s_cov, match):
         LMConfig(s_cov=s_cov)
     LMConfig(s_cov=np.eye(2))
     LMConfig(s_cov=np.stack([np.eye(2), 2.0 * np.eye(2)]))
+
+
+@pytest.mark.parametrize("s_cov, match", [
+    (np.eye(3), r"^s_cov: expected \(4, 4\) blocks, got \(3, 3\)$"),
+    (np.tile(np.eye(4), (7, 1, 1)), r"^s_cov: leading axis must be 20, got 7$"),
+], ids=["block_size", "leading_axis"])
+def test_damping_metric_that_does_not_fit_the_problem_is_named(s_cov, match):
+    """The smoother and dense LM engines both name a damping metric whose
+    block size or step count does not fit the problem."""
+    prob = range_problem(T=20)
+    cfg = LMConfig(s_cov=s_cov, i_max=2)
+    x0, z = np.tile(prob.model.m1, (20, 1)), np.zeros((20, 4))
+    with pytest.raises(ValueError, match=match):
+        lm_ieks(prob, z, z, 1.0, x0, cfg)
+    with pytest.raises(ValueError, match=match):
+        batch_nonlinear_solve(prob, z, z, 1.0, cfg=cfg, x0=x0)
 
 
 def test_lm_zero_initial_damping_matches_gn():
@@ -485,7 +500,8 @@ def wiener_problem(T, target_mode, q_scale=None):
 def test_steady_state_shortcut_matches_batch(monkeypatch, target_mode, gamma, damped):
     """Long Wiener passes reach the Riccati fixed point, copy it to the end
     of the run (in state mode the run ends a step early, where the evidence
-    rows drop out), and still return the dense minimiser."""
+    rows drop out), and still return the dense minimiser.  A damped step is
+    the information-form solve, which runs no covariance sweep at all."""
     T = 300
     prob = wiener_problem(T, target_mode)
     rng = np.random.default_rng(3)
@@ -494,9 +510,11 @@ def test_steady_state_shortcut_matches_batch(monkeypatch, target_mode, gamma, da
     calls = count_factorisations(monkeypatch)
     if damped:
         lam, x, s_cov = 0.5, rng.normal(size=(T, 4)), np.diag([1.0, 2.0, 0.5, 1.0])
-        x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, gamma, z=x,
-                                        sigma=s_cov / lam), prob.y)
+        eqs = normal_equations(prob.model, noise_precisions(prob.model), prob.y,
+                               B, d, V, eta, gamma)
+        x_ks = augmented_ks(eqs.damped(lam, np.linalg.inv(s_cov), x))
         x_batch = batch_lm_step(prob, x, V, eta, gamma, lam, s_cov)
+        assert calls[0] == 0
     else:
         x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, gamma), prob.y)
         x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
