@@ -9,7 +9,6 @@ deterministic given config plus seed (timings excepted).  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -260,10 +259,13 @@ def build_problem(cfg: RunConfig, data: TrackDataset, model) -> TrackingProblem:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Write the bytes csv.writer writes: fields joined by "," and lines ended
+    by "\r\n".  Every field here is a number or a plain column name, which
+    csv.writer never quotes."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _fmt(value: float) -> str:

@@ -15,7 +15,9 @@ as single matrices and are kept as zero-copy broadcast views of shape
 
 Every covariance block (Q, R, P1, and in the smoothers each fused block and
 the damping metric) is factored by one rule, spd_factor, whose error names
-the block: "<name> [at step t] is not positive definite".
+the block: "<name> [at step t] is not positive definite".  A model keeps
+P1, Q and R as read-only views and factors them at most once, on first use
+(noise_factors).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 
 class SingularSystemError(RuntimeError):
@@ -128,14 +130,30 @@ def _check_noise(m1: np.ndarray, P1: np.ndarray, Q: np.ndarray, R: np.ndarray) -
     _check_covariance(R, "R")
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr if it is read-only, else a view of it that raises on a write (arr
+    itself stays writeable)."""
+    if not arr.flags.writeable:
+        return arr
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 def noise_factors(model: "Model"):
     """Lower Cholesky factors of P1 (as a one-step stack), of Q[1:] and of R,
     each stack compacted to one step when time-invariant, through
     spd_factor: a bad block raises "<P1|Q|R> at step t is not positive
-    definite", with t counted as in the model."""
-    return (spd_factor(model.P1[None], "P1", [0]),
+    definite", with t counted as in the model.  They are computed on first
+    use and kept on the model, read-only like its P1, Q and R, so a model
+    factors its noise covariances at most once."""
+    kept = model.noise_kept
+    if "factors" not in kept:
+        kept["factors"] = tuple(read_only(L) for L in (
+            spd_factor(model.P1[None], "P1", [0]),
             spd_factor(compact(model.Q[1:]), "Q", range(1, model.T)),
-            spd_factor(compact(model.R), "R", range(model.T)))
+            spd_factor(compact(model.R), "R", range(model.T))))
+    return kept["factors"]
 
 
 def _half_weighted_sq(res: np.ndarray, L: np.ndarray) -> float:
@@ -144,7 +162,9 @@ def _half_weighted_sq(res: np.ndarray, L: np.ndarray) -> float:
     if res.shape[0] == 0:
         return 0.0
     if len(L) == 1:
-        z = solve_triangular(L[0], res.T, lower=True)
+        # LAPACK reads the C-ordered L[0] as the upper factor U = L[0]', so
+        # L[0] z = res' is U' z = res': the call scipy's solve_triangular makes
+        z = dtrtrs(L[0].T, res.T, lower=0, trans=1)[0]
     else:
         z = np.linalg.solve(L, res[..., None])
     return 0.5 * float(np.sum(z * z))
@@ -160,7 +180,10 @@ class AffineModel:
 
     A, b, Q entries at index 0 are never consulted.  With validate (the
     default) A, b, H and e must be finite and the noise model pass the
-    check NonlinearModel also runs; linearisations skip both.
+    check NonlinearModel also runs; linearisations skip both, and a bad
+    noise block then raises on first use of noise_factors.  P1, Q and R are
+    kept as read-only views of the arrays passed in, not copies; noise_kept
+    holds their factors once computed.
     """
 
     A: np.ndarray
@@ -173,6 +196,7 @@ class AffineModel:
     P1: np.ndarray
     T: Optional[int] = None
     validate: bool = True
+    noise_kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         m1 = np.asarray(self.m1, dtype=float)
@@ -213,8 +237,9 @@ class AffineModel:
                                      ("e", e, 0)):
                 _check_finite(val, name, start)
             _check_noise(m1, P1, Q, R)
-        for name, val in (("A", A), ("b", b), ("H", H), ("e", e), ("Q", Q),
-                          ("R", R), ("m1", m1), ("P1", P1), ("T", int(T))):
+        for name, val in (("A", A), ("b", b), ("H", H), ("e", e), ("Q", read_only(Q)),
+                          ("R", read_only(R)), ("m1", m1), ("P1", read_only(P1)),
+                          ("T", int(T))):
             object.__setattr__(self, name, val)
 
     @property
@@ -246,6 +271,7 @@ class NonlinearModel:
     definite P1, Q and R), then calls each callable once, on every step it
     serves with the prior mean m1 as the state, and raises ValueError naming
     the callable whose output has the wrong shape or a non-finite value.
+    P1, Q and R are kept read-only, as in AffineModel.
     """
 
     transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -257,6 +283,7 @@ class NonlinearModel:
     m1: np.ndarray
     P1: np.ndarray
     T: int = 0
+    noise_kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.T < 1:
@@ -269,7 +296,8 @@ class NonlinearModel:
         if Q.shape[1:] != (n, n) or P1.shape != (n, n) or R.shape[1] != R.shape[2]:
             raise ValueError("Q blocks and P1 must be (n_x, n_x), R blocks square")
         _check_noise(m1, P1, Q, R)
-        for name, val in (("Q", Q), ("R", R), ("m1", m1), ("P1", P1)):
+        for name, val in (("Q", read_only(Q)), ("R", read_only(R)), ("m1", m1),
+                          ("P1", read_only(P1))):
             object.__setattr__(self, name, val)
         n_y, t = R.shape[1], np.arange(self.T)
         for name, steps, core in (("transition", t[1:], (n,)),
@@ -587,7 +615,12 @@ def dynamics_residuals(model: Model, x: np.ndarray) -> np.ndarray:
 
 
 def data_cost(problem: TrackingProblem, x: np.ndarray) -> float:
-    """Quadratic data terms: measurement, transition, and prior misfit."""
+    """Quadratic data terms: measurement, transition, and prior misfit.
+
+    A non-finite x raises ValueError "x: non-finite value at step t", on
+    either noise layout, so no cost built on this one returns nan for it.
+    """
+    _check_finite(x, "x")
     model = problem.model
     r_meas = measurement_residuals(model, x, problem.y)
     r_dyn = dynamics_residuals(model, x)

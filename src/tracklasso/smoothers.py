@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dtbtrs, dtrtrs
 
 from .models import (AffineModel, Model, SingularSystemError, TrackingProblem, compact,
-                     noise_factors, per_step, prior_mean_trajectory, spd_factor,
+                     noise_factors, per_step, prior_mean_trajectory, read_only, spd_factor,
                      time_invariant, transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
@@ -56,18 +56,15 @@ def _inverse(L: np.ndarray) -> np.ndarray:
     return np.swapaxes(Li, -1, -2) @ Li
 
 
-def _fuse(Q, A, b, B, d, v, eta, gamma: float, what: str, first: int = 0):
+def _fuse(Qi, A, b, B, d, v, eta, gamma: float):
     """Fuse k steps with the penalty coupling, returning stacked (A~, b~, Q~).
 
-    With Qi = Q^{-1}: Q~ = (Qi + gamma I)^{-1}, A~ = Q~ (Qi A + gamma B) and
-    b~ = Q~ (Qi b + gamma (d + v) - eta), over (k, n, n) and (k, n) stacks.
-    Broadcast Q, A and B stacks are fused once.  A Q that is not positive
-    definite raises SingularSystemError naming ``what`` and its first bad
-    step, counted from ``first``.
+    With Qi = Q^{-1} (a noise_precisions stack): Q~ = (Qi + gamma I)^{-1},
+    A~ = Q~ (Qi A + gamma B) and b~ = Q~ (Qi b + gamma (d + v) - eta), over
+    (k, n, n) and (k, n) stacks.  Broadcast Qi, A and B stacks are fused once.
     """
-    Q, A, B = compact(Q), compact(A), compact(B)
-    Qi = _inverse(spd_factor(Q, what, range(first, first + len(Q))))
-    Qtil = np.linalg.inv(Qi + gamma * np.eye(Q.shape[-1]))
+    A, B = compact(A), compact(B)
+    Qtil = np.linalg.inv(Qi + gamma * np.eye(Qi.shape[-1]))
     Qtil = 0.5 * (Qtil + np.swapaxes(Qtil, -1, -2))
     Atil = Qtil @ (Qi @ A + gamma * B)
     rhs = Qi @ b[..., None] + (gamma * (d + v) - eta)[..., None]
@@ -82,8 +79,9 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float) -> AffineMod
     smoother minimises the x subproblem.  The prior is fused as step 0 of
     the same algebra, with A = B = 0, b = d = m1 and Q = P1 (the convention
     of the dense stacked problem), so b[0] is the fused prior mean m1, and
-    the transitions as steps 1..T-1.  With gamma = 0 there is no coupling
-    and the model is returned as it is: it is its own fused model.
+    the transitions as steps 1..T-1, with P1^{-1} and Q^{-1} the model's
+    kept noise_precisions.  With gamma = 0 there is no coupling and the
+    model is returned as it is: it is its own fused model.
 
     When B_t != A_t the coupling evidence of step t + 1 goes below the data
     rows, observing 0 with offset -obs: H = A_{t+1} - B_{t+1}, obs (d + V -
@@ -97,9 +95,9 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float) -> AffineMod
     T, n, m = model.T, model.n_x, model.n_y
     V, eta_bar, B, d = (np.asarray(a, dtype=float) for a in (V, eta_bar, B, d))
     zero, m1 = np.zeros((1, n, n)), model.m1[None]
-    prior = _fuse(model.P1[None], zero, m1, zero, m1, V[:1], eta_bar[:1], gamma, "P1")
-    steps = _fuse(model.Q[1:], model.A[1:], model.b[1:], B[1:], d[1:], V[1:],
-                  eta_bar[1:], gamma, "Q", first=1)
+    Pi, Qi, _ = noise_precisions(model)
+    prior = _fuse(Pi, zero, m1, zero, m1, V[:1], eta_bar[:1], gamma)
+    steps = _fuse(Qi, model.A[1:], model.b[1:], B[1:], d[1:], V[1:], eta_bar[1:], gamma)
     b = np.concatenate([prior[1], steps[1]])
     A, Q = (_after_prior(p, a) for p, a in ((prior[0], steps[0]), (prior[2], steps[2])))
     H, e, R = model.H, model.e, model.R
@@ -244,8 +242,13 @@ class NormalEquations:
 
 def noise_precisions(model: Model):
     """P1^{-1} (1, n, n), Q[1:]^{-1} and R^{-1}, each compacted to one step
-    when time-invariant (models.noise_factors names a bad block)."""
-    return tuple(_inverse(L) for L in noise_factors(model))
+    when time-invariant (models.noise_factors names a bad block).  Like the
+    factors they are derived from, they are computed once and kept on the
+    model."""
+    kept = model.noise_kept
+    if "precisions" not in kept:
+        kept["precisions"] = tuple(read_only(_inverse(L)) for L in noise_factors(model))
+    return kept["precisions"]
 
 
 def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None,
@@ -336,6 +339,8 @@ def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
     H_t = J_h(t, nominal_t), e_t = h_t(nominal_t) - H_t nominal_t, each
     evaluated for all steps in one call of the model's callables.  A non-finite
     output raises ValueError naming the callable (Jacobians first) and step.
+    The linearisation shares the model's read-only P1, Q and R, and with
+    them the noise factors and precisions kept on the model.
     """
     if model.is_affine:
         return model
@@ -351,8 +356,10 @@ def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
         ok = np.isfinite(arr.reshape(T, -1)).all(axis=1)
         if not ok.all():
             raise ValueError(f"{name} returned a non-finite value at step {np.argmin(ok)}")
-    return AffineModel(A=A, b=b, H=H, e=e, Q=model.Q, R=model.R,
-                       m1=model.m1, P1=model.P1, T=T, validate=False)
+    lin = AffineModel(A=A, b=b, H=H, e=e, Q=model.Q, R=model.R,
+                      m1=model.m1, P1=model.P1, T=T, validate=False)
+    object.__setattr__(lin, "noise_kept", model.noise_kept)  # the same P1, Q and R
+    return lin
 
 
 def _rel_step(x_new: np.ndarray, x_old: np.ndarray) -> float:
@@ -364,8 +371,8 @@ def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
     """Unregularised iterated smoother: relinearise, smooth, repeat.
 
     Each pass assembles the linearised model's normal equations in
-    information form (normal_equations, from the noise precisions factored
-    once per call) and solves them with one augmented_ks call, a banded
+    information form (normal_equations, from the model's kept
+    noise_precisions) and solves them with one augmented_ks call, a banded
     Cholesky in place of the per-step RTS covariance sweep, which a
     linearisation that changes every step would run in full.  On an affine
     model (its own linearisation) the first pass is the plain smoother's
@@ -510,8 +517,8 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     Each proposal linearises the model about the current trajectory and is
     solved with one augmented_ks call.  A damped proposal (lambda > 0) is
     the Levenberg-Marquardt smoother of Sarkka and Svensson (ICASSP 2020):
-    the undamped normal_equations (from noise precisions factored once per
-    call) plus lambda S^{-1} on the diagonal blocks and lambda S^{-1} x in
+    the undamped normal_equations (from the model's kept noise_precisions)
+    plus lambda S^{-1} on the diagonal blocks and lambda S^{-1} x in
     h.  They are kept with the trajectory object they were built at, so
     after a rejected step a proposal only adds lambda S^{-1} again, calling
     neither linearize nor the assembly.  An undamped proposal fuses the

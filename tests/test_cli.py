@@ -1,5 +1,7 @@
 """Command line interface: exit codes, outputs, and config handling."""
 
+import csv
+import io
 import subprocess
 import sys
 from dataclasses import fields
@@ -48,6 +50,28 @@ def test_solve_outputs_and_report(tmp_path):
     assert "iterations" in report
     config = (out / "config.txt").read_text()
     assert "seed=1" in config and f"out={out}" in config
+
+
+def test_written_csvs_are_the_bytes_csv_writer_writes(tmp_path):
+    def rows():  # the field kinds write_report passes: ints, repr strings, lazy rows
+        return iter([[1, repr(0.1), repr(-2.5e-300), repr(float("nan"))],
+                     map(repr, [3.0, 1e16]), (0, 1)])
+
+    cli._write_csv(tmp_path / "direct.csv", ["t", "x1", "x2", "x3"], rows())
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t", "x1", "x2", "x3"])
+    writer.writerows(rows())
+    assert (tmp_path / "direct.csv").read_bytes() == buf.getvalue().encode()
+    out = tmp_path / "run"
+    assert run_cli("solve", "--scenario", "wiener", "--seed", "1",
+                   "--steps", "30", "--kmax", "3", "--out", str(out)) == 0
+    for name in ("trajectory.csv", "iterations.csv", "sparsity.csv"):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            parsed = list(csv.reader(fh))
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(parsed)
+        assert (out / name).read_bytes() == buf.getvalue().encode(), name
 
 
 def test_solve_zero_weight_matches_plain_smoother(tmp_path):

@@ -14,8 +14,10 @@ from tracklasso.models import (
     SplitState,
     TrackingProblem,
     augmented_lagrangian,
+    compact,
     data_cost,
     make_regularizer,
+    noise_factors,
     objective,
     penalty_value,
     sparsity_target,
@@ -61,25 +63,67 @@ def test_data_cost_names_a_bad_covariance_block_and_its_step():
 
 
 def test_data_cost_with_per_step_covariances_matches_the_written_out_sum():
+    """Per-step and broadcast Q and R, including a single step (no
+    transition) and two steps of per-step Q; the kept noise_factors are
+    computed once and equal a fresh factorisation bit for bit."""
+    for T, per_step_Q, per_step_R in ((4, True, True), (4, False, False), (2, True, False),
+                                      (1, False, True), (1, True, False)):
+        check_data_cost_and_factors(T, per_step_Q, per_step_R)
+
+
+def check_data_cost_and_factors(T, per_step_Q, per_step_R):
     A = np.array([[1.0, 0.5], [0.0, 0.9]])
     H = np.array([[1.0, 0.0]])
-    Q = np.stack([np.full((2, 2), np.nan), [[2.0, 0.3], [0.3, 1.0]],
-                  [[0.5, -0.1], [-0.1, 0.8]], [[1.5, 0.0], [0.0, 3.0]]])
-    R = np.array([[[0.25]], [[0.5]], [[2.0]], [[4.0]]])
+    Qs = np.stack([np.full((2, 2), np.nan), [[2.0, 0.3], [0.3, 1.0]],
+                   [[0.5, -0.1], [-0.1, 0.8]], [[1.5, 0.0], [0.0, 3.0]]])
+    Rs = np.array([[[0.25]], [[0.5]], [[2.0]], [[4.0]]])
+    Q = (Qs[:T] if T > 1 else Qs[1:2]) if per_step_Q else Qs[1]
+    R = Rs[:T] if per_step_R else Rs[1]
     m1, P1 = np.array([0.1, -0.2]), np.array([[2.0, 0.4], [0.4, 1.0]])
     model = AffineModel(A=A, b=np.array([0.1, 0.0]), H=H, e=np.zeros(1), Q=Q, R=R,
-                        m1=m1, P1=P1, T=4)
-    y = np.array([[1.0], [0.4], [-0.7], [2.0]])
+                        m1=m1, P1=P1, T=T)
+    y = np.array([[1.0], [0.4], [-0.7], [2.0]])[:T]
     prob = TrackingProblem(model=model, reg=make_regularizer("l2", 2), y=y)
-    x = np.array([[0.5, 0.1], [-0.3, 0.7], [1.2, -0.4], [0.0, 2.0]])
+    x = np.array([[0.5, 0.1], [-0.3, 0.7], [1.2, -0.4], [0.0, 2.0]])[:T]
     want = 0.5 * (x[0] - m1) @ np.linalg.solve(P1, x[0] - m1)
-    for t in range(4):
+    for t in range(T):
         r = y[t] - H @ x[t]
-        want += 0.5 * r @ np.linalg.solve(R[t], r)
-    for t in range(1, 4):
+        want += 0.5 * r @ np.linalg.solve(model.R[t], r)
+    for t in range(1, T):
         q = x[t] - A @ x[t - 1] - model.b[t]
-        want += 0.5 * q @ np.linalg.solve(Q[t], q)
+        want += 0.5 * q @ np.linalg.solve(model.Q[t], q)
     assert data_cost(prob, x) == pytest.approx(want, rel=1e-12, abs=0.0)
+    kept = noise_factors(model)
+    assert noise_factors(model) is kept
+    fresh = [np.linalg.cholesky(a) for a in (model.P1[None], compact(model.Q[1:]),
+                                             compact(model.R))]
+    for got, ref in zip(kept, fresh):
+        assert got.shape == ref.shape
+        np.testing.assert_array_equal(got, ref)
+    assert [len(L) for L in kept] == [1, (T - 1 if per_step_Q else 1) if T > 1 else 0,
+                                      T if per_step_R else 1]
+
+
+@pytest.mark.parametrize("per_step", [False, True])
+def test_costs_name_a_non_finite_trajectory(per_step):
+    """One-block and per-step noise stacks agree: a non-finite x is named
+    with its step by the data cost and every cost built on it."""
+    T = 5
+    model = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
+                        Q=np.tile(np.eye(2), (T, 1, 1)) if per_step else np.eye(2),
+                        R=np.tile(np.eye(2), (T, 1, 1)) if per_step else np.eye(2),
+                        m1=np.zeros(2), P1=np.eye(2), T=T)
+    prob = TrackingProblem(model=model, reg=make_regularizer("l2", 2), y=np.zeros((T, 2)))
+    x = np.ones((T, 2))
+    x[3, 1] = np.nan
+    state = SplitState.feasible(prob, np.ones((T, 2)))
+    state.x = x
+    z = np.zeros((T, 2))
+    for cost in (lambda: data_cost(prob, x), lambda: objective(prob, x),
+                 lambda: x_subproblem_cost(prob, x, z, z, 1.0),
+                 lambda: augmented_lagrangian(prob, state, 1.0)):
+        with pytest.raises(ValueError, match="^x: non-finite value at step 3$"):
+            cost()
 
 
 def test_u_state_mode_convention():

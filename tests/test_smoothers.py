@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tracklasso.models as models
 import tracklasso.smoothers as smoothers
 from tracklasso.admm import MadmmOptions, run_madmm
 from tracklasso.batch import (
@@ -575,6 +576,50 @@ def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
         swept.append(calls[0] > 0)
         calls[0] = 0
     assert swept == [True, False, True, False, True, False, True]
+
+
+def count_noise_factorisations(monkeypatch):
+    """Count spd_factor calls on P1, Q and R (the model's noise covariances)
+    from the models and smoothers modules."""
+    calls = {"P1": 0, "Q": 0, "R": 0}
+    spd_factor = models.spd_factor
+
+    def counted(mats, what, steps=None):
+        if what in calls:
+            calls[what] += 1
+        return spd_factor(mats, what, steps)
+
+    monkeypatch.setattr(models, "spd_factor", counted)
+    monkeypatch.setattr(smoothers, "spd_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ["lm_ieks_madmm", "gn_ieks_madmm", "batch_madmm"])
+def test_nonlinear_solves_reuse_the_noise_factors_of_the_initial_pass(monkeypatch, solver):
+    """The initialiser factors P1, Q and R once and keeps them on the model;
+    the solve after it, its linearisations and every cost evaluation factor
+    none of them again.  The kept covariances cannot be written through."""
+    prob = range_problem(T=30, target_mode="process_noise")
+    x0 = initial_trajectory(prob)
+    calls = count_noise_factorisations(monkeypatch)
+    solve_problem(prob, solver, opts=MadmmOptions(k_max=3, eps_primal=0.0, eps_dual=0.0),
+                  x0=x0)
+    assert calls == {"P1": 0, "Q": 0, "R": 0}
+    for name in ("P1", "Q", "R"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prob.model, name)[0] = 0.0
+
+
+def test_ks_solve_factors_each_noise_covariance_once(monkeypatch):
+    """A ks_madmm solve, initial pass included, factors P1, Q and R at most
+    once each: the fused models and the objective and Lagrangian of every
+    iteration reuse the factors kept on the model."""
+    prob = wiener_problem(200, "state")
+    calls = count_noise_factorisations(monkeypatch)
+    solve_problem(prob, "ks_madmm", opts=MadmmOptions(k_max=5, eps_primal=0.0, eps_dual=0.0))
+    assert all(n <= 1 for n in calls.values()), calls
+    with pytest.raises(ValueError, match="read-only"):
+        prob.model.Q[1, 0, 0] = 2.0
 
 
 def test_non_spd_predicted_covariance_raises_with_step():
