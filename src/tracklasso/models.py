@@ -15,9 +15,9 @@ as single matrices and are kept as zero-copy broadcast views of shape
 
 Every covariance block (Q, R, P1, and in the smoothers each fused block and
 the damping metric) is factored by one rule, spd_factor, whose error names
-the block: "<name> [at step t] is not positive definite".  A model keeps
-P1, Q and R as read-only views and factors them at most once, on first use
-(noise_factors).
+the block: "<name> [at step t] is not positive definite".  A model owns
+P1, Q and R as read-only arrays and factors each of them once: while it
+validates them, else on first use (noise_factors).
 """
 
 from __future__ import annotations
@@ -104,9 +104,11 @@ def _check_finite(arr: np.ndarray, name: str, start: int = 0, stepped: bool = Tr
     raise ValueError(f"{name}: non-finite value at step {t}")
 
 
-def _check_covariance(covs: np.ndarray, name: str, start: int = 0) -> None:
+def _check_covariance(covs: np.ndarray, name: str, start: int = 0) -> np.ndarray:
     """One matrix, or every step from start on of a stack (a broadcast stack
-    once), must be finite, symmetric to 1e-8 relative and positive definite."""
+    once), must be finite, symmetric to 1e-8 relative and positive definite.
+    Returns the lower Cholesky factors of the checked blocks as a stack (one
+    block for one matrix or a broadcast stack)."""
     one = covs.ndim == 2
     _check_finite(covs, name, start, stepped=not one)
     if not one and time_invariant(covs):
@@ -117,39 +119,56 @@ def _check_covariance(covs: np.ndarray, name: str, start: int = 0) -> None:
     if asym.any():
         where = "" if one else f" at step {start + int(np.argmax(asym))}"
         raise ValueError(f"{name}{where} is not symmetric")
-    spd_factor(blocks, name, None if one else range(start, len(covs)))
+    L = spd_factor(blocks, name, None if one else range(start, len(covs)))
+    return L[None] if one else L
 
 
-def _check_noise(m1: np.ndarray, P1: np.ndarray, Q: np.ndarray, R: np.ndarray) -> None:
+def _check_noise(m1: np.ndarray, P1: np.ndarray, Q: np.ndarray, R: np.ndarray) -> tuple:
     """Validate the noise model that both model classes share: a finite m1,
     and P1, every used step of Q (index 0 is never consulted when T > 1) and
-    every step of R through _check_covariance."""
+    every step of R through _check_covariance.  Returns their factors in the
+    layout of noise_factors (no Q factor when T = 1)."""
     _check_finite(m1, "m1", stepped=False)
-    _check_covariance(P1, "P1")
-    _check_covariance(Q, "Q", start=1 if len(Q) > 1 else 0)
-    _check_covariance(R, "R")
+    P1_f = _check_covariance(P1, "P1")
+    Q_f = _check_covariance(Q, "Q", start=1 if len(Q) > 1 else 0)
+    R_f = _check_covariance(R, "R")
+    return P1_f, Q_f if len(Q) > 1 else Q_f[:0], R_f
 
 
-def read_only(arr: np.ndarray) -> np.ndarray:
-    """arr if it is read-only, else a view of it that raises on a write (arr
-    itself stays writeable)."""
-    if not arr.flags.writeable:
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """Set a newly built array, which nothing else holds, read-only in place
+    and return it."""
+    arr.flags.writeable = False
+    return arr
+
+
+def owned(arr) -> np.ndarray:
+    """arr as a float array that no write can change: arr itself when it and
+    the array owning its memory are read-only (a model's own P1, Q and R, or
+    an array its builder froze), else a read-only copy, of one block only
+    when arr is a broadcast stack."""
+    arr = np.asarray(arr, dtype=float)
+    root = arr
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if not (arr.flags.writeable or root.flags.writeable):
         return arr
-    view = arr.view()
-    view.flags.writeable = False
-    return view
+    if arr.ndim == 3 and time_invariant(arr):
+        return np.broadcast_to(freeze(arr[0].copy()), arr.shape)
+    return freeze(arr.copy())
 
 
 def noise_factors(model: "Model"):
     """Lower Cholesky factors of P1 (as a one-step stack), of Q[1:] and of R,
     each stack compacted to one step when time-invariant, through
     spd_factor: a bad block raises "<P1|Q|R> at step t is not positive
-    definite", with t counted as in the model.  They are computed on first
-    use and kept on the model, read-only like its P1, Q and R, so a model
-    factors its noise covariances at most once."""
+    definite", with t counted as in the model.  A validated model keeps the
+    factors its validation computed; a model built with validate=False
+    computes them on first use.  Either way they are kept on the model,
+    read-only like its P1, Q and R, so each block is factored once."""
     kept = model.noise_kept
     if "factors" not in kept:
-        kept["factors"] = tuple(read_only(L) for L in (
+        kept["factors"] = tuple(freeze(L) for L in (
             spd_factor(model.P1[None], "P1", [0]),
             spd_factor(compact(model.Q[1:]), "Q", range(1, model.T)),
             spd_factor(compact(model.R), "R", range(model.T))))
@@ -158,13 +177,16 @@ def noise_factors(model: "Model"):
 
 def _half_weighted_sq(res: np.ndarray, L: np.ndarray) -> float:
     """0.5 * sum_t res_t' (L_t L_t')^{-1} res_t for a stack L of
-    noise_factors: one block for every row of res, or one per row."""
+    noise_factors: one block for every row of res, or one per row.  A
+    non-finite residual gives a nan or inf sum on both layouts."""
     if res.shape[0] == 0:
         return 0.0
     if len(L) == 1:
         # LAPACK reads the C-ordered L[0] as the upper factor U = L[0]', so
         # L[0] z = res' is U' z = res': the call scipy's solve_triangular makes
-        z = dtrtrs(L[0].T, res.T, lower=0, trans=1)[0]
+        z, info = dtrtrs(L[0].T, res.T, lower=0, trans=1)
+        if info:  # a Cholesky factor has a positive diagonal, so never
+            raise SingularSystemError(f"noise factor: dtrtrs returned info {info}")
     else:
         z = np.linalg.solve(L, res[..., None])
     return 0.5 * float(np.sum(z * z))
@@ -182,8 +204,9 @@ class AffineModel:
     default) A, b, H and e must be finite and the noise model pass the
     check NonlinearModel also runs; linearisations skip both, and a bad
     noise block then raises on first use of noise_factors.  P1, Q and R are
-    kept as read-only views of the arrays passed in, not copies; noise_kept
-    holds their factors once computed.
+    held read-only and owned (models.owned): an input whose memory could
+    still be written is copied once, only its block when it is broadcast;
+    noise_kept holds their factors, from validation or first use.
     """
 
     A: np.ndarray
@@ -200,7 +223,7 @@ class AffineModel:
 
     def __post_init__(self):
         m1 = np.asarray(self.m1, dtype=float)
-        P1 = np.asarray(self.P1, dtype=float)
+        P1 = owned(self.P1)
         n = m1.shape[0]
         T = self.T
         if T is None:
@@ -216,8 +239,8 @@ class AffineModel:
         b = per_step(self.b, T, 1, "b")
         H = per_step(self.H, T, 2, "H")
         e = per_step(self.e, T, 1, "e")
-        Q = per_step(self.Q, T, 2, "Q")
-        R = per_step(self.R, T, 2, "R")
+        Q = per_step(owned(self.Q), T, 2, "Q")
+        R = per_step(owned(self.R), T, 2, "R")
         n_y = H.shape[1]
         if A.shape[1:] != (n, n):
             raise ValueError(f"A: expected ({n}, {n}) blocks, got {A.shape[1:]}")
@@ -236,10 +259,9 @@ class AffineModel:
             for name, val, start in (("A", A, first), ("b", b, first), ("H", H, 0),
                                      ("e", e, 0)):
                 _check_finite(val, name, start)
-            _check_noise(m1, P1, Q, R)
-        for name, val in (("A", A), ("b", b), ("H", H), ("e", e), ("Q", read_only(Q)),
-                          ("R", read_only(R)), ("m1", m1), ("P1", read_only(P1)),
-                          ("T", int(T))):
+            self.noise_kept["factors"] = tuple(map(freeze, _check_noise(m1, P1, Q, R)))
+        for name, val in (("A", A), ("b", b), ("H", H), ("e", e), ("Q", Q), ("R", R),
+                          ("m1", m1), ("P1", P1), ("T", int(T))):
             object.__setattr__(self, name, val)
 
     @property
@@ -271,7 +293,8 @@ class NonlinearModel:
     definite P1, Q and R), then calls each callable once, on every step it
     serves with the prior mean m1 as the state, and raises ValueError naming
     the callable whose output has the wrong shape or a non-finite value.
-    P1, Q and R are kept read-only, as in AffineModel.
+    P1, Q and R are owned and read-only, and their factors kept, as in a
+    validated AffineModel.
     """
 
     transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -289,15 +312,14 @@ class NonlinearModel:
         if self.T < 1:
             raise ValueError("T must be a positive step count")
         m1 = np.asarray(self.m1, dtype=float)
-        P1 = np.asarray(self.P1, dtype=float)
+        P1 = owned(self.P1)
         n = m1.shape[0]
-        Q = per_step(self.Q, self.T, 2, "Q")
-        R = per_step(self.R, self.T, 2, "R")
+        Q = per_step(owned(self.Q), self.T, 2, "Q")
+        R = per_step(owned(self.R), self.T, 2, "R")
         if Q.shape[1:] != (n, n) or P1.shape != (n, n) or R.shape[1] != R.shape[2]:
             raise ValueError("Q blocks and P1 must be (n_x, n_x), R blocks square")
-        _check_noise(m1, P1, Q, R)
-        for name, val in (("Q", read_only(Q)), ("R", read_only(R)), ("m1", m1),
-                          ("P1", read_only(P1))):
+        self.noise_kept["factors"] = tuple(map(freeze, _check_noise(m1, P1, Q, R)))
+        for name, val in (("Q", Q), ("R", R), ("m1", m1), ("P1", P1)):
             object.__setattr__(self, name, val)
         n_y, t = R.shape[1], np.arange(self.T)
         for name, steps, core in (("transition", t[1:], (n,)),
@@ -619,6 +641,10 @@ def data_cost(problem: TrackingProblem, x: np.ndarray) -> float:
 
     A non-finite x raises ValueError "x: non-finite value at step t", on
     either noise layout, so no cost built on this one returns nan for it.
+    A finite x whose residual is not finite (a nonlinear callable that
+    overflows there, or a NaN in b or e of a model built with
+    validate=False) gives a nan or inf cost on either layout, which the
+    Levenberg-Marquardt accept test reads as a rejected proposal.
     """
     _check_finite(x, "x")
     model = problem.model

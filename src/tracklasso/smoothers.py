@@ -43,7 +43,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dtbtrs, dtrtrs
 
 from .models import (AffineModel, Model, SingularSystemError, TrackingProblem, compact,
-                     noise_factors, per_step, prior_mean_trajectory, read_only, spd_factor,
+                     freeze, noise_factors, per_step, prior_mean_trajectory, spd_factor,
                      time_invariant, transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
@@ -65,7 +65,7 @@ def _fuse(Qi, A, b, B, d, v, eta, gamma: float):
     """
     A, B = compact(A), compact(B)
     Qtil = np.linalg.inv(Qi + gamma * np.eye(Qi.shape[-1]))
-    Qtil = 0.5 * (Qtil + np.swapaxes(Qtil, -1, -2))
+    Qtil = freeze(0.5 * (Qtil + np.swapaxes(Qtil, -1, -2)))  # owned by the fused model
     Atil = Qtil @ (Qi @ A + gamma * B)
     rhs = Qi @ b[..., None] + (gamma * (d + v) - eta)[..., None]
     shape = b.shape + b.shape[-1:]
@@ -111,7 +111,7 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float) -> AffineMod
             ev_R = np.concatenate([ev_R, ev_R[-1:]])
         R = np.zeros((max(len(ev_R), len(compact(model.R))), m + n, m + n))
         R[:, :m, :m], R[:, m:, m:] = compact(model.R), ev_R
-        R = np.broadcast_to(R, (T,) + R.shape[1:])
+        R = np.broadcast_to(freeze(R), (T,) + R.shape[1:])
     return AffineModel(A=A, b=b, H=H, e=e, Q=Q, R=R, m1=b[0], P1=prior[2][0], T=T,
                        validate=False)
 
@@ -119,10 +119,11 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float) -> AffineMod
 def _after_prior(prior: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """(T, n, n) stack of steps 1..T-1 behind an index 0 that is never
     consulted: a broadcast stack of steps stays a view (index 0 repeats step
-    1), anything else is copied behind the prior's block."""
+    1), anything else is copied behind the prior's block, read-only, so the
+    fused model owns it without a second copy."""
     if len(steps) and time_invariant(steps):
         return np.broadcast_to(steps[:1], (len(steps) + 1,) + steps.shape[1:])
-    return np.concatenate([prior, steps])
+    return freeze(np.concatenate([prior, steps]))
 
 
 def _band(sub: np.ndarray, diag: Optional[np.ndarray] = None) -> np.ndarray:
@@ -247,7 +248,7 @@ def noise_precisions(model: Model):
     model."""
     kept = model.noise_kept
     if "precisions" not in kept:
-        kept["precisions"] = tuple(read_only(_inverse(L)) for L in noise_factors(model))
+        kept["precisions"] = tuple(freeze(_inverse(L)) for L in noise_factors(model))
     return kept["precisions"]
 
 

@@ -23,6 +23,7 @@ from tracklasso.models import (
     sparsity_target,
     x_subproblem_cost,
 )
+from tracklasso.models import _half_weighted_sq
 
 
 def scalar_problem(mu=1.5, target_mode="state"):
@@ -65,7 +66,9 @@ def test_data_cost_names_a_bad_covariance_block_and_its_step():
 def test_data_cost_with_per_step_covariances_matches_the_written_out_sum():
     """Per-step and broadcast Q and R, including a single step (no
     transition) and two steps of per-step Q; the kept noise_factors are
-    computed once and equal a fresh factorisation bit for bit."""
+    computed once and equal a fresh factorisation bit for bit, and a later
+    write into the arrays the model was built from changes neither the
+    model nor its cost."""
     for T, per_step_Q, per_step_R in ((4, True, True), (4, False, False), (2, True, False),
                                       (1, False, True), (1, True, False)):
         check_data_cost_and_factors(T, per_step_Q, per_step_R)
@@ -102,6 +105,17 @@ def check_data_cost_and_factors(T, per_step_Q, per_step_R):
         np.testing.assert_array_equal(got, ref)
     assert [len(L) for L in kept] == [1, (T - 1 if per_step_Q else 1) if T > 1 else 0,
                                       T if per_step_R else 1]
+    before = [a.copy() for a in (model.P1, model.Q, model.R)]
+    cost = data_cost(prob, x)
+    for arr in (Qs, Rs, P1):  # Q and R are views of Qs and Rs
+        arr *= 4.0
+    assert data_cost(prob, x) == cost
+    for got, ref in zip((model.P1, model.Q, model.R), before):
+        np.testing.assert_array_equal(got, ref)
+    # the model's own arrays are owned already: a model built on them shares them
+    again = replace(model, validate=False)
+    assert all(a is b for a, b in zip((again.P1, again.Q, again.R),
+                                      (model.P1, model.Q, model.R)))
 
 
 @pytest.mark.parametrize("per_step", [False, True])
@@ -124,6 +138,17 @@ def test_costs_name_a_non_finite_trajectory(per_step):
                  lambda: augmented_lagrangian(prob, state, 1.0)):
         with pytest.raises(ValueError, match="^x: non-finite value at step 3$"):
             cost()
+    # a finite x with a non-finite residual costs nan on both layouts, which
+    # the Levenberg-Marquardt accept test reads as a rejection
+    e = np.zeros((T, 2))
+    e[2, 0] = np.nan
+    bad = TrackingProblem(model=replace(model, e=e, validate=False), reg=prob.reg, y=prob.y)
+    assert np.isnan(data_cost(bad, np.ones((T, 2))))
+
+
+def test_half_weighted_sq_rejects_a_singular_factor():
+    with pytest.raises(SingularSystemError, match="^noise factor: dtrtrs returned info 1$"):
+        _half_weighted_sq(np.ones((2, 1)), np.zeros((1, 1, 1)))
 
 
 def test_u_state_mode_convention():

@@ -620,6 +620,11 @@ def test_ks_solve_factors_each_noise_covariance_once(monkeypatch):
     assert all(n <= 1 for n in calls.values()), calls
     with pytest.raises(ValueError, match="read-only"):
         prob.model.Q[1, 0, 0] = 2.0
+    # a validated model keeps the factors its validation computed
+    calls.update(P1=0, Q=0, R=0)
+    prob = replace(prob, model=replace(prob.model, validate=True))
+    solve_problem(prob, "ks_madmm", opts=MadmmOptions(k_max=5, eps_primal=0.0, eps_dual=0.0))
+    assert calls == {"P1": 1, "Q": 1, "R": 1}
 
 
 def test_non_spd_predicted_covariance_raises_with_step():
