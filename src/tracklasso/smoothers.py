@@ -1,37 +1,28 @@
 """Kalman-smoother solvers for the regularised x subproblem.
 
-The quadratic penalty coupling gamma/2 ||x_t - B_t x_{t-1} - d_t - v_t +
-eta_bar_t/gamma||^2 fuses with the Gaussian transition density into a
-modified affine model (A~, b~, Q~) with Q~^{-1} = Q^{-1} + gamma I, and the
-prior fuses the same way.  The product of the two densities also leaves an
-evidence factor N(zeta_t; (A_t - B_t) x_{t-1}, Q_t + I/gamma); it is
-constant when B_t = A_t and otherwise becomes extra measurement rows of
-x_{t-1}, stacked below the data rows with noise independent of the data,
-keeping the smoother an exact minimiser for every coupling.  The fused
-model (build_fused) is an AffineModel, so the augmented smoother is the
-plain RTS smoother run on it.  The normal matrix is block tridiagonal, so
-the subproblem is solved in O(T) instead of the O(T^3) dense solve, in one
-of two forms, each one augmented_ks call.
-rts_factor is the Rauch-Tung-Striebel form of the fused model: the
-covariance sweep (stopped at the exact fixed point of the Riccati
-recursion), the gains and the banded matrices of the two mean recursions;
-one such factor serves every x update of an affine problem at one gamma.
-normal_equations is the information form, assembled unfused, straight from
-the model, its noise precisions and the coupling for all steps at once, and
-solved by one banded LAPACK Cholesky, with no per-step loop.  The affine
-engines and undamped Gauss-Newton proposals use the RTS form; damped LM
-proposals (the undamped equations plus lambda S^{-1} on the diagonal) and
-the plain_ieks initialiser, whose linearisations change every step so that
-the covariance sweep never reaches a fixed point, use the information form.
-The iterated smoothers and the dense stacked solvers share one damped
-Gauss-Newton loop, gauss_newton; they differ only in the step each
-proposes.  Gauss-Newton is that loop with lambda0 = 0.  Both engines
-linearise with linearize, which returns an affine model unchanged (it is
-its own linearisation), so on an affine problem the iterated smoother is
-the augmented smoother.  Every covariance block factored or
-checked here (P1, Q, R, Q~, the predicted covariances and LMConfig's
-damping metric S) goes through models.spd_factor, so a bad one raises an
-error naming the matrix and its step.
+The x subproblem's normal matrix is block tridiagonal, so it is solved in
+O(T) instead of the O(T^3) dense solve, in one of two forms, each one
+augmented_ks call.  normal_equations is the information form, assembled
+unfused for all steps at once from the model, its noise precisions and the
+coupling, and solved by one banded LAPACK Cholesky (band_factor); its
+matrix depends only on (problem, gamma), so one band factor serves every
+coupling (coupled_rhs).  The ks_madmm x update, plain_smoother, damped LM
+proposals (plus lambda S^{-1} on the diagonal) and plain_ieks use it.
+The RTS form fuses the penalty coupling with the transition density into
+an affine model (build_fused, Q~^{-1} = Q^{-1} + gamma I) whose coupling
+evidence, when B_t != A_t, becomes measurement rows below the data, and
+runs the plain RTS smoother on it: rts_factor's covariance sweep (stopped
+at the exact fixed point of the Riccati recursion) and gains, then the
+mean pass.  Undamped Gauss-Newton proposals use it, and the oracles
+compare it with the dense solve.  The iterated smoothers and the dense
+stacked solvers share one damped Gauss-Newton loop, gauss_newton
+(Gauss-Newton is lambda0 = 0); they differ only in the step each
+proposes.  Both linearise with linearize, which returns an affine model
+unchanged, so on an affine problem the iterated smoother is the augmented
+smoother.  Every covariance block factored or checked here (P1, Q, R, Q~,
+the predicted covariances and LMConfig's damping metric S) goes through
+models.spd_factor, so a bad one raises an error naming the matrix and its
+step.
 """
 
 from __future__ import annotations
@@ -262,8 +253,8 @@ def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None
     With Q_0 = P1, A_0 = 0 and b_0 = m1: D_t = Q_t^{-1} + H_t' R_t^{-1} H_t
     + A_{t+1}' Q_{t+1}^{-1} A_{t+1} + gamma (I + B_{t+1}' B_{t+1}) and
     E_t = Q_{t+1}^{-1} A_{t+1} + gamma B_{t+1}, the t + 1 terms absent at
-    t = T - 1.  This is the matrix the fused model's rows add up to, with no
-    evidence rows.
+    t = T - 1: the fused model's matrix without evidence rows.  D, E and,
+    with v None, h depend only on (problem, gamma); coupled_rhs adds the rest.
     """
     Pi, Qi, Ri = precisions
     A, b, m1 = lin.A[1:], lin.b[1:], lin.m1
@@ -280,38 +271,52 @@ def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None
     E = QiA
     if gamma > 0:
         Bn = compact(B[1:])
-        g = gamma * (d + v) - eta_bar
-        g[0] = gamma * (m1 + v[0]) - eta_bar[0]
         D += gamma * np.eye(lin.n_x)
         D[:-1] += gamma * np.swapaxes(Bn, 1, 2) @ Bn
         E += gamma * Bn
-        h += g
-        h[:-1] -= (g[1:, None] @ Bn)[:, 0]
+    if v is not None:
+        h = coupled_rhs(h, B, d, v, eta_bar, gamma, m1)
     return NormalEquations(D, E, h)
 
 
+def coupled_rhs(h: np.ndarray, B, d, v, eta_bar, gamma: float, m1: np.ndarray) -> np.ndarray:
+    """h plus the coupling's part, as a new array: g_t - B_{t+1}' g_{t+1} with
+    g_t = gamma (d_t + v_t) - eta_bar_t, d_0 = m1 (at gamma = 0, h itself)."""
+    if gamma == 0:
+        return h
+    g = gamma * (d + v) - eta_bar
+    g[0] = gamma * (m1 + v[0]) - eta_bar[0]
+    h = h + g
+    h[:-1] -= (g[1:, None] @ compact(B[1:]))[:, 0]
+    return h
+
+
+def band_factor(eqs: NormalEquations) -> np.ndarray:
+    """dpbtrf's lower band (kd = 2 n_x - 1) Cholesky factor of eqs' matrix;
+    one not positive definite raises SingularSystemError naming the step."""
+    band, info = dpbtrf(_band(eqs.E, eqs.D), lower=1, overwrite_ab=1)
+    if info > 0:
+        raise SingularSystemError(f"information matrix at step {(info - 1) // eqs.h.shape[1]}"
+                                  f" is not positive definite")
+    return band
+
+
 def augmented_ks(fused: Union[AffineModel, NormalEquations], y: Optional[np.ndarray] = None,
-                 factor: Optional[RTSFactor] = None) -> np.ndarray:
+                 factor: Union[RTSFactor, np.ndarray, None] = None) -> np.ndarray:
     """One solve of the x subproblem, returning x (T, n_x).
 
-    NormalEquations (h holds the data; y is not read) are packed into
-    LAPACK band storage (kd = 2 n_x - 1) and solved by one dpbtrf and
-    dpbtrs; an information matrix that is not positive definite raises
-    SingularSystemError naming the step.  An affine model (build_fused's
-    fused model, or a model with no coupling) takes the RTS mean pass, two
-    banded triangular solves plus batched products, reading b, m1, e and the
-    dynamics, with y padded by zeros for the rows below the data.  factor
-    defaults to rts_factor(fused); a factor of another fused model with the
-    same (A, Q, H, R, P1), as every x update of one affine problem at one
-    gamma has, gives the same x bit for bit.
+    NormalEquations (h holds the data; y is not read) take one dpbtrs
+    against factor, by default band_factor(fused).  An affine model
+    (build_fused's, or one with no coupling) takes the RTS mean pass against
+    factor, by default rts_factor(fused), reading b, m1, e and the dynamics,
+    with y padded by zeros for the rows below the data.  A factor built for
+    the same (problem, gamma) and another coupling gives the fresh x bit for
+    bit.
     """
     if isinstance(fused, NormalEquations):
-        T, n = fused.h.shape
-        band, info = dpbtrf(_band(fused.E, fused.D), lower=1, overwrite_ab=1)
-        if info > 0:
-            raise SingularSystemError(f"information matrix at step {(info - 1) // n} "
-                                      f"is not positive definite")
-        return dpbtrs(band, fused.h.reshape(-1, 1), lower=1)[0].reshape(T, n)
+        if factor is None:
+            factor = band_factor(fused)
+        return dpbtrs(factor, fused.h.reshape(-1, 1), lower=1)[0].reshape(fused.h.shape)
     if factor is None:
         factor = rts_factor(fused)
     m = fused.H.shape[1]
@@ -326,8 +331,9 @@ def augmented_ks(fused: Union[AffineModel, NormalEquations], y: Optional[np.ndar
 
 
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
-    """Standard RTS smoother mean (T, n_x) on an affine model (no penalty coupling)."""
-    return augmented_ks(model, y)
+    """Smoother mean (T, n_x) on an affine model with no penalty coupling,
+    one banded solve of its normal_equations (to rounding the RTS pass)."""
+    return augmented_ks(normal_equations(model, noise_precisions(model), y))
 
 
 def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
@@ -371,18 +377,15 @@ def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
                i_max: int = 20, step_tol: float = 1e-8) -> np.ndarray:
     """Unregularised iterated smoother: relinearise, smooth, repeat.
 
-    Each pass assembles the linearised model's normal equations in
-    information form (normal_equations, from the model's kept
-    noise_precisions) and solves them with one augmented_ks call, a banded
-    Cholesky in place of the per-step RTS covariance sweep, which a
-    linearisation that changes every step would run in full.  On an affine
-    model (its own linearisation) the first pass is the plain smoother's
-    estimate to rounding and the second ends the loop.
+    Each pass is a plain_smoother solve on the linearisation, whose noise
+    precisions are the model's kept ones: a banded Cholesky in place of the
+    RTS covariance sweep, which a linearisation that changes every step
+    would run in full.  On an affine model (its own linearisation) the first
+    pass is plain_smoother's estimate and the second ends the loop.
     """
     x = np.asarray(x0, dtype=float).copy() if x0 is not None else prior_mean_trajectory(model)
-    precisions = noise_precisions(model)
     for _ in range(i_max):
-        x_new = augmented_ks(normal_equations(linearize(model, x), precisions, y))
+        x_new = plain_smoother(linearize(model, x), y)
         step = _rel_step(x_new, x)
         x = x_new
         if step < step_tol:

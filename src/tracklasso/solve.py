@@ -14,8 +14,8 @@ import numpy as np
 from .admm import MadmmOptions, SolveReport, run_madmm
 from .batch import LMConfig, batch_nonlinear_solve, make_affine_x_solver
 from .models import TrackingProblem, per_problem
-from .smoothers import (augmented_ks, build_fused, lm_ieks, plain_ieks, plain_smoother,
-                        rts_factor)
+from .smoothers import (NormalEquations, augmented_ks, band_factor, coupled_rhs, lm_ieks,
+                        noise_precisions, normal_equations, plain_ieks, plain_smoother)
 
 SOLVERS = ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm", "batch_madmm")
 
@@ -32,24 +32,28 @@ def make_x_solver(solver: str, i_max: int = 10, lm_cfg: Optional[LMConfig] = Non
 
     Every inner setting comes from one LMConfig: lm_cfg if given, else
     LMConfig(i_max=i_max), so i_max is read only when lm_cfg is None.
-    The two affine engines factor once per (problem, gamma), under the one
-    rule of models.per_problem: ks_madmm (affine models only) keeps the RTS
-    factor (smoothers.rts_factor) and each call fuses the penalty targets
-    and runs the mean pass, and batch_madmm keeps its dense Cholesky factor
-    and back-substitutes.  gn_ieks_madmm and lm_ieks_madmm run the iterated
-    smoother, GN being the config with lambda0 = 0; batch_madmm runs the
-    dense LM loop for nonlinear models.
+    The affine engines factor once per (problem, gamma) (models.per_problem)
+    and back-substitute per call: ks_madmm (affine only) keeps the band
+    factor of normal_equations and h without the coupling, which each call
+    adds (coupled_rhs), batch_madmm its dense Cholesky factor.  gn_ieks_madmm
+    and lm_ieks_madmm run the iterated smoother (GN: lambda0 = 0);
+    batch_madmm runs the dense LM loop for nonlinear models.
     """
     cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
     if solver == "ks_madmm":
-        factored = per_problem(lambda problem, gamma, fused: rts_factor(fused))
+        @per_problem
+        def factored(problem, gamma):
+            B, d = problem.penalty_targets()
+            eqs = normal_equations(problem.model, noise_precisions(problem.model), problem.y,
+                                   B, gamma=gamma)
+            return B, d, eqs, band_factor(eqs)
 
         def ks(problem, V, eta_bar, gamma, x_warm):
             if not problem.is_affine:
                 raise ValueError("the Kalman-smoother x update needs an affine model")
-            B, d = problem.penalty_targets()
-            fused = build_fused(problem.model, B, d, V, eta_bar, gamma)
-            return augmented_ks(fused, problem.y, factored(problem, gamma, fused))
+            B, d, eqs, band = factored(problem, gamma)
+            h = coupled_rhs(eqs.h, B, d, V, eta_bar, gamma, problem.model.m1)
+            return augmented_ks(NormalEquations(eqs.D, eqs.E, h), factor=band)
         return ks
     if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):
         if solver == "gn_ieks_madmm":

@@ -105,25 +105,28 @@ def _problem_payload(problem: TrackingProblem, **extra) -> Dict[str, np.ndarray]
 
 
 def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> CheckResult:
-    """Augmented smoother vs stacked normal-equation solve on random systems."""
+    """RTS augmented smoother and ks_madmm x update vs the stacked solve on
+    random systems, two couplings each (the second reuses the band factor)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    ks = make_x_solver("ks_madmm")
     for _ in range(cases):
         problem = random_affine_problem(rng, n_x=int(rng.integers(1, 5)))
         gamma = float(rng.uniform(0.5, 2.0))
-        V = rng.normal(size=(problem.T, problem.n_x))
-        eta_bar = rng.normal(size=(problem.T, problem.n_x))
         B, d = problem.penalty_targets()
-        fused = build_fused(problem.model, B, d, V, eta_bar, gamma)
-        x_ks = augmented_ks(fused, problem.y)
-        x_batch = batch_x_affine(stack_problem(problem, V, eta_bar, gamma), gamma)
-        rel = np.linalg.norm(x_ks - x_batch) / max(1.0, np.linalg.norm(x_batch))
-        worst = max(worst, rel)
-        if rel > tol:
-            return CheckResult("smoother_vs_batch_affine", False,
-                               f"relative gap {rel:.3e} > {tol:.0e}",
-                               _problem_payload(problem, V=V, eta_bar=eta_bar,
-                                                gamma=gamma))
+        for _ in range(2):  # the second coupling reuses the x update's band factor
+            V, eta_bar = rng.normal(size=(2, problem.T, problem.n_x))
+            x_batch = batch_x_affine(stack_problem(problem, V, eta_bar, gamma), gamma)
+            fused = build_fused(problem.model, B, d, V, eta_bar, gamma)
+            for name, x_ks in (("RTS", augmented_ks(fused, problem.y)),
+                               ("ks_madmm", ks(problem, V, eta_bar, gamma, None))):
+                rel = np.linalg.norm(x_ks - x_batch) / max(1.0, np.linalg.norm(x_batch))
+                worst = max(worst, rel)
+                if rel > tol:
+                    return CheckResult("smoother_vs_batch_affine", False,
+                                       f"{name}: relative gap {rel:.3e} > {tol:.0e}",
+                                       _problem_payload(problem, V=V, eta_bar=eta_bar,
+                                                        gamma=gamma))
     return CheckResult("smoother_vs_batch_affine", True,
                        f"{cases} systems, worst gap {worst:.3e}")
 

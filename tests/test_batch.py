@@ -165,8 +165,8 @@ def test_affine_x_solver_never_serves_a_dropped_problem():
 
 
 def test_ks_x_solver_never_serves_a_dropped_problem():
-    # the smoother engine keeps its RTS factor under the same rule
-    from tracklasso.smoothers import augmented_ks, build_fused
+    # the smoother engine keeps its band factor under the same rule
+    from tracklasso.smoothers import augmented_ks, noise_precisions, normal_equations
     from tracklasso.solve import make_x_solver
 
     solver = make_x_solver("ks_madmm")
@@ -176,7 +176,8 @@ def test_ks_x_solver_never_serves_a_dropped_problem():
         V = rng.normal(size=(6, 2))
         eta = rng.normal(size=(6, 2))
         B, d = prob.penalty_targets()
-        want = augmented_ks(build_fused(prob.model, B, d, V, eta, 1.0), prob.y)
+        want = augmented_ks(normal_equations(prob.model, noise_precisions(prob.model),
+                                             prob.y, B, d, V, eta, 1.0))
         got = solver(prob, V, eta, 1.0, None)
         np.testing.assert_array_equal(got, want, err_msg=f"problem {i}")
         del prob

@@ -262,6 +262,41 @@ def test_rts_factor_serves_every_coupling_of_its_problem(seed, T, n_x, n_y, per_
     assert not np.array_equal(x, augmented_ks(first, prob.y, factor))
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 8),
+       n_x=st.integers(1, 3), n_y=st.integers(1, 3), per_step_AQ=st.booleans(),
+       targets=st.sampled_from(["state", "process_noise", "explicit"]))
+@example(seed=0, T=1, n_x=2, n_y=2, per_step_AQ=True, targets="state")
+@example(seed=1, T=1, n_x=2, n_y=1, per_step_AQ=False, targets="explicit")
+@example(seed=2, T=6, n_x=3, n_y=2, per_step_AQ=True, targets="process_noise")
+@example(seed=3, T=6, n_x=2, n_y=3, per_step_AQ=True, targets="explicit")
+def test_band_factor_serves_every_coupling_of_its_problem(seed, T, n_x, n_y, per_step_AQ,
+                                                          targets):
+    """The ks_madmm x update keeps its band factor from one coupling (V,
+    eta) and reuses it for another of the same problem and gamma: the result
+    is a fresh information-form solve bit for bit, differs from the first
+    coupling's and is the dense minimiser, also with per-step A and Q and an
+    explicit reg.B."""
+    rng = np.random.default_rng(seed)
+    mode = "state" if targets == "explicit" else targets
+    prob = stacked_problem(rng, T, n_x, n_y, per_step_AQ, mode)
+    if targets == "explicit":
+        reg = replace(prob.reg, B=rng.normal(size=(n_x, n_x)), d=rng.normal(size=n_x))
+        prob = TrackingProblem(model=prob.model, reg=reg, y=prob.y)
+    gamma = float(rng.uniform(0.2, 3.0))
+    B, d = prob.penalty_targets()
+    V, eta, V2, eta2 = rng.normal(size=(4, T, n_x))
+    solver = make_x_solver("ks_madmm")
+    first = solver(prob, V, eta, gamma, None)
+    x = solver(prob, V2, eta2, gamma, None)
+    fresh = normal_equations(prob.model, noise_precisions(prob.model), prob.y,
+                             B, d, V2, eta2, gamma)
+    np.testing.assert_array_equal(x, augmented_ks(fresh))
+    assert not np.array_equal(x, first)
+    x_batch = batch_x_affine(stack_problem(prob, V2, eta2, gamma), gamma)
+    np.testing.assert_allclose(x, x_batch, rtol=1e-8, atol=1e-8)
+
+
 def test_build_fused_keeps_time_invariant_steps_as_views():
     """A time-invariant model fuses to broadcast A and Q views of one step;
     per-step stacks stay per step."""
@@ -448,7 +483,8 @@ def test_plain_ieks_on_affine_is_plain_smoother():
 
 def test_gn_x_update_on_affine_problem_is_the_smoother_x_update():
     """An affine model is its own linearisation, so the GN-IEKS x update is
-    the augmented smoother's bit for bit, with b and e nonzero too."""
+    the RTS augmented smoother's bit for bit, with b and e nonzero too, and
+    the banded ks_madmm x update's to rounding."""
     rng = np.random.default_rng(21)
     gn, ks = make_x_solver("gn_ieks_madmm"), make_x_solver("ks_madmm")
     for _ in range(20):
@@ -459,8 +495,11 @@ def test_gn_x_update_on_affine_problem_is_the_smoother_x_update():
         V, eta, x0 = rng.normal(size=(3, prob.T, prob.n_x))
         assert linearize(model, x0) is model
         gamma = float(rng.uniform(0.5, 2.0))
-        np.testing.assert_array_equal(gn(prob, V, eta, gamma, x0),
-                                      ks(prob, V, eta, gamma, x0))
+        B, d = prob.penalty_targets()
+        x_gn = gn(prob, V, eta, gamma, x0)
+        np.testing.assert_array_equal(
+            x_gn, augmented_ks(build_fused(model, B, d, V, eta, gamma), prob.y))
+        np.testing.assert_allclose(x_gn, ks(prob, V, eta, gamma, x0), rtol=1e-10)
 
 
 def test_singular_innovation_raises_with_step():
@@ -469,19 +508,20 @@ def test_singular_innovation_raises_with_step():
                         m1=np.zeros(1), P1=0.1 * np.eye(1), T=3,
                         validate=False)
     with pytest.raises(SingularSystemError, match="step 0"):
-        plain_smoother(model, np.zeros((3, 1)))
+        augmented_ks(model, np.zeros((3, 1)))
 
 
-def count_factorisations(monkeypatch):
-    """Count innovation-covariance factorisations in augmented_ks."""
+def count_factorisations(monkeypatch, lapack="dpotrf"):
+    """Count innovation-covariance factorisations in augmented_ks (dpotrf),
+    or band factorisations of the information matrix (dpbtrf)."""
     calls = [0]
-    dpotrf = smoothers.dpotrf
+    factor = getattr(smoothers, lapack)
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return dpotrf(*args, **kwargs)
+        return factor(*args, **kwargs)
 
-    monkeypatch.setattr(smoothers, "dpotrf", counted)
+    monkeypatch.setattr(smoothers, lapack, counted)
     return calls
 
 
@@ -543,22 +583,23 @@ def test_long_pass_factors_only_the_head(monkeypatch):
     T = 2000
     data, model = simulate_wiener(scenario_defaults("wiener", T=T, seed=0))
     calls = count_factorisations(monkeypatch)
-    plain_smoother(model, data.y)
-    assert calls[0] < T // 4
+    augmented_ks(model, data.y)
+    assert 0 < calls[0] < T // 4
 
 
 def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
-    """A k-iteration ks_madmm solve runs two covariance sweeps, the initial
-    pass and the first x update; a new gamma or a new problem object (even
-    one equal to the old) sweeps again."""
+    """A k-iteration ks_madmm solve runs two band factorisations, the
+    initial pass and the first x update; a new gamma or a new problem object
+    (even one equal to the old) factors again."""
     T = 300
     prob = wiener_problem(T, "state")
-    calls = count_factorisations(monkeypatch)
+    calls = count_factorisations(monkeypatch, "dpbtrf")
     initial_trajectory(prob)
     initial, calls[0] = calls[0], 0
     B, d = prob.penalty_targets()
     z = np.zeros((T, 4))
-    rts_factor(build_fused(prob.model, B, d, z, z, 1.0))
+    augmented_ks(normal_equations(prob.model, noise_precisions(prob.model), prob.y,
+                                  B, d, z, z, 1.0))
     sweep, calls[0] = calls[0], 0
     for k in (1, 5):
         solve_problem(prob, "ks_madmm",
@@ -635,7 +676,7 @@ def test_non_spd_predicted_covariance_raises_with_step():
                         T=8, validate=False)
     with pytest.raises(SingularSystemError,
                        match="predicted covariance at step 3 is not positive definite"):
-        plain_smoother(model, np.zeros((8, 2)))
+        augmented_ks(model, np.zeros((8, 2)))
 
 
 def test_non_finite_proposal_raises_with_iterations():
