@@ -1,160 +1,94 @@
-"""Dense stacked-trajectory solvers for the regularised x subproblem.
+"""Dense reference solvers for the regularised x subproblem.
 
-The whole trajectory is treated as one vector of length T * n_x.  The data
-terms and the quadratic penalty coupling assemble into a single symmetric
-positive definite system that is solved by Cholesky factorisation.  These
-solvers scale cubically in T and exist as the reference path; the smoother
-module solves the same systems in linear time.
+The whole trajectory is treated as one vector of length T * n_x.  Its
+normal equations are the block-tridiagonal ones of
+smoothers.normal_equations, unpacked into one dense symmetric matrix and
+solved by a dense Cholesky factorisation.  These solvers scale cubically in
+T and exist as the reference path; the smoother module solves the same
+systems in linear time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .models import (SingularSystemError, TrackingProblem, noise_factors, per_problem,
+from .models import (SingularSystemError, TrackingProblem, per_problem,
                      prior_mean_trajectory, x_subproblem_cost)
-from .smoothers import LMConfig, damping_inverse, gauss_newton, linearize
+from .smoothers import (LMConfig, NormalEquations, coupled_rhs, damping_inverse,
+                        gauss_newton, linearize, noise_precisions, normal_equations)
 
 
-@dataclass(eq=False)
-class StackedProblem:
-    """Dense blocks of the stacked subproblem.
+def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Optional[np.ndarray],
+                  gamma: float, nominal: Optional[np.ndarray] = None) -> NormalEquations:
+    """normal_equations of an affine problem, the penalty targets taken at nominal.
 
-    Residual conventions: dynamics A x - (m + b) with the prior occupying
-    the first block row, measurements y - (H x + e), and penalty increments
-    Phi x - d with d carrying the prior mean in its first block.
-    """
-
-    y: np.ndarray
-    e: np.ndarray
-    m: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
-    v: np.ndarray
-    eta_bar: np.ndarray
-    H: np.ndarray
-    R: np.ndarray
-    A: np.ndarray
-    Q: np.ndarray
-    Phi: np.ndarray
-    T: int
-    n_x: int
-    n_y: int
-
-
-def _block_diag(mats: np.ndarray) -> np.ndarray:
-    T, p, q = mats.shape
-    out = np.zeros((T * p, T * q))
-    for t in range(T):
-        out[t * p:(t + 1) * p, t * q:(t + 1) * q] = mats[t]
-    return out
-
-
-def _bidiagonal(sub_blocks: np.ndarray, T: int, n: int) -> np.ndarray:
-    """Unit block lower bidiagonal matrix with -sub_blocks[t] below the diagonal."""
-    out = np.eye(T * n)
-    for t in range(1, T):
-        out[t * n:(t + 1) * n, (t - 1) * n:t * n] = -sub_blocks[t]
-    return out
-
-
-def stack_problem(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
-                  gamma: float, nominal: Optional[np.ndarray] = None) -> StackedProblem:
-    """Assemble the dense blocks for an affine model.
-
-    The first dynamics block row holds the prior (identity against m1) and
-    the first penalty block row fixes u_0 = x_0 - m1, so B_1 and d_1 of the
-    penalty targets are never consulted.  P1, Q and R are factored block by
-    block before stacking (models.noise_factors), so a bad block is named
-    with its step, as on the smoother path.
+    With v None, h leaves out the coupling's part (smoothers.coupled_rhs
+    adds it).  P1, Q and R are factored block by block
+    (smoothers.noise_precisions), so a bad block is named with its step, as
+    on the smoother path.
     """
     model = problem.model
     if not model.is_affine:
         raise ValueError("stack_problem needs an affine model; linearise first")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    noise_factors(model)
-    T, n, n_y = model.T, model.n_x, model.n_y
+    B, d = problem.penalty_targets(nominal)
+    return normal_equations(model, noise_precisions(model), problem.y, B, d, v, eta_bar, gamma)
 
-    B, d_steps = problem.penalty_targets(nominal)
-    d = np.concatenate([model.m1[None], np.asarray(d_steps[1:])]) if T > 1 else model.m1[None]
 
-    m = np.zeros((T, n))
-    m[0] = model.m1
-    b = np.asarray(model.b).copy()
-    b[0] = 0.0
+def normal_system(eqs: NormalEquations):
+    """Dense (T n_x)^2 normal matrix of eqs and its right-hand side (T n_x,).
 
-    Qbar = np.concatenate([model.P1[None], np.asarray(model.Q[1:])]) if T > 1 else model.P1[None]
-
-    return StackedProblem(
-        y=np.asarray(problem.y).ravel(),
-        e=np.asarray(model.e).ravel(),
-        m=m.ravel(),
-        b=b.ravel(),
-        d=d.ravel(),
-        v=np.asarray(v).ravel(),
-        eta_bar=np.asarray(eta_bar).ravel(),
-        H=_block_diag(np.asarray(model.H)),
-        R=_block_diag(np.asarray(model.R)),
-        A=_bidiagonal(np.asarray(model.A), T, n),
-        Q=_block_diag(Qbar),
-        Phi=_bidiagonal(np.asarray(B), T, n),
-        T=T, n_x=n, n_y=n_y,
-    )
+    The matrix holds D[t] at block (t, t), -E[t] at block (t + 1, t) and its
+    transpose at block (t, t + 1), zeros elsewhere.  It is Fortran-ordered,
+    so _dense_factor factors it in place.
+    """
+    T, n = eqs.h.shape
+    M = np.zeros((T, n, T, n))  # transposed below: block (t, s) of M is block (s, t)'
+    t = np.arange(T)
+    M[t, :, t, :] = np.swapaxes(eqs.D, 1, 2)
+    M[t[:-1], :, t[1:], :] = -np.swapaxes(eqs.E, 1, 2)
+    M[t[1:], :, t[:-1], :] = -eqs.E
+    return M.reshape(T * n, T * n).T, eqs.h.ravel()
 
 
 def _dense_factor(M: np.ndarray, what: str):
-    """cho_factor of a dense symmetric matrix; one that is not finite or not
-    positive definite raises SingularSystemError naming what."""
+    """cho_factor of normal_system's matrix, overwriting it; one that is not
+    finite or not positive definite raises SingularSystemError naming what."""
     try:
-        return cho_factor(M, lower=True)
+        return cho_factor(M, lower=True, overwrite_a=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SingularSystemError(f"{what} is not positive definite") from exc
 
 
-def normal_system(stacked: StackedProblem, gamma: float):
-    """Normal matrix and right-hand side (stack_problem has checked every noise block)."""
-    Rf = _dense_factor(stacked.R, "R")
-    Qf = _dense_factor(stacked.Q, "Q")
-    M = stacked.H.T @ cho_solve(Rf, stacked.H) + stacked.A.T @ cho_solve(Qf, stacked.A)
-    rhs = (stacked.H.T @ cho_solve(Rf, stacked.y - stacked.e)
-           + stacked.A.T @ cho_solve(Qf, stacked.m + stacked.b))
-    if gamma > 0:
-        M = M + gamma * stacked.Phi.T @ stacked.Phi
-        rhs = rhs + gamma * stacked.Phi.T @ (stacked.d + stacked.v - stacked.eta_bar / gamma)
-    return M, rhs
-
-
-def batch_x_affine(stacked: StackedProblem, gamma: float) -> np.ndarray:
-    """Exact minimiser of the affine subproblem, reshaped to (T, n_x)."""
-    M, rhs = normal_system(stacked, gamma)
-    x = cho_solve(_dense_factor(M, "stacked normal matrix"), rhs)
-    return x.reshape(stacked.T, stacked.n_x)
+def batch_x_affine(eqs: NormalEquations) -> np.ndarray:
+    """Exact minimiser of the affine subproblem eqs (stack_problem), (T, n_x)."""
+    M, rhs = normal_system(eqs)
+    return cho_solve(_dense_factor(M, "stacked normal matrix"), rhs).reshape(eqs.h.shape)
 
 
 def make_affine_x_solver():
     """x-update callable for the ADMM loop, caching the factorised normal matrix.
 
     The normal matrix depends only on the problem and gamma, so it is
-    factorised once per (problem, gamma) (models.per_problem) and only the
-    penalty right-hand side is refreshed.
+    factorised once per (problem, gamma) (models.per_problem) and kept with
+    the penalty targets and the data part of h; each call adds the
+    coupling's part (coupled_rhs) and back-substitutes.
     """
-    def build(problem, gamma, V, eta_bar):
-        stacked = stack_problem(problem, V, eta_bar, gamma)
-        M, rhs_data = normal_system(stacked, 0.0)
-        M = M + gamma * stacked.Phi.T @ stacked.Phi
-        return stacked, _dense_factor(M, "stacked normal matrix"), rhs_data
-
-    factored = per_problem(build)
+    @per_problem
+    def factored(problem, gamma):
+        eqs = stack_problem(problem, None, None, gamma)
+        M, _ = normal_system(eqs)
+        B, d = problem.penalty_targets()
+        return B, d, eqs.h, _dense_factor(M, "stacked normal matrix")
 
     def solver(problem, V, eta_bar, gamma, x_warm):
-        stacked, factor, rhs_data = factored(problem, gamma, V, eta_bar)
-        rhs = rhs_data + gamma * stacked.Phi.T @ (stacked.d + V.ravel() - eta_bar.ravel() / gamma)
-        return cho_solve(factor, rhs).reshape(stacked.T, stacked.n_x)
+        B, d, h, factor = factored(problem, gamma)
+        h = coupled_rhs(h, B, d, V, eta_bar, gamma, problem.model.m1)
+        return cho_solve(factor, h.ravel()).reshape(h.shape)
 
     return solver
 
@@ -164,22 +98,19 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
                   s_cov=None) -> np.ndarray:
     """One damped step: Gauss-Newton system plus lam * S^{-1} anchored at x.
 
-    lam = 0 is the plain Gauss-Newton step.  In process_noise mode the
-    penalty targets are refreshed at x, so the penalty operator itself is
-    part of the linearisation.
+    lam = 0 is the plain Gauss-Newton step; lam > 0 adds the damping with
+    NormalEquations.damped, as the smoother engine does.  In process_noise
+    mode the penalty targets are refreshed at x, so the penalty operator
+    itself is part of the linearisation.
     """
     lin = TrackingProblem(linearize(problem.model, x), problem.reg, problem.y)
-    stacked = stack_problem(lin, v, eta_bar, gamma)
-    M, rhs = normal_system(stacked, gamma)
+    eqs = stack_problem(lin, v, eta_bar, gamma)
     name = "normal matrix"
     if lam > 0:
-        T, n = stacked.T, stacked.n_x
-        D = _block_diag(np.broadcast_to(damping_inverse(s_cov, T, n), (T, n, n)))
-        M = M + lam * D
-        rhs = rhs + lam * (D @ np.asarray(x, dtype=float).ravel())
+        eqs = eqs.damped(lam, damping_inverse(s_cov, lin.T, lin.n_x), np.asarray(x, dtype=float))
         name = "damped normal matrix"
-    out = cho_solve(_dense_factor(M, name), rhs)
-    return out.reshape(stacked.T, stacked.n_x)
+    M, rhs = normal_system(eqs)
+    return cho_solve(_dense_factor(M, name), rhs).reshape(eqs.h.shape)
 
 
 def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,

@@ -94,8 +94,9 @@ def spd_factor(mats, what: str, steps=None) -> np.ndarray:
 
 
 def _check_finite(arr: np.ndarray, name: str, start: int = 0, stepped: bool = True) -> None:
-    """Raise ValueError naming arr and, for stacked input, its first non-finite step."""
-    finite = np.isfinite(arr[start:] if stepped else arr)
+    """Raise ValueError naming arr and, for stacked input, its first non-finite
+    step (a broadcast stack is checked once, as its first step)."""
+    finite = np.isfinite(compact(arr[start:]) if stepped else arr)
     if finite.all():
         return
     if not stepped:

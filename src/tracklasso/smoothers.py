@@ -69,7 +69,7 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float) -> AffineMod
     The fused model is an AffineModel (built with validate=False) whose RTS
     smoother minimises the x subproblem.  The prior is fused as step 0 of
     the same algebra, with A = B = 0, b = d = m1 and Q = P1 (the convention
-    of the dense stacked problem), so b[0] is the fused prior mean m1, and
+    of normal_equations), so b[0] is the fused prior mean m1, and
     the transitions as steps 1..T-1, with P1^{-1} and Q^{-1} the model's
     kept noise_precisions.  With gamma = 0 there is no coupling and the
     model is returned as it is: it is its own fused model.
@@ -218,10 +218,12 @@ class NormalEquations:
 
     D (T, n_x, n_x) are the diagonal blocks, -E[t] (E is (T - 1, n_x, n_x))
     the blocks (t + 1, t) below them and h (T, n_x) the right-hand side.
+    A solve against a kept factor of the matrix reads only h, so D and E
+    may then be None.
     """
 
-    D: np.ndarray
-    E: np.ndarray
+    D: Optional[np.ndarray]
+    E: Optional[np.ndarray]
     h: np.ndarray
 
     def damped(self, lam: float, s_inv: np.ndarray, z: np.ndarray) -> "NormalEquations":
@@ -243,6 +245,12 @@ def noise_precisions(model: Model):
     return kept["precisions"]
 
 
+def _steps(product: np.ndarray, k: int) -> np.ndarray:
+    """A new product of one or k steps as a (k, ...) stack of its own, copying
+    a single step k times."""
+    return product if len(product) == k else np.repeat(product, k, axis=0)
+
+
 def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None,
                      v=None, eta_bar=None, gamma: float = 0.0) -> NormalEquations:
     """Undamped normal equations of the x subproblem on an affine model.
@@ -255,11 +263,12 @@ def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None
     E_t = Q_{t+1}^{-1} A_{t+1} + gamma B_{t+1}, the t + 1 terms absent at
     t = T - 1: the fused model's matrix without evidence rows.  D, E and,
     with v None, h depend only on (problem, gamma); coupled_rhs adds the rest.
+    A time-invariant (broadcast) stack enters its products once.
     """
     Pi, Qi, Ri = precisions
-    A, b, m1 = lin.A[1:], lin.b[1:], lin.m1
-    HRi = np.swapaxes(lin.H, 1, 2) @ Ri
-    D = HRi @ lin.H
+    A, b, H, m1 = compact(lin.A[1:]), compact(lin.b[1:]), compact(lin.H), lin.m1
+    HRi = np.swapaxes(H, 1, 2) @ Ri
+    D = _steps(HRi @ H, lin.T)
     h = (HRi @ (y - lin.e)[..., None])[..., 0]
     QiA, Qib = Qi @ A, (Qi @ b[..., None])[..., 0]
     D[0] += Pi[0]
@@ -268,7 +277,7 @@ def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None
     h[0] += Pi[0] @ m1
     h[1:] += Qib
     h[:-1] -= (Qib[:, None] @ A)[:, 0]
-    E = QiA
+    E = _steps(QiA, lin.T - 1)
     if gamma > 0:
         Bn = compact(B[1:])
         D += gamma * np.eye(lin.n_x)

@@ -35,7 +35,8 @@ def make_x_solver(solver: str, i_max: int = 10, lm_cfg: Optional[LMConfig] = Non
     The affine engines factor once per (problem, gamma) (models.per_problem)
     and back-substitute per call: ks_madmm (affine only) keeps the band
     factor of normal_equations and h without the coupling, which each call
-    adds (coupled_rhs), batch_madmm its dense Cholesky factor.  gn_ieks_madmm
+    adds (coupled_rhs), batch_madmm a dense Cholesky factor of the same
+    equations; neither keeps their blocks D and E.  gn_ieks_madmm
     and lm_ieks_madmm run the iterated smoother (GN: lambda0 = 0);
     batch_madmm runs the dense LM loop for nonlinear models.
     """
@@ -46,14 +47,14 @@ def make_x_solver(solver: str, i_max: int = 10, lm_cfg: Optional[LMConfig] = Non
             B, d = problem.penalty_targets()
             eqs = normal_equations(problem.model, noise_precisions(problem.model), problem.y,
                                    B, gamma=gamma)
-            return B, d, eqs, band_factor(eqs)
+            return B, d, eqs.h, band_factor(eqs)
 
         def ks(problem, V, eta_bar, gamma, x_warm):
             if not problem.is_affine:
                 raise ValueError("the Kalman-smoother x update needs an affine model")
-            B, d, eqs, band = factored(problem, gamma)
-            h = coupled_rhs(eqs.h, B, d, V, eta_bar, gamma, problem.model.m1)
-            return augmented_ks(NormalEquations(eqs.D, eqs.E, h), factor=band)
+            B, d, h, band = factored(problem, gamma)
+            h = coupled_rhs(h, B, d, V, eta_bar, gamma, problem.model.m1)
+            return augmented_ks(NormalEquations(None, None, h), factor=band)
         return ks
     if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):
         if solver == "gn_ieks_madmm":

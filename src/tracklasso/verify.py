@@ -23,6 +23,7 @@ from .models import (
     TrackingProblem,
     augmented_lagrangian,
     make_regularizer,
+    x_subproblem_cost,
 )
 from .scenarios import (
     ct_jacobian,
@@ -116,7 +117,7 @@ def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> C
         B, d = problem.penalty_targets()
         for _ in range(2):  # the second coupling reuses the x update's band factor
             V, eta_bar = rng.normal(size=(2, problem.T, problem.n_x))
-            x_batch = batch_x_affine(stack_problem(problem, V, eta_bar, gamma), gamma)
+            x_batch = batch_x_affine(stack_problem(problem, V, eta_bar, gamma))
             fused = build_fused(problem.model, B, d, V, eta_bar, gamma)
             for name, x_ks in (("RTS", augmented_ks(fused, problem.y)),
                                ("ks_madmm", ks(problem, V, eta_bar, gamma, None))):
@@ -129,6 +130,42 @@ def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> C
                                                         gamma=gamma))
     return CheckResult("smoother_vs_batch_affine", True,
                        f"{cases} systems, worst gap {worst:.3e}")
+
+
+def check_batch_minimiser(seed: int, cases: int = 10, directions: int = 5,
+                          tol: float = 1e-8) -> CheckResult:
+    """The dense x update minimises x_subproblem_cost, in both target modes.
+
+    This check does not go through normal_equations: the cost is evaluated
+    at x +- d along random directions d with ||d|| = max(1, ||x||).  For a
+    quadratic the central differences are exact up to rounding, so the
+    line minimum x + s d, s = -(f+ - f-) / (2 (f+ + f- - 2 f(x))), must
+    have |s| <= tol.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for i in range(cases):
+        problem = random_affine_problem(rng, n_x=int(rng.integers(1, 5)),
+                                        target_mode=("state", "process_noise")[i % 2])
+        gamma = float(rng.uniform(0.5, 2.0))
+        V, eta_bar = rng.normal(size=(2, problem.T, problem.n_x))
+        x = batch_x_affine(stack_problem(problem, V, eta_bar, gamma))
+        f0 = x_subproblem_cost(problem, x, V, eta_bar, gamma)
+        for _ in range(directions):
+            d = rng.normal(size=x.shape)
+            d *= max(1.0, np.linalg.norm(x)) / np.linalg.norm(d)
+            fp, fm = (x_subproblem_cost(problem, x + sign * d, V, eta_bar, gamma)
+                      for sign in (1, -1))
+            s = abs(fp - fm) / (2 * (fp + fm - 2 * f0))
+            worst = max(worst, s)
+            if not s <= tol:
+                return CheckResult("batch_minimises_subproblem", False,
+                                   f"line minimum {s:.3e} of ||d|| away > {tol:.0e}",
+                                   _problem_payload(problem, V=V, eta_bar=eta_bar,
+                                                    gamma=gamma, x=x, d=d))
+    return CheckResult("batch_minimises_subproblem", True,
+                       f"{cases} systems, {directions} directions each, "
+                       f"worst line minimum {worst:.3e}")
 
 
 def _range_problem(seed: int, T: int = 20) -> TrackingProblem:
@@ -363,6 +400,7 @@ def run_all_checks(seed: int = 0, inject_fault: bool = False) -> List[CheckResul
     """The full verification battery, deterministic given the seed."""
     results = [
         check_affine_equivalence(seed),
+        check_batch_minimiser(seed + 600),
         check_ieks_vs_batch(seed + 100),
         check_shrink_vs_grid(seed + 200),
         check_jacobians(seed + 300),

@@ -95,20 +95,34 @@ def test_nonlinear_solve_converges_to_stationary_point():
 
 
 def test_stack_problem_shapes():
+    # the dense system is the block-tridiagonal normal equations unpacked,
+    # and a damped dense step solves NormalEquations.damped
     from tracklasso.batch import normal_system
 
     rng = np.random.default_rng(3)
-    prob = random_affine_problem(rng, T=6, n_x=3, n_y=2)
-    V = rng.normal(size=(6, 3))
-    eta = rng.normal(size=(6, 3))
-    stacked = stack_problem(prob, V, eta, 0.7)
-    n = 6 * 3
-    assert stacked.H.shape == (6 * 2, n)
-    assert stacked.A.shape == (n, n)
-    assert stacked.Phi.shape == (n, n)
-    M, rhs = normal_system(stacked, 0.7)
-    assert M.shape == (n, n) and rhs.shape == (n,)
-    np.testing.assert_allclose(M, M.T, atol=1e-12)
+    T, n = 6, 3
+    prob = random_affine_problem(rng, T=T, n_x=n, n_y=2)
+    V = rng.normal(size=(T, n))
+    eta = rng.normal(size=(T, n))
+    eqs = stack_problem(prob, V, eta, 0.7)
+    M, rhs = normal_system(eqs)
+    assert M.shape == (T * n, T * n) and rhs.shape == (T * n,)
+    np.testing.assert_allclose(M, M.T, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(rhs, eqs.h.ravel())
+    blocks = M.reshape(T, n, T, n).transpose(0, 2, 1, 3)  # blocks[t, s]: block (t, s)
+    for t in range(T):
+        np.testing.assert_array_equal(blocks[t, t], eqs.D[t])
+    for t in range(T - 1):
+        np.testing.assert_array_equal(blocks[t + 1, t], -eqs.E[t])
+    steps = np.arange(T)
+    assert not blocks[np.abs(steps[:, None] - steps) > 1].any()
+
+    x = rng.normal(size=(T, n))
+    S = rng.normal(size=(n, n))
+    s_cov = S @ S.T + n * np.eye(n)
+    got = batch_lm_step(prob, x, V, eta, 0.7, lam=0.3, s_cov=s_cov)
+    M, rhs = normal_system(eqs.damped(0.3, np.linalg.inv(s_cov)[None], x))
+    np.testing.assert_allclose(got.ravel(), np.linalg.solve(M, rhs), rtol=1e-10)
 
 
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])
@@ -121,7 +135,7 @@ def test_batch_affine_minimises_subproblem(target_mode):
     gamma = 0.8
     V = rng.normal(size=(5, 2))
     eta = rng.normal(size=(5, 2))
-    x_hat = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
+    x_hat = batch_x_affine(stack_problem(prob, V, eta, gamma))
 
     def cost(flat):
         return x_subproblem_cost(prob, flat.reshape(5, 2), V, eta, gamma)
@@ -136,7 +150,7 @@ def test_batch_affine_gamma_zero_is_unregularised_fit():
     rng = np.random.default_rng(4)
     prob = random_affine_problem(rng, T=7, n_x=2, n_y=1, kind="l2")
     z = np.zeros((7, 2))
-    x_hat = batch_x_affine(stack_problem(prob, z, z, 0.0), 0.0)
+    x_hat = batch_x_affine(stack_problem(prob, z, z, 0.0))
 
     def cost(flat):
         return x_subproblem_cost(prob, flat.reshape(7, 2), z, z, 0.0)
@@ -157,7 +171,7 @@ def test_affine_x_solver_never_serves_a_dropped_problem():
         prob = random_affine_problem(rng, T=6, n_x=2, n_y=1)
         V = rng.normal(size=(6, 2))
         eta = rng.normal(size=(6, 2))
-        want = batch_x_affine(stack_problem(prob, V, eta, 1.0), 1.0)
+        want = batch_x_affine(stack_problem(prob, V, eta, 1.0))
         got = solver(prob, V, eta, 1.0, None)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12,
                                    err_msg=f"problem {i}")
@@ -200,4 +214,4 @@ def test_dense_factor_names_a_bad_noise_matrix():
         prob = TrackingProblem(model=model, reg=make_regularizer("l2", 2), y=np.zeros((5, 2)))
         z = np.zeros((5, 2))
         with pytest.raises(SingularSystemError, match=f"^{match}is not positive definite$"):
-            batch_x_affine(stack_problem(prob, z, z, 1.0), 1.0)
+            batch_x_affine(stack_problem(prob, z, z, 1.0))

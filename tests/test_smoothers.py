@@ -138,7 +138,7 @@ def test_augmented_ks_matches_batch(seed, target_mode):
     B, d = prob.penalty_targets()
     fused = build_fused(prob.model, B, d, V, eta, gamma)
     x_ks = augmented_ks(fused, prob.y)
-    x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
+    x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma))
     np.testing.assert_allclose(x_ks, x_batch, atol=1e-9)
     gap = (x_subproblem_cost(prob, x_ks, V, eta, gamma)
            - x_subproblem_cost(prob, x_batch, V, eta, gamma))
@@ -221,7 +221,7 @@ def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ, per
     eqs = assemble()
     if damping is None:
         x_ks = augmented_ks(build_fused(model, B, d, V, eta, gamma), prob.y)
-        x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
+        x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma))
         np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
     else:
         lam = float(rng.uniform(0.1, 5.0))
@@ -293,7 +293,7 @@ def test_band_factor_serves_every_coupling_of_its_problem(seed, T, n_x, n_y, per
                              B, d, V2, eta2, gamma)
     np.testing.assert_array_equal(x, augmented_ks(fresh))
     assert not np.array_equal(x, first)
-    x_batch = batch_x_affine(stack_problem(prob, V2, eta2, gamma), gamma)
+    x_batch = batch_x_affine(stack_problem(prob, V2, eta2, gamma))
     np.testing.assert_allclose(x, x_batch, rtol=1e-8, atol=1e-8)
 
 
@@ -336,7 +336,7 @@ def test_plain_smoother_is_unregularised_batch():
     prob = random_affine_problem(rng, T=15, n_x=2, n_y=2)
     z = np.zeros((15, 2))
     x_sm = plain_smoother(prob.model, prob.y)
-    x_batch = batch_x_affine(stack_problem(prob, z, z, 0.0), 0.0)
+    x_batch = batch_x_affine(stack_problem(prob, z, z, 0.0))
     np.testing.assert_allclose(x_sm, x_batch, atol=1e-9)
 
 
@@ -558,7 +558,7 @@ def test_steady_state_shortcut_matches_batch(monkeypatch, target_mode, gamma, da
         assert calls[0] == 0
     else:
         x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, gamma), prob.y)
-        x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma), gamma)
+        x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma))
     assert calls[0] < T // 2
     np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
 
@@ -574,7 +574,7 @@ def test_shortcut_resumes_when_the_inputs_change(monkeypatch):
     B, d = prob.penalty_targets()
     calls = count_factorisations(monkeypatch)
     x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, 0.8), prob.y)
-    x_batch = batch_x_affine(stack_problem(prob, V, eta, 0.8), 0.8)
+    x_batch = batch_x_affine(stack_problem(prob, V, eta, 0.8))
     assert calls[0] < T // 2
     np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
 
