@@ -36,6 +36,7 @@ from .smoothers import (
     lm_ieks,
     plain_ieks,
     plain_smoother,
+    rts_smoother,
 )
 from .scenarios import (
     CsvSchema,
@@ -92,6 +93,7 @@ __all__ = [
     "plain_smoother",
     "range_model",
     "relative_error",
+    "rts_smoother",
     "run_madmm",
     "scenario_defaults",
     "simulate_coordinated_turn",

@@ -64,10 +64,16 @@ def _dense_factor(M: np.ndarray, what: str):
         raise SingularSystemError(f"{what} is not positive definite") from exc
 
 
+def _back_substitute(factor, h: np.ndarray) -> np.ndarray:
+    """cho_solve of h (T, n_x) against _dense_factor's checked factor; a
+    non-finite h raises ValueError."""
+    return cho_solve(factor, np.asarray_chkfinite(h.ravel()), check_finite=False).reshape(h.shape)
+
+
 def batch_x_affine(eqs: NormalEquations) -> np.ndarray:
     """Exact minimiser of the affine subproblem eqs (stack_problem), (T, n_x)."""
-    M, rhs = normal_system(eqs)
-    return cho_solve(_dense_factor(M, "stacked normal matrix"), rhs).reshape(eqs.h.shape)
+    M, _ = normal_system(eqs)
+    return _back_substitute(_dense_factor(M, "stacked normal matrix"), eqs.h)
 
 
 def make_affine_x_solver():
@@ -88,7 +94,7 @@ def make_affine_x_solver():
     def solver(problem, V, eta_bar, gamma, x_warm):
         B, d, h, factor = factored(problem, gamma)
         h = coupled_rhs(h, B, d, V, eta_bar, gamma, problem.model.m1)
-        return cho_solve(factor, h.ravel()).reshape(h.shape)
+        return _back_substitute(factor, h)
 
     return solver
 
@@ -109,8 +115,8 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
     if lam > 0:
         eqs = eqs.damped(lam, damping_inverse(s_cov, lin.T, lin.n_x), np.asarray(x, dtype=float))
         name = "damped normal matrix"
-    M, rhs = normal_system(eqs)
-    return cho_solve(_dense_factor(M, name), rhs).reshape(eqs.h.shape)
+    M, _ = normal_system(eqs)
+    return _back_substitute(_dense_factor(M, name), eqs.h)
 
 
 def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,

@@ -1,26 +1,28 @@
 """Kalman-smoother solvers for the regularised x subproblem.
 
 The x subproblem's normal matrix is block tridiagonal, so it is solved in
-O(T) instead of the O(T^3) dense solve, in one of two forms, each one
-augmented_ks call.  normal_equations is the information form, assembled
-unfused for all steps at once from the model, its noise precisions and the
-coupling, and solved by one banded LAPACK Cholesky (band_factor); its
-matrix depends only on (problem, gamma), so one band factor serves every
-coupling (coupled_rhs).  The ks_madmm x update, plain_smoother, damped LM
-proposals (plus lambda S^{-1} on the diagonal) and plain_ieks use it.
-The RTS form fuses the penalty coupling with the transition density into
-an affine model (build_fused, Q~^{-1} = Q^{-1} + gamma I) whose coupling
-evidence, when B_t != A_t, becomes measurement rows below the data, and
-runs the plain RTS smoother on it: rts_factor's covariance sweep (stopped
-at the exact fixed point of the Riccati recursion) and gains, then the
-mean pass.  Undamped Gauss-Newton proposals use it, and the oracles
-compare it with the dense solve.  The iterated smoothers and the dense
+O(T) instead of the O(T^3) dense solve, in one form: normal_equations
+assembles the information form unfused for all steps at once from the
+model, its noise precisions and the coupling, and augmented_ks solves it
+with one banded LAPACK Cholesky (band_factor).  Its matrix depends only on
+(problem, gamma), so one band factor serves every coupling (coupled_rhs).
+Every x update takes this form: the ks_madmm update, plain_smoother and
+every Gauss-Newton or Levenberg-Marquardt proposal, a damped one with
+lambda S^{-1} added on the diagonal.  The iterated smoothers and the dense
 stacked solvers share one damped Gauss-Newton loop, gauss_newton
-(Gauss-Newton is lambda0 = 0); they differ only in the step each
-proposes.  Both linearise with linearize, which returns an affine model
-unchanged, so on an affine problem the iterated smoother is the augmented
-smoother.  Every covariance block factored or checked here (P1, Q, R, Q~,
-the predicted covariances and LMConfig's damping metric S) goes through
+(Gauss-Newton is lambda0 = 0, and plain_ieks is that loop with no
+penalty); they differ only in the step each proposes.  Both linearise with
+linearize, which returns an affine model unchanged, so on an affine
+problem the iterated smoother is the augmented smoother.
+
+The oracle is the paper's augmented smoother in covariance form:
+build_fused fuses the penalty coupling with the transition density into
+an affine model (Q~^{-1} = Q^{-1} + gamma I) whose coupling evidence,
+when B_t != A_t, becomes measurement rows below the data, and
+rts_smoother runs a plain Kalman filter and RTS pass on it.  No solve
+path uses it; the oracles compare it with the banded and dense solves.
+Every covariance block factored or checked here (P1, Q, R, the innovation
+and predicted covariances and LMConfig's damping metric S) goes through
 models.spd_factor, so a bad one raises an error naming the matrix and its
 step.
 """
@@ -28,14 +30,15 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dtbtrs, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs, dtrtrs
 
-from .models import (AffineModel, Model, SingularSystemError, TrackingProblem, compact,
-                     freeze, noise_factors, per_step, prior_mean_trajectory, spd_factor,
-                     time_invariant, transition_linearization, x_subproblem_cost)
+from .models import (AffineModel, GroupRegularizer, Model, SingularSystemError,
+                     TrackingProblem, compact, freeze, noise_factors, per_step,
+                     prior_mean_trajectory, spd_factor, time_invariant,
+                     transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
 
@@ -117,99 +120,48 @@ def _after_prior(prior: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return freeze(np.concatenate([prior, steps]))
 
 
-def _band(sub: np.ndarray, diag: Optional[np.ndarray] = None) -> np.ndarray:
+def _band(sub: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """LAPACK lower band (2n, T n) of the block tridiagonal matrix of
-    T = len(sub) + 1 block rows with block (t + 1, t) = -sub[t] and, when
-    given, the lower triangles of diag[t] on the diagonal (else zeros there,
-    which the unit-diagonal solves of _band_solve never read)."""
-    T, n = len(sub) + 1, sub.shape[-1]
+    T = len(diag) block rows with the lower triangles of diag[t] on the
+    diagonal and block (t + 1, t) = -sub[t]."""
+    T, n = diag.shape[:2]
     ab = np.zeros((T, n, 2 * n))  # the band, column-major
     for c in range(n):  # column c of block column t: diag[t] from row c, then -sub[t]
-        if diag is not None:
-            ab[:, c, :n - c] = diag[:, c:, c]
+        ab[:, c, :n - c] = diag[:, c:, c]
         np.negative(sub[:, :, c], out=ab[:-1, c, n - c:2 * n - c])
     return ab.reshape(T * n, 2 * n).T
 
 
-def _band_solve(ab: np.ndarray, rhs: np.ndarray, trans: str) -> np.ndarray:
-    """Solve L x = rhs (trans "N") or L' x = rhs (trans "T") for rhs (T, n)."""
-    x, _ = dtbtrs(ab, rhs.reshape(-1, 1), uplo="L", trans=trans, diag="U")
-    return x.reshape(rhs.shape)
+def rts_smoother(fused: AffineModel, y: np.ndarray) -> np.ndarray:
+    """Smoother mean (T, n_x) of an affine model by one Kalman filter and
+    RTS pass, step by step in covariance form: the banded solve's oracle.
 
-
-@dataclass(eq=False)
-class RTSFactor:
-    """The part of an RTS pass that reads only A, Q, H, R and P1.
-
-    K[src] is the Kalman gain of each step; G[gi] is the transposed smoother
-    gain of steps 0..T-2; filter_band and smoother_band pack the unit lower
-    block-bidiagonal matrices of the filter and smoother mean recursions.
+    On build_fused's model it is the paper's augmented smoother, the x
+    subproblem's minimiser; y is padded by zeros for the evidence rows below
+    the data.  The prior is the first predicted density, and each step
+    takes one measurement update over all rows of H.  The first innovation
+    or predicted covariance that does not factor (models.spd_factor) raises
+    SingularSystemError naming it and its step.
     """
-
-    K: np.ndarray
-    src: np.ndarray
-    G: np.ndarray
-    gi: np.ndarray
-    filter_band: np.ndarray
-    smoother_band: np.ndarray
-
-
-def rts_factor(fused: AffineModel) -> RTSFactor:
-    """Covariance sweep, gains and mean-recursion bands of a fused model.
-
-    This is the block LDL' factorisation of the x subproblem's normal
-    matrix in RTS form, so it depends only on (A, Q, H, R, P1):
-    for an affine problem, on (problem, gamma).  The prior acts as the first
-    predicted covariance, and each step takes one measurement update over
-    all rows of H.  In a run of steps with equal inputs, once the sweep
-    reaches a step whose filtered covariance is bit for bit the step
-    before's, the rest of the run repeats that step (the Riccati steady
-    state) and is not recomputed; gains are then batched over the computed
-    steps.  A failed factorisation raises SingularSystemError naming the
-    step.
-    """
-    T, n = fused.T, fused.n_x
-    A, Q, H, R = fused.A, fused.Q, fused.H, fused.R
-
-    same = np.zeros(T + 1, dtype=bool)  # step t has the inputs of step t - 1
-    same[2:T] = True
-    for arr in (A, Q, H, R):
-        if not time_invariant(arr):
-            same[2:T] &= (arr[2:] == arr[1:-1]).all(axis=(1, 2))
-    same = same.tolist()
-    rows = []
-    P, prev, t = fused.P1, None, 0
-    while t < T:
+    A, b, H, e, Q, R = fused.A, fused.b, fused.H, fused.e, fused.Q, fused.R
+    y = np.pad(np.asarray(y, dtype=float), ((0, 0), (0, H.shape[1] - np.shape(y)[1])))
+    m, P = fused.m1, fused.P1
+    predicted, filtered = [], []  # predicted[t]: mean and covariance factor of step t + 1
+    for t in range(fused.T):
         if t:
-            P = A[t] @ P @ A[t].T + Q[t]
-            P = 0.5 * (P + P.T)
-        Pp, HP = P, H[t] @ P
-        L, info = dpotrf(HP @ H[t].T + R[t], lower=1)
-        if info:
-            raise SingularSystemError(f"innovation covariance at step {t} "
-                                      f"is not positive definite")
-        W = dtrtrs(L, HP, lower=1)[0]
-        P = Pp - W.T @ W
-        rows.append((t, Pp, P, L, W))
-        key = P.tobytes()
-        if same[t + 1] and key == prev:
-            t = same.index(False, t + 1) - 1  # the rest of the run repeats step t
-        prev = key
-        t += 1
-    steps, P_pred, P_filt, L, W = (np.array(a) for a in zip(*rows))
-    K = np.swapaxes(np.linalg.solve(np.swapaxes(L, 1, 2), W), 1, 2)
-    fresh = np.zeros(T, dtype=bool)
-    fresh[steps] = True
-    src = np.cumsum(fresh) - 1  # the computed row that step t repeats
-    # filter: m_t - F_t m_{t-1} = b_t + K_t (y_t - e_t - H_t b_t), F_t = (I - K_t H_t) A_t
-    F = (np.eye(n) - K @ H[fresh]) @ A[fresh]
-    # smoother: x_t - G_t x_{t+1} = m_t - G_t x_pred_{t+1}; G_t changes only by computed steps
-    need = fresh[:-1] | fresh[1:]
-    tn = np.flatnonzero(need)
-    Pn = P_pred[src[tn + 1]]
-    spd_factor(Pn, "predicted covariance", tn + 1)
-    G, gi = np.linalg.solve(Pn, A[tn + 1] @ P_filt[src[tn]]), np.cumsum(need) - 1
-    return RTSFactor(K, src, G, gi, _band(F[src[1:]]), _band(G[gi]))
+            m, P = A[t] @ m + b[t], A[t] @ P @ A[t].T + Q[t]
+            predicted.append((m, spd_factor(P, f"predicted covariance at step {t}")))
+        L = spd_factor(H[t] @ P @ H[t].T + R[t], f"innovation covariance at step {t}")
+        W = dtrtrs(L, H[t] @ P, lower=1)[0]  # L^{-1} H P: the Kalman gain is W' L^{-1}
+        m = m + W.T @ dtrtrs(L, y[t] - e[t] - H[t] @ m, lower=1)[0]
+        P = P - W.T @ W
+        filtered.append((m, P))
+    x = [m]
+    for t in range(fused.T - 2, -1, -1):  # x_t = m_t + G_t (x_{t+1} - m_pred_{t+1})
+        m_pred, Lp = predicted[t]
+        G = dpotrs(Lp, A[t + 1] @ filtered[t][1], lower=1)[0].T
+        x.append(filtered[t][0] + G @ (x[-1] - m_pred))
+    return np.array(x[::-1])
 
 
 @dataclass(eq=False)
@@ -310,38 +262,21 @@ def band_factor(eqs: NormalEquations) -> np.ndarray:
     return band
 
 
-def augmented_ks(fused: Union[AffineModel, NormalEquations], y: Optional[np.ndarray] = None,
-                 factor: Union[RTSFactor, np.ndarray, None] = None) -> np.ndarray:
-    """One solve of the x subproblem, returning x (T, n_x).
+def augmented_ks(eqs: NormalEquations, factor: Optional[np.ndarray] = None) -> np.ndarray:
+    """One solve of the x subproblem's normal equations, returning x (T, n_x).
 
-    NormalEquations (h holds the data; y is not read) take one dpbtrs
-    against factor, by default band_factor(fused).  An affine model
-    (build_fused's, or one with no coupling) takes the RTS mean pass against
-    factor, by default rts_factor(fused), reading b, m1, e and the dynamics,
-    with y padded by zeros for the rows below the data.  A factor built for
-    the same (problem, gamma) and another coupling gives the fresh x bit for
-    bit.
+    One dpbtrs of h against factor, by default band_factor(eqs).  A factor
+    built for the same (problem, gamma) and another coupling gives the
+    fresh x bit for bit.
     """
-    if isinstance(fused, NormalEquations):
-        if factor is None:
-            factor = band_factor(fused)
-        return dpbtrs(factor, fused.h.reshape(-1, 1), lower=1)[0].reshape(fused.h.shape)
     if factor is None:
-        factor = rts_factor(fused)
-    m = fused.H.shape[1]
-    y = np.pad(np.asarray(y, dtype=float), ((0, 0), (0, m - np.shape(y)[1])))
-    rhs = np.concatenate([fused.m1[None], fused.b[1:]])
-    rhs += (factor.K[factor.src]
-            @ (y - fused.e - (fused.H @ rhs[..., None])[..., 0])[..., None])[..., 0]
-    x = _band_solve(factor.filter_band, rhs, "N")
-    x_pred = (fused.A[1:] @ x[:-1, :, None])[..., 0] + fused.b[1:]
-    x[:-1] -= (x_pred[:, None] @ factor.G[factor.gi])[:, 0]
-    return _band_solve(factor.smoother_band, x, "T")
+        factor = band_factor(eqs)
+    return dpbtrs(factor, eqs.h.reshape(-1, 1), lower=1)[0].reshape(eqs.h.shape)
 
 
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     """Smoother mean (T, n_x) on an affine model with no penalty coupling,
-    one banded solve of its normal_equations (to rounding the RTS pass)."""
+    one banded solve of its normal_equations (to rounding rts_smoother)."""
     return augmented_ks(normal_equations(model, noise_precisions(model), y))
 
 
@@ -369,37 +304,13 @@ def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
     e = model.measurement(t, nominal) - (H @ nominal[..., None])[..., 0]
     for name, arr in (("transition_jacobian", A), ("transition", b),
                       ("measurement_jacobian", H), ("measurement", e)):
-        ok = np.isfinite(arr.reshape(T, -1)).all(axis=1)
-        if not ok.all():
+        if not np.isfinite(arr).all():
+            ok = np.isfinite(arr.reshape(T, -1)).all(axis=1)
             raise ValueError(f"{name} returned a non-finite value at step {np.argmin(ok)}")
     lin = AffineModel(A=A, b=b, H=H, e=e, Q=model.Q, R=model.R,
                       m1=model.m1, P1=model.P1, T=T, validate=False)
     object.__setattr__(lin, "noise_kept", model.noise_kept)  # the same P1, Q and R
     return lin
-
-
-def _rel_step(x_new: np.ndarray, x_old: np.ndarray) -> float:
-    return float(np.linalg.norm(x_new - x_old) / (1.0 + np.linalg.norm(x_old)))
-
-
-def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
-               i_max: int = 20, step_tol: float = 1e-8) -> np.ndarray:
-    """Unregularised iterated smoother: relinearise, smooth, repeat.
-
-    Each pass is a plain_smoother solve on the linearisation, whose noise
-    precisions are the model's kept ones: a banded Cholesky in place of the
-    RTS covariance sweep, which a linearisation that changes every step
-    would run in full.  On an affine model (its own linearisation) the first
-    pass is plain_smoother's estimate and the second ends the loop.
-    """
-    x = np.asarray(x0, dtype=float).copy() if x0 is not None else prior_mean_trajectory(model)
-    for _ in range(i_max):
-        x_new = plain_smoother(linearize(model, x), y)
-        step = _rel_step(x_new, x)
-        x = x_new
-        if step < step_tol:
-            break
-    return x
 
 
 def _annotate(exc: SingularSystemError, i: int) -> SingularSystemError:
@@ -459,7 +370,7 @@ Proposal = Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray], float], np.ndarr
 
 
 def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
-                 cost: Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray]], float],
+                 cost: Optional[Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray]], float]],
                  cfg: LMConfig, trace: Optional[List[np.ndarray]] = None,
                  lambda_trace: Optional[List[float]] = None) -> np.ndarray:
     """Damped Gauss-Newton loop shared by the smoother and dense engines.
@@ -473,11 +384,12 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     ends the loop, since no damping can then decrease the cost by more than
     rounding; a non-finite proposal raises
     SingularSystemError.  lambda0 = 0 accepts every proposal without
-    evaluating the cost: plain Gauss-Newton, i.e. the iterated smoother.
-    Unless the targets depend on x (a nonlinear model with process_noise
-    targets and no explicit B), an accepted proposal's cost is the cost at
-    the new iterate and is not evaluated again.  Every accepted iterate
-    extends trace and lambda_trace.
+    evaluating the cost (cost may then be None): plain Gauss-Newton, i.e.
+    the iterated smoother.  Unless the targets depend on x (a nonlinear
+    model with process_noise targets and no explicit B), they are taken
+    once, and an accepted proposal's cost is the cost at the new iterate
+    and is not evaluated again.  Every accepted iterate extends trace and
+    lambda_trace.
     """
     reg = problem.reg
     fixed_targets = (problem.is_affine or reg.B is not None
@@ -496,7 +408,7 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
                 raise SingularSystemError("proposal is not finite")
         except SingularSystemError as exc:
             raise _annotate(exc, i + 1) from exc
-        step = _rel_step(x_prop, x)
+        step = float(np.linalg.norm(x_prop - x) / (1.0 + np.linalg.norm(x)))
         if lam > 0:
             if step < PROPOSAL_FLOOR:
                 break
@@ -507,7 +419,8 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
                 lam *= cfg.alpha
                 continue
         x = x_prop
-        targets = problem.penalty_targets(nominal=x)
+        if not fixed_targets:
+            targets = problem.penalty_targets(nominal=x)
         if lam > 0:
             f = f_prop if fixed_targets else cost(x, targets)
             lam /= cfg.alpha
@@ -527,40 +440,59 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
             lambda_trace: Optional[List[float]] = None) -> np.ndarray:
     """Levenberg-Marquardt iterated smoother for the coupled subproblem.
 
-    Each proposal linearises the model about the current trajectory and is
-    solved with one augmented_ks call.  A damped proposal (lambda > 0) is
-    the Levenberg-Marquardt smoother of Sarkka and Svensson (ICASSP 2020):
-    the undamped normal_equations (from the model's kept noise_precisions)
-    plus lambda S^{-1} on the diagonal blocks and lambda S^{-1} x in
-    h.  They are kept with the trajectory object they were built at, so
-    after a rejected step a proposal only adds lambda S^{-1} again, calling
-    neither linearize nor the assembly.  An undamped proposal fuses the
-    penalty coupling into the dynamics (build_fused) and stays on the RTS
-    factor, whose covariance form is what fails on a near-singular
-    innovation (acceptance criterion 10).  Gauss-Newton (the GN-IEKS) is
-    cfg with lambda0 = 0, and its iterates match the dense Gauss-Newton
-    sequence on the stacked problem.  An affine model is its own
-    linearisation, so there the first GN proposal is the augmented
-    smoother's x update.
+    Each proposal linearises the model about the current trajectory,
+    assembles the undamped normal_equations (from the model's kept
+    noise_precisions) and solves them with one augmented_ks call.  A damped
+    proposal (lambda > 0) is the Levenberg-Marquardt smoother of Sarkka and
+    Svensson (ICASSP 2020): the same equations plus lambda S^{-1} on the
+    diagonal blocks and lambda S^{-1} x in h.  The equations are kept with
+    the trajectory object they were built at, so after a rejected step a
+    proposal only adds lambda S^{-1} again, calling neither linearize nor
+    the assembly.  Gauss-Newton (the GN-IEKS) is cfg with lambda0 = 0, and
+    its iterates match the dense Gauss-Newton sequence on the stacked
+    problem.  An affine model is its own linearisation, so there the first
+    GN proposal is the ks_madmm x update, bit for bit.
     """
     cfg = cfg or LMConfig()
-    if cfg.lambda0 > 0:
-        precisions = noise_precisions(problem.model)
-        s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x)
+    precisions = noise_precisions(problem.model)
+    s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
     last = (None, None)
 
     def propose(x, targets, lam):
         nonlocal last
-        B, d = targets
-        if lam == 0:
-            lin = linearize(problem.model, x)
-            return augmented_ks(build_fused(lin, B, d, v, eta_bar, gamma), problem.y)
         if last[0] is not x:
+            B, d = targets
             last = (x, normal_equations(linearize(problem.model, x), precisions, problem.y,
                                         B, d, v, eta_bar, gamma))
-        return augmented_ks(last[1].damped(lam, s_inv, x))
+        return augmented_ks(last[1].damped(lam, s_inv, x) if lam > 0 else last[1])
 
     def cost(x, targets):
         return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
 
     return gauss_newton(problem, propose, x0, cost, cfg, trace, lambda_trace)
+
+
+_NO_PENALTY = GroupRegularizer(groups=(), weights=())
+
+
+def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
+               i_max: int = 20, step_tol: float = 1e-8) -> np.ndarray:
+    """Unregularised iterated smoother: relinearise, smooth, repeat.
+
+    gauss_newton with LMConfig(lambda0=0, i_max, step_tol) on the problem
+    with no penalty, each proposal a plain_smoother solve on the
+    linearisation at the current iterate.  The noise precisions are
+    computed (and kept on the model) first, so a bad P1, Q or R block is
+    named as such, without an inner-iteration prefix.  On an affine model
+    (its own linearisation) the first pass is plain_smoother's estimate and
+    the second ends the loop.
+    """
+    noise_precisions(model)
+    problem = TrackingProblem(model, _NO_PENALTY, y)
+    x0 = prior_mean_trajectory(model) if x0 is None else x0
+
+    def propose(x, targets, lam):
+        return plain_smoother(linearize(model, x), problem.y)
+
+    return gauss_newton(problem, propose, x0, None,
+                        LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol))

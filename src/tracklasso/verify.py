@@ -32,7 +32,7 @@ from .scenarios import (
     scenario_defaults,
     simulate_range,
 )
-from .smoothers import augmented_ks, build_fused, linearize, lm_ieks
+from .smoothers import build_fused, linearize, lm_ieks, rts_smoother
 from .solve import initial_trajectory, make_x_solver
 
 
@@ -119,7 +119,7 @@ def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> C
             V, eta_bar = rng.normal(size=(2, problem.T, problem.n_x))
             x_batch = batch_x_affine(stack_problem(problem, V, eta_bar, gamma))
             fused = build_fused(problem.model, B, d, V, eta_bar, gamma)
-            for name, x_ks in (("RTS", augmented_ks(fused, problem.y)),
+            for name, x_ks in (("RTS", rts_smoother(fused, problem.y)),
                                ("ks_madmm", ks(problem, V, eta_bar, gamma, None))):
                 rel = np.linalg.norm(x_ks - x_batch) / max(1.0, np.linalg.norm(x_batch))
                 worst = max(worst, rel)
@@ -339,7 +339,7 @@ def faulty_x_solver(eps: float = 0.05):
         fused = build_fused(model, B, d, V, eta_bar, gamma)
         A = np.array(np.broadcast_to(fused.A, (problem.T, problem.n_x, problem.n_x)))
         A[1:] += eps
-        return augmented_ks(replace(fused, A=A), problem.y)
+        return rts_smoother(replace(fused, A=A), problem.y)
 
     return solver
 

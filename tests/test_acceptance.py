@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from tracklasso.admm import MadmmOptions, block_shrink, omega_norm_sq, run_madmm
@@ -38,10 +37,10 @@ from tracklasso.scenarios import (
     simulate_wiener,
 )
 from tracklasso.smoothers import (
-    augmented_ks,
     build_fused,
     lm_ieks,
     plain_ieks,
+    rts_smoother,
 )
 from tracklasso.solve import initial_trajectory, make_x_solver, solve_problem
 from tracklasso.verify import grid_shrink, random_affine_problem
@@ -71,7 +70,7 @@ def test_criterion_01_smoother_equals_batch_on_random_systems():
         V = rng.normal(size=(prob.T, prob.n_x))
         eta = rng.normal(size=(prob.T, prob.n_x))
         B, d = prob.penalty_targets()
-        x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, gamma), prob.y)
+        x_ks = rts_smoother(build_fused(prob.model, B, d, V, eta, gamma), prob.y)
         x_b = batch_x_affine(stack_problem(prob, V, eta, gamma))
         worst = max(worst, np.linalg.norm(x_ks - x_b) / np.linalg.norm(x_b))
     elapsed = time.perf_counter() - t0
@@ -315,8 +314,9 @@ def test_criterion_10_damping_survives_an_ill_conditioned_fit():
 
     The dense Gauss-Newton iterates stay finite, but the cost rises at
     accepted steps 3 and 5: the normal matrix at the prior-mean iterate has
-    condition about 5e14, and the full step overshoots.  LM accepts a step
-    only on a strict decrease.
+    condition about 5e14, and the full step overshoots.  The banded GN
+    smoother follows the dense iterates.  LM accepts a step only on a
+    strict decrease.
     """
     t0 = time.perf_counter()
     params = scenario_defaults("range", T=12, seed=0)
@@ -337,6 +337,11 @@ def test_criterion_10_damping_survives_an_ill_conditioned_fit():
     theta_gn = [x_subproblem_cost(prob, x, z, z, 0.0) for x in gn]
     assert len(theta_gn) == 6 and np.isfinite(gn[-1]).all()
     assert [i for i in range(1, 6) if theta_gn[i] > theta_gn[i - 1]] == [3, 5]
+    smoother = []
+    lm_ieks(prob, z, z, 0.0, x0, LMConfig(lambda0=0.0, i_max=5, step_tol=0.0), trace=smoother)
+    assert len(smoother) == len(gn)
+    for a, b in zip(smoother, gn):
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b)
 
     cfg = LMConfig(lambda0=1e-2, alpha=10.0, i_max=5, step_tol=0.0,
                    s_cov=1e-5 * np.eye(4))

@@ -36,7 +36,7 @@ from tracklasso.smoothers import (
     normal_equations,
     plain_ieks,
     plain_smoother,
-    rts_factor,
+    rts_smoother,
 )
 from tracklasso.solve import initial_trajectory, make_x_solver, solve_problem
 from tracklasso.verify import random_affine_problem
@@ -128,7 +128,8 @@ def test_single_step_posterior():
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_augmented_ks_matches_batch(seed, target_mode):
-    """The smoother must return the exact stacked minimiser in both modes."""
+    """The RTS augmented smoother must return the exact stacked minimiser in
+    both modes."""
     rng = np.random.default_rng(seed)
     prob = random_affine_problem(rng, T=12, n_x=3, n_y=2, kind="group",
                                  target_mode=target_mode)
@@ -137,7 +138,7 @@ def test_augmented_ks_matches_batch(seed, target_mode):
     eta = rng.normal(size=(12, 3))
     B, d = prob.penalty_targets()
     fused = build_fused(prob.model, B, d, V, eta, gamma)
-    x_ks = augmented_ks(fused, prob.y)
+    x_ks = rts_smoother(fused, prob.y)
     x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma))
     np.testing.assert_allclose(x_ks, x_batch, atol=1e-9)
     gap = (x_subproblem_cost(prob, x_ks, V, eta, gamma)
@@ -200,7 +201,7 @@ def stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode, per_step_R=False
          damping=None, coupled=True)
 def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ, per_step_R,
                                              target_mode, damping, coupled):
-    """The RTS pass of build_fused and the information-form solve of
+    """rts_smoother on build_fused's model and the information-form solve of
     normal_equations are the exact stacked minimiser, also for per-step A
     and Q stacks, per-step R (stacked beside the coupling-evidence rows in
     state mode), a single step, more measurements than states and gamma =
@@ -220,7 +221,7 @@ def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ, per
 
     eqs = assemble()
     if damping is None:
-        x_ks = augmented_ks(build_fused(model, B, d, V, eta, gamma), prob.y)
+        x_ks = rts_smoother(build_fused(model, B, d, V, eta, gamma), prob.y)
         x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma))
         np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
     else:
@@ -234,32 +235,6 @@ def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ, per
         np.testing.assert_array_equal(augmented_ks(eqs),
                                       augmented_ks(assemble().damped(lam, s_inv, x)))
     np.testing.assert_allclose(augmented_ks(eqs), x_batch, rtol=1e-8, atol=1e-8)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 8),
-       n_x=st.integers(1, 3), n_y=st.integers(1, 3), per_step_AQ=st.booleans(),
-       target_mode=st.sampled_from(["state", "process_noise"]))
-@example(seed=0, T=1, n_x=2, n_y=2, per_step_AQ=True, target_mode="state")
-@example(seed=1, T=1, n_x=2, n_y=1, per_step_AQ=False, target_mode="process_noise")
-@example(seed=2, T=6, n_x=3, n_y=2, per_step_AQ=True, target_mode="state")
-@example(seed=3, T=6, n_x=2, n_y=3, per_step_AQ=False, target_mode="state")
-def test_rts_factor_serves_every_coupling_of_its_problem(seed, T, n_x, n_y, per_step_AQ,
-                                                         target_mode):
-    """A factor built from one coupling (V, eta) and reused with another of
-    the same problem and gamma gives a fresh pass bit for bit, also in state
-    mode, whose evidence rows have V-dependent offsets."""
-    rng = np.random.default_rng(seed)
-    prob = stacked_problem(rng, T, n_x, n_y, per_step_AQ, target_mode)
-    gamma = float(rng.uniform(0.2, 3.0))
-    B, d = prob.penalty_targets()
-    V, eta, V2, eta2 = rng.normal(size=(4, T, n_x))
-    first = build_fused(prob.model, B, d, V, eta, gamma)
-    factor = rts_factor(first)
-    fused = build_fused(prob.model, B, d, V2, eta2, gamma)
-    x = augmented_ks(fused, prob.y, factor)
-    np.testing.assert_array_equal(x, augmented_ks(fused, prob.y))
-    assert not np.array_equal(x, augmented_ks(first, prob.y, factor))
 
 
 @settings(max_examples=40, deadline=None)
@@ -483,8 +458,8 @@ def test_plain_ieks_on_affine_is_plain_smoother():
 
 def test_gn_x_update_on_affine_problem_is_the_smoother_x_update():
     """An affine model is its own linearisation, so the GN-IEKS x update is
-    the RTS augmented smoother's bit for bit, with b and e nonzero too, and
-    the banded ks_madmm x update's to rounding."""
+    the banded ks_madmm x update bit for bit, with b and e nonzero too, and
+    the RTS augmented smoother's to rounding."""
     rng = np.random.default_rng(21)
     gn, ks = make_x_solver("gn_ieks_madmm"), make_x_solver("ks_madmm")
     for _ in range(20):
@@ -497,9 +472,9 @@ def test_gn_x_update_on_affine_problem_is_the_smoother_x_update():
         gamma = float(rng.uniform(0.5, 2.0))
         B, d = prob.penalty_targets()
         x_gn = gn(prob, V, eta, gamma, x0)
-        np.testing.assert_array_equal(
-            x_gn, augmented_ks(build_fused(model, B, d, V, eta, gamma), prob.y))
-        np.testing.assert_allclose(x_gn, ks(prob, V, eta, gamma, x0), rtol=1e-10)
+        np.testing.assert_array_equal(x_gn, ks(prob, V, eta, gamma, x0))
+        np.testing.assert_allclose(
+            x_gn, rts_smoother(build_fused(model, B, d, V, eta, gamma), prob.y), rtol=1e-10)
 
 
 def test_singular_innovation_raises_with_step():
@@ -507,21 +482,20 @@ def test_singular_innovation_raises_with_step():
                         e=np.zeros(1), Q=np.eye(1), R=-np.eye(1),
                         m1=np.zeros(1), P1=0.1 * np.eye(1), T=3,
                         validate=False)
-    with pytest.raises(SingularSystemError, match="step 0"):
-        augmented_ks(model, np.zeros((3, 1)))
+    with pytest.raises(SingularSystemError, match="innovation covariance at step 0"):
+        rts_smoother(model, np.zeros((3, 1)))
 
 
-def count_factorisations(monkeypatch, lapack="dpotrf"):
-    """Count innovation-covariance factorisations in augmented_ks (dpotrf),
-    or band factorisations of the information matrix (dpbtrf)."""
+def count_factorisations(monkeypatch):
+    """Count band factorisations of the information matrix (dpbtrf)."""
     calls = [0]
-    factor = getattr(smoothers, lapack)
+    factor = smoothers.dpbtrf
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(smoothers, lapack, counted)
+    monkeypatch.setattr(smoothers, "dpbtrf", counted)
     return calls
 
 
@@ -538,53 +512,40 @@ def wiener_problem(T, target_mode, q_scale=None):
 @pytest.mark.parametrize("damped", [False, True])
 @pytest.mark.parametrize("gamma", [0.0, 1.3])
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])
-def test_steady_state_shortcut_matches_batch(monkeypatch, target_mode, gamma, damped):
-    """Long Wiener passes reach the Riccati fixed point, copy it to the end
-    of the run (in state mode the run ends a step early, where the evidence
-    rows drop out), and still return the dense minimiser.  A damped step is
-    the information-form solve, which runs no covariance sweep at all."""
+def test_steady_state_shortcut_matches_batch(target_mode, gamma, damped):
+    """Long Wiener passes, whose covariances reach the Riccati fixed point,
+    return the dense minimiser: the RTS oracle (in state mode with the
+    evidence rows, which drop out at the last step) and a damped
+    information-form step."""
     T = 300
     prob = wiener_problem(T, target_mode)
     rng = np.random.default_rng(3)
     V, eta = rng.normal(size=(T, 4)), rng.normal(size=(T, 4))
     B, d = prob.penalty_targets()
-    calls = count_factorisations(monkeypatch)
     if damped:
         lam, x, s_cov = 0.5, rng.normal(size=(T, 4)), np.diag([1.0, 2.0, 0.5, 1.0])
         eqs = normal_equations(prob.model, noise_precisions(prob.model), prob.y,
                                B, d, V, eta, gamma)
         x_ks = augmented_ks(eqs.damped(lam, np.linalg.inv(s_cov), x))
         x_batch = batch_lm_step(prob, x, V, eta, gamma, lam, s_cov)
-        assert calls[0] == 0
     else:
-        x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, gamma), prob.y)
+        x_ks = rts_smoother(build_fused(prob.model, B, d, V, eta, gamma), prob.y)
         x_batch = batch_x_affine(stack_problem(prob, V, eta, gamma))
-    assert calls[0] < T // 2
     np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
 
 
-def test_shortcut_resumes_when_the_inputs_change(monkeypatch):
-    """A run of constant inputs that ends at T-3 (Q changes there) is left
-    at its last step and the sweep resumes exactly."""
+def test_shortcut_resumes_when_the_inputs_change():
+    """The RTS oracle follows a change of Q at T-3, after a long run of
+    constant inputs, and returns the dense minimiser."""
     T = 300
     q_scale = np.where(np.arange(T)[:, None, None] >= T - 3, 4.0, 1.0)
     prob = wiener_problem(T, "process_noise", q_scale=q_scale)
     rng = np.random.default_rng(4)
     V, eta = rng.normal(size=(T, 4)), rng.normal(size=(T, 4))
     B, d = prob.penalty_targets()
-    calls = count_factorisations(monkeypatch)
-    x_ks = augmented_ks(build_fused(prob.model, B, d, V, eta, 0.8), prob.y)
+    x_ks = rts_smoother(build_fused(prob.model, B, d, V, eta, 0.8), prob.y)
     x_batch = batch_x_affine(stack_problem(prob, V, eta, 0.8))
-    assert calls[0] < T // 2
     np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
-
-
-def test_long_pass_factors_only_the_head(monkeypatch):
-    T = 2000
-    data, model = simulate_wiener(scenario_defaults("wiener", T=T, seed=0))
-    calls = count_factorisations(monkeypatch)
-    augmented_ks(model, data.y)
-    assert 0 < calls[0] < T // 4
 
 
 def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
@@ -593,7 +554,7 @@ def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
     (even one equal to the old) factors again."""
     T = 300
     prob = wiener_problem(T, "state")
-    calls = count_factorisations(monkeypatch, "dpbtrf")
+    calls = count_factorisations(monkeypatch)
     initial_trajectory(prob)
     initial, calls[0] = calls[0], 0
     B, d = prob.penalty_targets()
@@ -676,7 +637,7 @@ def test_non_spd_predicted_covariance_raises_with_step():
                         T=8, validate=False)
     with pytest.raises(SingularSystemError,
                        match="predicted covariance at step 3 is not positive definite"):
-        augmented_ks(model, np.zeros((8, 2)))
+        rts_smoother(model, np.zeros((8, 2)))
 
 
 def test_non_finite_proposal_raises_with_iterations():
@@ -726,9 +687,9 @@ def test_cost_tie_within_rounding_ends_the_lm_loop():
 
 
 def test_damped_proposals_and_the_initialiser_take_the_band(monkeypatch):
-    """lm_ieks solves a damped proposal in information form (normal_equations)
-    and an undamped one with rts_factor, one augmented_ks call per proposal
-    either way; a rejected step calls neither linearize nor the undamped
+    """lm_ieks solves every proposal, damped or not, in information form
+    (normal_equations), one augmented_ks call per proposal and none on the
+    RTS oracle; a rejected step calls neither linearize nor the undamped
     assembly again; and every plain_ieks pass takes the information form."""
     calls = {"normal": 0, "rts": 0, "ks": 0, "lin": 0}
 
@@ -740,14 +701,14 @@ def test_damped_proposals_and_the_initialiser_take_the_band(monkeypatch):
 
     monkeypatch.setattr(smoothers, "normal_equations",
                         counted("normal", smoothers.normal_equations))
-    monkeypatch.setattr(smoothers, "rts_factor", counted("rts", smoothers.rts_factor))
+    monkeypatch.setattr(smoothers, "rts_smoother", counted("rts", smoothers.rts_smoother))
     monkeypatch.setattr(smoothers, "augmented_ks", counted("ks", smoothers.augmented_ks))
     monkeypatch.setattr(smoothers, "linearize", counted("lin", smoothers.linearize))
     prob = range_problem(seed=1)
     z = np.zeros((prob.T, 4))
     x0 = np.tile(prob.model.m1, (prob.T, 1))
     lm_ieks(prob, z, z, 1.0, x0, LMConfig(lambda0=0.0, i_max=3, step_tol=0.0))
-    assert calls == {"normal": 0, "rts": 3, "ks": 3, "lin": 3}
+    assert calls == {"normal": 3, "rts": 0, "ks": 3, "lin": 3}
     calls.update(normal=0, rts=0, ks=0, lin=0)
     lm_ieks(prob, z, z, 1.0, x0, LMConfig(i_max=3, step_tol=0.0))
     assert calls["rts"] == 0 and calls["normal"] == calls["lin"] == 3 <= calls["ks"]
@@ -771,14 +732,16 @@ def test_damped_proposals_and_the_initialiser_take_the_band(monkeypatch):
 
 def test_band_factor_names_the_bad_step():
     """A transition covariance of 1e-20 at step 3 is positive definite, but
-    the information matrix it gives is not to rounding at that step; a
-    noise block that does not factor is named before any assembly."""
+    the information matrix it gives is not to rounding at that step, which
+    the first pass names; a noise block that does not factor is named
+    before any pass."""
     Q = np.tile(np.eye(2), (8, 1, 1))
     Q[3] = 1e-20 * np.eye(2)
     model = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
                         Q=Q, R=np.eye(2), m1=np.zeros(2), P1=np.eye(2), T=8)
     with pytest.raises(SingularSystemError,
-                       match="^information matrix at step 3 is not positive definite$"):
+                       match="^inner iteration 1: information matrix at step 3 "
+                             "is not positive definite$"):
         plain_ieks(model, np.zeros((8, 2)), i_max=1)
     R = np.tile(np.eye(2), (8, 1, 1))
     R[5] = np.diag([1.0, -1.0])
