@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .models import (GroupRegularizer, SingularSystemError, SplitState,
-                     TrackingProblem, augmented_lagrangian, objective)
+                     TrackingProblem, augmented_lagrangian, constraint_gaps,
+                     data_cost, objective)
 
 XSolver = Callable[[TrackingProblem, np.ndarray, np.ndarray, float, np.ndarray], np.ndarray]
 
@@ -116,14 +117,16 @@ def update_dual_all(U: np.ndarray, W: np.ndarray, V: np.ndarray, eta: np.ndarray
 
 
 def residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray, V_prev: np.ndarray,
-              reg: GroupRegularizer, gamma: float):
+              reg: GroupRegularizer, gamma: float, gaps=None):
     """Primal and dual residual norms over the whole trajectory.
 
     r_primal = || [u; w] - [I; G] v ||_2
     r_dual   = gamma || [I; G]'[I; G] (v - v_prev) ||_2
+
+    gaps is constraint_gaps(U, W, V, reg) when the caller already holds it.
     """
-    GV = V @ reg.G_stack.T if reg.total_rows else np.zeros_like(W)
-    r_pri = np.sqrt(np.sum((U - V) ** 2) + np.sum((W - GV) ** 2))
+    ru, rw = gaps if gaps is not None else constraint_gaps(U, W, V, reg)
+    r_pri = np.sqrt(np.sum(ru ** 2) + np.sum(rw ** 2))
     dv = V - V_prev
     Mdv = dv + (dv @ reg.G_stack.T) @ reg.G_stack if reg.total_rows else dv
     r_dual = gamma * float(np.linalg.norm(Mdv))
@@ -140,9 +143,14 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     their tolerances.  x_solver failures are re-raised with the iteration
     index attached.
 
-    SolveReport.lagrangian holds the augmented Lagrangian after each
-    iteration.  The x, w and v minimisation stages never raise it; only the
-    dual ascent does, by exactly gamma * r_primal**2.  So
+    SolveReport.objective and SolveReport.lagrangian hold the objective and
+    the augmented Lagrangian after each iteration.  Both are computed from
+    one data_cost of the iterate and the loop's own increments U, and the
+    Lagrangian shares the residuals' constraint gaps (u - v, w - G v), so
+    each value equals the standalone objective(problem, x) and
+    augmented_lagrangian(problem, state, gamma) bit for bit.  The x, w and v
+    minimisation stages never raise the Lagrangian; only the dual ascent
+    does, by exactly gamma * r_primal**2.  So
     lagrangian[k] - lagrangian[k-1] <= gamma * r_primal[k]**2 for k >= 1,
     and likewise for lagrangian[0] against the Lagrangian at the feasible
     start; the raw sequence need not fall at every step.
@@ -174,10 +182,16 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
         eta = update_dual_all(U, W, V, state.eta, reg, gamma)
         state = SplitState(x=x, w=W, v=V, eta=eta, n_x=problem.n_x)
 
-        r_pri, r_dual = residuals(U, W, V, V_prev, reg, gamma)
+        # taken after the dual update and dropped before the next x update:
+        # those two stages set the loop's memory peak, and the gaps held
+        # there raised a solve's peak RSS
+        gaps = constraint_gaps(U, W, V, reg)
+        r_pri, r_dual = residuals(U, W, V, V_prev, reg, gamma, gaps)
         sec_hist.append(time.perf_counter() - tic)
-        obj_hist.append(objective(problem, x))
-        lag_hist.append(augmented_lagrangian(problem, state, gamma))
+        data = data_cost(problem, x)
+        obj_hist.append(objective(problem, x, data, U))
+        lag_hist.append(augmented_lagrangian(problem, state, gamma, data, gaps))
+        del gaps
         rp_hist.append(r_pri)
         rd_hist.append(r_dual)
         if record_states:

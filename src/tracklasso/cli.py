@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields
+from itertools import chain, cycle, islice, repeat
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .scenarios import (
     TrackDataset,
     load_track_csv,
     relative_error,
-    repr_rows,
     scenario_defaults,
     simulate_coordinated_turn,
     simulate_range,
@@ -258,14 +258,30 @@ def build_problem(cfg: RunConfig, data: TrackDataset, model) -> TrackingProblem:
     return TrackingProblem(model=model, reg=reg, y=data.y)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """Write the bytes csv.writer writes: fields joined by "," and lines ended
-    by "\r\n".  Every field here is a number or a plain column name, which
-    csv.writer never quotes."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
+def _write_lines(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write the bytes csv.writer writes for the header and rows whose fields
+    are already joined by ",": every line ended by "\r\n".  Every field here
+    is a number or a plain column name, which csv.writer never quotes.  Lines
+    are joined 256 at a time, so no list or string of the whole file is
+    built."""
+    lines = iter(lines)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        while chunk := list(islice(lines, 256)):
+            fh.write("\r\n".join(chunk))
+            fh.write("\r\n")
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """_write_lines for rows of fields that str() formats (numbers or strings)."""
+    _write_lines(path, header, (",".join(map(str, row)) for row in rows))
+
+
+def _repr_lines(lead: Iterable[str], table: np.ndarray):
+    """Lazy CSV lines: each lead string, then the repr of every float in that
+    row of the (T, k) table.  Each value is formatted once and no list of
+    per-value strings is built."""
+    return map(",".join, zip(lead, *(map(repr, col) for col in table.T.tolist())))
 
 
 def _fmt(value: float) -> str:
@@ -277,8 +293,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     n_x = data.truth.shape[1]
-    _write_csv(out / "truth.csv", ["t"] + [f"x{i + 1}" for i in range(n_x)],
-               repr_rows(data.times, data.truth))
+    _write_lines(out / "truth.csv", ["t"] + [f"x{i + 1}" for i in range(n_x)],
+                 _repr_lines(map(repr, data.times.tolist()), data.truth))
     n_y = data.y.shape[1]
     meas_cols = ("x", "y") if n_y == 2 else tuple(f"y{i + 1}" for i in range(n_y))
     write_track_csv(out / "measurements.csv", data,
@@ -297,16 +313,19 @@ def write_report(out: Path, cfg: RunConfig, problem: TrackingProblem,
                 for k, (o, l, rp, rd, s) in enumerate(
                     zip(report.objective, report.lagrangian, report.r_primal,
                         report.r_dual, report.seconds))))
+    # each time is formatted once and serves both files
+    times = list(map(repr, data.times.tolist()))
     n_x = problem.n_x
-    _write_csv(out / "trajectory.csv", ["t"] + [f"x{i + 1}" for i in range(n_x)],
-               repr_rows(data.times, report.x))
+    _write_lines(out / "trajectory.csv", ["t"] + [f"x{i + 1}" for i in range(n_x)],
+                 _repr_lines(times, report.x))
+    # one row per (step, group), steps outer
     norms = problem.reg.group_norms(report.state.w)
-    T, G = norms.shape
-    _write_csv(out / "sparsity.csv", ["t", "group", "norm", "is_zero"],
-               zip(map(repr, np.repeat(data.times, G).tolist()),
-                   np.tile(np.arange(G), T).tolist(),
-                   map(repr, norms.ravel().tolist()),
-                   report.zero_groups.ravel().astype(int).tolist()))
+    G = norms.shape[1]
+    step_times = chain.from_iterable(map(repeat, times, repeat(G)))
+    groups = cycle([str(g) for g in range(G)])
+    flags = map(str, report.zero_groups.ravel().astype(int).tolist())
+    _write_lines(out / "sparsity.csv", ["t", "group", "norm", "is_zero"],
+                 map(",".join, zip(step_times, groups, map(repr, norms.ravel().tolist()), flags)))
 
     lines = [
         f"tracklasso_version: {__version__}",

@@ -23,7 +23,7 @@ validates them, else on first use (noise_factors).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -658,23 +658,30 @@ def data_cost(problem: TrackingProblem, x: np.ndarray) -> float:
     return cost
 
 
-def penalty_value(problem: TrackingProblem, x: np.ndarray, targets=None) -> float:
-    """sum_t sum_g mu_g ||G_g u_t||_2 evaluated at x."""
+def penalty_value(problem: TrackingProblem, x: np.ndarray,
+                  U: Optional[np.ndarray] = None) -> float:
+    """sum_t sum_g mu_g ||G_g u_t||_2 evaluated at x (U = problem.u(x) if given)."""
     reg = problem.reg
     if reg.n_groups == 0:
         return 0.0
-    U = problem.u(x, targets)
+    if U is None:
+        U = problem.u(x)
     norms = reg.group_norms(U @ reg.G_stack.T)
     return float(np.sum(norms @ reg.weights))
 
 
-def objective(problem: TrackingProblem, x: np.ndarray) -> float:
+def objective(problem: TrackingProblem, x: np.ndarray, data: Optional[float] = None,
+              U: Optional[np.ndarray] = None) -> float:
     """Regularised estimation objective at trajectory x.
 
     In process_noise mode the penalty targets are linearised about x itself,
     which makes the penalised increment the exact transition residual.
+    run_madmm passes the data = data_cost(problem, x) and U = problem.u(x)
+    it holds; the value is the same bit for bit.
     """
-    return data_cost(problem, x) + penalty_value(problem, x)
+    if data is None:
+        data = data_cost(problem, x)
+    return data + penalty_value(problem, x, U)
 
 
 def x_subproblem_cost(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
@@ -729,16 +736,30 @@ class SplitState:
         return cls(x=x0, w=W, v=V, eta=eta, n_x=problem.n_x)
 
 
-def augmented_lagrangian(problem: TrackingProblem, state: SplitState, gamma: float) -> float:
-    """Value of the augmented Lagrangian at the given split state."""
+def constraint_gaps(U: np.ndarray, W: np.ndarray, V: np.ndarray,
+                    reg: GroupRegularizer) -> Tuple[np.ndarray, np.ndarray]:
+    """The split's constraint residuals (u - v, w - G v), each (T, rows)."""
+    return U - V, W - V @ reg.G_stack.T
+
+
+def augmented_lagrangian(problem: TrackingProblem, state: SplitState, gamma: float,
+                         data: Optional[float] = None, gaps=None) -> float:
+    """Value of the augmented Lagrangian at the given split state.
+
+    run_madmm passes the data = data_cost(problem, state.x) and
+    gaps = constraint_gaps(problem.u(state.x), state.w, state.v, reg) it
+    holds; the value is the same bit for bit.
+    """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     reg = problem.reg
-    U = problem.u(state.x)
+    if data is None:
+        data = data_cost(problem, state.x)
+    if gaps is None:
+        gaps = constraint_gaps(problem.u(state.x), state.w, state.v, reg)
+    ru, rw = gaps
     w_norms = reg.group_norms(state.w)
-    value = data_cost(problem, state.x) + float(np.sum(w_norms @ reg.weights))
-    ru = U - state.v
-    rw = state.w - state.v @ reg.G_stack.T
+    value = data + float(np.sum(w_norms @ reg.weights))
     value += float(np.sum(state.eta_bar * ru)) + 0.5 * gamma * float(np.sum(ru * ru))
     value += float(np.sum(state.eta_under * rw)) + 0.5 * gamma * float(np.sum(rw * rw))
     return value

@@ -385,7 +385,10 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     rounding; a non-finite proposal raises
     SingularSystemError.  lambda0 = 0 accepts every proposal without
     evaluating the cost (cost may then be None): plain Gauss-Newton, i.e.
-    the iterated smoother.  Unless the targets depend on x (a nonlinear
+    the iterated smoother.  On an affine problem the linearisation and the
+    targets do not depend on x, so an undamped proposal is the exact
+    minimiser and the loop ends after the first: a second would solve the
+    same system again.  Unless the targets depend on x (a nonlinear
     model with process_noise targets and no explicit B), they are taken
     once, and an accepted proposal's cost is the cost at the new iterate
     and is not evaluated again.  Every accepted iterate extends trace and
@@ -396,6 +399,7 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
                      or reg.target_mode != "process_noise")
     x = np.asarray(x0, dtype=float).copy()
     lam = cfg.lambda0
+    exact = problem.is_affine and lam == 0
     targets = problem.penalty_targets(nominal=x)
     f = cost(x, targets) if lam > 0 else None
     if trace is not None:
@@ -429,7 +433,7 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
             trace.append(x.copy())
         if lambda_trace is not None:
             lambda_trace.append(lam)
-        if step < cfg.step_tol:
+        if step < cfg.step_tol or exact:
             break
     return x
 
@@ -450,7 +454,7 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     proposal only adds lambda S^{-1} again, calling neither linearize nor
     the assembly.  Gauss-Newton (the GN-IEKS) is cfg with lambda0 = 0, and
     its iterates match the dense Gauss-Newton sequence on the stacked
-    problem.  An affine model is its own linearisation, so there the first
+    problem.  An affine model is its own linearisation, so there the one
     GN proposal is the ks_madmm x update, bit for bit.
     """
     cfg = cfg or LMConfig()
@@ -484,8 +488,7 @@ def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
     linearisation at the current iterate.  The noise precisions are
     computed (and kept on the model) first, so a bad P1, Q or R block is
     named as such, without an inner-iteration prefix.  On an affine model
-    (its own linearisation) the first pass is plain_smoother's estimate and
-    the second ends the loop.
+    (its own linearisation) the one pass is plain_smoother's estimate.
     """
     noise_precisions(model)
     problem = TrackingProblem(model, _NO_PENALTY, y)

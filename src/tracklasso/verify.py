@@ -298,12 +298,14 @@ def madmm_stage_trace(problem: TrackingProblem, x_solver, gamma: float,
     the post-iteration Lagrangian minus its starting value.  Only the dual
     ascent may raise the Lagrangian, so stage_rise should stay at roundoff
     and excess should stay nonpositive for a correct x update.  The stage
-    states are rebuilt from consecutive states recorded by run_madmm.
+    states are rebuilt from consecutive states recorded by run_madmm, and
+    the post-iteration Lagrangians are the ones its report holds.
     """
     opts = MadmmOptions(gamma=gamma, k_max=k_max, eps_primal=0.0, eps_dual=0.0)
-    states = run_madmm(problem, x_solver, opts, np.asarray(x0, dtype=float),
-                       record_states=True).states
-    lag = [augmented_lagrangian(problem, s, gamma) for s in states]
+    report = run_madmm(problem, x_solver, opts, np.asarray(x0, dtype=float),
+                       record_states=True)
+    states = report.states
+    lag = [augmented_lagrangian(problem, states[0], gamma), *report.lagrangian]
     stage_rise = []
     for prev, cur, lag_prev in zip(states, states[1:], lag):
         stages = (SplitState(x=cur.x, w=prev.w, v=prev.v, eta=prev.eta, n_x=prev.n_x),

@@ -18,11 +18,15 @@ from tracklasso.admm import (
 )
 from tracklasso.models import (
     AffineModel,
+    GroupRegularizer,
     SplitState,
     TrackingProblem,
+    augmented_lagrangian,
     make_regularizer,
+    objective,
 )
-from tracklasso.solve import make_x_solver
+from tracklasso.scenarios import scenario_defaults, simulate_range, simulate_wiener
+from tracklasso.solve import initial_trajectory, make_x_solver, solve_problem
 
 # 12-iteration objective sequence of the scalar reference problem, computed
 # with a standalone mADMM loop (2x2 hand-derived x solve, scalar shrink,
@@ -197,3 +201,45 @@ def test_zero_iteration_probe():
                     MadmmOptions(k_max=0), x0=SCALAR_X0)
     assert rep.iterations == 0
     np.testing.assert_allclose(rep.x, SCALAR_X0)
+
+
+def diagnostics_problem(case):
+    """Problem and solver for each way the loop can take its penalty targets."""
+    rng = np.random.default_rng(11)
+    if case == "nonlinear_process_noise":
+        data, model = simulate_range(scenario_defaults("range", T=30, seed=4))
+        reg = make_regularizer("group", 4, groups=[[2, 3]], weights=1.0,
+                               target_mode="process_noise")
+        return TrackingProblem(model=model, reg=reg, y=data.y), "lm_ieks_madmm"
+    data, model = simulate_wiener(scenario_defaults("wiener", T=40, seed=4))
+    if case in ("affine_process_noise", "affine_state"):
+        reg = make_regularizer("group", 4, groups=[[0, 1], [2, 3]], weights=0.7,
+                               target_mode=case.split("_", 1)[1])
+    elif case == "explicit_B":
+        B = np.eye(4) + 0.1 * rng.normal(size=(40, 4, 4))
+        reg = GroupRegularizer(groups=(np.eye(4)[:2], np.eye(4)[2:]), weights=[0.5, 1.5],
+                               B=B, d=0.1 * rng.normal(size=(40, 4)))
+    else:  # a group with no rows: total_rows == 0
+        reg = GroupRegularizer(groups=(np.zeros((0, 4)),), weights=[1.0])
+    return TrackingProblem(model=model, reg=reg, y=data.y), "ks_madmm"
+
+
+@pytest.mark.parametrize("case", ["affine_process_noise", "affine_state",
+                                  "nonlinear_process_noise", "explicit_B", "no_rows"])
+def test_shared_diagnostics_equal_the_standalone_values(case):
+    """The loop computes the objective and the Lagrangian from one data cost,
+    its own increments and the dual update's constraint gaps; each value
+    equals the standalone objective and augmented_lagrangian bit for bit."""
+    prob, solver = diagnostics_problem(case)
+    assert (prob.reg.total_rows == 0) == (case == "no_rows")
+    gamma = 0.8
+    # a start off the unregularised fit, so the split moves even with no rows
+    x0 = initial_trajectory(prob) + 0.3 * np.random.default_rng(12).normal(size=(prob.T, 4))
+    rep = solve_problem(prob, solver, opts=MadmmOptions(gamma=gamma, k_max=6, eps_primal=0.0,
+                                                        eps_dual=0.0),
+                        i_max=3, x0=x0, record_states=True)
+    assert len({float(v) for v in rep.lagrangian}) == 6
+    assert rep.iterations == 6 and len(rep.states) == 7
+    for k, state in enumerate(rep.states[1:]):
+        assert rep.objective[k] == objective(prob, state.x), (case, k)
+        assert rep.lagrangian[k] == augmented_lagrangian(prob, state, gamma), (case, k)

@@ -5,13 +5,16 @@ import io
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tracklasso import cli
+from tracklasso.admm import MadmmOptions
 from tracklasso.scenarios import scenario_defaults, simulate_wiener
 from tracklasso.smoothers import plain_smoother
+from tracklasso.solve import solve_problem
 
 
 def run_cli(*argv):
@@ -72,6 +75,37 @@ def test_written_csvs_are_the_bytes_csv_writer_writes(tmp_path):
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows(parsed)
         assert (out / name).read_bytes() == buf.getvalue().encode(), name
+
+
+def test_report_csvs_with_two_groups_are_the_bytes_csv_writer_writes(tmp_path):
+    """trajectory.csv and sparsity.csv with G = 2 groups and times whose repr
+    is long equal csv.writer over rows of repr'd floats and plain ints, one
+    sparsity row per (step, group); 300 steps span several write chunks."""
+    T = 300
+    cfg = cli.RunConfig(command="solve", scenario="wiener", regularizer="group",
+                        groups=((0, 1), (2, 3)), mu=0.1, kmax=4, steps=T,
+                        out=str(tmp_path / "run"))
+    data, model = cli.build_dataset(cfg)
+    problem = cli.build_problem(cfg, data, model)
+    report = solve_problem(problem, cfg.solver, opts=MadmmOptions(gamma=cfg.gamma,
+                                                                  k_max=cfg.kmax))
+    cli.write_report(Path(cfg.out), cfg, problem, data, report)
+    norms = problem.reg.group_norms(report.state.w)
+    assert norms.shape == (T, 2)
+    assert set(report.zero_groups.ravel()) == {False, True}
+    expected = {
+        "trajectory.csv": [["t", "x1", "x2", "x3", "x4"]]
+        + [[repr(v) for v in row] for row in np.column_stack((data.times, report.x)).tolist()],
+        "sparsity.csv": [["t", "group", "norm", "is_zero"]]
+        + [[repr(float(data.times[t])), g, repr(float(norms[t, g])),
+            int(report.zero_groups[t, g])] for t in range(T) for g in range(2)],
+    }
+    for name, rows in expected.items():
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        written = (Path(cfg.out) / name).read_bytes()
+        assert written == buf.getvalue().encode(), name
+        assert b"\r\n0.30000000000000004," in written, name
 
 
 def test_solve_zero_weight_matches_plain_smoother(tmp_path):

@@ -580,6 +580,39 @@ def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
     assert swept == [True, False, True, False, True, False, True]
 
 
+def test_affine_gauss_newton_stops_after_one_proposal(monkeypatch):
+    """On an affine problem the undamped proposal is the exact minimiser, so
+    gn_ieks_madmm factors once per x update (not twice, re-solving the same
+    system to see a zero step) and returns ks_madmm's x bit for bit; plain_ieks
+    passes once and returns plain_smoother's estimate; the dense GN loop
+    accepts one proposal, even with step_tol = 0."""
+    T, k = 400, 5
+    prob = wiener_problem(T, "process_noise")
+    opts = MadmmOptions(gamma=1.0, k_max=k, eps_primal=0.0, eps_dual=0.0)
+    x0 = plain_smoother(prob.model, prob.y)
+    calls = count_factorisations(monkeypatch)
+    x_ieks = plain_ieks(prob.model, prob.y)
+    assert calls[0] == 1
+    np.testing.assert_array_equal(x_ieks, x0)
+    calls[0] = 0
+    x_ks = solve_problem(prob, "ks_madmm", opts=opts, x0=x0).x
+    assert calls[0] == 1
+    calls[0] = 0
+    x_gn = solve_problem(prob, "gn_ieks_madmm", opts=opts, x0=x0).x
+    assert calls[0] == k
+    np.testing.assert_array_equal(x_gn, x_ks)
+    rng = np.random.default_rng(6)
+    V, eta = rng.normal(size=(T, 4)), rng.normal(size=(T, 4))
+    trace = []
+    x_dense = batch_nonlinear_solve(prob, V, eta, 1.0,
+                                    cfg=LMConfig(lambda0=0.0, i_max=4, step_tol=0.0),
+                                    x0=x0, trace=trace)
+    assert len(trace) == 2
+    np.testing.assert_array_equal(x_dense, trace[1])
+    np.testing.assert_allclose(x_dense, batch_x_affine(stack_problem(prob, V, eta, 1.0)),
+                               rtol=1e-8, atol=1e-8)
+
+
 def count_noise_factorisations(monkeypatch):
     """Count spd_factor calls on P1, Q and R (the model's noise covariances)
     from the models and smoothers modules."""
