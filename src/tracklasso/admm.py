@@ -62,6 +62,11 @@ class SolveReport:
     zero_groups: np.ndarray
     states: Optional[List[SplitState]] = None
 
+    @property
+    def stop_reason(self) -> str:
+        """"tolerance" when both residuals met their tolerances, else "k_max"."""
+        return "tolerance" if self.converged else "k_max"
+
 
 def block_shrink(Z: np.ndarray, kappa: float) -> np.ndarray:
     """Row-wise Euclidean soft threshold max(0, 1 - kappa/||z||) z over the
@@ -79,7 +84,7 @@ def block_shrink(Z: np.ndarray, kappa: float) -> np.ndarray:
 def update_w_all(V: np.ndarray, eta_under: np.ndarray, reg: GroupRegularizer,
                  gamma: float) -> np.ndarray:
     """Vectorised w update across all time steps: block_shrink per group."""
-    Z = V @ reg.G_stack.T - eta_under / gamma
+    Z = reg.penalty_rows(V) - eta_under / gamma
     W = np.empty_like(Z)
     for g, sl in enumerate(reg.slices):
         W[:, sl] = block_shrink(Z[:, sl], reg.weights[g] / gamma)
@@ -111,8 +116,7 @@ def update_dual_all(U: np.ndarray, W: np.ndarray, V: np.ndarray, eta: np.ndarray
     n = U.shape[1]
     out = np.empty_like(eta)
     out[:, :n] = eta[:, :n] + gamma * (U - V)
-    if reg.total_rows:
-        out[:, n:] = eta[:, n:] + gamma * (W - V @ reg.G_stack.T)
+    out[:, n:] = eta[:, n:] + gamma * (W - reg.penalty_rows(V))
     return out
 
 
@@ -220,7 +224,7 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
 def omega_norm_sq(dv: np.ndarray, deta: np.ndarray, reg: GroupRegularizer,
                   gamma: float) -> float:
     """Squared weighted norm sum_t dv_t'(gamma I + G'G)dv_t + ||deta||^2/gamma."""
-    Gdv = dv @ reg.G_stack.T if reg.total_rows else np.zeros((dv.shape[0], 0))
+    Gdv = reg.penalty_rows(dv)
     val = gamma * float(np.sum(dv * dv)) + float(np.sum(Gdv * Gdv))
     val += float(np.sum(deta * deta)) / gamma
     return val

@@ -17,7 +17,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .models import (SingularSystemError, TrackingProblem, per_problem,
                      prior_mean_trajectory, x_subproblem_cost)
-from .smoothers import (LMConfig, NormalEquations, coupled_rhs, damping_inverse,
+from .smoothers import (LMConfig, NormalEquations, coupled_rhs, coupling, damping_inverse,
                         gauss_newton, linearize, noise_precisions, normal_equations)
 
 
@@ -93,7 +93,7 @@ def make_affine_x_solver():
 
     def solver(problem, V, eta_bar, gamma, x_warm):
         B, d, h, factor = factored(problem, gamma)
-        h = coupled_rhs(h, B, d, V, eta_bar, gamma, problem.model.m1)
+        h = coupled_rhs(h, coupling(B, d, V, eta_bar, gamma, problem.model.m1))
         return _back_substitute(factor, h)
 
     return solver

@@ -336,6 +336,7 @@ def write_report(out: Path, cfg: RunConfig, problem: TrackingProblem,
         f"state_dim: {problem.n_x}",
         f"iterations: {report.iterations}",
         f"converged: {report.converged}",
+        f"stop_reason: {report.stop_reason}",
         f"seconds_total: {_fmt(float(np.sum(report.seconds)))}",
         f"objective_final: {_fmt(report.objective[-1]) if report.iterations else 'nan'}",
         f"r_primal_final: {_fmt(report.r_primal[-1]) if report.iterations else 'nan'}",

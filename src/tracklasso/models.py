@@ -190,7 +190,7 @@ def _half_weighted_sq(res: np.ndarray, L: np.ndarray) -> float:
             raise SingularSystemError(f"noise factor: dtrtrs returned info {info}")
     else:
         z = np.linalg.solve(L, res[..., None])
-    return 0.5 * float(np.sum(z * z))
+    return 0.5 * float((z * z).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,13 +289,14 @@ class NonlinearModel:
     to the mean of y_t and returns (k, n_y); ``transition_jacobian`` and
     ``measurement_jacobian`` return (k, n_x, n_x) and (k, n_y, n_x).  A
     return value that broadcasts to its shape is accepted, so a constant
-    Jacobian may be a single matrix.  Construction first checks the noise
-    model as AffineModel does (a finite m1; finite, symmetric, positive
-    definite P1, Q and R), then calls each callable once, on every step it
-    serves with the prior mean m1 as the state, and raises ValueError naming
-    the callable whose output has the wrong shape or a non-finite value.
-    P1, Q and R are owned and read-only, and their factors kept, as in a
-    validated AffineModel.
+    Jacobian may be a single matrix; linearize keeps one as one block
+    broadcast over T, so its products are taken once.  Construction first
+    checks the noise model as AffineModel does (a finite m1; finite,
+    symmetric, positive definite P1, Q and R), then calls each callable
+    once, on every step it serves with the prior mean m1 as the state, and
+    raises ValueError naming the callable whose output has the wrong shape
+    or a non-finite value.  P1, Q and R are owned and read-only, and their
+    factors kept, as in a validated AffineModel.
     """
 
     transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -420,6 +421,11 @@ class GroupRegularizer:
     def total_rows(self) -> int:
         return self.G_stack.shape[0]
 
+    def penalty_rows(self, V: np.ndarray) -> np.ndarray:
+        """G v_t for each row v_t of V, (..., total_rows); (..., 0) with no
+        groups, whose G_stack is (0, 0) whatever the state dimension."""
+        return V @ self.G_stack.T if self.groups else np.zeros(V.shape[:-1] + (0,))
+
     def group_norms(self, rows: np.ndarray) -> np.ndarray:
         """Per-group Euclidean norms of stacked penalty rows, shape (T, n_groups)."""
         out = np.empty(rows.shape[:-1] + (self.n_groups,))
@@ -492,31 +498,59 @@ def make_regularizer(kind: str, n_x: int, groups: Optional[Sequence[Sequence[int
     return GroupRegularizer(groups=tuple(mats), weights=weights, target_mode=target_mode)
 
 
-def transition_linearization(model: NonlinearModel, nominal: np.ndarray):
+def jacobian_stack(out, T: int, first: int, core: tuple) -> np.ndarray:
+    """A Jacobian callable's output for steps first..T-1 as a (T,) + core
+    stack: a single matrix as one frozen block broadcast over T, so that
+    compact sees it as time-invariant, else a copy behind zero steps."""
+    out = np.asarray(out, dtype=float)
+    if out.shape == core:  # the view built directly: np.broadcast_to takes 3 us more
+        block = freeze(out.copy())
+        return np.ndarray((T,) + core, buffer=block, strides=(0,) + block.strides)
+    stack = np.zeros((T,) + core)
+    stack[first:] = out
+    return stack
+
+
+def model_values(model: NonlinearModel, x: np.ndarray) -> dict:
+    """{"a": a_t(x_{t-1}) for t >= 1, "h": h_t(x_t)}, one call of each callable.
+    The costs, linearize and transition_linearization (which adds its (J, d)
+    as "Jd") given this dict share it instead of calling the model again."""
+    t = np.arange(model.T)
+    return {"a": model.transition(t[1:], x[:-1]), "h": model.measurement(t, x)}
+
+
+def transition_linearization(model: NonlinearModel, nominal: np.ndarray,
+                             values: Optional[dict] = None):
     """Affine expansion (J, d) of the transition about a nominal trajectory.
 
     J_t = J_a(t, nominal_{t-1}) and d_t = a_t(nominal_{t-1}) - J_t nominal_{t-1},
     evaluated for all steps at once; shapes (T, n_x, n_x) and (T, n_x), with
-    zero placeholders at index 0.
+    zero placeholders at index 0 (a constant J is one block, jacobian_stack).
+    values are model_values at nominal, if the caller holds them.
     """
+    if values is not None and "Jd" in values:
+        return values["Jd"]
     nominal = np.asarray(nominal, dtype=float)
     T, n = model.T, model.n_x
     t, X = np.arange(1, T), nominal[:-1]
-    J = np.zeros((T, n, n))
+    J = jacobian_stack(model.transition_jacobian(t, X), T, 1, (n, n))
     d = np.zeros((T, n))
-    J[1:] = model.transition_jacobian(t, X)
-    d[1:] = model.transition(t, X) - (J[1:] @ X[..., None])[..., 0]
+    a = model.transition(t, X) if values is None else values["a"]
+    d[1:] = a - (J[1:] @ X[..., None])[..., 0]
+    if values is not None:
+        values["Jd"] = J, d
     return J, d
 
 
-def sparsity_target(model: Model, mode: str, nominal: Optional[np.ndarray] = None):
+def sparsity_target(model: Model, mode: str, nominal: Optional[np.ndarray] = None,
+                    values: Optional[dict] = None):
     """Per-step (B, d) defining the penalised increment x_t - B_t x_{t-1} - d_t.
 
     ``state`` returns zeros.  ``process_noise`` returns (A_t, b_t) for affine
     models; for nonlinear models it linearises the transition about the
     nominal trajectory, B_t = J_a(t, nominal_{t-1}) and
-    d_t = a_t(nominal_{t-1}) - B_t nominal_{t-1}.  Index-0 entries are
-    placeholders; consumers substitute the prior mean there.
+    d_t = a_t(nominal_{t-1}) - B_t nominal_{t-1} (transition_linearization).
+    Index-0 entries are placeholders; consumers substitute the prior mean there.
     """
     T, n = model.T, model.n_x
     if mode == "state":
@@ -528,7 +562,7 @@ def sparsity_target(model: Model, mode: str, nominal: Optional[np.ndarray] = Non
         return model.A, model.b
     if nominal is None:
         raise ValueError("process_noise targets for a nonlinear model need a nominal trajectory")
-    return transition_linearization(model, nominal)
+    return transition_linearization(model, nominal, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,13 +598,14 @@ class TrackingProblem:
     def is_affine(self) -> bool:
         return self.model.is_affine
 
-    def penalty_targets(self, nominal: Optional[np.ndarray] = None):
+    def penalty_targets(self, nominal: Optional[np.ndarray] = None,
+                        values: Optional[dict] = None):
         """(B, d) arrays used by the penalty; index 0 is never consulted."""
         if self.reg.B is not None:
             T, n = self.T, self.n_x
             return (per_step(self.reg.B, T, 2, "B"),
                     per_step(self.reg.d if self.reg.d is not None else np.zeros(n), T, 1, "d"))
-        return sparsity_target(self.model, self.reg.target_mode, nominal)
+        return sparsity_target(self.model, self.reg.target_mode, nominal, values)
 
     def u(self, x: np.ndarray, targets=None) -> np.ndarray:
         """Penalised increments u_t; u_0 = x_0 - m1 regardless of targets."""
@@ -616,41 +651,29 @@ def prior_mean_trajectory(model: Model) -> np.ndarray:
     return x
 
 
-def measurement_residuals(model: Model, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """y_t minus the model measurement of x_t, shape (T, n_y)."""
-    if isinstance(model, AffineModel):
-        return y - np.einsum("tij,tj->ti", model.H, x) - model.e
-    return y - model.measurement(np.arange(model.T), x)
-
-
-def dynamics_residuals(model: Model, x: np.ndarray) -> np.ndarray:
-    """Prior and transition residuals: r_0 = x_0 - m1, r_t = x_t - a_t(x_{t-1})."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    out[0] = x[0] - model.m1
-    if x.shape[0] == 1:
-        return out
-    if isinstance(model, AffineModel):
-        out[1:] = x[1:] - np.einsum("tij,tj->ti", model.A[1:], x[:-1]) - model.b[1:]
-    else:
-        out[1:] = x[1:] - model.transition(np.arange(1, model.T), x[:-1])
-    return out
-
-
-def data_cost(problem: TrackingProblem, x: np.ndarray) -> float:
+def data_cost(problem: TrackingProblem, x: np.ndarray, values: Optional[dict] = None) -> float:
     """Quadratic data terms: measurement, transition, and prior misfit.
 
-    A non-finite x raises ValueError "x: non-finite value at step t", on
-    either noise layout, so no cost built on this one returns nan for it.
-    A finite x whose residual is not finite (a nonlinear callable that
-    overflows there, or a NaN in b or e of a model built with
-    validate=False) gives a nan or inf cost on either layout, which the
-    Levenberg-Marquardt accept test reads as a rejected proposal.
+    The residuals are y_t - h_t(x_t), x_0 - m1 and x_t - a_t(x_{t-1}), a
+    nonlinear model's h and a read from values (model_values at x) when the
+    caller holds them.  A non-finite x raises ValueError "x: non-finite
+    value at step t", on either noise layout, so no cost built on this one
+    returns nan for it.  A finite x whose residual is not finite (a
+    nonlinear callable that overflows there, or a NaN in b or e of a model
+    built with validate=False) gives a nan or inf cost on either layout,
+    which the Levenberg-Marquardt accept test reads as a rejected proposal.
     """
     _check_finite(x, "x")
-    model = problem.model
-    r_meas = measurement_residuals(model, x, problem.y)
-    r_dyn = dynamics_residuals(model, x)
+    model, x = problem.model, np.asarray(x, dtype=float)
+    r_dyn = np.empty_like(x)
+    r_dyn[0] = x[0] - model.m1
+    if model.is_affine:
+        r_meas = problem.y - np.einsum("tij,tj->ti", model.H, x) - model.e
+        r_dyn[1:] = x[1:] - np.einsum("tij,tj->ti", model.A[1:], x[:-1]) - model.b[1:]
+    else:
+        values = model_values(model, x) if values is None else values
+        r_meas = problem.y - values["h"]
+        r_dyn[1:] = x[1:] - values["a"]
     P1_f, Q_f, R_f = noise_factors(model)
     cost = _half_weighted_sq(r_meas, R_f)
     cost += _half_weighted_sq(r_dyn[:1], P1_f)
@@ -666,8 +689,8 @@ def penalty_value(problem: TrackingProblem, x: np.ndarray,
         return 0.0
     if U is None:
         U = problem.u(x)
-    norms = reg.group_norms(U @ reg.G_stack.T)
-    return float(np.sum(norms @ reg.weights))
+    norms = reg.group_norms(reg.penalty_rows(U))
+    return float((norms @ reg.weights).sum())
 
 
 def objective(problem: TrackingProblem, x: np.ndarray, data: Optional[float] = None,
@@ -685,17 +708,19 @@ def objective(problem: TrackingProblem, x: np.ndarray, data: Optional[float] = N
 
 
 def x_subproblem_cost(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
-                      eta_bar: np.ndarray, gamma: float, targets=None) -> float:
+                      eta_bar: np.ndarray, gamma: float, targets=None,
+                      values: Optional[dict] = None) -> float:
     """Data terms plus the quadratic coupling gamma/2 ||u(x) - v + eta_bar/gamma||^2.
 
     This is the objective the x update minimises at fixed (v, eta).  With
     gamma = 0 the coupling vanishes and the plain data cost is returned.
+    values are model_values at x, if the caller holds them.
     """
-    cost = data_cost(problem, x)
+    cost = data_cost(problem, x, values)
     if gamma > 0:
         U = problem.u(x, targets)
         diff = U - v + eta_bar / gamma
-        cost += 0.5 * gamma * float(np.sum(diff * diff))
+        cost += 0.5 * gamma * float((diff * diff).sum())
     return cost
 
 
@@ -731,7 +756,7 @@ class SplitState:
         x0 = np.asarray(x0, dtype=float).copy()
         U = problem.u(x0)
         V = U.copy()
-        W = V @ problem.reg.G_stack.T
+        W = problem.reg.penalty_rows(V)
         eta = np.zeros((problem.T, problem.n_x + problem.reg.total_rows))
         return cls(x=x0, w=W, v=V, eta=eta, n_x=problem.n_x)
 
@@ -739,7 +764,7 @@ class SplitState:
 def constraint_gaps(U: np.ndarray, W: np.ndarray, V: np.ndarray,
                     reg: GroupRegularizer) -> Tuple[np.ndarray, np.ndarray]:
     """The split's constraint residuals (u - v, w - G v), each (T, rows)."""
-    return U - V, W - V @ reg.G_stack.T
+    return U - V, W - reg.penalty_rows(V)
 
 
 def augmented_lagrangian(problem: TrackingProblem, state: SplitState, gamma: float,
@@ -759,7 +784,7 @@ def augmented_lagrangian(problem: TrackingProblem, state: SplitState, gamma: flo
         gaps = constraint_gaps(problem.u(state.x), state.w, state.v, reg)
     ru, rw = gaps
     w_norms = reg.group_norms(state.w)
-    value = data + float(np.sum(w_norms @ reg.weights))
-    value += float(np.sum(state.eta_bar * ru)) + 0.5 * gamma * float(np.sum(ru * ru))
-    value += float(np.sum(state.eta_under * rw)) + 0.5 * gamma * float(np.sum(rw * rw))
+    value = data + float((w_norms @ reg.weights).sum())
+    value += float((state.eta_bar * ru).sum()) + 0.5 * gamma * float((ru * ru).sum())
+    value += float((state.eta_under * rw).sum()) + 0.5 * gamma * float((rw * rw).sum())
     return value

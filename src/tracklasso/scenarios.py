@@ -177,11 +177,11 @@ def range_model(sensors, dt: float, T: int, r_std: float = 0.2,
     # axes, and the transition is a stacked matmul so that it rounds as A @ x
     def ranges(t, x):
         diff = x[..., None, :2] - sensors
-        return np.sqrt(np.sum(diff * diff, axis=-1))
+        return np.sqrt((diff * diff).sum(axis=-1))
 
     def range_jacobian(t, x):
         diff = x[..., None, :2] - sensors
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
+        r = np.sqrt((diff * diff).sum(axis=-1))
         r = np.maximum(r, RANGE_CLAMP)
         J = np.zeros(diff.shape[:-1] + (4,))
         J[..., :2] = diff / r[..., None]

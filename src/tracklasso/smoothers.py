@@ -29,6 +29,7 @@ step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -36,9 +37,9 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs, dtrtrs
 
 from .models import (AffineModel, GroupRegularizer, Model, SingularSystemError,
-                     TrackingProblem, compact, freeze, noise_factors, per_step,
-                     prior_mean_trajectory, spd_factor, time_invariant,
-                     transition_linearization, x_subproblem_cost)
+                     TrackingProblem, compact, freeze, jacobian_stack, model_values,
+                     noise_factors, per_step, prior_mean_trajectory, spd_factor,
+                     time_invariant, transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
 
@@ -219,13 +220,13 @@ def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None
     """
     Pi, Qi, Ri = precisions
     A, b, H, m1 = compact(lin.A[1:]), compact(lin.b[1:]), compact(lin.H), lin.m1
-    HRi = np.swapaxes(H, 1, 2) @ Ri
+    HRi = H.transpose(0, 2, 1) @ Ri
     D = _steps(HRi @ H, lin.T)
     h = (HRi @ (y - lin.e)[..., None])[..., 0]
     QiA, Qib = Qi @ A, (Qi @ b[..., None])[..., 0]
     D[0] += Pi[0]
     D[1:] += Qi
-    D[:-1] += np.swapaxes(A, 1, 2) @ QiA
+    D[:-1] += A.transpose(0, 2, 1) @ QiA
     h[0] += Pi[0] @ m1
     h[1:] += Qib
     h[:-1] -= (Qib[:, None] @ A)[:, 0]
@@ -233,22 +234,30 @@ def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None
     if gamma > 0:
         Bn = compact(B[1:])
         D += gamma * np.eye(lin.n_x)
-        D[:-1] += gamma * np.swapaxes(Bn, 1, 2) @ Bn
+        D[:-1] += gamma * Bn.transpose(0, 2, 1) @ Bn
         E += gamma * Bn
     if v is not None:
-        h = coupled_rhs(h, B, d, v, eta_bar, gamma, m1)
+        h = coupled_rhs(h, coupling(B, d, v, eta_bar, gamma, m1))
     return NormalEquations(D, E, h)
 
 
-def coupled_rhs(h: np.ndarray, B, d, v, eta_bar, gamma: float, m1: np.ndarray) -> np.ndarray:
-    """h plus the coupling's part, as a new array: g_t - B_{t+1}' g_{t+1} with
-    g_t = gamma (d_t + v_t) - eta_bar_t, d_0 = m1 (at gamma = 0, h itself)."""
+def coupling(B, d, v, eta_bar, gamma: float, m1: np.ndarray):
+    """The coupling's part of h, g_t - B_{t+1}' g_{t+1} with g_t = gamma (d_t
+    + v_t) - eta_bar_t and d_0 = m1, as the terms (g, g_{t+1}' B_{t+1}) that
+    coupled_rhs adds; None at gamma = 0."""
     if gamma == 0:
-        return h
+        return None
     g = gamma * (d + v) - eta_bar
     g[0] = gamma * (m1 + v[0]) - eta_bar[0]
-    h = h + g
-    h[:-1] -= (g[1:, None] @ compact(B[1:]))[:, 0]
+    return g, (g[1:, None] @ compact(B[1:]))[:, 0]
+
+
+def coupled_rhs(h: np.ndarray, terms) -> np.ndarray:
+    """h plus the coupling terms as a new array (h itself for None)."""
+    if terms is None:
+        return h
+    h = h + terms[0]
+    h[:-1] -= terms[1]
     return h
 
 
@@ -280,7 +289,7 @@ def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     return augmented_ks(normal_equations(model, noise_precisions(model), y))
 
 
-def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
+def linearize(model: Model, nominal: np.ndarray, values: Optional[dict] = None) -> AffineModel:
     """First-order affine expansion of a model about a trajectory.
 
     An affine model is its own linearisation and is returned unchanged; this
@@ -288,28 +297,31 @@ def linearize(model: Model, nominal: np.ndarray) -> AffineModel:
     nonlinear model gives A_t = J_a(t, nominal_{t-1}),
     b_t = a_t(nominal_{t-1}) - A_t nominal_{t-1},
     H_t = J_h(t, nominal_t), e_t = h_t(nominal_t) - H_t nominal_t, each
-    evaluated for all steps in one call of the model's callables.  A non-finite
-    output raises ValueError naming the callable (Jacobians first) and step.
-    The linearisation shares the model's read-only P1, Q and R, and with
-    them the noise factors and precisions kept on the model.
+    evaluated for all steps in one call of the model's callables (a and h
+    read from values, models.model_values at nominal, if given; a constant
+    Jacobian kept as one block).  A non-finite output raises ValueError
+    naming the callable (Jacobians first) and step.  The linearisation
+    shares the model's read-only P1, Q and R, and with them the noise
+    factors and precisions kept on the model.
     """
     if model.is_affine:
         return model
     nominal = np.asarray(nominal, dtype=float)
-    T, n, n_y = model.T, model.n_x, model.n_y
-    A, b = transition_linearization(model, nominal)
-    t = np.arange(T)
-    H = np.empty((T, n_y, n))
-    H[:] = model.measurement_jacobian(t, nominal)
-    e = model.measurement(t, nominal) - (H @ nominal[..., None])[..., 0]
-    for name, arr in (("transition_jacobian", A), ("transition", b),
-                      ("measurement_jacobian", H), ("measurement", e)):
-        if not np.isfinite(arr).all():
-            ok = np.isfinite(arr.reshape(T, -1)).all(axis=1)
-            raise ValueError(f"{name} returned a non-finite value at step {np.argmin(ok)}")
-    lin = AffineModel(A=A, b=b, H=H, e=e, Q=model.Q, R=model.R,
-                      m1=model.m1, P1=model.P1, T=T, validate=False)
-    object.__setattr__(lin, "noise_kept", model.noise_kept)  # the same P1, Q and R
+    values = model_values(model, nominal) if values is None else values
+    T = model.T
+    A, b = transition_linearization(model, nominal, values)
+    H = jacobian_stack(model.measurement_jacobian(np.arange(T), nominal), T, 0,
+                       (model.n_y, model.n_x))
+    e = values["h"] - (H @ nominal[..., None])[..., 0]
+    for name, arr, first in (("transition_jacobian", A, 1), ("transition", b, 1),
+                             ("measurement_jacobian", H, 0), ("measurement", e, 0)):
+        if not np.isfinite(arr[first:]).all():
+            ok = np.isfinite(arr[first:].reshape(T - first, -1)).all(axis=1)
+            raise ValueError(f"{name} returned a non-finite value at step "
+                             f"{first + np.argmin(ok)}")
+    lin = object.__new__(AffineModel)  # every array is shaped; P1, Q and R are owned
+    vars(lin).update(A=A, b=b, H=H, e=e, Q=model.Q, R=model.R, m1=model.m1, P1=model.P1,
+                     T=T, validate=False, noise_kept=model.noise_kept)
     return lin
 
 
@@ -360,7 +372,9 @@ def damping_inverse(s_cov: Optional[np.ndarray], T: int, n: int) -> np.ndarray:
     steps and n states: one (1, n, n) block when time-invariant, else
     (T, n, n).  LMConfig has checked the blocks themselves; a block size or
     leading axis that does not fit the problem raises ValueError "s_cov: ..."."""
-    s_cov = per_step(np.eye(n) if s_cov is None else s_cov, T, 2, "s_cov")
+    if s_cov is None:  # np.linalg.inv returns I exactly, at ten times the cost
+        return np.eye(n)[None]
+    s_cov = per_step(s_cov, T, 2, "s_cov")
     if s_cov.shape[1:] != (n, n):
         raise ValueError(f"s_cov: expected ({n}, {n}) blocks, got {s_cov.shape[1:]}")
     return np.linalg.inv(compact(s_cov))
@@ -372,7 +386,8 @@ Proposal = Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray], float], np.ndarr
 def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
                  cost: Optional[Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray]], float]],
                  cfg: LMConfig, trace: Optional[List[np.ndarray]] = None,
-                 lambda_trace: Optional[List[float]] = None) -> np.ndarray:
+                 lambda_trace: Optional[List[float]] = None,
+                 targets_at: Optional[Callable] = None) -> np.ndarray:
     """Damped Gauss-Newton loop shared by the smoother and dense engines.
 
     propose(x, targets, lam) returns the minimiser of the subproblem
@@ -391,16 +406,18 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     same system again.  Unless the targets depend on x (a nonlinear
     model with process_noise targets and no explicit B), they are taken
     once, and an accepted proposal's cost is the cost at the new iterate
-    and is not evaluated again.  Every accepted iterate extends trace and
-    lambda_trace.
+    and is not evaluated again.  targets_at(x) (by default
+    problem.penalty_targets(nominal=x)) gives them.  Every accepted iterate
+    extends trace and lambda_trace.
     """
     reg = problem.reg
+    targets_at = targets_at or (lambda x: problem.penalty_targets(nominal=x))
     fixed_targets = (problem.is_affine or reg.B is not None
                      or reg.target_mode != "process_noise")
     x = np.asarray(x0, dtype=float).copy()
     lam = cfg.lambda0
     exact = problem.is_affine and lam == 0
-    targets = problem.penalty_targets(nominal=x)
+    targets = targets_at(x)
     f = cost(x, targets) if lam > 0 else None
     if trace is not None:
         trace.append(x.copy())
@@ -412,7 +429,8 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
                 raise SingularSystemError("proposal is not finite")
         except SingularSystemError as exc:
             raise _annotate(exc, i + 1) from exc
-        step = float(np.linalg.norm(x_prop - x) / (1.0 + np.linalg.norm(x)))
+        dx, xr = (x_prop - x).ravel(), x.ravel()  # np.linalg.norm's dot, unwrapped
+        step = math.sqrt(dx.dot(dx)) / (1.0 + math.sqrt(xr.dot(xr)))
         if lam > 0:
             if step < PROPOSAL_FLOOR:
                 break
@@ -424,7 +442,7 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
                 continue
         x = x_prop
         if not fixed_targets:
-            targets = problem.penalty_targets(nominal=x)
+            targets = targets_at(x)
         if lam > 0:
             f = f_prop if fixed_targets else cost(x, targets)
             lam /= cfg.alpha
@@ -452,28 +470,45 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     diagonal blocks and lambda S^{-1} x in h.  The equations are kept with
     the trajectory object they were built at, so after a rejected step a
     proposal only adds lambda S^{-1} again, calling neither linearize nor
-    the assembly.  Gauss-Newton (the GN-IEKS) is cfg with lambda0 = 0, and
-    its iterates match the dense Gauss-Newton sequence on the stacked
-    problem.  An affine model is its own linearisation, so there the one
-    GN proposal is the ks_madmm x update, bit for bit.
+    the assembly.  The model's values at the latest iterate
+    (models.model_values) are kept the same way, so the LM cost, the
+    process_noise targets and linearize at one x evaluate the transition,
+    the measurement and the transition linearisation once; the coupling's
+    part of h is taken once per set of targets.  Gauss-Newton (the GN-IEKS)
+    is cfg with lambda0 = 0, and its iterates match the dense Gauss-Newton
+    sequence on the stacked problem.  An affine model is its own
+    linearisation, so there the one GN proposal is the ks_madmm x update,
+    bit for bit.
     """
     cfg = cfg or LMConfig()
-    precisions = noise_precisions(problem.model)
+    model = problem.model
+    precisions = noise_precisions(model)
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
     last = (None, None)
+    at = [None, None]  # an iterate and the model's values there
+    kept = [None, None]  # a targets pair and its coupling terms
+
+    def values(x):
+        if at[0] is not x and not model.is_affine:
+            at[:] = x, model_values(model, x)
+        return at[1]
 
     def propose(x, targets, lam):
         nonlocal last
         if last[0] is not x:
             B, d = targets
-            last = (x, normal_equations(linearize(problem.model, x), precisions, problem.y,
-                                        B, d, v, eta_bar, gamma))
+            if kept[0] is not targets:
+                kept[:] = targets, coupling(B, d, v, eta_bar, gamma, model.m1)
+            eqs = normal_equations(linearize(model, x, values(x)), precisions, problem.y, B,
+                                   gamma=gamma)
+            last = (x, NormalEquations(eqs.D, eqs.E, coupled_rhs(eqs.h, kept[1])))
         return augmented_ks(last[1].damped(lam, s_inv, x) if lam > 0 else last[1])
 
     def cost(x, targets):
-        return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
+        return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets, values(x))
 
-    return gauss_newton(problem, propose, x0, cost, cfg, trace, lambda_trace)
+    return gauss_newton(problem, propose, x0, cost, cfg, trace, lambda_trace,
+                        lambda x: problem.penalty_targets(nominal=x, values=values(x)))
 
 
 _NO_PENALTY = GroupRegularizer(groups=(), weights=())

@@ -14,8 +14,8 @@ import numpy as np
 from .admm import MadmmOptions, SolveReport, run_madmm
 from .batch import LMConfig, batch_nonlinear_solve, make_affine_x_solver
 from .models import TrackingProblem, per_problem
-from .smoothers import (NormalEquations, augmented_ks, band_factor, coupled_rhs, lm_ieks,
-                        noise_precisions, normal_equations, plain_ieks, plain_smoother)
+from .smoothers import (NormalEquations, augmented_ks, band_factor, coupled_rhs, coupling,
+                        lm_ieks, noise_precisions, normal_equations, plain_ieks, plain_smoother)
 
 SOLVERS = ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm", "batch_madmm")
 
@@ -53,7 +53,7 @@ def make_x_solver(solver: str, i_max: int = 10, lm_cfg: Optional[LMConfig] = Non
             if not problem.is_affine:
                 raise ValueError("the Kalman-smoother x update needs an affine model")
             B, d, h, band = factored(problem, gamma)
-            h = coupled_rhs(h, B, d, V, eta_bar, gamma, problem.model.m1)
+            h = coupled_rhs(h, coupling(B, d, V, eta_bar, gamma, problem.model.m1))
             return augmented_ks(NormalEquations(None, None, h), factor=band)
         return ks
     if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):

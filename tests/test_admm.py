@@ -177,7 +177,7 @@ def test_run_madmm_converges_and_flags():
     prob = scalar_problem()
     opts = MadmmOptions(gamma=1.0, k_max=500, eps_primal=1e-9, eps_dual=1e-9)
     rep = run_madmm(prob, make_x_solver("batch_madmm"), opts, x0=SCALAR_X0)
-    assert rep.converged
+    assert rep.converged and rep.stop_reason == "tolerance"
     assert rep.iterations < 500
     np.testing.assert_allclose(rep.x.ravel(), [0.78953923, 1.32721046],
                                atol=1e-6)
@@ -191,6 +191,7 @@ def test_run_madmm_records_states():
     rep = run_madmm(prob, make_x_solver("batch_madmm"), opts, x0=SCALAR_X0,
                     record_states=True)
     assert len(rep.states) == 4  # initial split plus one per iteration
+    assert rep.stop_reason == "k_max"
     assert isinstance(rep.states[0], SplitState)
     np.testing.assert_allclose(rep.states[0].x, SCALAR_X0)
 
@@ -199,8 +200,22 @@ def test_zero_iteration_probe():
     prob = scalar_problem()
     rep = run_madmm(prob, make_x_solver("batch_madmm"),
                     MadmmOptions(k_max=0), x0=SCALAR_X0)
-    assert rep.iterations == 0
+    assert rep.iterations == 0 and rep.stop_reason == "k_max"
     np.testing.assert_allclose(rep.x, SCALAR_X0)
+
+
+@pytest.mark.parametrize("solver", ["ks_madmm", "batch_madmm"])
+def test_penalty_with_no_groups_solves(solver):
+    """No groups give a w block of shape (T, 0) and the x of one zero-row group."""
+    data, model = simulate_wiener(scenario_defaults("wiener", T=20, seed=3))
+    opts = MadmmOptions(k_max=3, eps_primal=0.0, eps_dual=0.0)
+    x0 = np.zeros((20, 4))
+    reps = [solve_problem(TrackingProblem(model, reg, data.y), solver, opts=opts, x0=x0)
+            for reg in (GroupRegularizer(groups=[], weights=[]),
+                        GroupRegularizer(groups=[np.zeros((0, 4))], weights=[1.0]))]
+    assert reps[0].state.w.shape == (20, 0) and reps[0].iterations == 3
+    assert np.array_equal(reps[0].x, reps[1].x)
+    assert not np.array_equal(reps[0].x, x0)
 
 
 def diagnostics_problem(case):

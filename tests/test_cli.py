@@ -51,6 +51,7 @@ def test_solve_outputs_and_report(tmp_path):
         assert (out / name).exists()
     report = (out / "report.txt").read_text()
     assert "iterations" in report
+    assert "\nstop_reason: k_max\n" in report  # 10 iterations do not meet 1e-6
     config = (out / "config.txt").read_text()
     assert "seed=1" in config and f"out={out}" in config
 

@@ -26,10 +26,17 @@ from tracklasso.models import (
     time_invariant,
     x_subproblem_cost,
 )
-from tracklasso.scenarios import scenario_defaults, simulate_range, simulate_wiener
+from tracklasso.scenarios import (
+    scenario_defaults,
+    simulate_coordinated_turn,
+    simulate_range,
+    simulate_wiener,
+)
 from tracklasso.smoothers import (
     augmented_ks,
     build_fused,
+    damping_inverse,
+    gauss_newton,
     linearize,
     lm_ieks,
     noise_precisions,
@@ -378,6 +385,108 @@ def test_lm_ieks_evaluates_cost_once_per_proposal(monkeypatch, target_mode):
     assert len(lam) == 4
     accepted_recosts = len(lam) if target_mode == "process_noise" else 0
     assert calls["cost"] == 1 + calls["ks"] + accepted_recosts
+
+
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+def test_lm_ieks_evaluates_the_model_once_per_iterate(monkeypatch, target_mode):
+    """The LM cost and the linearisation at one iterate share one evaluation
+    of the transition and the measurement (before, both evaluated them), and
+    a rejected proposal costs no Jacobian."""
+    prob = range_problem(seed=0, target_mode=target_mode)
+    calls = {"ks": 0}
+    seen = {"transition": [], "measurement": []}
+
+    def counted(name, fn):
+        calls[name] = 0
+
+        def wrapper(t, X):
+            calls[name] += 1
+            if name in seen:
+                seen[name].append(np.asarray(X).tobytes())
+            return fn(t, X)
+        return wrapper
+
+    model = replace(prob.model, **{name: counted(name, getattr(prob.model, name)) for name in
+                                   ("transition", "measurement", "transition_jacobian",
+                                    "measurement_jacobian")})
+    prob = TrackingProblem(model=model, reg=prob.reg, y=prob.y)
+    ks = smoothers.augmented_ks
+
+    def counted_ks(*args, **kwargs):
+        calls["ks"] += 1
+        return ks(*args, **kwargs)
+
+    monkeypatch.setattr(smoothers, "augmented_ks", counted_ks)
+    for name in calls:
+        calls[name] = 0
+    z = np.zeros((prob.T, 4))
+    lam = []
+    lm_ieks(prob, z, z, 1.0, np.tile(prob.model.m1, (prob.T, 1)),
+            LMConfig(i_max=6, step_tol=0.0), lambda_trace=lam)
+    assert calls["ks"] > len(lam) == 6  # some proposals were rejected
+    for name in seen:  # the start and every proposal, each once
+        assert calls[name] == len(set(seen[name])) == 1 + calls["ks"]
+    for name in ("transition_jacobian", "measurement_jacobian"):
+        assert calls[name] <= 1 + len(lam)
+
+
+def _unshared_lm_ieks(problem, v, eta_bar, gamma, x0, cfg):
+    """lm_ieks as it was before the model values and the coupling were
+    shared: each proposal linearises and assembles from scratch and each
+    cost evaluates the model again."""
+    precisions = noise_precisions(problem.model)
+    s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x)
+
+    def propose(x, targets, lam):
+        eqs = normal_equations(linearize(problem.model, x), precisions, problem.y,
+                               *targets, v, eta_bar, gamma)
+        return augmented_ks(eqs.damped(lam, s_inv, x) if lam > 0 else eqs)
+
+    def cost(x, targets):
+        return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
+
+    return gauss_newton(problem, propose, x0, cost, cfg)
+
+
+@pytest.mark.parametrize("scenario, target_mode", [("range", "state"),
+                                                   ("range", "process_noise"),
+                                                   ("coordinated_turn", "process_noise")])
+def test_shared_model_values_give_the_unshared_iterates(scenario, target_mode):
+    if scenario == "range":
+        prob = range_problem(seed=3, T=30, target_mode=target_mode)
+    else:
+        data, model = simulate_coordinated_turn(scenario_defaults(scenario, T=30, seed=3))
+        reg = make_regularizer("group", 5, groups=[[2, 3, 4]], weights=1.0,
+                               target_mode=target_mode)
+        prob = TrackingProblem(model=model, reg=reg, y=data.y)
+    rng = np.random.default_rng(4)
+    V, eta = 0.1 * rng.normal(size=(2, prob.T, prob.n_x))
+    x0 = initial_trajectory(prob)
+    cfg = LMConfig(i_max=6, step_tol=0.0)
+    x = lm_ieks(prob, V, eta, 1.0, x0, cfg)
+    assert not np.array_equal(x, x0)
+    assert np.array_equal(x, _unshared_lm_ieks(prob, V, eta, 1.0, x0, cfg))
+
+
+def test_constant_transition_jacobian_is_one_block():
+    """A Jacobian returned as one matrix is kept as one block broadcast over
+    T, and the normal equations built on it equal those built on its
+    per-step copy bit for bit (process_noise targets multiply it too)."""
+    prob = range_problem(seed=2, T=20, target_mode="process_noise")
+    A = prob.model.transition_jacobian(np.arange(1, 20), prob.y[:, :4])
+    copied = replace(prob.model, transition_jacobian=lambda t, X: np.repeat(A[None], len(t), 0))
+    x = initial_trajectory(prob)
+    rng = np.random.default_rng(6)
+    V, eta = 0.1 * rng.normal(size=(2, prob.T, 4))
+    eqs = []
+    for model in (prob.model, copied):
+        lin = linearize(model, x)
+        assert time_invariant(lin.A) == (model is prob.model)
+        B, d = TrackingProblem(model=model, reg=prob.reg, y=prob.y).penalty_targets(x)
+        eqs.append(normal_equations(lin, noise_precisions(model), prob.y, B, d, V, eta, 1.0))
+    assert np.array_equal(linearize(prob.model, x).A[1:], linearize(copied, x).A[1:])
+    for name in ("D", "E", "h"):
+        assert np.array_equal(getattr(eqs[0], name), getattr(eqs[1], name))
 
 
 @pytest.mark.parametrize("s_cov, match", [
