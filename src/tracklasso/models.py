@@ -498,14 +498,20 @@ def make_regularizer(kind: str, n_x: int, groups: Optional[Sequence[Sequence[int
     return GroupRegularizer(groups=tuple(mats), weights=weights, target_mode=target_mode)
 
 
+def frozen_steps(block: np.ndarray, T: int) -> np.ndarray:
+    """A new block, which nothing else holds, frozen and repeated over T as
+    np.broadcast_to's read-only view, built directly (3 us faster)."""
+    block = freeze(block)
+    return np.ndarray((T,) + block.shape, buffer=block, strides=(0,) + block.strides)
+
+
 def jacobian_stack(out, T: int, first: int, core: tuple) -> np.ndarray:
     """A Jacobian callable's output for steps first..T-1 as a (T,) + core
     stack: a single matrix as one frozen block broadcast over T, so that
     compact sees it as time-invariant, else a copy behind zero steps."""
     out = np.asarray(out, dtype=float)
-    if out.shape == core:  # the view built directly: np.broadcast_to takes 3 us more
-        block = freeze(out.copy())
-        return np.ndarray((T,) + core, buffer=block, strides=(0,) + block.strides)
+    if out.shape == core:
+        return frozen_steps(out.copy(), T)
     stack = np.zeros((T,) + core)
     stack[first:] = out
     return stack
@@ -554,8 +560,7 @@ def sparsity_target(model: Model, mode: str, nominal: Optional[np.ndarray] = Non
     """
     T, n = model.T, model.n_x
     if mode == "state":
-        return (np.broadcast_to(np.zeros((n, n)), (T, n, n)),
-                np.broadcast_to(np.zeros(n), (T, n)))
+        return frozen_steps(np.zeros((n, n)), T), frozen_steps(np.zeros(n), T)
     if mode != "process_noise":
         raise ValueError(f"unknown sparsity mode {mode!r}")
     if isinstance(model, AffineModel):
