@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .models import (GroupRegularizer, SingularSystemError, SplitState,
                      TrackingProblem, augmented_lagrangian, constraint_gaps,
@@ -61,6 +62,8 @@ class SolveReport:
     converged: bool
     zero_groups: np.ndarray
     states: Optional[List[SplitState]] = None
+    initial_passes: Optional[int] = None  # solve_problem's initialiser; None for a given x0
+    initial_converged: Optional[bool] = None  # it stopped before its pass cap
 
     @property
     def stop_reason(self) -> str:
@@ -100,7 +103,7 @@ def v_update_factor(reg: GroupRegularizer):
 
 def update_v_all(U: np.ndarray, W: np.ndarray, eta: np.ndarray,
                  reg: GroupRegularizer, gamma: float, factor=None) -> np.ndarray:
-    """Vectorised v update across all time steps."""
+    """Vectorised v update across all time steps (one dpotrs, unwrapped)."""
     n = U.shape[1]
     eta_bar, eta_under = eta[:, :n], eta[:, n:]
     if reg.total_rows == 0:
@@ -108,7 +111,11 @@ def update_v_all(U: np.ndarray, W: np.ndarray, eta: np.ndarray,
     if factor is None:
         factor = v_update_factor(reg)
     rhs = (gamma * U + eta_bar) + (gamma * W + eta_under) @ reg.G_stack
-    return cho_solve(factor, rhs.T).T / gamma
+    c, lower = factor
+    v, info = dpotrs(c, rhs.T, lower=lower)
+    if info:
+        raise SingularSystemError(f"v update: dpotrs returned info {info}")
+    return v.T / gamma
 
 
 def update_dual_all(U: np.ndarray, W: np.ndarray, V: np.ndarray, eta: np.ndarray,

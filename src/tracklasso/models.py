@@ -577,6 +577,7 @@ class TrackingProblem:
     model: Model
     reg: GroupRegularizer
     y: np.ndarray
+    kept: dict = field(default_factory=dict, init=False, repr=False)  # smoothers' static part
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -621,8 +622,15 @@ class TrackingProblem:
         out = np.empty_like(x)
         out[0] = x[0] - self.model.m1
         if x.shape[0] > 1:
-            out[1:] = x[1:] - np.einsum("tij,tj->ti", B[1:], x[:-1]) - d[1:]
+            out[1:] = x[1:] - _apply(B[1:], x[:-1]) - d[1:]
         return out
+
+
+def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M_t x_t for every step: one product when the stack M is one block."""
+    if len(M) and time_invariant(M):
+        return x @ M[0].T
+    return np.einsum("tij,tj->ti", M, x)
 
 
 def per_problem(build: Callable) -> Callable:
@@ -673,8 +681,8 @@ def data_cost(problem: TrackingProblem, x: np.ndarray, values: Optional[dict] = 
     r_dyn = np.empty_like(x)
     r_dyn[0] = x[0] - model.m1
     if model.is_affine:
-        r_meas = problem.y - np.einsum("tij,tj->ti", model.H, x) - model.e
-        r_dyn[1:] = x[1:] - np.einsum("tij,tj->ti", model.A[1:], x[:-1]) - model.b[1:]
+        r_meas = problem.y - _apply(model.H, x) - model.e
+        r_dyn[1:] = x[1:] - _apply(model.A[1:], x[:-1]) - model.b[1:]
     else:
         values = model_values(model, x) if values is None else values
         r_meas = problem.y - values["h"]

@@ -121,15 +121,20 @@ def _after_prior(prior: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return freeze(np.concatenate([prior, steps]))
 
 
-def _band(sub: np.ndarray, diag: np.ndarray) -> np.ndarray:
+def _band(sub: np.ndarray, diag: np.ndarray, skeleton=None) -> np.ndarray:
     """LAPACK lower band (2n, T n) of the block tridiagonal matrix of
     T = len(diag) block rows with the lower triangles of diag[t] on the
-    diagonal and block (t + 1, t) = -sub[t]."""
+    diagonal and block (t + 1, t) = -sub[t]; the columns of -sub are copied
+    from skeleton, the band of (sub, 0) kept by _kept_static, if given."""
     T, n = diag.shape[:2]
-    ab = np.zeros((T, n, 2 * n))  # the band, column-major
-    for c in range(n):  # column c of block column t: diag[t] from row c, then -sub[t]
+    if skeleton is None:
+        ab = np.zeros((T, n, 2 * n))  # the band, column-major
+        for c in range(n):  # column c of block column t: diag[t] from row c, then -sub[t]
+            np.negative(sub[:, :, c], out=ab[:-1, c, n - c:2 * n - c])
+    else:
+        ab = skeleton.T.reshape(T, n, 2 * n).copy()
+    for c in range(n):
         ab[:, c, :n - c] = diag[:, c:, c]
-        np.negative(sub[:, :, c], out=ab[:-1, c, n - c:2 * n - c])
     return ab.reshape(T * n, 2 * n).T
 
 
@@ -172,19 +177,21 @@ class NormalEquations:
     D (T, n_x, n_x) are the diagonal blocks, -E[t] (E is (T - 1, n_x, n_x))
     the blocks (t + 1, t) below them and h (T, n_x) the right-hand side.
     A solve against a kept factor of the matrix reads only h, so D and E
-    may then be None.
+    may then be None.  skeleton is the kept band of (E, 0), if any (_band).
     """
 
     D: Optional[np.ndarray]
     E: Optional[np.ndarray]
     h: np.ndarray
+    skeleton: Optional[np.ndarray] = None
 
     def damped(self, lam: float, s_inv: np.ndarray, z: np.ndarray) -> "NormalEquations":
         """These equations plus the LM term lam/2 sum_t ||x_t - z_t||^2 in
         the metric s_inv = S^{-1} ((n, n), or one block per step): lam S^{-1}
         on the diagonal and lam S^{-1} z in h.  self is not changed."""
         lam_s = lam * s_inv
-        return NormalEquations(self.D + lam_s, self.E, self.h + (lam_s @ z[..., None])[..., 0])
+        return NormalEquations(self.D + lam_s, self.E, self.h + (lam_s @ z[..., None])[..., 0],
+                               self.skeleton)
 
 
 def noise_precisions(model: Model):
@@ -198,58 +205,87 @@ def noise_precisions(model: Model):
     return kept["precisions"]
 
 
-def _steps(product: np.ndarray, k: int) -> np.ndarray:
-    """A new product of one or k steps as a (k, ...) stack of its own, copying
-    a single step k times."""
-    return product if len(product) == k else np.repeat(product, k, axis=0)
+def static_part(lin: AffineModel, precisions, B, gamma: float):
+    """New D_static (T, n, n) and E (T - 1, n, n) of normal_equations: the
+    blocks that H does not enter."""
+    Pi, Qi, _ = precisions
+    T, n, A = lin.T, lin.n_x, compact(lin.A[1:])
+    QiA = Qi @ A
+    D = np.empty((T, n, n))
+    D[0] = Pi[0]
+    D[1:] = Qi
+    D[:-1] += A.transpose(0, 2, 1) @ QiA
+    E = QiA if len(QiA) == T - 1 else np.repeat(QiA, T - 1, axis=0)  # a new array of its own
+    if gamma > 0:
+        Bn = compact(B[1:])
+        D += gamma * np.eye(n)
+        D[:-1] += gamma * Bn.transpose(0, 2, 1) @ Bn
+        E += gamma * Bn
+    return D, E
+
+
+def _kept_static(kept: dict, lin: AffineModel, precisions, B, gamma: float):
+    """kept's (D_static, E, band skeleton), built on first use and again at
+    another gamma, or None (assemble fresh) unless A and B are one block each
+    and equal bit for bit to the blocks the kept part was built from."""
+    A, Bn = lin.A[1:], (B if gamma > 0 else lin.A)[1:]  # B does not enter at gamma = 0
+    if not (len(A) and time_invariant(A) and time_invariant(Bn)):
+        return None
+    key = (gamma, A[0].tobytes(), Bn[0].tobytes())
+    part = kept.get("static")
+    if part is None or part[0][0] != gamma:
+        D, E = static_part(lin, precisions, B, gamma)
+        part = kept["static"] = (key, freeze(D), freeze(E), _band(E, np.zeros_like(D)))
+    elif part[0] != key:
+        return None
+    return part[1:]
 
 
 def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None,
-                     v=None, eta_bar=None, gamma: float = 0.0) -> NormalEquations:
+                     v=None, eta_bar=None, gamma: float = 0.0,
+                     kept: Optional[dict] = None) -> NormalEquations:
     """Undamped normal equations of the x subproblem on an affine model.
 
     Assembled unfused for all steps at once from the model (A, b, H, e), its
     noise_precisions and, for gamma > 0, the coupling gamma/2 ||x_t - B_t
     x_{t-1} - d_t - V_t + eta_bar_t/gamma||^2, with B_0 = 0 and d_0 = m1.
-    With Q_0 = P1, A_0 = 0 and b_0 = m1: D_t = Q_t^{-1} + H_t' R_t^{-1} H_t
-    + A_{t+1}' Q_{t+1}^{-1} A_{t+1} + gamma (I + B_{t+1}' B_{t+1}) and
-    E_t = Q_{t+1}^{-1} A_{t+1} + gamma B_{t+1}, the t + 1 terms absent at
-    t = T - 1: the fused model's matrix without evidence rows.  D, E and,
-    with v None, h depend only on (problem, gamma); coupled_rhs adds the rest.
-    A time-invariant (broadcast) stack enters its products once.
+    With Q_0 = P1, A_0 = 0 and b_0 = m1: D_t = D_static_t + H_t' R_t^{-1} H_t
+    in that order, D_static_t = Q_t^{-1} + A_{t+1}' Q_{t+1}^{-1} A_{t+1} +
+    gamma (I + B_{t+1}' B_{t+1}), and E_t = Q_{t+1}^{-1} A_{t+1} + gamma
+    B_{t+1}, the t + 1 terms absent at t = T - 1: the fused model's matrix
+    without evidence rows.  D, E and, with v None, h depend only on
+    (problem, gamma); coupled_rhs adds the rest.  A time-invariant
+    (broadcast) stack enters its products once.  kept (a TrackingProblem's)
+    keeps D_static, E and their band per gamma while the A and B blocks
+    keep their bytes (_kept_static): the same D, E and h bit for bit.
     """
     Pi, Qi, Ri = precisions
     A, b, H, m1 = compact(lin.A[1:]), compact(lin.b[1:]), compact(lin.H), lin.m1
+    part = None if kept is None else _kept_static(kept, lin, precisions, B, gamma)
+    D_static, E, skeleton = part or static_part(lin, precisions, B, gamma) + (None,)
     HRi = H.transpose(0, 2, 1) @ Ri
-    D = _steps(HRi @ H, lin.T)
-    h = (HRi @ (y - lin.e)[..., None])[..., 0]
-    QiA, Qib = Qi @ A, (Qi @ b[..., None])[..., 0]
-    D[0] += Pi[0]
-    D[1:] += Qi
-    D[:-1] += A.transpose(0, 2, 1) @ QiA
+    D = np.add(D_static, HRi @ H, out=None if part else D_static)  # in place on a fresh part
+    r = y - lin.e
+    h = r @ HRi[0].T if len(HRi) == 1 else (HRi @ r[..., None])[..., 0]
+    Qib = b @ Qi[0].T if len(Qi) == 1 else (Qi @ b[..., None])[..., 0]
     h[0] += Pi[0] @ m1
     h[1:] += Qib
     h[:-1] -= (Qib[:, None] @ A)[:, 0]
-    E = _steps(QiA, lin.T - 1)
-    if gamma > 0:
-        Bn = compact(B[1:])
-        D += gamma * np.eye(lin.n_x)
-        D[:-1] += gamma * Bn.transpose(0, 2, 1) @ Bn
-        E += gamma * Bn
     if v is not None:
         h = coupled_rhs(h, coupling(B, d, v, eta_bar, gamma, m1))
-    return NormalEquations(D, E, h)
+    return NormalEquations(D, E, h, skeleton)
 
 
 def coupling(B, d, v, eta_bar, gamma: float, m1: np.ndarray):
     """The coupling's part of h, g_t - B_{t+1}' g_{t+1} with g_t = gamma (d_t
     + v_t) - eta_bar_t and d_0 = m1, as the terms (g, g_{t+1}' B_{t+1}) that
-    coupled_rhs adds; None at gamma = 0."""
+    coupled_rhs adds; None at gamma = 0.  A one-block B enters one product."""
     if gamma == 0:
         return None
     g = gamma * (d + v) - eta_bar
     g[0] = gamma * (m1 + v[0]) - eta_bar[0]
-    return g, (g[1:, None] @ compact(B[1:]))[:, 0]
+    B = compact(B[1:])
+    return g, g[1:] @ B[0] if len(B) == 1 else (g[1:, None] @ B)[:, 0]
 
 
 def coupled_rhs(h: np.ndarray, terms) -> np.ndarray:
@@ -264,7 +300,7 @@ def coupled_rhs(h: np.ndarray, terms) -> np.ndarray:
 def band_factor(eqs: NormalEquations) -> np.ndarray:
     """dpbtrf's lower band (kd = 2 n_x - 1) Cholesky factor of eqs' matrix;
     one not positive definite raises SingularSystemError naming the step."""
-    band, info = dpbtrf(_band(eqs.E, eqs.D), lower=1, overwrite_ab=1)
+    band, info = dpbtrf(_band(eqs.E, eqs.D, eqs.skeleton), lower=1, overwrite_ab=1)
     if info > 0:
         raise SingularSystemError(f"information matrix at step {(info - 1) // eqs.h.shape[1]}"
                                   f" is not positive definite")
@@ -315,7 +351,7 @@ def linearize(model: Model, nominal: np.ndarray, values: Optional[dict] = None) 
     e = values["h"] - (H @ nominal[..., None])[..., 0]
     for name, arr, first in (("transition_jacobian", A, 1), ("transition", b, 1),
                              ("measurement_jacobian", H, 0), ("measurement", e, 0)):
-        if not np.isfinite(arr[first:]).all():
+        if not np.isfinite(compact(arr[first:])).all():
             ok = np.isfinite(arr[first:].reshape(T - first, -1)).all(axis=1)
             raise ValueError(f"{name} returned a non-finite value at step "
                              f"{first + np.argmin(ok)}")
@@ -474,7 +510,10 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     (models.model_values) are kept the same way, so the LM cost, the
     process_noise targets and linearize at one x evaluate the transition,
     the measurement and the transition linearisation once; the coupling's
-    part of h is taken once per set of targets.  Gauss-Newton (the GN-IEKS)
+    part of h is taken once per set of targets.  The equations' static part
+    is kept on the problem across calls (a solve's x updates) per gamma,
+    while A and B stay one block of the same bytes (normal_equations'
+    kept).  Gauss-Newton (the GN-IEKS)
     is cfg with lambda0 = 0, and its iterates match the dense Gauss-Newton
     sequence on the stacked problem.  An affine model is its own
     linearisation, so there the one GN proposal is the ks_madmm x update,
@@ -486,7 +525,7 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
     last = (None, None)
     at = [None, None]  # an iterate and the model's values there
-    kept = [None, None]  # a targets pair and its coupling terms
+    terms = [None, None]  # a targets pair and its coupling terms
 
     def values(x):
         if at[0] is not x and not model.is_affine:
@@ -497,11 +536,12 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
         nonlocal last
         if last[0] is not x:
             B, d = targets
-            if kept[0] is not targets:
-                kept[:] = targets, coupling(B, d, v, eta_bar, gamma, model.m1)
+            if terms[0] is not targets:
+                terms[:] = targets, coupling(B, d, v, eta_bar, gamma, model.m1)
             eqs = normal_equations(linearize(model, x, values(x)), precisions, problem.y, B,
-                                   gamma=gamma)
-            last = (x, NormalEquations(eqs.D, eqs.E, coupled_rhs(eqs.h, kept[1])))
+                                   gamma=gamma, kept=problem.kept)
+            eqs.h = coupled_rhs(eqs.h, terms[1])
+            last = (x, eqs)
         return augmented_ks(last[1].damped(lam, s_inv, x) if lam > 0 else last[1])
 
     def cost(x, targets):
@@ -515,22 +555,28 @@ _NO_PENALTY = GroupRegularizer(groups=(), weights=())
 
 
 def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
-               i_max: int = 20, step_tol: float = 1e-8) -> np.ndarray:
+               i_max: int = 20, step_tol: float = 1e-8,
+               lambda_trace: Optional[List[float]] = None) -> np.ndarray:
     """Unregularised iterated smoother: relinearise, smooth, repeat.
 
     gauss_newton with LMConfig(lambda0=0, i_max, step_tol) on the problem
-    with no penalty, each proposal a plain_smoother solve on the
+    with no penalty, each proposal plain_smoother's banded solve on the
     linearisation at the current iterate.  The noise precisions are
     computed (and kept on the model) first, so a bad P1, Q or R block is
-    named as such, without an inner-iteration prefix.  On an affine model
-    (its own linearisation) the one pass is plain_smoother's estimate.
+    named as such, without an inner-iteration prefix.  The passes share the
+    static part of their normal equations while A stays one block of the
+    same bytes (normal_equations' kept), and each extends lambda_trace.  On
+    an affine model (its own linearisation) the one pass is plain_smoother's.
     """
-    noise_precisions(model)
+    precisions = noise_precisions(model)
     problem = TrackingProblem(model, _NO_PENALTY, y)
     x0 = prior_mean_trajectory(model) if x0 is None else x0
+    kept = None if model.is_affine else problem.kept  # one pass on an affine model
 
     def propose(x, targets, lam):
-        return plain_smoother(linearize(model, x), problem.y)
+        return augmented_ks(normal_equations(linearize(model, x), precisions, problem.y,
+                                             kept=kept))
 
     return gauss_newton(problem, propose, x0, None,
-                        LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol))
+                        LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol),
+                        lambda_trace=lambda_trace)

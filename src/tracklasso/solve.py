@@ -18,13 +18,15 @@ from .smoothers import (NormalEquations, augmented_ks, band_factor, coupled_rhs,
                         lm_ieks, noise_precisions, normal_equations, plain_ieks, plain_smoother)
 
 SOLVERS = ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm", "batch_madmm")
+INITIAL_PASSES = 20  # the cap of the nonlinear initialiser's plain_ieks passes
 
 
-def initial_trajectory(problem: TrackingProblem) -> np.ndarray:
-    """Unregularised smoother estimate; the standard split initialiser."""
+def initial_trajectory(problem: TrackingProblem, passes: Optional[list] = None) -> np.ndarray:
+    """Unregularised smoother estimate; the standard split initialiser.
+    plain_ieks's accepted passes extend passes (its lambda_trace), if given."""
     if problem.is_affine:
         return plain_smoother(problem.model, problem.y)
-    return plain_ieks(problem.model, problem.y)
+    return plain_ieks(problem.model, problem.y, i_max=INITIAL_PASSES, lambda_trace=passes)
 
 
 def make_x_solver(solver: str, i_max: int = 10, lm_cfg: Optional[LMConfig] = None):
@@ -84,7 +86,8 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     ks_madmm requires an affine model; the iterated variants and the dense
     batch reference accept both affine and nonlinear models.  The inner
     GN/LM settings are lm_cfg, or LMConfig(i_max=i_max) when lm_cfg is None
-    (see make_x_solver).  x0 defaults to initial_trajectory(problem).
+    (see make_x_solver).  x0 defaults to initial_trajectory(problem), whose
+    pass count and convergence the report then records.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
@@ -92,7 +95,12 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
         raise ValueError("ks_madmm needs an affine model; use gn_ieks_madmm, "
                          "lm_ieks_madmm, or batch_madmm")
     opts = opts if opts is not None else MadmmOptions()
+    passes = None if x0 is not None else []
     if x0 is None:
-        x0 = initial_trajectory(problem)
+        x0 = initial_trajectory(problem, passes)
     x_solver = make_x_solver(solver, i_max=i_max, lm_cfg=lm_cfg)
-    return run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)
+    report = run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)
+    if passes is not None:  # an affine model's one pass is exact
+        report.initial_passes = 1 if problem.is_affine else len(passes)
+        report.initial_converged = problem.is_affine or len(passes) < INITIAL_PASSES
+    return report

@@ -94,6 +94,20 @@ def test_update_v_no_groups():
     np.testing.assert_allclose(v, [[1.25, 1.75]])
 
 
+def test_update_v_equals_cho_solve_bit_for_bit():
+    """update_v_all's direct dpotrs gives scipy's cho_solve result exactly."""
+    from scipy.linalg import cho_solve
+
+    rng = np.random.default_rng(3)
+    reg = make_regularizer("group", 4, groups=[[0, 1], [1, 2, 3]], weights=1.0)
+    U, eta = rng.normal(size=(50, 4)), rng.normal(size=(50, 4 + reg.total_rows))
+    W, gamma = rng.normal(size=(50, reg.total_rows)), 1.7
+    factor = v_update_factor(reg)
+    rhs = (gamma * U + eta[:, :4]) + (gamma * W + eta[:, 4:]) @ reg.G_stack
+    assert np.array_equal(update_v_all(U, W, eta, reg, gamma, factor),
+                          cho_solve(factor, rhs.T).T / gamma)
+
+
 def w_objective(w, v_t, eta_under_t, reg, gamma):
     val = gamma / 2 * np.sum((w - reg.G_stack @ v_t + eta_under_t / gamma) ** 2)
     norms = reg.group_norms(w[None, :])[0]
@@ -258,3 +272,24 @@ def test_shared_diagnostics_equal_the_standalone_values(case):
     for k, state in enumerate(rep.states[1:]):
         assert rep.objective[k] == objective(prob, state.x), (case, k)
         assert rep.lagrangian[k] == augmented_lagrangian(prob, state, gamma), (case, k)
+
+
+@pytest.mark.parametrize("scenario, seed, passes, converged", [
+    ("range", 0, 20, False),  # meets the cap of INITIAL_PASSES
+    ("range", 1, 16, True),
+    ("wiener", 0, 1, True),  # an affine model takes one exact pass
+])
+def test_solve_records_the_initialiser(scenario, seed, passes, converged):
+    """solve_problem records the initial smoother's accepted passes and
+    whether it stopped before its cap, without changing its iterate; a
+    caller's start records neither."""
+    sim = simulate_range if scenario == "range" else simulate_wiener
+    data, model = sim(scenario_defaults(scenario, T=30, seed=seed))
+    prob = TrackingProblem(model, make_regularizer("group", 4, groups=[[2, 3]]), data.y)
+    solver = "lm_ieks_madmm" if scenario == "range" else "ks_madmm"
+    opts = MadmmOptions(k_max=2)
+    rep = solve_problem(prob, solver, opts=opts)
+    assert (rep.initial_passes, rep.initial_converged) == (passes, converged)
+    given = solve_problem(prob, solver, opts=opts, x0=initial_trajectory(prob))
+    assert given.initial_passes is None and given.initial_converged is None
+    assert np.array_equal(rep.x, given.x)

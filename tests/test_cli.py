@@ -56,6 +56,18 @@ def test_solve_outputs_and_report(tmp_path):
     assert "seed=1" in config and f"out={out}" in config
 
 
+@pytest.mark.parametrize("scenario, solver, passes, converged", [
+    ("range", "lm_ieks_madmm", "20", "False"),  # the initialiser meets its pass cap
+    ("wiener", "ks_madmm", "1", "True"),  # one exact pass
+])
+def test_report_records_the_initialiser(tmp_path, scenario, solver, passes, converged):
+    out = tmp_path / "run"
+    assert run_cli("solve", "--scenario", scenario, "--solver", solver, "--steps", "30",
+                   "--kmax", "2", "--out", str(out)) == 0
+    report = (out / "report.txt").read_text()
+    assert f"\ninitial_passes: {passes}\ninitial_converged: {converged}\n" in report
+
+
 def test_written_csvs_are_the_bytes_csv_writer_writes(tmp_path):
     def rows():  # the field kinds write_report passes: ints, repr strings, lazy rows
         return iter([[1, repr(0.1), repr(-2.5e-300), repr(float("nan"))],

@@ -928,3 +928,118 @@ def test_iterated_solvers_take_inner_settings_from_lm_cfg(monkeypatch, solver):
                         opts=MadmmOptions(gamma=1.0, k_max=k, eps_primal=0.0, eps_dual=0.0))
     assert rep.iterations == k
     assert calls[0] == k
+
+
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+def test_kept_static_part_gives_the_fresh_equations_and_band(target_mode):
+    """The static part kept on the problem (D_static, E and their band
+    skeleton) gives the fresh normal equations and band factor bit for bit,
+    at the iterate it was kept at and at another one."""
+    prob = range_problem(seed=2, T=20, target_mode=target_mode)
+    precisions = noise_precisions(prob.model)
+    x = initial_trajectory(prob)
+    rng = np.random.default_rng(7)
+    for nominal in (x, x + 0.1 * rng.normal(size=x.shape)):
+        lin = linearize(prob.model, nominal)
+        B, d = prob.penalty_targets(nominal)
+        kept = normal_equations(lin, precisions, prob.y, B, d, gamma=1.5, kept=prob.kept)
+        fresh = normal_equations(lin, precisions, prob.y, B, d, gamma=1.5)
+        assert kept.skeleton is not None and fresh.skeleton is None
+        assert prob.kept["static"][0][0] == 1.5
+        for name in ("D", "E", "h"):
+            assert np.array_equal(getattr(kept, name), getattr(fresh, name))
+        assert np.array_equal(smoothers.band_factor(kept), smoothers.band_factor(fresh))
+        damped = (kept.damped(0.3, np.eye(4)[None], nominal),
+                  fresh.damped(0.3, np.eye(4)[None], nominal))
+        assert np.array_equal(augmented_ks(damped[0]), augmented_ks(damped[1]))
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named smoothers functions, in that order."""
+    calls = [0] * len(names)
+
+    def counted(i, fn):
+        def wrapper(*args, **kwargs):
+            calls[i] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for i, name in enumerate(names):
+        monkeypatch.setattr(smoothers, name, counted(i, getattr(smoothers, name)))
+    return calls
+
+
+def test_single_matrix_jacobian_that_moves_with_x_is_assembled_fresh(monkeypatch):
+    """A transition Jacobian returned as one matrix that depends on x fails
+    the check of its bytes, so every linearisation after the first assembles
+    its static part fresh: lm_ieks gives the fresh x bit for bit."""
+    prob = range_problem(seed=1, T=20)
+    J = prob.model.transition_jacobian
+
+    def moving(t, X):
+        return (1.0 + 1e-3 * np.tanh(X.sum())) * np.asarray(J(t, X)).reshape(-1, 4, 4)[0]
+
+    prob = TrackingProblem(model=replace(prob.model, transition_jacobian=moving),
+                           reg=prob.reg, y=prob.y)
+    x0 = initial_trajectory(prob)
+    assert time_invariant(linearize(prob.model, x0).A)
+    rng = np.random.default_rng(8)
+    V, eta = 0.1 * rng.normal(size=(2, prob.T, 4))
+    cfg = LMConfig(i_max=5, step_tol=0.0)
+    calls = count_calls(monkeypatch, "static_part", "linearize")
+    x = lm_ieks(prob, V, eta, 1.0, x0, cfg)
+    assert calls[0] == calls[1] > 1  # the first kept, every later one fresh
+    assert np.array_equal(x, _unshared_lm_ieks(prob, V, eta, 1.0, x0, cfg))
+
+
+def test_kept_static_part_is_per_problem_and_gamma(monkeypatch):
+    """A second problem on the same model, or the same problem at another
+    gamma, builds its own static part and solves as a fresh assembly does."""
+    first = range_problem(seed=4, T=20)
+    second = TrackingProblem(model=first.model, reg=first.reg, y=first.y)
+    rng = np.random.default_rng(9)
+    V, eta = 0.1 * rng.normal(size=(2, first.T, 4))
+    x0 = initial_trajectory(first)
+    cfg = LMConfig(i_max=3, step_tol=0.0)
+    calls = count_calls(monkeypatch, "static_part")
+    ieks = make_x_solver("lm_ieks_madmm", lm_cfg=cfg)
+    for prob, gamma, built in ((first, 1.0, 1), (first, 1.0, 0), (second, 1.0, 1),
+                               (first, 2.5, 1)):
+        calls[0] = 0
+        x = ieks(prob, V, eta, gamma, x0)
+        assert calls[0] == built
+        assert prob.kept["static"][0][0] == gamma
+        assert np.array_equal(x, _unshared_lm_ieks(prob, V, eta, gamma, x0, cfg))
+    assert first.kept["static"][1] is not second.kept["static"][1]
+
+
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+def test_per_step_jacobians_decline_the_kept_part(target_mode):
+    """coordinated_turn's transition Jacobian differs per step, so lm_ieks
+    keeps no static part and gives a fresh assembly's x bit for bit."""
+    data, model = simulate_coordinated_turn(scenario_defaults("coordinated_turn", T=30,
+                                                              seed=5))
+    reg = make_regularizer("group", 5, groups=[[2, 3, 4]], weights=1.0,
+                           target_mode=target_mode)
+    prob = TrackingProblem(model=model, reg=reg, y=data.y)
+    rng = np.random.default_rng(10)
+    V, eta = 0.1 * rng.normal(size=(2, prob.T, prob.n_x))
+    x0 = initial_trajectory(prob)
+    cfg = LMConfig(i_max=4, step_tol=0.0)
+    x = lm_ieks(prob, V, eta, 1.0, x0, cfg)
+    assert "static" not in prob.kept
+    assert np.array_equal(x, _unshared_lm_ieks(prob, V, eta, 1.0, x0, cfg))
+
+
+def test_plain_ieks_keeps_its_static_part_across_passes(monkeypatch):
+    """plain_ieks builds the static part once for all of its passes and
+    gives the passes of fresh assemblies bit for bit."""
+    prob = range_problem(seed=3, T=20)
+    calls = count_calls(monkeypatch, "static_part")
+    lam = []
+    x = plain_ieks(prob.model, prob.y, i_max=6, step_tol=0.0, lambda_trace=lam)
+    assert calls[0] == 1 and len(lam) == 6
+    fresh = prior_mean = models.prior_mean_trajectory(prob.model)
+    for _ in range(6):
+        fresh = plain_smoother(linearize(prob.model, fresh), prob.y)
+    assert not np.array_equal(fresh, prior_mean)
+    assert np.array_equal(x, fresh)
