@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.blas import dtrsv
 
 from .models import (SingularSystemError, TrackingProblem, per_problem,
                      prior_mean_trajectory, x_subproblem_cost)
@@ -55,25 +56,39 @@ def normal_system(eqs: NormalEquations):
     return M.reshape(T * n, T * n).T, eqs.h.ravel()
 
 
-def _dense_factor(M: np.ndarray, what: str):
-    """cho_factor of normal_system's matrix, overwriting it; one that is not
-    finite or not positive definite raises SingularSystemError naming what."""
+def _dense_factor(eqs: NormalEquations, what: str) -> np.ndarray:
+    """Lower Cholesky factor of normal_system(eqs)'s matrix, computed in place.
+
+    The factor is that F-ordered (T n_x)^2 array, so the BLAS calls of
+    _back_substitute read it without a copy; its upper triangle is stale.
+    The matrix holds only D, -E and zeros, so it is finite exactly when D
+    and E are: they are checked, O(T n_x^2), instead of the whole matrix.
+    A matrix that is not finite or not positive definite raises
+    SingularSystemError naming what.
+    """
+    if not (np.isfinite(eqs.D).all() and np.isfinite(eqs.E).all()):
+        raise SingularSystemError(f"{what} is not positive definite")
+    M, _ = normal_system(eqs)
     try:
-        return cho_factor(M, lower=True, overwrite_a=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)[0]
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"{what} is not positive definite") from exc
 
 
-def _back_substitute(factor, h: np.ndarray) -> np.ndarray:
-    """cho_solve of h (T, n_x) against _dense_factor's checked factor; a
-    non-finite h raises ValueError."""
-    return cho_solve(factor, np.asarray_chkfinite(h.ravel()), check_finite=False).reshape(h.shape)
+def _back_substitute(c: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Solve L L' x = h for _dense_factor's lower factor c, h (T, n_x).
+
+    Two BLAS-2 triangular solves (dtrsv): L z = h into a new array, so h
+    is never written, then L' x = z in place.  A non-finite h raises
+    ValueError.
+    """
+    z = dtrsv(c, np.asarray_chkfinite(h.ravel()), lower=1)
+    return dtrsv(c, z, lower=1, trans=1, overwrite_x=1).reshape(h.shape)
 
 
 def batch_x_affine(eqs: NormalEquations) -> np.ndarray:
     """Exact minimiser of the affine subproblem eqs (stack_problem), (T, n_x)."""
-    M, _ = normal_system(eqs)
-    return _back_substitute(_dense_factor(M, "stacked normal matrix"), eqs.h)
+    return _back_substitute(_dense_factor(eqs, "stacked normal matrix"), eqs.h)
 
 
 def make_affine_x_solver():
@@ -87,9 +102,8 @@ def make_affine_x_solver():
     @per_problem
     def factored(problem, gamma):
         eqs = stack_problem(problem, None, None, gamma)
-        M, _ = normal_system(eqs)
         B, d = problem.penalty_targets()
-        return B, d, eqs.h, _dense_factor(M, "stacked normal matrix")
+        return B, d, eqs.h, _dense_factor(eqs, "stacked normal matrix")
 
     def solver(problem, V, eta_bar, gamma, x_warm):
         B, d, h, factor = factored(problem, gamma)
@@ -115,8 +129,7 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
     if lam > 0:
         eqs = eqs.damped(lam, damping_inverse(s_cov, lin.T, lin.n_x), np.asarray(x, dtype=float))
         name = "damped normal matrix"
-    M, _ = normal_system(eqs)
-    return _back_substitute(_dense_factor(M, name), eqs.h)
+    return _back_substitute(_dense_factor(eqs, name), eqs.h)
 
 
 def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,

@@ -9,6 +9,7 @@ deterministic given config plus seed (timings excepted).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields
 from itertools import chain, cycle, islice, repeat
@@ -45,6 +46,8 @@ EXIT_USAGE = 64
 SCENARIOS = ("wiener", "range", "coordinated_turn")
 REG_KINDS = ("l2", "lasso", "iso_tv", "aniso_tv", "fused", "group", "sparse_group")
 NONLINEAR_SCENARIOS = ("range", "coordinated_turn")
+# read into report.txt: a threaded BLAS can slow the small per-step products many times
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # model constants for CSV tracks (diffuse prior anchored at the first fix)
 CSV_QC = 1.0
@@ -330,6 +333,8 @@ def write_report(out: Path, cfg: RunConfig, problem: TrackingProblem,
     lines = [
         f"tracklasso_version: {__version__}",
         f"numpy_version: {np.__version__}",
+        "blas_threads: " + " ".join(f"{var}={os.environ.get(var, 'unset')}"
+                                    for var in BLAS_THREAD_VARS),
         f"solver: {cfg.solver}",
         f"seed: {cfg.seed}",
         f"steps: {problem.T}",

@@ -87,7 +87,9 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     batch reference accept both affine and nonlinear models.  The inner
     GN/LM settings are lm_cfg, or LMConfig(i_max=i_max) when lm_cfg is None
     (see make_x_solver).  x0 defaults to initial_trajectory(problem), whose
-    pass count and convergence the report then records.
+    pass count and convergence the report then records.  The static part
+    the iterated smoothers keep on problem.kept is dropped when the solve
+    returns or raises.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
@@ -96,10 +98,13 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
                          "lm_ieks_madmm, or batch_madmm")
     opts = opts if opts is not None else MadmmOptions()
     passes = None if x0 is not None else []
-    if x0 is None:
-        x0 = initial_trajectory(problem, passes)
-    x_solver = make_x_solver(solver, i_max=i_max, lm_cfg=lm_cfg)
-    report = run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)
+    try:
+        if x0 is None:
+            x0 = initial_trajectory(problem, passes)
+        x_solver = make_x_solver(solver, i_max=i_max, lm_cfg=lm_cfg)
+        report = run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)
+    finally:
+        problem.kept.clear()  # the smoothers' static part serves this solve only
     if passes is not None:  # an affine model's one pass is exact
         report.initial_passes = 1 if problem.is_affine else len(passes)
         report.initial_converged = problem.is_affine or len(passes) < INITIAL_PASSES

@@ -293,3 +293,18 @@ def test_solve_records_the_initialiser(scenario, seed, passes, converged):
     given = solve_problem(prob, solver, opts=opts, x0=initial_trajectory(prob))
     assert given.initial_passes is None and given.initial_converged is None
     assert np.array_equal(rep.x, given.x)
+
+
+def test_solve_drops_the_kept_static_part():
+    """The iterated smoother keeps its static part on the problem during a
+    solve; solve_problem drops it on return, and the iterate is the one the
+    same loop gives with the part still kept."""
+    data, model = simulate_range(scenario_defaults("range", T=30, seed=2))
+    prob = TrackingProblem(model, make_regularizer("group", 4, groups=[[2, 3]]), data.y)
+    opts = MadmmOptions(k_max=3)
+    x0 = initial_trajectory(prob)
+    rep = solve_problem(prob, "lm_ieks_madmm", opts=opts, x0=x0)
+    assert "static" not in prob.kept
+    kept = run_madmm(prob, make_x_solver("lm_ieks_madmm"), opts, x0=x0)
+    assert "static" in prob.kept  # the loop alone leaves the part behind
+    np.testing.assert_array_equal(rep.x, kept.x)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from tracklasso import batch
 from tracklasso.batch import (
     LMConfig,
     batch_lm_step,
     batch_nonlinear_solve,
     batch_x_affine,
+    make_affine_x_solver,
+    normal_system,
     stack_problem,
 )
 from tracklasso.models import (
@@ -19,6 +22,8 @@ from tracklasso.models import (
     make_regularizer,
     x_subproblem_cost,
 )
+from tracklasso.smoothers import NormalEquations
+from tracklasso.solve import make_x_solver
 from tracklasso.verify import random_affine_problem
 
 
@@ -215,3 +220,130 @@ def test_dense_factor_names_a_bad_noise_matrix():
         z = np.zeros((5, 2))
         with pytest.raises(SingularSystemError, match=f"^{match}is not positive definite$"):
             batch_x_affine(stack_problem(prob, z, z, 1.0))
+
+
+def random_spd_equations(rng, T, n):
+    """Block-tridiagonal NormalEquations whose matrix is L L' for a random
+    lower block-bidiagonal L, so it is symmetric positive definite."""
+    Ld = np.tril(rng.normal(size=(T, n, n)), -1) + np.eye(n) * rng.uniform(0.5, 2.0, size=(T, 1, n))
+    Ls = rng.normal(size=(T - 1, n, n))
+    D = Ld @ np.swapaxes(Ld, 1, 2)
+    D[1:] += Ls @ np.swapaxes(Ls, 1, 2)
+    E = -Ls @ np.swapaxes(Ld[:-1], 1, 2)
+    return NormalEquations(D, E, rng.normal(size=(T, n)))
+
+
+def assert_solves(x, eqs):
+    M, rhs = normal_system(eqs)
+    want = np.linalg.solve(M, rhs)
+    assert np.linalg.norm(x.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_back_substitute_solves_the_normal_system(seed):
+    """The two triangular solves against the dense factor give the solution
+    of normal_system's matrix, on random SPD equations, the affine
+    subproblem and a damped LM step."""
+    rng = np.random.default_rng(seed)
+    T, n = 7, 3
+    eqs = random_spd_equations(rng, T, n)
+    assert_solves(batch._back_substitute(batch._dense_factor(eqs, "m"), eqs.h), eqs)
+
+    prob = random_affine_problem(rng, T=T, n_x=n, n_y=2)
+    V = rng.normal(size=(T, n))
+    eta = rng.normal(size=(T, n))
+    eqs = stack_problem(prob, V, eta, 0.6)
+    assert_solves(batch_x_affine(eqs), eqs)
+
+    x = rng.normal(size=(T, n))
+    got = batch_lm_step(prob, x, V, eta, 0.6, lam=0.4)
+    assert_solves(got, eqs.damped(0.4, np.eye(n)[None], x))
+
+
+def test_dense_solves_leave_the_right_hand_side_alone(monkeypatch):
+    """The first triangular solve writes a new array: eqs.h and the h the
+    affine x update keeps (passed as is at gamma = 0) are unchanged."""
+    seen = []
+    back_substitute = batch._back_substitute
+
+    def spy(c, h):
+        before = h.copy()
+        x = back_substitute(c, h)
+        seen.append((h, before))
+        return x
+
+    monkeypatch.setattr(batch, "_back_substitute", spy)
+    rng = np.random.default_rng(5)
+    prob = random_affine_problem(rng, T=6, n_x=2, n_y=1)
+    V = rng.normal(size=(6, 2))
+    eta = rng.normal(size=(6, 2))
+    eqs = stack_problem(prob, V, eta, 0.9)
+    batch_x_affine(eqs)
+    assert seen[-1][0] is eqs.h
+    solver = make_affine_x_solver()
+    first = solver(prob, V, eta, 0.0, None)
+    kept = seen[-1][0]
+    second = solver(prob, V, eta, 0.0, None)
+    assert seen[-1][0] is kept  # the kept h itself, no coupling added
+    np.testing.assert_array_equal(first, second)
+    solver(prob, V, eta, 0.9, None)
+    for h, before in seen:
+        np.testing.assert_array_equal(h, before)
+
+
+def test_affine_x_solver_equals_the_fresh_dense_solve_bit_for_bit():
+    # the kept factor and kept h, plus the coupling, are the fresh solve
+    solver = make_affine_x_solver()
+    rng = np.random.default_rng(9)
+    for target_mode in ("state", "process_noise"):
+        prob = random_affine_problem(rng, T=8, n_x=3, n_y=2, target_mode=target_mode)
+        for gamma in (0.0, 0.5, 2.0):
+            for _ in range(3):
+                V = rng.normal(size=(8, 3))
+                eta = rng.normal(size=(8, 3))
+                np.testing.assert_array_equal(
+                    solver(prob, V, eta, gamma, None),
+                    batch_x_affine(stack_problem(prob, V, eta, gamma)),
+                    err_msg=f"{target_mode}, gamma {gamma}")
+
+
+def test_dense_factor_is_the_normal_matrix_factored_in_place(monkeypatch):
+    """The factor is normal_system's F-ordered matrix itself, so the BLAS
+    solves read it without a copy."""
+    matrices = []
+    build = batch.normal_system
+
+    def spy(eqs):
+        M, rhs = build(eqs)
+        matrices.append(M)
+        return M, rhs
+
+    monkeypatch.setattr(batch, "normal_system", spy)
+    eqs = random_spd_equations(np.random.default_rng(6), 5, 2)
+    c = batch._dense_factor(eqs, "m")
+    (M,) = matrices
+    assert np.shares_memory(c, M) and c.flags.f_contiguous
+    M0, _ = build(eqs)
+    np.testing.assert_allclose(np.tril(c) @ np.tril(c).T, M0, rtol=0, atol=1e-12)
+
+
+def test_non_finite_transition_is_named_by_the_dense_solves():
+    """A NaN in A reaches D and E; the block check raises before factoring,
+    with the message the full-matrix check gave.  A bad D or E alone is
+    caught too."""
+    A = np.tile(np.eye(2), (5, 1, 1))
+    A[2, 0, 1] = np.nan
+    model = AffineModel(A=A, b=np.zeros(2), H=np.eye(2), e=np.zeros(2), m1=np.zeros(2),
+                        Q=np.eye(2), R=np.eye(2), P1=np.eye(2), T=5, validate=False)
+    prob = TrackingProblem(model=model, reg=make_regularizer("l2", 2), y=np.zeros((5, 2)))
+    z = np.zeros((5, 2))
+    match = "^stacked normal matrix is not positive definite$"
+    with pytest.raises(SingularSystemError, match=match):
+        batch_x_affine(stack_problem(prob, z, z, 1.0))
+    with pytest.raises(SingularSystemError, match=match):
+        make_x_solver("batch_madmm")(prob, z, z, 1.0, None)
+    for block, bad in (("D", np.nan), ("E", np.nan), ("E", np.inf)):
+        eqs = random_spd_equations(np.random.default_rng(7), 4, 2)
+        getattr(eqs, block)[1, 0, 1] = bad
+        with pytest.raises(SingularSystemError, match="^m is not positive definite$"):
+            batch._dense_factor(eqs, "m")

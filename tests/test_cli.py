@@ -56,6 +56,18 @@ def test_solve_outputs_and_report(tmp_path):
     assert "seed=1" in config and f"out={out}" in config
 
 
+def test_report_records_blas_threading(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "run"
+    assert run_cli("solve", "--scenario", "wiener", "--steps", "20", "--kmax", "1",
+                   "--out", str(out)) == 0
+    report = (out / "report.txt").read_text()
+    assert ("\nblas_threads: OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=2 "
+            "MKL_NUM_THREADS=unset\n") in report
+
+
 @pytest.mark.parametrize("scenario, solver, passes, converged", [
     ("range", "lm_ieks_madmm", "20", "False"),  # the initialiser meets its pass cap
     ("wiener", "ks_madmm", "1", "True"),  # one exact pass
