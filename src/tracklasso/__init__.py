@@ -23,13 +23,13 @@ from .models import (
 )
 from .admm import MadmmOptions, SolveReport, block_shrink, run_madmm
 from .batch import (
-    LMConfig,
     batch_nonlinear_solve,
     batch_x_affine,
     make_affine_x_solver,
     stack_problem,
 )
 from .smoothers import (
+    LMConfig,
     augmented_ks,
     build_fused,
     linearize,

@@ -5,7 +5,11 @@ normal equations are the block-tridiagonal ones of
 smoothers.normal_equations, unpacked into one dense symmetric matrix and
 solved by a dense Cholesky factorisation.  These solvers scale cubically in
 T and exist as the reference path; the smoother module solves the same
-systems in linear time.
+systems in linear time.  The x-update engines are the smoother module's
+bodies with the dense solve: make_affine_x_solver is smoothers.factor_once
+and batch_nonlinear_solve smoothers.lm_x_update.  stack_problem,
+normal_system, batch_x_affine and the one damped step batch_lm_step stay
+as the dense oracles.
 """
 
 from __future__ import annotations
@@ -16,10 +20,14 @@ import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.blas import dtrsv
 
-from .models import (SingularSystemError, TrackingProblem, per_problem,
-                     prior_mean_trajectory, x_subproblem_cost)
-from .smoothers import (LMConfig, NormalEquations, coupled_rhs, coupling, damping_inverse,
-                        gauss_newton, linearize, noise_precisions, normal_equations)
+from .models import SingularSystemError, TrackingProblem, x_subproblem_cost
+from .smoothers import (LMConfig, NormalEquations, damping_inverse, factor_once, linearize,
+                        lm_x_update, noise_precisions, normal_equations)
+
+# Re-exported: LMConfig for callers that import it from here, and
+# x_subproblem_cost because bench/tracing.py patches this binding.
+__all__ = ["LMConfig", "x_subproblem_cost", "stack_problem", "normal_system", "batch_x_affine",
+           "make_affine_x_solver", "batch_lm_step", "batch_nonlinear_solve"]
 
 
 def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Optional[np.ndarray],
@@ -92,25 +100,11 @@ def batch_x_affine(eqs: NormalEquations) -> np.ndarray:
 
 
 def make_affine_x_solver():
-    """x-update callable for the ADMM loop, caching the factorised normal matrix.
-
-    The normal matrix depends only on the problem and gamma, so it is
-    factorised once per (problem, gamma) (models.per_problem) and kept with
-    the penalty targets and the data part of h; each call adds the
-    coupling's part (coupled_rhs) and back-substitutes.
-    """
-    @per_problem
-    def factored(problem, gamma):
-        eqs = stack_problem(problem, None, None, gamma)
-        B, d = problem.penalty_targets()
-        return B, d, eqs.h, _dense_factor(eqs, "stacked normal matrix")
-
-    def solver(problem, V, eta_bar, gamma, x_warm):
-        B, d, h, factor = factored(problem, gamma)
-        h = coupled_rhs(h, coupling(B, d, V, eta_bar, gamma, problem.model.m1))
-        return _back_substitute(factor, h)
-
-    return solver
+    """x-update callable for the ADMM loop, caching the factorised normal matrix:
+    smoothers.factor_once with stack_problem, _dense_factor and
+    _back_substitute."""
+    return factor_once(lambda problem, B, gamma: stack_problem(problem, None, None, gamma),
+                       lambda eqs: _dense_factor(eqs, "stacked normal matrix"), _back_substitute)
 
 
 def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
@@ -125,11 +119,9 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
     """
     lin = TrackingProblem(linearize(problem.model, x), problem.reg, problem.y)
     eqs = stack_problem(lin, v, eta_bar, gamma)
-    name = "normal matrix"
     if lam > 0:
         eqs = eqs.damped(lam, damping_inverse(s_cov, lin.T, lin.n_x), np.asarray(x, dtype=float))
-        name = "damped normal matrix"
-    return _back_substitute(_dense_factor(eqs, name), eqs.h)
+    return batch_x_affine(eqs)
 
 
 def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
@@ -137,22 +129,8 @@ def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.n
                           x0: Optional[np.ndarray] = None,
                           trace: Optional[List[np.ndarray]] = None,
                           lambda_trace: Optional[List[float]] = None) -> np.ndarray:
-    """Iterate dense Levenberg-Marquardt steps to solve for x.
-
-    Every proposal is batch_lm_step, run under the same damped Gauss-Newton
-    loop as the iterated smoothers with cfg (default LMConfig()).  Gauss-
-    Newton is cfg with lambda0 = 0: the damping stays 0, each step is the
-    undamped normal solve and every step is accepted.  x0 defaults to the
-    prior mean trajectory.
-    """
-    cfg = cfg or LMConfig()
-    if x0 is None:
-        x0 = prior_mean_trajectory(problem.model)
-
-    def propose(x, targets, lam):
-        return batch_lm_step(problem, x, v, eta_bar, gamma, lam, cfg.s_cov)
-
-    def cost(x, targets):
-        return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
-
-    return gauss_newton(problem, propose, x0, cost, cfg, trace, lambda_trace)
+    """Iterate dense Levenberg-Marquardt steps to solve for x:
+    smoothers.lm_x_update with the dense solve batch_x_affine, so the
+    proposals are batch_lm_step's.  As with lm_ieks, the static part of the
+    equations stays on problem.kept."""
+    return lm_x_update(problem, v, eta_bar, gamma, x0, cfg, trace, lambda_trace, batch_x_affine)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .admm import MadmmOptions, SolveReport
-from .batch import LMConfig
 from .models import SingularSystemError, TrackingProblem, make_regularizer
 from .scenarios import (
     CsvSchema,
@@ -35,6 +34,7 @@ from .scenarios import (
     wiener_velocity_model,
     write_track_csv,
 )
+from .smoothers import LMConfig
 from .solve import SOLVERS, solve_problem
 from .verify import run_all_checks
 

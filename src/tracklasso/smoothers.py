@@ -4,16 +4,17 @@ The x subproblem's normal matrix is block tridiagonal, so it is solved in
 O(T) instead of the O(T^3) dense solve, in one form: normal_equations
 assembles the information form unfused for all steps at once from the
 model, its noise precisions and the coupling, and augmented_ks solves it
-with one banded LAPACK Cholesky (band_factor).  Its matrix depends only on
-(problem, gamma), so one band factor serves every coupling (coupled_rhs).
-Every x update takes this form: the ks_madmm update, plain_smoother and
-every Gauss-Newton or Levenberg-Marquardt proposal, a damped one with
-lambda S^{-1} added on the diagonal.  The iterated smoothers and the dense
-stacked solvers share one damped Gauss-Newton loop, gauss_newton
-(Gauss-Newton is lambda0 = 0, and plain_ieks is that loop with no
-penalty); they differ only in the step each proposes.  Both linearise with
-linearize, which returns an affine model unchanged, so on an affine
-problem the iterated smoother is the augmented smoother.
+with one banded LAPACK Cholesky (band_factor).  Two x-update bodies take
+the linear solve as a parameter.  factor_once (affine) factors the matrix,
+which depends only on (problem, gamma), once for every coupling
+(coupled_rhs); ks_madmm gives it band_factor and augmented_ks.
+lm_x_update runs the damped Gauss-Newton loop gauss_newton (lambda0 = 0
+is Gauss-Newton; a damped proposal adds lambda S^{-1} on the diagonal);
+lm_ieks gives it augmented_ks, and plain_ieks is lm_ieks with no penalty
+at lambda0 = 0, gamma = 0.  The batch module gives both the dense solve.
+Proposals linearise with linearize, which returns an affine model
+unchanged, so on an affine problem the iterated smoother is the augmented
+smoother.
 
 The oracle is the paper's augmented smoother in covariance form:
 build_fused fuses the penalty coupling with the transition density into
@@ -38,7 +39,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs, dtrtrs
 
 from .models import (AffineModel, GroupRegularizer, Model, SingularSystemError,
                      TrackingProblem, compact, freeze, jacobian_stack, model_values,
-                     noise_factors, per_step, prior_mean_trajectory, spd_factor,
+                     noise_factors, per_problem, per_step, prior_mean_trajectory, spd_factor,
                      time_invariant, transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
@@ -319,6 +320,27 @@ def augmented_ks(eqs: NormalEquations, factor: Optional[np.ndarray] = None) -> n
     return dpbtrs(factor, eqs.h.reshape(-1, 1), lower=1)[0].reshape(eqs.h.shape)
 
 
+def factor_once(assemble: Callable, factor: Callable, solve: Callable):
+    """x update solver(problem, V, eta_bar, gamma, x_warm) of an affine problem
+    that factors its matrix once per (problem, gamma) (models.per_problem):
+    it keeps the penalty targets (B, d), h0 = assemble(problem, B, gamma).h
+    (no coupling) and factor(eqs), and each call returns solve(factor, h0
+    plus the coupling's part), the fresh solve's x bit for bit."""
+    @per_problem
+    def factored(problem, gamma):
+        if not problem.is_affine:
+            raise ValueError("a factor-once x update needs an affine model")
+        B, d = problem.penalty_targets()
+        eqs = assemble(problem, B, gamma)
+        return B, d, eqs.h, factor(eqs)
+
+    def solver(problem, V, eta_bar, gamma, x_warm):
+        B, d, h0, f = factored(problem, gamma)
+        return solve(f, coupled_rhs(h0, coupling(B, d, V, eta_bar, gamma, problem.model.m1)))
+
+    return solver
+
+
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     """Smoother mean (T, n_x) on an affine model with no penalty coupling,
     one banded solve of its normal_equations (to rounding rts_smoother)."""
@@ -492,36 +514,26 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     return x
 
 
-def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
-            gamma: float, x0: np.ndarray, cfg: Optional[LMConfig] = None,
-            trace: Optional[List[np.ndarray]] = None,
-            lambda_trace: Optional[List[float]] = None) -> np.ndarray:
-    """Levenberg-Marquardt iterated smoother for the coupled subproblem.
+def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
+                gamma: float, x0: Optional[np.ndarray], cfg: Optional[LMConfig],
+                trace: Optional[List[np.ndarray]], lambda_trace: Optional[List[float]],
+                solve: Callable[[NormalEquations], np.ndarray]) -> np.ndarray:
+    """Levenberg-Marquardt x update of the coupled subproblem, solving with solve(eqs).
 
-    Each proposal linearises the model about the current trajectory,
-    assembles the undamped normal_equations (from the model's kept
-    noise_precisions) and solves them with one augmented_ks call.  A damped
-    proposal (lambda > 0) is the Levenberg-Marquardt smoother of Sarkka and
-    Svensson (ICASSP 2020): the same equations plus lambda S^{-1} on the
-    diagonal blocks and lambda S^{-1} x in h.  The equations are kept with
-    the trajectory object they were built at, so after a rejected step a
-    proposal only adds lambda S^{-1} again, calling neither linearize nor
-    the assembly.  The model's values at the latest iterate
-    (models.model_values) are kept the same way, so the LM cost, the
-    process_noise targets and linearize at one x evaluate the transition,
-    the measurement and the transition linearisation once; the coupling's
-    part of h is taken once per set of targets.  The equations' static part
-    is kept on the problem across calls (a solve's x updates) per gamma,
-    while A and B stay one block of the same bytes (normal_equations'
-    kept).  Gauss-Newton (the GN-IEKS)
-    is cfg with lambda0 = 0, and its iterates match the dense Gauss-Newton
-    sequence on the stacked problem.  An affine model is its own
-    linearisation, so there the one GN proposal is the ks_madmm x update,
-    bit for bit.
+    gauss_newton with cfg (default LMConfig()) from x0 (default the prior
+    mean trajectory).  A proposal linearises at the iterate, assembles the
+    undamped normal_equations and solves them; a damped one (the LM
+    smoother of Sarkka and Svensson, ICASSP 2020) adds lambda S^{-1} on the
+    diagonal and lambda S^{-1} x in h.  Per iterate object the equations
+    (a rejected step only adds the damping again) and the model's values
+    (models.model_values: LM cost, process_noise targets, linearize) are
+    kept, per targets pair the coupling's part of h, and on problem.kept
+    the static part per gamma (normal_equations' kept).
     """
     cfg = cfg or LMConfig()
     model = problem.model
     precisions = noise_precisions(model)
+    x0 = prior_mean_trajectory(model) if x0 is None else x0
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
     last = (None, None)
     at = [None, None]  # an iterate and the model's values there
@@ -542,7 +554,7 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
                                    gamma=gamma, kept=problem.kept)
             eqs.h = coupled_rhs(eqs.h, terms[1])
             last = (x, eqs)
-        return augmented_ks(last[1].damped(lam, s_inv, x) if lam > 0 else last[1])
+        return solve(last[1].damped(lam, s_inv, x) if lam > 0 else last[1])
 
     def cost(x, targets):
         return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets, values(x))
@@ -551,32 +563,31 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
                         lambda x: problem.penalty_targets(nominal=x, values=values(x)))
 
 
+def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
+            gamma: float, x0: np.ndarray, cfg: Optional[LMConfig] = None,
+            trace: Optional[List[np.ndarray]] = None,
+            lambda_trace: Optional[List[float]] = None) -> np.ndarray:
+    """Levenberg-Marquardt iterated smoother: lm_x_update with the band solve
+    (augmented_ks).  With lambda0 = 0 (the GN-IEKS) its iterates match the
+    dense Gauss-Newton sequence, and on an affine model (its own
+    linearisation) the one proposal is the ks_madmm x update, bit for bit.
+    """
+    # augmented_ks is looked up per call, never bound at import, so a patched one is used
+    return lm_x_update(problem, v, eta_bar, gamma, x0, cfg, trace, lambda_trace, augmented_ks)
+
+
 _NO_PENALTY = GroupRegularizer(groups=(), weights=())
 
 
 def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
                i_max: int = 20, step_tol: float = 1e-8,
                lambda_trace: Optional[List[float]] = None) -> np.ndarray:
-    """Unregularised iterated smoother: relinearise, smooth, repeat.
-
-    gauss_newton with LMConfig(lambda0=0, i_max, step_tol) on the problem
-    with no penalty, each proposal plain_smoother's banded solve on the
-    linearisation at the current iterate.  The noise precisions are
-    computed (and kept on the model) first, so a bad P1, Q or R block is
-    named as such, without an inner-iteration prefix.  The passes share the
-    static part of their normal equations while A stays one block of the
-    same bytes (normal_equations' kept), and each extends lambda_trace.  On
-    an affine model (its own linearisation) the one pass is plain_smoother's.
+    """Unregularised iterated smoother: lm_x_update with the band solve on the
+    problem with no penalty at gamma = 0, LMConfig(lambda0=0, i_max,
+    step_tol).  Each accepted pass extends lambda_trace; a bad P1, Q or R
+    block is named before any pass, without an inner-iteration prefix.  On
+    an affine model the one pass is plain_smoother's.
     """
-    precisions = noise_precisions(model)
-    problem = TrackingProblem(model, _NO_PENALTY, y)
-    x0 = prior_mean_trajectory(model) if x0 is None else x0
-    kept = None if model.is_affine else problem.kept  # one pass on an affine model
-
-    def propose(x, targets, lam):
-        return augmented_ks(normal_equations(linearize(model, x), precisions, problem.y,
-                                             kept=kept))
-
-    return gauss_newton(problem, propose, x0, None,
-                        LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol),
-                        lambda_trace=lambda_trace)
+    return lm_x_update(TrackingProblem(model, _NO_PENALTY, y), None, None, 0.0, x0,
+                       LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol), None,
+                       lambda_trace, augmented_ks)

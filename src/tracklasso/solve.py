@@ -1,7 +1,9 @@
 """One-call solver dispatch used by the CLI and the experiment scripts.
 
-Maps solver names to x-subproblem engines, initialises the split from an
-unregularised smoother run, and hands off to the ADMM loop.
+Maps solver names to the two x-update bodies, smoothers.factor_once
+(affine) and smoothers.lm_x_update (LM), each with the band or the dense
+solve; initialises the split from an unregularised smoother run, and hands
+off to the ADMM loop.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ from typing import Optional
 import numpy as np
 
 from .admm import MadmmOptions, SolveReport, run_madmm
-from .batch import LMConfig, batch_nonlinear_solve, make_affine_x_solver
-from .models import TrackingProblem, per_problem
-from .smoothers import (NormalEquations, augmented_ks, band_factor, coupled_rhs, coupling,
+from .batch import batch_nonlinear_solve, make_affine_x_solver
+from .models import TrackingProblem
+from .smoothers import (LMConfig, NormalEquations, augmented_ks, band_factor, factor_once,
                         lm_ieks, noise_precisions, normal_equations, plain_ieks, plain_smoother)
 
 SOLVERS = ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm", "batch_madmm")
@@ -34,30 +36,19 @@ def make_x_solver(solver: str, i_max: int = 10, lm_cfg: Optional[LMConfig] = Non
 
     Every inner setting comes from one LMConfig: lm_cfg if given, else
     LMConfig(i_max=i_max), so i_max is read only when lm_cfg is None.
-    The affine engines factor once per (problem, gamma) (models.per_problem)
-    and back-substitute per call: ks_madmm (affine only) keeps the band
-    factor of normal_equations and h without the coupling, which each call
-    adds (coupled_rhs), batch_madmm a dense Cholesky factor of the same
-    equations; neither keeps their blocks D and E.  gn_ieks_madmm
-    and lm_ieks_madmm run the iterated smoother (GN: lambda0 = 0);
-    batch_madmm runs the dense LM loop for nonlinear models.
+    The affine engines are smoothers.factor_once: ks_madmm (affine only)
+    with band_factor and augmented_ks, batch_madmm with the dense factor
+    (batch.make_affine_x_solver).  gn_ieks_madmm and lm_ieks_madmm run
+    lm_ieks (GN: lambda0 = 0), and batch_madmm on a nonlinear model the
+    same LM body with the dense solve (batch.batch_nonlinear_solve).
     """
     cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
     if solver == "ks_madmm":
-        @per_problem
-        def factored(problem, gamma):
-            B, d = problem.penalty_targets()
-            eqs = normal_equations(problem.model, noise_precisions(problem.model), problem.y,
-                                   B, gamma=gamma)
-            return B, d, eqs.h, band_factor(eqs)
-
-        def ks(problem, V, eta_bar, gamma, x_warm):
-            if not problem.is_affine:
-                raise ValueError("the Kalman-smoother x update needs an affine model")
-            B, d, h, band = factored(problem, gamma)
-            h = coupled_rhs(h, coupling(B, d, V, eta_bar, gamma, problem.model.m1))
-            return augmented_ks(NormalEquations(None, None, h), factor=band)
-        return ks
+        def equations(problem, B, gamma):
+            return normal_equations(problem.model, noise_precisions(problem.model), problem.y,
+                                    B, gamma=gamma)
+        return factor_once(equations, band_factor,
+                           lambda band, h: augmented_ks(NormalEquations(None, None, h), factor=band))
     if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):
         if solver == "gn_ieks_madmm":
             cfg = replace(cfg, lambda0=0.0)

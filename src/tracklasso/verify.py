@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .admm import MadmmOptions, block_shrink, omega_norm_sq, run_madmm
-from .batch import LMConfig, batch_nonlinear_solve, batch_x_affine, stack_problem
+from .batch import batch_nonlinear_solve, batch_x_affine, stack_problem
 from .models import (
     AffineModel,
     SplitState,
@@ -32,7 +32,7 @@ from .scenarios import (
     scenario_defaults,
     simulate_range,
 )
-from .smoothers import build_fused, linearize, lm_ieks, rts_smoother
+from .smoothers import LMConfig, build_fused, linearize, lm_ieks, rts_smoother
 from .solve import initial_trajectory, make_x_solver
 
 

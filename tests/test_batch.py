@@ -20,9 +20,12 @@ from tracklasso.models import (
     SingularSystemError,
     TrackingProblem,
     make_regularizer,
+    prior_mean_trajectory,
     x_subproblem_cost,
 )
-from tracklasso.smoothers import NormalEquations
+from tracklasso.scenarios import (scenario_defaults, simulate_coordinated_turn, simulate_range,
+                                  solver_settings)
+from tracklasso.smoothers import NormalEquations, gauss_newton
 from tracklasso.solve import make_x_solver
 from tracklasso.verify import random_affine_problem
 
@@ -97,6 +100,43 @@ def test_nonlinear_solve_converges_to_stationary_point():
     # stationarity of 0.5(2 - x^2)^2 + 0.5(x - 0.5)^2
     g = -2.0 * x[0, 0] * (2.0 - x[0, 0] ** 2) + (x[0, 0] - 0.5)
     assert abs(g) < 1e-8
+
+
+@pytest.mark.parametrize("scenario,mode", [("range", "state"),
+                                           ("coordinated_turn", "process_noise")])
+@pytest.mark.parametrize("lambda0", [0.0, 1e-2])
+def test_dense_lm_solve_is_gauss_newton_over_batch_lm_step(scenario, mode, lambda0):
+    """batch_nonlinear_solve (the shared LM body with the dense solve) gives
+    the iterates of gauss_newton driven by batch_lm_step proposals, the
+    dense one-step oracle, bit for bit: undamped, and damped in an s_cov
+    metric."""
+    simulate = {"range": simulate_range, "coordinated_turn": simulate_coordinated_turn}[scenario]
+    data, model = simulate(scenario_defaults(scenario, T=15, seed=2))
+    s = solver_settings(scenario)
+    reg = make_regularizer(s["regularizer"], model.n_x, groups=s["groups"], weights=1.0,
+                           target_mode=mode)
+    prob = TrackingProblem(model=model, reg=reg, y=data.y)
+    rng = np.random.default_rng(4)
+    V, eta = 0.1 * rng.normal(size=(2, prob.T, prob.n_x))
+    s_cov = np.diag(np.linspace(0.5, 2.0, prob.n_x)) if lambda0 > 0 else None
+    cfg = LMConfig(lambda0=lambda0, i_max=4, step_tol=0.0, s_cov=s_cov)
+    x0 = prior_mean_trajectory(model)
+    trace, lam = [], []
+    x = batch_nonlinear_solve(prob, V, eta, 0.8, cfg=cfg, x0=x0, trace=trace, lambda_trace=lam)
+
+    def propose(x, targets, damping):
+        return batch_lm_step(prob, x, V, eta, 0.8, damping, s_cov)
+
+    def cost(x, targets):
+        return x_subproblem_cost(prob, x, V, eta, 0.8, targets)
+
+    ref_trace, ref_lam = [], []
+    ref = TrackingProblem(model=model, reg=reg, y=data.y)
+    x_ref = gauss_newton(ref, propose, x0, cost, cfg, ref_trace, ref_lam)
+    assert len(trace) > 1 and lam == ref_lam
+    np.testing.assert_array_equal(x, x_ref)
+    for got, want in zip(trace, ref_trace, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_stack_problem_shapes():

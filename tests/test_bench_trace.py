@@ -94,3 +94,41 @@ def test_gn_ieks_madmm_runs_the_smoother_loop_without_costs():
     names = [span[0] for span in tracer.spans]
     assert names.count("smoothers.lm_ieks") == k
     assert names.count("models.x_subproblem_cost") == 0
+
+
+def test_band_solves_are_traced_under_the_initialiser_and_lm_ieks():
+    """The LM body looks augmented_ks up when it solves, so a traced range
+    lm_ieks_madmm solve records band solves under the initial plain_ieks
+    pass and under every lm_ieks x update."""
+    data, model = simulate_range(scenario_defaults("range", T=10, seed=0))
+    reg = make_regularizer("group", 4, groups=[[2, 3]], weights=1.0)
+    prob = TrackingProblem(model=model, reg=reg, y=data.y)
+    tracer = Tracer()
+    with tracer.installed():
+        solve_problem(prob, solver="lm_ieks_madmm", i_max=3,
+                      opts=MadmmOptions(gamma=1.0, k_max=2, eps_primal=0.0, eps_dual=0.0))
+    above = [set(ancestors(tracer.spans, sid)) for sid, span in enumerate(tracer.spans)
+             if span[0] == "smoothers.augmented_ks"]
+    assert any("solve.initial_trajectory" in names for names in above)
+    assert any("smoothers.lm_ieks" in names for names in above)
+    assert all(names & {"solve.initial_trajectory", "smoothers.lm_ieks"} for names in above)
+
+
+def test_nonlinear_batch_madmm_solves_densely_off_the_smoother():
+    """batch_madmm on a nonlinear model runs the LM body with the dense
+    solve: no lm_ieks span and no band solve inside an x update, and the
+    dense normal matrix is built."""
+    data, model = simulate_range(scenario_defaults("range", T=10, seed=0))
+    reg = make_regularizer("group", 4, groups=[[2, 3]], weights=1.0)
+    prob = TrackingProblem(model=model, reg=reg, y=data.y)
+    tracer = Tracer()
+    with tracer.installed():
+        solve_problem(prob, solver="batch_madmm", i_max=3,
+                      opts=MadmmOptions(gamma=1.0, k_max=2, eps_primal=0.0, eps_dual=0.0))
+    names = [span[0] for span in tracer.spans]
+    assert "smoothers.lm_ieks" not in names
+    assert not any(name == "smoothers.augmented_ks"
+                   and "admm.x_update" in ancestors(tracer.spans, sid)
+                   for sid, name in enumerate(names))
+    assert any(name == "batch.normal_system" and "admm.x_update" in ancestors(tracer.spans, sid)
+               for sid, name in enumerate(names))
