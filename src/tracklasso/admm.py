@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dpotrs
 
 from .models import (GroupRegularizer, SingularSystemError, SplitState,
                      TrackingProblem, augmented_lagrangian, constraint_gaps,
-                     data_cost, objective)
+                     data_cost, model_values, objective)
 
 XSolver = Callable[[TrackingProblem, np.ndarray, np.ndarray, float, np.ndarray], np.ndarray]
 
@@ -165,6 +165,14 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     lagrangian[k] - lagrangian[k-1] <= gamma * r_primal[k]**2 for k >= 1,
     and likewise for lagrangian[0] against the Lagrangian at the feasible
     start; the raw sequence need not fall at every step.
+
+    A nonlinear model's values at each iterate (models.model_values, with
+    the data cost) cross the x update on problem.kept: the loop puts those
+    at state.x (None at first) as "seed" (x, values) and takes back the
+    "values" (x, values) that smoothers.lm_x_update leaves for the very x it
+    returned, for the penalty targets, the data cost and the next seed; for
+    any other x it evaluates the model itself.  Neither entry outlives its
+    x update.
     """
     gamma = opts.gamma
     reg = problem.reg
@@ -172,6 +180,8 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
         x0 = np.zeros((problem.T, problem.n_x))
     state = SplitState.feasible(problem, x0)
     factor = v_update_factor(reg) if reg.total_rows else None
+    kept = None if problem.is_affine else problem.kept
+    values = None  # the model's values at state.x, once an x update has run
 
     obj_hist, lag_hist, rp_hist, rd_hist, sec_hist = [], [], [], [], []
     states = [state.copy()] if record_states else None
@@ -179,13 +189,22 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     k_done = 0
     for k in range(1, opts.k_max + 1):
         tic = time.perf_counter()
+        if kept is not None:
+            kept["seed"] = state.x, values
         try:
             x = x_solver(problem, state.v, state.eta_bar, gamma, state.x)
         except SingularSystemError as exc:
             err = SingularSystemError(f"x update failed at ADMM iteration {k}: {exc}")
             err.iteration = k
             raise err from exc
-        targets = problem.penalty_targets(nominal=x)
+        finally:
+            if kept is not None:
+                kept.pop("seed", None)
+                handed = kept.pop("values", None)
+        if kept is not None:
+            values = (handed[1] if handed is not None and handed[0] is x
+                      else model_values(problem.model, x))
+        targets = problem.penalty_targets(nominal=x, values=values)
         U = problem.u(x, targets)
         W = update_w_all(state.v, state.eta_under, reg, gamma)
         V_prev = state.v
@@ -199,7 +218,7 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
         gaps = constraint_gaps(U, W, V, reg)
         r_pri, r_dual = residuals(U, W, V, V_prev, reg, gamma, gaps)
         sec_hist.append(time.perf_counter() - tic)
-        data = data_cost(problem, x)
+        data = data_cost(problem, x, values)
         obj_hist.append(objective(problem, x, data, U))
         lag_hist.append(augmented_lagrangian(problem, state, gamma, data, gaps))
         del gaps

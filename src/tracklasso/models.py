@@ -519,8 +519,9 @@ def jacobian_stack(out, T: int, first: int, core: tuple) -> np.ndarray:
 
 def model_values(model: NonlinearModel, x: np.ndarray) -> dict:
     """{"a": a_t(x_{t-1}) for t >= 1, "h": h_t(x_t)}, one call of each callable.
-    The costs, linearize and transition_linearization (which adds its (J, d)
-    as "Jd") given this dict share it instead of calling the model again."""
+    The costs, linearize and transition_linearization given this dict share
+    it instead of calling the model again; transition_linearization adds its
+    (J, d) as "Jd" and data_cost its value, with the problem, as "data"."""
     t = np.arange(model.T)
     return {"a": model.transition(t[1:], x[:-1]), "h": model.measurement(t, x)}
 
@@ -577,7 +578,8 @@ class TrackingProblem:
     model: Model
     reg: GroupRegularizer
     y: np.ndarray
-    kept: dict = field(default_factory=dict, init=False, repr=False)  # smoothers' static part
+    # solve-scoped: the smoothers' static part and run_madmm's model values hand-off
+    kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float)
@@ -669,13 +671,18 @@ def data_cost(problem: TrackingProblem, x: np.ndarray, values: Optional[dict] = 
 
     The residuals are y_t - h_t(x_t), x_0 - m1 and x_t - a_t(x_{t-1}), a
     nonlinear model's h and a read from values (model_values at x) when the
-    caller holds them.  A non-finite x raises ValueError "x: non-finite
-    value at step t", on either noise layout, so no cost built on this one
-    returns nan for it.  A finite x whose residual is not finite (a
-    nonlinear callable that overflows there, or a NaN in b or e of a model
-    built with validate=False) gives a nan or inf cost on either layout,
-    which the Levenberg-Marquardt accept test reads as a rejected proposal.
+    caller holds them; the cost is then kept in values for this problem and
+    read back, not recomputed, by the next call given them.  A non-finite x
+    raises ValueError "x: non-finite value at step t", on either noise
+    layout, so no cost built on this one returns nan for it.  A finite x
+    whose residual is not finite (a nonlinear callable that overflows there,
+    or a NaN in b or e of a model built with validate=False) gives a nan or
+    inf cost on either layout, which the Levenberg-Marquardt accept test
+    reads as a rejected proposal.
     """
+    kept = values.get("data") if values is not None else None
+    if kept is not None and kept[0] is problem:
+        return kept[1]
     _check_finite(x, "x")
     model, x = problem.model, np.asarray(x, dtype=float)
     r_dyn = np.empty_like(x)
@@ -691,6 +698,8 @@ def data_cost(problem: TrackingProblem, x: np.ndarray, values: Optional[dict] = 
     cost = _half_weighted_sq(r_meas, R_f)
     cost += _half_weighted_sq(r_dyn[:1], P1_f)
     cost += _half_weighted_sq(r_dyn[1:], Q_f)
+    if values is not None:
+        values["data"] = problem, cost
     return cost
 
 

@@ -175,16 +175,20 @@ def range_model(sensors, dt: float, T: int, r_std: float = 0.2,
 
     # x is one state (4,) or a stack (k, 4); sensors broadcast over its leading
     # axes, and the transition is a stacked matmul so that it rounds as A @ x
-    def ranges(t, x):
+    def offsets(x):
+        """Sensor-to-position offsets and ranges; the two-term sum rounds as
+        .sum(axis=-1) does."""
         diff = x[..., None, :2] - sensors
-        return np.sqrt((diff * diff).sum(axis=-1))
+        sq = diff * diff
+        return diff, np.sqrt(sq[..., 0] + sq[..., 1])
+
+    def ranges(t, x):
+        return offsets(x)[1]
 
     def range_jacobian(t, x):
-        diff = x[..., None, :2] - sensors
-        r = np.sqrt((diff * diff).sum(axis=-1))
-        r = np.maximum(r, RANGE_CLAMP)
+        diff, r = offsets(x)
         J = np.zeros(diff.shape[:-1] + (4,))
-        J[..., :2] = diff / r[..., None]
+        J[..., :2] = diff / np.maximum(r, RANGE_CLAMP)[..., None]
         return J
 
     return NonlinearModel(

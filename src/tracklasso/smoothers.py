@@ -371,12 +371,16 @@ def linearize(model: Model, nominal: np.ndarray, values: Optional[dict] = None) 
     H = jacobian_stack(model.measurement_jacobian(np.arange(T), nominal), T, 0,
                        (model.n_y, model.n_x))
     e = values["h"] - (H @ nominal[..., None])[..., 0]
-    for name, arr, first in (("transition_jacobian", A, 1), ("transition", b, 1),
-                             ("measurement_jacobian", H, 0), ("measurement", e, 0)):
-        if not np.isfinite(compact(arr[first:])).all():
-            ok = np.isfinite(arr[first:].reshape(T - first, -1)).all(axis=1)
-            raise ValueError(f"{name} returned a non-finite value at step "
-                             f"{first + np.argmin(ok)}")
+    # the sum is finite when every entry is (b and e are never broadcast); a
+    # finite sum that overflows only takes the scan, which raises for a
+    # non-finite entry alone
+    if not math.isfinite(compact(A[1:]).sum() + b[1:].sum() + compact(H).sum() + e.sum()):
+        for name, arr, first in (("transition_jacobian", A, 1), ("transition", b, 1),
+                                 ("measurement_jacobian", H, 0), ("measurement", e, 0)):
+            if not np.isfinite(compact(arr[first:])).all():
+                ok = np.isfinite(arr[first:].reshape(T - first, -1)).all(axis=1)
+                raise ValueError(f"{name} returned a non-finite value at step "
+                                 f"{first + np.argmin(ok)}")
     lin = object.__new__(AffineModel)  # every array is shaped; P1, Q and R are owned
     vars(lin).update(A=A, b=b, H=H, e=e, Q=model.Q, R=model.R, m1=model.m1, P1=model.P1,
                      T=T, validate=False, noise_kept=model.noise_kept)
@@ -466,13 +470,14 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
     once, and an accepted proposal's cost is the cost at the new iterate
     and is not evaluated again.  targets_at(x) (by default
     problem.penalty_targets(nominal=x)) gives them.  Every accepted iterate
-    extends trace and lambda_trace.
+    extends trace and lambda_trace.  x0 is the first iterate itself, not a
+    copy: with no accepted proposal it is what the loop returns.
     """
     reg = problem.reg
     targets_at = targets_at or (lambda x: problem.penalty_targets(nominal=x))
     fixed_targets = (problem.is_affine or reg.B is not None
                      or reg.target_mode != "process_noise")
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
     lam = cfg.lambda0
     exact = problem.is_affine and lam == 0
     targets = targets_at(x)
@@ -520,33 +525,46 @@ def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
                 solve: Callable[[NormalEquations], np.ndarray]) -> np.ndarray:
     """Levenberg-Marquardt x update of the coupled subproblem, solving with solve(eqs).
 
-    gauss_newton with cfg (default LMConfig()) from x0 (default the prior
-    mean trajectory).  A proposal linearises at the iterate, assembles the
-    undamped normal_equations and solves them; a damped one (the LM
-    smoother of Sarkka and Svensson, ICASSP 2020) adds lambda S^{-1} on the
-    diagonal and lambda S^{-1} x in h.  Per iterate object the equations
-    (a rejected step only adds the damping again) and the model's values
-    (models.model_values: LM cost, process_noise targets, linearize) are
-    kept, per targets pair the coupling's part of h, and on problem.kept
-    the static part per gamma (normal_equations' kept).
+    gauss_newton with cfg (default LMConfig()) from a copy of x0 (default
+    the prior mean trajectory), so the caller's x0 is never returned.  A
+    proposal linearises at the iterate, assembles the undamped
+    normal_equations and solves them; a damped one (the LM smoother of
+    Sarkka and Svensson, ICASSP 2020) adds lambda S^{-1} on the diagonal and
+    lambda S^{-1} x in h.  Per iterate object the equations (a rejected step
+    only adds the damping again) and the model's values (models.model_values
+    with the data cost: LM cost, process_noise targets, linearize) are kept,
+    per targets pair the coupling's part of h, and on problem.kept the
+    static part per gamma (normal_equations' kept).  run_madmm's "seed"
+    (x, values or None) on problem.kept, popped here, gives the values at
+    x0 when x0 is that x and asks for those at the returned x, put back as
+    "values" (x, values); a direct caller sets none.
     """
     cfg = cfg or LMConfig()
     model = problem.model
     precisions = noise_precisions(model)
     x0 = prior_mean_trajectory(model) if x0 is None else x0
+    seed = None if model.is_affine else problem.kept.pop("seed", None)
+    x = np.asarray(x0, dtype=float).copy()
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
     last = (None, None)
-    at = [None, None]  # an iterate and the model's values there
+    iterate = [None, None]  # the iterate proposals start from and the model's values there
+    latest = [None, None]  # the last other x values were asked for, and its values
+    if seed is not None and seed[0] is x0 and seed[1] is not None:
+        latest[:] = x, seed[1]
     terms = [None, None]  # a targets pair and its coupling terms
 
     def values(x):
-        if at[0] is not x and not model.is_affine:
-            at[:] = x, model_values(model, x)
-        return at[1]
+        if iterate[0] is x:
+            return iterate[1]
+        if latest[0] is not x and not model.is_affine:
+            latest[:] = x, model_values(model, x)
+        return latest[1]
 
     def propose(x, targets, lam):
         nonlocal last
         if last[0] is not x:
+            if iterate[0] is not x:  # a new iterate: its values outlive the proposals'
+                iterate[:] = latest if latest[0] is x else (None, None)
             B, d = targets
             if terms[0] is not targets:
                 terms[:] = targets, coupling(B, d, v, eta_bar, gamma, model.m1)
@@ -559,8 +577,11 @@ def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     def cost(x, targets):
         return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets, values(x))
 
-    return gauss_newton(problem, propose, x0, cost, cfg, trace, lambda_trace,
-                        lambda x: problem.penalty_targets(nominal=x, values=values(x)))
+    x = gauss_newton(problem, propose, x, cost, cfg, trace, lambda_trace,
+                     lambda x: problem.penalty_targets(nominal=x, values=values(x)))
+    if seed is not None:
+        problem.kept["values"] = x, values(x)
+    return x
 
 
 def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
@@ -586,8 +607,22 @@ def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
     problem with no penalty at gamma = 0, LMConfig(lambda0=0, i_max,
     step_tol).  Each accepted pass extends lambda_trace; a bad P1, Q or R
     block is named before any pass, without an inner-iteration prefix.  On
-    an affine model the one pass is plain_smoother's.
+    an affine model the one pass is plain_smoother's, taken directly (no
+    static part is kept for it), with one lambda = 0 entry in lambda_trace
+    and the loop's errors.
     """
-    return lm_x_update(TrackingProblem(model, _NO_PENALTY, y), None, None, 0.0, x0,
+    problem = TrackingProblem(model, _NO_PENALTY, y)
+    if model.is_affine:
+        noise_precisions(model)  # a bad noise block is named before the pass, unprefixed
+        try:
+            x = plain_smoother(model, problem.y)
+            if not np.isfinite(x).all():
+                raise SingularSystemError("proposal is not finite")
+        except SingularSystemError as exc:
+            raise _annotate(exc, 1) from exc
+        if lambda_trace is not None:
+            lambda_trace.append(0.0)
+        return x
+    return lm_x_update(problem, None, None, 0.0, x0,
                        LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol), None,
                        lambda_trace, augmented_ks)

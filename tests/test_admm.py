@@ -1,5 +1,7 @@
 """Multi-block ADMM updates and the outer loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from tracklasso.admm import (
 from tracklasso.models import (
     AffineModel,
     GroupRegularizer,
+    SingularSystemError,
     SplitState,
     TrackingProblem,
     augmented_lagrangian,
@@ -26,6 +29,7 @@ from tracklasso.models import (
     objective,
 )
 from tracklasso.scenarios import scenario_defaults, simulate_range, simulate_wiener
+from tracklasso.smoothers import lm_ieks
 from tracklasso.solve import initial_trajectory, make_x_solver, solve_problem
 
 # 12-iteration objective sequence of the scalar reference problem, computed
@@ -308,3 +312,79 @@ def test_solve_drops_the_kept_static_part():
     kept = run_madmm(prob, make_x_solver("lm_ieks_madmm"), opts, x0=x0)
     assert "static" in prob.kept  # the loop alone leaves the part behind
     np.testing.assert_array_equal(rep.x, kept.x)
+
+
+CALLABLES = ("transition", "transition_jacobian", "measurement", "measurement_jacobian")
+
+
+def counted_range_problem(target_mode, calls, in_x):
+    """A range problem whose callables count, per name, the calls made
+    outside an x update (while in_x[0] is False)."""
+    data, model = simulate_range(scenario_defaults("range", T=25, seed=4))
+
+    def counted(name, fn):
+        def wrapper(t, X):
+            if not in_x[0]:
+                calls[name] = calls.get(name, 0) + 1
+            return fn(t, X)
+        return wrapper
+
+    model = replace(model, **{name: counted(name, getattr(model, name)) for name in CALLABLES})
+    reg = make_regularizer("group", 4, groups=[[2, 3]], target_mode=target_mode)
+    return TrackingProblem(model, reg, data.y)
+
+
+def flagged(x_solver, in_x, fresh=False):
+    """x_solver with in_x[0] set while it runs; fresh returns a copy of x."""
+    def solver(*args):
+        in_x[0] = True
+        try:
+            x = x_solver(*args)
+        finally:
+            in_x[0] = False
+        return x.copy() if fresh else x
+    return solver
+
+
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+@pytest.mark.parametrize("solver", ["lm_ieks_madmm", "gn_ieks_madmm", "batch_madmm"])
+def test_run_madmm_evaluates_the_model_only_in_the_x_update(solver, target_mode):
+    """The LM x update hands the model's values at its iterate to run_madmm
+    (targets, data cost) and back to the next x update, so the loop makes
+    no model call of its own past the feasible start (process_noise targets
+    at x0); an x solver that returns a fresh array gets the model evaluated
+    by the loop, once per iteration, with the same iterates, objective and
+    Lagrangian bit for bit."""
+    calls, in_x, k = {}, [False], 4
+    prob = counted_range_problem(target_mode, calls, in_x)
+    x0 = initial_trajectory(prob)
+    opts = MadmmOptions(k_max=k, eps_primal=0.0, eps_dual=0.0)
+    start = {"transition": 1, "transition_jacobian": 1} if target_mode == "process_noise" else {}
+    calls.clear()
+    rep = run_madmm(prob, flagged(make_x_solver(solver), in_x), opts, x0=x0)
+    assert calls == start
+    assert set(prob.kept) <= {"static"}
+    calls.clear()
+    own = run_madmm(prob, flagged(make_x_solver(solver), in_x, fresh=True), opts, x0=x0)
+    per_iteration = dict.fromkeys(("transition", "measurement", *start), k)
+    assert calls == {name: n + start.get(name, 0) for name, n in per_iteration.items()}
+    for field in ("x", "objective", "lagrangian", "r_primal", "r_dual"):
+        np.testing.assert_array_equal(getattr(rep, field), getattr(own, field))
+
+
+def test_a_failed_x_update_leaves_no_hand_off_behind():
+    """The seed run_madmm puts on problem.kept for the x update, and the
+    values an LM x update leaves there, are taken off again when the x
+    update raises."""
+    calls, in_x = {}, [False]
+    prob = counted_range_problem("state", calls, in_x)
+
+    def failing(problem, V, eta_bar, gamma, x_warm):
+        assert "seed" in problem.kept
+        lm_ieks(problem, V, eta_bar, gamma, x_warm)
+        assert "values" in problem.kept and "seed" not in problem.kept
+        raise SingularSystemError("no x")
+
+    with pytest.raises(SingularSystemError, match="ADMM iteration 1: no x"):
+        run_madmm(prob, failing, MadmmOptions(k_max=2), x0=initial_trajectory(prob))
+    assert set(prob.kept) == {"static"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tracklasso.scenarios import (
+    RANGE_CLAMP,
     CsvSchema,
     ct_jacobian,
     ct_transition,
@@ -147,6 +148,33 @@ def test_stacked_callables_match_single_state_calls(kind):
         stacked = np.broadcast_to(fn(t, X), (40,) + core)
         single = np.stack([np.broadcast_to(fn(s, X[s]), core) for s in t])
         np.testing.assert_array_equal(stacked, single)
+
+
+def _summed_ranges(sensors, x):
+    """The range callables' earlier form: .sum(axis=-1) over the squares."""
+    diff = x[..., None, :2] - sensors
+    r = np.sqrt((diff * diff).sum(axis=-1))
+    J = np.zeros(diff.shape[:-1] + (4,))
+    J[..., :2] = diff / np.maximum(r, RANGE_CLAMP)[..., None]
+    return r, J
+
+
+def test_range_callables_equal_the_summed_form_bit_for_bit():
+    """The shared two-term offsets give the ranges and the Jacobian of the
+    .sum(axis=-1) form bit for bit: on stacks over 500 scales, single (4,)
+    states, (1, 4) stacks and a state on a sensor, where the clamp holds."""
+    params = scenario_defaults("range", T=10, seed=5)
+    _, model = simulate_range(params)
+    sensors = np.asarray(params.sensors)
+    rng = np.random.default_rng(11)
+    states = [rng.normal(scale=10.0 ** rng.uniform(-8, 8), size=(50, 4)) for _ in range(500)]
+    states += [states[0][3], states[1][:1], np.array([0.5, 0.6, 1.0, -1.0])]
+    for x in states:
+        r, J = _summed_ranges(sensors, x)
+        np.testing.assert_array_equal(model.measurement(np.arange(len(x)), x), r)
+        np.testing.assert_array_equal(model.measurement_jacobian(np.arange(len(x)), x), J)
+    on_sensor = model.measurement_jacobian(0, states[-1])
+    assert np.isfinite(on_sensor).all() and not on_sensor[1].any()
 
 
 def test_simulate_range_and_turn_shapes():

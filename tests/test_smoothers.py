@@ -910,6 +910,73 @@ def test_linearize_names_non_finite_callable(solver):
         solve_problem(bad, solver, opts=MadmmOptions(k_max=2), i_max=3)
 
 
+def _poisoned(model, name, value, step=5):
+    """model with the callable name returning value at step, away from m1
+    (the constructor's probe)."""
+    fn = getattr(model, name)
+
+    def bad(t, X):
+        out = np.array(np.broadcast_to(fn(t, X), np.shape(t) + np.shape(fn(0, model.m1))))
+        out[(np.asarray(t) == step) & (X != model.m1).any(axis=-1)] = value
+        return out
+    return replace(model, **{name: bad})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["transition_jacobian", "transition",
+                                  "measurement_jacobian", "measurement"])
+def test_linearize_names_each_non_finite_output(name, value):
+    """A NaN or inf in any of linearize's four outputs raises the message
+    naming the callable and the step."""
+    prob = range_problem(T=12)
+    nominal = initial_trajectory(prob)
+    with pytest.raises(ValueError, match=f"^{name} returned a non-finite value at step 5$"), \
+            np.errstate(all="ignore"):
+        linearize(_poisoned(prob.model, name, value), nominal)
+
+
+def test_linearize_accepts_finite_outputs_whose_sum_overflows():
+    """Entries near 1e308 are finite although their sum is not; the one
+    summed check then falls through to the per-output scan, which passes."""
+    prob = range_problem(T=12)
+    model = replace(prob.model, measurement=lambda t, X: np.full(np.shape(t) + (3,), 1e308))
+    with np.errstate(over="ignore"):
+        lin = linearize(model, initial_trajectory(prob))
+        assert np.isfinite(lin.e).all() and not np.isfinite(lin.e.sum())
+
+
+def test_affine_plain_ieks_is_plain_smoother_without_a_static_part(monkeypatch):
+    """On an affine model plain_ieks returns plain_smoother's pass bit for
+    bit, with one lambda = 0 entry, and keeps no static part for it: its
+    one assembly is a fresh one."""
+    prob = wiener_problem(200, "state")
+    calls = count_calls(monkeypatch, "_kept_static", "static_part")
+    lam = []
+    x = plain_ieks(prob.model, prob.y, lambda_trace=lam)
+    assert calls == [0, 1] and lam == [0.0]
+    assert np.array_equal(x, plain_smoother(prob.model, prob.y))
+
+
+def test_direct_lm_ieks_calls_get_no_seed_even_after_an_in_place_write():
+    """Model values cross x updates only inside run_madmm: after a loop on
+    the problem, and after writing into a returned x, a direct lm_ieks call
+    gives a fresh problem's x bit for bit and never returns its x0."""
+    cfg = LMConfig(i_max=5, step_tol=0.0)
+    prob = range_problem(seed=2, T=20)
+    rng = np.random.default_rng(8)
+    V, eta = 0.1 * rng.normal(size=(2, prob.T, prob.n_x))
+    x0 = initial_trajectory(prob)
+    rep = run_madmm(prob, make_x_solver("lm_ieks_madmm"),
+                    MadmmOptions(k_max=3, eps_primal=0.0, eps_dual=0.0), x0=x0)
+    assert set(prob.kept) == {"static"}
+    for x in (rep.x, lm_ieks(prob, V, eta, 1.0, x0, cfg)):
+        x[4:] += 0.3
+        again = lm_ieks(prob, V, eta, 1.0, x, cfg)
+        assert again is not x and set(prob.kept) == {"static"}
+        assert np.array_equal(again, lm_ieks(range_problem(seed=2, T=20), V, eta, 1.0,
+                                             x.copy(), cfg))
+
+
 @pytest.mark.parametrize("solver", ["gn_ieks_madmm", "lm_ieks_madmm"])
 def test_iterated_solvers_take_inner_settings_from_lm_cfg(monkeypatch, solver):
     """lm_cfg sets the inner iteration cap of GN as well as of LM: with
