@@ -23,7 +23,7 @@ from scipy.linalg.lapack import dpotrs
 
 from .models import (GroupRegularizer, SingularSystemError, SplitState,
                      TrackingProblem, augmented_lagrangian, constraint_gaps,
-                     data_cost, model_values, objective)
+                     data_cost, objective, offer_values, take_values)
 
 XSolver = Callable[[TrackingProblem, np.ndarray, np.ndarray, float, np.ndarray], np.ndarray]
 
@@ -167,12 +167,11 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     start; the raw sequence need not fall at every step.
 
     A nonlinear model's values at each iterate (models.model_values, with
-    the data cost) cross the x update on problem.kept: the loop puts those
-    at state.x (None at first) as "seed" (x, values) and takes back the
-    "values" (x, values) that smoothers.lm_x_update leaves for the very x it
-    returned, for the penalty targets, the data cost and the next seed; for
-    any other x it evaluates the model itself.  Neither entry outlives its
-    x update.
+    the data cost) cross the x update: the loop offers those at state.x
+    (models.offer_values) and takes those at the x it gets back
+    (models.take_values), which smoothers.lm_x_update hands back for the
+    very x it returns and any other x solver leaves to one model call here.
+    They serve the penalty targets, the data cost and the next offer.
     """
     gamma = opts.gamma
     reg = problem.reg
@@ -180,7 +179,6 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
         x0 = np.zeros((problem.T, problem.n_x))
     state = SplitState.feasible(problem, x0)
     factor = v_update_factor(reg) if reg.total_rows else None
-    kept = None if problem.is_affine else problem.kept
     values = None  # the model's values at state.x, once an x update has run
 
     obj_hist, lag_hist, rp_hist, rd_hist, sec_hist = [], [], [], [], []
@@ -189,8 +187,8 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     k_done = 0
     for k in range(1, opts.k_max + 1):
         tic = time.perf_counter()
-        if kept is not None:
-            kept["seed"] = state.x, values
+        offer_values(problem, state.x, values)
+        x = None
         try:
             x = x_solver(problem, state.v, state.eta_bar, gamma, state.x)
         except SingularSystemError as exc:
@@ -198,12 +196,7 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
             err.iteration = k
             raise err from exc
         finally:
-            if kept is not None:
-                kept.pop("seed", None)
-                handed = kept.pop("values", None)
-        if kept is not None:
-            values = (handed[1] if handed is not None and handed[0] is x
-                      else model_values(problem.model, x))
+            values = take_values(problem, x)
         targets = problem.penalty_targets(nominal=x, values=values)
         U = problem.u(x, targets)
         W = update_w_all(state.v, state.eta_under, reg, gamma)

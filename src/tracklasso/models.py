@@ -526,6 +526,46 @@ def model_values(model: NonlinearModel, x: np.ndarray) -> dict:
     return {"a": model.transition(t[1:], x[:-1]), "h": model.measurement(t, x)}
 
 
+# An iterate's model values cross an x update on problem.kept (solve-scoped):
+# run_madmm offers those at the x the update starts from, the x update takes
+# the offer and hands back those at the x it returns, and run_madmm takes
+# them.  Each side matches the values to its x by identity; an affine model
+# has none to hand.
+
+def offer_values(problem: TrackingProblem, x: np.ndarray, values: Optional[dict]) -> None:
+    """Open an x update's hand-off: the model's values at x, where the update
+    starts (None when not yet known)."""
+    if not problem.is_affine:
+        problem.kept["seed"] = x, values
+
+
+def take_offer(problem: TrackingProblem, x0: np.ndarray) -> Tuple[bool, Optional[dict]]:
+    """The x update's side: pop the offer and return (offered, the values at
+    x0 if the offer is for that very array, else None).  A call outside the
+    loop (a direct caller) finds no offer, so it neither gets values nor
+    hands any back."""
+    offer = None if problem.is_affine else problem.kept.pop("seed", None)
+    if offer is None:
+        return False, None
+    return True, offer[1] if offer[0] is x0 else None
+
+
+def hand_back(problem: TrackingProblem, x: np.ndarray, values: dict) -> None:
+    """The x update returns x, where the model's values are values."""
+    problem.kept["values"] = x, values
+
+
+def take_values(problem: TrackingProblem, x: Optional[np.ndarray]) -> Optional[dict]:
+    """Close the hand-off (also after a failed x update, x None): drop what is
+    left of it and return the model's values at x, those handed back for
+    this very array or else model_values, once; None on an affine model."""
+    problem.kept.pop("seed", None)
+    handed = problem.kept.pop("values", None)
+    if problem.is_affine or x is None:
+        return None
+    return handed[1] if handed is not None and handed[0] is x else model_values(problem.model, x)
+
+
 def transition_linearization(model: NonlinearModel, nominal: np.ndarray,
                              values: Optional[dict] = None):
     """Affine expansion (J, d) of the transition about a nominal trajectory.

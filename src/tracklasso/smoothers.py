@@ -38,9 +38,10 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs, dtrtrs
 
 from .models import (AffineModel, GroupRegularizer, Model, SingularSystemError,
-                     TrackingProblem, compact, freeze, jacobian_stack, model_values,
-                     noise_factors, per_problem, per_step, prior_mean_trajectory, spd_factor,
-                     time_invariant, transition_linearization, x_subproblem_cost)
+                     TrackingProblem, compact, freeze, hand_back, jacobian_stack,
+                     model_values, noise_factors, per_problem, per_step,
+                     prior_mean_trajectory, spd_factor, take_offer, time_invariant,
+                     transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
 
@@ -534,23 +535,22 @@ def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     only adds the damping again) and the model's values (models.model_values
     with the data cost: LM cost, process_noise targets, linearize) are kept,
     per targets pair the coupling's part of h, and on problem.kept the
-    static part per gamma (normal_equations' kept).  run_madmm's "seed"
-    (x, values or None) on problem.kept, popped here, gives the values at
-    x0 when x0 is that x and asks for those at the returned x, put back as
-    "values" (x, values); a direct caller sets none.
+    static part per gamma (normal_equations' kept).  Inside run_madmm the
+    values at x0 come with its offer (models.take_offer) and those at the
+    returned x go back (models.hand_back); a direct call gets none.
     """
     cfg = cfg or LMConfig()
     model = problem.model
     precisions = noise_precisions(model)
     x0 = prior_mean_trajectory(model) if x0 is None else x0
-    seed = None if model.is_affine else problem.kept.pop("seed", None)
+    offered, start = take_offer(problem, x0)
     x = np.asarray(x0, dtype=float).copy()
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
     last = (None, None)
     iterate = [None, None]  # the iterate proposals start from and the model's values there
     latest = [None, None]  # the last other x values were asked for, and its values
-    if seed is not None and seed[0] is x0 and seed[1] is not None:
-        latest[:] = x, seed[1]
+    if start is not None:
+        latest[:] = x, start
     terms = [None, None]  # a targets pair and its coupling terms
 
     def values(x):
@@ -579,8 +579,8 @@ def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
 
     x = gauss_newton(problem, propose, x, cost, cfg, trace, lambda_trace,
                      lambda x: problem.penalty_targets(nominal=x, values=values(x)))
-    if seed is not None:
-        problem.kept["values"] = x, values(x)
+    if offered:
+        hand_back(problem, x, values(x))
     return x
 
 
@@ -607,22 +607,8 @@ def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
     problem with no penalty at gamma = 0, LMConfig(lambda0=0, i_max,
     step_tol).  Each accepted pass extends lambda_trace; a bad P1, Q or R
     block is named before any pass, without an inner-iteration prefix.  On
-    an affine model the one pass is plain_smoother's, taken directly (no
-    static part is kept for it), with one lambda = 0 entry in lambda_trace
-    and the loop's errors.
+    an affine model the one pass is plain_smoother's.
     """
-    problem = TrackingProblem(model, _NO_PENALTY, y)
-    if model.is_affine:
-        noise_precisions(model)  # a bad noise block is named before the pass, unprefixed
-        try:
-            x = plain_smoother(model, problem.y)
-            if not np.isfinite(x).all():
-                raise SingularSystemError("proposal is not finite")
-        except SingularSystemError as exc:
-            raise _annotate(exc, 1) from exc
-        if lambda_trace is not None:
-            lambda_trace.append(0.0)
-        return x
-    return lm_x_update(problem, None, None, 0.0, x0,
+    return lm_x_update(TrackingProblem(model, _NO_PENALTY, y), None, None, 0.0, x0,
                        LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol), None,
                        lambda_trace, augmented_ks)

@@ -945,16 +945,18 @@ def test_linearize_accepts_finite_outputs_whose_sum_overflows():
         assert np.isfinite(lin.e).all() and not np.isfinite(lin.e.sum())
 
 
-def test_affine_plain_ieks_is_plain_smoother_without_a_static_part(monkeypatch):
-    """On an affine model plain_ieks returns plain_smoother's pass bit for
-    bit, with one lambda = 0 entry, and keeps no static part for it: its
-    one assembly is a fresh one."""
-    prob = wiener_problem(200, "state")
-    calls = count_calls(monkeypatch, "_kept_static", "static_part")
-    lam = []
-    x = plain_ieks(prob.model, prob.y, lambda_trace=lam)
-    assert calls == [0, 1] and lam == [0.0]
-    assert np.array_equal(x, plain_smoother(prob.model, prob.y))
+def test_gauss_newton_returns_x0_itself_when_no_proposal_is_accepted():
+    """gauss_newton iterates on x0 itself, not a copy: with no accepted
+    proposal (a damped one that does not move, or one whose cost ties) it
+    returns the caller's array, which trace holds a copy of."""
+    prob = range_problem()
+    x0 = initial_trajectory(prob)
+    for shift in (0.0, 1.0):
+        trace = []
+        x = gauss_newton(prob, lambda x, targets, lam: x + shift, x0,
+                         lambda x, targets: 0.0, LMConfig(), trace)
+        assert x is x0 and len(trace) == 1 and trace[0] is not x0
+        np.testing.assert_array_equal(trace[0], x0)
 
 
 def test_direct_lm_ieks_calls_get_no_seed_even_after_an_in_place_write():
