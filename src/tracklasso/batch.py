@@ -31,8 +31,8 @@ __all__ = ["LMConfig", "x_subproblem_cost", "stack_problem", "normal_system", "b
 
 
 def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Optional[np.ndarray],
-                  gamma: float, nominal: Optional[np.ndarray] = None) -> NormalEquations:
-    """normal_equations of an affine problem, the penalty targets taken at nominal.
+                  gamma: float) -> NormalEquations:
+    """normal_equations of an affine problem and its penalty targets.
 
     With v None, h leaves out the coupling's part (smoothers.coupled_rhs
     adds it).  P1, Q and R are factored block by block
@@ -44,7 +44,7 @@ def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Op
         raise ValueError("stack_problem needs an affine model; linearise first")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    B, d = problem.penalty_targets(nominal)
+    B, d = problem.penalty_targets()
     return normal_equations(model, noise_precisions(model), problem.y, B, d, v, eta_bar, gamma)
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: simulate, solve, verify.
 
-Flags mirror a flat key=value config file; explicit flags win over file
-entries, which win over per-scenario defaults.  All commands are
+The fields of RunConfig are the one option table: each is a simulate/solve
+flag and a key of the flat key=value config file.  Explicit flags win over
+file entries, which win over per-scenario defaults.  All commands are
 deterministic given config plus seed (timings excepted).  Exit codes:
 0 success, 1 verification failure, 2 solver/runtime error, 64 usage error.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain, cycle, islice, repeat
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -20,8 +21,10 @@ import numpy as np
 
 from . import __version__
 from .admm import MadmmOptions, SolveReport
-from .models import SingularSystemError, TrackingProblem, make_regularizer
+from .models import (REGULARIZER_KINDS, TARGET_MODES, SingularSystemError, TrackingProblem,
+                     make_regularizer)
 from .scenarios import (
+    KINDS,
     CsvSchema,
     TrackDataset,
     load_track_csv,
@@ -43,9 +46,6 @@ EXIT_VERIFY = 1
 EXIT_RUNTIME = 2
 EXIT_USAGE = 64
 
-SCENARIOS = ("wiener", "range", "coordinated_turn")
-REG_KINDS = ("l2", "lasso", "iso_tv", "aniso_tv", "fused", "group", "sparse_group")
-NONLINEAR_SCENARIOS = ("range", "coordinated_turn")
 # read into report.txt: a threaded BLAS can slow the small per-step products many times
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -65,28 +65,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _option(default, cast, help=None, choices=None):
+    """A RunConfig option field; its metadata gives the cast of the flag and
+    the config-file value, the allowed values and the flag's help text."""
+    return field(default=default, metadata={"cast": cast, "choices": choices, "help": help})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options for one command invocation."""
+    """Resolved options for one command invocation.  Every field except
+    command is an option (see _option); groups is read as parse_groups text."""
 
     command: str
-    scenario: Optional[str] = None
-    input: Optional[str] = None
-    solver: str = "ks_madmm"
-    regularizer: str = "l2"
-    groups: Optional[Tuple[Tuple[int, ...], ...]] = None
-    mu: float = 1.0
-    gamma: float = 1.0
-    kmax: int = 50
-    imax: int = 10
-    lambda0: float = 1e-2
-    alpha: float = 10.0
-    sparsity: str = "process_noise"
-    seed: int = 0
-    steps: Optional[int] = None
-    dt: Optional[float] = None
-    p0: Optional[float] = None
-    out: str = "tracklasso_out"
+    scenario: Optional[str] = _option(None, str, choices=KINDS)
+    input: Optional[str] = _option(None, str, "measurement CSV (t,x,y header)")
+    solver: str = _option("ks_madmm", str, choices=SOLVERS)
+    regularizer: str = _option("l2", str, choices=REGULARIZER_KINDS)
+    groups: Optional[Tuple[Tuple[int, ...], ...]] = _option(
+        None, str, "index sets, e.g. '2,3' or '0,1;2,3'")
+    mu: float = _option(1.0, float, "penalty weight")
+    gamma: float = _option(1.0, float, "ADMM penalty parameter")
+    kmax: int = _option(50, int, "outer ADMM iteration cap")
+    imax: int = _option(10, int, "inner smoother iteration cap")
+    lambda0: float = _option(1e-2, float, "initial LM damping")
+    alpha: float = _option(10.0, float, "LM damping scale factor")
+    sparsity: str = _option("process_noise", str, choices=TARGET_MODES)
+    seed: int = _option(0, int)
+    steps: Optional[int] = _option(None, int, "trajectory length override")
+    dt: Optional[float] = _option(None, float, "sampling interval override")
+    p0: Optional[float] = _option(None, float, "probability of zero process noise")
+    out: str = _option("tracklasso_out", str, "output directory")
 
     def __post_init__(self):
         if self.command in ("simulate", "solve"):
@@ -96,18 +104,10 @@ class RunConfig:
                 raise UsageError("simulate takes --scenario, not --input")
             if self.command == "solve" and (self.scenario is None) == (self.input is None):
                 raise UsageError("solve needs exactly one of --scenario / --input")
-        if self.scenario is not None and self.scenario not in SCENARIOS:
-            raise UsageError(f"unknown scenario {self.scenario!r}")
-        if self.solver not in SOLVERS:
-            raise UsageError(f"unknown solver {self.solver!r}")
-        if self.regularizer not in REG_KINDS:
-            raise UsageError(f"unknown regularizer {self.regularizer!r}")
-        if self.sparsity not in ("state", "process_noise"):
-            raise UsageError(f"unknown sparsity mode {self.sparsity!r}")
-        if self.command == "solve" and self.solver == "ks_madmm" \
-                and self.scenario in NONLINEAR_SCENARIOS:
-            raise UsageError(f"ks_madmm needs an affine model; scenario "
-                             f"{self.scenario!r} is nonlinear")
+        for f in fields(self):
+            value, choices = getattr(self, f.name), f.metadata.get("choices")
+            if choices is not None and value is not None and value not in choices:
+                raise UsageError(f"unknown {f.name} {value!r}")
         if self.mu < 0:
             raise UsageError("mu must be nonnegative")
         if self.gamma <= 0:
@@ -124,28 +124,7 @@ class RunConfig:
             raise UsageError("dt must be positive")
 
 
-# (name, type, choices, help) of every RunConfig option except command: the
-# simulate/solve flags, the config-file keys and their casts all come from here
-_OPTIONS = (
-    ("scenario", str, SCENARIOS, None),
-    ("input", str, None, "measurement CSV (t,x,y header)"),
-    ("solver", str, SOLVERS, None),
-    ("regularizer", str, REG_KINDS, None),
-    ("groups", str, None, "index sets, e.g. '2,3' or '0,1;2,3'"),
-    ("mu", float, None, "penalty weight"),
-    ("gamma", float, None, "ADMM penalty parameter"),
-    ("kmax", int, None, "outer ADMM iteration cap"),
-    ("imax", int, None, "inner smoother iteration cap"),
-    ("lambda0", float, None, "initial LM damping"),
-    ("alpha", float, None, "LM damping scale factor"),
-    ("sparsity", str, ("state", "process_noise"), None),
-    ("seed", int, None, None),
-    ("steps", int, None, "trajectory length override"),
-    ("dt", float, None, "sampling interval override"),
-    ("p0", float, None, "probability of zero process noise"),
-    ("out", str, None, "output directory"),
-)
-_CASTS = {name: cast for name, cast, _, _ in _OPTIONS}
+_CASTS = {f.name: f.metadata["cast"] for f in fields(RunConfig) if f.metadata}
 
 
 def parse_groups(text: str) -> Tuple[Tuple[int, ...], ...]:
@@ -199,7 +178,7 @@ def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
             merged[key] = file_vals[key]
 
     scenario = merged.get("scenario")
-    source = scenario if scenario in SCENARIOS else ("csv" if merged.get("input") else None)
+    source = scenario if scenario in KINDS else ("csv" if merged.get("input") else None)
     if source is not None:
         defaults = solver_settings(source)
         for key in ("solver", "regularizer", "mu", "gamma", "kmax", "imax", "sparsity"):
@@ -256,8 +235,11 @@ def build_dataset(cfg: RunConfig):
 
 def build_problem(cfg: RunConfig, data: TrackDataset, model) -> TrackingProblem:
     groups = [list(g) for g in cfg.groups] if cfg.groups is not None else None
-    reg = make_regularizer(cfg.regularizer, model.n_x, groups=groups,
-                           weights=cfg.mu, target_mode=cfg.sparsity)
+    try:
+        reg = make_regularizer(cfg.regularizer, model.n_x, groups=groups,
+                               weights=cfg.mu, target_mode=cfg.sparsity)
+    except ValueError as exc:  # a group set that does not fit the model
+        raise UsageError(str(exc)) from None
     return TrackingProblem(model=model, reg=reg, y=data.y)
 
 
@@ -361,6 +343,9 @@ def write_report(out: Path, cfg: RunConfig, problem: TrackingProblem,
 
 def cmd_solve(cfg: RunConfig) -> int:
     data, model = build_dataset(cfg)
+    if cfg.solver == "ks_madmm" and not model.is_affine:
+        raise UsageError(f"ks_madmm needs an affine model; scenario "
+                         f"{cfg.scenario!r} is nonlinear")
     problem = build_problem(cfg, data, model)
     opts = MadmmOptions(gamma=cfg.gamma, k_max=cfg.kmax)
     lm_cfg = LMConfig(lambda0=cfg.lambda0, alpha=cfg.alpha, i_max=cfg.imax)
@@ -404,8 +389,10 @@ def cmd_verify(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="flat key=value config file")
-    for name, cast, choices, text in _OPTIONS:
-        p.add_argument(f"--{name}", type=cast, choices=choices, help=text)
+    for f in fields(RunConfig):
+        if f.metadata:
+            p.add_argument(f"--{f.name}", type=f.metadata["cast"],
+                           choices=f.metadata["choices"], help=f.metadata["help"])
 
 
 def build_parser() -> _Parser:

@@ -356,6 +356,8 @@ class NonlinearModel:
 
 Model = Union[AffineModel, NonlinearModel]
 
+TARGET_MODES = ("state", "process_noise")  # what a GroupRegularizer penalty acts on
+
 
 @dataclass(frozen=True, eq=False)
 class GroupRegularizer:
@@ -392,7 +394,7 @@ class GroupRegularizer:
         # zero is allowed so a penalty can be switched off per group
         if np.any(weights < 0):
             raise ValueError("group weights must be nonnegative")
-        if self.target_mode not in ("state", "process_noise"):
+        if self.target_mode not in TARGET_MODES:
             raise ValueError(f"unknown target mode {self.target_mode!r}")
         n_x = cols.pop() if cols else 0
         if groups:
@@ -440,6 +442,9 @@ def _difference_matrix(n_x: int) -> np.ndarray:
     D[idx, idx] = -1.0
     D[idx, idx + 1] = 1.0
     return D
+
+
+REGULARIZER_KINDS = ("l2", "lasso", "iso_tv", "aniso_tv", "fused", "group", "sparse_group")
 
 
 def make_regularizer(kind: str, n_x: int, groups: Optional[Sequence[Sequence[int]]] = None,

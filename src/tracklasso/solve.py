@@ -31,18 +31,17 @@ def initial_trajectory(problem: TrackingProblem, passes: Optional[list] = None) 
     return plain_ieks(problem.model, problem.y, i_max=INITIAL_PASSES, lambda_trace=passes)
 
 
-def make_x_solver(solver: str, i_max: int = 10, lm_cfg: Optional[LMConfig] = None):
+def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
     """Build the x-update callable solver(problem, V, eta_bar, gamma, x_warm).
 
-    Every inner setting comes from one LMConfig: lm_cfg if given, else
-    LMConfig(i_max=i_max), so i_max is read only when lm_cfg is None.
+    Every inner setting comes from one LMConfig, lm_cfg (default LMConfig()).
     The affine engines are smoothers.factor_once: ks_madmm (affine only)
     with band_factor and augmented_ks, batch_madmm with the dense factor
     (batch.make_affine_x_solver).  gn_ieks_madmm and lm_ieks_madmm run
     lm_ieks (GN: lambda0 = 0), and batch_madmm on a nonlinear model the
     same LM body with the dense solve (batch.batch_nonlinear_solve).
     """
-    cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
+    cfg = lm_cfg if lm_cfg is not None else LMConfig()
     if solver == "ks_madmm":
         def equations(problem, B, gamma):
             return normal_equations(problem.model, noise_precisions(problem.model), problem.y,
@@ -76,9 +75,9 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
 
     ks_madmm requires an affine model; the iterated variants and the dense
     batch reference accept both affine and nonlinear models.  The inner
-    GN/LM settings are lm_cfg, or LMConfig(i_max=i_max) when lm_cfg is None
-    (see make_x_solver).  x0 defaults to initial_trajectory(problem), whose
-    pass count and convergence the report then records.  The static part
+    GN/LM settings are lm_cfg, or LMConfig(i_max=i_max) when lm_cfg is None,
+    so i_max is read only then.  x0 defaults to initial_trajectory(problem),
+    whose pass count and convergence the report then records.  The static part
     the iterated smoothers keep on problem.kept is dropped when the solve
     returns or raises.
     """
@@ -88,11 +87,12 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
         raise ValueError("ks_madmm needs an affine model; use gn_ieks_madmm, "
                          "lm_ieks_madmm, or batch_madmm")
     opts = opts if opts is not None else MadmmOptions()
+    lm_cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
     passes = None if x0 is not None else []
     try:
         if x0 is None:
             x0 = initial_trajectory(problem, passes)
-        x_solver = make_x_solver(solver, i_max=i_max, lm_cfg=lm_cfg)
+        x_solver = make_x_solver(solver, lm_cfg)
         report = run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)
     finally:
         problem.kept.clear()  # the smoothers' static part serves this solve only

@@ -322,7 +322,7 @@ def _lemma2_one(seed: int, k_max: int, inject_fault: bool) -> float:
     if inject_fault:
         x_solver = faulty_x_solver()
     else:
-        x_solver = make_x_solver("lm_ieks_madmm", i_max=5)
+        x_solver = make_x_solver("lm_ieks_madmm", LMConfig(i_max=5))
     stage_rise, excess = madmm_stage_trace(problem, x_solver, 1.0, k_max,
                                            initial_trajectory(problem))
     return float(max(np.max(stage_rise), np.max(excess)))

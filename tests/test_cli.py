@@ -1,5 +1,6 @@
 """Command line interface: exit codes, outputs, and config handling."""
 
+import argparse
 import csv
 import io
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tracklasso import cli
+from tracklasso import cli, models, scenarios, solve
 from tracklasso.admm import MadmmOptions
 from tracklasso.scenarios import scenario_defaults, simulate_wiener
 from tracklasso.smoothers import plain_smoother
@@ -169,10 +170,37 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert echoed["seed"] == "3"
 
 
-def test_option_table_declares_every_config_field():
-    names = [name for name, _, _, _ in cli._OPTIONS]
-    assert names == [f.name for f in fields(cli.RunConfig) if f.name != "command"]
-    assert list(cli._CASTS) == names
+def test_every_config_field_is_a_flag_and_a_config_key(tmp_path):
+    """Each RunConfig field but command is a simulate and a solve flag with its
+    declared cast and choices, and a config-file key read with that cast; the
+    choice lists are the library's own."""
+    options = [f for f in fields(cli.RunConfig) if f.name != "command"]
+    names = [f.name for f in options]
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("simulate", "solve"):
+        flags = {a.dest: a for a in sub.choices[command]._actions if a.option_strings}
+        assert [name for name in flags if name not in ("help", "config")] == names
+        for f in options:
+            assert flags[f.name].option_strings == [f"--{f.name}"]
+            assert flags[f.name].type is f.metadata["cast"]
+            assert flags[f.name].choices is f.metadata["choices"]
+    assert {f.name: f.metadata["choices"] for f in options
+            if f.metadata["choices"] is not None} == {
+        "scenario": scenarios.KINDS, "solver": solve.SOLVERS,
+        "regularizer": models.REGULARIZER_KINDS, "sparsity": models.TARGET_MODES}
+    path = tmp_path / "keys.txt"
+    path.write_text("".join(f"{name} = x\n" for name in names))
+    assert list(cli.read_config_file(path)) == names
+    # every key but input (solve takes one source) read back through its cast
+    cfg = cli.RunConfig(command="solve", scenario="range", solver="batch_madmm",
+                        regularizer="sparse_group", groups=((0, 1), (3,)), mu=0.5,
+                        gamma=2.0, kmax=7, imax=3, lambda0=0.1, alpha=4.0,
+                        sparsity="state", seed=5, steps=20, dt=0.2, p0=0.25,
+                        out=str(tmp_path / "o"))
+    path.write_text(cli.config_lines(cfg))
+    assert cli.resolve_config(parser.parse_args(["solve", "--config", str(path)]),
+                              "solve") == cfg
 
 
 def test_usage_errors_exit_64(tmp_path):
@@ -183,6 +211,51 @@ def test_usage_errors_exit_64(tmp_path):
                    "--out", str(tmp_path / "z")) == 64
     assert run_cli("simulate", "--scenario", "wiener", "--steps", "-5",
                    "--out", str(tmp_path / "w")) == 64
+
+
+@pytest.mark.parametrize("key", ["scenario", "solver", "regularizer", "sparsity"])
+def test_unknown_choice_in_config_file_exits_64(tmp_path, capsys, key):
+    entries = {"scenario": "wiener", key: "nope"}
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", str(cfg), "--out", str(out)) == 64
+    assert f"error: unknown {key} 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--groups", "7"], "group indices must lie in [0, 4)"),
+    (["--groups", "0,0"], "group index sets must not repeat components"),
+    ([], "kind 'group' needs explicit index sets"),
+], ids=["out_of_range", "repeated", "missing"])
+@pytest.mark.parametrize("kind", ["group", "sparse_group"])
+def test_group_set_that_does_not_fit_exits_64(tmp_path, capsys, flags, message, kind):
+    out = tmp_path / "out"
+    assert run_cli("solve", "--scenario", "wiener", "--regularizer", kind, *flags,
+                   "--steps", "20", "--out", str(out)) == 64
+    assert message.replace("'group'", repr(kind)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_group_set_in_config_file_that_does_not_fit_exits_64(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("scenario = wiener\nregularizer = group\ngroups = 9\n")
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", str(cfg), "--out", str(out)) == 64
+    assert "error: group indices must lie in [0, 4)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["range", "coordinated_turn"])
+def test_ks_madmm_on_a_nonlinear_scenario_exits_64(tmp_path, capsys, scenario):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"scenario = {scenario}\nsolver = ks_madmm\n")
+    out = tmp_path / "out"
+    assert run_cli("solve", "--config", str(cfg), "--steps", "20", "--out", str(out)) == 64
+    assert (f"error: ks_madmm needs an affine model; scenario '{scenario}' is nonlinear"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_jobs_is_refused_by_every_command(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tracklasso.models import (
+    REGULARIZER_KINDS,
+    TARGET_MODES,
     AffineModel,
     NonlinearModel,
     SingularSystemError,
@@ -206,6 +208,15 @@ def test_regularizer_kinds(kind, n_groups, total_rows):
     assert reg.total_rows == total_rows
     assert reg.G_stack.shape == (total_rows, 4)
     assert reg.weights.shape == (n_groups,)
+
+
+@pytest.mark.parametrize("kind", REGULARIZER_KINDS)
+def test_every_listed_regularizer_kind_builds(kind):
+    """The kinds and target modes the CLI offers are the ones make_regularizer builds."""
+    for mode in TARGET_MODES:
+        reg = make_regularizer(kind, 4, groups=[[0, 1], [2, 3]], target_mode=mode)
+        assert reg.target_mode == mode
+        assert reg.n_x == 4 and reg.n_groups >= 1
 
 
 def test_group_kind_validation():

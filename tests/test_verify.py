@@ -5,6 +5,7 @@ import numpy as np
 from tracklasso.admm import block_shrink
 from tracklasso.models import TrackingProblem, make_regularizer
 from tracklasso.scenarios import scenario_defaults, simulate_range
+from tracklasso.smoothers import LMConfig
 from tracklasso.solve import initial_trajectory, make_x_solver
 from tracklasso.verify import (
     _problem_payload,
@@ -47,7 +48,7 @@ def test_stage_trace_clean_solver_never_lifts_stages():
     reg = make_regularizer("group", 4, groups=[[2, 3]], weights=1.0,
                            target_mode="state")
     prob = TrackingProblem(model=model, reg=reg, y=data.y)
-    solver = make_x_solver("lm_ieks_madmm", i_max=5)
+    solver = make_x_solver("lm_ieks_madmm", LMConfig(i_max=5))
     x0 = initial_trajectory(prob)
     stage_rise, excess = madmm_stage_trace(prob, solver, 1.0, 8, x0)
     assert stage_rise.shape == (8,) and excess.shape == (8,)
