@@ -21,11 +21,10 @@ import numpy as np
 from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
-from .models import (GroupRegularizer, SingularSystemError, SplitState,
-                     TrackingProblem, augmented_lagrangian, constraint_gaps,
-                     data_cost, objective, offer_values, take_values)
+from .models import (GroupRegularizer, Iterate, SingularSystemError, SplitState,
+                     TrackingProblem, augmented_lagrangian, constraint_gaps, objective)
 
-XSolver = Callable[[TrackingProblem, np.ndarray, np.ndarray, float, np.ndarray], np.ndarray]
+XSolver = Callable[[TrackingProblem, np.ndarray, np.ndarray, float, Iterate], Iterate]
 
 
 @dataclass(frozen=True)
@@ -38,13 +37,14 @@ class MadmmOptions:
     eps_dual: float = 1e-6
     zero_tol: float = 1e-6
 
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.k_max < 0:
-            raise ValueError("k_max must be nonnegative")
-        if min(self.eps_primal, self.eps_dual, self.zero_tol) < 0:
-            raise ValueError("tolerances must be nonnegative")
+    def __post_init__(self):  # each check is written so that nan fails it
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("gamma must be finite and positive")
+        if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 0):
+            raise ValueError("k_max must be a nonnegative integer")
+        for name in ("eps_primal", "eps_dual", "zero_tol"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 @dataclass(eq=False)
@@ -150,13 +150,15 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
 
     The split is initialised feasibly from x0 (v = u(x0), w = G v, eta = 0);
     x0 defaults to zeros, but callers normally pass an unregularised smoother
-    trajectory.  Iterations stop at k_max or when both residuals fall below
-    their tolerances.  x_solver failures are re-raised with the iteration
-    index attached.
+    trajectory.  x_solver(problem, v, eta_bar, gamma, x_warm) maps the
+    models.Iterate of the last x (first, of a copy of x0) to the next, whose
+    model values serve the targets, the data cost and the next x update.
+    Iterations stop at k_max or when both residuals fall below their
+    tolerances; x_solver failures are re-raised with the iteration attached.
 
     SolveReport.objective and SolveReport.lagrangian hold the objective and
     the augmented Lagrangian after each iteration.  Both are computed from
-    one data_cost of the iterate and the loop's own increments U, and the
+    the iterate's data cost and the loop's own increments U, and the
     Lagrangian shares the residuals' constraint gaps (u - v, w - G v), so
     each value equals the standalone objective(problem, x) and
     augmented_lagrangian(problem, state, gamma) bit for bit.  The x, w and v
@@ -165,21 +167,14 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     lagrangian[k] - lagrangian[k-1] <= gamma * r_primal[k]**2 for k >= 1,
     and likewise for lagrangian[0] against the Lagrangian at the feasible
     start; the raw sequence need not fall at every step.
-
-    A nonlinear model's values at each iterate (models.model_values, with
-    the data cost) cross the x update: the loop offers those at state.x
-    (models.offer_values) and takes those at the x it gets back
-    (models.take_values), which smoothers.lm_x_update hands back for the
-    very x it returns and any other x solver leaves to one model call here.
-    They serve the penalty targets, the data cost and the next offer.
     """
     gamma = opts.gamma
     reg = problem.reg
     if x0 is None:
         x0 = np.zeros((problem.T, problem.n_x))
-    state = SplitState.feasible(problem, x0)
+    it = Iterate(problem, np.array(x0, dtype=float))
+    state = SplitState.feasible(it)
     factor = v_update_factor(reg) if reg.total_rows else None
-    values = None  # the model's values at state.x, once an x update has run
 
     obj_hist, lag_hist, rp_hist, rd_hist, sec_hist = [], [], [], [], []
     states = [state.copy()] if record_states else None
@@ -187,18 +182,14 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     k_done = 0
     for k in range(1, opts.k_max + 1):
         tic = time.perf_counter()
-        offer_values(problem, state.x, values)
-        x = None
         try:
-            x = x_solver(problem, state.v, state.eta_bar, gamma, state.x)
+            it = x_solver(problem, state.v, state.eta_bar, gamma, it)
         except SingularSystemError as exc:
             err = SingularSystemError(f"x update failed at ADMM iteration {k}: {exc}")
             err.iteration = k
             raise err from exc
-        finally:
-            values = take_values(problem, x)
-        targets = problem.penalty_targets(nominal=x, values=values)
-        U = problem.u(x, targets)
+        x = it.x
+        U = problem.u(x, problem.penalty_targets(nominal=it))
         W = update_w_all(state.v, state.eta_under, reg, gamma)
         V_prev = state.v
         V = update_v_all(U, W, state.eta, reg, gamma, factor)
@@ -211,7 +202,7 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
         gaps = constraint_gaps(U, W, V, reg)
         r_pri, r_dual = residuals(U, W, V, V_prev, reg, gamma, gaps)
         sec_hist.append(time.perf_counter() - tic)
-        data = data_cost(problem, x, values)
+        data = it.data
         obj_hist.append(objective(problem, x, data, U))
         lag_hist.append(augmented_lagrangian(problem, state, gamma, data, gaps))
         del gaps

@@ -126,11 +126,11 @@ def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
 
 def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
                           gamma: float, cfg: Optional[LMConfig] = None,
-                          x0: Optional[np.ndarray] = None,
-                          trace: Optional[List[np.ndarray]] = None,
-                          lambda_trace: Optional[List[float]] = None) -> np.ndarray:
+                          x0=None, trace: Optional[List[np.ndarray]] = None,
+                          lambda_trace: Optional[List[float]] = None):
     """Iterate dense Levenberg-Marquardt steps to solve for x:
     smoothers.lm_x_update with the dense solve batch_x_affine, so the
-    proposals are batch_lm_step's.  As with lm_ieks, the static part of the
+    proposals are batch_lm_step's; an array or an Iterate x0 gives the same
+    kind back.  As with lm_ieks, the static part of the
     equations stays on problem.kept."""
     return lm_x_update(problem, v, eta_bar, gamma, x0, cfg, trace, lambda_trace, batch_x_affine)

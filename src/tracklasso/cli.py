@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from .admm import MadmmOptions, SolveReport
-from .models import (REGULARIZER_KINDS, TARGET_MODES, SingularSystemError, TrackingProblem,
-                     make_regularizer)
+from .models import (GROUPED_KINDS, REGULARIZER_KINDS, TARGET_MODES, SingularSystemError,
+                     TrackingProblem, make_regularizer)
 from .scenarios import (
     KINDS,
     CsvSchema,
@@ -96,7 +96,7 @@ class RunConfig:
     p0: Optional[float] = _option(None, float, "probability of zero process noise")
     out: str = _option("tracklasso_out", str, "output directory")
 
-    def __post_init__(self):
+    def __post_init__(self):  # each check is written so that nan fails it
         if self.command in ("simulate", "solve"):
             if self.command == "simulate" and self.scenario is None:
                 raise UsageError("simulate needs --scenario")
@@ -108,20 +108,22 @@ class RunConfig:
             value, choices = getattr(self, f.name), f.metadata.get("choices")
             if choices is not None and value is not None and value not in choices:
                 raise UsageError(f"unknown {f.name} {value!r}")
-        if self.mu < 0:
-            raise UsageError("mu must be nonnegative")
-        if self.gamma <= 0:
-            raise UsageError("gamma must be positive")
+        if not 0 <= self.mu < np.inf:
+            raise UsageError("mu must be finite and nonnegative")
+        if not 0 < self.gamma < np.inf:
+            raise UsageError("gamma must be finite and positive")
         if self.kmax < 0 or self.imax < 1:
             raise UsageError("kmax must be >= 0 and imax >= 1")
-        if self.lambda0 < 0 or self.alpha <= 1:
-            raise UsageError("need lambda0 >= 0 and alpha > 1")
+        if not 0 <= self.lambda0 < np.inf:
+            raise UsageError("lambda0 must be finite and nonnegative")
+        if not 1 < self.alpha < np.inf:
+            raise UsageError("alpha must be finite and exceed 1")
         if self.p0 is not None and not 0.0 <= self.p0 <= 1.0:
             raise UsageError("p0 must lie in [0, 1]")
         if self.steps is not None and self.steps < 2:
             raise UsageError("steps must be at least 2")
-        if self.dt is not None and self.dt <= 0:
-            raise UsageError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise UsageError("dt must be finite and positive")
 
 
 _CASTS = {f.name: f.metadata["cast"] for f in fields(RunConfig) if f.metadata}
@@ -183,7 +185,8 @@ def resolve_config(args: argparse.Namespace, command: str) -> RunConfig:
         defaults = solver_settings(source)
         for key in ("solver", "regularizer", "mu", "gamma", "kmax", "imax", "sparsity"):
             merged.setdefault(key, defaults[key])
-        if merged.get("groups") is None and defaults["groups"] is not None:
+        if (merged.get("groups") is None and defaults["groups"] is not None
+                and merged["regularizer"] in GROUPED_KINDS):
             merged["groups"] = ";".join(",".join(str(i) for i in g)
                                         for g in defaults["groups"])
 
@@ -238,7 +241,7 @@ def build_problem(cfg: RunConfig, data: TrackDataset, model) -> TrackingProblem:
     try:
         reg = make_regularizer(cfg.regularizer, model.n_x, groups=groups,
                                weights=cfg.mu, target_mode=cfg.sparsity)
-    except ValueError as exc:  # a group set that does not fit the model
+    except ValueError as exc:  # a group set that does not fit the model or the kind
         raise UsageError(str(exc)) from None
     return TrackingProblem(model=model, reg=reg, y=data.y)
 

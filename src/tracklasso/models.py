@@ -445,6 +445,7 @@ def _difference_matrix(n_x: int) -> np.ndarray:
 
 
 REGULARIZER_KINDS = ("l2", "lasso", "iso_tv", "aniso_tv", "fused", "group", "sparse_group")
+GROUPED_KINDS = ("group", "sparse_group")  # the kinds built on index sets
 
 
 def make_regularizer(kind: str, n_x: int, groups: Optional[Sequence[Sequence[int]]] = None,
@@ -456,7 +457,7 @@ def make_regularizer(kind: str, n_x: int, groups: Optional[Sequence[Sequence[int
     ``aniso_tv`` (each forward difference its own group), ``fused`` (lasso
     rows plus anisotropic difference rows), ``group`` (selector blocks over
     the given 0-based index sets), ``sparse_group`` (lasso rows plus the
-    selector blocks).
+    selector blocks).  Index sets given to another kind raise ValueError.
     """
     if n_x < 1:
         raise ValueError("n_x must be positive")
@@ -500,6 +501,8 @@ def make_regularizer(kind: str, n_x: int, groups: Optional[Sequence[Sequence[int
         mats = [eye[i:i + 1] for i in range(n_x)] + [selector(idx) for idx in groups]
     else:
         raise ValueError(f"unknown regularizer kind {kind!r}")
+    if groups is not None and kind not in GROUPED_KINDS:
+        raise ValueError(f"groups: kind {kind!r} takes no index sets")
     return GroupRegularizer(groups=tuple(mats), weights=weights, target_mode=target_mode)
 
 
@@ -522,86 +525,68 @@ def jacobian_stack(out, T: int, first: int, core: tuple) -> np.ndarray:
     return stack
 
 
-def model_values(model: NonlinearModel, x: np.ndarray) -> dict:
-    """{"a": a_t(x_{t-1}) for t >= 1, "h": h_t(x_t)}, one call of each callable.
-    The costs, linearize and transition_linearization given this dict share
-    it instead of calling the model again; transition_linearization adds its
-    (J, d) as "Jd" and data_cost its value, with the problem, as "data"."""
-    t = np.arange(model.T)
-    return {"a": model.transition(t[1:], x[:-1]), "h": model.measurement(t, x)}
+class Iterate:
+    """A trajectory x (T, n_x) of problem, never written, with what a solve
+    reads at it, each computed on first use and kept: a nonlinear model's
+    a = a_t(x_{t-1}) (t >= 1) and h = h_t(x_t), one call of each callable,
+    the transition linearisation Jd (on a) and the data cost."""
 
+    __slots__ = ("problem", "x", "_a", "_h", "_Jd", "_data")
 
-# An iterate's model values cross an x update on problem.kept (solve-scoped):
-# run_madmm offers those at the x the update starts from, the x update takes
-# the offer and hands back those at the x it returns, and run_madmm takes
-# them.  Each side matches the values to its x by identity; an affine model
-# has none to hand.
+    def __init__(self, problem: TrackingProblem, x: np.ndarray):
+        self.problem, self.x = problem, x
+        self._a = self._h = self._Jd = self._data = None
 
-def offer_values(problem: TrackingProblem, x: np.ndarray, values: Optional[dict]) -> None:
-    """Open an x update's hand-off: the model's values at x, where the update
-    starts (None when not yet known)."""
-    if not problem.is_affine:
-        problem.kept["seed"] = x, values
+    @property
+    def a(self) -> np.ndarray:
+        if self._a is None:
+            self._a = self.problem.model.transition(np.arange(1, self.problem.T), self.x[:-1])
+        return self._a
 
+    @property
+    def h(self) -> np.ndarray:
+        if self._h is None:
+            self._h = self.problem.model.measurement(np.arange(self.problem.T), self.x)
+        return self._h
 
-def take_offer(problem: TrackingProblem, x0: np.ndarray) -> Tuple[bool, Optional[dict]]:
-    """The x update's side: pop the offer and return (offered, the values at
-    x0 if the offer is for that very array, else None).  A call outside the
-    loop (a direct caller) finds no offer, so it neither gets values nor
-    hands any back."""
-    offer = None if problem.is_affine else problem.kept.pop("seed", None)
-    if offer is None:
-        return False, None
-    return True, offer[1] if offer[0] is x0 else None
+    @property
+    def Jd(self):
+        if self._Jd is None:
+            self._Jd = transition_linearization(self.problem.model, self.x, self.a)
+        return self._Jd
 
-
-def hand_back(problem: TrackingProblem, x: np.ndarray, values: dict) -> None:
-    """The x update returns x, where the model's values are values."""
-    problem.kept["values"] = x, values
-
-
-def take_values(problem: TrackingProblem, x: Optional[np.ndarray]) -> Optional[dict]:
-    """Close the hand-off (also after a failed x update, x None): drop what is
-    left of it and return the model's values at x, those handed back for
-    this very array or else model_values, once; None on an affine model."""
-    problem.kept.pop("seed", None)
-    handed = problem.kept.pop("values", None)
-    if problem.is_affine or x is None:
-        return None
-    return handed[1] if handed is not None and handed[0] is x else model_values(problem.model, x)
+    @property
+    def data(self) -> float:
+        if self._data is None:
+            self._data = data_cost(self.problem, self)
+        return self._data
 
 
 def transition_linearization(model: NonlinearModel, nominal: np.ndarray,
-                             values: Optional[dict] = None):
+                             a: Optional[np.ndarray] = None):
     """Affine expansion (J, d) of the transition about a nominal trajectory.
 
     J_t = J_a(t, nominal_{t-1}) and d_t = a_t(nominal_{t-1}) - J_t nominal_{t-1},
     evaluated for all steps at once; shapes (T, n_x, n_x) and (T, n_x), with
     zero placeholders at index 0 (a constant J is one block, jacobian_stack).
-    values are model_values at nominal, if the caller holds them.
+    a is the transition at nominal (steps 1..T-1), if the caller holds it.
     """
-    if values is not None and "Jd" in values:
-        return values["Jd"]
     nominal = np.asarray(nominal, dtype=float)
     T, n = model.T, model.n_x
     t, X = np.arange(1, T), nominal[:-1]
     J = jacobian_stack(model.transition_jacobian(t, X), T, 1, (n, n))
     d = np.zeros((T, n))
-    a = model.transition(t, X) if values is None else values["a"]
-    d[1:] = a - (J[1:] @ X[..., None])[..., 0]
-    if values is not None:
-        values["Jd"] = J, d
+    d[1:] = (model.transition(t, X) if a is None else a) - (J[1:] @ X[..., None])[..., 0]
     return J, d
 
 
-def sparsity_target(model: Model, mode: str, nominal: Optional[np.ndarray] = None,
-                    values: Optional[dict] = None):
+def sparsity_target(model: Model, mode: str, nominal=None):
     """Per-step (B, d) defining the penalised increment x_t - B_t x_{t-1} - d_t.
 
     ``state`` returns zeros.  ``process_noise`` returns (A_t, b_t) for affine
     models; for nonlinear models it linearises the transition about the
     nominal trajectory, B_t = J_a(t, nominal_{t-1}) and
-    d_t = a_t(nominal_{t-1}) - B_t nominal_{t-1} (transition_linearization).
+    d_t = a_t(nominal_{t-1}) - B_t nominal_{t-1} (an Iterate nominal's Jd).
     Index-0 entries are placeholders; consumers substitute the prior mean there.
     """
     T, n = model.T, model.n_x
@@ -613,7 +598,7 @@ def sparsity_target(model: Model, mode: str, nominal: Optional[np.ndarray] = Non
         return model.A, model.b
     if nominal is None:
         raise ValueError("process_noise targets for a nonlinear model need a nominal trajectory")
-    return transition_linearization(model, nominal, values)
+    return nominal.Jd if isinstance(nominal, Iterate) else transition_linearization(model, nominal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -623,7 +608,7 @@ class TrackingProblem:
     model: Model
     reg: GroupRegularizer
     y: np.ndarray
-    # solve-scoped: the smoothers' static part and run_madmm's model values hand-off
+    # solve-scoped: the smoothers' static part
     kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -651,14 +636,14 @@ class TrackingProblem:
     def is_affine(self) -> bool:
         return self.model.is_affine
 
-    def penalty_targets(self, nominal: Optional[np.ndarray] = None,
-                        values: Optional[dict] = None):
-        """(B, d) arrays used by the penalty; index 0 is never consulted."""
+    def penalty_targets(self, nominal=None):
+        """(B, d) arrays used by the penalty, nominal a trajectory or an
+        Iterate (sparsity_target); index 0 is never consulted."""
         if self.reg.B is not None:
             T, n = self.T, self.n_x
             return (per_step(self.reg.B, T, 2, "B"),
                     per_step(self.reg.d if self.reg.d is not None else np.zeros(n), T, 1, "d"))
-        return sparsity_target(self.model, self.reg.target_mode, nominal, values)
+        return sparsity_target(self.model, self.reg.target_mode, nominal)
 
     def u(self, x: np.ndarray, targets=None) -> np.ndarray:
         """Penalised increments u_t; u_0 = x_0 - m1 regardless of targets."""
@@ -711,13 +696,12 @@ def prior_mean_trajectory(model: Model) -> np.ndarray:
     return x
 
 
-def data_cost(problem: TrackingProblem, x: np.ndarray, values: Optional[dict] = None) -> float:
+def data_cost(problem: TrackingProblem, x) -> float:
     """Quadratic data terms: measurement, transition, and prior misfit.
 
-    The residuals are y_t - h_t(x_t), x_0 - m1 and x_t - a_t(x_{t-1}), a
-    nonlinear model's h and a read from values (model_values at x) when the
-    caller holds them; the cost is then kept in values for this problem and
-    read back, not recomputed, by the next call given them.  A non-finite x
+    The residuals are y_t - h_t(x_t), x_0 - m1 and x_t - a_t(x_{t-1}), with
+    a nonlinear model's h and a read from x when it is an Iterate of problem
+    (whose data keeps the cost), else from one call of each.  A non-finite x
     raises ValueError "x: non-finite value at step t", on either noise
     layout, so no cost built on this one returns nan for it.  A finite x
     whose residual is not finite (a nonlinear callable that overflows there,
@@ -725,26 +709,21 @@ def data_cost(problem: TrackingProblem, x: np.ndarray, values: Optional[dict] = 
     inf cost on either layout, which the Levenberg-Marquardt accept test
     reads as a rejected proposal.
     """
-    kept = values.get("data") if values is not None else None
-    if kept is not None and kept[0] is problem:
-        return kept[1]
+    it = x if isinstance(x, Iterate) else Iterate(problem, np.asarray(x, dtype=float))
+    model, x = problem.model, it.x
     _check_finite(x, "x")
-    model, x = problem.model, np.asarray(x, dtype=float)
     r_dyn = np.empty_like(x)
     r_dyn[0] = x[0] - model.m1
     if model.is_affine:
         r_meas = problem.y - _apply(model.H, x) - model.e
         r_dyn[1:] = x[1:] - _apply(model.A[1:], x[:-1]) - model.b[1:]
     else:
-        values = model_values(model, x) if values is None else values
-        r_meas = problem.y - values["h"]
-        r_dyn[1:] = x[1:] - values["a"]
+        r_meas = problem.y - it.h
+        r_dyn[1:] = x[1:] - it.a
     P1_f, Q_f, R_f = noise_factors(model)
     cost = _half_weighted_sq(r_meas, R_f)
     cost += _half_weighted_sq(r_dyn[:1], P1_f)
     cost += _half_weighted_sq(r_dyn[1:], Q_f)
-    if values is not None:
-        values["data"] = problem, cost
     return cost
 
 
@@ -774,18 +753,18 @@ def objective(problem: TrackingProblem, x: np.ndarray, data: Optional[float] = N
     return data + penalty_value(problem, x, U)
 
 
-def x_subproblem_cost(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
-                      eta_bar: np.ndarray, gamma: float, targets=None,
-                      values: Optional[dict] = None) -> float:
+def x_subproblem_cost(problem: TrackingProblem, x, v: np.ndarray, eta_bar: np.ndarray,
+                      gamma: float, targets=None) -> float:
     """Data terms plus the quadratic coupling gamma/2 ||u(x) - v + eta_bar/gamma||^2.
 
     This is the objective the x update minimises at fixed (v, eta).  With
-    gamma = 0 the coupling vanishes and the plain data cost is returned.
-    values are model_values at x, if the caller holds them.
+    gamma = 0 the coupling vanishes and the plain data cost is returned.  x
+    is a trajectory or an Iterate of problem, whose kept values serve.
     """
-    cost = data_cost(problem, x, values)
+    it = x if isinstance(x, Iterate) else Iterate(problem, np.asarray(x, dtype=float))
+    cost = it.data
     if gamma > 0:
-        U = problem.u(x, targets)
+        U = problem.u(it.x, problem.penalty_targets(nominal=it) if targets is None else targets)
         diff = U - v + eta_bar / gamma
         cost += 0.5 * gamma * float((diff * diff).sum())
     return cost
@@ -818,14 +797,14 @@ class SplitState:
                           self.eta.copy(), self.n_x)
 
     @classmethod
-    def feasible(cls, problem: TrackingProblem, x0: np.ndarray) -> "SplitState":
-        """Feasible start: v = u(x0), w = G v, eta = 0."""
-        x0 = np.asarray(x0, dtype=float).copy()
-        U = problem.u(x0)
+    def feasible(cls, x0: Iterate) -> "SplitState":
+        """Feasible start at the Iterate x0 (x is x0.x): v = u(x0), w = G v, eta = 0."""
+        problem = x0.problem
+        U = problem.u(x0.x, problem.penalty_targets(nominal=x0))
         V = U.copy()
         W = problem.reg.penalty_rows(V)
         eta = np.zeros((problem.T, problem.n_x + problem.reg.total_rows))
-        return cls(x=x0, w=W, v=V, eta=eta, n_x=problem.n_x)
+        return cls(x=x0.x, w=W, v=V, eta=eta, n_x=problem.n_x)
 
 
 def constraint_gaps(U: np.ndarray, W: np.ndarray, V: np.ndarray,

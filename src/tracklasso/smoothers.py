@@ -37,11 +37,10 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs, dtrtrs
 
-from .models import (AffineModel, GroupRegularizer, Model, SingularSystemError,
-                     TrackingProblem, compact, freeze, hand_back, jacobian_stack,
-                     model_values, noise_factors, per_problem, per_step,
-                     prior_mean_trajectory, spd_factor, take_offer, time_invariant,
-                     transition_linearization, x_subproblem_cost)
+from .models import (AffineModel, GroupRegularizer, Iterate, Model, SingularSystemError,
+                     TrackingProblem, compact, freeze, jacobian_stack, noise_factors,
+                     per_problem, per_step, prior_mean_trajectory, spd_factor,
+                     time_invariant, transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
 
@@ -326,7 +325,8 @@ def factor_once(assemble: Callable, factor: Callable, solve: Callable):
     that factors its matrix once per (problem, gamma) (models.per_problem):
     it keeps the penalty targets (B, d), h0 = assemble(problem, B, gamma).h
     (no coupling) and factor(eqs), and each call returns solve(factor, h0
-    plus the coupling's part), the fresh solve's x bit for bit."""
+    plus the coupling's part), the fresh solve's x bit for bit (its Iterate
+    for an Iterate x_warm)."""
     @per_problem
     def factored(problem, gamma):
         if not problem.is_affine:
@@ -337,7 +337,8 @@ def factor_once(assemble: Callable, factor: Callable, solve: Callable):
 
     def solver(problem, V, eta_bar, gamma, x_warm):
         B, d, h0, f = factored(problem, gamma)
-        return solve(f, coupled_rhs(h0, coupling(B, d, V, eta_bar, gamma, problem.model.m1)))
+        x = solve(f, coupled_rhs(h0, coupling(B, d, V, eta_bar, gamma, problem.model.m1)))
+        return Iterate(problem, x) if isinstance(x_warm, Iterate) else x
 
     return solver
 
@@ -348,7 +349,7 @@ def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     return augmented_ks(normal_equations(model, noise_precisions(model), y))
 
 
-def linearize(model: Model, nominal: np.ndarray, values: Optional[dict] = None) -> AffineModel:
+def linearize(model: Model, nominal) -> AffineModel:
     """First-order affine expansion of a model about a trajectory.
 
     An affine model is its own linearisation and is returned unchanged; this
@@ -356,22 +357,25 @@ def linearize(model: Model, nominal: np.ndarray, values: Optional[dict] = None) 
     nonlinear model gives A_t = J_a(t, nominal_{t-1}),
     b_t = a_t(nominal_{t-1}) - A_t nominal_{t-1},
     H_t = J_h(t, nominal_t), e_t = h_t(nominal_t) - H_t nominal_t, each
-    evaluated for all steps in one call of the model's callables (a and h
-    read from values, models.model_values at nominal, if given; a constant
-    Jacobian kept as one block).  A non-finite output raises ValueError
-    naming the callable (Jacobians first) and step.  The linearisation
+    evaluated for all steps in one call of the model's callables (a, h and
+    (A, b) read from nominal when it is an Iterate; a constant Jacobian kept
+    as one block).  A non-finite output raises ValueError naming the
+    callable (Jacobians first) and step.  The linearisation
     shares the model's read-only P1, Q and R, and with them the noise
     factors and precisions kept on the model.
     """
     if model.is_affine:
         return model
-    nominal = np.asarray(nominal, dtype=float)
-    values = model_values(model, nominal) if values is None else values
     T = model.T
-    A, b = transition_linearization(model, nominal, values)
+    if isinstance(nominal, Iterate):
+        (A, b), h, nominal = nominal.Jd, nominal.h, nominal.x
+    else:
+        nominal = np.asarray(nominal, dtype=float)
+        A, b = transition_linearization(model, nominal)
+        h = model.measurement(np.arange(T), nominal)
     H = jacobian_stack(model.measurement_jacobian(np.arange(T), nominal), T, 0,
                        (model.n_y, model.n_x))
-    e = values["h"] - (H @ nominal[..., None])[..., 0]
+    e = h - (H @ nominal[..., None])[..., 0]
     # the sum is finite when every entry is (b and e are never broadcast); a
     # finite sum that overflows only takes the scan, which raises for a
     # non-finite entry alone
@@ -412,13 +416,15 @@ class LMConfig:
     i_max: int = 10
     step_tol: float = 1e-8
 
-    def __post_init__(self):
-        if self.lambda0 < 0:
-            raise ValueError("lambda0 must be nonnegative")
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
+    def __post_init__(self):  # each check is written so that nan fails it
+        if not 0 <= self.lambda0 < math.inf:
+            raise ValueError("lambda0 must be finite and nonnegative")
+        if not 1 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and exceed 1")
         if self.i_max < 1:
             raise ValueError("i_max must be positive")
+        if not self.step_tol >= 0:
+            raise ValueError("step_tol must be nonnegative")
         if self.s_cov is None:
             return
         s_cov = np.asarray(self.s_cov, dtype=float)
@@ -443,48 +449,45 @@ def damping_inverse(s_cov: Optional[np.ndarray], T: int, n: int) -> np.ndarray:
     return np.linalg.inv(compact(s_cov))
 
 
-Proposal = Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray], float], np.ndarray]
+Proposal = Callable[[Iterate, Tuple[np.ndarray, np.ndarray], float], np.ndarray]
 
 
-def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
-                 cost: Optional[Callable[[np.ndarray, Tuple[np.ndarray, np.ndarray]], float]],
+def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: Iterate,
+                 cost: Optional[Callable[[Iterate, Tuple[np.ndarray, np.ndarray]], float]],
                  cfg: LMConfig, trace: Optional[List[np.ndarray]] = None,
-                 lambda_trace: Optional[List[float]] = None,
-                 targets_at: Optional[Callable] = None) -> np.ndarray:
+                 lambda_trace: Optional[List[float]] = None) -> Iterate:
     """Damped Gauss-Newton loop shared by the smoother and dense engines.
 
-    propose(x, targets, lam) returns the minimiser of the subproblem
-    linearised at x (penalty targets taken at x), damped towards x by lam;
-    cost(x, targets) is the subproblem cost.  With lam > 0 a proposal is
-    accepted only on a strict cost decrease (lam divided by alpha), else
-    lam is multiplied by alpha and x kept; a rejected proposal whose cost
-    ties f within 4 ulps, or a proposal closer than PROPOSAL_FLOOR to x,
-    ends the loop, since no damping can then decrease the cost by more than
-    rounding; a non-finite proposal raises
-    SingularSystemError.  lambda0 = 0 accepts every proposal without
-    evaluating the cost (cost may then be None): plain Gauss-Newton, i.e.
-    the iterated smoother.  On an affine problem the linearisation and the
-    targets do not depend on x, so an undamped proposal is the exact
+    The loop carries Iterates of problem: propose(x, targets, lam) returns
+    the minimiser (an array) of the subproblem linearised at x (penalty
+    targets taken at x), damped towards x by lam; cost(x, targets) is the
+    subproblem cost.  With lam > 0 a proposal is accepted only on a strict
+    cost decrease (lam divided by alpha), else lam is multiplied by alpha
+    and x kept; a rejected proposal whose cost ties f within 4 ulps, or a
+    proposal closer than PROPOSAL_FLOOR to x, ends the loop, since no
+    damping can then decrease the cost by more than rounding; a non-finite
+    proposal raises SingularSystemError.  lambda0 = 0 accepts every proposal
+    without evaluating the cost (cost may then be None): plain Gauss-Newton,
+    i.e. the iterated smoother.  On an affine problem the linearisation and
+    the targets do not depend on x, so an undamped proposal is the exact
     minimiser and the loop ends after the first: a second would solve the
-    same system again.  Unless the targets depend on x (a nonlinear
-    model with process_noise targets and no explicit B), they are taken
-    once, and an accepted proposal's cost is the cost at the new iterate
-    and is not evaluated again.  targets_at(x) (by default
-    problem.penalty_targets(nominal=x)) gives them.  Every accepted iterate
-    extends trace and lambda_trace.  x0 is the first iterate itself, not a
-    copy: with no accepted proposal it is what the loop returns.
+    same system again.  Unless the targets depend on x (a nonlinear model
+    with process_noise targets and no explicit B), they are taken once
+    (problem.penalty_targets), and an accepted proposal's cost is the cost at
+    the new iterate and is not evaluated again.  Every accepted iterate
+    extends trace (a copy of its x) and lambda_trace.  With no accepted
+    proposal the loop returns x0 itself.
     """
     reg = problem.reg
-    targets_at = targets_at or (lambda x: problem.penalty_targets(nominal=x))
     fixed_targets = (problem.is_affine or reg.B is not None
                      or reg.target_mode != "process_noise")
-    x = np.asarray(x0, dtype=float)
+    x = x0
     lam = cfg.lambda0
     exact = problem.is_affine and lam == 0
-    targets = targets_at(x)
+    targets = problem.penalty_targets(nominal=x)
     f = cost(x, targets) if lam > 0 else None
     if trace is not None:
-        trace.append(x.copy())
+        trace.append(x.x.copy())
     i = 0
     while i < cfg.i_max:
         try:
@@ -493,8 +496,9 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
                 raise SingularSystemError("proposal is not finite")
         except SingularSystemError as exc:
             raise _annotate(exc, i + 1) from exc
-        dx, xr = (x_prop - x).ravel(), x.ravel()  # np.linalg.norm's dot, unwrapped
+        dx, xr = (x_prop - x.x).ravel(), x.x.ravel()  # np.linalg.norm's dot, unwrapped
         step = math.sqrt(dx.dot(dx)) / (1.0 + math.sqrt(xr.dot(xr)))
+        x_prop = Iterate(problem, x_prop)
         if lam > 0:
             if step < PROPOSAL_FLOOR:
                 break
@@ -506,13 +510,13 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
                 continue
         x = x_prop
         if not fixed_targets:
-            targets = targets_at(x)
+            targets = problem.penalty_targets(nominal=x)
         if lam > 0:
             f = f_prop if fixed_targets else cost(x, targets)
             lam /= cfg.alpha
         i += 1
         if trace is not None:
-            trace.append(x.copy())
+            trace.append(x.x.copy())
         if lambda_trace is not None:
             lambda_trace.append(lam)
         if step < cfg.step_tol or exact:
@@ -521,77 +525,59 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: np.ndarray,
 
 
 def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
-                gamma: float, x0: Optional[np.ndarray], cfg: Optional[LMConfig],
+                gamma: float, x0, cfg: Optional[LMConfig],
                 trace: Optional[List[np.ndarray]], lambda_trace: Optional[List[float]],
-                solve: Callable[[NormalEquations], np.ndarray]) -> np.ndarray:
+                solve: Callable[[NormalEquations], np.ndarray]):
     """Levenberg-Marquardt x update of the coupled subproblem, solving with solve(eqs).
 
-    gauss_newton with cfg (default LMConfig()) from a copy of x0 (default
-    the prior mean trajectory), so the caller's x0 is never returned.  A
+    gauss_newton with cfg (default LMConfig()) from x0, an Iterate of
+    problem, to the final Iterate, or from a copy of the array x0 (default
+    the prior mean trajectory) to the final x, never the caller's x0.  A
     proposal linearises at the iterate, assembles the undamped
     normal_equations and solves them; a damped one (the LM smoother of
     Sarkka and Svensson, ICASSP 2020) adds lambda S^{-1} on the diagonal and
-    lambda S^{-1} x in h.  Per iterate object the equations (a rejected step
-    only adds the damping again) and the model's values (models.model_values
-    with the data cost: LM cost, process_noise targets, linearize) are kept,
-    per targets pair the coupling's part of h, and on problem.kept the
-    static part per gamma (normal_equations' kept).  Inside run_madmm the
-    values at x0 come with its offer (models.take_offer) and those at the
-    returned x go back (models.hand_back); a direct call gets none.
+    lambda S^{-1} x in h.  The equations are kept per iterate (a rejected
+    step only adds the damping again), the coupling's part of h per targets
+    pair, and on problem.kept the static part per gamma (normal_equations'
+    kept).
     """
     cfg = cfg or LMConfig()
     model = problem.model
     precisions = noise_precisions(model)
-    x0 = prior_mean_trajectory(model) if x0 is None else x0
-    offered, start = take_offer(problem, x0)
-    x = np.asarray(x0, dtype=float).copy()
+    start = x0 if isinstance(x0, Iterate) else Iterate(problem, np.array(
+        prior_mean_trajectory(model) if x0 is None else x0, dtype=float))
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
     last = (None, None)
-    iterate = [None, None]  # the iterate proposals start from and the model's values there
-    latest = [None, None]  # the last other x values were asked for, and its values
-    if start is not None:
-        latest[:] = x, start
     terms = [None, None]  # a targets pair and its coupling terms
-
-    def values(x):
-        if iterate[0] is x:
-            return iterate[1]
-        if latest[0] is not x and not model.is_affine:
-            latest[:] = x, model_values(model, x)
-        return latest[1]
 
     def propose(x, targets, lam):
         nonlocal last
         if last[0] is not x:
-            if iterate[0] is not x:  # a new iterate: its values outlive the proposals'
-                iterate[:] = latest if latest[0] is x else (None, None)
             B, d = targets
             if terms[0] is not targets:
                 terms[:] = targets, coupling(B, d, v, eta_bar, gamma, model.m1)
-            eqs = normal_equations(linearize(model, x, values(x)), precisions, problem.y, B,
+            eqs = normal_equations(linearize(model, x), precisions, problem.y, B,
                                    gamma=gamma, kept=problem.kept)
             eqs.h = coupled_rhs(eqs.h, terms[1])
             last = (x, eqs)
-        return solve(last[1].damped(lam, s_inv, x) if lam > 0 else last[1])
+        return solve(last[1].damped(lam, s_inv, x.x) if lam > 0 else last[1])
 
     def cost(x, targets):
-        return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets, values(x))
+        return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
 
-    x = gauss_newton(problem, propose, x, cost, cfg, trace, lambda_trace,
-                     lambda x: problem.penalty_targets(nominal=x, values=values(x)))
-    if offered:
-        hand_back(problem, x, values(x))
-    return x
+    x = gauss_newton(problem, propose, start, cost, cfg, trace, lambda_trace)
+    return x if start is x0 else x.x
 
 
 def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
-            gamma: float, x0: np.ndarray, cfg: Optional[LMConfig] = None,
+            gamma: float, x0, cfg: Optional[LMConfig] = None,
             trace: Optional[List[np.ndarray]] = None,
-            lambda_trace: Optional[List[float]] = None) -> np.ndarray:
+            lambda_trace: Optional[List[float]] = None):
     """Levenberg-Marquardt iterated smoother: lm_x_update with the band solve
-    (augmented_ks).  With lambda0 = 0 (the GN-IEKS) its iterates match the
-    dense Gauss-Newton sequence, and on an affine model (its own
-    linearisation) the one proposal is the ks_madmm x update, bit for bit.
+    (augmented_ks), from an array or an Iterate x0 to the same kind.  With
+    lambda0 = 0 (the GN-IEKS) its iterates match the dense Gauss-Newton
+    sequence, and on an affine model (its own linearisation) the one
+    proposal is the ks_madmm x update, bit for bit.
     """
     # augmented_ks is looked up per call, never bound at import, so a patched one is used
     return lm_x_update(problem, v, eta_bar, gamma, x0, cfg, trace, lambda_trace, augmented_ks)

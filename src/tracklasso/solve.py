@@ -32,7 +32,8 @@ def initial_trajectory(problem: TrackingProblem, passes: Optional[list] = None) 
 
 
 def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
-    """Build the x-update callable solver(problem, V, eta_bar, gamma, x_warm).
+    """Build the x-update callable solver(problem, V, eta_bar, gamma, x_warm),
+    which returns an Iterate for an Iterate x_warm, else an array.
 
     Every inner setting comes from one LMConfig, lm_cfg (default LMConfig()).
     The affine engines are smoothers.factor_once: ks_madmm (affine only)

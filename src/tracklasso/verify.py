@@ -19,6 +19,7 @@ from .admm import MadmmOptions, block_shrink, omega_norm_sq, run_madmm
 from .batch import batch_nonlinear_solve, batch_x_affine, stack_problem
 from .models import (
     AffineModel,
+    Iterate,
     SplitState,
     TrackingProblem,
     augmented_lagrangian,
@@ -341,7 +342,7 @@ def faulty_x_solver(eps: float = 0.05):
         fused = build_fused(model, B, d, V, eta_bar, gamma)
         A = np.array(np.broadcast_to(fused.A, (problem.T, problem.n_x, problem.n_x)))
         A[1:] += eps
-        return rts_smoother(replace(fused, A=A), problem.y)
+        return Iterate(problem, rts_smoother(replace(fused, A=A), problem.y))
 
     return solver
 

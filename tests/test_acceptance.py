@@ -22,6 +22,7 @@ from tracklasso.batch import (
     stack_problem,
 )
 from tracklasso.models import (
+    Iterate,
     SplitState,
     TrackingProblem,
     augmented_lagrangian,
@@ -254,7 +255,7 @@ def test_criterion_07_augmented_lagrangian_descends_each_iteration():
         x0 = initial_trajectory(prob)
         rep = solve_problem(prob, solver="lm_ieks_madmm", opts=opts, i_max=5,
                             x0=x0)
-        start = augmented_lagrangian(prob, SplitState.feasible(prob, x0), gamma)
+        start = augmented_lagrangian(prob, SplitState.feasible(Iterate(prob, x0)), gamma)
         lag = np.concatenate([[start], rep.lagrangian])
         stage = np.diff(lag) - gamma * rep.r_primal ** 2
         worst_stage = max(worst_stage, float(stage.max()))

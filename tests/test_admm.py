@@ -21,7 +21,7 @@ from tracklasso.admm import (
 from tracklasso.models import (
     AffineModel,
     GroupRegularizer,
-    SingularSystemError,
+    Iterate,
     SplitState,
     TrackingProblem,
     augmented_lagrangian,
@@ -29,7 +29,6 @@ from tracklasso.models import (
     objective,
 )
 from tracklasso.scenarios import scenario_defaults, simulate_range, simulate_wiener
-from tracklasso.smoothers import lm_ieks
 from tracklasso.solve import initial_trajectory, make_x_solver, solve_problem
 
 # 12-iteration objective sequence of the scalar reference problem, computed
@@ -52,6 +51,16 @@ def scalar_problem():
     reg = make_regularizer("group", 1, groups=[[0]], weights=1.5,
                            target_mode="state")
     return TrackingProblem(model=model, reg=reg, y=np.array([[1.0], [2.0]]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma", 0.0), ("gamma", np.nan), ("gamma", np.inf), ("k_max", -1), ("k_max", 2.0),
+    ("eps_primal", np.nan), ("eps_dual", np.inf), ("zero_tol", -1.0),
+])
+def test_madmm_options_reject_a_bad_value_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        MadmmOptions(**{field: value})
+    MadmmOptions(k_max=np.int64(3), eps_primal=0.0)
 
 
 def test_block_shrink_hand_values():
@@ -317,15 +326,18 @@ def test_solve_drops_the_kept_static_part():
 CALLABLES = ("transition", "transition_jacobian", "measurement", "measurement_jacobian")
 
 
-def counted_range_problem(target_mode, calls, in_x):
+def counted_range_problem(target_mode, calls, in_x, inputs=None):
     """A range problem whose callables count, per name, the calls made
-    outside an x update (while in_x[0] is False)."""
+    outside an x update (while in_x[0] is False), and append the bytes of
+    every input to inputs[name], if given."""
     data, model = simulate_range(scenario_defaults("range", T=25, seed=4))
 
     def counted(name, fn):
         def wrapper(t, X):
             if not in_x[0]:
                 calls[name] = calls.get(name, 0) + 1
+            if inputs is not None:
+                inputs.setdefault(name, []).append(np.asarray(X).tobytes())
             return fn(t, X)
         return wrapper
 
@@ -335,56 +347,50 @@ def counted_range_problem(target_mode, calls, in_x):
 
 
 def flagged(x_solver, in_x, fresh=False):
-    """x_solver with in_x[0] set while it runs; fresh returns a copy of x."""
-    def solver(*args):
+    """x_solver with in_x[0] set while it runs; fresh returns a new Iterate
+    at a copy of x, which holds none of the model's values."""
+    def solver(problem, *args):
         in_x[0] = True
         try:
-            x = x_solver(*args)
+            x = x_solver(problem, *args)
         finally:
             in_x[0] = False
-        return x.copy() if fresh else x
+        return Iterate(problem, x.x.copy()) if fresh else x
     return solver
 
 
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])
 @pytest.mark.parametrize("solver", ["lm_ieks_madmm", "gn_ieks_madmm", "batch_madmm"])
 def test_run_madmm_evaluates_the_model_only_in_the_x_update(solver, target_mode):
-    """The LM x update hands the model's values at its iterate to run_madmm
-    (targets, data cost) and back to the next x update, so the loop makes
-    no model call of its own past the feasible start (process_noise targets
-    at x0); an x solver that returns a fresh array gets the model evaluated
-    by the loop, once per iteration, with the same iterates, objective and
-    Lagrangian bit for bit."""
-    calls, in_x, k = {}, [False], 4
-    prob = counted_range_problem(target_mode, calls, in_x)
+    """The x update returns the Iterate of its x, whose model values serve
+    run_madmm (targets, data cost) and the next x update, so past the
+    feasible start (process_noise targets at x0) the loop calls the model
+    only for what the x update did not need: Gauss-Newton never costs the
+    iterate it returns, so the loop's data cost evaluates the measurement
+    there, and in state mode the transition too.  No callable sees one input
+    twice in the run: the Iterate at x0 of the feasible start also starts
+    the first x update.  An x solver that returns a fresh Iterate gets the
+    model evaluated by the loop, once per iteration, with the same iterates,
+    objective and Lagrangian bit for bit."""
+    calls, in_x, inputs, k = {}, [False], {}, 4
+    prob = counted_range_problem(target_mode, calls, in_x, inputs)
     x0 = initial_trajectory(prob)
     opts = MadmmOptions(k_max=k, eps_primal=0.0, eps_dual=0.0)
     start = {"transition": 1, "transition_jacobian": 1} if target_mode == "process_noise" else {}
+    uncosted = {}
+    if solver == "gn_ieks_madmm":
+        uncosted = dict.fromkeys(("measurement",) + (("transition",) if not start else ()), k)
     calls.clear()
+    inputs.clear()
     rep = run_madmm(prob, flagged(make_x_solver(solver), in_x), opts, x0=x0)
-    assert calls == start
+    assert calls == start | uncosted
     assert set(prob.kept) <= {"static"}
+    assert set(inputs) == set(CALLABLES)
+    for name, seen in inputs.items():
+        assert len(set(seen)) == len(seen), name
     calls.clear()
     own = run_madmm(prob, flagged(make_x_solver(solver), in_x, fresh=True), opts, x0=x0)
     per_iteration = dict.fromkeys(("transition", "measurement", *start), k)
     assert calls == {name: n + start.get(name, 0) for name, n in per_iteration.items()}
     for field in ("x", "objective", "lagrangian", "r_primal", "r_dual"):
         np.testing.assert_array_equal(getattr(rep, field), getattr(own, field))
-
-
-def test_a_failed_x_update_leaves_no_hand_off_behind():
-    """The seed run_madmm puts on problem.kept for the x update, and the
-    values an LM x update leaves there, are taken off again when the x
-    update raises."""
-    calls, in_x = {}, [False]
-    prob = counted_range_problem("state", calls, in_x)
-
-    def failing(problem, V, eta_bar, gamma, x_warm):
-        assert "seed" in problem.kept
-        lm_ieks(problem, V, eta_bar, gamma, x_warm)
-        assert "values" in problem.kept and "seed" not in problem.kept
-        raise SingularSystemError("no x")
-
-    with pytest.raises(SingularSystemError, match="ADMM iteration 1: no x"):
-        run_madmm(prob, failing, MadmmOptions(k_max=2), x0=initial_trajectory(prob))
-    assert set(prob.kept) == {"static"}

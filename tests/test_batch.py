@@ -16,6 +16,7 @@ from tracklasso.batch import (
 )
 from tracklasso.models import (
     AffineModel,
+    Iterate,
     NonlinearModel,
     SingularSystemError,
     TrackingProblem,
@@ -125,14 +126,14 @@ def test_dense_lm_solve_is_gauss_newton_over_batch_lm_step(scenario, mode, lambd
     x = batch_nonlinear_solve(prob, V, eta, 0.8, cfg=cfg, x0=x0, trace=trace, lambda_trace=lam)
 
     def propose(x, targets, damping):
-        return batch_lm_step(prob, x, V, eta, 0.8, damping, s_cov)
+        return batch_lm_step(prob, x.x, V, eta, 0.8, damping, s_cov)
 
     def cost(x, targets):
-        return x_subproblem_cost(prob, x, V, eta, 0.8, targets)
+        return x_subproblem_cost(prob, x.x, V, eta, 0.8, targets)
 
     ref_trace, ref_lam = [], []
     ref = TrackingProblem(model=model, reg=reg, y=data.y)
-    x_ref = gauss_newton(ref, propose, x0, cost, cfg, ref_trace, ref_lam)
+    x_ref = gauss_newton(ref, propose, Iterate(ref, x0), cost, cfg, ref_trace, ref_lam).x
     assert len(trace) > 1 and lam == ref_lam
     np.testing.assert_array_equal(x, x_ref)
     for got, want in zip(trace, ref_trace, strict=True):

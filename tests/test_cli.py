@@ -213,6 +213,32 @@ def test_usage_errors_exit_64(tmp_path):
                    "--out", str(tmp_path / "w")) == 64
 
 
+@pytest.mark.parametrize("option, value", [
+    ("mu", "nan"), ("mu", "inf"), ("gamma", "nan"), ("gamma", "inf"), ("lambda0", "nan"),
+    ("lambda0", "inf"), ("alpha", "inf"), ("alpha", "nan"), ("dt", "nan"), ("dt", "inf"),
+    ("groups", "7"),
+])
+def test_bad_option_value_exits_64_naming_it(tmp_path, capsys, option, value):
+    """A non-finite number, or index sets for Wiener's l2 penalty, which takes
+    none, is a usage error that names the option, before any output."""
+    out = tmp_path / "out"
+    assert run_cli("solve", "--scenario", "wiener", f"--{option}", value, "--steps", "20",
+                   "--out", str(out)) == 64
+    assert f"error: {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scenario_group_set_applies_only_to_a_grouped_penalty(tmp_path):
+    """range's default index sets serve its group penalty; with l2 they are
+    neither used nor echoed."""
+    for kind, echoed in (("group", ["groups=2,3"]), ("l2", [])):
+        out = tmp_path / kind
+        assert run_cli("solve", "--scenario", "range", "--regularizer", kind, "--steps", "20",
+                       "--kmax", "1", "--out", str(out)) == 0
+        lines = (out / "config.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("groups=")] == echoed
+
+
 @pytest.mark.parametrize("key", ["scenario", "solver", "regularizer", "sparsity"])
 def test_unknown_choice_in_config_file_exits_64(tmp_path, capsys, key):
     entries = {"scenario": "wiener", key: "nope"}

@@ -8,9 +8,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from tracklasso.models import (
+    GROUPED_KINDS,
     REGULARIZER_KINDS,
     TARGET_MODES,
     AffineModel,
+    Iterate,
     NonlinearModel,
     SingularSystemError,
     SplitState,
@@ -132,7 +134,7 @@ def test_costs_name_a_non_finite_trajectory(per_step):
     prob = TrackingProblem(model=model, reg=make_regularizer("l2", 2), y=np.zeros((T, 2)))
     x = np.ones((T, 2))
     x[3, 1] = np.nan
-    state = SplitState.feasible(prob, np.ones((T, 2)))
+    state = SplitState.feasible(Iterate(prob, np.ones((T, 2))))
     state.x = x
     z = np.zeros((T, 2))
     for cost in (lambda: data_cost(prob, x), lambda: objective(prob, x),
@@ -203,7 +205,7 @@ def test_sparsity_target_modes():
     ("sparse_group", 6, 8),
 ])
 def test_regularizer_kinds(kind, n_groups, total_rows):
-    reg = make_regularizer(kind, 4, groups=[[0, 1], [2, 3]])
+    reg = make_regularizer(kind, 4, groups=[[0, 1], [2, 3]] if kind in GROUPED_KINDS else None)
     assert reg.n_groups == n_groups
     assert reg.total_rows == total_rows
     assert reg.G_stack.shape == (total_rows, 4)
@@ -213,8 +215,9 @@ def test_regularizer_kinds(kind, n_groups, total_rows):
 @pytest.mark.parametrize("kind", REGULARIZER_KINDS)
 def test_every_listed_regularizer_kind_builds(kind):
     """The kinds and target modes the CLI offers are the ones make_regularizer builds."""
+    groups = [[0, 1], [2, 3]] if kind in GROUPED_KINDS else None
     for mode in TARGET_MODES:
-        reg = make_regularizer(kind, 4, groups=[[0, 1], [2, 3]], target_mode=mode)
+        reg = make_regularizer(kind, 4, groups=groups, target_mode=mode)
         assert reg.target_mode == mode
         assert reg.n_x == 4 and reg.n_groups >= 1
 
@@ -230,6 +233,9 @@ def test_group_kind_validation():
         make_regularizer("group", 4, groups=[[0]], weights=-1.0)
     with pytest.raises(ValueError):
         make_regularizer("no_such_kind", 4)
+    for kind in set(REGULARIZER_KINDS) - set(GROUPED_KINDS):  # they take no index sets
+        with pytest.raises(ValueError, match=f"^groups: kind '{kind}' takes no index sets$"):
+            make_regularizer(kind, 4, groups=[[0]])
 
 
 def test_zero_weight_disables_penalty():
@@ -288,7 +294,7 @@ def test_model_validation_rejects_bad_covariances():
 def test_feasible_split_state():
     prob = scalar_problem()
     x0 = np.array([[0.4], [0.9]])
-    state = SplitState.feasible(prob, x0)
+    state = SplitState.feasible(Iterate(prob, x0))
     U = prob.u(x0)
     np.testing.assert_allclose(state.v, U)
     np.testing.assert_allclose(state.w, U @ prob.reg.G_stack.T)

@@ -19,6 +19,7 @@ from tracklasso.batch import (
 )
 from tracklasso.models import (
     AffineModel,
+    Iterate,
     NonlinearModel,
     SingularSystemError,
     TrackingProblem,
@@ -432,20 +433,20 @@ def test_lm_ieks_evaluates_the_model_once_per_iterate(monkeypatch, target_mode):
 
 def _unshared_lm_ieks(problem, v, eta_bar, gamma, x0, cfg):
     """lm_ieks as it was before the model values and the coupling were
-    shared: each proposal linearises and assembles from scratch and each
-    cost evaluates the model again."""
+    shared: each proposal linearises and assembles from scratch at the
+    iterate's bare x and each cost evaluates the model again."""
     precisions = noise_precisions(problem.model)
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x)
 
     def propose(x, targets, lam):
-        eqs = normal_equations(linearize(problem.model, x), precisions, problem.y,
+        eqs = normal_equations(linearize(problem.model, x.x), precisions, problem.y,
                                *targets, v, eta_bar, gamma)
-        return augmented_ks(eqs.damped(lam, s_inv, x) if lam > 0 else eqs)
+        return augmented_ks(eqs.damped(lam, s_inv, x.x) if lam > 0 else eqs)
 
     def cost(x, targets):
-        return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
+        return x_subproblem_cost(problem, x.x, v, eta_bar, gamma, targets)
 
-    return gauss_newton(problem, propose, x0, cost, cfg)
+    return gauss_newton(problem, propose, Iterate(problem, x0), cost, cfg).x
 
 
 @pytest.mark.parametrize("scenario, target_mode", [("range", "state"),
@@ -487,6 +488,15 @@ def test_constant_transition_jacobian_is_one_block():
     assert np.array_equal(linearize(prob.model, x).A[1:], linearize(copied, x).A[1:])
     for name in ("D", "E", "h"):
         assert np.array_equal(getattr(eqs[0], name), getattr(eqs[1], name))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda0", -1.0), ("lambda0", np.nan), ("lambda0", np.inf), ("alpha", 1.0),
+    ("alpha", np.nan), ("alpha", np.inf), ("i_max", 0), ("step_tol", np.nan), ("step_tol", -1.0),
+])
+def test_lm_config_rejects_a_bad_value_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        LMConfig(**{field: value})
 
 
 @pytest.mark.parametrize("s_cov, match", [
@@ -792,7 +802,7 @@ def test_non_finite_proposal_raises_with_iterations():
         calls[0] += 1
         if calls[0] > 50:
             raise RuntimeError("the loop kept proposing")
-        return np.full_like(x, np.nan)
+        return np.full_like(x.x, np.nan)
 
     def x_solver(problem, V, eta_bar, gamma, x_warm):
         def cost(x, targets):
@@ -817,15 +827,15 @@ def test_cost_tie_within_rounding_ends_the_lm_loop():
         calls[0] += 1
         if calls[0] > 5:
             raise RuntimeError("the loop kept proposing")
-        return x + 1.0
+        return x.x + 1.0
 
     def cost(x, targets):
-        return 2.0 if np.array_equal(x, x0) else 2.0 + np.spacing(2.0)
+        return 2.0 if np.array_equal(x.x, x0) else 2.0 + np.spacing(2.0)
 
     lam = []
-    x = smoothers.gauss_newton(prob, propose, x0, cost, LMConfig(i_max=3), lambda_trace=lam)
-    assert calls[0] == 1 and lam == []
-    np.testing.assert_array_equal(x, x0)
+    start = Iterate(prob, x0)
+    x = smoothers.gauss_newton(prob, propose, start, cost, LMConfig(i_max=3), lambda_trace=lam)
+    assert calls[0] == 1 and lam == [] and x is start
 
 
 def test_damped_proposals_and_the_initialiser_take_the_band(monkeypatch):
@@ -946,17 +956,17 @@ def test_linearize_accepts_finite_outputs_whose_sum_overflows():
 
 
 def test_gauss_newton_returns_x0_itself_when_no_proposal_is_accepted():
-    """gauss_newton iterates on x0 itself, not a copy: with no accepted
+    """gauss_newton iterates on the Iterate x0 itself: with no accepted
     proposal (a damped one that does not move, or one whose cost ties) it
-    returns the caller's array, which trace holds a copy of."""
+    returns the caller's Iterate, whose x trace holds a copy of."""
     prob = range_problem()
-    x0 = initial_trajectory(prob)
+    x0 = Iterate(prob, initial_trajectory(prob))
     for shift in (0.0, 1.0):
         trace = []
-        x = gauss_newton(prob, lambda x, targets, lam: x + shift, x0,
+        x = gauss_newton(prob, lambda x, targets, lam: x.x + shift, x0,
                          lambda x, targets: 0.0, LMConfig(), trace)
-        assert x is x0 and len(trace) == 1 and trace[0] is not x0
-        np.testing.assert_array_equal(trace[0], x0)
+        assert x is x0 and len(trace) == 1 and trace[0] is not x0.x
+        np.testing.assert_array_equal(trace[0], x0.x)
 
 
 def test_direct_lm_ieks_calls_get_no_seed_even_after_an_in_place_write():
@@ -977,6 +987,28 @@ def test_direct_lm_ieks_calls_get_no_seed_even_after_an_in_place_write():
         assert again is not x and set(prob.kept) == {"static"}
         assert np.array_equal(again, lm_ieks(range_problem(seed=2, T=20), V, eta, 1.0,
                                              x.copy(), cfg))
+
+
+def test_lm_x_update_returns_the_kind_of_its_start():
+    """From an Iterate, lm_ieks and batch_nonlinear_solve return an Iterate of
+    the problem, from an array a new array, with the same x bit for bit;
+    when no proposal is accepted (heavy damping) the Iterate comes back
+    itself and the array as a copy."""
+    prob = range_problem(seed=2, T=20)
+    rng = np.random.default_rng(3)
+    V, eta = 0.1 * rng.normal(size=(2, prob.T, prob.n_x))
+    x0 = initial_trajectory(prob)
+    for cfg, moves in ((LMConfig(i_max=4, step_tol=0.0), True),
+                       (LMConfig(lambda0=1e14, i_max=2, step_tol=0.0), False)):
+        for solve in (lambda x: lm_ieks(prob, V, eta, 1.0, x, cfg),
+                      lambda x: batch_nonlinear_solve(prob, V, eta, 1.0, cfg=cfg, x0=x)):
+            x = solve(x0)
+            start = Iterate(prob, x0.copy())
+            it = solve(start)
+            assert type(x) is np.ndarray and not np.shares_memory(x, x0)
+            assert type(it) is Iterate and it.problem is prob and (it is start) != moves
+            np.testing.assert_array_equal(it.x, x)
+            assert np.array_equal(x, x0) != moves
 
 
 @pytest.mark.parametrize("solver", ["gn_ieks_madmm", "lm_ieks_madmm"])
