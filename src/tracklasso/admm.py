@@ -150,11 +150,14 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
 
     The split is initialised feasibly from x0 (v = u(x0), w = G v, eta = 0);
     x0 defaults to zeros, but callers normally pass an unregularised smoother
-    trajectory.  x_solver(problem, v, eta_bar, gamma, x_warm) maps the
-    models.Iterate of the last x (first, of a copy of x0) to the next, whose
-    model values serve the targets, the data cost and the next x update.
+    trajectory; one that is not (T, n_x) raises ValueError naming x0.
+    x_solver(problem, v, eta_bar, gamma, x_warm) maps the models.Iterate of
+    the last x (first, of a copy of x0) to the next, whose model values
+    serve the targets, the data cost and the next x update.
     Iterations stop at k_max or when both residuals fall below their
     tolerances; x_solver failures are re-raised with the iteration attached.
+    What the x updates keep per (problem, gamma) on problem.kept serves this
+    loop only: it is cleared when the loop returns or raises.
 
     SolveReport.objective and SolveReport.lagrangian hold the objective and
     the augmented Lagrangian after each iteration.  Both are computed from
@@ -170,65 +173,69 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     """
     gamma = opts.gamma
     reg = problem.reg
-    if x0 is None:
-        x0 = np.zeros((problem.T, problem.n_x))
-    it = Iterate(problem, np.array(x0, dtype=float))
-    state = SplitState.feasible(it)
-    factor = v_update_factor(reg) if reg.total_rows else None
+    try:
+        x0 = np.zeros((problem.T, problem.n_x)) if x0 is None else np.array(x0, dtype=float)
+        if x0.shape != (problem.T, problem.n_x):
+            raise ValueError(f"x0: expected shape {(problem.T, problem.n_x)}, got {x0.shape}")
+        it = Iterate(problem, x0)
+        state = SplitState.feasible(it)
+        factor = v_update_factor(reg) if reg.total_rows else None
 
-    obj_hist, lag_hist, rp_hist, rd_hist, sec_hist = [], [], [], [], []
-    states = [state.copy()] if record_states else None
-    converged = False
-    k_done = 0
-    for k in range(1, opts.k_max + 1):
-        tic = time.perf_counter()
-        try:
-            it = x_solver(problem, state.v, state.eta_bar, gamma, it)
-        except SingularSystemError as exc:
-            err = SingularSystemError(f"x update failed at ADMM iteration {k}: {exc}")
-            err.iteration = k
-            raise err from exc
-        x = it.x
-        U = problem.u(x, problem.penalty_targets(nominal=it))
-        W = update_w_all(state.v, state.eta_under, reg, gamma)
-        V_prev = state.v
-        V = update_v_all(U, W, state.eta, reg, gamma, factor)
-        eta = update_dual_all(U, W, V, state.eta, reg, gamma)
-        state = SplitState(x=x, w=W, v=V, eta=eta, n_x=problem.n_x)
+        obj_hist, lag_hist, rp_hist, rd_hist, sec_hist = [], [], [], [], []
+        states = [state.copy()] if record_states else None
+        converged = False
+        k_done = 0
+        for k in range(1, opts.k_max + 1):
+            tic = time.perf_counter()
+            try:
+                it = x_solver(problem, state.v, state.eta_bar, gamma, it)
+            except SingularSystemError as exc:
+                err = SingularSystemError(f"x update failed at ADMM iteration {k}: {exc}")
+                err.iteration = k
+                raise err from exc
+            x = it.x
+            U = problem.u(x, problem.penalty_targets(nominal=it))
+            W = update_w_all(state.v, state.eta_under, reg, gamma)
+            V_prev = state.v
+            V = update_v_all(U, W, state.eta, reg, gamma, factor)
+            eta = update_dual_all(U, W, V, state.eta, reg, gamma)
+            state = SplitState(x=x, w=W, v=V, eta=eta, n_x=problem.n_x)
 
-        # taken after the dual update and dropped before the next x update:
-        # those two stages set the loop's memory peak, and the gaps held
-        # there raised a solve's peak RSS
-        gaps = constraint_gaps(U, W, V, reg)
-        r_pri, r_dual = residuals(U, W, V, V_prev, reg, gamma, gaps)
-        sec_hist.append(time.perf_counter() - tic)
-        data = it.data
-        obj_hist.append(objective(problem, x, data, U))
-        lag_hist.append(augmented_lagrangian(problem, state, gamma, data, gaps))
-        del gaps
-        rp_hist.append(r_pri)
-        rd_hist.append(r_dual)
-        if record_states:
-            states.append(state.copy())
-        k_done = k
-        if r_pri <= opts.eps_primal and r_dual <= opts.eps_dual:
-            converged = True
-            break
+            # taken after the dual update and dropped before the next x update:
+            # those two stages set the loop's memory peak, and the gaps held
+            # there raised a solve's peak RSS
+            gaps = constraint_gaps(U, W, V, reg)
+            r_pri, r_dual = residuals(U, W, V, V_prev, reg, gamma, gaps)
+            sec_hist.append(time.perf_counter() - tic)
+            data = it.data
+            obj_hist.append(objective(problem, x, data, U))
+            lag_hist.append(augmented_lagrangian(problem, state, gamma, data, gaps))
+            del gaps
+            rp_hist.append(r_pri)
+            rd_hist.append(r_dual)
+            if record_states:
+                states.append(state.copy())
+            k_done = k
+            if r_pri <= opts.eps_primal and r_dual <= opts.eps_dual:
+                converged = True
+                break
 
-    w_norms = reg.group_norms(state.w) if reg.n_groups else np.zeros((problem.T, 0))
-    return SolveReport(
-        x=state.x,
-        state=state,
-        objective=np.asarray(obj_hist),
-        lagrangian=np.asarray(lag_hist),
-        r_primal=np.asarray(rp_hist),
-        r_dual=np.asarray(rd_hist),
-        seconds=np.asarray(sec_hist),
-        iterations=k_done,
-        converged=converged,
-        zero_groups=w_norms <= opts.zero_tol,
-        states=states,
-    )
+        w_norms = reg.group_norms(state.w) if reg.n_groups else np.zeros((problem.T, 0))
+        return SolveReport(
+            x=state.x,
+            state=state,
+            objective=np.asarray(obj_hist),
+            lagrangian=np.asarray(lag_hist),
+            r_primal=np.asarray(rp_hist),
+            r_dual=np.asarray(rd_hist),
+            seconds=np.asarray(sec_hist),
+            iterations=k_done,
+            converged=converged,
+            zero_groups=w_norms <= opts.zero_tol,
+            states=states,
+        )
+    finally:
+        problem.kept.clear()
 
 
 def omega_norm_sq(dv: np.ndarray, deta: np.ndarray, reg: GroupRegularizer,

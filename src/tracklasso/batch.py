@@ -22,7 +22,7 @@ from scipy.linalg.blas import dtrsv
 
 from .models import SingularSystemError, TrackingProblem, x_subproblem_cost
 from .smoothers import (LMConfig, NormalEquations, damping_inverse, factor_once, linearize,
-                        lm_x_update, noise_precisions, normal_equations)
+                        lm_x_update, normal_equations)
 
 # Re-exported: LMConfig for callers that import it from here, and
 # x_subproblem_cost because bench/tracing.py patches this binding.
@@ -35,9 +35,9 @@ def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Op
     """normal_equations of an affine problem and its penalty targets.
 
     With v None, h leaves out the coupling's part (smoothers.coupled_rhs
-    adds it).  P1, Q and R are factored block by block
-    (smoothers.noise_precisions), so a bad block is named with its step, as
-    on the smoother path.
+    adds it).  P1, Q and R are factored block by block (the model's
+    noise_precisions), so a bad block is named with its step, as on the
+    smoother path.
     """
     model = problem.model
     if not model.is_affine:
@@ -45,7 +45,7 @@ def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Op
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     B, d = problem.penalty_targets()
-    return normal_equations(model, noise_precisions(model), problem.y, B, d, v, eta_bar, gamma)
+    return normal_equations(model, model.noise_precisions, problem.y, B, d, v, eta_bar, gamma)
 
 
 def normal_system(eqs: NormalEquations):
@@ -100,10 +100,11 @@ def batch_x_affine(eqs: NormalEquations) -> np.ndarray:
 
 
 def make_affine_x_solver():
-    """x-update callable for the ADMM loop, caching the factorised normal matrix:
-    smoothers.factor_once with stack_problem, _dense_factor and
-    _back_substitute."""
-    return factor_once(lambda problem, B, gamma: stack_problem(problem, None, None, gamma),
+    """x-update callable for the ADMM loop, keeping the factorised normal
+    matrix in problem.kept's "dense_factor" slot: smoothers.factor_once with
+    stack_problem, _dense_factor and _back_substitute."""
+    return factor_once("dense_factor",
+                       lambda problem, B, gamma: stack_problem(problem, None, None, gamma),
                        lambda eqs: _dense_factor(eqs, "stacked normal matrix"), _back_substitute)
 
 
@@ -132,5 +133,5 @@ def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.n
     smoothers.lm_x_update with the dense solve batch_x_affine, so the
     proposals are batch_lm_step's; an array or an Iterate x0 gives the same
     kind back.  As with lm_ieks, the static part of the
-    equations stays on problem.kept."""
+    equations is kept in problem.kept's "static" slot."""
     return lm_x_update(problem, v, eta_bar, gamma, x0, cfg, trace, lambda_trace, batch_x_affine)

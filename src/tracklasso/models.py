@@ -16,13 +16,14 @@ as single matrices and are kept as zero-copy broadcast views of shape
 Every covariance block (Q, R, P1, and in the smoothers each fused block and
 the damping metric) is factored by one rule, spd_factor, whose error names
 the block: "<name> [at step t] is not positive definite".  A model owns
-P1, Q and R as read-only arrays and factors each of them once: while it
-validates them, else on first use (noise_factors).
+its arrays, read-only, and factors each covariance once: while it validates
+them, else on first use (NoiseModel.noise_factors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -159,26 +160,9 @@ def owned(arr) -> np.ndarray:
     return freeze(arr.copy())
 
 
-def noise_factors(model: "Model"):
-    """Lower Cholesky factors of P1 (as a one-step stack), of Q[1:] and of R,
-    each stack compacted to one step when time-invariant, through
-    spd_factor: a bad block raises "<P1|Q|R> at step t is not positive
-    definite", with t counted as in the model.  A validated model keeps the
-    factors its validation computed; a model built with validate=False
-    computes them on first use.  Either way they are kept on the model,
-    read-only like its P1, Q and R, so each block is factored once."""
-    kept = model.noise_kept
-    if "factors" not in kept:
-        kept["factors"] = tuple(freeze(L) for L in (
-            spd_factor(model.P1[None], "P1", [0]),
-            spd_factor(compact(model.Q[1:]), "Q", range(1, model.T)),
-            spd_factor(compact(model.R), "R", range(model.T))))
-    return kept["factors"]
-
-
 def _half_weighted_sq(res: np.ndarray, L: np.ndarray) -> float:
     """0.5 * sum_t res_t' (L_t L_t')^{-1} res_t for a stack L of
-    noise_factors: one block for every row of res, or one per row.  A
+    NoiseModel.noise_factors: one block for every row of res, or one per row.  A
     non-finite residual gives a nan or inf sum on both layouts."""
     if res.shape[0] == 0:
         return 0.0
@@ -193,8 +177,37 @@ def _half_weighted_sq(res: np.ndarray, L: np.ndarray) -> float:
     return 0.5 * float((z * z).sum())
 
 
+class NoiseModel:
+    """What AffineModel and NonlinearModel share: the prior (m1, P1), the
+    noise stacks Q and R, and their factors and precisions, each computed
+    once, on first use, and kept on the model, read-only like its P1, Q and
+    R.  A validated model pre-sets the factors its validation computed."""
+
+    @property
+    def n_x(self) -> int:
+        return self.m1.shape[0]
+
+    @cached_property
+    def noise_factors(self) -> tuple:
+        """Lower Cholesky factors of P1 (as a one-step stack), of Q[1:] and of
+        R, each stack compacted to one step when time-invariant, through
+        spd_factor: a bad block raises "<P1|Q|R> at step t is not positive
+        definite", with t counted as in the model."""
+        return tuple(freeze(L) for L in (
+            spd_factor(self.P1[None], "P1", [0]),
+            spd_factor(compact(self.Q[1:]), "Q", range(1, self.T)),
+            spd_factor(compact(self.R), "R", range(self.T))))
+
+    @cached_property
+    def noise_precisions(self) -> tuple:
+        """P1^{-1} (1, n, n), Q[1:]^{-1} and R^{-1} in the layout of
+        noise_factors, each L^{-T} L^{-1} of its factor L."""
+        inverses = (np.linalg.inv(L) for L in self.noise_factors)
+        return tuple(freeze(np.swapaxes(Li, -1, -2) @ Li) for Li in inverses)
+
+
 @dataclass(frozen=True, eq=False)
-class AffineModel:
+class AffineModel(NoiseModel):
     """Affine Gaussian state-space model.
 
     x_t = A_t x_{t-1} + b_t + q_t,  q_t ~ N(0, Q_t),  t >= 1
@@ -204,10 +217,10 @@ class AffineModel:
     A, b, Q entries at index 0 are never consulted.  With validate (the
     default) A, b, H and e must be finite and the noise model pass the
     check NonlinearModel also runs; linearisations skip both, and a bad
-    noise block then raises on first use of noise_factors.  P1, Q and R are
-    held read-only and owned (models.owned): an input whose memory could
-    still be written is copied once, only its block when it is broadcast;
-    noise_kept holds their factors, from validation or first use.
+    noise block then raises on first use of noise_factors.  Every array
+    passed in is held read-only and owned (models.owned): an input whose
+    memory could still be written is copied once, only its block when it is
+    broadcast (a linearisation's A, b, H and e are built for it alone).
     """
 
     A: np.ndarray
@@ -220,10 +233,9 @@ class AffineModel:
     P1: np.ndarray
     T: Optional[int] = None
     validate: bool = True
-    noise_kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        m1 = np.asarray(self.m1, dtype=float)
+        m1 = owned(self.m1)
         P1 = owned(self.P1)
         n = m1.shape[0]
         T = self.T
@@ -236,10 +248,10 @@ class AffineModel:
                     break
             else:
                 raise ValueError("T cannot be inferred; pass it explicitly")
-        A = per_step(self.A, T, 2, "A")
-        b = per_step(self.b, T, 1, "b")
-        H = per_step(self.H, T, 2, "H")
-        e = per_step(self.e, T, 1, "e")
+        A = per_step(owned(self.A), T, 2, "A")
+        b = per_step(owned(self.b), T, 1, "b")
+        H = per_step(owned(self.H), T, 2, "H")
+        e = per_step(owned(self.e), T, 1, "e")
         Q = per_step(owned(self.Q), T, 2, "Q")
         R = per_step(owned(self.R), T, 2, "R")
         n_y = H.shape[1]
@@ -260,14 +272,10 @@ class AffineModel:
             for name, val, start in (("A", A, first), ("b", b, first), ("H", H, 0),
                                      ("e", e, 0)):
                 _check_finite(val, name, start)
-            self.noise_kept["factors"] = tuple(map(freeze, _check_noise(m1, P1, Q, R)))
+            vars(self)["noise_factors"] = tuple(map(freeze, _check_noise(m1, P1, Q, R)))
         for name, val in (("A", A), ("b", b), ("H", H), ("e", e), ("Q", Q), ("R", R),
                           ("m1", m1), ("P1", P1), ("T", int(T))):
             object.__setattr__(self, name, val)
-
-    @property
-    def n_x(self) -> int:
-        return self.m1.shape[0]
 
     @property
     def n_y(self) -> int:
@@ -279,7 +287,7 @@ class AffineModel:
 
 
 @dataclass(frozen=True, eq=False)
-class NonlinearModel:
+class NonlinearModel(NoiseModel):
     """State-space model with time-stacked transition and measurement callables.
 
     Each callable evaluates k steps at once: it takes an int step array
@@ -295,8 +303,8 @@ class NonlinearModel:
     symmetric, positive definite P1, Q and R), then calls each callable
     once, on every step it serves with the prior mean m1 as the state, and
     raises ValueError naming the callable whose output has the wrong shape
-    or a non-finite value.  P1, Q and R are owned and read-only, and their
-    factors kept, as in a validated AffineModel.
+    or a non-finite value.  m1, P1, Q and R are owned and read-only, and
+    their factors kept, as in a validated AffineModel.
     """
 
     transition: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -308,19 +316,18 @@ class NonlinearModel:
     m1: np.ndarray
     P1: np.ndarray
     T: int = 0
-    noise_kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be a positive step count")
-        m1 = np.asarray(self.m1, dtype=float)
+        m1 = owned(self.m1)
         P1 = owned(self.P1)
         n = m1.shape[0]
         Q = per_step(owned(self.Q), self.T, 2, "Q")
         R = per_step(owned(self.R), self.T, 2, "R")
         if Q.shape[1:] != (n, n) or P1.shape != (n, n) or R.shape[1] != R.shape[2]:
             raise ValueError("Q blocks and P1 must be (n_x, n_x), R blocks square")
-        self.noise_kept["factors"] = tuple(map(freeze, _check_noise(m1, P1, Q, R)))
+        vars(self)["noise_factors"] = tuple(map(freeze, _check_noise(m1, P1, Q, R)))
         for name, val in (("Q", Q), ("R", R), ("m1", m1), ("P1", P1)):
             object.__setattr__(self, name, val)
         n_y, t = R.shape[1], np.arange(self.T)
@@ -340,10 +347,6 @@ class NonlinearModel:
             if not ok.all():
                 raise ValueError(f"{name} returned a non-finite value at step "
                                  f"{steps[np.argmin(ok)]} with the state at m1")
-
-    @property
-    def n_x(self) -> int:
-        return self.m1.shape[0]
 
     @property
     def n_y(self) -> int:
@@ -368,7 +371,9 @@ class GroupRegularizer:
     B_t and d_t so increments are plain states, "process_noise" aims at
     x_t - a_t(x_{t-1}) through the affine approximation of the transition.
     Explicit B (T, n_x, n_x) and d (T, n_x) arrays override the mode when
-    given; their index-0 entries are never consulted.
+    given; their index-0 entries are never consulted.  weights (finite and
+    nonnegative) and G_stack are read-only arrays of their own, and B and d
+    are owned (models.owned), so no write by the caller reaches them.
     """
 
     groups: tuple
@@ -386,11 +391,13 @@ class GroupRegularizer:
         cols = {g.shape[1] for g in groups}
         if len(cols) > 1:
             raise ValueError("group matrices disagree on the state dimension")
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        weights = np.array(self.weights, dtype=float, ndmin=1)
         if weights.shape == (1,) and len(groups) > 1:
             weights = np.full(len(groups), weights[0])
         if weights.shape != (len(groups),):
             raise ValueError("need one weight per group")
+        if not np.isfinite(weights).all():
+            raise ValueError("weights: group weights must be finite")
         # zero is allowed so a penalty can be switched off per group
         if np.any(weights < 0):
             raise ValueError("group weights must be nonnegative")
@@ -406,10 +413,11 @@ class GroupRegularizer:
         for g in groups:
             slices.append(slice(offset, offset + g.shape[0]))
             offset += g.shape[0]
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "G_stack", stack)
-        object.__setattr__(self, "slices", tuple(slices))
+        for name, val in (("groups", groups), ("weights", freeze(weights)),
+                          ("G_stack", freeze(stack)), ("slices", tuple(slices)),
+                          ("B", None if self.B is None else owned(self.B)),
+                          ("d", None if self.d is None else owned(self.d))):
+            object.__setattr__(self, name, val)
 
     @property
     def n_groups(self) -> int:
@@ -601,18 +609,33 @@ def sparsity_target(model: Model, mode: str, nominal=None):
     return nominal.Jd if isinstance(nominal, Iterate) else transition_linearization(model, nominal)
 
 
+def keep(kept: dict, slot: str, key, build: Callable):
+    """The one rule of every per-(problem, gamma) part: kept[slot] holds
+    (key, build()), built on first use and again whenever key differs from
+    the key it was built for; returns the built value."""
+    entry = kept.get(slot)
+    if entry is None or entry[0] != key:
+        entry = kept[slot] = (key, build())
+    return entry[1]
+
+
 @dataclass(frozen=True, eq=False)
 class TrackingProblem:
-    """A model, a group penalty, and the observed measurement sequence."""
+    """A model, a group penalty, and the observed measurement sequence.
+
+    y is owned (models.owned), so, with the model's and the penalty's own
+    arrays, nothing the x updates keep per (problem, gamma) on kept (one
+    slot per engine, models.keep) can go stale; run_madmm clears kept when
+    it returns or raises.
+    """
 
     model: Model
     reg: GroupRegularizer
     y: np.ndarray
-    # solve-scoped: the smoothers' static part
     kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
+        y = owned(self.y)
         if y.ndim != 2:
             raise ValueError("y must have shape (T, n_y)")
         if y.shape[0] != self.model.T:
@@ -665,24 +688,6 @@ def _apply(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("tij,tj->ti", M, x)
 
 
-def per_problem(build: Callable) -> Callable:
-    """Keep build(problem, gamma, *args) for the last (problem, gamma) only.
-
-    The kept problem is held by reference and matched with ``is``, gamma by
-    value, so a problem built after the kept one was dropped can never be
-    served its result (an ``id`` key could be reused).  The extra arguments
-    feed a rebuild and are not part of the key.
-    """
-    last = None
-
-    def kept(problem, gamma, *args):
-        nonlocal last
-        if last is None or last[0] is not problem or last[1] != gamma:
-            last = (problem, gamma, build(problem, gamma, *args))
-        return last[2]
-    return kept
-
-
 def prior_mean_trajectory(model: Model) -> np.ndarray:
     """Deterministic trajectory from propagating the prior mean, used as a default start."""
     x = np.empty((model.T, model.n_x))
@@ -720,7 +725,7 @@ def data_cost(problem: TrackingProblem, x) -> float:
     else:
         r_meas = problem.y - it.h
         r_dyn[1:] = x[1:] - it.a
-    P1_f, Q_f, R_f = noise_factors(model)
+    P1_f, Q_f, R_f = model.noise_factors
     cost = _half_weighted_sq(r_meas, R_f)
     cost += _half_weighted_sq(r_dyn[:1], P1_f)
     cost += _half_weighted_sq(r_dyn[1:], Q_f)

@@ -38,24 +38,17 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs, dtrtrs
 
 from .models import (AffineModel, GroupRegularizer, Iterate, Model, SingularSystemError,
-                     TrackingProblem, compact, freeze, jacobian_stack, noise_factors,
-                     per_problem, per_step, prior_mean_trajectory, spd_factor,
-                     time_invariant, transition_linearization, x_subproblem_cost)
+                     TrackingProblem, compact, freeze, jacobian_stack, keep, per_step,
+                     prior_mean_trajectory, spd_factor, time_invariant,
+                     transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
-
-
-def _inverse(L: np.ndarray) -> np.ndarray:
-    """Inverses L^{-T} L^{-1} of the matrices whose Cholesky factors are L
-    (from spd_factor, so a block that does not factor is already named)."""
-    Li = np.linalg.inv(L)
-    return np.swapaxes(Li, -1, -2) @ Li
 
 
 def _fuse(Qi, A, b, B, d, v, eta, gamma: float):
     """Fuse k steps with the penalty coupling, returning stacked (A~, b~, Q~).
 
-    With Qi = Q^{-1} (a noise_precisions stack): Q~ = (Qi + gamma I)^{-1},
+    With Qi = Q^{-1} (a model's noise_precisions stack): Q~ = (Qi + gamma I)^{-1},
     A~ = Q~ (Qi A + gamma B) and b~ = Q~ (Qi b + gamma (d + v) - eta), over
     (k, n, n) and (k, n) stacks.  Broadcast Qi, A and B stacks are fused once.
     """
@@ -91,7 +84,7 @@ def build_fused(model: AffineModel, B, d, V, eta_bar, gamma: float) -> AffineMod
     T, n, m = model.T, model.n_x, model.n_y
     V, eta_bar, B, d = (np.asarray(a, dtype=float) for a in (V, eta_bar, B, d))
     zero, m1 = np.zeros((1, n, n)), model.m1[None]
-    Pi, Qi, _ = noise_precisions(model)
+    Pi, Qi, _ = model.noise_precisions
     prior = _fuse(Pi, zero, m1, zero, m1, V[:1], eta_bar[:1], gamma)
     steps = _fuse(Qi, model.A[1:], model.b[1:], B[1:], d[1:], V[1:], eta_bar[1:], gamma)
     b = np.concatenate([prior[1], steps[1]])
@@ -126,7 +119,7 @@ def _band(sub: np.ndarray, diag: np.ndarray, skeleton=None) -> np.ndarray:
     """LAPACK lower band (2n, T n) of the block tridiagonal matrix of
     T = len(diag) block rows with the lower triangles of diag[t] on the
     diagonal and block (t + 1, t) = -sub[t]; the columns of -sub are copied
-    from skeleton, the band of (sub, 0) kept by _kept_static, if given."""
+    from skeleton, the band of (sub, 0) kept by normal_equations, if given."""
     T, n = diag.shape[:2]
     if skeleton is None:
         ab = np.zeros((T, n, 2 * n))  # the band, column-major
@@ -195,17 +188,6 @@ class NormalEquations:
                                self.skeleton)
 
 
-def noise_precisions(model: Model):
-    """P1^{-1} (1, n, n), Q[1:]^{-1} and R^{-1}, each compacted to one step
-    when time-invariant (models.noise_factors names a bad block).  Like the
-    factors they are derived from, they are computed once and kept on the
-    model."""
-    kept = model.noise_kept
-    if "precisions" not in kept:
-        kept["precisions"] = tuple(freeze(_inverse(L)) for L in noise_factors(model))
-    return kept["precisions"]
-
-
 def static_part(lin: AffineModel, precisions, B, gamma: float):
     """New D_static (T, n, n) and E (T - 1, n, n) of normal_equations: the
     blocks that H does not enter."""
@@ -226,20 +208,17 @@ def static_part(lin: AffineModel, precisions, B, gamma: float):
 
 
 def _kept_static(kept: dict, lin: AffineModel, precisions, B, gamma: float):
-    """kept's (D_static, E, band skeleton), built on first use and again at
-    another gamma, or None (assemble fresh) unless A and B are one block each
-    and equal bit for bit to the blocks the kept part was built from."""
+    """kept's "static" slot (models.keep): (D_static, E, band skeleton) keyed
+    by gamma and the bytes of the A and B blocks, or None (assemble fresh)
+    unless A and B are one block each."""
     A, Bn = lin.A[1:], (B if gamma > 0 else lin.A)[1:]  # B does not enter at gamma = 0
     if not (len(A) and time_invariant(A) and time_invariant(Bn)):
         return None
-    key = (gamma, A[0].tobytes(), Bn[0].tobytes())
-    part = kept.get("static")
-    if part is None or part[0][0] != gamma:
+
+    def build():
         D, E = static_part(lin, precisions, B, gamma)
-        part = kept["static"] = (key, freeze(D), freeze(E), _band(E, np.zeros_like(D)))
-    elif part[0] != key:
-        return None
-    return part[1:]
+        return freeze(D), freeze(E), _band(E, np.zeros_like(D))
+    return keep(kept, "static", (gamma, A[0].tobytes(), Bn[0].tobytes()), build)
 
 
 def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None,
@@ -257,8 +236,9 @@ def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None
     without evidence rows.  D, E and, with v None, h depend only on
     (problem, gamma); coupled_rhs adds the rest.  A time-invariant
     (broadcast) stack enters its products once.  kept (a TrackingProblem's)
-    keeps D_static, E and their band per gamma while the A and B blocks
-    keep their bytes (_kept_static): the same D, E and h bit for bit.
+    keeps D_static, E and their band in its "static" slot, rebuilt when
+    gamma or the bytes of the one-block A and B change (_kept_static): the
+    same D, E and h bit for bit.
     """
     Pi, Qi, Ri = precisions
     A, b, H, m1 = compact(lin.A[1:]), compact(lin.b[1:]), compact(lin.H), lin.m1
@@ -320,14 +300,14 @@ def augmented_ks(eqs: NormalEquations, factor: Optional[np.ndarray] = None) -> n
     return dpbtrs(factor, eqs.h.reshape(-1, 1), lower=1)[0].reshape(eqs.h.shape)
 
 
-def factor_once(assemble: Callable, factor: Callable, solve: Callable):
-    """x update solver(problem, V, eta_bar, gamma, x_warm) of an affine problem
-    that factors its matrix once per (problem, gamma) (models.per_problem):
-    it keeps the penalty targets (B, d), h0 = assemble(problem, B, gamma).h
-    (no coupling) and factor(eqs), and each call returns solve(factor, h0
-    plus the coupling's part), the fresh solve's x bit for bit (its Iterate
-    for an Iterate x_warm)."""
-    @per_problem
+def factor_once(slot: str, assemble: Callable, factor: Callable, solve: Callable):
+    """Stateless x update solver(problem, V, eta_bar, gamma, x_warm) of an
+    affine problem that factors its matrix once per (problem, gamma): the
+    penalty targets (B, d), h0 = assemble(problem, B, gamma).h (no coupling)
+    and factor(eqs) are kept in problem.kept[slot], keyed by gamma
+    (models.keep), and each call returns solve(factor, h0 plus the
+    coupling's part), the fresh solve's x bit for bit (its Iterate for an
+    Iterate x_warm)."""
     def factored(problem, gamma):
         if not problem.is_affine:
             raise ValueError("a factor-once x update needs an affine model")
@@ -336,7 +316,7 @@ def factor_once(assemble: Callable, factor: Callable, solve: Callable):
         return B, d, eqs.h, factor(eqs)
 
     def solver(problem, V, eta_bar, gamma, x_warm):
-        B, d, h0, f = factored(problem, gamma)
+        B, d, h0, f = keep(problem.kept, slot, gamma, lambda: factored(problem, gamma))
         x = solve(f, coupled_rhs(h0, coupling(B, d, V, eta_bar, gamma, problem.model.m1)))
         return Iterate(problem, x) if isinstance(x_warm, Iterate) else x
 
@@ -346,7 +326,7 @@ def factor_once(assemble: Callable, factor: Callable, solve: Callable):
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     """Smoother mean (T, n_x) on an affine model with no penalty coupling,
     one banded solve of its normal_equations (to rounding rts_smoother)."""
-    return augmented_ks(normal_equations(model, noise_precisions(model), y))
+    return augmented_ks(normal_equations(model, model.noise_precisions, y))
 
 
 def linearize(model: Model, nominal) -> AffineModel:
@@ -361,7 +341,7 @@ def linearize(model: Model, nominal) -> AffineModel:
     (A, b) read from nominal when it is an Iterate; a constant Jacobian kept
     as one block).  A non-finite output raises ValueError naming the
     callable (Jacobians first) and step.  The linearisation
-    shares the model's read-only P1, Q and R, and with them the noise
+    shares the model's read-only m1, P1, Q and R, and with them the noise
     factors and precisions kept on the model.
     """
     if model.is_affine:
@@ -386,9 +366,10 @@ def linearize(model: Model, nominal) -> AffineModel:
                 ok = np.isfinite(arr[first:].reshape(T - first, -1)).all(axis=1)
                 raise ValueError(f"{name} returned a non-finite value at step "
                                  f"{first + np.argmin(ok)}")
-    lin = object.__new__(AffineModel)  # every array is shaped; P1, Q and R are owned
+    lin = object.__new__(AffineModel)  # every array is shaped; m1, P1, Q and R are owned
     vars(lin).update(A=A, b=b, H=H, e=e, Q=model.Q, R=model.R, m1=model.m1, P1=model.P1,
-                     T=T, validate=False, noise_kept=model.noise_kept)
+                     T=T, validate=False, noise_factors=model.noise_factors,
+                     noise_precisions=model.noise_precisions)
     return lin
 
 
@@ -538,12 +519,12 @@ def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     Sarkka and Svensson, ICASSP 2020) adds lambda S^{-1} on the diagonal and
     lambda S^{-1} x in h.  The equations are kept per iterate (a rejected
     step only adds the damping again), the coupling's part of h per targets
-    pair, and on problem.kept the static part per gamma (normal_equations'
-    kept).
+    pair, and the static part in problem.kept's "static" slot
+    (normal_equations' kept).
     """
     cfg = cfg or LMConfig()
     model = problem.model
-    precisions = noise_precisions(model)
+    precisions = model.noise_precisions
     start = x0 if isinstance(x0, Iterate) else Iterate(problem, np.array(
         prior_mean_trajectory(model) if x0 is None else x0, dtype=float))
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None

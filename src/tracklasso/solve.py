@@ -17,7 +17,7 @@ from .admm import MadmmOptions, SolveReport, run_madmm
 from .batch import batch_nonlinear_solve, make_affine_x_solver
 from .models import TrackingProblem
 from .smoothers import (LMConfig, NormalEquations, augmented_ks, band_factor, factor_once,
-                        lm_ieks, noise_precisions, normal_equations, plain_ieks, plain_smoother)
+                        lm_ieks, normal_equations, plain_ieks, plain_smoother)
 
 SOLVERS = ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm", "batch_madmm")
 INITIAL_PASSES = 20  # the cap of the nonlinear initialiser's plain_ieks passes
@@ -33,22 +33,24 @@ def initial_trajectory(problem: TrackingProblem, passes: Optional[list] = None) 
 
 def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
     """Build the x-update callable solver(problem, V, eta_bar, gamma, x_warm),
-    which returns an Iterate for an Iterate x_warm, else an array.
+    which returns an Iterate for an Iterate x_warm, else an array.  It holds
+    no state: what it reuses per (problem, gamma) lives on problem.kept.
 
     Every inner setting comes from one LMConfig, lm_cfg (default LMConfig()).
     The affine engines are smoothers.factor_once: ks_madmm (affine only)
-    with band_factor and augmented_ks, batch_madmm with the dense factor
-    (batch.make_affine_x_solver).  gn_ieks_madmm and lm_ieks_madmm run
-    lm_ieks (GN: lambda0 = 0), and batch_madmm on a nonlinear model the
-    same LM body with the dense solve (batch.batch_nonlinear_solve).
+    with band_factor and augmented_ks in the "band_factor" slot, batch_madmm
+    with the dense factor (batch.make_affine_x_solver).  gn_ieks_madmm and
+    lm_ieks_madmm run lm_ieks (GN: lambda0 = 0), and batch_madmm on a
+    nonlinear model the same LM body with the dense solve
+    (batch.batch_nonlinear_solve).
     """
     cfg = lm_cfg if lm_cfg is not None else LMConfig()
     if solver == "ks_madmm":
         def equations(problem, B, gamma):
-            return normal_equations(problem.model, noise_precisions(problem.model), problem.y,
+            return normal_equations(problem.model, problem.model.noise_precisions, problem.y,
                                     B, gamma=gamma)
-        return factor_once(equations, band_factor,
-                           lambda band, h: augmented_ks(NormalEquations(None, None, h), factor=band))
+        return factor_once("band_factor", equations, band_factor, lambda band, h: augmented_ks(
+            NormalEquations(None, None, h), factor=band))
     if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):
         if solver == "gn_ieks_madmm":
             cfg = replace(cfg, lambda0=0.0)
@@ -78,9 +80,8 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     batch reference accept both affine and nonlinear models.  The inner
     GN/LM settings are lm_cfg, or LMConfig(i_max=i_max) when lm_cfg is None,
     so i_max is read only then.  x0 defaults to initial_trajectory(problem),
-    whose pass count and convergence the report then records.  The static part
-    the iterated smoothers keep on problem.kept is dropped when the solve
-    returns or raises.
+    whose pass count and convergence the report then records.  run_madmm
+    drops what the x updates kept on problem.kept.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
@@ -90,13 +91,10 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     opts = opts if opts is not None else MadmmOptions()
     lm_cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
     passes = None if x0 is not None else []
-    try:
-        if x0 is None:
-            x0 = initial_trajectory(problem, passes)
-        x_solver = make_x_solver(solver, lm_cfg)
-        report = run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)
-    finally:
-        problem.kept.clear()  # the smoothers' static part serves this solve only
+    if x0 is None:
+        x0 = initial_trajectory(problem, passes)
+    report = run_madmm(problem, make_x_solver(solver, lm_cfg), opts, x0=x0,
+                       record_states=record_states)
     if passes is not None:  # an affine model's one pass is exact
         report.initial_passes = 1 if problem.is_affine else len(passes)
         report.initial_converged = problem.is_affine or len(passes) < INITIAL_PASSES

@@ -1,5 +1,6 @@
 """Multi-block ADMM updates and the outer loop."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from tracklasso.models import (
     AffineModel,
     GroupRegularizer,
     Iterate,
+    SingularSystemError,
     SplitState,
     TrackingProblem,
     augmented_lagrangian,
@@ -310,17 +312,77 @@ def test_solve_records_the_initialiser(scenario, seed, passes, converged):
 
 def test_solve_drops_the_kept_static_part():
     """The iterated smoother keeps its static part on the problem during a
-    solve; solve_problem drops it on return, and the iterate is the one the
-    same loop gives with the part still kept."""
+    solve; run_madmm, and so solve_problem, drops it on return, and a second
+    loop on the problem gives the same iterate."""
     data, model = simulate_range(scenario_defaults("range", T=30, seed=2))
     prob = TrackingProblem(model, make_regularizer("group", 4, groups=[[2, 3]]), data.y)
-    opts = MadmmOptions(k_max=3)
+    opts = MadmmOptions(k_max=3, eps_primal=0.0, eps_dual=0.0)
     x0 = initial_trajectory(prob)
     rep = solve_problem(prob, "lm_ieks_madmm", opts=opts, x0=x0)
-    assert "static" not in prob.kept
-    kept = run_madmm(prob, make_x_solver("lm_ieks_madmm"), opts, x0=x0)
-    assert "static" in prob.kept  # the loop alone leaves the part behind
-    np.testing.assert_array_equal(rep.x, kept.x)
+    assert not prob.kept
+    ieks, seen = make_x_solver("lm_ieks_madmm"), []
+
+    def recording(problem, *args):
+        out = ieks(problem, *args)
+        seen.append(set(problem.kept))
+        return out
+    again = run_madmm(prob, recording, opts, x0=x0)
+    assert seen == [{"static"}] * 3 and not prob.kept
+    np.testing.assert_array_equal(rep.x, again.x)
+
+
+@pytest.mark.parametrize("shape", [(28, 4), (29, 3), (29,)])
+def test_an_x0_of_the_wrong_shape_raises_naming_x0(shape):
+    """run_madmm, and so solve_problem, rejects an x0 that is not (T, n_x)
+    with an error naming x0 and both shapes."""
+    data, model = simulate_wiener(scenario_defaults("wiener", T=29, seed=0))
+    prob = TrackingProblem(model, make_regularizer("l2", 4), data.y)
+    msg = re.escape(f"x0: expected shape (29, 4), got {shape}")
+    with pytest.raises(ValueError, match=msg):
+        solve_problem(prob, "ks_madmm", x0=np.zeros(shape))
+    with pytest.raises(ValueError, match=msg):
+        run_madmm(prob, make_x_solver("ks_madmm"), MadmmOptions(), x0=np.zeros(shape))
+
+
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+def test_two_engines_share_one_problem(target_mode):
+    """ks_madmm's factor slot and gn_ieks_madmm's static slot share
+    problem.kept: x updates alternated between the two engines on one Wiener
+    problem give the same x bit for bit at every call, and so does a loop
+    that alternates them.  run_madmm leaves kept empty when it returns and
+    when it raises."""
+    data, model = simulate_wiener(scenario_defaults("wiener", T=40, seed=3))
+    prob = TrackingProblem(model, make_regularizer("l2", 4, target_mode=target_mode), data.y)
+    ks, gn = make_x_solver("ks_madmm"), make_x_solver("gn_ieks_madmm")
+    x0 = initial_trajectory(prob)
+    it = Iterate(prob, x0)
+    rng = np.random.default_rng(11)
+    for gamma in (1.0, 1.0, 0.5, 1.0):
+        V, eta = rng.normal(size=(2, prob.T, 4))
+        for first, second in ((ks, gn), (gn, ks)):
+            a, b = first(prob, V, eta, gamma, it), second(prob, V, eta, gamma, it)
+            np.testing.assert_array_equal(a.x, b.x)
+        assert set(prob.kept) == {"band_factor", "static"}
+        it = a
+    calls = []
+
+    def alternating(problem, *args):
+        calls.append(None)
+        return (ks if len(calls) % 2 else gn)(problem, *args)
+
+    opts = MadmmOptions(k_max=4, eps_primal=0.0, eps_dual=0.0)
+    rep = run_madmm(prob, alternating, opts, x0=x0)
+    assert not prob.kept
+    np.testing.assert_array_equal(rep.x, run_madmm(prob, ks, opts, x0=x0).x)
+
+    def failing(problem, *args):
+        ks(problem, *args)
+        gn(problem, *args)
+        raise SingularSystemError("stop")
+
+    with pytest.raises(SingularSystemError, match="stop"):
+        run_madmm(prob, failing, opts, x0=x0)
+    assert not prob.kept
 
 
 CALLABLES = ("transition", "transition_jacobian", "measurement", "measurement_jacobian")

@@ -226,7 +226,7 @@ def test_affine_x_solver_never_serves_a_dropped_problem():
 
 def test_ks_x_solver_never_serves_a_dropped_problem():
     # the smoother engine keeps its band factor under the same rule
-    from tracklasso.smoothers import augmented_ks, noise_precisions, normal_equations
+    from tracklasso.smoothers import augmented_ks, normal_equations
     from tracklasso.solve import make_x_solver
 
     solver = make_x_solver("ks_madmm")
@@ -236,7 +236,7 @@ def test_ks_x_solver_never_serves_a_dropped_problem():
         V = rng.normal(size=(6, 2))
         eta = rng.normal(size=(6, 2))
         B, d = prob.penalty_targets()
-        want = augmented_ks(normal_equations(prob.model, noise_precisions(prob.model),
+        want = augmented_ks(normal_equations(prob.model, prob.model.noise_precisions,
                                              prob.y, B, d, V, eta, 1.0))
         got = solver(prob, V, eta, 1.0, None)
         np.testing.assert_array_equal(got, want, err_msg=f"problem {i}")

@@ -12,6 +12,7 @@ from tracklasso.models import (
     REGULARIZER_KINDS,
     TARGET_MODES,
     AffineModel,
+    GroupRegularizer,
     Iterate,
     NonlinearModel,
     SingularSystemError,
@@ -21,7 +22,6 @@ from tracklasso.models import (
     compact,
     data_cost,
     make_regularizer,
-    noise_factors,
     objective,
     penalty_value,
     sparsity_target,
@@ -100,8 +100,8 @@ def check_data_cost_and_factors(T, per_step_Q, per_step_R):
         q = x[t] - A @ x[t - 1] - model.b[t]
         want += 0.5 * q @ np.linalg.solve(model.Q[t], q)
     assert data_cost(prob, x) == pytest.approx(want, rel=1e-12, abs=0.0)
-    kept = noise_factors(model)
-    assert noise_factors(model) is kept
+    kept = model.noise_factors
+    assert model.noise_factors is kept
     fresh = [np.linalg.cholesky(a) for a in (model.P1[None], compact(model.Q[1:]),
                                              compact(model.R))]
     for got, ref in zip(kept, fresh):
@@ -428,3 +428,31 @@ def test_affine_model_ignores_unused_transition_entries():
         inputs[name] = inputs[name].copy()
         inputs[name][0] = np.nan
     AffineModel(**inputs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_group_weights_raise_naming_weights(bad):
+    """A nan or infinite weight fails at construction, naming weights,
+    instead of a solve with a nan or inf objective."""
+    with pytest.raises(ValueError, match="^weights: group weights must be finite$"):
+        make_regularizer("l2", 4, weights=bad)
+    with pytest.raises(ValueError, match="^weights: "):
+        make_regularizer("lasso", 2, weights=[1.0, bad])
+
+
+def test_regularizer_owns_its_arrays():
+    """weights and G_stack are read-only arrays of the regulariser's own, and
+    B and d owned copies, so a later write into the caller's arrays changes
+    nothing and a write through the regulariser raises."""
+    weights, B, d = np.array([1.0, 2.0]), np.eye(2), np.zeros(2)
+    rows = np.eye(2)
+    reg = GroupRegularizer(groups=(rows[:1], rows[1:]), weights=weights, B=B, d=d)
+    for arr in (weights, B, d, rows):
+        arr[...] = 7.0
+    np.testing.assert_array_equal(reg.weights, [1.0, 2.0])
+    np.testing.assert_array_equal(reg.G_stack, np.eye(2))
+    np.testing.assert_array_equal(reg.B, np.eye(2))
+    np.testing.assert_array_equal(reg.d, np.zeros(2))
+    for arr in (reg.weights, reg.G_stack, reg.B, reg.d):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0

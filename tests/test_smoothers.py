@@ -40,7 +40,6 @@ from tracklasso.smoothers import (
     gauss_newton,
     linearize,
     lm_ieks,
-    noise_precisions,
     normal_equations,
     plain_ieks,
     plain_smoother,
@@ -225,7 +224,7 @@ def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ, per
     B, d = prob.penalty_targets()
 
     def assemble():
-        return normal_equations(model, noise_precisions(model), prob.y, B, d, V, eta, gamma)
+        return normal_equations(model, model.noise_precisions, prob.y, B, d, V, eta, gamma)
 
     eqs = assemble()
     if damping is None:
@@ -272,7 +271,7 @@ def test_band_factor_serves_every_coupling_of_its_problem(seed, T, n_x, n_y, per
     solver = make_x_solver("ks_madmm")
     first = solver(prob, V, eta, gamma, None)
     x = solver(prob, V2, eta2, gamma, None)
-    fresh = normal_equations(prob.model, noise_precisions(prob.model), prob.y,
+    fresh = normal_equations(prob.model, prob.model.noise_precisions, prob.y,
                              B, d, V2, eta2, gamma)
     np.testing.assert_array_equal(x, augmented_ks(fresh))
     assert not np.array_equal(x, first)
@@ -435,7 +434,7 @@ def _unshared_lm_ieks(problem, v, eta_bar, gamma, x0, cfg):
     """lm_ieks as it was before the model values and the coupling were
     shared: each proposal linearises and assembles from scratch at the
     iterate's bare x and each cost evaluates the model again."""
-    precisions = noise_precisions(problem.model)
+    precisions = problem.model.noise_precisions
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x)
 
     def propose(x, targets, lam):
@@ -484,7 +483,7 @@ def test_constant_transition_jacobian_is_one_block():
         lin = linearize(model, x)
         assert time_invariant(lin.A) == (model is prob.model)
         B, d = TrackingProblem(model=model, reg=prob.reg, y=prob.y).penalty_targets(x)
-        eqs.append(normal_equations(lin, noise_precisions(model), prob.y, B, d, V, eta, 1.0))
+        eqs.append(normal_equations(lin, model.noise_precisions, prob.y, B, d, V, eta, 1.0))
     assert np.array_equal(linearize(prob.model, x).A[1:], linearize(copied, x).A[1:])
     for name in ("D", "E", "h"):
         assert np.array_equal(getattr(eqs[0], name), getattr(eqs[1], name))
@@ -643,7 +642,7 @@ def test_steady_state_shortcut_matches_batch(target_mode, gamma, damped):
     B, d = prob.penalty_targets()
     if damped:
         lam, x, s_cov = 0.5, rng.normal(size=(T, 4)), np.diag([1.0, 2.0, 0.5, 1.0])
-        eqs = normal_equations(prob.model, noise_precisions(prob.model), prob.y,
+        eqs = normal_equations(prob.model, prob.model.noise_precisions, prob.y,
                                B, d, V, eta, gamma)
         x_ks = augmented_ks(eqs.damped(lam, np.linalg.inv(s_cov), x))
         x_batch = batch_lm_step(prob, x, V, eta, gamma, lam, s_cov)
@@ -667,10 +666,36 @@ def test_shortcut_resumes_when_the_inputs_change():
     np.testing.assert_allclose(x_ks, x_batch, rtol=1e-8, atol=1e-8)
 
 
+@pytest.mark.parametrize("edit", ["y", "m1", "A", "e"])
+def test_reused_problem_is_not_stale_after_an_in_place_edit(edit):
+    """The problem owns y and the model its arrays, so a write into the
+    caller's array after a ks_madmm x update reaches neither: the x update
+    that reuses the factor and h kept on the problem gives the x of a fresh
+    solver on the problem with nothing kept, bit for bit."""
+    T = 30
+    data, model = simulate_wiener(scenario_defaults("wiener", T=T, seed=0))
+    given = {"y": np.array(data.y), "m1": np.array(model.m1),
+             "A": np.array(model.A[0]), "e": np.array(model.e[0])}
+    prob = TrackingProblem(model=replace(model, m1=given["m1"], A=given["A"], e=given["e"]),
+                           y=given["y"],
+                           reg=make_regularizer("l2", 4, target_mode="process_noise"))
+    rng = np.random.default_rng(6)
+    V, eta = rng.normal(size=(2, T, 4))
+    solver = make_x_solver("ks_madmm")
+    before = solver(prob, V, eta, 1.0, None)
+    given[edit][...] += 0.5 if edit == "A" else 1.0
+    reused = solver(prob, V, eta, 1.0, None)
+    prob.kept.clear()
+    fresh = make_x_solver("ks_madmm")(prob, V, eta, 1.0, None)
+    np.testing.assert_array_equal(reused, fresh)
+    np.testing.assert_array_equal(reused, before)
+
+
 def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
     """A k-iteration ks_madmm solve runs two band factorisations, the
     initial pass and the first x update; a new gamma or a new problem object
-    (even one equal to the old) factors again."""
+    (even one equal to the old) factors again, and a problem keeps its own
+    factor while another is solved."""
     T = 300
     prob = wiener_problem(T, "state")
     calls = count_factorisations(monkeypatch)
@@ -678,7 +703,7 @@ def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
     initial, calls[0] = calls[0], 0
     B, d = prob.penalty_targets()
     z = np.zeros((T, 4))
-    augmented_ks(normal_equations(prob.model, noise_precisions(prob.model), prob.y,
+    augmented_ks(normal_equations(prob.model, prob.model.noise_precisions, prob.y,
                                   B, d, z, z, 1.0))
     sweep, calls[0] = calls[0], 0
     for k in (1, 5):
@@ -696,7 +721,7 @@ def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
         solver(problem, rng.normal(size=(T, 4)), rng.normal(size=(T, 4)), gamma, None)
         swept.append(calls[0] > 0)
         calls[0] = 0
-    assert swept == [True, False, True, False, True, False, True]
+    assert swept == [True, False, True, False, True, False, False]
 
 
 def test_affine_gauss_newton_stops_after_one_proposal(monkeypatch):
@@ -971,8 +996,9 @@ def test_gauss_newton_returns_x0_itself_when_no_proposal_is_accepted():
 
 def test_direct_lm_ieks_calls_get_no_seed_even_after_an_in_place_write():
     """Model values cross x updates only inside run_madmm: after a loop on
-    the problem, and after writing into a returned x, a direct lm_ieks call
-    gives a fresh problem's x bit for bit and never returns its x0."""
+    the problem (which leaves nothing kept on it), and after writing into a
+    returned x, a direct lm_ieks call gives a fresh problem's x bit for bit
+    and never returns its x0."""
     cfg = LMConfig(i_max=5, step_tol=0.0)
     prob = range_problem(seed=2, T=20)
     rng = np.random.default_rng(8)
@@ -980,7 +1006,7 @@ def test_direct_lm_ieks_calls_get_no_seed_even_after_an_in_place_write():
     x0 = initial_trajectory(prob)
     rep = run_madmm(prob, make_x_solver("lm_ieks_madmm"),
                     MadmmOptions(k_max=3, eps_primal=0.0, eps_dual=0.0), x0=x0)
-    assert set(prob.kept) == {"static"}
+    assert not prob.kept
     for x in (rep.x, lm_ieks(prob, V, eta, 1.0, x0, cfg)):
         x[4:] += 0.3
         again = lm_ieks(prob, V, eta, 1.0, x, cfg)
@@ -1037,7 +1063,7 @@ def test_kept_static_part_gives_the_fresh_equations_and_band(target_mode):
     skeleton) gives the fresh normal equations and band factor bit for bit,
     at the iterate it was kept at and at another one."""
     prob = range_problem(seed=2, T=20, target_mode=target_mode)
-    precisions = noise_precisions(prob.model)
+    precisions = prob.model.noise_precisions
     x = initial_trajectory(prob)
     rng = np.random.default_rng(7)
     for nominal in (x, x + 0.1 * rng.normal(size=x.shape)):
