@@ -57,7 +57,7 @@ class SolveReport:
     lagrangian: np.ndarray
     r_primal: np.ndarray
     r_dual: np.ndarray
-    seconds: np.ndarray
+    seconds: np.ndarray  # each iteration's wall time, its diagnostics included
     iterations: int
     converged: bool
     zero_groups: np.ndarray
@@ -206,11 +206,11 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
             # there raised a solve's peak RSS
             gaps = constraint_gaps(U, W, V, reg)
             r_pri, r_dual = residuals(U, W, V, V_prev, reg, gamma, gaps)
-            sec_hist.append(time.perf_counter() - tic)
             data = it.data
             obj_hist.append(objective(problem, x, data, U))
             lag_hist.append(augmented_lagrangian(problem, state, gamma, data, gaps))
             del gaps
+            sec_hist.append(time.perf_counter() - tic)
             rp_hist.append(r_pri)
             rd_hist.append(r_dual)
             if record_states:

@@ -45,7 +45,7 @@ def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Op
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     B, d = problem.penalty_targets()
-    return normal_equations(model, model.noise_precisions, problem.y, B, d, v, eta_bar, gamma)
+    return normal_equations(model, problem.y, B, d, v, eta_bar, gamma)
 
 
 def normal_system(eqs: NormalEquations):

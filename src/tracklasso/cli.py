@@ -4,7 +4,8 @@ The fields of RunConfig are the one option table: each is a simulate/solve
 flag and a key of the flat key=value config file.  Explicit flags win over
 file entries, which win over per-scenario defaults.  All commands are
 deterministic given config plus seed (timings excepted).  Exit codes:
-0 success, 1 verification failure, 2 solver/runtime error, 64 usage error.
+0 success, 1 verification failure, 2 solver/runtime error (one error line),
+64 usage error.
 """
 
 from __future__ import annotations
@@ -352,11 +353,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     problem = build_problem(cfg, data, model)
     opts = MadmmOptions(gamma=cfg.gamma, k_max=cfg.kmax)
     lm_cfg = LMConfig(lambda0=cfg.lambda0, alpha=cfg.alpha, i_max=cfg.imax)
-    try:
-        report = solve_problem(problem, solver=cfg.solver, opts=opts, lm_cfg=lm_cfg)
-    except (SingularSystemError, np.linalg.LinAlgError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    report = solve_problem(problem, solver=cfg.solver, opts=opts, lm_cfg=lm_cfg)
     out = Path(cfg.out)
     write_report(out, cfg, problem, data, report)
     msg = (f"{cfg.solver}: {report.iterations} iterations, "
@@ -431,10 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"tracklasso: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"tracklasso: error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError, SingularSystemError, ArithmeticError) as exc:
         print(f"tracklasso: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     parser.error(f"unknown command {args.command!r}")

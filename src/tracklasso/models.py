@@ -16,8 +16,8 @@ as single matrices and are kept as zero-copy broadcast views of shape
 Every covariance block (Q, R, P1, and in the smoothers each fused block and
 the damping metric) is factored by one rule, spd_factor, whose error names
 the block: "<name> [at step t] is not positive definite".  A model owns
-its arrays, read-only, and factors each covariance once: while it validates
-them, else on first use (NoiseModel.noise_factors).
+its arrays, read-only; its noise factors have one producer,
+NoiseModel.noise_factors, read by validation, the assembly and the simulators.
 """
 
 from __future__ import annotations
@@ -106,11 +106,10 @@ def _check_finite(arr: np.ndarray, name: str, start: int = 0, stepped: bool = Tr
     raise ValueError(f"{name}: non-finite value at step {t}")
 
 
-def _check_covariance(covs: np.ndarray, name: str, start: int = 0) -> np.ndarray:
+def _check_covariance(covs: np.ndarray, name: str, start: int = 0) -> None:
     """One matrix, or every step from start on of a stack (a broadcast stack
-    once), must be finite, symmetric to 1e-8 relative and positive definite.
-    Returns the lower Cholesky factors of the checked blocks as a stack (one
-    block for one matrix or a broadcast stack)."""
+    once), must be finite and symmetric to 1e-8 relative; whether it is
+    positive definite is noise_factors' check."""
     one = covs.ndim == 2
     _check_finite(covs, name, start, stepped=not one)
     if not one and time_invariant(covs):
@@ -121,20 +120,6 @@ def _check_covariance(covs: np.ndarray, name: str, start: int = 0) -> np.ndarray
     if asym.any():
         where = "" if one else f" at step {start + int(np.argmax(asym))}"
         raise ValueError(f"{name}{where} is not symmetric")
-    L = spd_factor(blocks, name, None if one else range(start, len(covs)))
-    return L[None] if one else L
-
-
-def _check_noise(m1: np.ndarray, P1: np.ndarray, Q: np.ndarray, R: np.ndarray) -> tuple:
-    """Validate the noise model that both model classes share: a finite m1,
-    and P1, every used step of Q (index 0 is never consulted when T > 1) and
-    every step of R through _check_covariance.  Returns their factors in the
-    layout of noise_factors (no Q factor when T = 1)."""
-    _check_finite(m1, "m1", stepped=False)
-    P1_f = _check_covariance(P1, "P1")
-    Q_f = _check_covariance(Q, "Q", start=1 if len(Q) > 1 else 0)
-    R_f = _check_covariance(R, "R")
-    return P1_f, Q_f if len(Q) > 1 else Q_f[:0], R_f
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -178,10 +163,34 @@ def _half_weighted_sq(res: np.ndarray, L: np.ndarray) -> float:
 
 
 class NoiseModel:
-    """What AffineModel and NonlinearModel share: the prior (m1, P1), the
-    noise stacks Q and R, and their factors and precisions, each computed
-    once, on first use, and kept on the model, read-only like its P1, Q and
-    R.  A validated model pre-sets the factors its validation computed."""
+    """What AffineModel and NonlinearModel share: the prior (m1, P1) and the
+    noise stacks Q and R, owned and checked by one constructor step
+    (_own_noise), and their factors and precisions, each computed once, on
+    first use, and kept on the model, read-only like its P1, Q and R."""
+
+    def _own_noise(self, T: int, validate: bool) -> None:
+        """Own m1, P1 and the (T, ...) stacks Q and R (models.owned) and check
+        their shapes; with validate, check m1, P1, the used steps of Q and R
+        finite and symmetric (_check_covariance), then factor them (noise_factors)."""
+        m1, P1 = owned(self.m1), owned(self.P1)
+        Q, R = per_step(owned(self.Q), T, 2, "Q"), per_step(owned(self.R), T, 2, "R")
+        if m1.ndim != 1:
+            raise ValueError(f"m1: expected one axis, got shape {m1.shape}")
+        n = m1.shape[0]
+        if P1.shape != (n, n):
+            raise ValueError(f"P1: expected ({n}, {n}), got {P1.shape}")
+        if Q.shape[1:] != (n, n):
+            raise ValueError(f"Q: expected ({n}, {n}) blocks, got {Q.shape[1:]}")
+        if R.shape[1] != R.shape[2]:
+            raise ValueError(f"R: expected square blocks, got {R.shape[1:]}")
+        for name, val in (("m1", m1), ("P1", P1), ("Q", Q), ("R", R)):
+            object.__setattr__(self, name, val)
+        if validate:
+            _check_finite(m1, "m1", stepped=False)
+            _check_covariance(P1, "P1")
+            _check_covariance(Q, "Q", start=1 if T > 1 else 0)
+            _check_covariance(R, "R")
+            self.noise_factors  # factored now, so a bad block raises here
 
     @property
     def n_x(self) -> int:
@@ -235,9 +244,6 @@ class AffineModel(NoiseModel):
     validate: bool = True
 
     def __post_init__(self):
-        m1 = owned(self.m1)
-        P1 = owned(self.P1)
-        n = m1.shape[0]
         T = self.T
         if T is None:
             for name, stacked_ndim in (("A", 3), ("Q", 3), ("H", 3), ("R", 3),
@@ -248,33 +254,27 @@ class AffineModel(NoiseModel):
                     break
             else:
                 raise ValueError("T cannot be inferred; pass it explicitly")
+        object.__setattr__(self, "T", int(T))
+        self._own_noise(T, self.validate)
+        n = self.n_x
         A = per_step(owned(self.A), T, 2, "A")
         b = per_step(owned(self.b), T, 1, "b")
         H = per_step(owned(self.H), T, 2, "H")
         e = per_step(owned(self.e), T, 1, "e")
-        Q = per_step(owned(self.Q), T, 2, "Q")
-        R = per_step(owned(self.R), T, 2, "R")
-        n_y = H.shape[1]
         if A.shape[1:] != (n, n):
             raise ValueError(f"A: expected ({n}, {n}) blocks, got {A.shape[1:]}")
-        if Q.shape[1:] != (n, n):
-            raise ValueError(f"Q: expected ({n}, {n}) blocks, got {Q.shape[1:]}")
         if b.shape[1] != n:
             raise ValueError(f"b: expected length-{n} blocks, got {b.shape[1]}")
         if H.shape[2] != n:
             raise ValueError(f"H: expected {n} columns, got {H.shape[2]}")
-        if e.shape[1] != n_y or R.shape[1:] != (n_y, n_y):
+        if e.shape[1] != H.shape[1] or self.R.shape[1] != H.shape[1]:
             raise ValueError("e and R must match the measurement dimension of H")
-        if P1.shape != (n, n):
-            raise ValueError(f"P1: expected ({n}, {n}), got {P1.shape}")
         if self.validate:
             first = 1 if T > 1 else 0
             for name, val, start in (("A", A, first), ("b", b, first), ("H", H, 0),
                                      ("e", e, 0)):
                 _check_finite(val, name, start)
-            vars(self)["noise_factors"] = tuple(map(freeze, _check_noise(m1, P1, Q, R)))
-        for name, val in (("A", A), ("b", b), ("H", H), ("e", e), ("Q", Q), ("R", R),
-                          ("m1", m1), ("P1", P1), ("T", int(T))):
+        for name, val in (("A", A), ("b", b), ("H", H), ("e", e)):
             object.__setattr__(self, name, val)
 
     @property
@@ -320,17 +320,8 @@ class NonlinearModel(NoiseModel):
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("T must be a positive step count")
-        m1 = owned(self.m1)
-        P1 = owned(self.P1)
-        n = m1.shape[0]
-        Q = per_step(owned(self.Q), self.T, 2, "Q")
-        R = per_step(owned(self.R), self.T, 2, "R")
-        if Q.shape[1:] != (n, n) or P1.shape != (n, n) or R.shape[1] != R.shape[2]:
-            raise ValueError("Q blocks and P1 must be (n_x, n_x), R blocks square")
-        vars(self)["noise_factors"] = tuple(map(freeze, _check_noise(m1, P1, Q, R)))
-        for name, val in (("Q", Q), ("R", R), ("m1", m1), ("P1", P1)):
-            object.__setattr__(self, name, val)
-        n_y, t = R.shape[1], np.arange(self.T)
+        self._own_noise(self.T, validate=True)
+        n, n_y, m1, t = self.n_x, self.n_y, self.m1, np.arange(self.T)
         for name, steps, core in (("transition", t[1:], (n,)),
                                   ("transition_jacobian", t[1:], (n, n)),
                                   ("measurement", t, (n_y,)),

@@ -11,6 +11,7 @@ its tests.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Tuple
@@ -43,8 +44,12 @@ class ScenarioParams:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:  # written so that nan fails it
+            raise ValueError(f"dt: must be finite and positive, got {self.dt!r}")
+        for name in ("q_c", "q_w", "sigma"):  # 0 passes: wiener's q_c = 0 draws no noise
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be finite and nonnegative, "
+                                 f"got {getattr(self, name)!r}")
         if self.T < 2:
             raise ValueError("T must be at least 2")
         if not 0.0 <= self.p_zero <= 1.0:
@@ -147,12 +152,11 @@ def simulate_wiener(params: ScenarioParams, seed: Optional[int] = None):
         raise ValueError("params.kind must be 'wiener'")
     rng = np.random.default_rng(params.seed if seed is None else seed)
     model = wiener_velocity_model(params.dt, params.q_c, params.sigma, params.T)
-    A, Q = model.A[1], np.asarray(wiener_velocity_matrices(params.dt, params.q_c)[1])
-    T = params.T
+    A, T = model.A[1], params.T
 
     x = np.empty((T, 4))
     x[0] = model.m1
-    Lq = np.linalg.cholesky(Q) if params.q_c > 0 else np.zeros((4, 4))
+    Lq = model.noise_factors[1][0] if params.q_c > 0 else np.zeros((4, 4))
     zero_mask = rng.random(T - 1) < params.p_zero
     noise = rng.standard_normal((T - 1, 4)) @ Lq.T
     noise[zero_mask] = 0.0
@@ -213,7 +217,7 @@ def simulate_range(params: ScenarioParams, seed: Optional[int] = None):
     model = range_model(params.sensors, params.dt, params.T, r_std=params.sigma)
     T = params.T
     A, _ = wiener_velocity_matrices(params.dt, 1.0)
-    Lq = np.linalg.cholesky(np.asarray(model.Q[1]))
+    Lq = model.noise_factors[1][0]
 
     x = np.empty((T, 4))
     x[0] = np.concatenate([np.zeros(2), rng.normal(0.0, 0.5, size=2)])

@@ -188,10 +188,10 @@ class NormalEquations:
                                self.skeleton)
 
 
-def static_part(lin: AffineModel, precisions, B, gamma: float):
+def static_part(lin: AffineModel, B, gamma: float):
     """New D_static (T, n, n) and E (T - 1, n, n) of normal_equations: the
     blocks that H does not enter."""
-    Pi, Qi, _ = precisions
+    Pi, Qi, _ = lin.noise_precisions
     T, n, A = lin.T, lin.n_x, compact(lin.A[1:])
     QiA = Qi @ A
     D = np.empty((T, n, n))
@@ -207,7 +207,7 @@ def static_part(lin: AffineModel, precisions, B, gamma: float):
     return D, E
 
 
-def _kept_static(kept: dict, lin: AffineModel, precisions, B, gamma: float):
+def _kept_static(kept: dict, lin: AffineModel, B, gamma: float):
     """kept's "static" slot (models.keep): (D_static, E, band skeleton) keyed
     by gamma and the bytes of the A and B blocks, or None (assemble fresh)
     unless A and B are one block each."""
@@ -216,13 +216,13 @@ def _kept_static(kept: dict, lin: AffineModel, precisions, B, gamma: float):
         return None
 
     def build():
-        D, E = static_part(lin, precisions, B, gamma)
+        D, E = static_part(lin, B, gamma)
         return freeze(D), freeze(E), _band(E, np.zeros_like(D))
     return keep(kept, "static", (gamma, A[0].tobytes(), Bn[0].tobytes()), build)
 
 
-def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None,
-                     v=None, eta_bar=None, gamma: float = 0.0,
+def normal_equations(lin: AffineModel, y: np.ndarray, B=None, d=None, v=None,
+                     eta_bar=None, gamma: float = 0.0,
                      kept: Optional[dict] = None) -> NormalEquations:
     """Undamped normal equations of the x subproblem on an affine model.
 
@@ -240,10 +240,10 @@ def normal_equations(lin: AffineModel, precisions, y: np.ndarray, B=None, d=None
     gamma or the bytes of the one-block A and B change (_kept_static): the
     same D, E and h bit for bit.
     """
-    Pi, Qi, Ri = precisions
+    Pi, Qi, Ri = lin.noise_precisions
     A, b, H, m1 = compact(lin.A[1:]), compact(lin.b[1:]), compact(lin.H), lin.m1
-    part = None if kept is None else _kept_static(kept, lin, precisions, B, gamma)
-    D_static, E, skeleton = part or static_part(lin, precisions, B, gamma) + (None,)
+    part = None if kept is None else _kept_static(kept, lin, B, gamma)
+    D_static, E, skeleton = part or static_part(lin, B, gamma) + (None,)
     HRi = H.transpose(0, 2, 1) @ Ri
     D = np.add(D_static, HRi @ H, out=None if part else D_static)  # in place on a fresh part
     r = y - lin.e
@@ -326,7 +326,7 @@ def factor_once(slot: str, assemble: Callable, factor: Callable, solve: Callable
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     """Smoother mean (T, n_x) on an affine model with no penalty coupling,
     one banded solve of its normal_equations (to rounding rts_smoother)."""
-    return augmented_ks(normal_equations(model, model.noise_precisions, y))
+    return augmented_ks(normal_equations(model, y))
 
 
 def linearize(model: Model, nominal) -> AffineModel:
@@ -524,7 +524,7 @@ def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     """
     cfg = cfg or LMConfig()
     model = problem.model
-    precisions = model.noise_precisions
+    model.noise_precisions  # a bad P1, Q or R block raises here, before any pass
     start = x0 if isinstance(x0, Iterate) else Iterate(problem, np.array(
         prior_mean_trajectory(model) if x0 is None else x0, dtype=float))
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
@@ -537,8 +537,8 @@ def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
             B, d = targets
             if terms[0] is not targets:
                 terms[:] = targets, coupling(B, d, v, eta_bar, gamma, model.m1)
-            eqs = normal_equations(linearize(model, x), precisions, problem.y, B,
-                                   gamma=gamma, kept=problem.kept)
+            eqs = normal_equations(linearize(model, x), problem.y, B, gamma=gamma,
+                                   kept=problem.kept)
             eqs.h = coupled_rhs(eqs.h, terms[1])
             last = (x, eqs)
         return solve(last[1].damped(lam, s_inv, x.x) if lam > 0 else last[1])

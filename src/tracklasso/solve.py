@@ -47,8 +47,7 @@ def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
     cfg = lm_cfg if lm_cfg is not None else LMConfig()
     if solver == "ks_madmm":
         def equations(problem, B, gamma):
-            return normal_equations(problem.model, problem.model.noise_precisions, problem.y,
-                                    B, gamma=gamma)
+            return normal_equations(problem.model, problem.y, B, gamma=gamma)
         return factor_once("band_factor", equations, band_factor, lambda band, h: augmented_ks(
             NormalEquations(None, None, h), factor=band))
     if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):

@@ -1,6 +1,7 @@
 """Multi-block ADMM updates and the outer loop."""
 
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from tracklasso import admm
 from tracklasso.admm import (
     MadmmOptions,
     block_shrink,
@@ -200,6 +202,23 @@ def test_run_madmm_matches_reference_trace():
         assert rep.iterations == 12
         assert not rep.converged
         assert rep.r_primal.shape == (12,)
+
+
+def test_seconds_time_the_whole_iteration(monkeypatch):
+    """SolveReport.seconds (report.txt's seconds_total) times each iteration
+    to its end, diagnostics included: an objective slowed by 20 ms shows in
+    every entry."""
+    real = admm.objective
+
+    def slow_objective(*args, **kwargs):
+        time.sleep(0.02)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(admm, "objective", slow_objective)
+    rep = run_madmm(scalar_problem(), make_x_solver("ks_madmm"), MadmmOptions(k_max=3),
+                    x0=SCALAR_X0)
+    assert len(rep.seconds) == 3
+    assert (rep.seconds >= 0.02).all(), rep.seconds
 
 
 def test_run_madmm_converges_and_flags():

@@ -236,8 +236,7 @@ def test_ks_x_solver_never_serves_a_dropped_problem():
         V = rng.normal(size=(6, 2))
         eta = rng.normal(size=(6, 2))
         B, d = prob.penalty_targets()
-        want = augmented_ks(normal_equations(prob.model, prob.model.noise_precisions,
-                                             prob.y, B, d, V, eta, 1.0))
+        want = augmented_ks(normal_equations(prob.model, prob.y, B, d, V, eta, 1.0))
         got = solver(prob, V, eta, 1.0, None)
         np.testing.assert_array_equal(got, want, err_msg=f"problem {i}")
         del prob

@@ -311,6 +311,28 @@ def test_non_finite_csv_time_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source, dt, message", [
+    ("wiener", "1e300", None),  # dt ** 3 overflows: OverflowError
+    ("wiener", "1e-300", "Q at step 1 is not positive definite"),  # Q underflows
+    ("csv", "1e-300", "Q at step 1 is not positive definite"),  # raised in the solve
+])
+def test_a_runtime_failure_exits_2_in_one_line(tmp_path, capsys, source, dt, message):
+    """Simulating the scenario fails before the solve; a CSV track's model is
+    not validated, so its Q is first factored, and fails, in the solve."""
+    if source == "csv":
+        path = tmp_path / "track.csv"
+        path.write_text("t,x,y\n0.0,0.0,0.0\n1.0,0.5,0.5\n2.0,1.0,1.0\n")
+        source_args = ("--input", str(path))
+    else:
+        source_args = ("--scenario", source, "--steps", "20")
+    assert run_cli("solve", *source_args, "--dt", dt, "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tracklasso: error: "), err
+    if message is not None:
+        assert err[0] == f"tracklasso: error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_flag_exits_64_from_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "tracklasso.cli", "frobnicate"],

@@ -285,7 +285,8 @@ def test_model_validation_rejects_bad_covariances():
             arr[0, 0] = bad
             with pytest.raises(ValueError, match=f"^{key}: "):
                 replace(model, **{key: arr})
-        with pytest.raises(SingularSystemError, match=f"^{key} is not positive definite$"):
+        with pytest.raises(SingularSystemError,
+                           match=f"^{key} at step {int(key == 'Q')} is not positive definite$"):
             replace(model, **{key: -block})
     with pytest.raises(ValueError, match="^m1: contains a non-finite value$"):
         replace(model, m1=np.array([np.nan, 0.0, 0.0, 0.0]))
@@ -409,6 +410,36 @@ def test_affine_model_rejects_non_finite_input(name):
         AffineModel(**inputs)
     # linearisations skip validation and are never rejected here
     AffineModel(**inputs, validate=False)
+
+
+@pytest.mark.parametrize("name, arr, match", [
+    ("A", np.eye(3), r"^A: expected \(2, 2\) blocks, got \(3, 3\)$"),
+    ("Q", np.eye(3), r"^Q: expected \(2, 2\) blocks, got \(3, 3\)$"),
+    ("b", np.zeros(3), r"^b: expected length-2 blocks, got 3$"),
+    ("H", np.eye(2, 3), r"^H: expected 2 columns, got 3$"),
+    ("e", np.zeros(3), r"^e and R must match the measurement dimension of H$"),
+    ("R", np.eye(3), r"^e and R must match the measurement dimension of H$"),
+    ("R", np.eye(2, 3), r"^R: expected square blocks, got \(2, 3\)$"),
+    ("P1", np.eye(3), r"^P1: expected \(2, 2\), got \(3, 3\)$"),
+    ("m1", 0.0, r"^m1: expected one axis, got shape \(\)$"),
+])
+@pytest.mark.parametrize("validate", [True, False])
+def test_affine_model_names_an_input_of_the_wrong_shape(name, arr, match, validate):
+    with pytest.raises(ValueError, match=match):
+        AffineModel(**{**_stacked_inputs(), name: arr}, validate=validate)
+
+
+@pytest.mark.parametrize("name, arr, match", [
+    ("T", 0, "^T must be a positive step count$"),
+    ("Q", np.eye(3), r"^Q: expected \(4, 4\) blocks, got \(3, 3\)$"),
+    ("Q", np.ones((5, 4, 4)), "^Q: leading axis must be 6, got 5$"),
+    ("R", np.eye(3, 2), r"^R: expected square blocks, got \(3, 2\)$"),
+    ("P1", np.eye(3), r"^P1: expected \(4, 4\), got \(3, 3\)$"),
+    ("m1", np.zeros((1, 4)), r"^m1: expected one axis, got shape \(1, 4\)$"),
+])
+def test_nonlinear_model_names_an_input_of_the_wrong_shape(name, arr, match):
+    with pytest.raises(ValueError, match=match):
+        replace(_range_model(), **{name: arr})
 
 
 @pytest.mark.parametrize("name", ["A", "Q", "H", "R", "b", "e"])

@@ -47,6 +47,31 @@ def test_scenario_defaults():
         assert {"solver", "mu", "gamma", "kmax"} <= settings.keys()
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("dt", np.nan, "^dt: must be finite and positive, got nan$"),
+    ("dt", np.inf, "^dt: must be finite and positive, got inf$"),
+    ("dt", 0.0, "^dt: must be finite and positive, got 0.0$"),
+    ("q_c", np.nan, "^q_c: must be finite and nonnegative, got nan$"),
+    ("q_c", -0.5, "^q_c: must be finite and nonnegative, got -0.5$"),
+    ("q_w", np.inf, "^q_w: must be finite and nonnegative, got inf$"),
+    ("sigma", np.nan, "^sigma: must be finite and nonnegative, got nan$"),
+    ("sigma", -0.3, "^sigma: must be finite and nonnegative, got -0.3$"),
+])
+@pytest.mark.parametrize("kind", ["wiener", "range", "coordinated_turn"])
+def test_scenario_params_name_a_bad_field(kind, field, value, match):
+    with pytest.raises(ValueError, match=match):
+        scenario_defaults(kind, **{field: value})
+
+
+def test_zero_noise_wiener_is_simulable():
+    """With q_c = 0 and sigma = 0 the truth is the deterministic transition
+    of m1 and the measurements are its positions, exactly."""
+    data, model = simulate_wiener(scenario_defaults("wiener", T=12, q_c=0.0, sigma=0.0))
+    for t in range(1, 12):
+        np.testing.assert_array_equal(data.truth[t], model.A[t] @ data.truth[t - 1])
+    np.testing.assert_array_equal(data.y, data.truth[:, :2])
+
+
 def test_simulate_wiener_contract():
     params = scenario_defaults("wiener", T=40, seed=3)
     data, model = simulate_wiener(params)

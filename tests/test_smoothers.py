@@ -224,7 +224,7 @@ def test_stacked_fuse_smoother_matches_batch(seed, T, n_x, n_y, per_step_AQ, per
     B, d = prob.penalty_targets()
 
     def assemble():
-        return normal_equations(model, model.noise_precisions, prob.y, B, d, V, eta, gamma)
+        return normal_equations(model, prob.y, B, d, V, eta, gamma)
 
     eqs = assemble()
     if damping is None:
@@ -271,8 +271,7 @@ def test_band_factor_serves_every_coupling_of_its_problem(seed, T, n_x, n_y, per
     solver = make_x_solver("ks_madmm")
     first = solver(prob, V, eta, gamma, None)
     x = solver(prob, V2, eta2, gamma, None)
-    fresh = normal_equations(prob.model, prob.model.noise_precisions, prob.y,
-                             B, d, V2, eta2, gamma)
+    fresh = normal_equations(prob.model, prob.y, B, d, V2, eta2, gamma)
     np.testing.assert_array_equal(x, augmented_ks(fresh))
     assert not np.array_equal(x, first)
     x_batch = batch_x_affine(stack_problem(prob, V2, eta2, gamma))
@@ -434,12 +433,11 @@ def _unshared_lm_ieks(problem, v, eta_bar, gamma, x0, cfg):
     """lm_ieks as it was before the model values and the coupling were
     shared: each proposal linearises and assembles from scratch at the
     iterate's bare x and each cost evaluates the model again."""
-    precisions = problem.model.noise_precisions
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x)
 
     def propose(x, targets, lam):
-        eqs = normal_equations(linearize(problem.model, x.x), precisions, problem.y,
-                               *targets, v, eta_bar, gamma)
+        eqs = normal_equations(linearize(problem.model, x.x), problem.y, *targets, v,
+                               eta_bar, gamma)
         return augmented_ks(eqs.damped(lam, s_inv, x.x) if lam > 0 else eqs)
 
     def cost(x, targets):
@@ -483,7 +481,7 @@ def test_constant_transition_jacobian_is_one_block():
         lin = linearize(model, x)
         assert time_invariant(lin.A) == (model is prob.model)
         B, d = TrackingProblem(model=model, reg=prob.reg, y=prob.y).penalty_targets(x)
-        eqs.append(normal_equations(lin, model.noise_precisions, prob.y, B, d, V, eta, 1.0))
+        eqs.append(normal_equations(lin, prob.y, B, d, V, eta, 1.0))
     assert np.array_equal(linearize(prob.model, x).A[1:], linearize(copied, x).A[1:])
     for name in ("D", "E", "h"):
         assert np.array_equal(getattr(eqs[0], name), getattr(eqs[1], name))
@@ -642,8 +640,7 @@ def test_steady_state_shortcut_matches_batch(target_mode, gamma, damped):
     B, d = prob.penalty_targets()
     if damped:
         lam, x, s_cov = 0.5, rng.normal(size=(T, 4)), np.diag([1.0, 2.0, 0.5, 1.0])
-        eqs = normal_equations(prob.model, prob.model.noise_precisions, prob.y,
-                               B, d, V, eta, gamma)
+        eqs = normal_equations(prob.model, prob.y, B, d, V, eta, gamma)
         x_ks = augmented_ks(eqs.damped(lam, np.linalg.inv(s_cov), x))
         x_batch = batch_lm_step(prob, x, V, eta, gamma, lam, s_cov)
     else:
@@ -703,8 +700,7 @@ def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
     initial, calls[0] = calls[0], 0
     B, d = prob.penalty_targets()
     z = np.zeros((T, 4))
-    augmented_ks(normal_equations(prob.model, prob.model.noise_precisions, prob.y,
-                                  B, d, z, z, 1.0))
+    augmented_ks(normal_equations(prob.model, prob.y, B, d, z, z, 1.0))
     sweep, calls[0] = calls[0], 0
     for k in (1, 5):
         solve_problem(prob, "ks_madmm",
@@ -1063,14 +1059,13 @@ def test_kept_static_part_gives_the_fresh_equations_and_band(target_mode):
     skeleton) gives the fresh normal equations and band factor bit for bit,
     at the iterate it was kept at and at another one."""
     prob = range_problem(seed=2, T=20, target_mode=target_mode)
-    precisions = prob.model.noise_precisions
     x = initial_trajectory(prob)
     rng = np.random.default_rng(7)
     for nominal in (x, x + 0.1 * rng.normal(size=x.shape)):
         lin = linearize(prob.model, nominal)
         B, d = prob.penalty_targets(nominal)
-        kept = normal_equations(lin, precisions, prob.y, B, d, gamma=1.5, kept=prob.kept)
-        fresh = normal_equations(lin, precisions, prob.y, B, d, gamma=1.5)
+        kept = normal_equations(lin, prob.y, B, d, gamma=1.5, kept=prob.kept)
+        fresh = normal_equations(lin, prob.y, B, d, gamma=1.5)
         assert kept.skeleton is not None and fresh.skeleton is None
         assert prob.kept["static"][0][0] == 1.5
         for name in ("D", "E", "h"):
