@@ -5,8 +5,6 @@ and smooth it with the penalised solver."""
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from tracklasso import (
     MadmmOptions,
     TrackingProblem,
@@ -16,7 +14,7 @@ from tracklasso import (
     relative_error,
     write_track_csv,
 )
-from tracklasso.scenarios import wiener_velocity_model
+from tracklasso.scenarios import track_model
 from tracklasso.solve import solve_problem
 
 
@@ -34,10 +32,8 @@ def main():
     for w in loaded.warnings:
         print(f"warning: {w}")
 
-    dt = float(np.median(np.diff(loaded.times)))
-    model = wiener_velocity_model(dt, 1.0, 0.3, len(loaded.times),
-                                  m1=np.concatenate([loaded.y[0], np.zeros(2)]),
-                                  P1=100.0 * np.eye(4))
+    model = track_model(loaded)
+    dt = model.A[-1][0, 2]  # the median fix spacing the model steps by
     reg = make_regularizer("l2", 4, weights=args.mu,
                            target_mode="process_noise")
     prob = TrackingProblem(model=model, reg=reg, y=loaded.y)

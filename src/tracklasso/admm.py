@@ -182,7 +182,7 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
         factor = v_update_factor(reg) if reg.total_rows else None
 
         obj_hist, lag_hist, rp_hist, rd_hist, sec_hist = [], [], [], [], []
-        states = [state.copy()] if record_states else None
+        states = [state] if record_states else None
         converged = False
         k_done = 0
         for k in range(1, opts.k_max + 1):
@@ -214,7 +214,7 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
             rp_hist.append(r_pri)
             rd_hist.append(r_dual)
             if record_states:
-                states.append(state.copy())
+                states.append(state)
             k_done = k
             if r_pri <= opts.eps_primal and r_dual <= opts.eps_dual:
                 converged = True

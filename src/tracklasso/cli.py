@@ -3,9 +3,10 @@
 The fields of RunConfig are the one option table: each is a simulate/solve
 flag and a key of the flat key=value config file.  Explicit flags win over
 file entries, which win over per-scenario defaults.  All commands are
-deterministic given config plus seed (timings excepted).  Exit codes:
-0 success, 1 verification failure, 2 solver/runtime error (one error line),
-64 usage error.
+deterministic given config plus seed (timings excepted).  Every CSV is
+written by scenarios.write_csv, and an --input track is solved with
+scenarios.track_model.  Exit codes: 0 success, 1 verification failure,
+2 solver/runtime error (one error line), 64 usage error.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, count, cycle, repeat
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +36,9 @@ from .scenarios import (
     simulate_range,
     simulate_wiener,
     solver_settings,
-    wiener_velocity_model,
+    repr_columns,
+    track_model,
+    write_csv,
     write_track_csv,
 )
 from .smoothers import LMConfig
@@ -49,12 +52,6 @@ EXIT_USAGE = 64
 
 # read into report.txt: a threaded BLAS can slow the small per-step products many times
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# model constants for CSV tracks (diffuse prior anchored at the first fix)
-CSV_QC = 1.0
-CSV_SIGMA = 0.3
-CSV_P1_SCALE = 100.0
-
 
 class UsageError(Exception):
     """Bad flag/config combination; maps to exit code 64."""
@@ -230,11 +227,7 @@ def build_dataset(cfg: RunConfig):
         print(f"warning: {note}", file=sys.stderr)
     if data.y.shape[1] != 2:
         raise UsageError("CSV tracks must carry two measurement columns")
-    dt = cfg.dt if cfg.dt is not None else float(np.median(np.diff(data.times)))
-    m1 = np.array([data.y[0, 0], data.y[0, 1], 0.0, 0.0])
-    model = wiener_velocity_model(dt, CSV_QC, CSV_SIGMA, data.T,
-                                  m1=m1, P1=CSV_P1_SCALE * np.eye(4))
-    return data, model
+    return data, track_model(data, cfg.dt)
 
 
 def build_problem(cfg: RunConfig, data: TrackDataset, model) -> TrackingProblem:
@@ -247,32 +240,6 @@ def build_problem(cfg: RunConfig, data: TrackDataset, model) -> TrackingProblem:
     return TrackingProblem(model=model, reg=reg, y=data.y)
 
 
-def _write_lines(path: Path, header: Sequence[str], lines: Iterable[str]) -> None:
-    """Write the bytes csv.writer writes for the header and rows whose fields
-    are already joined by ",": every line ended by "\r\n".  Every field here
-    is a number or a plain column name, which csv.writer never quotes.  Lines
-    are joined 256 at a time, so no list or string of the whole file is
-    built."""
-    lines = iter(lines)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        while chunk := list(islice(lines, 256)):
-            fh.write("\r\n".join(chunk))
-            fh.write("\r\n")
-
-
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """_write_lines for rows of fields that str() formats (numbers or strings)."""
-    _write_lines(path, header, (",".join(map(str, row)) for row in rows))
-
-
-def _repr_lines(lead: Iterable[str], table: np.ndarray):
-    """Lazy CSV lines: each lead string, then the repr of every float in that
-    row of the (T, k) table.  Each value is formatted once and no list of
-    per-value strings is built."""
-    return map(",".join, zip(lead, *(map(repr, col) for col in table.T.tolist())))
-
-
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -281,9 +248,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     data, model = build_dataset(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    n_x = data.truth.shape[1]
-    _write_lines(out / "truth.csv", ["t"] + [f"x{i + 1}" for i in range(n_x)],
-                 _repr_lines(map(repr, data.times.tolist()), data.truth))
+    write_csv(out / "truth.csv", ["t"] + [f"x{i + 1}" for i in range(data.truth.shape[1])],
+              repr_columns(data.times, data.truth))
     n_y = data.y.shape[1]
     meas_cols = ("x", "y") if n_y == 2 else tuple(f"y{i + 1}" for i in range(n_y))
     write_track_csv(out / "measurements.csv", data,
@@ -296,25 +262,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def write_report(out: Path, cfg: RunConfig, problem: TrackingProblem,
                  data: TrackDataset, report: SolveReport) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "iterations.csv",
-               ["k", "objective", "lagrangian", "r_primal", "r_dual", "seconds"],
-               ([k + 1, _fmt(o), _fmt(l), _fmt(rp), _fmt(rd), _fmt(s)]
-                for k, (o, l, rp, rd, s) in enumerate(
-                    zip(report.objective, report.lagrangian, report.r_primal,
-                        report.r_dual, report.seconds))))
+    write_csv(out / "iterations.csv",
+              ["k", "objective", "lagrangian", "r_primal", "r_dual", "seconds"],
+              [map(repr, count(1)), *repr_columns(report.objective, report.lagrangian,
+                                                  report.r_primal, report.r_dual,
+                                                  report.seconds)])
     # each time is formatted once and serves both files
     times = list(map(repr, data.times.tolist()))
-    n_x = problem.n_x
-    _write_lines(out / "trajectory.csv", ["t"] + [f"x{i + 1}" for i in range(n_x)],
-                 _repr_lines(times, report.x))
+    write_csv(out / "trajectory.csv", ["t"] + [f"x{i + 1}" for i in range(problem.n_x)],
+              [times, *repr_columns(report.x)])
     # one row per (step, group), steps outer
     norms = problem.reg.group_norms(report.state.w)
     G = norms.shape[1]
-    step_times = chain.from_iterable(map(repeat, times, repeat(G)))
-    groups = cycle([str(g) for g in range(G)])
-    flags = map(str, report.zero_groups.ravel().astype(int).tolist())
-    _write_lines(out / "sparsity.csv", ["t", "group", "norm", "is_zero"],
-                 map(",".join, zip(step_times, groups, map(repr, norms.ravel().tolist()), flags)))
+    write_csv(out / "sparsity.csv", ["t", "group", "norm", "is_zero"],
+              [chain.from_iterable(map(repeat, times, repeat(G))), cycle(map(repr, range(G))),
+               map(repr, norms.ravel().tolist()),
+               map(repr, report.zero_groups.ravel().astype(int).tolist())])
 
     lines = [
         f"tracklasso_version: {__version__}",

@@ -768,7 +768,7 @@ def x_subproblem_cost(problem: TrackingProblem, x, v: np.ndarray, eta_bar: np.nd
 
 @dataclass(eq=False)
 class SplitState:
-    """Primal and dual variables of the split problem.
+    """Primal and dual variables of the split problem, never written once built.
 
     eta packs the multipliers as (T, n_x + total_rows): the first n_x
     columns pair with u - v, the rest pair with w - G v.
@@ -787,10 +787,6 @@ class SplitState:
     @property
     def eta_under(self) -> np.ndarray:
         return self.eta[:, self.n_x:]
-
-    def copy(self) -> "SplitState":
-        return SplitState(self.x.copy(), self.w.copy(), self.v.copy(),
-                          self.eta.copy(), self.n_x)
 
     @classmethod
     def feasible(cls, x0: Iterate) -> "SplitState":

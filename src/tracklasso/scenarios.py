@@ -4,8 +4,8 @@ Three synthetic scenarios are bundled: a Wiener-velocity tracking problem
 with intermittently zero process noise, a multi-sensor range measurement
 problem whose ground truth contains full stops, and a coordinated-turn
 vehicle problem.  A CSV loader with a configurable column schema stands in
-for recorded AIS/GPS tracks, and a synthetic vessel-track generator feeds
-its tests.
+for recorded AIS/GPS tracks (track_model gives their Wiener model; write_csv
+writes every CSV), and a synthetic vessel-track generator feeds its tests.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -114,18 +115,22 @@ class TrackDataset:
 
 
 def wiener_velocity_matrices(dt: float, q_c: float):
-    """Constant-velocity transition and its discretised noise covariance."""
+    """Constant-velocity transition and its discretised noise covariance; the
+    powers of dt are float64, so a dt they overflow gives an infinite Q,
+    which the factor check names."""
     A = np.array([
         [1.0, 0.0, dt, 0.0],
         [0.0, 1.0, 0.0, dt],
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
     ])
+    with np.errstate(over="ignore"):
+        d3, d2 = np.float64(dt) ** 3 / 3, np.float64(dt) ** 2 / 2
     Q = q_c * np.array([
-        [dt ** 3 / 3, 0.0, dt ** 2 / 2, 0.0],
-        [0.0, dt ** 3 / 3, 0.0, dt ** 2 / 2],
-        [dt ** 2 / 2, 0.0, dt, 0.0],
-        [0.0, dt ** 2 / 2, 0.0, dt],
+        [d3, 0.0, d2, 0.0],
+        [0.0, d3, 0.0, d2],
+        [d2, 0.0, dt, 0.0],
+        [0.0, d2, 0.0, dt],
     ])
     return A, Q
 
@@ -142,7 +147,7 @@ def wiener_velocity_model(dt: float, q_c: float, sigma: float, T: int,
                        m1=m1, P1=P1, T=T, validate=False)
 
 
-def simulate_wiener(params: ScenarioParams, seed: Optional[int] = None):
+def simulate_wiener(params: ScenarioParams):
     """Simulate the linear tracking scenario.
 
     Process noise is exactly zero with probability p_zero at each step and
@@ -150,7 +155,7 @@ def simulate_wiener(params: ScenarioParams, seed: Optional[int] = None):
     """
     if params.kind != "wiener":
         raise ValueError("params.kind must be 'wiener'")
-    rng = np.random.default_rng(params.seed if seed is None else seed)
+    rng = np.random.default_rng(params.seed)
     model = wiener_velocity_model(params.dt, params.q_c, params.sigma, params.T)
     A, T = model.A[1], params.T
 
@@ -204,7 +209,7 @@ def range_model(sensors, dt: float, T: int, r_std: float = 0.2,
     )
 
 
-def simulate_range(params: ScenarioParams, seed: Optional[int] = None):
+def simulate_range(params: ScenarioParams):
     """Simulate the multi-sensor range scenario.
 
     The true target alternates between moving segments and full stops
@@ -213,7 +218,7 @@ def simulate_range(params: ScenarioParams, seed: Optional[int] = None):
     """
     if params.kind != "range":
         raise ValueError("params.kind must be 'range'")
-    rng = np.random.default_rng(params.seed if seed is None else seed)
+    rng = np.random.default_rng(params.seed)
     model = range_model(params.sensors, params.dt, params.T, r_std=params.sigma)
     T = params.T
     A, _ = wiener_velocity_matrices(params.dt, 1.0)
@@ -310,11 +315,11 @@ def coordinated_turn_model(params: ScenarioParams, m1=None, P1=None) -> Nonlinea
     )
 
 
-def simulate_coordinated_turn(params: ScenarioParams, seed: Optional[int] = None):
+def simulate_coordinated_turn(params: ScenarioParams):
     """Simulate a vehicle that alternates straight legs, turns, and full stops."""
     if params.kind != "coordinated_turn":
         raise ValueError("params.kind must be 'coordinated_turn'")
-    rng = np.random.default_rng(params.seed if seed is None else seed)
+    rng = np.random.default_rng(params.seed)
     model = coordinated_turn_model(params)
     T, dt = params.T, params.dt
 
@@ -421,17 +426,46 @@ def load_track_csv(path, schema: CsvSchema = CsvSchema()) -> TrackDataset:
     return TrackDataset(y=y, times=times, truth=None, warnings=tuple(warnings))
 
 
+def track_model(data: TrackDataset, dt: Optional[float] = None) -> AffineModel:
+    """Wiener-velocity model of a recorded planar track (two measurement
+    columns): q_c = 1, sigma = 0.3 and a diffuse prior N(m1, 100 I) at the
+    first fix with zero velocity; dt is the median fix spacing unless given."""
+    if dt is None:
+        dt = float(np.median(np.diff(data.times)))
+    m1 = np.concatenate([data.y[0], np.zeros(2)])
+    return wiener_velocity_model(dt, 1.0, 0.3, data.T, m1=m1, P1=100.0 * np.eye(4))
+
+
+# every character a float's or an int's repr can hold
+REPR_CHARS = frozenset("0123456789.+-einfa")
+
+
+def write_csv(path, header, columns, delimiter: str = ",") -> None:
+    """Write the bytes csv.writer writes for the header and columns of the
+    reprs of numbers (iterables read side by side; see repr_columns): the
+    header through csv.writer, which quotes a column name as it needs, and
+    each row as its fields joined by the delimiter, which no repr holds
+    (REPR_CHARS), 256 lines per write, so no string of the file is built."""
+    if delimiter in REPR_CHARS:
+        raise ValueError(f"delimiter {delimiter!r} can occur in a number's repr")
+    lines = map(delimiter.join, zip(*columns))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, delimiter=delimiter).writerow(header)
+        while chunk := list(islice(lines, 256)):
+            fh.write("\r\n".join(chunk))
+            fh.write("\r\n")
+
+
+def repr_columns(*arrays) -> list:
+    """Lazy repr columns of float arrays (T,) or (T, k), side by side; each
+    value is formatted once, as write_csv reads it."""
+    return [map(repr, col) for col in np.column_stack(arrays).T.tolist()]
+
+
 def write_track_csv(path, dataset: TrackDataset, schema: CsvSchema = CsvSchema()) -> None:
     """Write measurements (not truth) in the loader's schema."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=schema.delimiter)
-        writer.writerow([schema.time_column, *schema.measurement_columns])
-        writer.writerows(repr_rows(dataset.times, dataset.y))
-
-
-def repr_rows(*columns: np.ndarray):
-    """Rows of repr strings of float columns (T,) or (T, k), stacked side by side."""
-    return (map(repr, row) for row in np.column_stack(columns).tolist())
+    write_csv(path, (schema.time_column, *schema.measurement_columns),
+              repr_columns(dataset.times, dataset.y), schema.delimiter)
 
 
 def make_vessel_track(T: int = 100, dt: float = 1.0, seed: int = 0,

@@ -71,12 +71,11 @@ def random_affine_problem(rng: np.random.Generator, T: Optional[int] = None,
     model = AffineModel(A=A, b=b, H=H, e=np.zeros(n_y), Q=Q, R=R, m1=m1, P1=P1, T=T)
 
     x = np.empty((T, n_x))
-    Lq, Lp = np.linalg.cholesky(Q), np.linalg.cholesky(P1)
-    Lr = np.linalg.cholesky(R)
-    x[0] = m1 + Lp @ rng.standard_normal(n_x)
+    Lp, Lq, Lr = model.noise_factors
+    x[0] = m1 + Lp[0] @ rng.standard_normal(n_x)
     for t in range(1, T):
-        x[t] = A @ x[t - 1] + b + Lq @ rng.standard_normal(n_x)
-    y = x @ H.T + rng.standard_normal((T, n_y)) @ Lr.T
+        x[t] = A @ x[t - 1] + b + Lq[0] @ rng.standard_normal(n_x)
+    y = x @ H.T + rng.standard_normal((T, n_y)) @ Lr[0].T
 
     if kind is None:
         kinds = ["l2", "lasso", "group"]

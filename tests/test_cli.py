@@ -82,16 +82,22 @@ def test_report_records_the_initialiser(tmp_path, scenario, solver, passes, conv
 
 
 def test_written_csvs_are_the_bytes_csv_writer_writes(tmp_path):
-    def rows():  # the field kinds write_report passes: ints, repr strings, lazy rows
-        return iter([[1, repr(0.1), repr(-2.5e-300), repr(float("nan"))],
-                     map(repr, [3.0, 1e16]), (0, 1)])
-
-    cli._write_csv(tmp_path / "direct.csv", ["t", "x1", "x2", "x3"], rows())
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["t", "x1", "x2", "x3"])
-    writer.writerows(rows())
-    assert (tmp_path / "direct.csv").read_bytes() == buf.getvalue().encode()
+    """The one writer, given the repr columns of a float table (600 rows, so
+    several write chunks), writes csv.writer's bytes for that table, with
+    either delimiter and with column names that need quoting."""
+    table = np.tile([[0.1, float("nan"), float("inf")],
+                     [-0.0, 1e16, -2.5e-300],
+                     [3.0, -float("inf"), 1.0 / 3.0]], (200, 1))
+    for delimiter in (",", ";"):
+        for header in (["t", "x1", "x2"], ["t,s", 'x "m"', "y;z"]):
+            path = tmp_path / "direct.csv"
+            scenarios.write_csv(path, header,
+                                scenarios.repr_columns(table[:, 0], table[:, 1:]), delimiter)
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf, delimiter=delimiter)
+            writer.writerow(header)
+            writer.writerows(table.tolist())
+            assert path.read_bytes() == buf.getvalue().encode(), (delimiter, header)
     out = tmp_path / "run"
     assert run_cli("solve", "--scenario", "wiener", "--seed", "1",
                    "--steps", "30", "--kmax", "3", "--out", str(out)) == 0
@@ -101,6 +107,25 @@ def test_written_csvs_are_the_bytes_csv_writer_writes(tmp_path):
         buf = io.StringIO(newline="")
         csv.writer(buf).writerows(parsed)
         assert (out / name).read_bytes() == buf.getvalue().encode(), name
+
+
+def test_a_delimiter_a_number_can_hold_is_refused(tmp_path):
+    path = tmp_path / "track.csv"
+    track = scenarios.make_vessel_track(T=5)
+    with pytest.raises(ValueError, match=r"delimiter '\.'"):
+        scenarios.write_track_csv(path, track, scenarios.CsvSchema(delimiter="."))
+    assert not path.exists()
+
+
+def test_range_measurements_read_back_as_the_simulated_y(tmp_path):
+    out = tmp_path / "sim"
+    assert run_cli("simulate", "--scenario", "range", "--seed", "3", "--steps", "25",
+                   "--out", str(out)) == 0
+    data, _ = scenarios.simulate_range(scenario_defaults("range", T=25, seed=3))
+    loaded = scenarios.load_track_csv(out / "measurements.csv", scenarios.CsvSchema(
+        measurement_columns=("y1", "y2", "y3")))
+    assert loaded.warnings == ()
+    assert np.array_equal(loaded.times, data.times) and np.array_equal(loaded.y, data.y)
 
 
 def test_report_csvs_with_two_groups_are_the_bytes_csv_writer_writes(tmp_path):
@@ -311,10 +336,12 @@ def test_non_finite_csv_time_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 @pytest.mark.parametrize("source, dt, message", [
-    ("wiener", "1e300", None),  # dt ** 3 overflows: OverflowError
+    ("wiener", "1e300", "Q at step 1 is not positive definite"),  # dt ** 3 overflows to inf
     ("wiener", "1e-300", "Q at step 1 is not positive definite"),  # Q underflows
-    ("csv", "1e-300", "Q at step 1 is not positive definite"),  # raised in the solve
+    ("csv", "1e300", "Q at step 1 is not positive definite"),  # both raised in the solve
+    ("csv", "1e-300", "Q at step 1 is not positive definite"),
 ])
 def test_a_runtime_failure_exits_2_in_one_line(tmp_path, capsys, source, dt, message):
     """Simulating the scenario fails before the solve; a CSV track's model is
@@ -327,9 +354,7 @@ def test_a_runtime_failure_exits_2_in_one_line(tmp_path, capsys, source, dt, mes
         source_args = ("--scenario", source, "--steps", "20")
     assert run_cli("solve", *source_args, "--dt", dt, "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("tracklasso: error: "), err
-    if message is not None:
-        assert err[0] == f"tracklasso: error: {message}"
+    assert err == [f"tracklasso: error: {message}"]
     assert not (tmp_path / "out").exists()
 
 
