@@ -3,9 +3,12 @@
 The whole trajectory is treated as one vector of length T * n_x.  Its
 normal equations are the block-tridiagonal ones of
 smoothers.normal_equations, unpacked into one dense symmetric matrix and
-solved by a dense Cholesky factorisation.  These solvers scale cubically in
-T and exist as the reference path; the smoother module solves the same
-systems in linear time.  The x-update engines are the smoother module's
+solved by a dense Cholesky factorisation.  Only the matrix's lower
+triangle is stored, in LAPACK's rectangular full packed form (dtrttf's
+TRANSR = 'T', UPLO = 'L'): (T n_x)(T n_x + 1)/2 doubles, half the full
+matrix, factored in place by the blocked dpftrf.  These solvers scale
+cubically in T and exist as the reference path; the smoother module
+solves the same systems in linear time.  The x-update engines are the smoother module's
 bodies with the dense solve: make_affine_x_solver is smoothers.factor_once
 and batch_nonlinear_solve smoothers.lm_x_update.  stack_problem,
 normal_system, batch_x_affine and the one damped step batch_lm_step stay
@@ -17,8 +20,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dgemv, dtrsv
+from scipy.linalg.lapack import dpftrf
 
 from .models import SingularSystemError, TrackingProblem, x_subproblem_cost
 from .smoothers import (LMConfig, NormalEquations, damping_inverse, factor_once, linearize,
@@ -49,49 +52,84 @@ def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Op
 
 
 def normal_system(eqs: NormalEquations):
-    """Dense (T n_x)^2 normal matrix of eqs and its right-hand side (T n_x,).
+    """Normal matrix of eqs in rectangular full packed (RFP) form and its
+    right-hand side.
 
-    The matrix holds D[t] at block (t, t), -E[t] at block (t + 1, t) and its
-    transpose at block (t, t + 1), zeros elsewhere.  It is Fortran-ordered,
-    so _dense_factor factors it in place.
+    The matrix has D[t] at block (t, t), -E[t] at block (t + 1, t) and its
+    transpose at block (t, t + 1), zeros elsewhere.  Only its lower
+    triangle is stored, in LAPACK's RFP layout with TRANSR = 'T' and
+    UPLO = 'L' (dtrttf's): for the order N = T n_x, padded to an even
+    N' = 2k with a unit diagonal entry and a zero right-hand side when N is
+    odd, entry (i, j), i >= j, sits at [j, i + 1] when j < k and at
+    [i - k, j - k] otherwise.  The array is F-ordered (k, N' + 1), N'(N' + 1)/2
+    doubles instead of N^2, so _dense_factor factors it in place.  The
+    right-hand side is eqs.h flattened and padded to (N',); the padded
+    unknown of the system is exactly 0.
     """
     T, n = eqs.h.shape
-    M = np.zeros((T, n, T, n))  # transposed below: block (t, s) of M is block (s, t)'
-    t = np.arange(T)
-    M[t, :, t, :] = np.swapaxes(eqs.D, 1, 2)
-    M[t[:-1], :, t[1:], :] = -np.swapaxes(eqs.E, 1, 2)
-    M[t[1:], :, t[:-1], :] = -eqs.E
-    return M.reshape(T * n, T * n).T, eqs.h.ravel()
+    N = T * n
+    k = (N + 1) // 2
+    a, b = np.tril_indices(n)
+    t = np.arange(T)[:, None]
+    s = np.arange(T - 1)[:, None, None]
+    # (i, j) of each stored entry: the lower triangles of D, then every -E entry
+    i_E = np.broadcast_to((s + 1) * n + np.arange(n)[:, None], eqs.E.shape)
+    j_E = np.broadcast_to(s * n + np.arange(n), eqs.E.shape)
+    i = np.concatenate([(t * n + a).ravel(), i_E.ravel()])
+    j = np.concatenate([(t * n + b).ravel(), j_E.ravel()])
+    top = j < k
+    R = np.zeros((k, 2 * k + 1), order="F")
+    R[np.where(top, j, i - k), np.where(top, i + 1, j - k)] = np.concatenate(
+        [eqs.D[:, a, b].ravel(), -eqs.E.ravel()])
+    if N % 2:
+        R[k - 1, k - 1] = 1.0  # entry (N, N) of the padded order
+    rhs = np.zeros(2 * k)
+    rhs[:N] = eqs.h.ravel()
+    return R, rhs
 
 
 def _dense_factor(eqs: NormalEquations, what: str) -> np.ndarray:
     """Lower Cholesky factor of normal_system(eqs)'s matrix, computed in place.
 
-    The factor is that F-ordered (T n_x)^2 array, so the BLAS calls of
-    _back_substitute read it without a copy; its upper triangle is stale.
-    The matrix holds only D, -E and zeros, so it is finite exactly when D
-    and E are: they are checked, O(T n_x^2), instead of the whole matrix.
-    A matrix that is not finite or not positive definite raises
-    SingularSystemError naming what.
+    The factor is normal_system's F-ordered RFP array itself, factored by
+    LAPACK's blocked dpftrf, so it holds N'(N' + 1)/2 doubles and the BLAS
+    calls of _back_substitute read its three blocks without a copy.  The
+    matrix holds only D, -E, zeros and the unit padding, so it is finite
+    exactly when D and E are: they are checked, O(T n_x^2), instead of the
+    whole matrix.  A matrix that is not finite or not positive definite
+    raises SingularSystemError naming what.
     """
     if not (np.isfinite(eqs.D).all() and np.isfinite(eqs.E).all()):
         raise SingularSystemError(f"{what} is not positive definite")
-    M, _ = normal_system(eqs)
-    try:
-        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)[0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"{what} is not positive definite") from exc
+    R, _ = normal_system(eqs)
+    _, info = dpftrf(R.shape[1] - 1, R.ravel(order="F"), transr="T", uplo="L", overwrite_a=1)
+    if info > 0:
+        raise SingularSystemError(f"{what} is not positive definite")
+    return R
 
 
 def _back_substitute(c: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Solve L L' x = h for _dense_factor's lower factor c, h (T, n_x).
+    """Solve L L' x = h for _dense_factor's RFP lower factor c, h (T, n_x).
 
-    Two BLAS-2 triangular solves (dtrsv): L z = h into a new array, so h
-    is never written, then L' x = z in place.  A non-finite h raises
-    ValueError.
+    With k = c.shape[0], the factor's blocks are F-contiguous slabs of c:
+    L11' = c[:, 1:k+1] (upper), L21' = c[:, k+1:] and L22 = c[:, :k]
+    (lower).  h is copied into a zero-padded (2k,) vector, so it is never
+    written, and six BLAS-2 calls solve in place: dtrsv, dgemv, dtrsv
+    forward (L z = h), then the same backward (L' x = z).  A non-finite h
+    raises ValueError.
     """
-    z = dtrsv(c, np.asarray_chkfinite(h.ravel()), lower=1)
-    return dtrsv(c, z, lower=1, trans=1, overwrite_x=1).reshape(h.shape)
+    k = c.shape[0]
+    L11t, L21t, L22 = c[:, 1:k + 1], c[:, k + 1:], c[:, :k]
+    x = np.zeros(2 * k)
+    x[:h.size] = np.asarray_chkfinite(h.ravel())
+    x1, x2 = x[:k], x[k:]  # contiguous views: each overwrite_x/overwrite_y call writes x
+    dtrsv(L11t, x1, trans=1, overwrite_x=1)
+    dgemv(-1.0, L21t, x1, beta=1.0, y=x2, trans=1, overwrite_y=1)
+    dtrsv(L22, x2, lower=1, overwrite_x=1)
+    dtrsv(L22, x2, lower=1, trans=1, overwrite_x=1)
+    dgemv(-1.0, L21t, x2, beta=1.0, y=x1, overwrite_y=1)
+    dtrsv(L11t, x1, overwrite_x=1)
+    return x[:h.size].reshape(h.shape)
 
 
 def batch_x_affine(eqs: NormalEquations) -> np.ndarray:

@@ -227,7 +227,11 @@ def build_dataset(cfg: RunConfig):
         print(f"warning: {note}", file=sys.stderr)
     if data.y.shape[1] != 2:
         raise UsageError("CSV tracks must carry two measurement columns")
-    return data, track_model(data, cfg.dt)
+    try:
+        model = track_model(data, cfg.dt)
+    except ValueError as exc:  # one fix and no --dt
+        raise UsageError(str(exc)) from None
+    return data, model
 
 
 def build_problem(cfg: RunConfig, data: TrackDataset, model) -> TrackingProblem:
@@ -260,7 +264,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def write_report(out: Path, cfg: RunConfig, problem: TrackingProblem,
-                 data: TrackDataset, report: SolveReport) -> None:
+                 data: TrackDataset, report: SolveReport) -> Optional[float]:
+    """Write iterations.csv, trajectory.csv, sparsity.csv, report.txt and
+    config.txt into out; return the relative error written to report.txt,
+    None when data has no truth."""
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "iterations.csv",
               ["k", "objective", "lagrangian", "r_primal", "r_dual", "seconds"],
@@ -300,12 +307,15 @@ def write_report(out: Path, cfg: RunConfig, problem: TrackingProblem,
         f"r_dual_final: {_fmt(report.r_dual[-1]) if report.iterations else 'nan'}",
         f"zero_group_steps: {int(np.sum(np.all(report.zero_groups, axis=1)))}",
     ]
+    rel_error = None
     if data.truth is not None:
-        lines.append(f"relative_error: {_fmt(relative_error(report.x, data.truth))}")
+        rel_error = relative_error(report.x, data.truth)
+        lines.append(f"relative_error: {_fmt(rel_error)}")
     lines.append("config:")
     lines.extend("  " + ln for ln in config_lines(cfg).strip().splitlines())
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out / "config.txt").write_text(config_lines(cfg), encoding="utf-8")
+    return rel_error
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -318,13 +328,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     lm_cfg = LMConfig(lambda0=cfg.lambda0, alpha=cfg.alpha, i_max=cfg.imax)
     report = solve_problem(problem, solver=cfg.solver, opts=opts, lm_cfg=lm_cfg)
     out = Path(cfg.out)
-    write_report(out, cfg, problem, data, report)
+    rel_error = write_report(out, cfg, problem, data, report)
     msg = (f"{cfg.solver}: {report.iterations} iterations, "
            f"converged={report.converged}")
     if report.iterations:
         msg += f", objective {report.objective[-1]:.6g}"
-    if data.truth is not None:
-        msg += f", relative error {relative_error(report.x, data.truth):.4f}"
+    if rel_error is not None:
+        msg += f", relative error {rel_error:.4f}"
     print(msg)
     print(f"report written to {out}/report.txt")
     return EXIT_OK

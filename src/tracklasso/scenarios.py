@@ -241,7 +241,11 @@ def simulate_range(params: ScenarioParams):
             x[t, 2:] = 0.0
         remaining -= 1
 
-    y = model.measurement(np.arange(T), x) + params.sigma * rng.standard_normal((T, model.n_y))
+    # a dt near the float limit moves the truth so far that its ranges
+    # overflow to inf: TrackingProblem's check names y, with no numpy warning
+    with np.errstate(over="ignore"):
+        y = model.measurement(np.arange(T), x)
+    y += params.sigma * rng.standard_normal((T, model.n_y))
     times = np.arange(T) * params.dt
     return TrackDataset(y=y, times=times, truth=x), model
 
@@ -429,8 +433,12 @@ def load_track_csv(path, schema: CsvSchema = CsvSchema()) -> TrackDataset:
 def track_model(data: TrackDataset, dt: Optional[float] = None) -> AffineModel:
     """Wiener-velocity model of a recorded planar track (two measurement
     columns): q_c = 1, sigma = 0.3 and a diffuse prior N(m1, 100 I) at the
-    first fix with zero velocity; dt is the median fix spacing unless given."""
+    first fix with zero velocity; dt is the median fix spacing unless given.
+    A track of one fix has no spacing: without dt it raises ValueError
+    naming dt."""
     if dt is None:
+        if data.T < 2:
+            raise ValueError("dt: a track with one fix has no fix spacing; give dt")
         dt = float(np.median(np.diff(data.times)))
     m1 = np.concatenate([data.y[0], np.zeros(2)])
     return wiener_velocity_model(dt, 1.0, 0.3, data.T, m1=m1, P1=100.0 * np.eye(4))

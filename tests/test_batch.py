@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtfttr, dtrttf
 from scipy.optimize import minimize
 
 from tracklasso import batch
@@ -141,8 +142,9 @@ def test_dense_lm_solve_is_gauss_newton_over_batch_lm_step(scenario, mode, lambd
 
 
 def test_stack_problem_shapes():
-    # the dense system is the block-tridiagonal normal equations unpacked,
-    # and a damped dense step solves NormalEquations.damped
+    # the dense system is the block-tridiagonal normal equations unpacked
+    # (the lower triangle stored, the upper its mirror), and a damped dense
+    # step solves NormalEquations.damped
     from tracklasso.batch import normal_system
 
     rng = np.random.default_rng(3)
@@ -151,13 +153,16 @@ def test_stack_problem_shapes():
     V = rng.normal(size=(T, n))
     eta = rng.normal(size=(T, n))
     eqs = stack_problem(prob, V, eta, 0.7)
-    M, rhs = normal_system(eqs)
+    R, rhs = normal_system(eqs)
+    M = dense(R)
     assert M.shape == (T * n, T * n) and rhs.shape == (T * n,)
-    np.testing.assert_allclose(M, M.T, rtol=0, atol=1e-12)
+    # the dropped upper triangle of each D[t] is its lower one to rounding
+    np.testing.assert_allclose(eqs.D, np.swapaxes(eqs.D, 1, 2), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(M, M.T)
     np.testing.assert_array_equal(rhs, eqs.h.ravel())
     blocks = M.reshape(T, n, T, n).transpose(0, 2, 1, 3)  # blocks[t, s]: block (t, s)
     for t in range(T):
-        np.testing.assert_array_equal(blocks[t, t], eqs.D[t])
+        np.testing.assert_array_equal(np.tril(blocks[t, t]), np.tril(eqs.D[t]))
     for t in range(T - 1):
         np.testing.assert_array_equal(blocks[t + 1, t], -eqs.E[t])
     steps = np.arange(T)
@@ -167,8 +172,8 @@ def test_stack_problem_shapes():
     S = rng.normal(size=(n, n))
     s_cov = S @ S.T + n * np.eye(n)
     got = batch_lm_step(prob, x, V, eta, 0.7, lam=0.3, s_cov=s_cov)
-    M, rhs = normal_system(eqs.damped(0.3, np.linalg.inv(s_cov)[None], x))
-    np.testing.assert_allclose(got.ravel(), np.linalg.solve(M, rhs), rtol=1e-10)
+    R, rhs = normal_system(eqs.damped(0.3, np.linalg.inv(s_cov)[None], x))
+    np.testing.assert_allclose(got.ravel(), np.linalg.solve(dense(R), rhs), rtol=1e-10)
 
 
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])
@@ -273,10 +278,48 @@ def random_spd_equations(rng, T, n):
     return NormalEquations(D, E, rng.normal(size=(T, n)))
 
 
+def lower(R):
+    """The lower triangle an RFP array in normal_system's layout holds, (N', N')."""
+    L, info = dtfttr(R.shape[1] - 1, R.ravel(order="F"), transr="T", uplo="L")
+    assert info == 0
+    return np.tril(L)
+
+
+def dense(R):
+    """The symmetric matrix whose lower triangle R holds."""
+    L = lower(R)
+    return L + np.tril(L, -1).T
+
+
 def assert_solves(x, eqs):
-    M, rhs = normal_system(eqs)
-    want = np.linalg.solve(M, rhs)
+    R, rhs = normal_system(eqs)
+    want = np.linalg.solve(dense(R), rhs)
+    assert want[x.size:].tolist() == [0.0] * (want.size - x.size)  # the padded unknown
+    want = want[:x.size]
     assert np.linalg.norm(x.ravel() - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("T,n", [(6, 2), (5, 3), (1, 1)])
+def test_normal_system_is_dtrttf_of_the_lower_triangle(T, n):
+    """normal_system stores, bit for bit, what LAPACK's dtrttf (TRANSR = 'T',
+    UPLO = 'L') packs from the dense lower triangle of D[t] on the diagonal
+    blocks and -E[t] below them; an odd order T n_x is padded with one unit
+    diagonal entry and a zero right-hand side."""
+    eqs = random_spd_equations(np.random.default_rng(T * n), T, n)
+    N = T * n
+    N_even = N + N % 2
+    M = np.zeros((N_even, N_even))
+    M[N:, N:] = 1.0
+    for t in range(T):
+        M[t * n:(t + 1) * n, t * n:(t + 1) * n] = eqs.D[t]
+    for t in range(T - 1):
+        M[(t + 1) * n:(t + 2) * n, t * n:(t + 1) * n] = -eqs.E[t]
+    arf, info = dtrttf(np.tril(M), transr="T", uplo="L")
+    assert info == 0
+    R, rhs = normal_system(eqs)
+    assert R.shape == (N_even // 2, N_even + 1) and R.flags.f_contiguous
+    np.testing.assert_array_equal(R.ravel(order="F"), arf)
+    np.testing.assert_array_equal(rhs, np.concatenate([eqs.h.ravel(), np.zeros(N_even - N)]))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -348,8 +391,9 @@ def test_affine_x_solver_equals_the_fresh_dense_solve_bit_for_bit():
 
 
 def test_dense_factor_is_the_normal_matrix_factored_in_place(monkeypatch):
-    """The factor is normal_system's F-ordered matrix itself, so the BLAS
-    solves read it without a copy."""
+    """The factor is normal_system's F-ordered RFP array itself, N'(N' + 1)/2
+    doubles for the even order N', so the BLAS solves read it without a
+    copy; at an even and an odd order T n_x."""
     matrices = []
     build = batch.normal_system
 
@@ -359,12 +403,17 @@ def test_dense_factor_is_the_normal_matrix_factored_in_place(monkeypatch):
         return M, rhs
 
     monkeypatch.setattr(batch, "normal_system", spy)
-    eqs = random_spd_equations(np.random.default_rng(6), 5, 2)
-    c = batch._dense_factor(eqs, "m")
-    (M,) = matrices
-    assert np.shares_memory(c, M) and c.flags.f_contiguous
-    M0, _ = build(eqs)
-    np.testing.assert_allclose(np.tril(c) @ np.tril(c).T, M0, rtol=0, atol=1e-12)
+    for T, n in ((5, 2), (5, 3)):
+        matrices.clear()
+        eqs = random_spd_equations(np.random.default_rng(6), T, n)
+        c = batch._dense_factor(eqs, "m")
+        (M,) = matrices
+        assert np.shares_memory(c, M) and c.flags.f_contiguous
+        N_even = T * n + T * n % 2
+        assert c.size == N_even * (N_even + 1) // 2
+        M0, _ = build(eqs)
+        L = lower(c)
+        np.testing.assert_allclose(L @ L.T, dense(M0), rtol=0, atol=1e-12)
 
 
 def test_non_finite_transition_is_named_by_the_dense_solves():

@@ -5,6 +5,7 @@ import csv
 import io
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -179,6 +180,55 @@ def test_solve_reads_csv_input(tmp_path):
     assert run_cli("solve", "--input", str(out_sim / "measurements.csv"),
                    "--kmax", "5", "--out", str(out)) == 0
     assert (out / "trajectory.csv").exists()
+
+
+def test_one_fix_csv_needs_dt(tmp_path, capsys):
+    """A one-fix track has no fix spacing: without --dt the solve exits 64
+    in one line naming dt, with no numpy warning; with --dt it runs."""
+    path = tmp_path / "one.csv"
+    path.write_text("t,x,y\n0.0,0.0,0.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("solve", "--input", str(path), "--out", str(tmp_path / "out")) == 64
+    assert capsys.readouterr().err.splitlines() == [
+        "tracklasso: error: dt: a track with one fix has no fix spacing; give dt"]
+    assert not (tmp_path / "out").exists()
+    out = tmp_path / "run"
+    assert run_cli("solve", "--input", str(path), "--dt", "0.5", "--kmax", "2",
+                   "--out", str(out)) == 0
+    x = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert x.shape == (1, 5) and np.isfinite(x).all()
+
+
+def test_relative_error_is_computed_once_and_printed_as_written(tmp_path, capsys, monkeypatch):
+    """write_report returns the relative error it wrote to report.txt (None
+    without truth), and the summary line prints that value."""
+    calls = []
+
+    def counted(x, truth):
+        calls.append(1)
+        return scenarios.relative_error(x, truth)
+
+    def written(out):
+        return [float(line.split(": ")[1]) for line in (out / "report.txt").read_text().splitlines()
+                if line.startswith("relative_error: ")]
+
+    monkeypatch.setattr(cli, "relative_error", counted)
+    out = tmp_path / "run"
+    assert run_cli("solve", "--scenario", "wiener", "--steps", "20", "--kmax", "2",
+                   "--out", str(out)) == 0
+    assert len(calls) == 1
+    (rel_error,) = written(out)
+    assert f", relative error {rel_error:.4f}\n" in capsys.readouterr().out
+
+    data, model = simulate_wiener(scenario_defaults("wiener", T=10, seed=1))
+    problem = models.TrackingProblem(model=model, reg=models.make_regularizer("l2", 4), y=data.y)
+    report = solve_problem(problem, opts=MadmmOptions(k_max=1))
+    cfg = cli.RunConfig(command="solve", scenario="wiener")
+    assert [cli.write_report(tmp_path / "a", cfg, problem, data, report)] == written(tmp_path / "a")
+    no_truth = scenarios.TrackDataset(y=data.y, times=data.times)
+    assert cli.write_report(tmp_path / "b", cfg, problem, no_truth, report) is None
+    assert written(tmp_path / "b") == []
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -356,6 +406,17 @@ def test_a_runtime_failure_exits_2_in_one_line(tmp_path, capsys, source, dt, mes
     err = capsys.readouterr().err.splitlines()
     assert err == [f"tracklasso: error: {message}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_range_scenario_with_an_overflowing_dt_prints_one_line():
+    """The ranges of a simulated range track overflow to inf at dt = 1e300;
+    stderr holds only the error naming y, with no numpy overflow warning."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tracklasso.cli", "solve", "--scenario", "range",
+         "--dt", "1e300", "--out", "unused"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "tracklasso: error: y: non-finite value at step 1\n"
 
 
 def test_bad_flag_exits_64_from_entry_point():

@@ -16,6 +16,7 @@ from tracklasso.scenarios import (
     simulate_range,
     simulate_wiener,
     solver_settings,
+    track_model,
     wiener_velocity_matrices,
     write_track_csv,
 )
@@ -290,3 +291,15 @@ def test_make_vessel_track_contract():
     assert np.all(np.diff(track.times) > 0)
     again = make_vessel_track(T=30, seed=9)
     np.testing.assert_array_equal(track.y, again.y)
+
+
+def test_track_model_of_one_fix_needs_dt(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("t,x,y\n0.0,3.0,4.0\n")
+    track = load_track_csv(path)
+    with pytest.raises(ValueError, match="^dt: "):
+        track_model(track)
+    model = track_model(track, dt=0.5)
+    assert model.T == 1
+    np.testing.assert_array_equal(model.A[0], wiener_velocity_matrices(0.5, 1.0)[0])
+    np.testing.assert_array_equal(model.m1, [3.0, 4.0, 0.0, 0.0])
