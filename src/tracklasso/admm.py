@@ -64,6 +64,7 @@ class SolveReport:
     states: Optional[List[SplitState]] = None
     initial_passes: Optional[int] = None  # solve_problem's initialiser; None for a given x0
     initial_converged: Optional[bool] = None  # it stopped before its pass cap
+    initial_seconds: Optional[float] = None  # its wall time
 
     @property
     def stop_reason(self) -> str:

@@ -300,7 +300,8 @@ def write_report(out: Path, cfg: RunConfig, problem: TrackingProblem,
         f"stop_reason: {report.stop_reason}",
         *(f"{name}: {'n/a' if value is None else value}" for name, value in (
             ("initial_passes", report.initial_passes),
-            ("initial_converged", report.initial_converged))),
+            ("initial_converged", report.initial_converged),
+            ("seconds_initial", report.initial_seconds))),
         f"seconds_total: {_fmt(float(np.sum(report.seconds)))}",
         f"objective_final: {_fmt(report.objective[-1]) if report.iterations else 'nan'}",
         f"r_primal_final: {_fmt(report.r_primal[-1]) if report.iterations else 'nan'}",

@@ -16,6 +16,11 @@ Proposals linearise with linearize, which returns an affine model
 unchanged, so on an affine problem the iterated smoother is the augmented
 smoother.
 
+On a time-invariant system band_factor factors a truncated system through
+the Riccati transient and tiles its steady block column: byte for byte the
+whole band's factor, since dpbtrf computes each column from its band window
+and the columns just before it.  Other systems take the whole band.
+
 The oracle is the paper's augmented smoother in covariance form:
 build_fused fuses the penalty coupling with the transition density into
 an affine model (Q~^{-1} = Q^{-1} + gamma I) whose coupling evidence,
@@ -43,6 +48,8 @@ from .models import (AffineModel, GroupRegularizer, Iterate, Model, SingularSyst
                      transition_linearization, x_subproblem_cost)
 
 PROPOSAL_FLOOR = 1e-10
+STEADY_FIRST = 128  # blocks of band_factor's first truncated system, doubled on each miss
+STEADY_T = 4 * STEADY_FIRST  # the fewest steps whose quarter holds that system
 
 
 def _fuse(Qi, A, b, B, d, v, eta, gamma: float):
@@ -278,9 +285,46 @@ def coupled_rhs(h: np.ndarray, terms) -> np.ndarray:
     return h
 
 
+def _steady_factor(D: np.ndarray, E: np.ndarray) -> Optional[np.ndarray]:
+    """band_factor's factor of a time-invariant system from truncated ones,
+    or None when no steady run turns up or a truncated system does not factor."""
+    (T, n), m = D.shape[:2], STEADY_FIRST
+    if T < STEADY_T or n > 32:
+        return None
+    for S in (D[1:-1], E):  # bitwise one block? a first pair that differs bails out early
+        bits = S.view(np.int64)
+        if not ((bits[1] == bits[0]).all() and (bits[1:] == bits[:-1]).all()):
+            return None
+    while 2 * m - STEADY_FIRST <= T // 4:  # the truncated blocks so far, this one's included
+        band, info = dpbtrf(_band(E[:m - 1], np.concatenate([D[:m - 1], D[-1:]])),
+                            lower=1, overwrite_ab=1)
+        if info:
+            return None
+        cols = band.T.reshape(m, 2 * n * n)  # block column b's bytes in row b
+        if cols[m - 5].tobytes() == cols[m - 4].tobytes() == cols[m - 3].tobytes():
+            full = np.empty((T, 2 * n * n))
+            full[:m - 2], full[m - 2:T - 2], full[T - 2:] = cols[:m - 2], cols[m - 3], cols[m - 2:]
+            return full.reshape(T * n, 2 * n).T
+        m *= 2
+    return None
+
+
 def band_factor(eqs: NormalEquations) -> np.ndarray:
     """dpbtrf's lower band (kd = 2 n_x - 1) Cholesky factor of eqs' matrix;
-    one not positive definite raises SingularSystemError naming the step."""
+    one not positive definite raises SingularSystemError naming the step.
+
+    A time-invariant system (D's blocks 1..T-2 and E's blocks bitwise one
+    block) of T >= STEADY_T steps and n_x <= 32 (kd <= 64: dpbtrf's
+    column-by-column dpbtf2) is first factored truncated to its first m - 1
+    blocks and D[T-1], m = STEADY_FIRST, 2 STEADY_FIRST, ..., T/4 blocks in
+    all at most.  When blocks m-5..m-3 of that factor are bitwise equal, so
+    are all full-length blocks after them, which are tiled, and its last two
+    (shorter updates) are copied; if none is, or one does not factor, the
+    whole band is factored.
+    """
+    band = _steady_factor(eqs.D, eqs.E)
+    if band is not None:
+        return band
     band, info = dpbtrf(_band(eqs.E, eqs.D, eqs.skeleton), lower=1, overwrite_ab=1)
     if info > 0:
         raise SingularSystemError(f"information matrix at step {(info - 1) // eqs.h.shape[1]}"

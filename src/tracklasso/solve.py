@@ -8,6 +8,7 @@ off to the ADMM loop.
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 from typing import Optional
 
@@ -79,8 +80,8 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     batch reference accept both affine and nonlinear models.  The inner
     GN/LM settings are lm_cfg, or LMConfig(i_max=i_max) when lm_cfg is None,
     so i_max is read only then.  x0 defaults to initial_trajectory(problem),
-    whose pass count and convergence the report then records.  run_madmm
-    drops what the x updates kept on problem.kept.
+    whose pass count, convergence and wall time the report then records.
+    run_madmm drops what the x updates kept on problem.kept.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
@@ -91,10 +92,13 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     lm_cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
     passes = None if x0 is not None else []
     if x0 is None:
+        tic = time.perf_counter()
         x0 = initial_trajectory(problem, passes)
+        initial_seconds = time.perf_counter() - tic
     report = run_madmm(problem, make_x_solver(solver, lm_cfg), opts, x0=x0,
                        record_states=record_states)
     if passes is not None:  # an affine model's one pass is exact
         report.initial_passes = 1 if problem.is_affine else len(passes)
         report.initial_converged = problem.is_affine or len(passes) < INITIAL_PASSES
+        report.initial_seconds = initial_seconds
     return report

@@ -314,9 +314,9 @@ def test_shared_diagnostics_equal_the_standalone_values(case):
     ("wiener", 0, 1, True),  # an affine model takes one exact pass
 ])
 def test_solve_records_the_initialiser(scenario, seed, passes, converged):
-    """solve_problem records the initial smoother's accepted passes and
-    whether it stopped before its cap, without changing its iterate; a
-    caller's start records neither."""
+    """solve_problem records the initial smoother's accepted passes,
+    whether it stopped before its cap and its wall time, without changing
+    its iterate; a caller's start records none of them."""
     sim = simulate_range if scenario == "range" else simulate_wiener
     data, model = sim(scenario_defaults(scenario, T=30, seed=seed))
     prob = TrackingProblem(model, make_regularizer("group", 4, groups=[[2, 3]]), data.y)
@@ -326,6 +326,7 @@ def test_solve_records_the_initialiser(scenario, seed, passes, converged):
     assert (rep.initial_passes, rep.initial_converged) == (passes, converged)
     given = solve_problem(prob, solver, opts=opts, x0=initial_trajectory(prob))
     assert given.initial_passes is None and given.initial_converged is None
+    assert rep.initial_seconds > 0 and given.initial_seconds is None
     assert np.array_equal(rep.x, given.x)
 
 

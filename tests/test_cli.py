@@ -231,6 +231,21 @@ def test_relative_error_is_computed_once_and_printed_as_written(tmp_path, capsys
     assert written(tmp_path / "b") == []
 
 
+def test_report_records_the_initial_pass_time(tmp_path):
+    """report.txt gives solve_problem's initial pass wall time on the line
+    after initial_converged, as the float's repr, and n/a for a given x0."""
+    data, model = simulate_wiener(scenario_defaults("wiener", T=10, seed=1))
+    problem = models.TrackingProblem(model=model, reg=models.make_regularizer("l2", 4), y=data.y)
+    cfg = cli.RunConfig(command="solve", scenario="wiener")
+    for name, x0 in (("own", None), ("given", plain_smoother(model, data.y))):
+        report = solve_problem(problem, opts=MadmmOptions(k_max=1), x0=x0)
+        cli.write_report(tmp_path / name, cfg, problem, data, report)
+        lines = (tmp_path / name / "report.txt").read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("initial_converged: "))
+        value = "n/a" if x0 is not None else repr(report.initial_seconds)
+        assert lines[at + 1] == f"seconds_initial: {value}"
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("scenario = wiener\nseed = 3\nsteps = 25\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpbtrf
 
 import tracklasso.models as models
 import tracklasso.smoothers as smoothers
@@ -603,15 +604,18 @@ def test_singular_innovation_raises_with_step():
 
 
 def count_factorisations(monkeypatch):
-    """Count band factorisations of the information matrix (dpbtrf)."""
+    """Count band factorisations of the information matrix (band_factor
+    calls, at both names the solve path looks it up by; one factorisation
+    may run dpbtrf on truncated systems first)."""
     calls = [0]
-    factor = smoothers.dpbtrf
+    factor = smoothers.band_factor
 
-    def counted(*args, **kwargs):
+    def counted(eqs):
         calls[0] += 1
-        return factor(*args, **kwargs)
+        return factor(eqs)
 
-    monkeypatch.setattr(smoothers, "dpbtrf", counted)
+    monkeypatch.setattr(smoothers, "band_factor", counted)
+    monkeypatch.setattr("tracklasso.solve.band_factor", counted)
     return calls
 
 
@@ -924,6 +928,134 @@ def test_band_factor_names_the_bad_step():
         with pytest.raises(SingularSystemError, match=f"^{match}is not positive definite"):
             plain_ieks(replace(model, validate=False, **bad), np.zeros((8, 2)), i_max=1)
 
+
+
+def factor_sizes(monkeypatch):
+    """Record the columns (blocks times n_x) of every band dpbtrf factors."""
+    sizes = []
+    factor = smoothers.dpbtrf
+
+    def recorded(ab, **kwargs):
+        sizes.append(ab.shape[1])
+        return factor(ab, **kwargs)
+
+    monkeypatch.setattr(smoothers, "dpbtrf", recorded)
+    return sizes
+
+
+def assert_full_factor(band, eqs):
+    """band is dpbtrf's factor of eqs' whole band, byte for byte, laid out
+    as dpbtrs reads it without a copy."""
+    full, info = dpbtrf(smoothers._band(eqs.E, eqs.D), lower=1)
+    assert info == 0 and band.shape == full.shape and band.flags.f_contiguous
+    assert band.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("n_x", range(1, 7))
+def test_band_factor_is_the_full_factor_of_a_time_invariant_system(monkeypatch, n_x):
+    """On random time-invariant models, at gamma = 0 and > 0, for both
+    target modes and damped with a one-block S, band_factor gives dpbtrf's
+    factor of the whole band byte for byte, from one step below the
+    steady-state threshold (where it factors the whole band at once) to 5000
+    steps; at or above it, most systems take the steady-state path."""
+    sizes = factor_sizes(monkeypatch)
+    taken = []
+    for T in (smoothers.STEADY_T - 1, smoothers.STEADY_T, 700, 5000):
+        rng = np.random.default_rng(1000 * n_x + T)
+        for target_mode in ("process_noise", "state"):
+            prob = random_affine_problem(rng, T=T, n_x=n_x, target_mode=target_mode)
+            B, _ = prob.penalty_targets()
+            s_inv = np.linalg.inv(np.eye(n_x) + 0.2 * np.diag(rng.uniform(size=n_x)))[None]
+            for gamma in (0.0, 0.9):
+                eqs = normal_equations(prob.model, prob.y, B, gamma=gamma, kept=prob.kept)
+                for system in (eqs, eqs.damped(0.4, s_inv, rng.normal(size=(T, n_x)))):
+                    sizes.clear()
+                    assert_full_factor(smoothers.band_factor(system), system)
+                    if T < smoothers.STEADY_T:
+                        assert sizes == [T * n_x]
+                    else:
+                        taken.append(T * n_x not in sizes)
+    assert sum(taken) >= len(taken) / 2, taken
+
+
+@pytest.mark.parametrize("target_mode", ["process_noise", "state"])
+def test_steady_state_solves_return_the_full_factor_bytes(monkeypatch, target_mode):
+    """On Wiener at T = 2000 the initial pass, the ks_madmm x update and the
+    affine Gauss-Newton proposal take the steady-state path and return the
+    bytes they return from the whole band's factor."""
+    T = 2000
+    prob = wiener_problem(T, target_mode)
+    rng = np.random.default_rng(8)
+    V, eta = rng.normal(size=(2, T, 4))
+    solver = make_x_solver("ks_madmm")
+
+    def solves():
+        prob.kept.clear()
+        x0 = plain_smoother(prob.model, prob.y)
+        return (x0, solver(prob, V, eta, 1.0, None),
+                lm_ieks(prob, V, eta, 1.0, x0, LMConfig(lambda0=0.0)))
+
+    sizes = factor_sizes(monkeypatch)
+    steady = solves()
+    assert len(sizes) >= 3 and T * 4 not in sizes
+    monkeypatch.setattr(smoothers, "_steady_factor", lambda D, E: None)
+    sizes.clear()
+    full = solves()
+    assert sizes == [T * 4] * 3
+    for a, b in zip(steady, full):
+        assert a.tobytes() == b.tobytes()
+
+
+def slow_settling_model(T):
+    """A random walk observed through heavy noise: its Riccati recursion
+    contracts by about 1e-3 per step, far too slowly to settle in 500 steps."""
+    return AffineModel(A=np.eye(1), b=np.zeros(1), H=np.eye(1), e=np.zeros(1),
+                       Q=1e-6 * np.eye(1), R=np.eye(1), m1=np.zeros(1), P1=np.eye(1), T=T)
+
+
+@pytest.mark.parametrize("case", ["per_step_Q", "per_step_H", "short", "slow"])
+def test_band_factor_falls_back_to_the_whole_band(monkeypatch, case):
+    """A per-step Q or H (a time-varying system), T below the steady-state
+    threshold and a model whose transient outlasts the bounded truncated
+    attempts all factor the whole band, with dpbtrf's factor of it.  Only
+    the slow model tries truncated systems first, in all at most a quarter
+    of the whole band."""
+    T = {"short": smoothers.STEADY_T - 1, "slow": 2000}.get(case, 600)
+    if case == "slow":
+        model, y = slow_settling_model(T), np.random.default_rng(9).normal(size=(T, 1))
+    else:
+        prob = wiener_problem(T, "process_noise")
+        model, y = prob.model, prob.y
+        varied = np.ones(T)
+        varied[T // 2] = 1.1
+        if case == "per_step_Q":
+            model = replace(model, Q=model.Q * varied[:, None, None])
+        elif case == "per_step_H":
+            model = replace(model, H=model.H * varied[:, None, None])
+    n = model.n_x
+    eqs = normal_equations(model, y)
+    sizes = factor_sizes(monkeypatch)
+    assert_full_factor(smoothers.band_factor(eqs), eqs)
+    assert sizes[-1] == T * n
+    if case == "slow":
+        first = smoothers.STEADY_FIRST * n
+        assert sizes[:-1] == [first, 2 * first] and sum(sizes[:-1]) <= T * n / 4
+    else:
+        assert len(sizes) == 1
+
+
+def test_time_invariant_system_that_does_not_factor_names_its_step(monkeypatch):
+    """A time-invariant information matrix that is not positive definite to
+    rounding (A = I, Q = 1e-20 I) fails its truncated system too, and the
+    whole band's factor then raises the error that names the step."""
+    T = 600
+    model = AffineModel(A=np.eye(2), b=np.zeros(2), H=np.eye(2), e=np.zeros(2),
+                        Q=1e-20 * np.eye(2), R=np.eye(2), m1=np.zeros(2), P1=np.eye(2), T=T)
+    sizes = factor_sizes(monkeypatch)
+    with pytest.raises(SingularSystemError,
+                       match="^information matrix at step 599 is not positive definite$"):
+        plain_smoother(model, np.zeros((T, 2)))
+    assert sizes == [smoothers.STEADY_FIRST * 2, T * 2]
 
 @pytest.mark.parametrize("solver", ["gn_ieks_madmm", "lm_ieks_madmm"])
 def test_linearize_names_non_finite_callable(solver):
