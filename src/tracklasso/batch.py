@@ -1,18 +1,16 @@
 """Dense reference solvers for the regularised x subproblem.
 
 The whole trajectory is treated as one vector of length T * n_x.  Its
-normal equations are the block-tridiagonal ones of
-smoothers.normal_equations, unpacked into one dense symmetric matrix and
-solved by a dense Cholesky factorisation.  Only the matrix's lower
-triangle is stored, in LAPACK's rectangular full packed form (dtrttf's
+normal matrix is the band of smoothers.normal_equations scattered into its
+lower triangle, stored in LAPACK's rectangular full packed form (dtrttf's
 TRANSR = 'T', UPLO = 'L'): (T n_x)(T n_x + 1)/2 doubles, half the full
 matrix, factored in place by the blocked dpftrf.  These solvers scale
 cubically in T and exist as the reference path; the smoother module
-solves the same systems in linear time.  The x-update engines are the smoother module's
-bodies with the dense solve: make_affine_x_solver is smoothers.factor_once
-and batch_nonlinear_solve smoothers.lm_x_update.  stack_problem,
-normal_system, batch_x_affine and the one damped step batch_lm_step stay
-as the dense oracles.
+solves the same systems in linear time.  The x-update engines are the
+smoother module's bodies with the dense solve: make_affine_x_solver is
+smoothers.factor_once and batch_nonlinear_solve smoothers.lm_x_update.
+stack_problem, normal_system, batch_x_affine and the one damped step
+batch_lm_step stay as the dense oracles.
 """
 
 from __future__ import annotations
@@ -35,13 +33,11 @@ __all__ = ["LMConfig", "x_subproblem_cost", "stack_problem", "normal_system", "b
 
 def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Optional[np.ndarray],
                   gamma: float) -> NormalEquations:
-    """normal_equations of an affine problem and its penalty targets.
-
-    With v None, h leaves out the coupling's part (smoothers.coupled_rhs
-    adds it).  P1, Q and R are factored block by block (the model's
-    noise_precisions), so a bad block is named with its step, as on the
-    smoother path.
-    """
+    """normal_equations (band and h) of an affine problem and its penalty
+    targets.  With v None, h leaves out the coupling's part
+    (smoothers.coupled_rhs adds it).  P1, Q and R are factored block by
+    block (the model's noise_precisions), so a bad block is named with its
+    step, as on the smoother path."""
     model = problem.model
     if not model.is_affine:
         raise ValueError("stack_problem needs an affine model; linearise first")
@@ -53,34 +49,23 @@ def stack_problem(problem: TrackingProblem, v: Optional[np.ndarray], eta_bar: Op
 
 def normal_system(eqs: NormalEquations):
     """Normal matrix of eqs in rectangular full packed (RFP) form and its
-    right-hand side.
-
-    The matrix has D[t] at block (t, t), -E[t] at block (t + 1, t) and its
-    transpose at block (t, t + 1), zeros elsewhere.  Only its lower
-    triangle is stored, in LAPACK's RFP layout with TRANSR = 'T' and
-    UPLO = 'L' (dtrttf's): for the order N = T n_x, padded to an even
-    N' = 2k with a unit diagonal entry and a zero right-hand side when N is
-    odd, entry (i, j), i >= j, sits at [j, i + 1] when j < k and at
-    [i - k, j - k] otherwise.  The array is F-ordered (k, N' + 1), N'(N' + 1)/2
-    doubles instead of N^2, so _dense_factor factors it in place.  The
-    right-hand side is eqs.h flattened and padded to (N',); the padded
-    unknown of the system is exactly 0.
-    """
-    T, n = eqs.h.shape
-    N = T * n
+    right-hand side.  Band entry [r, j] is the matrix's entry (j + r, j), for
+    j + r below the order N = T n_x; that lower triangle is stored in
+    LAPACK's RFP layout with TRANSR = 'T' and UPLO = 'L' (dtrttf's): for N
+    padded to an even N' = 2k with a unit diagonal entry and a zero
+    right-hand side when N is odd, entry (i, j), i >= j, sits at [j, i + 1]
+    when j < k and at [i - k, j - k] otherwise.  The array is F-ordered
+    (k, N' + 1), N'(N' + 1)/2 doubles instead of N^2, so _dense_factor
+    factors it in place.  The right-hand side is eqs.h flattened and padded
+    to (N',); the padded unknown of the system is exactly 0."""
+    N = eqs.band.shape[1]
     k = (N + 1) // 2
-    a, b = np.tril_indices(n)
-    t = np.arange(T)[:, None]
-    s = np.arange(T - 1)[:, None, None]
-    # (i, j) of each stored entry: the lower triangles of D, then every -E entry
-    i_E = np.broadcast_to((s + 1) * n + np.arange(n)[:, None], eqs.E.shape)
-    j_E = np.broadcast_to(s * n + np.arange(n), eqs.E.shape)
-    i = np.concatenate([(t * n + a).ravel(), i_E.ravel()])
-    j = np.concatenate([(t * n + b).ravel(), j_E.ravel()])
-    top = j < k
     R = np.zeros((k, 2 * k + 1), order="F")
-    R[np.where(top, j, i - k), np.where(top, i + 1, j - k)] = np.concatenate(
-        [eqs.D[:, a, b].ravel(), -eqs.E.ravel()])
+    flat = R.reshape(-1, order="F", copy=False)  # R[a, b] is flat[a + b k]
+    for r, row in enumerate(eqs.band):  # (j + r, j): flat j (k + 1) + (r + 1) k if j < k,
+        top, low = row[:min(k, max(0, N - r))], row[k:max(k, N - r)]  # else (j - k)(k + 1) + r
+        flat[(r + 1) * k::k + 1][:len(top)] = top
+        flat[r::k + 1][:len(low)] = low
     if N % 2:
         R[k - 1, k - 1] = 1.0  # entry (N, N) of the padded order
     rhs = np.zeros(2 * k)
@@ -89,17 +74,14 @@ def normal_system(eqs: NormalEquations):
 
 
 def _dense_factor(eqs: NormalEquations, what: str) -> np.ndarray:
-    """Lower Cholesky factor of normal_system(eqs)'s matrix, computed in place.
-
-    The factor is normal_system's F-ordered RFP array itself, factored by
-    LAPACK's blocked dpftrf, so it holds N'(N' + 1)/2 doubles and the BLAS
-    calls of _back_substitute read its three blocks without a copy.  The
-    matrix holds only D, -E, zeros and the unit padding, so it is finite
-    exactly when D and E are: they are checked, O(T n_x^2), instead of the
-    whole matrix.  A matrix that is not finite or not positive definite
-    raises SingularSystemError naming what.
-    """
-    if not (np.isfinite(eqs.D).all() and np.isfinite(eqs.E).all()):
+    """Lower Cholesky factor of normal_system(eqs)'s matrix, computed in place:
+    normal_system's F-ordered RFP array itself, factored by LAPACK's blocked
+    dpftrf, so it holds N'(N' + 1)/2 doubles and _back_substitute's BLAS
+    calls read its three blocks without a copy.  The matrix is finite
+    exactly when eqs.band is, so the band is checked, O(T n_x^2).  A matrix
+    not finite or not positive definite raises SingularSystemError naming
+    what."""
+    if not np.isfinite(eqs.band).all():
         raise SingularSystemError(f"{what} is not positive definite")
     R, _ = normal_system(eqs)
     _, info = dpftrf(R.shape[1] - 1, R.ravel(order="F"), transr="T", uplo="L", overwrite_a=1)
@@ -133,7 +115,7 @@ def _back_substitute(c: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def batch_x_affine(eqs: NormalEquations) -> np.ndarray:
-    """Exact minimiser of the affine subproblem eqs (stack_problem), (T, n_x)."""
+    """Exact minimiser (T, n_x) of the affine subproblem eqs (band and h)."""
     return _back_substitute(_dense_factor(eqs, "stacked normal matrix"), eqs.h)
 
 

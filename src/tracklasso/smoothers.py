@@ -2,24 +2,25 @@
 
 The x subproblem's normal matrix is block tridiagonal, so it is solved in
 O(T) instead of the O(T^3) dense solve, in one form: normal_equations
-assembles the information form unfused for all steps at once from the
-model, its noise precisions and the coupling, and augmented_ks solves it
-with one banded LAPACK Cholesky (band_factor).  Two x-update bodies take
-the linear solve as a parameter.  factor_once (affine) factors the matrix,
-which depends only on (problem, gamma), once for every coupling
+assembles the information form for all steps at once straight into the
+LAPACK lower band dpbtrf reads (NormalEquations.band), and augmented_ks
+solves it by one banded Cholesky (band_factor, band_solve).  Two x-update
+bodies take the linear solve as a parameter.  factor_once (affine) factors
+the matrix, which depends only on (problem, gamma), once for every coupling
 (coupled_rhs); ks_madmm gives it band_factor and augmented_ks.
-lm_x_update runs the damped Gauss-Newton loop gauss_newton (lambda0 = 0
-is Gauss-Newton; a damped proposal adds lambda S^{-1} on the diagonal);
-lm_ieks gives it augmented_ks, and plain_ieks is lm_ieks with no penalty
-at lambda0 = 0, gamma = 0.  The batch module gives both the dense solve.
-Proposals linearise with linearize, which returns an affine model
+lm_x_update runs the damped Gauss-Newton loop gauss_newton (lambda0 = 0 is
+Gauss-Newton; a damped proposal adds lambda S^{-1} to the band's diagonal
+blocks); lm_ieks gives it augmented_ks, and plain_ieks is lm_ieks with no
+penalty at lambda0 = 0, gamma = 0.  The batch module gives both the dense
+solve.  Proposals linearise with linearize, which returns an affine model
 unchanged, so on an affine problem the iterated smoother is the augmented
 smoother.
 
-On a time-invariant system band_factor factors a truncated system through
-the Riccati transient and tiles its steady block column: byte for byte the
-whole band's factor, since dpbtrf computes each column from its band window
-and the columns just before it.  Other systems take the whole band.
+A time-invariant band is assembled at three steps and tiled, and factored
+through the Riccati transient on a truncated system whose steady block
+column is tiled: byte for byte the whole band's factor, since dpbtrf
+computes each column from its band window and the columns just before
+it.  Other systems take the whole band.
 
 The oracle is the paper's augmented smoother in covariance form:
 build_fused fuses the penalty coupling with the transition density into
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -122,21 +124,41 @@ def _after_prior(prior: np.ndarray, steps: np.ndarray) -> np.ndarray:
     return freeze(np.concatenate([prior, steps]))
 
 
-def _band(sub: np.ndarray, diag: np.ndarray, skeleton=None) -> np.ndarray:
-    """LAPACK lower band (2n, T n) of the block tridiagonal matrix of
-    T = len(diag) block rows with the lower triangles of diag[t] on the
-    diagonal and block (t + 1, t) = -sub[t]; the columns of -sub are copied
-    from skeleton, the band of (sub, 0) kept by normal_equations, if given."""
+def _band(sub: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """dpbtrf's F-ordered lower band (2n, T n), entry [r, j] = (j + r, j), of
+    the block tridiagonal matrix with the lower triangles of diag[t] (T =
+    len(diag) blocks) on the diagonal and block (t + 1, t) = -sub[t]."""
     T, n = diag.shape[:2]
-    if skeleton is None:
-        ab = np.zeros((T, n, 2 * n))  # the band, column-major
-        for c in range(n):  # column c of block column t: diag[t] from row c, then -sub[t]
-            np.negative(sub[:, :, c], out=ab[:-1, c, n - c:2 * n - c])
-    else:
-        ab = skeleton.T.reshape(T, n, 2 * n).copy()
-    for c in range(n):
+    ab = np.zeros((T, n, 2 * n))  # the band, column-major
+    for c in range(n):  # column c of block column t: diag[t] from row c, then -sub[t]
         ab[:, c, :n - c] = diag[:, c:, c]
+        np.negative(sub[:, :, c], out=ab[:-1, c, n - c:2 * n - c])
     return ab.reshape(T * n, 2 * n).T
+
+
+def _columns(band: np.ndarray) -> np.ndarray:
+    """(T, 2 n^2) view of a band: block column t's entries in row t."""
+    return band.T.reshape(-1, band.shape[0] ** 2 // 2, copy=False)
+
+
+@lru_cache(maxsize=None)
+def _diagonal_places(n: int) -> np.ndarray:
+    """Per entry of a band block column, the flat place of the (n, n) block
+    entry (i, c), i >= c, at its row i - c of column c, else n^2 (past it)."""
+    i, c = np.tril_indices(n)
+    places = np.full(2 * n * n, n * n)
+    places[c * (2 * n - 1) + i] = i * n + c
+    return places
+
+
+def _plus_diagonal(band: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """A new band: band plus the lower triangles of blocks ((n, n) or a
+    (1, n, n) or (T, n, n) stack) on its diagonal blocks, one sum per entry;
+    every other entry gets -0.0 added, which leaves its bits as they are."""
+    n = band.shape[0] // 2
+    padded = np.empty((blocks.size // (n * n), n * n + 1))
+    padded[:, :-1], padded[:, -1] = blocks.reshape(-1, n * n), -0.0
+    return (_columns(band) + padded.take(_diagonal_places(n), axis=1)).reshape(-1, 2 * n).T
 
 
 def rts_smoother(fused: AffineModel, y: np.ndarray) -> np.ndarray:
@@ -173,33 +195,29 @@ def rts_smoother(fused: AffineModel, y: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class NormalEquations:
-    """The x subproblem's block-tridiagonal normal equations, information form.
+    """The x subproblem's block-tridiagonal normal equations, information
+    form: the matrix's band (_band of its blocks E and D) and the right-hand
+    side h (T, n_x)."""
 
-    D (T, n_x, n_x) are the diagonal blocks, -E[t] (E is (T - 1, n_x, n_x))
-    the blocks (t + 1, t) below them and h (T, n_x) the right-hand side.
-    A solve against a kept factor of the matrix reads only h, so D and E
-    may then be None.  skeleton is the kept band of (E, 0), if any (_band).
-    """
-
-    D: Optional[np.ndarray]
-    E: Optional[np.ndarray]
+    band: np.ndarray
     h: np.ndarray
-    skeleton: Optional[np.ndarray] = None
 
     def damped(self, lam: float, s_inv: np.ndarray, z: np.ndarray) -> "NormalEquations":
         """These equations plus the LM term lam/2 sum_t ||x_t - z_t||^2 in
         the metric s_inv = S^{-1} ((n, n), or one block per step): lam S^{-1}
         on the diagonal and lam S^{-1} z in h.  self is not changed."""
         lam_s = lam * s_inv
-        return NormalEquations(self.D + lam_s, self.E, self.h + (lam_s @ z[..., None])[..., 0],
-                               self.skeleton)
+        return NormalEquations(_plus_diagonal(self.band, lam_s),
+                               self.h + (lam_s @ z[..., None])[..., 0])
 
 
 def static_part(lin: AffineModel, B, gamma: float):
-    """New D_static (T, n, n) and E (T - 1, n, n) of normal_equations: the
-    blocks that H does not enter."""
+    """New D_static (k, n, n) and E (k - 1, n, n) of normal_equations, the
+    blocks that H does not enter: k = T, or, when A[1:], Q[1:] and B[1:] are
+    one block each, k = min(T, 3), blocks 0, every middle one and T - 1."""
     Pi, Qi, _ = lin.noise_precisions
-    T, n, A = lin.T, lin.n_x, compact(lin.A[1:])
+    n, A, Bn = lin.n_x, compact(lin.A[1:]), compact((B if gamma > 0 else lin.A)[1:])
+    T = min(lin.T, 3) if len(Qi) == len(A) == len(Bn) == 1 else lin.T
     QiA = Qi @ A
     D = np.empty((T, n, n))
     D[0] = Pi[0]
@@ -207,52 +225,51 @@ def static_part(lin: AffineModel, B, gamma: float):
     D[:-1] += A.transpose(0, 2, 1) @ QiA
     E = QiA if len(QiA) == T - 1 else np.repeat(QiA, T - 1, axis=0)  # a new array of its own
     if gamma > 0:
-        Bn = compact(B[1:])
         D += gamma * np.eye(n)
         D[:-1] += gamma * Bn.transpose(0, 2, 1) @ Bn
         E += gamma * Bn
     return D, E
 
 
-def _kept_static(kept: dict, lin: AffineModel, B, gamma: float):
-    """kept's "static" slot (models.keep): (D_static, E, band skeleton) keyed
-    by gamma and the bytes of the A and B blocks, or None (assemble fresh)
-    unless A and B are one block each."""
-    A, Bn = lin.A[1:], (B if gamma > 0 else lin.A)[1:]  # B does not enter at gamma = 0
-    if not (len(A) and time_invariant(A) and time_invariant(Bn)):
-        return None
-
-    def build():
-        D, E = static_part(lin, B, gamma)
-        return freeze(D), freeze(E), _band(E, np.zeros_like(D))
-    return keep(kept, "static", (gamma, A[0].tobytes(), Bn[0].tobytes()), build)
+def _static_band(lin: AffineModel, B, gamma: float, HRiH=None) -> np.ndarray:
+    """Band of static_part's D_static + HRiH (H'R^{-1}H, if given) and E, a
+    3-block part tiled to T steps, HRiH added before if one block, else after."""
+    T, n = lin.T, lin.n_x
+    D, E = static_part(lin, B, gamma)
+    late = HRiH is not None and len(D) < T and len(HRiH) > 1
+    if HRiH is not None and not late:
+        D += HRiH
+    band = _band(E, D)
+    if len(D) < T:
+        band = np.repeat(_columns(band), (1, T - 2, 1), axis=0).reshape(T * n, 2 * n).T
+    return _plus_diagonal(band, HRiH) if late else band
 
 
 def normal_equations(lin: AffineModel, y: np.ndarray, B=None, d=None, v=None,
                      eta_bar=None, gamma: float = 0.0,
                      kept: Optional[dict] = None) -> NormalEquations:
-    """Undamped normal equations of the x subproblem on an affine model.
-
-    Assembled unfused for all steps at once from the model (A, b, H, e), its
+    """Undamped normal equations of the x subproblem on an affine model,
+    assembled for all steps at once from the model (A, b, H, e), its
     noise_precisions and, for gamma > 0, the coupling gamma/2 ||x_t - B_t
     x_{t-1} - d_t - V_t + eta_bar_t/gamma||^2, with B_0 = 0 and d_0 = m1.
     With Q_0 = P1, A_0 = 0 and b_0 = m1: D_t = D_static_t + H_t' R_t^{-1} H_t
     in that order, D_static_t = Q_t^{-1} + A_{t+1}' Q_{t+1}^{-1} A_{t+1} +
     gamma (I + B_{t+1}' B_{t+1}), and E_t = Q_{t+1}^{-1} A_{t+1} + gamma
     B_{t+1}, the t + 1 terms absent at t = T - 1: the fused model's matrix
-    without evidence rows.  D, E and, with v None, h depend only on
-    (problem, gamma); coupled_rhs adds the rest.  A time-invariant
-    (broadcast) stack enters its products once.  kept (a TrackingProblem's)
-    keeps D_static, E and their band in its "static" slot, rebuilt when
-    gamma or the bytes of the one-block A and B change (_kept_static): the
-    same D, E and h bit for bit.
-    """
+    without evidence rows, written into its band (_static_band).  The band
+    and, with v None, h depend only on (problem, gamma); coupled_rhs adds
+    the rest.  With A and B one block each, kept (a TrackingProblem's)
+    keeps the static part's read-only band in its "static" slot
+    (models.keep), keyed by gamma and the A and B blocks' bytes."""
     Pi, Qi, Ri = lin.noise_precisions
     A, b, H, m1 = compact(lin.A[1:]), compact(lin.b[1:]), compact(lin.H), lin.m1
-    part = None if kept is None else _kept_static(kept, lin, B, gamma)
-    D_static, E, skeleton = part or static_part(lin, B, gamma) + (None,)
     HRi = H.transpose(0, 2, 1) @ Ri
-    D = np.add(D_static, HRi @ H, out=None if part else D_static)  # in place on a fresh part
+    A1, Bn = lin.A[1:], (B if gamma > 0 else lin.A)[1:]  # B does not enter at gamma = 0
+    if kept is not None and len(A1) and time_invariant(A1) and time_invariant(Bn):
+        band = _plus_diagonal(keep(kept, "static", (gamma, A1[0].tobytes(), Bn[0].tobytes()),
+                                   lambda: freeze(_static_band(lin, B, gamma))), HRi @ H)
+    else:
+        band = _static_band(lin, B, gamma, HRi @ H)
     r = y - lin.e
     h = r @ HRi[0].T if len(HRi) == 1 else (HRi @ r[..., None])[..., 0]
     Qib = b @ Qi[0].T if len(Qi) == 1 else (Qi @ b[..., None])[..., 0]
@@ -261,7 +278,7 @@ def normal_equations(lin: AffineModel, y: np.ndarray, B=None, d=None, v=None,
     h[:-1] -= (Qib[:, None] @ A)[:, 0]
     if v is not None:
         h = coupled_rhs(h, coupling(B, d, v, eta_bar, gamma, m1))
-    return NormalEquations(D, E, h, skeleton)
+    return NormalEquations(band, h)
 
 
 def coupling(B, d, v, eta_bar, gamma: float, m1: np.ndarray):
@@ -285,63 +302,62 @@ def coupled_rhs(h: np.ndarray, terms) -> np.ndarray:
     return h
 
 
-def _steady_factor(D: np.ndarray, E: np.ndarray) -> Optional[np.ndarray]:
-    """band_factor's factor of a time-invariant system from truncated ones,
-    or None when no steady run turns up or a truncated system does not factor."""
-    (T, n), m = D.shape[:2], STEADY_FIRST
+def _steady_factor(band: np.ndarray) -> Optional[np.ndarray]:
+    """band_factor's factor of a time-invariant band from truncated ones, or
+    None when no steady run turns up or a truncated system does not factor."""
+    cols, n, m = _columns(band), band.shape[0] // 2, STEADY_FIRST
+    T = len(cols)
     if T < STEADY_T or n > 32:
         return None
-    for S in (D[1:-1], E):  # bitwise one block? a first pair that differs bails out early
-        bits = S.view(np.int64)
-        if not ((bits[1] == bits[0]).all() and (bits[1:] == bits[:-1]).all()):
-            return None
+    bits = cols[1:-1].view(np.int64)  # bitwise one block? a first differing pair bails out early
+    if not ((bits[1] == bits[0]).all() and (bits[1:] == bits[:-1]).all()):
+        return None
     while 2 * m - STEADY_FIRST <= T // 4:  # the truncated blocks so far, this one's included
-        band, info = dpbtrf(_band(E[:m - 1], np.concatenate([D[:m - 1], D[-1:]])),
-                            lower=1, overwrite_ab=1)
+        truncated = np.concatenate([cols[:m - 1], cols[-1:]]).reshape(m * n, 2 * n).T
+        factor, info = dpbtrf(truncated, lower=1, overwrite_ab=1)
         if info:
             return None
-        cols = band.T.reshape(m, 2 * n * n)  # block column b's bytes in row b
-        if cols[m - 5].tobytes() == cols[m - 4].tobytes() == cols[m - 3].tobytes():
+        fac = _columns(factor)
+        if fac[m - 5].tobytes() == fac[m - 4].tobytes() == fac[m - 3].tobytes():
             full = np.empty((T, 2 * n * n))
-            full[:m - 2], full[m - 2:T - 2], full[T - 2:] = cols[:m - 2], cols[m - 3], cols[m - 2:]
+            full[:m - 2], full[m - 2:T - 2], full[T - 2:] = fac[:m - 2], fac[m - 3], fac[m - 2:]
             return full.reshape(T * n, 2 * n).T
         m *= 2
     return None
 
 
 def band_factor(eqs: NormalEquations) -> np.ndarray:
-    """dpbtrf's lower band (kd = 2 n_x - 1) Cholesky factor of eqs' matrix;
-    one not positive definite raises SingularSystemError naming the step.
-
-    A time-invariant system (D's blocks 1..T-2 and E's blocks bitwise one
-    block) of T >= STEADY_T steps and n_x <= 32 (kd <= 64: dpbtrf's
-    column-by-column dpbtf2) is first factored truncated to its first m - 1
-    blocks and D[T-1], m = STEADY_FIRST, 2 STEADY_FIRST, ..., T/4 blocks in
-    all at most.  When blocks m-5..m-3 of that factor are bitwise equal, so
-    are all full-length blocks after them, which are tiled, and its last two
-    (shorter updates) are copied; if none is, or one does not factor, the
-    whole band is factored.
-    """
-    band = _steady_factor(eqs.D, eqs.E)
-    if band is not None:
-        return band
-    band, info = dpbtrf(_band(eqs.E, eqs.D, eqs.skeleton), lower=1, overwrite_ab=1)
+    """dpbtrf's lower band (kd = 2 n_x - 1) Cholesky factor of eqs.band, a
+    new array; a matrix not positive definite raises SingularSystemError
+    naming the step.  A band of T >= STEADY_T steps and n_x <= 32 (kd <= 64:
+    dpbtrf's column-by-column dpbtf2) whose block columns 1..T-2 are bitwise
+    one is first factored truncated to its first m - 1 block columns and the
+    last, m = STEADY_FIRST, 2 STEADY_FIRST, ..., T/4 blocks in all at most.
+    When blocks m-5..m-3 of that factor are bitwise equal, the full-length
+    blocks after them are tiled and its last two copied; else the whole
+    band is factored."""
+    factor = _steady_factor(eqs.band)
+    if factor is not None:
+        return factor
+    factor, info = dpbtrf(eqs.band, lower=1)
     if info > 0:
         raise SingularSystemError(f"information matrix at step {(info - 1) // eqs.h.shape[1]}"
                                   f" is not positive definite")
-    return band
+    return factor
 
 
-def augmented_ks(eqs: NormalEquations, factor: Optional[np.ndarray] = None) -> np.ndarray:
-    """One solve of the x subproblem's normal equations, returning x (T, n_x).
+def band_solve(factor: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """x (T, n_x) for the right-hand side h against a band_factor: one dpbtrs."""
+    return dpbtrs(factor, h.reshape(-1, 1), lower=1)[0].reshape(h.shape)
 
-    One dpbtrs of h against factor, by default band_factor(eqs).  A factor
-    built for the same (problem, gamma) and another coupling gives the
-    fresh x bit for bit.
-    """
+
+def augmented_ks(eqs, factor: Optional[np.ndarray] = None) -> np.ndarray:
+    """x (T, n_x) solving eqs: band_solve of eqs.h against band_factor(eqs),
+    or, given factor (kept for the same problem and gamma: the ks_madmm x
+    update), of the right-hand side eqs = h alone, the fresh x bit for bit."""
     if factor is None:
-        factor = band_factor(eqs)
-    return dpbtrs(factor, eqs.h.reshape(-1, 1), lower=1)[0].reshape(eqs.h.shape)
+        return band_solve(band_factor(eqs), eqs.h)
+    return band_solve(factor, eqs)
 
 
 def factor_once(slot: str, assemble: Callable, factor: Callable, solve: Callable):
@@ -349,9 +365,10 @@ def factor_once(slot: str, assemble: Callable, factor: Callable, solve: Callable
     affine problem that factors its matrix once per (problem, gamma): the
     penalty targets (B, d), h0 = assemble(problem, B, gamma).h (no coupling)
     and factor(eqs) are kept in problem.kept[slot], keyed by gamma
-    (models.keep), and each call returns solve(factor, h0 plus the
-    coupling's part), the fresh solve's x bit for bit (its Iterate for an
-    Iterate x_warm)."""
+    (models.keep), until the next run_madmm on the problem or
+    problem.kept.clear(), also after a direct call.  Each call returns
+    solve(factor, h0 plus the coupling's part), the fresh solve's x bit for
+    bit (its Iterate for an Iterate x_warm)."""
     def factored(problem, gamma):
         if not problem.is_affine:
             raise ValueError("a factor-once x update needs an affine model")

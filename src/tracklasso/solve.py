@@ -17,8 +17,8 @@ import numpy as np
 from .admm import MadmmOptions, SolveReport, run_madmm
 from .batch import batch_nonlinear_solve, make_affine_x_solver
 from .models import TrackingProblem
-from .smoothers import (LMConfig, NormalEquations, augmented_ks, band_factor, factor_once,
-                        lm_ieks, normal_equations, plain_ieks, plain_smoother)
+from .smoothers import (LMConfig, augmented_ks, band_factor, factor_once, lm_ieks,
+                        normal_equations, plain_ieks, plain_smoother)
 
 SOLVERS = ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm", "batch_madmm")
 INITIAL_PASSES = 20  # the cap of the nonlinear initialiser's plain_ieks passes
@@ -35,7 +35,9 @@ def initial_trajectory(problem: TrackingProblem, passes: Optional[list] = None) 
 def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
     """Build the x-update callable solver(problem, V, eta_bar, gamma, x_warm),
     which returns an Iterate for an Iterate x_warm, else an array.  It holds
-    no state: what it reuses per (problem, gamma) lives on problem.kept.
+    no state: what it reuses per (problem, gamma) lives on problem.kept, so
+    a direct call leaves its factor there until the next run_madmm on the
+    problem or problem.kept.clear().
 
     Every inner setting comes from one LMConfig, lm_cfg (default LMConfig()).
     The affine engines are smoothers.factor_once: ks_madmm (affine only)
@@ -47,10 +49,9 @@ def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
     """
     cfg = lm_cfg if lm_cfg is not None else LMConfig()
     if solver == "ks_madmm":
-        def equations(problem, B, gamma):
-            return normal_equations(problem.model, problem.y, B, gamma=gamma)
-        return factor_once("band_factor", equations, band_factor, lambda band, h: augmented_ks(
-            NormalEquations(None, None, h), factor=band))
+        return factor_once("band_factor", lambda problem, B, gamma: normal_equations(
+            problem.model, problem.y, B, gamma=gamma), band_factor,
+            lambda factor, h: augmented_ks(h, factor))
     if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):
         if solver == "gn_ieks_madmm":
             cfg = replace(cfg, lambda0=0.0)

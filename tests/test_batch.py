@@ -1,5 +1,7 @@
 """Dense stacked solvers for the x subproblem."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dtfttr, dtrttf
@@ -27,7 +29,7 @@ from tracklasso.models import (
 )
 from tracklasso.scenarios import (scenario_defaults, simulate_coordinated_turn, simulate_range,
                                   solver_settings)
-from tracklasso.smoothers import NormalEquations, gauss_newton
+from tracklasso.smoothers import NormalEquations, _band, gauss_newton, static_part
 from tracklasso.solve import make_x_solver
 from tracklasso.verify import random_affine_problem
 
@@ -156,15 +158,23 @@ def test_stack_problem_shapes():
     R, rhs = normal_system(eqs)
     M = dense(R)
     assert M.shape == (T * n, T * n) and rhs.shape == (T * n,)
-    # the dropped upper triangle of each D[t] is its lower one to rounding
-    np.testing.assert_allclose(eqs.D, np.swapaxes(eqs.D, 1, 2), rtol=0, atol=1e-12)
+    # the band holds the lower triangles of the blocks D[t], whose dropped
+    # upper triangles are their lower ones to rounding
+    model = prob.model
+    steps = replace(model, A=np.array(model.A), Q=np.array(model.Q))  # static_part at all T
+    D, E = static_part(steps, np.array(prob.penalty_targets()[0]), 0.7)
+    D += np.swapaxes(model.H, 1, 2) @ np.linalg.inv(model.R) @ model.H
+    np.testing.assert_allclose(D, np.swapaxes(D, 1, 2), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(eqs.band, _band(E, D), rtol=1e-14, atol=0)
     np.testing.assert_array_equal(M, M.T)
     np.testing.assert_array_equal(rhs, eqs.h.ravel())
     blocks = M.reshape(T, n, T, n).transpose(0, 2, 1, 3)  # blocks[t, s]: block (t, s)
+    cols = eqs.band.T.reshape(T, n, 2 * n)  # cols[t, c]: column c of block column t
     for t in range(T):
-        np.testing.assert_array_equal(np.tril(blocks[t, t]), np.tril(eqs.D[t]))
-    for t in range(T - 1):
-        np.testing.assert_array_equal(blocks[t + 1, t], -eqs.E[t])
+        for c in range(n):
+            np.testing.assert_array_equal(blocks[t, t, c:, c], cols[t, c, :n - c])
+            if t < T - 1:
+                np.testing.assert_array_equal(blocks[t + 1, t, :, c], cols[t, c, n - c:2 * n - c])
     steps = np.arange(T)
     assert not blocks[np.abs(steps[:, None] - steps) > 1].any()
 
@@ -267,15 +277,22 @@ def test_dense_factor_names_a_bad_noise_matrix():
             batch_x_affine(stack_problem(prob, z, z, 1.0))
 
 
-def random_spd_equations(rng, T, n):
-    """Block-tridiagonal NormalEquations whose matrix is L L' for a random
-    lower block-bidiagonal L, so it is symmetric positive definite."""
+def random_spd_blocks(rng, T, n):
+    """Blocks D (T, n, n) and E (T - 1, n, n) of a block-tridiagonal matrix
+    L L' for a random lower block-bidiagonal L, so it is symmetric positive
+    definite, and a right-hand side h (T, n)."""
     Ld = np.tril(rng.normal(size=(T, n, n)), -1) + np.eye(n) * rng.uniform(0.5, 2.0, size=(T, 1, n))
     Ls = rng.normal(size=(T - 1, n, n))
     D = Ld @ np.swapaxes(Ld, 1, 2)
     D[1:] += Ls @ np.swapaxes(Ls, 1, 2)
     E = -Ls @ np.swapaxes(Ld[:-1], 1, 2)
-    return NormalEquations(D, E, rng.normal(size=(T, n)))
+    return D, E, rng.normal(size=(T, n))
+
+
+def random_spd_equations(rng, T, n):
+    """NormalEquations of random_spd_blocks: their band and h."""
+    D, E, h = random_spd_blocks(rng, T, n)
+    return NormalEquations(_band(E, D), h)
 
 
 def lower(R):
@@ -299,21 +316,22 @@ def assert_solves(x, eqs):
     assert np.linalg.norm(x.ravel() - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("T,n", [(6, 2), (5, 3), (1, 1)])
+@pytest.mark.parametrize("T,n", [(6, 2), (5, 3), (1, 1), (1, 4), (2, 3), (3, 5)])
 def test_normal_system_is_dtrttf_of_the_lower_triangle(T, n):
     """normal_system stores, bit for bit, what LAPACK's dtrttf (TRANSR = 'T',
     UPLO = 'L') packs from the dense lower triangle of D[t] on the diagonal
     blocks and -E[t] below them; an odd order T n_x is padded with one unit
     diagonal entry and a zero right-hand side."""
-    eqs = random_spd_equations(np.random.default_rng(T * n), T, n)
+    D, E, h = random_spd_blocks(np.random.default_rng(T * n), T, n)
+    eqs = NormalEquations(_band(E, D), h)
     N = T * n
     N_even = N + N % 2
     M = np.zeros((N_even, N_even))
     M[N:, N:] = 1.0
     for t in range(T):
-        M[t * n:(t + 1) * n, t * n:(t + 1) * n] = eqs.D[t]
+        M[t * n:(t + 1) * n, t * n:(t + 1) * n] = D[t]
     for t in range(T - 1):
-        M[(t + 1) * n:(t + 2) * n, t * n:(t + 1) * n] = -eqs.E[t]
+        M[(t + 1) * n:(t + 2) * n, t * n:(t + 1) * n] = -E[t]
     arf, info = dtrttf(np.tril(M), transr="T", uplo="L")
     assert info == 0
     R, rhs = normal_system(eqs)
@@ -431,8 +449,9 @@ def test_non_finite_transition_is_named_by_the_dense_solves():
         batch_x_affine(stack_problem(prob, z, z, 1.0))
     with pytest.raises(SingularSystemError, match=match):
         make_x_solver("batch_madmm")(prob, z, z, 1.0, None)
-    for block, bad in (("D", np.nan), ("E", np.nan), ("E", np.inf)):
-        eqs = random_spd_equations(np.random.default_rng(7), 4, 2)
-        getattr(eqs, block)[1, 0, 1] = bad
+    for block, bad in ((0, np.nan), (1, np.nan), (1, np.inf)):
+        blocks = random_spd_blocks(np.random.default_rng(7), 4, 2)
+        blocks[block][1, 1, 0] = bad  # an entry of D's lower triangle, or of E
+        eqs = NormalEquations(_band(blocks[1], blocks[0]), blocks[2])
         with pytest.raises(SingularSystemError, match="^m is not positive definite$"):
             batch._dense_factor(eqs, "m")

@@ -13,6 +13,7 @@ import tracklasso.smoothers as smoothers
 from tracklasso.admm import MadmmOptions, run_madmm
 from tracklasso.batch import (
     LMConfig,
+    _dense_factor,
     batch_lm_step,
     batch_nonlinear_solve,
     batch_x_affine,
@@ -484,7 +485,7 @@ def test_constant_transition_jacobian_is_one_block():
         B, d = TrackingProblem(model=model, reg=prob.reg, y=prob.y).penalty_targets(x)
         eqs.append(normal_equations(lin, prob.y, B, d, V, eta, 1.0))
     assert np.array_equal(linearize(prob.model, x).A[1:], linearize(copied, x).A[1:])
-    for name in ("D", "E", "h"):
+    for name in ("band", "h"):
         assert np.array_equal(getattr(eqs[0], name), getattr(eqs[1], name))
 
 
@@ -946,7 +947,7 @@ def factor_sizes(monkeypatch):
 def assert_full_factor(band, eqs):
     """band is dpbtrf's factor of eqs' whole band, byte for byte, laid out
     as dpbtrs reads it without a copy."""
-    full, info = dpbtrf(smoothers._band(eqs.E, eqs.D), lower=1)
+    full, info = dpbtrf(eqs.band, lower=1)
     assert info == 0 and band.shape == full.shape and band.flags.f_contiguous
     assert band.tobytes() == full.tobytes()
 
@@ -998,7 +999,7 @@ def test_steady_state_solves_return_the_full_factor_bytes(monkeypatch, target_mo
     sizes = factor_sizes(monkeypatch)
     steady = solves()
     assert len(sizes) >= 3 and T * 4 not in sizes
-    monkeypatch.setattr(smoothers, "_steady_factor", lambda D, E: None)
+    monkeypatch.setattr(smoothers, "_steady_factor", lambda band: None)
     sizes.clear()
     full = solves()
     assert sizes == [T * 4] * 3
@@ -1187,9 +1188,9 @@ def test_iterated_solvers_take_inner_settings_from_lm_cfg(monkeypatch, solver):
 
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])
 def test_kept_static_part_gives_the_fresh_equations_and_band(target_mode):
-    """The static part kept on the problem (D_static, E and their band
-    skeleton) gives the fresh normal equations and band factor bit for bit,
-    at the iterate it was kept at and at another one."""
+    """The static part kept on the problem (its read-only band) gives the
+    fresh normal equations and band factor bit for bit, at the iterate it
+    was kept at and at another one."""
     prob = range_problem(seed=2, T=20, target_mode=target_mode)
     x = initial_trajectory(prob)
     rng = np.random.default_rng(7)
@@ -1198,14 +1199,101 @@ def test_kept_static_part_gives_the_fresh_equations_and_band(target_mode):
         B, d = prob.penalty_targets(nominal)
         kept = normal_equations(lin, prob.y, B, d, gamma=1.5, kept=prob.kept)
         fresh = normal_equations(lin, prob.y, B, d, gamma=1.5)
-        assert kept.skeleton is not None and fresh.skeleton is None
-        assert prob.kept["static"][0][0] == 1.5
-        for name in ("D", "E", "h"):
+        static = prob.kept["static"]
+        assert static[0][0] == 1.5 and not static[1].flags.writeable
+        assert static[1] is not kept.band and not np.shares_memory(static[1], kept.band)
+        for name in ("band", "h"):
             assert np.array_equal(getattr(kept, name), getattr(fresh, name))
         assert np.array_equal(smoothers.band_factor(kept), smoothers.band_factor(fresh))
         damped = (kept.damped(0.3, np.eye(4)[None], nominal),
                   fresh.damped(0.3, np.eye(4)[None], nominal))
         assert np.array_equal(augmented_ks(damped[0]), augmented_ks(damped[1]))
+
+
+def whole_T(lin, B):
+    """lin and B with A, Q and B as per-step stacks (T > 3), so static_part
+    assembles every step instead of three."""
+    steps = replace(lin, A=np.array(lin.A), Q=np.array(lin.Q), validate=False)
+    return steps, np.array(B)
+
+
+def band_oracle(lin, B, gamma, metric=None):
+    """The band of lin's normal equations from the whole-T static_part, each
+    entry written by assignment (_band), so -E's signed zeros stay: D_static
+    + H'R^{-1}H, plus metric (the damping term) when given."""
+    D, E = smoothers.static_part(*whole_T(lin, B), gamma)
+    assert len(D) == lin.T
+    H = models.compact(lin.H)
+    D += (H.transpose(0, 2, 1) @ lin.noise_precisions[2]) @ H
+    if metric is not None:
+        D += metric
+    return smoothers._band(E, D)
+
+
+def stepped(model, name):
+    """model with its A, Q or H a per-step stack (one block scaled by 1.1)."""
+    arr = np.array(getattr(model, name))
+    arr[model.T // 2] *= 1.1
+    return replace(model, **{name: arr})
+
+
+@pytest.mark.parametrize("n_x", range(1, 7))
+def test_band_is_the_whole_T_assembly_byte_for_byte(n_x):
+    """normal_equations' band, tiled from three steps (one-block A, Q and B)
+    or assembled per step, kept or fresh, and damped in an (n, n), (1, n, n)
+    or (T, n, n) metric, is _band of the whole-T static part plus H'R^{-1}H
+    byte for byte, signed zeros included (Wiener's A has zeros, so -E has
+    -0.0), at T = 1..4 and 600, gamma = 0 and > 0, in both target modes."""
+    for T in (1, 2, 3, 4, 600):
+        rng = np.random.default_rng(100 * n_x + T)
+        for target_mode in ("state", "process_noise"):
+            base = random_affine_problem(rng, T=T, n_x=n_x, target_mode=target_mode)
+            if n_x == 4 and T == 600:
+                base = wiener_problem(T, target_mode)
+            for varied in (None, "A", "Q", "H"):
+                model = base.model if varied is None else stepped(base.model, varied)
+                prob = TrackingProblem(model=model, reg=base.reg, y=base.y)
+                B, _ = prob.penalty_targets()
+                for gamma in (0.0, 0.7):
+                    want = band_oracle(model, B, gamma)
+                    kept = {}
+                    for store in (None, kept, kept):
+                        eqs = normal_equations(model, prob.y, B, gamma=gamma, kept=store)
+                        assert eqs.band.tobytes() == want.tobytes(), (T, varied, gamma)
+                        assert eqs.band.shape == want.shape and eqs.band.flags.f_contiguous
+                    # kept when A[1:] and B[1:] are one block: a per-step A has two at T > 2
+                    assert ("static" in kept) == (T > 1 and (varied != "A" or T == 2))
+                    S = rng.normal(size=(T, n_x, n_x))
+                    S = S @ S.transpose(0, 2, 1) + np.eye(n_x)
+                    z = rng.normal(size=(T, n_x))
+                    for metric in (S[0], S[:1], S):
+                        damped = eqs.damped(0.3, metric, z)
+                        want = band_oracle(model, B, gamma, 0.3 * metric)
+                        assert damped.band.tobytes() == want.tobytes(), (T, varied, metric.shape)
+
+
+def test_band_inputs_stay_unwritten():
+    """band_factor (on the steady-state and the whole-band path),
+    augmented_ks, damped and the dense factor leave eqs.band's bytes as they
+    were; the kept static band is read-only and never an equations' band."""
+    rng = np.random.default_rng(12)
+    for T in (smoothers.STEADY_T - 1, 2000):
+        prob = wiener_problem(T, "process_noise")
+        B, _ = prob.penalty_targets()
+        eqs = normal_equations(prob.model, prob.y, B, gamma=1.0, kept=prob.kept)
+        static = prob.kept["static"][1]
+        assert not static.flags.writeable and not np.shares_memory(static, eqs.band)
+        before = eqs.band.tobytes()
+        assert (smoothers._steady_factor(eqs.band) is None) == (T < smoothers.STEADY_T)
+        smoothers.band_factor(eqs)
+        augmented_ks(eqs)
+        eqs.damped(0.5, np.eye(4), rng.normal(size=(T, 4)))
+        if T < smoothers.STEADY_T:  # the dense matrix of the long problem would take 256 MB
+            _dense_factor(eqs, "m")
+        assert eqs.band.tobytes() == before
+        again = normal_equations(prob.model, prob.y, B, gamma=1.0, kept=prob.kept)
+        assert prob.kept["static"][1] is static and again.band is not static
+        assert again.band.tobytes() == before
 
 
 def count_calls(monkeypatch, *names):
