@@ -60,8 +60,8 @@ def normal_system(eqs: NormalEquations):
     to (N',); the padded unknown of the system is exactly 0."""
     N = eqs.band.shape[1]
     k = (N + 1) // 2
-    R = np.zeros((k, 2 * k + 1), order="F")
-    flat = R.reshape(-1, order="F", copy=False)  # R[a, b] is flat[a + b k]
+    flat = np.zeros(k * (2 * k + 1))
+    R = flat.reshape((k, 2 * k + 1), order="F")  # a view: R[a, b] is flat[a + b k]
     for r, row in enumerate(eqs.band):  # (j + r, j): flat j (k + 1) + (r + 1) k if j < k,
         top, low = row[:min(k, max(0, N - r))], row[k:max(k, N - r)]  # else (j - k)(k + 1) + r
         flat[(r + 1) * k::k + 1][:len(top)] = top

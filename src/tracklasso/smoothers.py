@@ -4,10 +4,10 @@ The x subproblem's normal matrix is block tridiagonal, so it is solved in
 O(T) instead of the O(T^3) dense solve, in one form: normal_equations
 assembles the information form for all steps at once straight into the
 LAPACK lower band dpbtrf reads (NormalEquations.band), and augmented_ks
-solves it by one banded Cholesky (band_factor, band_solve).  Two x-update
+solves it by one banded Cholesky (band_factor, then dpbtrs).  Two x-update
 bodies take the linear solve as a parameter.  factor_once (affine) factors
 the matrix, which depends only on (problem, gamma), once for every coupling
-(coupled_rhs); ks_madmm gives it band_factor and augmented_ks.
+(coupled_rhs); ks_madmm gives it augmented_ks and band_factor, in place.
 lm_x_update runs the damped Gauss-Newton loop gauss_newton (lambda0 = 0 is
 Gauss-Newton; a damped proposal adds lambda S^{-1} to the band's diagonal
 blocks); lm_ieks gives it augmented_ks, and plain_ieks is lm_ieks with no
@@ -137,8 +137,8 @@ def _band(sub: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 
 def _columns(band: np.ndarray) -> np.ndarray:
-    """(T, 2 n^2) view of a band: block column t's entries in row t."""
-    return band.T.reshape(-1, band.shape[0] ** 2 // 2, copy=False)
+    """(T, 2 n^2) block columns of a band, a view of an F-ordered one."""
+    return band.T.reshape(-1, band.shape[0] ** 2 // 2)
 
 
 @lru_cache(maxsize=None)
@@ -303,8 +303,8 @@ def coupled_rhs(h: np.ndarray, terms) -> np.ndarray:
 
 
 def _steady_factor(band: np.ndarray) -> Optional[np.ndarray]:
-    """band_factor's factor of a time-invariant band from truncated ones, or
-    None when no steady run turns up or a truncated system does not factor."""
+    """Block columns of band_factor's truncated factor of a time-invariant
+    band, or None when no steady run turns up or a truncated one fails."""
     cols, n, m = _columns(band), band.shape[0] // 2, STEADY_FIRST
     T = len(cols)
     if T < STEADY_T or n > 32:
@@ -319,45 +319,42 @@ def _steady_factor(band: np.ndarray) -> Optional[np.ndarray]:
             return None
         fac = _columns(factor)
         if fac[m - 5].tobytes() == fac[m - 4].tobytes() == fac[m - 3].tobytes():
-            full = np.empty((T, 2 * n * n))
-            full[:m - 2], full[m - 2:T - 2], full[T - 2:] = fac[:m - 2], fac[m - 3], fac[m - 2:]
-            return full.reshape(T * n, 2 * n).T
+            return fac
         m *= 2
     return None
 
 
-def band_factor(eqs: NormalEquations) -> np.ndarray:
+def band_factor(eqs: NormalEquations, overwrite: bool = False) -> np.ndarray:
     """dpbtrf's lower band (kd = 2 n_x - 1) Cholesky factor of eqs.band, a
-    new array; a matrix not positive definite raises SingularSystemError
-    naming the step.  A band of T >= STEADY_T steps and n_x <= 32 (kd <= 64:
-    dpbtrf's column-by-column dpbtf2) whose block columns 1..T-2 are bitwise
-    one is first factored truncated to its first m - 1 block columns and the
-    last, m = STEADY_FIRST, 2 STEADY_FIRST, ..., T/4 blocks in all at most.
-    When blocks m-5..m-3 of that factor are bitwise equal, the full-length
-    blocks after them are tiled and its last two copied; else the whole
-    band is factored."""
-    factor = _steady_factor(eqs.band)
-    if factor is not None:
-        return factor
-    factor, info = dpbtrf(eqs.band, lower=1)
+    new array, or with overwrite (a caller that drops eqs) written over
+    eqs.band's memory; a matrix not positive definite raises
+    SingularSystemError naming the step.  A band of T >= STEADY_T steps and
+    n_x <= 32 (kd <= 64: dpbtrf's column-by-column dpbtf2) whose block
+    columns 1..T-2 are bitwise one is first factored truncated to its first
+    m - 1 block columns and the last, m = STEADY_FIRST, 2 STEADY_FIRST, ...,
+    T/4 blocks in all at most.  When blocks m-5..m-3 of that factor are
+    bitwise equal, the full-length blocks after them are tiled and its last
+    two copied; else the whole band is factored."""
+    fac = _steady_factor(eqs.band)
+    if fac is not None:
+        full, m = _columns(eqs.band), len(fac)
+        full = full if overwrite else np.empty_like(full)
+        full[:m - 2], full[m - 2:-2], full[-2:] = fac[:m - 2], fac[m - 3], fac[m - 2:]
+        return full.reshape(eqs.band.shape[::-1]).T
+    factor, info = dpbtrf(eqs.band, lower=1, overwrite_ab=overwrite)
     if info > 0:
         raise SingularSystemError(f"information matrix at step {(info - 1) // eqs.h.shape[1]}"
                                   f" is not positive definite")
     return factor
 
 
-def band_solve(factor: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """x (T, n_x) for the right-hand side h against a band_factor: one dpbtrs."""
-    return dpbtrs(factor, h.reshape(-1, 1), lower=1)[0].reshape(h.shape)
-
-
 def augmented_ks(eqs, factor: Optional[np.ndarray] = None) -> np.ndarray:
-    """x (T, n_x) solving eqs: band_solve of eqs.h against band_factor(eqs),
-    or, given factor (kept for the same problem and gamma: the ks_madmm x
-    update), of the right-hand side eqs = h alone, the fresh x bit for bit."""
+    """x (T, n_x) solving eqs by band_factor and one dpbtrs, or, given factor
+    (band_factor's of the same equations: ks_madmm, plain_smoother), of the
+    right-hand side eqs = h alone, bit for bit the equations' x."""
     if factor is None:
-        return band_solve(band_factor(eqs), eqs.h)
-    return band_solve(factor, eqs)
+        factor, eqs = band_factor(eqs), eqs.h
+    return dpbtrs(factor, eqs.reshape(-1, 1), lower=1)[0].reshape(eqs.shape)
 
 
 def factor_once(slot: str, assemble: Callable, factor: Callable, solve: Callable):
@@ -386,8 +383,10 @@ def factor_once(slot: str, assemble: Callable, factor: Callable, solve: Callable
 
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
     """Smoother mean (T, n_x) on an affine model with no penalty coupling,
-    one banded solve of its normal_equations (to rounding rts_smoother)."""
-    return augmented_ks(normal_equations(model, y))
+    one banded solve of its normal_equations, factored in place (to rounding
+    rts_smoother)."""
+    eqs = normal_equations(model, y)
+    return augmented_ks(eqs.h, band_factor(eqs, overwrite=True))
 
 
 def linearize(model: Model, nominal) -> AffineModel:

@@ -41,17 +41,17 @@ def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
 
     Every inner setting comes from one LMConfig, lm_cfg (default LMConfig()).
     The affine engines are smoothers.factor_once: ks_madmm (affine only)
-    with band_factor and augmented_ks in the "band_factor" slot, batch_madmm
-    with the dense factor (batch.make_affine_x_solver).  gn_ieks_madmm and
-    lm_ieks_madmm run lm_ieks (GN: lambda0 = 0), and batch_madmm on a
-    nonlinear model the same LM body with the dense solve
+    with band_factor (in place) and augmented_ks in the "band_factor" slot,
+    batch_madmm with the dense factor (batch.make_affine_x_solver).
+    gn_ieks_madmm and lm_ieks_madmm run lm_ieks (GN: lambda0 = 0), and
+    batch_madmm on a nonlinear model the same LM body with the dense solve
     (batch.batch_nonlinear_solve).
     """
     cfg = lm_cfg if lm_cfg is not None else LMConfig()
     if solver == "ks_madmm":
         return factor_once("band_factor", lambda problem, B, gamma: normal_equations(
-            problem.model, problem.y, B, gamma=gamma), band_factor,
-            lambda factor, h: augmented_ks(h, factor))
+            problem.model, problem.y, B, gamma=gamma), lambda eqs: band_factor(
+            eqs, overwrite=True), lambda factor, h: augmented_ks(h, factor))
     if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):
         if solver == "gn_ieks_madmm":
             cfg = replace(cfg, lambda0=0.0)

@@ -611,9 +611,9 @@ def count_factorisations(monkeypatch):
     calls = [0]
     factor = smoothers.band_factor
 
-    def counted(eqs):
+    def counted(eqs, **kwargs):
         calls[0] += 1
-        return factor(eqs)
+        return factor(eqs, **kwargs)
 
     monkeypatch.setattr(smoothers, "band_factor", counted)
     monkeypatch.setattr("tracklasso.solve.band_factor", counted)
@@ -1275,7 +1275,9 @@ def test_band_is_the_whole_T_assembly_byte_for_byte(n_x):
 def test_band_inputs_stay_unwritten():
     """band_factor (on the steady-state and the whole-band path),
     augmented_ks, damped and the dense factor leave eqs.band's bytes as they
-    were; the kept static band is read-only and never an equations' band."""
+    were; the kept static band is read-only and never an equations' band.
+    band_factor with overwrite writes the same factor over the band's own
+    memory."""
     rng = np.random.default_rng(12)
     for T in (smoothers.STEADY_T - 1, 2000):
         prob = wiener_problem(T, "process_noise")
@@ -1285,7 +1287,10 @@ def test_band_inputs_stay_unwritten():
         assert not static.flags.writeable and not np.shares_memory(static, eqs.band)
         before = eqs.band.tobytes()
         assert (smoothers._steady_factor(eqs.band) is None) == (T < smoothers.STEADY_T)
-        smoothers.band_factor(eqs)
+        factor = smoothers.band_factor(eqs)
+        owned = replace(eqs, band=eqs.band.copy(order="F"))
+        over = smoothers.band_factor(owned, overwrite=True)
+        assert over.tobytes() == factor.tobytes() and np.shares_memory(over, owned.band)
         augmented_ks(eqs)
         eqs.damped(0.5, np.eye(4), rng.normal(size=(T, 4)))
         if T < smoothers.STEADY_T:  # the dense matrix of the long problem would take 256 MB
@@ -1294,6 +1299,26 @@ def test_band_inputs_stay_unwritten():
         again = normal_equations(prob.model, prob.y, B, gamma=1.0, kept=prob.kept)
         assert prob.kept["static"][1] is static and again.band is not static
         assert again.band.tobytes() == before
+
+
+def test_a_c_ordered_band_solves_as_the_band_does():
+    """The band's memory order does not matter: a C-ordered copy of a short
+    and of a steady-state band factors, solves, damps and (short) solves
+    densely to the same bytes as the F-ordered band."""
+    rng = np.random.default_rng(13)
+    for T in (smoothers.STEADY_T - 1, 2000):
+        prob = wiener_problem(T, "state")
+        B, _ = prob.penalty_targets()
+        eqs = normal_equations(prob.model, prob.y, B, gamma=1.0)
+        c_band = replace(eqs, band=np.ascontiguousarray(eqs.band))
+        assert not c_band.band.flags.f_contiguous
+        assert smoothers.band_factor(c_band).tobytes() == smoothers.band_factor(eqs).tobytes()
+        assert augmented_ks(c_band).tobytes() == augmented_ks(eqs).tobytes()
+        z = rng.normal(size=(T, 4))
+        assert (c_band.damped(0.5, np.eye(4), z).band.tobytes()
+                == eqs.damped(0.5, np.eye(4), z).band.tobytes())
+        if T < smoothers.STEADY_T:
+            assert batch_x_affine(c_band).tobytes() == batch_x_affine(eqs).tobytes()
 
 
 def count_calls(monkeypatch, *names):
