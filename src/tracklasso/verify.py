@@ -16,9 +16,10 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .admm import MadmmOptions, block_shrink, omega_norm_sq, run_madmm
-from .batch import batch_nonlinear_solve, batch_x_affine, stack_problem
+from .batch import _coordinate_groups, batch_nonlinear_solve, batch_x_affine, stack_problem
 from .models import (
     AffineModel,
+    GroupRegularizer,
     Iterate,
     SplitState,
     TrackingProblem,
@@ -105,19 +106,62 @@ def _problem_payload(problem: TrackingProblem, **extra) -> Dict[str, np.ndarray]
     return payload
 
 
-def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> CheckResult:
+def _direct_sum(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Block-diagonal stack of two matrix stacks (or two matrices)."""
+    out = np.zeros(a.shape[:-2] + (a.shape[-2] + c.shape[-2], a.shape[-1] + c.shape[-1]))
+    out[..., :a.shape[-2], :a.shape[-1]] = a
+    out[..., a.shape[-2]:, a.shape[-1]:] = c
+    return out
+
+
+def separable_affine_problem(rng: np.random.Generator, T: Optional[int] = None,
+                             target_mode: Optional[str] = None) -> TrackingProblem:
+    """Direct sum of two random_affine_problem blocks (1 to 3 coordinates
+    each, one T and target mode): block-diagonal A, H, Q, R and P1, and
+    each block's penalty groups acting on its own coordinates alone, so
+    the x update's matrix splits into one coordinate group per block."""
+    T = int(rng.integers(8, 51)) if T is None else T
+    if target_mode is None:
+        target_mode = ("state", "process_noise")[int(rng.integers(2))]
+    p, c = (random_affine_problem(rng, T=T, n_x=int(rng.integers(1, 4)), target_mode=target_mode)
+            for _ in range(2))
+    mp, mc = p.model, c.model
+    model = AffineModel(**{k: _direct_sum(getattr(mp, k), getattr(mc, k))
+                           for k in ("A", "H", "Q", "R", "P1")},
+                        **{k: np.concatenate([getattr(mp, k), getattr(mc, k)], axis=-1)
+                           for k in ("b", "e", "m1")}, T=T)
+    groups = ([np.hstack([G, np.zeros((len(G), c.n_x))]) for G in p.reg.groups]
+              + [np.hstack([np.zeros((len(G), p.n_x)), G]) for G in c.reg.groups])
+    reg = GroupRegularizer(groups=tuple(groups), target_mode=target_mode,
+                           weights=np.concatenate([p.reg.weights, c.reg.weights]))
+    return TrackingProblem(model=model, reg=reg, y=np.concatenate([p.y, c.y], axis=1))
+
+
+def check_affine_equivalence(seed: int, cases: int = 10, split_cases: int = 4,
+                             tol: float = 1e-8) -> CheckResult:
     """RTS augmented smoother and ks_madmm x update vs the stacked solve on
-    random systems, two couplings each (the second reuses the band factor)."""
+    random systems, two couplings each (the second reuses the band factor):
+    cases coupled ones, then split_cases separable_affine_problem ones,
+    whose dense solve runs one factor per coordinate group."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     ks = make_x_solver("ks_madmm")
-    for _ in range(cases):
-        problem = random_affine_problem(rng, n_x=int(rng.integers(1, 5)))
+    for i in range(cases + split_cases):
+        if i < cases:
+            problem = random_affine_problem(rng, n_x=int(rng.integers(1, 5)))
+        else:
+            problem = separable_affine_problem(rng)
         gamma = float(rng.uniform(0.5, 2.0))
         B, d = problem.penalty_targets()
         for _ in range(2):  # the second coupling reuses the x update's band factor
             V, eta_bar = rng.normal(size=(2, problem.T, problem.n_x))
-            x_batch = batch_x_affine(stack_problem(problem, V, eta_bar, gamma))
+            eqs = stack_problem(problem, V, eta_bar, gamma)
+            groups = _coordinate_groups(eqs.band)
+            if i >= cases and len(groups) != 2:
+                return CheckResult("smoother_vs_batch_affine", False,
+                                   f"a direct sum of two blocks has coordinate groups {groups}",
+                                   _problem_payload(problem, gamma=gamma))
+            x_batch = batch_x_affine(eqs)
             fused = build_fused(problem.model, B, d, V, eta_bar, gamma)
             for name, x_ks in (("RTS", rts_smoother(fused, problem.y)),
                                ("ks_madmm", ks(problem, V, eta_bar, gamma, None))):
@@ -129,7 +173,7 @@ def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> C
                                        _problem_payload(problem, V=V, eta_bar=eta_bar,
                                                         gamma=gamma))
     return CheckResult("smoother_vs_batch_affine", True,
-                       f"{cases} systems, worst gap {worst:.3e}")
+                       f"{cases} coupled and {split_cases} split systems, worst gap {worst:.3e}")
 
 
 def check_batch_minimiser(seed: int, cases: int = 10, directions: int = 5,

@@ -28,8 +28,9 @@ from tracklasso.models import (
     x_subproblem_cost,
 )
 from tracklasso.scenarios import (scenario_defaults, simulate_coordinated_turn, simulate_range,
-                                  solver_settings)
-from tracklasso.smoothers import NormalEquations, _band, gauss_newton, static_part
+                                  simulate_wiener, solver_settings)
+from tracklasso.smoothers import (NormalEquations, _band, augmented_ks, gauss_newton, linearize,
+                                  static_part)
 from tracklasso.solve import make_x_solver
 from tracklasso.verify import random_affine_problem
 
@@ -455,3 +456,150 @@ def test_non_finite_transition_is_named_by_the_dense_solves():
         eqs = NormalEquations(_band(blocks[1], blocks[0]), blocks[2])
         with pytest.raises(SingularSystemError, match="^m is not positive definite$"):
             batch._dense_factor(eqs, "m")
+
+
+def wiener_problem(T, target_mode):
+    data, model = simulate_wiener(scenario_defaults("wiener", T=T, seed=0))
+    return TrackingProblem(model=model, reg=make_regularizer("l2", 4, target_mode=target_mode),
+                           y=data.y)
+
+
+def interleaved_problem(rng, T, target_mode):
+    """n_x = 3 affine problem whose coordinate 1 moves and is measured on its
+    own: A, H, Q, R and P1 vanish off the pattern of (0, 2) and (1,), so
+    its groups have the orders 2T and T."""
+    mask = np.array([[1, 0, 1], [0, 1, 0], [1, 0, 1]])
+
+    def spd():
+        M = rng.normal(size=(3, 3)) * mask
+        return M @ M.T + np.eye(3)
+
+    model = AffineModel(A=0.5 * rng.normal(size=(3, 3)) * mask, b=0.1 * rng.normal(size=3),
+                        H=rng.normal(size=(3, 3)) * mask, e=np.zeros(3), Q=spd(), R=spd(),
+                        m1=rng.normal(size=3), P1=spd(), T=T)
+    return TrackingProblem(model=model, reg=make_regularizer("lasso", 3, target_mode=target_mode),
+                           y=rng.normal(size=(T, 3)))
+
+
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+@pytest.mark.parametrize("gamma", [0.0, 1.5])
+def test_the_wiener_band_splits_into_its_two_axes(target_mode, gamma):
+    """The Wiener velocity model moves x and y on their own: its coordinates
+    (x, y, vx, vy) form the groups (0, 2) and (1, 3), with and without the
+    coupling, in both target modes."""
+    eqs = stack_problem(wiener_problem(20, target_mode), None, None, gamma)
+    assert batch._coordinate_groups(eqs.band) == ((0, 2), (1, 3))
+
+
+def coupled_equations(name):
+    """Equations whose matrix couples every coordinate: random SPD blocks,
+    the range model linearised at its truth (H couples x and y), and a
+    Wiener system damped in a metric that couples the axes."""
+    rng = np.random.default_rng(12)
+    if name == "random SPD":
+        return random_spd_equations(rng, 6, 3)
+    V, eta = rng.normal(size=(2, 12, 4))
+    if name == "range":
+        data, model = simulate_range(scenario_defaults("range", T=12, seed=1))
+        lin = TrackingProblem(linearize(model, data.truth), make_regularizer("l2", 4), data.y)
+        return stack_problem(lin, V, eta, 0.8)
+    S = rng.normal(size=(4, 4))
+    eqs = stack_problem(wiener_problem(12, "process_noise"), V, eta, 0.8)
+    return eqs.damped(0.3, np.linalg.inv(S @ S.T + 4 * np.eye(4))[None], rng.normal(size=(12, 4)))
+
+
+@pytest.mark.parametrize("name", ["random SPD", "range", "damped"])
+def test_a_coupled_system_is_one_group_solved_as_the_whole_matrix(name):
+    eqs = coupled_equations(name)
+    assert batch._coordinate_groups(eqs.band) == (tuple(range(eqs.h.shape[1])),)
+    want = batch._back_substitute(batch._dense_factor(eqs, "m"), eqs.h)
+    np.testing.assert_array_equal(batch_x_affine(eqs), want)
+
+
+@pytest.mark.parametrize("T", [1, 5])
+def test_group_equations_are_the_permuted_matrix_blocks(T):
+    """Each group's band and h are its rows and columns of the whole
+    matrix and h, step-major, bit for bit, and the matrix is zero between
+    groups; at T = 5 the group orders are 10 and 5, one of them padded."""
+    rng = np.random.default_rng(T)
+    eqs = stack_problem(interleaved_problem(rng, T, "process_noise"),
+                        *rng.normal(size=(2, T, 3)), 0.7)
+    groups = batch._coordinate_groups(eqs.band)
+    assert groups == ((0, 2), (1,))
+    M = dense(normal_system(eqs)[0])
+    places = [(np.arange(T)[:, None] * 3 + g).ravel() for g in groups]
+    for g, idx in zip(groups, places):
+        sub = batch._group_equations(eqs, g)
+        assert sub.band.shape == (2 * len(g), T * len(g)) and sub.band.flags.f_contiguous
+        np.testing.assert_array_equal(dense(normal_system(sub)[0])[:idx.size, :idx.size],
+                                      M[np.ix_(idx, idx)])
+        np.testing.assert_array_equal(sub.h, eqs.h[:, g])
+    assert not M[np.ix_(*places)].any()
+
+
+def split_solves(prob, T, rng):
+    """(x, the whole-matrix dense x, the band x, the kept-factor x) of one
+    coupling and of a damped dense LM step on prob."""
+    V, eta = rng.normal(size=(2, T, prob.n_x))
+    eqs = stack_problem(prob, V, eta, 0.7)
+    yield (batch_x_affine(eqs), batch._back_substitute(batch._dense_factor(eqs, "m"), eqs.h),
+           augmented_ks(eqs), make_affine_x_solver()(prob, V, eta, 0.7, None))
+    x0 = rng.normal(size=(T, prob.n_x))
+    damped = eqs.damped(0.4, np.eye(prob.n_x)[None], x0)
+    x = batch_lm_step(prob, x0, V, eta, 0.7, lam=0.4)
+    yield (x, batch._back_substitute(batch._dense_factor(damped, "m"), damped.h),
+           augmented_ks(damped), batch_x_affine(damped))
+
+
+@pytest.mark.parametrize("case", ["interleaved, T = 5", "interleaved, T = 1",
+                                  "wiener, state", "wiener, process_noise"])
+def test_a_split_system_solves_as_the_whole_matrix_and_the_band(case):
+    """Split solves agree with the whole matrix's dense solve to 1e-10 and
+    with the band solve to 1e-8 (odd and even group orders, a damped step
+    too), and the kept-factor x update is the fresh solve bit for bit."""
+    rng = np.random.default_rng(len(case))
+    if case.startswith("wiener"):
+        T, prob = 40, wiener_problem(40, case.split(", ")[1])
+    else:
+        T = int(case[-1])
+        prob = interleaved_problem(rng, T, "state")
+    for x, whole, band, kept in split_solves(prob, T, rng):
+        assert np.linalg.norm(x - whole) <= 1e-10 * np.linalg.norm(whole)
+        assert np.linalg.norm(x - band) <= 1e-8 * np.linalg.norm(band)
+        np.testing.assert_array_equal(kept, x)
+
+
+def test_the_wiener_factor_is_two_half_order_factors():
+    """T n_x = 160: two factors of order 80, 2 * 80 * 81 / 2 doubles, not
+    one of 160 * 161 / 2."""
+    eqs = stack_problem(wiener_problem(40, "process_noise"), None, None, 1.0)
+    factors = batch._dense_factors(eqs, "m")
+    assert [g for g, _ in factors] == [[0, 2], [1, 3]]
+    assert [c.size for _, c in factors] == [80 * 81 // 2] * 2
+
+
+def test_a_split_system_names_a_non_finite_or_indefinite_entry():
+    """A NaN anywhere in the band, a zero between groups or the padding
+    included, and an indefinite block inside one group raise as the whole
+    matrix did; a NaN in h raises ValueError."""
+    eqs = stack_problem(wiener_problem(6, "process_noise"), None, None, 1.0)
+    match = "^stacked normal matrix is not positive definite$"
+    for r in range(8):
+        for j in (8, 9, 10, 11, 20, 23):  # block column 2, and the last one
+            band = eqs.band.copy(order="F")
+            band[r, j] = np.nan
+            with pytest.raises(SingularSystemError, match=match):
+                batch_x_affine(NormalEquations(band, eqs.h))
+    for c in range(4):  # a diagonal entry of D_2, in one group
+        band = eqs.band.copy(order="F")
+        band[0, 8 + c] = -1e6
+        bad = NormalEquations(band, eqs.h)
+        assert batch._coordinate_groups(band) == ((0, 2), (1, 3))
+        with pytest.raises(SingularSystemError, match="^m is not positive definite$"):
+            batch._dense_factors(bad, "m")
+        with pytest.raises(SingularSystemError, match=match):
+            batch_x_affine(bad)
+    h = eqs.h.copy()
+    h[3, 3] = np.nan
+    with pytest.raises(ValueError):
+        batch_x_affine(NormalEquations(eqs.band, h))

@@ -3,16 +3,19 @@
 import numpy as np
 
 from tracklasso.admm import block_shrink
+from tracklasso.batch import _coordinate_groups, stack_problem
 from tracklasso.models import TrackingProblem, make_regularizer
 from tracklasso.scenarios import scenario_defaults, simulate_range
 from tracklasso.smoothers import LMConfig
 from tracklasso.solve import initial_trajectory, make_x_solver
 from tracklasso.verify import (
     _problem_payload,
+    check_affine_equivalence,
     faulty_x_solver,
     grid_shrink,
     madmm_stage_trace,
     random_affine_problem,
+    separable_affine_problem,
 )
 
 
@@ -65,3 +68,16 @@ def test_faulty_solver_breaks_stage_descent():
     x0 = initial_trajectory(prob)
     stage_rise, excess = madmm_stage_trace(prob, faulty_x_solver(), 1.0, 8, x0)
     assert max(stage_rise.max(), excess.max()) > 1e-3
+
+
+def test_separable_problems_split_into_their_blocks_and_pass_the_affine_check():
+    """A direct sum of two random blocks has two coordinate groups, the
+    first block's coordinates and the second's, and the smoother-vs-batch
+    check passes on such systems alone."""
+    rng = np.random.default_rng(4)
+    for _ in range(6):
+        problem = separable_affine_problem(rng)
+        groups = _coordinate_groups(stack_problem(problem, None, None, 1.0).band)
+        assert len(groups) == 2 and groups[0] + groups[1] == tuple(range(problem.n_x))
+    result = check_affine_equivalence(7, cases=0, split_cases=6)
+    assert result.passed, result.detail
