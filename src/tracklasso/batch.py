@@ -126,16 +126,16 @@ def _coordinate_groups(band: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
     """The state coordinates that band's matrix couples, one sorted tuple per
     group, in the order of their first coordinates: i and c are coupled
     when some block column holds a nonzero D_t or E_t entry (i, c), taken
-    transitively.  Entry [r, c] of a (2n, n) block column is (c + r, c)
+    transitively.  Entry [r, a] of a (2n, n) block column is (a + r, a)
     mod n; a NaN counts as nonzero."""
     n = band.shape[0] // 2
-    c, r = np.nonzero((_columns(band) != 0).any(axis=0).reshape(n, 2 * n))
-    reach = np.eye(n, dtype=bool)
-    reach[c, (c + r) % n] = True
-    reach |= reach.T
-    for _ in range(n.bit_length()):  # paths of up to 2^n.bit_length() > n - 1 edges
-        reach = reach @ reach
-    return tuple(dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in reach))
+    a, r = np.nonzero(_columns(band).any(axis=0).reshape(n, 2 * n))
+    label = list(range(n))  # each coordinate's group so far, named by its first coordinate
+    for i, c in zip(a.tolist(), ((a + r) % n).tolist()):
+        i, c = label[i], label[c]
+        if i != c:
+            label = [min(i, c) if g in (i, c) else g for g in label]
+    return tuple(tuple(c for c in range(n) if label[c] == g) for g in dict.fromkeys(label))
 
 
 @lru_cache(maxsize=None)
@@ -163,25 +163,22 @@ def _group_equations(eqs: NormalEquations, group: Tuple[int, ...]) -> NormalEqua
 
 def _dense_factors(eqs: NormalEquations, what: str):
     """_dense_factor of each coordinate group of eqs, as (columns, factor)
-    pairs: one (None, factor) of eqs itself when every coordinate is
-    coupled.  A matrix not finite or not positive definite raises
-    SingularSystemError naming what."""
-    if not np.isfinite(eqs.band).all():
-        raise SingularSystemError(f"{what} is not positive definite")
-    groups = _coordinate_groups(eqs.band)
-    if len(groups) == 1:
-        return [(None, _dense_factor(eqs, what))]
-    return [(list(g), _dense_factor(_group_equations(eqs, g), what)) for g in groups]
+    pairs.  A group holding every coordinate gathers the band and h entry
+    for entry, so a coupled system factors exactly as the whole matrix.  A
+    NaN counts as a coupling in _coordinate_groups, so it lands in the band
+    of the group that gathers it, and a matrix not finite or not positive
+    definite raises SingularSystemError naming what."""
+    return [(list(g), _dense_factor(_group_equations(eqs, g), what))
+            for g in _coordinate_groups(eqs.band)]
 
 
 def _solve_groups(factors, h: np.ndarray) -> np.ndarray:
-    """Solve with _dense_factors' factors, h (T, n_x): _back_substitute of h
-    itself for one group, else of each group's columns, scattered back."""
-    if len(factors) == 1:
-        return _back_substitute(factors[0][1], h)
+    """Solve with _dense_factors' factors, h (T, n_x): _back_substitute of
+    each group's columns of h, scattered back into x's.  A group holding
+    every column is passed h itself, which _back_substitute never writes."""
     x = np.empty(h.shape)
     for columns, c in factors:
-        x[:, columns] = _back_substitute(c, h[:, columns])
+        x[:, columns] = _back_substitute(c, h if len(columns) == h.shape[1] else h[:, columns])
     return x
 
 
