@@ -13,10 +13,9 @@ memory and a quarter of the flops of one (5.1 MB instead of 10.2 MB at
 T n_x = 1600).  A coupled system is one group and solves as the whole
 matrix; a split one moves by rounding only.  These solvers scale
 cubically in T and exist as the reference path; the smoother module
-solves the same systems in linear time.  The x-update engines are the
-smoother module's bodies with the dense solve: make_affine_x_solver is
-smoothers.factor_once and batch_nonlinear_solve smoothers.lm_x_update.
-stack_problem, normal_system, batch_x_affine and the one damped step
+solves the same systems in linear time.  The x updates are
+smoothers.lm_x_update on the dense engine DENSE (make_affine_x_solver is
+its exact case); stack_problem, batch_x_affine and the one damped step
 batch_lm_step stay as the dense oracles.
 """
 
@@ -30,7 +29,7 @@ from scipy.linalg.blas import dgemv, dtrsv
 from scipy.linalg.lapack import dpftrf
 
 from .models import SingularSystemError, TrackingProblem, x_subproblem_cost
-from .smoothers import (LMConfig, NormalEquations, _columns, damping_inverse, factor_once,
+from .smoothers import (Engine, LMConfig, NormalEquations, _columns, damping_inverse,
                         linearize, lm_x_update, normal_equations)
 
 # Re-exported: LMConfig for callers that import it from here, and
@@ -161,7 +160,7 @@ def _group_equations(eqs: NormalEquations, group: Tuple[int, ...]) -> NormalEqua
     return NormalEquations(band, eqs.h[:, list(group)])
 
 
-def _dense_factors(eqs: NormalEquations, what: str):
+def _dense_factors(eqs: NormalEquations, what: str = "stacked normal matrix"):
     """_dense_factor of each coordinate group of eqs, as (columns, factor)
     pairs.  A group holding every coordinate gathers the band and h entry
     for entry, so a coupled system factors exactly as the whole matrix.  A
@@ -184,16 +183,20 @@ def _solve_groups(factors, h: np.ndarray) -> np.ndarray:
 
 def batch_x_affine(eqs: NormalEquations) -> np.ndarray:
     """Exact minimiser (T, n_x) of the affine subproblem eqs (band and h)."""
-    return _solve_groups(_dense_factors(eqs, "stacked normal matrix"), eqs.h)
+    return _solve_groups(_dense_factors(eqs), eqs.h)
+
+
+DENSE: Engine = ("dense_factor", _dense_factors, _solve_groups)
+_EXACT = LMConfig(lambda0=0.0)
 
 
 def make_affine_x_solver():
-    """x-update callable for the ADMM loop, keeping the factorised normal
-    matrix in problem.kept's "dense_factor" slot: smoothers.factor_once with
-    stack_problem, _dense_factors and _solve_groups."""
-    return factor_once("dense_factor",
-                       lambda problem, B, gamma: stack_problem(problem, None, None, gamma),
-                       lambda eqs: _dense_factors(eqs, "stacked normal matrix"), _solve_groups)
+    """x-update callable for the ADMM loop on an affine problem: the dense
+    body at lambda0 = 0, which factors the normal matrix once per (problem,
+    gamma) into problem.kept's "dense_factor" slot."""
+    def solver(problem, V, eta_bar, gamma, x_warm):
+        return lm_x_update(problem, V, eta_bar, gamma, x_warm, _EXACT, None, None, DENSE)
+    return solver
 
 
 def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,
@@ -218,8 +221,6 @@ def batch_nonlinear_solve(problem: TrackingProblem, v: np.ndarray, eta_bar: np.n
                           x0=None, trace: Optional[List[np.ndarray]] = None,
                           lambda_trace: Optional[List[float]] = None):
     """Iterate dense Levenberg-Marquardt steps to solve for x:
-    smoothers.lm_x_update with the dense solve batch_x_affine, so the
-    proposals are batch_lm_step's; an array or an Iterate x0 gives the same
-    kind back.  As with lm_ieks, the static part of the
-    equations is kept in problem.kept's "static" slot."""
-    return lm_x_update(problem, v, eta_bar, gamma, x0, cfg, trace, lambda_trace, batch_x_affine)
+    smoothers.lm_x_update on DENSE, so the proposals are batch_lm_step's;
+    an array or an Iterate x0 gives the same kind back."""
+    return lm_x_update(problem, v, eta_bar, gamma, x0, cfg, trace, lambda_trace, DENSE)

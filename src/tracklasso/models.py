@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -361,8 +362,11 @@ class GroupRegularizer:
     steps.  ``target_mode`` selects what the penalty acts on: "state" zeroes
     B_t and d_t so increments are plain states, "process_noise" aims at
     x_t - a_t(x_{t-1}) through the affine approximation of the transition.
-    Explicit B (T, n_x, n_x) and d (T, n_x) arrays override the mode when
-    given; their index-0 entries are never consulted.  weights (finite and
+    Explicit B ((n_x, n_x) or (T, n_x, n_x)) and d ((n_x,) or (T, n_x))
+    arrays override the mode when given, d only with B; their index-0
+    entries are never consulted, every other entry (and every group
+    matrix's) must be finite, and TrackingProblem checks their shapes
+    against its model.  weights (finite and
     nonnegative) and G_stack are read-only arrays of their own, and B and d
     are owned (models.owned), so no write by the caller reaches them.
     """
@@ -379,6 +383,8 @@ class GroupRegularizer:
         groups = tuple(np.asarray(g, dtype=float) for g in self.groups)
         if any(g.ndim != 2 for g in groups):
             raise ValueError("every group matrix must be two-dimensional")
+        for i, g in enumerate(groups):
+            _check_finite(g, f"groups[{i}]", stepped=False)
         cols = {g.shape[1] for g in groups}
         if len(cols) > 1:
             raise ValueError("group matrices disagree on the state dimension")
@@ -395,19 +401,18 @@ class GroupRegularizer:
         if self.target_mode not in TARGET_MODES:
             raise ValueError(f"unknown target mode {self.target_mode!r}")
         n_x = cols.pop() if cols else 0
-        if groups:
-            stack = np.concatenate(groups, axis=0)
-        else:
-            stack = np.zeros((0, n_x))
-        slices = []
-        offset = 0
-        for g in groups:
-            slices.append(slice(offset, offset + g.shape[0]))
-            offset += g.shape[0]
+        B, d = (None if a is None else owned(a) for a in (self.B, self.d))
+        if B is None and d is not None:
+            raise ValueError("d: an explicit d needs an explicit B")
+        for name, arr, core_ndim in (("B", B, 2), ("d", d, 1)):
+            if arr is not None:
+                _check_finite(arr, name, start=1, stepped=arr.ndim > core_ndim)
+        stack = np.concatenate(groups, axis=0) if groups else np.zeros((0, n_x))
+        ends = accumulate(len(g) for g in groups)
+        slices = tuple(slice(end - len(g), end) for g, end in zip(groups, ends))
         for name, val in (("groups", groups), ("weights", freeze(weights)),
-                          ("G_stack", freeze(stack)), ("slices", tuple(slices)),
-                          ("B", None if self.B is None else owned(self.B)),
-                          ("d", None if self.d is None else owned(self.d))):
+                          ("G_stack", freeze(stack)), ("slices", slices),
+                          ("B", B), ("d", d)):
             object.__setattr__(self, name, val)
 
     @property
@@ -636,6 +641,11 @@ class TrackingProblem:
         _check_finite(y, "y")
         if self.reg.n_groups and self.reg.n_x != self.model.n_x:
             raise ValueError("penalty matrices disagree with the state dimension")
+        if self.reg.B is not None:  # per_step checks the axes of B and d, then their blocks
+            for name, arr in zip("Bd", self.penalty_targets()):
+                block = (self.n_x,) * (arr.ndim - 1)
+                if arr.shape[1:] != block:
+                    raise ValueError(f"{name}: expected {block} blocks, got {arr.shape[1:]}")
         object.__setattr__(self, "y", y)
 
     @property

@@ -4,17 +4,15 @@ The x subproblem's normal matrix is block tridiagonal, so it is solved in
 O(T) instead of the O(T^3) dense solve, in one form: normal_equations
 assembles the information form for all steps at once straight into the
 LAPACK lower band dpbtrf reads (NormalEquations.band), and augmented_ks
-solves it by one banded Cholesky (band_factor, then dpbtrs).  Two x-update
-bodies take the linear solve as a parameter.  factor_once (affine) factors
-the matrix, which depends only on (problem, gamma), once for every coupling
-(coupled_rhs); ks_madmm gives it augmented_ks and band_factor, in place.
-lm_x_update runs the damped Gauss-Newton loop gauss_newton (lambda0 = 0 is
-Gauss-Newton; a damped proposal adds lambda S^{-1} to the band's diagonal
-blocks); lm_ieks gives it augmented_ks, and plain_ieks is lm_ieks with no
-penalty at lambda0 = 0, gamma = 0.  The batch module gives both the dense
-solve.  Proposals linearise with linearize, which returns an affine model
-unchanged, so on an affine problem the iterated smoother is the augmented
-smoother.
+solves it by one banded Cholesky (band_factor, then dpbtrs).  The one
+x-update body, lm_x_update, runs the damped Gauss-Newton loop gauss_newton
+(lambda0 = 0 is Gauss-Newton; a damped proposal adds lambda S^{-1} to the
+band's diagonal blocks) on an engine: BAND here, batch.DENSE the dense
+solve.  On an affine model (linearize returns it unchanged) at lambda0 = 0
+the one proposal is exact and its matrix depends only on (problem, gamma):
+factored once, it serves every coupling (coupled_rhs), as the ks_madmm and
+gn_ieks_madmm x update.  lm_ieks is the body on BAND, and plain_ieks is
+lm_ieks with no penalty at lambda0 = 0, gamma = 0.
 
 A time-invariant band is assembled at three steps and tiled, and factored
 through the Riccati transient on a truncated system whose steady block
@@ -350,35 +348,17 @@ def band_factor(eqs: NormalEquations, overwrite: bool = False) -> np.ndarray:
 
 def augmented_ks(eqs, factor: Optional[np.ndarray] = None) -> np.ndarray:
     """x (T, n_x) solving eqs by band_factor and one dpbtrs, or, given factor
-    (band_factor's of the same equations: ks_madmm, plain_smoother), of the
+    (band_factor's of the same equations: BAND, plain_smoother), of the
     right-hand side eqs = h alone, bit for bit the equations' x."""
     if factor is None:
         factor, eqs = band_factor(eqs), eqs.h
     return dpbtrs(factor, eqs.reshape(-1, 1), lower=1)[0].reshape(eqs.shape)
 
 
-def factor_once(slot: str, assemble: Callable, factor: Callable, solve: Callable):
-    """Stateless x update solver(problem, V, eta_bar, gamma, x_warm) of an
-    affine problem that factors its matrix once per (problem, gamma): the
-    penalty targets (B, d), h0 = assemble(problem, B, gamma).h (no coupling)
-    and factor(eqs) are kept in problem.kept[slot], keyed by gamma
-    (models.keep), until the next run_madmm on the problem or
-    problem.kept.clear(), also after a direct call.  Each call returns
-    solve(factor, h0 plus the coupling's part), the fresh solve's x bit for
-    bit (its Iterate for an Iterate x_warm)."""
-    def factored(problem, gamma):
-        if not problem.is_affine:
-            raise ValueError("a factor-once x update needs an affine model")
-        B, d = problem.penalty_targets()
-        eqs = assemble(problem, B, gamma)
-        return B, d, eqs.h, factor(eqs)
-
-    def solver(problem, V, eta_bar, gamma, x_warm):
-        B, d, h0, f = keep(problem.kept, slot, gamma, lambda: factored(problem, gamma))
-        x = solve(f, coupled_rhs(h0, coupling(B, d, V, eta_bar, gamma, problem.model.m1)))
-        return Iterate(problem, x) if isinstance(x_warm, Iterate) else x
-
-    return solver
+# lm_x_update's engines: (kept slot, factor(eqs), solve(factor, h)); BAND resolves names per call
+Engine = Tuple[str, Callable[[NormalEquations], object], Callable[[object, np.ndarray], np.ndarray]]
+BAND: Engine = ("band_factor", lambda eqs: band_factor(eqs, overwrite=True),
+                lambda factor, h: augmented_ks(h, factor))
 
 
 def plain_smoother(model: AffineModel, y: np.ndarray) -> np.ndarray:
@@ -568,40 +548,55 @@ def gauss_newton(problem: TrackingProblem, propose: Proposal, x0: Iterate,
 def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
                 gamma: float, x0, cfg: Optional[LMConfig],
                 trace: Optional[List[np.ndarray]], lambda_trace: Optional[List[float]],
-                solve: Callable[[NormalEquations], np.ndarray]):
-    """Levenberg-Marquardt x update of the coupled subproblem, solving with solve(eqs).
+                engine: Engine):
+    """Levenberg-Marquardt x update of the coupled subproblem on an engine
+    (slot, factor, solve): each proposal is solve(factor(eqs), eqs.h).
 
     gauss_newton with cfg (default LMConfig()) from x0, an Iterate of
     problem, to the final Iterate, or from a copy of the array x0 (default
     the prior mean trajectory) to the final x, never the caller's x0.  A
-    proposal linearises at the iterate, assembles the undamped
-    normal_equations and solves them; a damped one (the LM smoother of
-    Sarkka and Svensson, ICASSP 2020) adds lambda S^{-1} on the diagonal and
-    lambda S^{-1} x in h.  The equations are kept per iterate (a rejected
-    step only adds the damping again), the coupling's part of h per targets
-    pair, and the static part in problem.kept's "static" slot
-    (normal_equations' kept).
+    proposal linearises at the iterate and solves the undamped
+    normal_equations, kept per iterate with the coupling's part of h per
+    targets pair and the static part in problem.kept's "static" slot; a
+    damped one (the LM smoother of Sarkka and Svensson, ICASSP 2020) adds
+    lambda S^{-1} on the diagonal and lambda S^{-1} x in h.  On an affine
+    problem at lambda0 = 0 the one proposal is exact, with no linearize and
+    no cost: h0 (no coupling) and the factor depend only on (problem,
+    gamma), are kept in problem.kept[slot] (models.keep), and h0 plus the
+    coupling's part is back-substituted.  factor may write over its band: a
+    damped band is new, an undamped one is solved once, and the kept static
+    band never reaches it.
     """
+    slot, factor, solve = engine
     cfg = cfg or LMConfig()
     model = problem.model
     model.noise_precisions  # a bad P1, Q or R block raises here, before any pass
     start = x0 if isinstance(x0, Iterate) else Iterate(problem, np.array(
         prior_mean_trajectory(model) if x0 is None else x0, dtype=float))
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
+    exact = problem.is_affine and cfg.lambda0 == 0
     last = (None, None)
     terms = [None, None]  # a targets pair and its coupling terms
 
+    def factored(B):
+        eqs = normal_equations(model, problem.y, B, gamma=gamma)
+        return eqs.h, factor(eqs)
+
     def propose(x, targets, lam):
         nonlocal last
+        B, d = targets
+        if exact:
+            h0, f = keep(problem.kept, slot, gamma, lambda: factored(B))
+            return solve(f, coupled_rhs(h0, coupling(B, d, v, eta_bar, gamma, model.m1)))
         if last[0] is not x:
-            B, d = targets
             if terms[0] is not targets:
                 terms[:] = targets, coupling(B, d, v, eta_bar, gamma, model.m1)
             eqs = normal_equations(linearize(model, x), problem.y, B, gamma=gamma,
                                    kept=problem.kept)
             eqs.h = coupled_rhs(eqs.h, terms[1])
             last = (x, eqs)
-        return solve(last[1].damped(lam, s_inv, x.x) if lam > 0 else last[1])
+        eqs = last[1].damped(lam, s_inv, x.x) if lam > 0 else last[1]
+        return solve(factor(eqs), eqs.h)
 
     def cost(x, targets):
         return x_subproblem_cost(problem, x, v, eta_bar, gamma, targets)
@@ -614,14 +609,11 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
             gamma: float, x0, cfg: Optional[LMConfig] = None,
             trace: Optional[List[np.ndarray]] = None,
             lambda_trace: Optional[List[float]] = None):
-    """Levenberg-Marquardt iterated smoother: lm_x_update with the band solve
-    (augmented_ks), from an array or an Iterate x0 to the same kind.  With
-    lambda0 = 0 (the GN-IEKS) its iterates match the dense Gauss-Newton
-    sequence, and on an affine model (its own linearisation) the one
-    proposal is the ks_madmm x update, bit for bit.
-    """
-    # augmented_ks is looked up per call, never bound at import, so a patched one is used
-    return lm_x_update(problem, v, eta_bar, gamma, x0, cfg, trace, lambda_trace, augmented_ks)
+    """Levenberg-Marquardt iterated smoother: lm_x_update on BAND, from an
+    array or an Iterate x0 to the same kind.  With lambda0 = 0 (the GN-IEKS,
+    and on an affine model the ks_madmm x update) its iterates match the
+    dense Gauss-Newton sequence."""
+    return lm_x_update(problem, v, eta_bar, gamma, x0, cfg, trace, lambda_trace, BAND)
 
 
 _NO_PENALTY = GroupRegularizer(groups=(), weights=())
@@ -630,12 +622,12 @@ _NO_PENALTY = GroupRegularizer(groups=(), weights=())
 def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
                i_max: int = 20, step_tol: float = 1e-8,
                lambda_trace: Optional[List[float]] = None) -> np.ndarray:
-    """Unregularised iterated smoother: lm_x_update with the band solve on the
-    problem with no penalty at gamma = 0, LMConfig(lambda0=0, i_max,
+    """Unregularised iterated smoother: lm_x_update on BAND, on the problem
+    with no penalty at gamma = 0, LMConfig(lambda0=0, i_max,
     step_tol).  Each accepted pass extends lambda_trace; a bad P1, Q or R
     block is named before any pass, without an inner-iteration prefix.  On
     an affine model the one pass is plain_smoother's.
     """
     return lm_x_update(TrackingProblem(model, _NO_PENALTY, y), None, None, 0.0, x0,
                        LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol), None,
-                       lambda_trace, augmented_ks)
+                       lambda_trace, BAND)

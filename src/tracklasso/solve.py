@@ -1,9 +1,9 @@
 """One-call solver dispatch used by the CLI and the experiment scripts.
 
-Maps solver names to the two x-update bodies, smoothers.factor_once
-(affine) and smoothers.lm_x_update (LM), each with the band or the dense
-solve; initialises the split from an unregularised smoother run, and hands
-off to the ADMM loop.
+Maps solver names to the one x-update body, smoothers.lm_x_update, on the
+band or the dense engine (ks_madmm and gn_ieks_madmm at lambda0 = 0, whose
+affine case factors once per (problem, gamma)); initialises the split from
+an unregularised smoother run, and hands off to the ADMM loop.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ import numpy as np
 from .admm import MadmmOptions, SolveReport, run_madmm
 from .batch import batch_nonlinear_solve, make_affine_x_solver
 from .models import TrackingProblem
-from .smoothers import (LMConfig, augmented_ks, band_factor, factor_once, lm_ieks,
-                        normal_equations, plain_ieks, plain_smoother)
+from .smoothers import LMConfig, lm_ieks, plain_ieks, plain_smoother
 
 SOLVERS = ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm", "batch_madmm")
 INITIAL_PASSES = 20  # the cap of the nonlinear initialiser's plain_ieks passes
+_KS_AFFINE = "ks_madmm needs an affine model; use gn_ieks_madmm, lm_ieks_madmm, or batch_madmm"
 
 
 def initial_trajectory(problem: TrackingProblem, passes: Optional[list] = None) -> np.ndarray:
@@ -40,23 +40,20 @@ def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
     problem or problem.kept.clear().
 
     Every inner setting comes from one LMConfig, lm_cfg (default LMConfig()).
-    The affine engines are smoothers.factor_once: ks_madmm (affine only)
-    with band_factor (in place) and augmented_ks in the "band_factor" slot,
-    batch_madmm with the dense factor (batch.make_affine_x_solver).
-    gn_ieks_madmm and lm_ieks_madmm run lm_ieks (GN: lambda0 = 0), and
-    batch_madmm on a nonlinear model the same LM body with the dense solve
-    (batch.batch_nonlinear_solve).
+    ks_madmm (affine only), gn_ieks_madmm and lm_ieks_madmm run lm_ieks, the
+    first two at lambda0 = 0: on an affine model one exact proposal, its
+    band factor kept in the "band_factor" slot.  batch_madmm runs the same
+    body on the dense engine, batch.make_affine_x_solver (lambda0 = 0) on
+    an affine model and batch.batch_nonlinear_solve otherwise.
     """
     cfg = lm_cfg if lm_cfg is not None else LMConfig()
-    if solver == "ks_madmm":
-        return factor_once("band_factor", lambda problem, B, gamma: normal_equations(
-            problem.model, problem.y, B, gamma=gamma), lambda eqs: band_factor(
-            eqs, overwrite=True), lambda factor, h: augmented_ks(h, factor))
-    if solver in ("gn_ieks_madmm", "lm_ieks_madmm"):
-        if solver == "gn_ieks_madmm":
+    if solver in ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm"):
+        if solver != "lm_ieks_madmm":
             cfg = replace(cfg, lambda0=0.0)
 
         def ieks(problem, V, eta_bar, gamma, x_warm):
+            if solver == "ks_madmm" and not problem.is_affine:
+                raise ValueError(_KS_AFFINE)
             return lm_ieks(problem, V, eta_bar, gamma, x_warm, cfg)
         return ieks
     if solver == "batch_madmm":
@@ -87,8 +84,7 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
     if solver == "ks_madmm" and not problem.is_affine:
-        raise ValueError("ks_madmm needs an affine model; use gn_ieks_madmm, "
-                         "lm_ieks_madmm, or batch_madmm")
+        raise ValueError(_KS_AFFINE)
     opts = opts if opts is not None else MadmmOptions()
     lm_cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
     passes = None if x0 is not None else []

@@ -366,11 +366,11 @@ def test_an_x0_of_the_wrong_shape_raises_naming_x0(shape):
 
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])
 def test_two_engines_share_one_problem(target_mode):
-    """ks_madmm's factor slot and gn_ieks_madmm's static slot share
-    problem.kept: x updates alternated between the two engines on one Wiener
-    problem give the same x bit for bit at every call, and so does a loop
-    that alternates them.  run_madmm leaves kept empty when it returns and
-    when it raises."""
+    """ks_madmm and gn_ieks_madmm share one "band_factor" slot of
+    problem.kept (no static part is kept): x updates alternated between the
+    two on one Wiener problem give the same x bit for bit at every call, and
+    so does a loop that alternates them.  run_madmm leaves kept empty when
+    it returns and when it raises."""
     data, model = simulate_wiener(scenario_defaults("wiener", T=40, seed=3))
     prob = TrackingProblem(model, make_regularizer("l2", 4, target_mode=target_mode), data.y)
     ks, gn = make_x_solver("ks_madmm"), make_x_solver("gn_ieks_madmm")
@@ -382,7 +382,7 @@ def test_two_engines_share_one_problem(target_mode):
         for first, second in ((ks, gn), (gn, ks)):
             a, b = first(prob, V, eta, gamma, it), second(prob, V, eta, gamma, it)
             np.testing.assert_array_equal(a.x, b.x)
-        assert set(prob.kept) == {"band_factor", "static"}
+        assert set(prob.kept) == {"band_factor"}
         it = a
     calls = []
 

@@ -437,8 +437,8 @@ def test_dense_factor_is_the_normal_matrix_factored_in_place(monkeypatch):
 
 def test_non_finite_transition_is_named_by_the_dense_solves():
     """A NaN in A reaches D and E; the block check raises before factoring,
-    with the message the full-matrix check gave.  A bad D or E alone is
-    caught too."""
+    with the message the full-matrix check gave (after the x update's
+    inner-iteration prefix).  A bad D or E alone is caught too."""
     A = np.tile(np.eye(2), (5, 1, 1))
     A[2, 0, 1] = np.nan
     model = AffineModel(A=A, b=np.zeros(2), H=np.eye(2), e=np.zeros(2), m1=np.zeros(2),
@@ -448,7 +448,7 @@ def test_non_finite_transition_is_named_by_the_dense_solves():
     match = "^stacked normal matrix is not positive definite$"
     with pytest.raises(SingularSystemError, match=match):
         batch_x_affine(stack_problem(prob, z, z, 1.0))
-    with pytest.raises(SingularSystemError, match=match):
+    with pytest.raises(SingularSystemError, match="^inner iteration 1: " + match[1:]):
         make_x_solver("batch_madmm")(prob, z, z, 1.0, None)
     for block, bad in ((0, np.nan), (1, np.nan), (1, np.inf)):
         blocks = random_spd_blocks(np.random.default_rng(7), 4, 2)

@@ -1,5 +1,6 @@
 """Model containers, penalty structures, and cost functions."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from tracklasso.models import (
     x_subproblem_cost,
 )
 from tracklasso.models import _half_weighted_sq
+from tracklasso.scenarios import scenario_defaults, simulate_wiener
 
 
 def scalar_problem(mu=1.5, target_mode="state"):
@@ -469,6 +471,78 @@ def test_non_finite_group_weights_raise_naming_weights(bad):
         make_regularizer("l2", 4, weights=bad)
     with pytest.raises(ValueError, match="^weights: "):
         make_regularizer("lasso", 2, weights=[1.0, bad])
+
+
+def wiener_model(T=20):
+    return simulate_wiener(scenario_defaults("wiener", T=T, seed=0))
+
+
+AXES = (np.eye(4)[:2], np.eye(4)[2:])  # two groups of a four-state model
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_group_matrix_raises_naming_it(bad):
+    """A nan or infinite group matrix fails at construction, naming the
+    group, instead of in scipy's check of the solve's arrays."""
+    G = np.eye(4)[2:].copy()
+    G[1, 0] = bad
+    with pytest.raises(ValueError, match=re.escape("groups[1]: contains a non-finite value")):
+        GroupRegularizer(groups=(np.eye(4)[:2], G), weights=1.0)
+
+
+@pytest.mark.parametrize("name, stacked", [("B", True), ("B", False), ("d", True),
+                                           ("d", False)])
+def test_non_finite_explicit_targets_raise_naming_them(name, stacked):
+    """A nan in an explicit B or d fails at construction, naming it and its
+    step, instead of an x update's "x: non-finite value" or scipy's check;
+    the index-0 entries of a stack are never consulted, so a nan there
+    passes."""
+    arrays = {"B": np.tile(np.eye(4), (20, 1, 1)), "d": np.zeros((20, 4))}
+    if not stacked:
+        arrays[name] = arrays[name][0].copy()
+    bad = arrays[name]
+    bad[(3, 1) if stacked else 1] = np.nan
+    where = "non-finite value at step 3" if stacked else "contains a non-finite value"
+    with pytest.raises(ValueError, match=f"^{name}: {where}$"):
+        GroupRegularizer(groups=AXES, weights=1.0, **arrays)
+    if stacked:
+        bad[3] = bad[0]
+        bad[0] = np.nan
+        data, model = wiener_model()
+        TrackingProblem(model, GroupRegularizer(groups=AXES, weights=1.0, **arrays), data.y)
+
+
+def test_explicit_targets_of_the_wrong_state_dimension_raise_naming_them():
+    """A B or d that does not fit the model's state dimension fails when the
+    problem is built, naming it, instead of a numpy matmul error in the
+    solve, with or without groups."""
+    data, model = wiener_model()
+    for groups in (AXES, ()):
+        reg = GroupRegularizer(groups=groups, weights=np.ones(len(groups)), B=np.eye(3))
+        with pytest.raises(ValueError, match=re.escape("B: expected (4, 4) blocks, got (3, 3)")):
+            TrackingProblem(model, reg, data.y)
+    reg = GroupRegularizer(groups=AXES, weights=1.0, B=np.eye(4), d=np.zeros((20, 3)))
+    with pytest.raises(ValueError, match=re.escape("d: expected (4,) blocks, got (3,)")):
+        TrackingProblem(model, reg, data.y)
+
+
+def test_explicit_d_without_B_raises():
+    """penalty_targets reads d only with B, so a d given alone would be
+    silently ignored; it fails at construction instead."""
+    with pytest.raises(ValueError, match="^d: an explicit d needs an explicit B$"):
+        GroupRegularizer(groups=AXES, weights=1.0, d=np.ones(4))
+
+
+@pytest.mark.parametrize("name", ["B", "d"])
+def test_explicit_targets_of_the_wrong_length_raise_naming_them(name):
+    """The problem checks the time axis of an explicit B and d against its
+    model's T when it is built, not in the first x update."""
+    data, model = wiener_model()
+    arrays = {"B": np.eye(4), "d": np.zeros(4)}
+    arrays[name] = np.stack([arrays[name]] * 19)
+    reg = GroupRegularizer(groups=AXES, weights=1.0, **arrays)
+    with pytest.raises(ValueError, match=f"^{name}: leading axis must be 20, got 19$"):
+        TrackingProblem(model, reg, data.y)
 
 
 def test_regularizer_owns_its_arrays():

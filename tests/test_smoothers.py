@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbtrf
 
+import tracklasso.batch as batch
 import tracklasso.models as models
 import tracklasso.smoothers as smoothers
 from tracklasso.admm import MadmmOptions, run_madmm
@@ -606,8 +607,7 @@ def test_singular_innovation_raises_with_step():
 
 def count_factorisations(monkeypatch):
     """Count band factorisations of the information matrix (band_factor
-    calls, at both names the solve path looks it up by; one factorisation
-    may run dpbtrf on truncated systems first)."""
+    calls; one factorisation may run dpbtrf on truncated systems first)."""
     calls = [0]
     factor = smoothers.band_factor
 
@@ -616,7 +616,6 @@ def count_factorisations(monkeypatch):
         return factor(eqs, **kwargs)
 
     monkeypatch.setattr(smoothers, "band_factor", counted)
-    monkeypatch.setattr("tracklasso.solve.band_factor", counted)
     return calls
 
 
@@ -727,8 +726,9 @@ def test_ks_x_solver_sweeps_once_per_problem_and_gamma(monkeypatch):
 
 def test_affine_gauss_newton_stops_after_one_proposal(monkeypatch):
     """On an affine problem the undamped proposal is the exact minimiser, so
-    gn_ieks_madmm factors once per x update (not twice, re-solving the same
-    system to see a zero step) and returns ks_madmm's x bit for bit; plain_ieks
+    gn_ieks_madmm, like ks_madmm, factors once per (problem, gamma) (not once
+    per x update, nor twice per x update to see a zero step) and returns
+    ks_madmm's x bit for bit; plain_ieks
     passes once and returns plain_smoother's estimate; the dense GN loop
     accepts one proposal, even with step_tol = 0."""
     T, k = 400, 5
@@ -744,7 +744,7 @@ def test_affine_gauss_newton_stops_after_one_proposal(monkeypatch):
     assert calls[0] == 1
     calls[0] = 0
     x_gn = solve_problem(prob, "gn_ieks_madmm", opts=opts, x0=x0).x
-    assert calls[0] == k
+    assert calls[0] == 1
     np.testing.assert_array_equal(x_gn, x_ks)
     rng = np.random.default_rng(6)
     V, eta = rng.normal(size=(T, 4)), rng.normal(size=(T, 4))
@@ -756,6 +756,97 @@ def test_affine_gauss_newton_stops_after_one_proposal(monkeypatch):
     np.testing.assert_array_equal(x_dense, trace[1])
     np.testing.assert_allclose(x_dense, batch_x_affine(stack_problem(prob, V, eta, 1.0)),
                                rtol=1e-8, atol=1e-8)
+
+
+def count_dense_factorisations(monkeypatch):
+    """Count dense factorisations (batch._dense_factor calls, one per
+    coordinate group of a factored matrix)."""
+    calls = [0]
+    factor = batch._dense_factor
+
+    def counted(eqs, what):
+        calls[0] += 1
+        return factor(eqs, what)
+
+    monkeypatch.setattr(batch, "_dense_factor", counted)
+    return calls
+
+
+AFFINE_EXACT = {  # name: (x update of an affine problem at lambda0 = 0, its kept slot)
+    "ks_madmm": (make_x_solver("ks_madmm"), "band_factor"),
+    "gn_ieks_madmm": (make_x_solver("gn_ieks_madmm"), "band_factor"),
+    "batch_madmm": (make_x_solver("batch_madmm"), "dense_factor"),
+    "dense_gn": (lambda problem, V, eta, gamma, x: batch_nonlinear_solve(
+        problem, V, eta, gamma, cfg=LMConfig(lambda0=0.0), x0=x), "dense_factor"),
+}
+
+
+@pytest.mark.parametrize("name", AFFINE_EXACT)
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+def test_affine_exact_x_update_factors_once_per_problem_and_gamma(monkeypatch, name,
+                                                                 target_mode):
+    """ks_madmm, gn_ieks_madmm and the dense Gauss-Newton body on an affine
+    problem factor once per (problem, gamma), into their engine's slot of
+    problem.kept and nothing else; a new gamma factors again, and each x is
+    the fresh solve's bit for bit."""
+    solver, slot = AFFINE_EXACT[name]
+    T = 60
+    prob = wiener_problem(T, target_mode)
+    calls = (count_dense_factorisations if slot == "dense_factor"
+             else count_factorisations)(monkeypatch)
+    rng = np.random.default_rng(12)
+    factored = []
+    for gamma in (1.0, 1.0, 0.5, 0.5, 1.0):
+        V, eta = rng.normal(size=(2, T, 4))
+        x = solver(prob, V, eta, gamma, None)
+        factored.append(calls[0] > 0)
+        calls[0] = 0
+        assert set(prob.kept) == {slot}
+        fresh = TrackingProblem(model=prob.model, reg=prob.reg, y=prob.y)
+        np.testing.assert_array_equal(x, solver(fresh, V, eta, gamma, None))
+        calls[0] = 0
+    assert factored == [True, False, True, False, True]
+
+
+@pytest.mark.parametrize("lambda0", [0.0, 1e-2])
+@pytest.mark.parametrize("target_mode", ["state", "process_noise"])
+def test_lm_ieks_factors_each_band_once_and_never_the_kept_one(monkeypatch, lambda0,
+                                                               target_mode):
+    """band_factor may write over the band it is given, so over range lm_ieks
+    runs it never receives the kept static band, nor a band it received
+    before (the damped case rejects proposals, so one iterate's equations
+    are damped more than once)."""
+    prob = range_problem(target_mode=target_mode)
+    x, accepted = np.tile(prob.model.m1, (prob.T, 1)), []  # far off: proposals are rejected
+    bands, factor = [], smoothers.band_factor
+
+    def recorded(eqs, **kwargs):
+        bands.append(eqs.band)
+        return factor(eqs, **kwargs)
+
+    monkeypatch.setattr(smoothers, "band_factor", recorded)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        V, eta = rng.normal(size=(2, prob.T, 4))
+        x = lm_ieks(prob, V, eta, 1.0, x, LMConfig(lambda0=lambda0, i_max=6, step_tol=0.0),
+                    lambda_trace=accepted)
+        static = prob.kept["static"][1]
+        assert not any(np.shares_memory(band, static) for band in bands)
+    assert len({id(band) for band in bands}) == len(bands)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(bands) for b in bands[:i])
+    assert (len(bands) > len(accepted)) == (lambda0 > 0)
+
+
+def test_ks_x_update_needs_an_affine_model():
+    """The ks_madmm x update, called directly, rejects a nonlinear problem
+    as solve_problem does, instead of running Gauss-Newton on it."""
+    prob = range_problem()
+    z = np.zeros((prob.T, 4))
+    msg = "^ks_madmm needs an affine model; use gn_ieks_madmm, lm_ieks_madmm, or batch_madmm$"
+    with pytest.raises(ValueError, match=msg):
+        make_x_solver("ks_madmm")(prob, z, z, 1.0, initial_trajectory(prob))
+    with pytest.raises(ValueError, match=msg):
+        solve_problem(prob, "ks_madmm")
 
 
 def count_noise_factorisations(monkeypatch):
@@ -982,8 +1073,9 @@ def test_band_factor_is_the_full_factor_of_a_time_invariant_system(monkeypatch, 
 @pytest.mark.parametrize("target_mode", ["process_noise", "state"])
 def test_steady_state_solves_return_the_full_factor_bytes(monkeypatch, target_mode):
     """On Wiener at T = 2000 the initial pass, the ks_madmm x update and the
-    affine Gauss-Newton proposal take the steady-state path and return the
-    bytes they return from the whole band's factor."""
+    affine Gauss-Newton proposal (on a problem with no kept factor) take the
+    steady-state path and return the bytes they return from the whole band's
+    factor."""
     T = 2000
     prob = wiener_problem(T, target_mode)
     rng = np.random.default_rng(8)
@@ -993,8 +1085,9 @@ def test_steady_state_solves_return_the_full_factor_bytes(monkeypatch, target_mo
     def solves():
         prob.kept.clear()
         x0 = plain_smoother(prob.model, prob.y)
-        return (x0, solver(prob, V, eta, 1.0, None),
-                lm_ieks(prob, V, eta, 1.0, x0, LMConfig(lambda0=0.0)))
+        x_ks = solver(prob, V, eta, 1.0, None)
+        prob.kept.clear()  # else the proposal back-substitutes ks_madmm's kept factor
+        return x0, x_ks, lm_ieks(prob, V, eta, 1.0, x0, LMConfig(lambda0=0.0))
 
     sizes = factor_sizes(monkeypatch)
     steady = solves()
