@@ -194,9 +194,8 @@ def make_affine_x_solver():
     """x-update callable for the ADMM loop on an affine problem: the dense
     body at lambda0 = 0, which factors the normal matrix once per (problem,
     gamma) into problem.kept's "dense_factor" slot."""
-    def solver(problem, V, eta_bar, gamma, x_warm):
-        return lm_x_update(problem, V, eta_bar, gamma, x_warm, _EXACT, None, None, DENSE)
-    return solver
+    return lambda problem, V, eta_bar, gamma, x_warm: lm_x_update(
+        problem, V, eta_bar, gamma, x_warm, _EXACT, None, None, DENSE)
 
 
 def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,

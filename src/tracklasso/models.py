@@ -22,9 +22,9 @@ NoiseModel.noise_factors, read by validation, the assembly and the simulators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -383,8 +383,6 @@ class GroupRegularizer:
         groups = tuple(np.asarray(g, dtype=float) for g in self.groups)
         if any(g.ndim != 2 for g in groups):
             raise ValueError("every group matrix must be two-dimensional")
-        for i, g in enumerate(groups):
-            _check_finite(g, f"groups[{i}]", stepped=False)
         cols = {g.shape[1] for g in groups}
         if len(cols) > 1:
             raise ValueError("group matrices disagree on the state dimension")
@@ -401,17 +399,23 @@ class GroupRegularizer:
         if self.target_mode not in TARGET_MODES:
             raise ValueError(f"unknown target mode {self.target_mode!r}")
         n_x = cols.pop() if cols else 0
-        B, d = (None if a is None else owned(a) for a in (self.B, self.d))
+        stack = np.concatenate(groups, axis=0) if groups else np.zeros((0, n_x))
+        if not math.isfinite(stack.sum()):  # a finite sum that overflows only takes the scan
+            for i, g in enumerate(groups):
+                _check_finite(g, f"groups[{i}]", stepped=False)
+        B = None if self.B is None else owned(self.B)
+        d = None if self.d is None else owned(self.d)
         if B is None and d is not None:
             raise ValueError("d: an explicit d needs an explicit B")
         for name, arr, core_ndim in (("B", B, 2), ("d", d, 1)):
             if arr is not None:
                 _check_finite(arr, name, start=1, stepped=arr.ndim > core_ndim)
-        stack = np.concatenate(groups, axis=0) if groups else np.zeros((0, n_x))
-        ends = accumulate(len(g) for g in groups)
-        slices = tuple(slice(end - len(g), end) for g, end in zip(groups, ends))
+        slices, offset = [], 0
+        for g in groups:
+            slices.append(slice(offset, offset + g.shape[0]))
+            offset += g.shape[0]
         for name, val in (("groups", groups), ("weights", freeze(weights)),
-                          ("G_stack", freeze(stack)), ("slices", slices),
+                          ("G_stack", freeze(stack)), ("slices", tuple(slices)),
                           ("B", B), ("d", d)):
             object.__setattr__(self, name, val)
 

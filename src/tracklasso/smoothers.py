@@ -6,13 +6,12 @@ assembles the information form for all steps at once straight into the
 LAPACK lower band dpbtrf reads (NormalEquations.band), and augmented_ks
 solves it by one banded Cholesky (band_factor, then dpbtrs).  The one
 x-update body, lm_x_update, runs the damped Gauss-Newton loop gauss_newton
-(lambda0 = 0 is Gauss-Newton; a damped proposal adds lambda S^{-1} to the
-band's diagonal blocks) on an engine: BAND here, batch.DENSE the dense
-solve.  On an affine model (linearize returns it unchanged) at lambda0 = 0
-the one proposal is exact and its matrix depends only on (problem, gamma):
-factored once, it serves every coupling (coupled_rhs), as the ks_madmm and
-gn_ieks_madmm x update.  lm_ieks is the body on BAND, and plain_ieks is
-lm_ieks with no penalty at lambda0 = 0, gamma = 0.
+on an engine, BAND here and batch.DENSE there (a damped proposal adds
+lambda S^{-1} to the band's diagonal blocks).  On an affine model (its own
+linearisation) at lambda0 = 0 the one proposal is exact, and its matrix, which
+depends only on (problem, gamma), is factored once for every coupling
+(coupled_rhs): the ks_madmm and gn_ieks_madmm x update.  lm_ieks is the
+body on BAND, and plain_ieks is lm_ieks at lambda0 = 0 with no penalty.
 
 A time-invariant band is assembled at three steps and tiled, and factored
 through the Riccati transient on a truncated system whose steady block

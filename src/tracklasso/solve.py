@@ -81,19 +81,17 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
     whose pass count, convergence and wall time the report then records.
     run_madmm drops what the x updates kept on problem.kept.
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; choose from {SOLVERS}")
+    lm_cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
+    x_solver = make_x_solver(solver, lm_cfg)  # an unknown solver raises here
     if solver == "ks_madmm" and not problem.is_affine:
         raise ValueError(_KS_AFFINE)
     opts = opts if opts is not None else MadmmOptions()
-    lm_cfg = lm_cfg if lm_cfg is not None else LMConfig(i_max=i_max)
     passes = None if x0 is not None else []
     if x0 is None:
         tic = time.perf_counter()
         x0 = initial_trajectory(problem, passes)
         initial_seconds = time.perf_counter() - tic
-    report = run_madmm(problem, make_x_solver(solver, lm_cfg), opts, x0=x0,
-                       record_states=record_states)
+    report = run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)
     if passes is not None:  # an affine model's one pass is exact
         report.initial_passes = 1 if problem.is_affine else len(passes)
         report.initial_converged = problem.is_affine or len(passes) < INITIAL_PASSES
