@@ -22,9 +22,11 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
 from .models import (GroupRegularizer, Iterate, SingularSystemError, SplitState,
-                     TrackingProblem, augmented_lagrangian, constraint_gaps, objective)
+                     TrackingProblem, _check_finite, augmented_lagrangian, constraint_gaps,
+                     objective)
 
 XSolver = Callable[[TrackingProblem, np.ndarray, np.ndarray, float, Iterate], Iterate]
+ZERO_TOL = 1e-6  # a group whose final w block norm is at most this counts as zero
 
 
 @dataclass(frozen=True)
@@ -35,14 +37,13 @@ class MadmmOptions:
     k_max: int = 50
     eps_primal: float = 1e-6
     eps_dual: float = 1e-6
-    zero_tol: float = 1e-6
 
     def __post_init__(self):  # each check is written so that nan fails it
         if not 0 < self.gamma < np.inf:
             raise ValueError("gamma must be finite and positive")
         if not (isinstance(self.k_max, (int, np.integer)) and self.k_max >= 0):
             raise ValueError("k_max must be a nonnegative integer")
-        for name in ("eps_primal", "eps_dual", "zero_tol"):
+        for name in ("eps_primal", "eps_dual"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
@@ -146,12 +147,12 @@ def residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray, V_prev: np.ndarray,
 
 
 def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
-              x0: Optional[np.ndarray] = None, record_states: bool = False) -> SolveReport:
+              x0: np.ndarray, record_states: bool = False) -> SolveReport:
     """Run the multi-block ADMM loop with a delegated x update.
 
-    The split is initialised feasibly from x0 (v = u(x0), w = G v, eta = 0);
-    x0 defaults to zeros, but callers normally pass an unregularised smoother
-    trajectory; one that is not (T, n_x) raises ValueError naming x0.
+    The split is initialised feasibly from x0 (v = u(x0), w = G v, eta = 0),
+    normally an unregularised smoother trajectory; one that is not (T, n_x)
+    or holds a non-finite value raises ValueError naming x0.
     x_solver(problem, v, eta_bar, gamma, x_warm) maps the models.Iterate of
     the last x (first, of a copy of x0) to the next, whose model values
     serve the targets, the data cost and the next x update.
@@ -175,9 +176,10 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     gamma = opts.gamma
     reg = problem.reg
     try:
-        x0 = np.zeros((problem.T, problem.n_x)) if x0 is None else np.array(x0, dtype=float)
+        x0 = np.array(x0, dtype=float)
         if x0.shape != (problem.T, problem.n_x):
             raise ValueError(f"x0: expected shape {(problem.T, problem.n_x)}, got {x0.shape}")
+        _check_finite(x0, "x0")
         it = Iterate(problem, x0)
         state = SplitState.feasible(it)
         factor = v_update_factor(reg) if reg.total_rows else None
@@ -232,7 +234,7 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
             seconds=np.asarray(sec_hist),
             iterations=k_done,
             converged=converged,
-            zero_groups=w_norms <= opts.zero_tol,
+            zero_groups=w_norms <= ZERO_TOL,
             states=states,
         )
     finally:

@@ -187,15 +187,14 @@ def batch_x_affine(eqs: NormalEquations) -> np.ndarray:
 
 
 DENSE: Engine = ("dense_factor", _dense_factors, _solve_groups)
-_EXACT = LMConfig(lambda0=0.0)
 
 
 def make_affine_x_solver():
     """x-update callable for the ADMM loop on an affine problem: the dense
-    body at lambda0 = 0, which factors the normal matrix once per (problem,
-    gamma) into problem.kept's "dense_factor" slot."""
+    body, which runs an affine problem at lambda0 = 0 and factors its normal
+    matrix once per (problem, gamma) into problem.kept's "dense_factor" slot."""
     return lambda problem, V, eta_bar, gamma, x_warm: lm_x_update(
-        problem, V, eta_bar, gamma, x_warm, _EXACT, None, None, DENSE)
+        problem, V, eta_bar, gamma, x_warm, None, None, None, DENSE)
 
 
 def batch_lm_step(problem: TrackingProblem, x: np.ndarray, v: np.ndarray,

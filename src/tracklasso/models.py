@@ -170,9 +170,13 @@ class NoiseModel:
     first use, and kept on the model, read-only like its P1, Q and R."""
 
     def _own_noise(self, T: int, validate: bool) -> None:
-        """Own m1, P1 and the (T, ...) stacks Q and R (models.owned) and check
-        their shapes; with validate, check m1, P1, the used steps of Q and R
-        finite and symmetric (_check_covariance), then factor them (noise_factors)."""
+        """Set T, which must be a positive integer, own m1, P1 and the (T, ...)
+        stacks Q and R (models.owned) and check their shapes; with validate,
+        check m1, P1, the used steps of Q and R finite and symmetric
+        (_check_covariance), then factor them (noise_factors)."""
+        if not (isinstance(T, (int, np.integer)) and T >= 1):
+            raise ValueError("T must be a positive step count")
+        object.__setattr__(self, "T", int(T))
         m1, P1 = owned(self.m1), owned(self.P1)
         Q, R = per_step(owned(self.Q), T, 2, "Q"), per_step(owned(self.R), T, 2, "R")
         if m1.ndim != 1:
@@ -255,7 +259,6 @@ class AffineModel(NoiseModel):
                     break
             else:
                 raise ValueError("T cannot be inferred; pass it explicitly")
-        object.__setattr__(self, "T", int(T))
         self._own_noise(T, self.validate)
         n = self.n_x
         A = per_step(owned(self.A), T, 2, "A")
@@ -319,8 +322,6 @@ class NonlinearModel(NoiseModel):
     T: int = 0
 
     def __post_init__(self):
-        if self.T < 1:
-            raise ValueError("T must be a positive step count")
         self._own_noise(self.T, validate=True)
         n, n_y, m1, t = self.n_x, self.n_y, self.m1, np.arange(self.T)
         for name, steps, core in (("transition", t[1:], (n,)),
@@ -477,6 +478,8 @@ def make_regularizer(kind: str, n_x: int, groups: Optional[Sequence[Sequence[int
             raise ValueError("group index sets must be nonempty")
         if len(set(idx)) != len(idx):
             raise ValueError("group index sets must not repeat components")
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
+            raise ValueError(f"group indices must be integers, got {idx}")
         if any(i < 0 or i >= n_x for i in idx):
             raise ValueError(f"group indices must lie in [0, {n_x})")
         return eye[idx]

@@ -51,8 +51,8 @@ class ScenarioParams:
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name}: must be finite and nonnegative, "
                                  f"got {getattr(self, name)!r}")
-        if self.T < 2:
-            raise ValueError("T must be at least 2")
+        if not (isinstance(self.T, (int, np.integer)) and self.T >= 2):
+            raise ValueError(f"T: must be an integer of at least 2, got {self.T!r}")
         if not 0.0 <= self.p_zero <= 1.0:
             raise ValueError("p_zero must lie in [0, 1]")
         if self.kind == "range" and len(self.sensors) < 1:
@@ -172,14 +172,13 @@ def simulate_wiener(params: ScenarioParams):
     return TrackDataset(y=y, times=times, truth=x), model
 
 
-def range_model(sensors, dt: float, T: int, r_std: float = 0.2,
-                m1=None, P1=None, Q=None) -> NonlinearModel:
+def range_model(sensors, dt: float, T: int, r_std: float = 0.2, P1=None) -> NonlinearModel:
     """Constant-velocity motion observed through per-sensor range measurements."""
     sensors = np.asarray(sensors, dtype=float).reshape(-1, 2)
     A, _ = wiener_velocity_matrices(dt, 1.0)
-    Q = np.asarray(Q, dtype=float) if Q is not None else np.diag([0.01, 0.01, 0.1, 0.1])
+    Q = np.diag([0.01, 0.01, 0.1, 0.1])
     R = r_std ** 2 * np.eye(sensors.shape[0])
-    m1 = np.asarray(m1, dtype=float) if m1 is not None else np.zeros(4)
+    m1 = np.zeros(4)
     P1 = np.asarray(P1, dtype=float) if P1 is not None else np.eye(4) / 10.0
 
     # x is one state (4,) or a stack (k, 4); sensors broadcast over its leading
@@ -298,7 +297,7 @@ def ct_jacobian(x: np.ndarray, dt: float) -> np.ndarray:
     return J
 
 
-def coordinated_turn_model(params: ScenarioParams, m1=None, P1=None) -> NonlinearModel:
+def coordinated_turn_model(params: ScenarioParams) -> NonlinearModel:
     """5-state coordinated-turn model with planar position measurements."""
     dt = params.dt
     _, Q4 = wiener_velocity_matrices(dt, params.q_c)
@@ -308,8 +307,8 @@ def coordinated_turn_model(params: ScenarioParams, m1=None, P1=None) -> Nonlinea
     R = params.sigma ** 2 * np.eye(2)
     H = np.zeros((2, 5))
     H[0, 0] = H[1, 1] = 1.0
-    m1 = np.asarray(m1, dtype=float) if m1 is not None else np.array([4.5, 13.5, 0.0, 0.0, 0.0])
-    P1 = np.asarray(P1, dtype=float) if P1 is not None else np.diag([50.0, 50.0, 50.0, 50.0, 0.01])
+    m1 = np.array([4.5, 13.5, 0.0, 0.0, 0.0])
+    P1 = np.diag([50.0, 50.0, 50.0, 50.0, 0.01])
     return NonlinearModel(
         transition=lambda t, x: ct_transition(x, dt),
         transition_jacobian=lambda t, x: ct_jacobian(x, dt),

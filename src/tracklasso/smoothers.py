@@ -8,10 +8,11 @@ solves it by one banded Cholesky (band_factor, then dpbtrs).  The one
 x-update body, lm_x_update, runs the damped Gauss-Newton loop gauss_newton
 on an engine, BAND here and batch.DENSE there (a damped proposal adds
 lambda S^{-1} to the band's diagonal blocks).  On an affine model (its own
-linearisation) at lambda0 = 0 the one proposal is exact, and its matrix, which
-depends only on (problem, gamma), is factored once for every coupling
-(coupled_rhs): the ks_madmm and gn_ieks_madmm x update.  lm_ieks is the
-body on BAND, and plain_ieks is lm_ieks at lambda0 = 0 with no penalty.
+linearisation) the body runs at lambda0 = 0, whatever its LMConfig holds:
+the one proposal is exact, and its matrix, which depends only on (problem,
+gamma), is factored once for every coupling (coupled_rhs): the affine x
+update of every solver.  lm_ieks is the body on BAND, and plain_ieks is
+lm_ieks at lambda0 = 0 with no penalty.
 
 A time-invariant band is assembled at three steps and tiled, and factored
 through the Riccati transient on a truncated system whose steady block
@@ -34,7 +35,7 @@ step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
@@ -441,8 +442,8 @@ class LMConfig:
             raise ValueError("lambda0 must be finite and nonnegative")
         if not 1 < self.alpha < math.inf:
             raise ValueError("alpha must be finite and exceed 1")
-        if self.i_max < 1:
-            raise ValueError("i_max must be positive")
+        if not (isinstance(self.i_max, (int, np.integer)) and self.i_max >= 1):
+            raise ValueError("i_max must be a positive integer")
         if not self.step_tol >= 0:
             raise ValueError("step_tol must be nonnegative")
         if self.s_cov is None:
@@ -558,22 +559,24 @@ def lm_x_update(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
     normal_equations, kept per iterate with the coupling's part of h per
     targets pair and the static part in problem.kept's "static" slot; a
     damped one (the LM smoother of Sarkka and Svensson, ICASSP 2020) adds
-    lambda S^{-1} on the diagonal and lambda S^{-1} x in h.  On an affine
-    problem at lambda0 = 0 the one proposal is exact, with no linearize and
-    no cost: h0 (no coupling) and the factor depend only on (problem,
-    gamma), are kept in problem.kept[slot] (models.keep), and h0 plus the
-    coupling's part is back-substituted.  factor may write over its band: a
-    damped band is new, an undamped one is solved once, and the kept static
-    band never reaches it.
+    lambda S^{-1} on the diagonal and lambda S^{-1} x in h.  An affine
+    problem runs at lambda0 = 0, whatever cfg holds: its one proposal is
+    exact, with no linearize and no cost: h0 (no coupling) and the factor
+    depend only on (problem, gamma), are kept in problem.kept[slot]
+    (models.keep), and h0 plus the coupling's part is back-substituted.
+    factor may write over its band: a damped band is new, an undamped one
+    is solved once, and the kept static band never reaches it.
     """
     slot, factor, solve = engine
     cfg = cfg or LMConfig()
+    exact = problem.is_affine
+    if exact and cfg.lambda0:
+        cfg = replace(cfg, lambda0=0.0)
     model = problem.model
     model.noise_precisions  # a bad P1, Q or R block raises here, before any pass
     start = x0 if isinstance(x0, Iterate) else Iterate(problem, np.array(
         prior_mean_trajectory(model) if x0 is None else x0, dtype=float))
     s_inv = damping_inverse(cfg.s_cov, problem.T, problem.n_x) if cfg.lambda0 > 0 else None
-    exact = problem.is_affine and cfg.lambda0 == 0
     last = (None, None)
     terms = [None, None]  # a targets pair and its coupling terms
 
@@ -618,15 +621,14 @@ def lm_ieks(problem: TrackingProblem, v: np.ndarray, eta_bar: np.ndarray,
 _NO_PENALTY = GroupRegularizer(groups=(), weights=())
 
 
-def plain_ieks(model: Model, y: np.ndarray, x0: Optional[np.ndarray] = None,
-               i_max: int = 20, step_tol: float = 1e-8,
+def plain_ieks(model: Model, y: np.ndarray, i_max: int = 20,
                lambda_trace: Optional[List[float]] = None) -> np.ndarray:
-    """Unregularised iterated smoother: lm_x_update on BAND, on the problem
-    with no penalty at gamma = 0, LMConfig(lambda0=0, i_max,
-    step_tol).  Each accepted pass extends lambda_trace; a bad P1, Q or R
-    block is named before any pass, without an inner-iteration prefix.  On
-    an affine model the one pass is plain_smoother's.
+    """Unregularised iterated smoother from the prior mean trajectory:
+    lm_x_update on BAND, on the problem with no penalty at gamma = 0,
+    LMConfig(lambda0=0, i_max).  Each accepted pass extends lambda_trace; a
+    bad P1, Q or R block is named before any pass, without an
+    inner-iteration prefix.  On an affine model the one pass is
+    plain_smoother's.
     """
-    return lm_x_update(TrackingProblem(model, _NO_PENALTY, y), None, None, 0.0, x0,
-                       LMConfig(lambda0=0.0, i_max=i_max, step_tol=step_tol), None,
-                       lambda_trace, BAND)
+    return lm_x_update(TrackingProblem(model, _NO_PENALTY, y), None, None, 0.0, None,
+                       LMConfig(lambda0=0.0, i_max=i_max), None, lambda_trace, BAND)

@@ -1,9 +1,9 @@
 """One-call solver dispatch used by the CLI and the experiment scripts.
 
 Maps solver names to the one x-update body, smoothers.lm_x_update, on the
-band or the dense engine (ks_madmm and gn_ieks_madmm at lambda0 = 0, whose
-affine case factors once per (problem, gamma)); initialises the split from
-an unregularised smoother run, and hands off to the ADMM loop.
+band or the dense engine (ks_madmm and gn_ieks_madmm at lambda0 = 0, and
+every solver on an affine model, where it factors once per (problem,
+gamma)); initialises the split from an unregularised smoother run.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
 
     Every inner setting comes from one LMConfig, lm_cfg (default LMConfig()).
     ks_madmm (affine only), gn_ieks_madmm and lm_ieks_madmm run lm_ieks, the
-    first two at lambda0 = 0: on an affine model one exact proposal, its
-    band factor kept in the "band_factor" slot.  batch_madmm runs the same
-    body on the dense engine, batch.make_affine_x_solver (lambda0 = 0) on
-    an affine model and batch.batch_nonlinear_solve otherwise.
+    first two at lambda0 = 0 (on an affine model all three take one exact
+    proposal, its band factor kept in the "band_factor" slot).  batch_madmm
+    runs the same body on the dense engine, batch.make_affine_x_solver on an
+    affine model and batch.batch_nonlinear_solve otherwise.
     """
     cfg = lm_cfg if lm_cfg is not None else LMConfig()
     if solver in ("ks_madmm", "gn_ieks_madmm", "lm_ieks_madmm"):
@@ -70,8 +70,7 @@ def make_x_solver(solver: str, lm_cfg: Optional[LMConfig] = None):
 def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
                   opts: Optional[MadmmOptions] = None, i_max: int = 10,
                   lm_cfg: Optional[LMConfig] = None,
-                  x0: Optional[np.ndarray] = None,
-                  record_states: bool = False) -> SolveReport:
+                  x0: Optional[np.ndarray] = None) -> SolveReport:
     """Solve a regularised tracking problem with the named solver.
 
     ks_madmm requires an affine model; the iterated variants and the dense
@@ -91,7 +90,7 @@ def solve_problem(problem: TrackingProblem, solver: str = "ks_madmm",
         tic = time.perf_counter()
         x0 = initial_trajectory(problem, passes)
         initial_seconds = time.perf_counter() - tic
-    report = run_madmm(problem, x_solver, opts, x0=x0, record_states=record_states)
+    report = run_madmm(problem, x_solver, opts, x0=x0)
     if passes is not None:  # an affine model's one pass is exact
         report.initial_passes = 1 if problem.is_affine else len(passes)
         report.initial_converged = problem.is_affine or len(passes) < INITIAL_PASSES

@@ -4,8 +4,9 @@ Each check either compares two independent computations of the same
 quantity (smoother vs stacked solve, shrinkage vs grid search, analytic
 vs finite-difference Jacobians) or asserts a proven property of the
 iteration (augmented-Lagrangian descent, fixed-point contraction).
-Checks are deterministic given the seed, and every failure carries the
-arrays needed to replay it.
+Each check takes only a seed: its case counts, problem sizes and
+thresholds are fixed, so the battery is deterministic given the seed,
+and every failure carries the arrays needed to replay it.
 """
 
 from __future__ import annotations
@@ -114,15 +115,13 @@ def _direct_sum(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def separable_affine_problem(rng: np.random.Generator, T: Optional[int] = None,
-                             target_mode: Optional[str] = None) -> TrackingProblem:
+def separable_affine_problem(rng: np.random.Generator) -> TrackingProblem:
     """Direct sum of two random_affine_problem blocks (1 to 3 coordinates
     each, one T and target mode): block-diagonal A, H, Q, R and P1, and
     each block's penalty groups acting on its own coordinates alone, so
     the x update's matrix splits into one coordinate group per block."""
-    T = int(rng.integers(8, 51)) if T is None else T
-    if target_mode is None:
-        target_mode = ("state", "process_noise")[int(rng.integers(2))]
+    T = int(rng.integers(8, 51))
+    target_mode = ("state", "process_noise")[int(rng.integers(2))]
     p, c = (random_affine_problem(rng, T=T, n_x=int(rng.integers(1, 4)), target_mode=target_mode)
             for _ in range(2))
     mp, mc = p.model, c.model
@@ -137,16 +136,16 @@ def separable_affine_problem(rng: np.random.Generator, T: Optional[int] = None,
     return TrackingProblem(model=model, reg=reg, y=np.concatenate([p.y, c.y], axis=1))
 
 
-def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> CheckResult:
+def check_affine_equivalence(seed: int) -> CheckResult:
     """RTS augmented smoother and ks_madmm x update vs the stacked solve on
     random systems, two couplings each (the second reuses the band factor):
-    cases coupled ones, then 4 separable_affine_problem ones, whose dense
-    solve runs one factor per coordinate group."""
+    10 coupled ones, then 4 separable_affine_problem ones, whose dense
+    solve runs one factor per coordinate group; relative gap at most 1e-8."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     ks = make_x_solver("ks_madmm")
-    for i in range(cases + 4):
-        if i < cases:
+    for i in range(14):
+        if i < 10:
             problem = random_affine_problem(rng, n_x=int(rng.integers(1, 5)))
         else:
             problem = separable_affine_problem(rng)
@@ -156,7 +155,7 @@ def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> C
             V, eta_bar = rng.normal(size=(2, problem.T, problem.n_x))
             eqs = stack_problem(problem, V, eta_bar, gamma)
             groups = _coordinate_groups(eqs.band)
-            if i >= cases and len(groups) != 2:
+            if i >= 10 and len(groups) != 2:
                 return CheckResult("smoother_vs_batch_affine", False,
                                    f"a direct sum of two blocks has coordinate groups {groups}",
                                    _problem_payload(problem, gamma=gamma))
@@ -166,49 +165,47 @@ def check_affine_equivalence(seed: int, cases: int = 10, tol: float = 1e-8) -> C
                                ("ks_madmm", ks(problem, V, eta_bar, gamma, None))):
                 rel = np.linalg.norm(x_ks - x_batch) / max(1.0, np.linalg.norm(x_batch))
                 worst = max(worst, rel)
-                if rel > tol:
+                if rel > 1e-8:
                     return CheckResult("smoother_vs_batch_affine", False,
-                                       f"{name}: relative gap {rel:.3e} > {tol:.0e}",
+                                       f"{name}: relative gap {rel:.3e} > 1e-08",
                                        _problem_payload(problem, V=V, eta_bar=eta_bar,
                                                         gamma=gamma))
     return CheckResult("smoother_vs_batch_affine", True,
-                       f"{cases} coupled and 4 split systems, worst gap {worst:.3e}")
+                       f"10 coupled and 4 split systems, worst gap {worst:.3e}")
 
 
-def check_batch_minimiser(seed: int, cases: int = 10, directions: int = 5,
-                          tol: float = 1e-8) -> CheckResult:
+def check_batch_minimiser(seed: int) -> CheckResult:
     """The dense x update minimises x_subproblem_cost, in both target modes.
 
-    This check does not go through normal_equations: the cost is evaluated
-    at x +- d along random directions d with ||d|| = max(1, ||x||).  For a
-    quadratic the central differences are exact up to rounding, so the
-    line minimum x + s d, s = -(f+ - f-) / (2 (f+ + f- - 2 f(x))), must
-    have |s| <= tol.
+    This check does not go through normal_equations: on 10 random systems
+    the cost is evaluated at x +- d along 5 random directions d with
+    ||d|| = max(1, ||x||).  For a quadratic the central differences are
+    exact up to rounding, so the line minimum x + s d,
+    s = -(f+ - f-) / (2 (f+ + f- - 2 f(x))), must have |s| <= 1e-8.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for i in range(cases):
+    for i in range(10):
         problem = random_affine_problem(rng, n_x=int(rng.integers(1, 5)),
                                         target_mode=("state", "process_noise")[i % 2])
         gamma = float(rng.uniform(0.5, 2.0))
         V, eta_bar = rng.normal(size=(2, problem.T, problem.n_x))
         x = batch_x_affine(stack_problem(problem, V, eta_bar, gamma))
         f0 = x_subproblem_cost(problem, x, V, eta_bar, gamma)
-        for _ in range(directions):
+        for _ in range(5):
             d = rng.normal(size=x.shape)
             d *= max(1.0, np.linalg.norm(x)) / np.linalg.norm(d)
             fp, fm = (x_subproblem_cost(problem, x + sign * d, V, eta_bar, gamma)
                       for sign in (1, -1))
             s = abs(fp - fm) / (2 * (fp + fm - 2 * f0))
             worst = max(worst, s)
-            if not s <= tol:
+            if not s <= 1e-8:
                 return CheckResult("batch_minimises_subproblem", False,
-                                   f"line minimum {s:.3e} of ||d|| away > {tol:.0e}",
+                                   f"line minimum {s:.3e} of ||d|| away > 1e-08",
                                    _problem_payload(problem, V=V, eta_bar=eta_bar,
                                                     gamma=gamma, x=x, d=d))
     return CheckResult("batch_minimises_subproblem", True,
-                       f"{cases} systems, {directions} directions each, "
-                       f"worst line minimum {worst:.3e}")
+                       f"10 systems, 5 directions each, worst line minimum {worst:.3e}")
 
 
 def _range_problem(seed: int, T: int = 20) -> TrackingProblem:
@@ -219,7 +216,7 @@ def _range_problem(seed: int, T: int = 20) -> TrackingProblem:
     return TrackingProblem(model=model, reg=reg, y=data.y)
 
 
-def check_ieks_vs_batch(seed: int, tol: float = 1e-7) -> CheckResult:
+def check_ieks_vs_batch(seed: int) -> CheckResult:
     """GN and LM iterated-smoother inner iterates vs dense stacked iterates."""
     problem = _range_problem(seed)
     rng = np.random.default_rng(seed + 1)
@@ -243,24 +240,24 @@ def check_ieks_vs_batch(seed: int, tol: float = 1e-7) -> CheckResult:
         for a, c in zip(tr_s, tr_b):
             rel = np.linalg.norm(a - c) / max(1.0, np.linalg.norm(c))
             worst = max(worst, rel)
-            if rel > tol:
+            if rel > 1e-7:
                 return CheckResult("ieks_vs_batch_nonlinear", False,
-                                   f"{method}: iterate gap {rel:.3e} > {tol:.0e}",
+                                   f"{method}: iterate gap {rel:.3e} > 1e-07",
                                    _problem_payload(problem, V=V, eta_bar=eta_bar,
                                                     x0=x0))
     return CheckResult("ieks_vs_batch_nonlinear", True,
                        f"gn+lm traces, worst gap {worst:.3e}")
 
 
-def grid_shrink(z: np.ndarray, kappa: float, width: int = 81) -> np.ndarray:
-    """Two-stage grid minimiser of kappa ||w|| + 0.5 ||w - z||^2 (2-dim only)."""
+def grid_shrink(z: np.ndarray, kappa: float) -> np.ndarray:
+    """Three-stage 81 x 81 grid minimiser of kappa ||w|| + 0.5 ||w - z||^2 (2-dim only)."""
     z = np.asarray(z, dtype=float)
     if z.shape != (2,):
         raise ValueError("grid search is implemented for 2-dim blocks")
 
     def best_on(cx, cy, half):
-        gx = np.linspace(cx - half, cx + half, width)
-        gy = np.linspace(cy - half, cy + half, width)
+        gx = np.linspace(cx - half, cx + half, 81)
+        gy = np.linspace(cy - half, cy + half, 81)
         W0, W1 = np.meshgrid(gx, gy, indexing="ij")
         f = kappa * np.hypot(W0, W1) + 0.5 * ((W0 - z[0]) ** 2 + (W1 - z[1]) ** 2)
         i, j = np.unravel_index(np.argmin(f), f.shape)
@@ -268,43 +265,42 @@ def grid_shrink(z: np.ndarray, kappa: float, width: int = 81) -> np.ndarray:
 
     half = float(np.linalg.norm(z)) + kappa + 1.0
     cx, cy = best_on(0.0, 0.0, half)
-    step = 2 * half / (width - 1)
+    step = 2 * half / 80
     cx, cy = best_on(cx, cy, 2 * step)
     # a third stage pins the argument well below the comparison tolerance
-    step = 4 * step / (width - 1)
+    step = 4 * step / 80
     cx, cy = best_on(cx, cy, 2 * step)
     return np.array([cx, cy])
 
 
-def check_shrink_vs_grid(seed: int, cases: int = 50, tol: float = 1e-3) -> CheckResult:
+def check_shrink_vs_grid(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(cases):
+    for _ in range(50):
         z = rng.uniform(-3.0, 3.0, size=2)
         kappa = float(rng.uniform(0.0, 3.0))
         got = block_shrink(z, kappa)
         ref = grid_shrink(z, kappa)
         gap = float(np.linalg.norm(got - ref))
         worst = max(worst, gap)
-        if gap > tol:
+        if gap > 1e-3:
             return CheckResult("shrink_vs_grid", False,
-                               f"argument gap {gap:.3e} > {tol:.0e}",
+                               f"argument gap {gap:.3e} > 1e-03",
                                dict(z=z, kappa=np.array(kappa), got=got, ref=ref))
-    return CheckResult("shrink_vs_grid", True, f"{cases} cases, worst gap {worst:.3e}")
+    return CheckResult("shrink_vs_grid", True, f"50 cases, worst gap {worst:.3e}")
 
 
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                 h: float = 1e-6) -> np.ndarray:
+def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     cols = []
     for j in range(x.size):
         dx = np.zeros_like(x)
-        dx[j] = h
-        cols.append((fn(x + dx) - fn(x - dx)) / (2 * h))
+        dx[j] = 1e-6
+        cols.append((fn(x + dx) - fn(x - dx)) / 2e-6)
     return np.stack(cols, axis=-1)
 
 
-def check_jacobians(seed: int, tol: float = 1e-5) -> CheckResult:
+def check_jacobians(seed: int) -> CheckResult:
     """Analytic measurement/transition Jacobians vs central differences."""
     rng = np.random.default_rng(seed)
     rmodel = range_model(((0.0, -0.5), (0.5, 0.6), (-0.5, 0.6)), dt=0.1, T=4)
@@ -314,9 +310,9 @@ def check_jacobians(seed: int, tol: float = 1e-5) -> CheckResult:
         gap = np.max(np.abs(rmodel.measurement_jacobian(0, x)
                             - _fd_jacobian(lambda s: rmodel.measurement(0, s), x)))
         worst = max(worst, gap)
-        if gap > tol:
+        if gap > 1e-5:
             return CheckResult("jacobians_vs_fd", False,
-                               f"range measurement gap {gap:.3e} > {tol:.0e}",
+                               f"range measurement gap {gap:.3e} > 1e-05",
                                dict(x=x))
     dt = 0.1
     omegas = [0.0, 1e-6, 1e-3, 0.5, -0.7]
@@ -325,9 +321,9 @@ def check_jacobians(seed: int, tol: float = 1e-5) -> CheckResult:
         gap = np.max(np.abs(ct_jacobian(x, dt)
                             - _fd_jacobian(lambda s: ct_transition(s, dt), x)))
         worst = max(worst, gap)
-        if gap > tol:
+        if gap > 1e-5:
             return CheckResult("jacobians_vs_fd", False,
-                               f"turn-model gap {gap:.3e} at omega={w} > {tol:.0e}",
+                               f"turn-model gap {gap:.3e} at omega={w} > 1e-05",
                                dict(x=x))
     return CheckResult("jacobians_vs_fd", True, f"worst gap {worst:.3e}")
 
@@ -359,14 +355,14 @@ def madmm_stage_trace(problem: TrackingProblem, x_solver, gamma: float,
     return np.asarray(stage_rise), np.asarray(lag[1:]) - lag[0]
 
 
-def _lemma2_one(seed: int, k_max: int, inject_fault: bool) -> float:
+def _lemma2_one(seed: int, inject_fault: bool) -> float:
     """Worst descent violation of the Lagrangian stages on one range seed."""
     problem = _range_problem(seed, T=40)
     if inject_fault:
         x_solver = faulty_x_solver()
     else:
         x_solver = make_x_solver("lm_ieks_madmm", LMConfig(i_max=5))
-    stage_rise, excess = madmm_stage_trace(problem, x_solver, 1.0, k_max,
+    stage_rise, excess = madmm_stage_trace(problem, x_solver, 1.0, 12,
                                            initial_trajectory(problem))
     return float(max(np.max(stage_rise), np.max(excess)))
 
@@ -389,8 +385,7 @@ def faulty_x_solver(eps: float = 0.05):
     return solver
 
 
-def check_lemma2(seed: int, n_seeds: int = 3, k_max: int = 12,
-                 inject_fault: bool = False, slack: float = 1e-7) -> CheckResult:
+def check_lemma2(seed: int, inject_fault: bool = False) -> CheckResult:
     """Descent diagnostics of the augmented Lagrangian along the iterations.
 
     Asserts the two descent facts the loop guarantees: no minimisation
@@ -400,29 +395,29 @@ def check_lemma2(seed: int, n_seeds: int = 3, k_max: int = 12,
     squared constraint residual, which is positive until the split is
     exactly feasible.
     """
-    increases = [_lemma2_one(seed + i, k_max, inject_fault) for i in range(n_seeds)]
+    increases = [_lemma2_one(seed + i, inject_fault) for i in range(3)]
     worst = max(increases)
     name = "lemma2_descent"
-    if worst > slack:
+    if worst > 1e-7:
         idx = int(np.argmax(increases))
         return CheckResult(name, False,
                            f"Lagrangian rose by {worst:.3e} (seed {seed + idx})",
                            dict(seed=np.array(seed + idx),
                                 increase=np.array(worst)))
     return CheckResult(name, True,
-                       f"{n_seeds} seeds, worst descent violation {worst:.3e}")
+                       f"3 seeds, worst descent violation {worst:.3e}")
 
 
-def _lemma1_one(seed: int, k_ref: int, k_check: int) -> float:
+def _lemma1_one(seed: int) -> float:
     """Worst increase of the weighted distance-to-reference on one system."""
     rng = np.random.default_rng(seed)
     problem = random_affine_problem(rng, T=12, n_x=int(rng.integers(2, 5)))
     gamma = 1.0
-    opts_ref = MadmmOptions(gamma=gamma, k_max=k_ref, eps_primal=0.0, eps_dual=0.0)
+    opts_ref = MadmmOptions(gamma=gamma, k_max=400, eps_primal=0.0, eps_dual=0.0)
     x0 = initial_trajectory(problem)
     solver = make_x_solver("ks_madmm")
     star = run_madmm(problem, solver, opts_ref, x0=x0).state
-    opts = MadmmOptions(gamma=gamma, k_max=k_check, eps_primal=0.0, eps_dual=0.0)
+    opts = MadmmOptions(gamma=gamma, k_max=50, eps_primal=0.0, eps_dual=0.0)
     rep = run_madmm(problem, solver, opts, x0=x0, record_states=True)
     dist = [omega_norm_sq(s.v - star.v, s.eta - star.eta, problem.reg, gamma)
             for s in rep.states]
@@ -430,15 +425,15 @@ def _lemma1_one(seed: int, k_ref: int, k_check: int) -> float:
     return float(np.max(diffs) / max(1.0, dist[0]))
 
 
-def check_lemma1(seed: int, systems: int = 3, slack: float = 1e-9) -> CheckResult:
+def check_lemma1(seed: int) -> CheckResult:
     """Weighted (v, eta) distance to a converged run never increases."""
-    worst = max(_lemma1_one(seed + i, 400, 50) for i in range(systems))
-    if worst > slack:
+    worst = max(_lemma1_one(seed + i) for i in range(3))
+    if worst > 1e-9:
         return CheckResult("lemma1_contraction", False,
                            f"distance rose by relative {worst:.3e}",
                            dict(seed=np.array(seed), increase=np.array(worst)))
     return CheckResult("lemma1_contraction", True,
-                       f"{systems} systems, worst relative change {worst:.3e}")
+                       f"3 systems, worst relative change {worst:.3e}")
 
 
 def run_all_checks(seed: int = 0, inject_fault: bool = False) -> List[CheckResult]:

@@ -33,6 +33,7 @@ from tracklasso.models import (
     objective,
 )
 from tracklasso.scenarios import scenario_defaults, simulate_range, simulate_wiener
+from tracklasso.smoothers import LMConfig
 from tracklasso.solve import initial_trajectory, make_x_solver, solve_problem
 
 # 12-iteration objective sequence of the scalar reference problem, computed
@@ -59,7 +60,7 @@ def scalar_problem():
 
 @pytest.mark.parametrize("field, value", [
     ("gamma", 0.0), ("gamma", np.nan), ("gamma", np.inf), ("k_max", -1), ("k_max", 2.0),
-    ("eps_primal", np.nan), ("eps_dual", np.inf), ("zero_tol", -1.0),
+    ("eps_primal", np.nan), ("eps_dual", np.inf),
 ])
 def test_madmm_options_reject_a_bad_value_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -298,9 +299,9 @@ def test_shared_diagnostics_equal_the_standalone_values(case):
     gamma = 0.8
     # a start off the unregularised fit, so the split moves even with no rows
     x0 = initial_trajectory(prob) + 0.3 * np.random.default_rng(12).normal(size=(prob.T, 4))
-    rep = solve_problem(prob, solver, opts=MadmmOptions(gamma=gamma, k_max=6, eps_primal=0.0,
-                                                        eps_dual=0.0),
-                        i_max=3, x0=x0, record_states=True)
+    rep = run_madmm(prob, make_x_solver(solver, LMConfig(i_max=3)),
+                    MadmmOptions(gamma=gamma, k_max=6, eps_primal=0.0, eps_dual=0.0),
+                    x0=x0, record_states=True)
     assert len({float(v) for v in rep.lagrangian}) == 6
     assert rep.iterations == 6 and len(rep.states) == 7
     for k, state in enumerate(rep.states[1:]):
@@ -362,6 +363,20 @@ def test_an_x0_of_the_wrong_shape_raises_naming_x0(shape):
         solve_problem(prob, "ks_madmm", x0=np.zeros(shape))
     with pytest.raises(ValueError, match=msg):
         run_madmm(prob, make_x_solver("ks_madmm"), MadmmOptions(), x0=np.zeros(shape))
+
+
+@pytest.mark.parametrize("solver", ["ks_madmm", "batch_madmm", "lm_ieks_madmm"])
+@pytest.mark.parametrize("value, step", [(np.nan, 0), (np.inf, 17), (-np.inf, 28)])
+def test_a_non_finite_x0_raises_naming_x0_and_its_step(solver, value, step):
+    """run_madmm, and so solve_problem, rejects a non-finite x0 before the
+    first x update, naming x0 and the first bad step, on every solver."""
+    data, model = simulate_wiener(scenario_defaults("wiener", T=29, seed=0))
+    prob = TrackingProblem(model, make_regularizer("l2", 4), data.y)
+    x0 = np.zeros((29, 4))
+    x0[step, 2] = value
+    with pytest.raises(ValueError, match=f"^x0: non-finite value at step {step}$"):
+        solve_problem(prob, solver, x0=x0)
+    assert not prob.kept
 
 
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])

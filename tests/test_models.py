@@ -224,6 +224,14 @@ def test_every_listed_regularizer_kind_builds(kind):
         assert reg.n_x == 4 and reg.n_groups >= 1
 
 
+@pytest.mark.parametrize("groups", [[[0.5]], [[True]], [[0, 1.0]], [[np.float64(2)]]])
+def test_group_indices_must_be_integers(groups):
+    with pytest.raises(ValueError, match=r"^group indices must be integers, got \["):
+        make_regularizer("group", 4, groups=groups)
+    reg = make_regularizer("group", 4, groups=[[np.int64(1), np.int32(3)], [0]])
+    assert reg.n_groups == 2
+
+
 def test_group_kind_validation():
     with pytest.raises(ValueError):
         make_regularizer("group", 4)  # index sets required
@@ -438,10 +446,17 @@ def test_affine_model_names_an_input_of_the_wrong_shape(name, arr, match, valida
     ("R", np.eye(3, 2), r"^R: expected square blocks, got \(3, 2\)$"),
     ("P1", np.eye(3), r"^P1: expected \(4, 4\), got \(3, 3\)$"),
     ("m1", np.zeros((1, 4)), r"^m1: expected one axis, got shape \(1, 4\)$"),
+    ("T", 2.5, "^T must be a positive step count$"),
 ])
 def test_nonlinear_model_names_an_input_of_the_wrong_shape(name, arr, match):
     with pytest.raises(ValueError, match=match):
         replace(_range_model(), **{name: arr})
+
+
+@pytest.mark.parametrize("T", [0, -3, 2.5, np.nan])
+def test_affine_model_rejects_a_bad_step_count(T):
+    with pytest.raises(ValueError, match="^T must be a positive step count$"):
+        AffineModel(**{**_stacked_inputs(), "T": T})
 
 
 @pytest.mark.parametrize("name", ["A", "Q", "H", "R", "b", "e"])

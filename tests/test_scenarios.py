@@ -57,6 +57,8 @@ def test_scenario_defaults():
     ("q_w", np.inf, "^q_w: must be finite and nonnegative, got inf$"),
     ("sigma", np.nan, "^sigma: must be finite and nonnegative, got nan$"),
     ("sigma", -0.3, "^sigma: must be finite and nonnegative, got -0.3$"),
+    ("T", 2.5, "^T: must be an integer of at least 2, got 2.5$"),
+    ("T", 1, "^T: must be an integer of at least 2, got 1$"),
 ])
 @pytest.mark.parametrize("kind", ["wiener", "range", "coordinated_turn"])
 def test_scenario_params_name_a_bad_field(kind, field, value, match):

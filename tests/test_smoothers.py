@@ -22,6 +22,7 @@ from tracklasso.batch import (
 )
 from tracklasso.models import (
     AffineModel,
+    GroupRegularizer,
     Iterate,
     NonlinearModel,
     SingularSystemError,
@@ -492,7 +493,8 @@ def test_constant_transition_jacobian_is_one_block():
 
 @pytest.mark.parametrize("field, value", [
     ("lambda0", -1.0), ("lambda0", np.nan), ("lambda0", np.inf), ("alpha", 1.0),
-    ("alpha", np.nan), ("alpha", np.inf), ("i_max", 0), ("step_tol", np.nan), ("step_tol", -1.0),
+    ("alpha", np.nan), ("alpha", np.inf), ("i_max", 0), ("i_max", 2.5), ("i_max", np.nan),
+    ("step_tol", np.nan), ("step_tol", -1.0),
 ])
 def test_lm_config_rejects_a_bad_value_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):
@@ -758,6 +760,36 @@ def test_affine_gauss_newton_stops_after_one_proposal(monkeypatch):
                                rtol=1e-8, atol=1e-8)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_damped_bodies_on_an_affine_problem_return_the_exact_x(monkeypatch, seed):
+    """lm_ieks and batch_nonlinear_solve run an affine problem at lambda0 = 0,
+    whatever their LMConfig holds: at lambda0 = 1e-2 each accepts one
+    proposal, returns its undamped x bit for bit and never evaluates the
+    subproblem cost."""
+    rng = np.random.default_rng(seed)
+    prob = random_affine_problem(rng)
+    V, eta = rng.normal(size=(2, prob.T, prob.n_x))
+    x0 = initial_trajectory(prob)
+
+    def no_cost(*args, **kwargs):
+        raise AssertionError("x_subproblem_cost was called")
+
+    monkeypatch.setattr(smoothers, "x_subproblem_cost", no_cost)
+    bodies = (lambda cfg, trace: lm_ieks(prob, V, eta, 1.0, x0, cfg, trace=trace),
+              lambda cfg, trace: batch_nonlinear_solve(prob, V, eta, 1.0, cfg=cfg, x0=x0,
+                                                       trace=trace))
+    for body in bodies:
+        prob.kept.clear()
+        exact = body(LMConfig(lambda0=0.0), None)
+        prob.kept.clear()
+        trace = []
+        damped = body(LMConfig(lambda0=1e-2, i_max=5, step_tol=0.0), trace)
+        assert len(trace) == 2
+        np.testing.assert_array_equal(damped, exact)
+        np.testing.assert_allclose(damped, batch_x_affine(stack_problem(prob, V, eta, 1.0)),
+                                   rtol=1e-8, atol=1e-8)
+
+
 def count_dense_factorisations(monkeypatch):
     """Count dense factorisations (batch._dense_factor calls, one per
     coordinate group of a factored matrix)."""
@@ -772,12 +804,15 @@ def count_dense_factorisations(monkeypatch):
     return calls
 
 
-AFFINE_EXACT = {  # name: (x update of an affine problem at lambda0 = 0, its kept slot)
+AFFINE_EXACT = {  # name: (x update of an affine problem, run at lambda0 = 0, its kept slot)
     "ks_madmm": (make_x_solver("ks_madmm"), "band_factor"),
     "gn_ieks_madmm": (make_x_solver("gn_ieks_madmm"), "band_factor"),
+    "lm_ieks_madmm": (make_x_solver("lm_ieks_madmm"), "band_factor"),
     "batch_madmm": (make_x_solver("batch_madmm"), "dense_factor"),
     "dense_gn": (lambda problem, V, eta, gamma, x: batch_nonlinear_solve(
         problem, V, eta, gamma, cfg=LMConfig(lambda0=0.0), x0=x), "dense_factor"),
+    "dense_lm": (lambda problem, V, eta, gamma, x: batch_nonlinear_solve(
+        problem, V, eta, gamma, x0=x), "dense_factor"),
 }
 
 
@@ -785,8 +820,8 @@ AFFINE_EXACT = {  # name: (x update of an affine problem at lambda0 = 0, its kep
 @pytest.mark.parametrize("target_mode", ["state", "process_noise"])
 def test_affine_exact_x_update_factors_once_per_problem_and_gamma(monkeypatch, name,
                                                                  target_mode):
-    """ks_madmm, gn_ieks_madmm and the dense Gauss-Newton body on an affine
-    problem factor once per (problem, gamma), into their engine's slot of
+    """Every x update, damped or not, and the dense GN and LM bodies on an
+    affine problem factor once per (problem, gamma), into their engine's slot of
     problem.kept and nothing else; a new gamma factors again, and each x is
     the fresh solve's bit for bit."""
     solver, slot = AFFINE_EXACT[name]
@@ -959,7 +994,8 @@ def test_damped_proposals_and_the_initialiser_take_the_band(monkeypatch):
     """lm_ieks solves every proposal, damped or not, in information form
     (normal_equations), one augmented_ks call per proposal and none on the
     RTS oracle; a rejected step calls neither linearize nor the undamped
-    assembly again; and every plain_ieks pass takes the information form."""
+    assembly again; and every pass of plain_ieks's body (lm_ieks at gamma = 0
+    with no penalty) takes the information form."""
     calls = {"normal": 0, "rts": 0, "ks": 0, "lin": 0}
 
     def counted(name, fn):
@@ -995,7 +1031,8 @@ def test_damped_proposals_and_the_initialiser_take_the_band(monkeypatch):
     assert calls["rts"] == 0 and calls["normal"] == calls["lin"] == len(lam) == 3
     assert calls["ks"] > len(lam)  # the rejected proposals, one pass each
     calls.update(normal=0, rts=0, ks=0, lin=0)
-    plain_ieks(prob.model, prob.y, x0, i_max=4, step_tol=0.0)
+    lm_ieks(TrackingProblem(prob.model, GroupRegularizer(groups=(), weights=()), prob.y),
+            None, None, 0.0, x0, LMConfig(lambda0=0.0, i_max=4, step_tol=0.0))
     assert calls == {"normal": 4, "rts": 0, "ks": 4, "lin": 4}
 
 
@@ -1491,12 +1528,15 @@ def test_per_step_jacobians_decline_the_kept_part(target_mode):
 
 
 def test_plain_ieks_keeps_its_static_part_across_passes(monkeypatch):
-    """plain_ieks builds the static part once for all of its passes and
+    """plain_ieks's body (lm_ieks at gamma = 0 with no penalty, from the
+    prior mean) builds the static part once for all of its passes and
     gives the passes of fresh assemblies bit for bit."""
     prob = range_problem(seed=3, T=20)
     calls = count_calls(monkeypatch, "static_part")
     lam = []
-    x = plain_ieks(prob.model, prob.y, i_max=6, step_tol=0.0, lambda_trace=lam)
+    x = lm_ieks(TrackingProblem(prob.model, GroupRegularizer(groups=(), weights=()), prob.y),
+                None, None, 0.0, None, LMConfig(lambda0=0.0, i_max=6, step_tol=0.0),
+                lambda_trace=lam)
     assert calls[0] == 1 and len(lam) == 6
     fresh = prior_mean = models.prior_mean_trajectory(prob.model)
     for _ in range(6):
