@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .models import (GroupRegularizer, Iterate, SingularSystemError, SplitState,
                      TrackingProblem, _check_finite, augmented_lagrangian, constraint_gaps,
@@ -87,9 +86,9 @@ def block_shrink(Z: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def update_w_all(V: np.ndarray, eta_under: np.ndarray, reg: GroupRegularizer,
-                 gamma: float) -> np.ndarray:
-    """Vectorised w update across all time steps: block_shrink per group."""
-    Z = reg.penalty_rows(V) - eta_under / gamma
+                 gamma: float, Gv=None) -> np.ndarray:
+    """Vectorised w update across all time steps: block_shrink per group (Gv: G v, if held)."""
+    Z = (reg.penalty_rows(V) if Gv is None else Gv) - eta_under / gamma
     W = np.empty_like(Z)
     for g, sl in enumerate(reg.slices):
         W[:, sl] = block_shrink(Z[:, sl], reg.weights[g] / gamma)
@@ -97,10 +96,11 @@ def update_w_all(V: np.ndarray, eta_under: np.ndarray, reg: GroupRegularizer,
 
 
 def v_update_factor(reg: GroupRegularizer):
-    """Cholesky factor of (I + G'G), reused across iterations and steps."""
-    n = reg.n_x
-    M = np.eye(n) + reg.G_stack.T @ reg.G_stack
-    return cho_factor(M, lower=True)
+    """cho_factor(I + G'G, lower=True) by the dpotrf call it makes; reused across steps."""
+    c, info = dpotrf(np.eye(reg.n_x) + reg.G_stack.T @ reg.G_stack, lower=1, clean=0)
+    if info:  # I + G'G is positive definite for a finite G, so only a G'G that overflows
+        raise SingularSystemError(f"v update: dpotrf returned info {info}")
+    return c, True
 
 
 def update_v_all(U: np.ndarray, W: np.ndarray, eta: np.ndarray,
@@ -121,11 +121,14 @@ def update_v_all(U: np.ndarray, W: np.ndarray, eta: np.ndarray,
 
 
 def update_dual_all(U: np.ndarray, W: np.ndarray, V: np.ndarray, eta: np.ndarray,
-                    reg: GroupRegularizer, gamma: float) -> np.ndarray:
+                    reg: GroupRegularizer, gamma: float, gaps=None) -> np.ndarray:
+    """eta + gamma (u - v, w - G v) in one new array; gaps as in residuals."""
+    ru, rw = (gaps if gaps is not None else constraint_gaps(U, W, V, reg))[:2]
     n = U.shape[1]
     out = np.empty_like(eta)
-    out[:, :n] = eta[:, :n] + gamma * (U - V)
-    out[:, n:] = eta[:, n:] + gamma * (W - reg.penalty_rows(V))
+    np.multiply(ru, gamma, out=out[:, :n])
+    np.multiply(rw, gamma, out=out[:, n:])
+    out += eta
     return out
 
 
@@ -138,8 +141,8 @@ def residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray, V_prev: np.ndarray,
 
     gaps is constraint_gaps(U, W, V, reg) when the caller already holds it.
     """
-    ru, rw = gaps if gaps is not None else constraint_gaps(U, W, V, reg)
-    r_pri = np.sqrt(np.sum(ru ** 2) + np.sum(rw ** 2))
+    sq_u, sq_w = (gaps if gaps is not None else constraint_gaps(U, W, V, reg))[2:]
+    r_pri = np.sqrt(sq_u + sq_w)
     dv = V - V_prev
     Mdv = dv + (dv @ reg.G_stack.T) @ reg.G_stack if reg.total_rows else dv
     r_dual = gamma * float(np.linalg.norm(Mdv))
@@ -161,15 +164,15 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
     What the x updates keep per (problem, gamma) on problem.kept serves this
     loop only: it is cleared when the loop returns or raises.
 
-    SolveReport.objective and SolveReport.lagrangian hold the objective and
-    the augmented Lagrangian after each iteration.  Both are computed from
-    the iterate's data cost and the loop's own increments U, and the
-    Lagrangian shares the residuals' constraint gaps (u - v, w - G v), so
-    each value equals the standalone objective(problem, x) and
-    augmented_lagrangian(problem, state, gamma) bit for bit.  The x, w and v
-    minimisation stages never raise the Lagrangian; only the dual ascent
-    does, by exactly gamma * r_primal**2.  So
-    lagrangian[k] - lagrangian[k-1] <= gamma * r_primal[k]**2 for k >= 1,
+    Each iteration forms every split array once: G v and the gaps
+    (u - v, w - G v), with their sums of squares, serve the dual update, the
+    residuals, the Lagrangian and (G v) the next w update, and the data cost
+    takes U as its dynamics residual under an affine model's own A and b.
+    So SolveReport.objective and SolveReport.lagrangian equal the standalone
+    objective(problem, x) and augmented_lagrangian(problem, state, gamma)
+    bit for bit.  The x, w and v minimisation stages never raise the
+    Lagrangian; only the dual ascent does, by exactly gamma * r_primal**2.
+    So lagrangian[k] - lagrangian[k-1] <= gamma * r_primal[k]**2 for k >= 1,
     and likewise for lagrangian[0] against the Lagrangian at the feasible
     start; the raw sequence need not fall at every step.
     """
@@ -182,6 +185,7 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
         _check_finite(x0, "x0")
         it = Iterate(problem, x0)
         state = SplitState.feasible(it)
+        V, eta, Gv, n = state.v, state.eta, state.w, problem.n_x  # at the start w = G v
         factor = v_update_factor(reg) if reg.total_rows else None
 
         obj_hist, lag_hist, rp_hist, rd_hist, sec_hist = [], [], [], [], []
@@ -190,29 +194,28 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
         k_done = 0
         for k in range(1, opts.k_max + 1):
             tic = time.perf_counter()
+            state = None  # the last w is dropped here, and the last x once it is updated
             try:
-                it = x_solver(problem, state.v, state.eta_bar, gamma, it)
+                it = x_solver(problem, V, eta[:, :n], gamma, it)
             except SingularSystemError as exc:
                 err = SingularSystemError(f"x update failed at ADMM iteration {k}: {exc}")
                 err.iteration = k
                 raise err from exc
             x = it.x
             U = problem.u(x, problem.penalty_targets(nominal=it))
-            W = update_w_all(state.v, state.eta_under, reg, gamma)
-            V_prev = state.v
-            V = update_v_all(U, W, state.eta, reg, gamma, factor)
-            eta = update_dual_all(U, W, V, state.eta, reg, gamma)
-            state = SplitState(x=x, w=W, v=V, eta=eta, n_x=problem.n_x)
-
-            # taken after the dual update and dropped before the next x update:
-            # those two stages set the loop's memory peak, and the gaps held
-            # there raised a solve's peak RSS
-            gaps = constraint_gaps(U, W, V, reg)
+            W = update_w_all(V, eta[:, n:], reg, gamma, Gv)
+            V_prev, V = V, update_v_all(U, W, eta, reg, gamma, factor)
+            # G v is formed once for the gaps, the dual update, the residuals and the
+            # next w update; the gaps held through the dual update set the memory peak
+            Gv = reg.penalty_rows(V)
+            gaps = constraint_gaps(U, W, V, reg, Gv)
+            eta = update_dual_all(U, W, V, eta, reg, gamma, gaps)
+            state = SplitState(x=x, w=W, v=V, eta=eta, n_x=n)
             r_pri, r_dual = residuals(U, W, V, V_prev, reg, gamma, gaps)
-            data = it.data
+            data = it.cost(U)
             obj_hist.append(objective(problem, x, data, U))
             lag_hist.append(augmented_lagrangian(problem, state, gamma, data, gaps))
-            del gaps
+            del gaps, U, W, V_prev
             sec_hist.append(time.perf_counter() - tic)
             rp_hist.append(r_pri)
             rd_hist.append(r_dual)

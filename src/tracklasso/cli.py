@@ -116,6 +116,8 @@ class RunConfig:
             raise UsageError("lambda0 must be finite and nonnegative")
         if not 1 < self.alpha < np.inf:
             raise UsageError("alpha must be finite and exceed 1")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
         if self.p0 is not None and not 0.0 <= self.p0 <= 1.0:
             raise UsageError("p0 must lie in [0, 1]")
         if self.steps is not None and self.steps < 2:
@@ -342,7 +344,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else 0
+    seed = RunConfig(command="verify", seed=0 if args.seed is None else args.seed).seed
     out = Path(args.out) if args.out is not None else Path("tracklasso_out")
     results = run_all_checks(seed=seed, inject_fault=args.inject_fault)
     width = max(len(r.name) for r in results)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -566,10 +566,10 @@ class Iterate:
             self._Jd = transition_linearization(self.problem.model, self.x, self.a)
         return self._Jd
 
-    @property
-    def data(self) -> float:
+    def cost(self, U: Optional[np.ndarray] = None) -> float:
+        """The data cost, computed on first call and kept; U as in data_cost."""
         if self._data is None:
-            self._data = data_cost(self.problem, self)
+            self._data = data_cost(self.problem, self, U)
         return self._data
 
 
@@ -709,30 +709,31 @@ def prior_mean_trajectory(model: Model) -> np.ndarray:
     return x
 
 
-def data_cost(problem: TrackingProblem, x) -> float:
+def data_cost(problem: TrackingProblem, x, U: Optional[np.ndarray] = None) -> float:
     """Quadratic data terms: measurement, transition, and prior misfit.
 
     The residuals are y_t - h_t(x_t), x_0 - m1 and x_t - a_t(x_{t-1}), with
     a nonlinear model's h and a read from x when it is an Iterate of problem
-    (whose data keeps the cost), else from one call of each.  A non-finite x
-    raises ValueError "x: non-finite value at step t", on either noise
-    layout, so no cost built on this one returns nan for it.  A finite x
-    whose residual is not finite (a nonlinear callable that overflows there,
-    or a NaN in b or e of a model built with validate=False) gives a nan or
-    inf cost on either layout, which the Levenberg-Marquardt accept test
-    reads as a rejected proposal.
+    (whose data keeps the cost), else from one call of each.  U = problem.u(x),
+    if given, is the dynamics residual when the penalty targets are an affine
+    model's own A and b.  A non-finite x raises ValueError "x: non-finite
+    value at step t", on either noise layout, so no cost built on this one
+    returns nan for it.  A finite x whose residual is not finite (a nonlinear
+    callable that overflows there, or a NaN in b or e of a model built with
+    validate=False) gives a nan or inf cost on either layout, which the
+    Levenberg-Marquardt accept test reads as a rejected proposal.
     """
     it = x if isinstance(x, Iterate) else Iterate(problem, np.asarray(x, dtype=float))
     model, x = problem.model, it.x
     _check_finite(x, "x")
-    r_dyn = np.empty_like(x)
-    r_dyn[0] = x[0] - model.m1
     if model.is_affine:
         r_meas = problem.y - _apply(model.H, x) - model.e
-        r_dyn[1:] = x[1:] - _apply(model.A[1:], x[:-1]) - model.b[1:]
+        targets = (model.A, model.b)
+        shared = U is not None and all(p is q for p, q in zip(problem.penalty_targets(), targets))
+        r_dyn = U if shared else problem.u(x, targets)
     else:
         r_meas = problem.y - it.h
-        r_dyn[1:] = x[1:] - it.a
+        r_dyn = np.concatenate([x[:1] - model.m1, x[1:] - it.a])
     P1_f, Q_f, R_f = model.noise_factors
     cost = _half_weighted_sq(r_meas, R_f)
     cost += _half_weighted_sq(r_dyn[:1], P1_f)
@@ -775,7 +776,7 @@ def x_subproblem_cost(problem: TrackingProblem, x, v: np.ndarray, eta_bar: np.nd
     is a trajectory or an Iterate of problem, whose kept values serve.
     """
     it = x if isinstance(x, Iterate) else Iterate(problem, np.asarray(x, dtype=float))
-    cost = it.data
+    cost = it.cost()
     if gamma > 0:
         U = problem.u(it.x, problem.penalty_targets(nominal=it) if targets is None else targets)
         diff = U - v + eta_bar / gamma
@@ -817,9 +818,11 @@ class SplitState:
 
 
 def constraint_gaps(U: np.ndarray, W: np.ndarray, V: np.ndarray,
-                    reg: GroupRegularizer) -> Tuple[np.ndarray, np.ndarray]:
-    """The split's constraint residuals (u - v, w - G v), each (T, rows)."""
-    return U - V, W - reg.penalty_rows(V)
+                    reg: GroupRegularizer, Gv: Optional[np.ndarray] = None) -> tuple:
+    """The split's constraint residuals (u - v, w - G v), each (T, rows), and
+    their two sums of squares; Gv is reg.penalty_rows(V) if the caller holds it."""
+    ru, rw = U - V, W - (reg.penalty_rows(V) if Gv is None else Gv)
+    return ru, rw, float((ru * ru).sum()), float((rw * rw).sum())
 
 
 def augmented_lagrangian(problem: TrackingProblem, state: SplitState, gamma: float,
@@ -837,9 +840,9 @@ def augmented_lagrangian(problem: TrackingProblem, state: SplitState, gamma: flo
         data = data_cost(problem, state.x)
     if gaps is None:
         gaps = constraint_gaps(problem.u(state.x), state.w, state.v, reg)
-    ru, rw = gaps
+    ru, rw, sq_u, sq_w = gaps
     w_norms = reg.group_norms(state.w)
     value = data + float((w_norms @ reg.weights).sum())
-    value += float((state.eta_bar * ru).sum()) + 0.5 * gamma * float((ru * ru).sum())
-    value += float((state.eta_under * rw).sum()) + 0.5 * gamma * float((rw * rw).sum())
+    value += float((state.eta_bar * ru).sum()) + 0.5 * gamma * sq_u
+    value += float((state.eta_under * rw).sum()) + 0.5 * gamma * sq_w
     return value

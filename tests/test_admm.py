@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -29,6 +30,7 @@ from tracklasso.models import (
     SplitState,
     TrackingProblem,
     augmented_lagrangian,
+    data_cost,
     make_regularizer,
     objective,
 )
@@ -186,6 +188,15 @@ def test_residuals_zero_at_consensus():
     assert r_pri == 0.0 and r_dual == 0.0
 
 
+def test_residuals_hand_value():
+    """r_primal counts both gaps, u - v and w - G v; r_dual is
+    gamma ||(I + G'G)(v - v_prev)||, here with G = I."""
+    reg = make_regularizer("group", 2, groups=[[0, 1]], weights=1.0)
+    U, V, W = np.array([[1.0, 2.0]]), np.zeros((1, 2)), np.array([[3.0, 4.0]])
+    r_pri, r_dual = residuals(U, W, V, np.array([[1.0, 0.0]]), reg, 1.5)
+    assert r_pri == pytest.approx(np.sqrt(30.0)) and r_dual == pytest.approx(3.0)
+
+
 def test_omega_norm_hand_value():
     reg = make_regularizer("l2", 2, weights=1.0)  # G = I
     dv = np.array([[1.0, 2.0]])
@@ -291,9 +302,11 @@ def diagnostics_problem(case):
 @pytest.mark.parametrize("case", ["affine_process_noise", "affine_state",
                                   "nonlinear_process_noise", "explicit_B", "no_rows"])
 def test_shared_diagnostics_equal_the_standalone_values(case):
-    """The loop computes the objective and the Lagrangian from one data cost,
-    its own increments and the dual update's constraint gaps; each value
-    equals the standalone objective and augmented_lagrangian bit for bit."""
+    """The loop forms G v and the constraint gaps once, shares them between
+    the dual update, the residuals, the Lagrangian and the next w update, and
+    costs the data from its own increments under an affine model's own
+    targets; every recorded value equals the standalone call, which takes
+    none of these shared pieces, bit for bit."""
     prob, solver = diagnostics_problem(case)
     assert (prob.reg.total_rows == 0) == (case == "no_rows")
     gamma = 0.8
@@ -304,9 +317,31 @@ def test_shared_diagnostics_equal_the_standalone_values(case):
                     x0=x0, record_states=True)
     assert len({float(v) for v in rep.lagrangian}) == 6
     assert rep.iterations == 6 and len(rep.states) == 7
-    for k, state in enumerate(rep.states[1:]):
+    reg = prob.reg
+    for k, (prev, state) in enumerate(zip(rep.states, rep.states[1:])):
         assert rep.objective[k] == objective(prob, state.x), (case, k)
         assert rep.lagrangian[k] == augmented_lagrangian(prob, state, gamma), (case, k)
+        U = prob.u(state.x)
+        W = update_w_all(prev.v, prev.eta_under, reg, gamma)
+        V = update_v_all(U, W, prev.eta, reg, gamma)
+        eta = update_dual_all(U, W, V, prev.eta, reg, gamma)
+        for got, want in ((state.w, W), (state.v, V), (state.eta, eta)):
+            assert got.tobytes() == want.tobytes(), (case, k)
+        assert (rep.r_primal[k], rep.r_dual[k]) == residuals(U, W, V, prev.v, reg, gamma)
+        # only an affine model's own targets (A, b) make U the dynamics residual
+        takes_u = case == "affine_process_noise"
+        assert data_cost(prob, state.x, U) == data_cost(prob, state.x), (case, k)
+        assert (data_cost(prob, state.x, 2 * U) != data_cost(prob, state.x)) == takes_u
+
+
+@pytest.mark.parametrize("kind", ["l2", "lasso", "iso_tv", "fused"])
+def test_v_update_factor_is_cho_factor_bytes(kind):
+    """The v update's factor is scipy's cho_factor of I + G'G, byte for byte."""
+    reg = make_regularizer(kind, 4, weights=0.5)
+    c, lower = v_update_factor(reg)
+    want, want_lower = cho_factor(np.eye(4) + reg.G_stack.T @ reg.G_stack, lower=True)
+    assert lower and want_lower
+    assert c.tobytes() == want.tobytes() and c.flags.f_contiguous == want.flags.f_contiguous
 
 
 @pytest.mark.parametrize("scenario, seed, passes, converged", [

@@ -293,7 +293,7 @@ def test_every_config_field_is_a_flag_and_a_config_key(tmp_path):
                               "solve") == cfg
 
 
-def test_usage_errors_exit_64(tmp_path):
+def test_usage_errors_exit_64(tmp_path, capsys):
     assert run_cli("solve", "--out", str(tmp_path / "x")) == 64
     assert run_cli("solve", "--scenario", "wiener", "--input", "a.csv",
                    "--out", str(tmp_path / "y")) == 64
@@ -301,6 +301,15 @@ def test_usage_errors_exit_64(tmp_path):
                    "--out", str(tmp_path / "z")) == 64
     assert run_cli("simulate", "--scenario", "wiener", "--steps", "-5",
                    "--out", str(tmp_path / "w")) == 64
+    # a negative seed is named before any output, on every command that takes one
+    capsys.readouterr()
+    for argv in (("verify", "--seed", "-1"),
+                 ("solve", "--scenario", "wiener", "--steps", "20", "--seed", "-1"),
+                 ("simulate", "--scenario", "range", "--seed", "-1")):
+        out = tmp_path / argv[0]
+        assert run_cli(*argv, "--out", str(out)) == 64, argv
+        assert "seed must be nonnegative" in capsys.readouterr().err, argv
+        assert not out.exists(), argv
 
 
 @pytest.mark.parametrize("option, value", [
