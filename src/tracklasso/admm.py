@@ -22,7 +22,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .models import (GroupRegularizer, Iterate, SingularSystemError, SplitState,
                      TrackingProblem, _check_finite, augmented_lagrangian, constraint_gaps,
-                     objective)
+                     objective, row_norms)
 
 XSolver = Callable[[TrackingProblem, np.ndarray, np.ndarray, float, Iterate], Iterate]
 ZERO_TOL = 1e-6  # a group whose final w block norm is at most this counts as zero
@@ -78,10 +78,9 @@ def block_shrink(Z: np.ndarray, kappa: float) -> np.ndarray:
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     Z = np.asarray(Z, dtype=float)
-    norms = np.linalg.norm(Z, axis=-1, keepdims=True)
-    scale = np.zeros_like(norms)
-    active = norms > kappa
-    scale[active] = 1.0 - kappa / norms[active]
+    norms = row_norms(Z)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # x/0 only where it picks 0
+        scale = np.where(norms > kappa, 1.0 - kappa / norms, 0.0)
     return Z * scale
 
 
@@ -103,11 +102,10 @@ def v_update_factor(reg: GroupRegularizer):
     return c, True
 
 
-def update_v_all(U: np.ndarray, W: np.ndarray, eta: np.ndarray,
+def update_v_all(U: np.ndarray, W: np.ndarray, eta_bar: np.ndarray, eta_under: np.ndarray,
                  reg: GroupRegularizer, gamma: float, factor=None) -> np.ndarray:
-    """Vectorised v update across all time steps (one dpotrs, unwrapped)."""
-    n = U.shape[1]
-    eta_bar, eta_under = eta[:, :n], eta[:, n:]
+    """Vectorised v update across all time steps (one dpotrs, unwrapped) from
+    the two multiplier blocks eta_bar (T, n_x) and eta_under (T, total_rows)."""
     if reg.total_rows == 0:
         return U + eta_bar / gamma
     if factor is None:
@@ -120,16 +118,15 @@ def update_v_all(U: np.ndarray, W: np.ndarray, eta: np.ndarray,
     return v.T / gamma
 
 
-def update_dual_all(U: np.ndarray, W: np.ndarray, V: np.ndarray, eta: np.ndarray,
-                    reg: GroupRegularizer, gamma: float, gaps=None) -> np.ndarray:
-    """eta + gamma (u - v, w - G v) in one new array; gaps as in residuals."""
+def update_dual_all(U: np.ndarray, W: np.ndarray, V: np.ndarray, eta_bar: np.ndarray,
+                    eta_under: np.ndarray, reg: GroupRegularizer, gamma: float, gaps=None):
+    """The new blocks (eta_bar + gamma (u - v), eta_under + gamma (w - G v)),
+    each gamma * gap with the old block added in place; gaps as in residuals."""
     ru, rw = (gaps if gaps is not None else constraint_gaps(U, W, V, reg))[:2]
-    n = U.shape[1]
-    out = np.empty_like(eta)
-    np.multiply(ru, gamma, out=out[:, :n])
-    np.multiply(rw, gamma, out=out[:, n:])
-    out += eta
-    return out
+    new_bar, new_under = gamma * ru, gamma * rw
+    new_bar += eta_bar
+    new_under += eta_under
+    return new_bar, new_under
 
 
 def residuals(U: np.ndarray, W: np.ndarray, V: np.ndarray, V_prev: np.ndarray,
@@ -155,7 +152,9 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
 
     The split is initialised feasibly from x0 (v = u(x0), w = G v, eta = 0),
     normally an unregularised smoother trajectory; one that is not (T, n_x)
-    or holds a non-finite value raises ValueError naming x0.
+    or holds a non-finite value raises ValueError naming x0.  The loop
+    carries the multipliers as SplitState's two contiguous blocks, eta_bar
+    and eta_under, so no stage works on a strided column view.
     x_solver(problem, v, eta_bar, gamma, x_warm) maps the models.Iterate of
     the last x (first, of a copy of x0) to the next, whose model values
     serve the targets, the data cost and the next x update.
@@ -185,7 +184,7 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
         _check_finite(x0, "x0")
         it = Iterate(problem, x0)
         state = SplitState.feasible(it)
-        V, eta, Gv, n = state.v, state.eta, state.w, problem.n_x  # at the start w = G v
+        V, eta_bar, eta_under, Gv = state.v, state.eta_bar, state.eta_under, state.w  # w = G v
         factor = v_update_factor(reg) if reg.total_rows else None
 
         obj_hist, lag_hist, rp_hist, rd_hist, sec_hist = [], [], [], [], []
@@ -196,21 +195,21 @@ def run_madmm(problem: TrackingProblem, x_solver: XSolver, opts: MadmmOptions,
             tic = time.perf_counter()
             state = None  # the last w is dropped here, and the last x once it is updated
             try:
-                it = x_solver(problem, V, eta[:, :n], gamma, it)
+                it = x_solver(problem, V, eta_bar, gamma, it)
             except SingularSystemError as exc:
                 err = SingularSystemError(f"x update failed at ADMM iteration {k}: {exc}")
                 err.iteration = k
                 raise err from exc
             x = it.x
             U = problem.u(x, problem.penalty_targets(nominal=it))
-            W = update_w_all(V, eta[:, n:], reg, gamma, Gv)
-            V_prev, V = V, update_v_all(U, W, eta, reg, gamma, factor)
+            W = update_w_all(V, eta_under, reg, gamma, Gv)
+            V_prev, V = V, update_v_all(U, W, eta_bar, eta_under, reg, gamma, factor)
             # G v is formed once for the gaps, the dual update, the residuals and the
             # next w update; the gaps held through the dual update set the memory peak
             Gv = reg.penalty_rows(V)
             gaps = constraint_gaps(U, W, V, reg, Gv)
-            eta = update_dual_all(U, W, V, eta, reg, gamma, gaps)
-            state = SplitState(x=x, w=W, v=V, eta=eta, n_x=n)
+            eta_bar, eta_under = update_dual_all(U, W, V, eta_bar, eta_under, reg, gamma, gaps)
+            state = SplitState(x=x, w=W, v=V, eta_bar=eta_bar, eta_under=eta_under)
             r_pri, r_dual = residuals(U, W, V, V_prev, reg, gamma, gaps)
             data = it.cost(U)
             obj_hist.append(objective(problem, x, data, U))

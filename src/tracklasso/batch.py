@@ -162,22 +162,26 @@ def _group_equations(eqs: NormalEquations, group: Tuple[int, ...]) -> NormalEqua
 
 def _dense_factors(eqs: NormalEquations, what: str = "stacked normal matrix"):
     """_dense_factor of each coordinate group of eqs, as (columns, factor)
-    pairs.  A group holding every coordinate gathers the band and h entry
-    for entry, so a coupled system factors exactly as the whole matrix.  A
-    NaN counts as a coupling in _coordinate_groups, so it lands in the band
-    of the group that gathers it, and a matrix not finite or not positive
+    pairs.  A coupled system, one group holding every coordinate, factors
+    eqs itself, whose band its gather would copy entry for entry.  A NaN
+    counts as a coupling in _coordinate_groups, so it lands in the band of
+    the group that gathers it, and a matrix not finite or not positive
     definite raises SingularSystemError naming what."""
-    return [(list(g), _dense_factor(_group_equations(eqs, g), what))
-            for g in _coordinate_groups(eqs.band)]
+    groups = _coordinate_groups(eqs.band)
+    return [(list(g), _dense_factor(eqs if len(groups) == 1 else _group_equations(eqs, g), what))
+            for g in groups]
 
 
 def _solve_groups(factors, h: np.ndarray) -> np.ndarray:
     """Solve with _dense_factors' factors, h (T, n_x): _back_substitute of
-    each group's columns of h, scattered back into x's.  A group holding
-    every column is passed h itself, which _back_substitute never writes."""
+    each group's columns of h, scattered back into x's.  A coupled system's
+    one factor solves h itself, which _back_substitute never writes, and its
+    x is returned as it is."""
+    if len(factors) == 1:
+        return _back_substitute(factors[0][1], h)
     x = np.empty(h.shape)
     for columns, c in factors:
-        x[:, columns] = _back_substitute(c, h if len(columns) == h.shape[1] else h[:, columns])
+        x[:, columns] = _back_substitute(c, h[:, columns])
     return x
 
 

@@ -352,6 +352,23 @@ class NonlinearModel(NoiseModel):
 
 Model = Union[AffineModel, NonlinearModel]
 
+
+def row_norms(Z) -> np.ndarray:
+    """np.linalg.norm(Z, axis=-1) bit for bit.  NumPy reduces a short last
+    axis row by row; below width 8 its sum is left to right, so the squares
+    are summed here column by column, the same additions over all rows at
+    once.  From width 8 its pairwise sum takes over, and width 0 and a dtype
+    other than float64 take np.linalg.norm itself."""
+    Z = np.asarray(Z)
+    n = Z.shape[-1]
+    if not 0 < n < 8 or Z.dtype != np.float64:
+        return np.linalg.norm(Z, axis=-1)
+    s = Z[..., 0] * Z[..., 0]
+    for j in range(1, n):
+        s += Z[..., j] * Z[..., j]
+    return np.sqrt(s)
+
+
 TARGET_MODES = ("state", "process_noise")  # what a GroupRegularizer penalty acts on
 
 
@@ -441,7 +458,7 @@ class GroupRegularizer:
         """Per-group Euclidean norms of stacked penalty rows, shape (T, n_groups)."""
         out = np.empty(rows.shape[:-1] + (self.n_groups,))
         for g, sl in enumerate(self.slices):
-            out[..., g] = np.linalg.norm(rows[..., sl], axis=-1)
+            out[..., g] = row_norms(rows[..., sl])
         return out
 
 
@@ -731,13 +748,14 @@ def data_cost(problem: TrackingProblem, x, U: Optional[np.ndarray] = None) -> fl
         targets = (model.A, model.b)
         shared = U is not None and all(p is q for p, q in zip(problem.penalty_targets(), targets))
         r_dyn = U if shared else problem.u(x, targets)
+        r_prior, r_trans = r_dyn[:1], r_dyn[1:]
     else:
         r_meas = problem.y - it.h
-        r_dyn = np.concatenate([x[:1] - model.m1, x[1:] - it.a])
+        r_prior, r_trans = x[:1] - model.m1, x[1:] - it.a
     P1_f, Q_f, R_f = model.noise_factors
     cost = _half_weighted_sq(r_meas, R_f)
-    cost += _half_weighted_sq(r_dyn[:1], P1_f)
-    cost += _half_weighted_sq(r_dyn[1:], Q_f)
+    cost += _half_weighted_sq(r_prior, P1_f)
+    cost += _half_weighted_sq(r_trans, Q_f)
     return cost
 
 
@@ -788,23 +806,20 @@ def x_subproblem_cost(problem: TrackingProblem, x, v: np.ndarray, eta_bar: np.nd
 class SplitState:
     """Primal and dual variables of the split problem, never written once built.
 
-    eta packs the multipliers as (T, n_x + total_rows): the first n_x
-    columns pair with u - v, the rest pair with w - G v.
+    The multipliers are two contiguous blocks: eta_bar (T, n_x) pairs with
+    u - v and eta_under (T, total_rows) with w - G v.  eta packs them as
+    (T, n_x + total_rows), a new array on each read.
     """
 
     x: np.ndarray
     w: np.ndarray
     v: np.ndarray
-    eta: np.ndarray
-    n_x: int
+    eta_bar: np.ndarray
+    eta_under: np.ndarray
 
     @property
-    def eta_bar(self) -> np.ndarray:
-        return self.eta[:, :self.n_x]
-
-    @property
-    def eta_under(self) -> np.ndarray:
-        return self.eta[:, self.n_x:]
+    def eta(self) -> np.ndarray:
+        return np.concatenate([self.eta_bar, self.eta_under], axis=1)
 
     @classmethod
     def feasible(cls, x0: Iterate) -> "SplitState":
@@ -813,8 +828,8 @@ class SplitState:
         U = problem.u(x0.x, problem.penalty_targets(nominal=x0))
         V = U.copy()
         W = problem.reg.penalty_rows(V)
-        eta = np.zeros((problem.T, problem.n_x + problem.reg.total_rows))
-        return cls(x=x0.x, w=W, v=V, eta=eta, n_x=problem.n_x)
+        return cls(x=x0.x, w=W, v=V, eta_bar=np.zeros(V.shape),
+                   eta_under=np.zeros(W.shape))
 
 
 def constraint_gaps(U: np.ndarray, W: np.ndarray, V: np.ndarray,

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .models import AffineModel, NonlinearModel
+from .models import AffineModel, NonlinearModel, row_norms
 
 KINDS = ("wiener", "range", "coordinated_turn")
 
@@ -360,10 +360,10 @@ def relative_error(estimate: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth, dtype=float)
     if estimate.shape != truth.shape:
         raise ValueError("estimate and truth must have equal shapes")
-    denom = float(np.sum(np.linalg.norm(truth, axis=-1)))
+    denom = float(np.sum(row_norms(truth)))
     if denom == 0.0:
         raise ValueError("relative error is undefined for an all-zero truth")
-    return float(np.sum(np.linalg.norm(estimate - truth, axis=-1))) / denom
+    return float(np.sum(row_norms(estimate - truth))) / denom
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .models import (
     AffineModel,
     GroupRegularizer,
     Iterate,
-    SplitState,
     TrackingProblem,
     augmented_lagrangian,
     make_regularizer,
@@ -347,9 +346,8 @@ def madmm_stage_trace(problem: TrackingProblem, x_solver, gamma: float,
     lag = [augmented_lagrangian(problem, states[0], gamma), *report.lagrangian]
     stage_rise = []
     for prev, cur, lag_prev in zip(states, states[1:], lag):
-        stages = (SplitState(x=cur.x, w=prev.w, v=prev.v, eta=prev.eta, n_x=prev.n_x),
-                  SplitState(x=cur.x, w=cur.w, v=prev.v, eta=prev.eta, n_x=prev.n_x),
-                  SplitState(x=cur.x, w=cur.w, v=cur.v, eta=prev.eta, n_x=prev.n_x))
+        stages = (replace(prev, x=cur.x), replace(prev, x=cur.x, w=cur.w),
+                  replace(cur, eta_bar=prev.eta_bar, eta_under=prev.eta_under))
         vals = [lag_prev] + [augmented_lagrangian(problem, s, gamma) for s in stages]
         stage_rise.append(max(np.diff(vals)))
     return np.asarray(stage_rise), np.asarray(lag[1:]) - lag[0]

@@ -82,6 +82,25 @@ def test_block_shrink_hand_values():
         block_shrink(np.ones(2), -0.1)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.7, 1e300])
+def test_block_shrink_scale_is_the_masked_scale_bit_for_bit(kappa):
+    """The np.where scale is the boolean-mask gather and scatter it replaced,
+    on zero rows, kappa = 0 (0/0 dropped), inf and nan rows and widths 1-9,
+    and warns of nothing."""
+    rng = np.random.default_rng(4)
+    for n in range(1, 10):
+        Z = rng.normal(size=(30, n)) * 10.0 ** rng.integers(-2, 3, size=(30, n))
+        Z[:3] = 0.0
+        Z[3, 0], Z[4, -1], Z[5] = np.inf, np.nan, -0.0
+        norms = np.linalg.norm(Z, axis=-1, keepdims=True)
+        scale = np.zeros_like(norms)
+        active = norms > kappa
+        scale[active] = 1.0 - kappa / norms[active]
+        with np.errstate(all="raise"):
+            got = block_shrink(Z, kappa)
+        assert got.tobytes() == (Z * scale).tobytes(), n
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=3, max_size=3),
        st.lists(st.floats(-10, 10), min_size=3, max_size=3),
@@ -100,7 +119,7 @@ def test_update_v_hand_value():
 
     reg = GroupRegularizer(groups=[np.array([[2.0]])], weights=1.0)
     v = update_v_all(np.array([[1.0]]), np.array([[3.0]]),
-                     np.array([[0.2, -0.4]]), reg, 0.5)
+                     np.array([[0.2]]), np.array([[-0.4]]), reg, 0.5)
     np.testing.assert_allclose(v, [[1.16]], rtol=1e-12)
 
 
@@ -110,7 +129,7 @@ def test_update_v_no_groups():
 
     empty = GroupRegularizer(groups=[], weights=np.zeros(0))
     v = update_v_all(np.array([[1.0, 2.0]]), np.zeros((1, 0)),
-                     np.array([[0.5, -0.5]]), empty, 2.0)
+                     np.array([[0.5, -0.5]]), np.zeros((1, 0)), empty, 2.0)
     np.testing.assert_allclose(v, [[1.25, 1.75]])
 
 
@@ -124,7 +143,7 @@ def test_update_v_equals_cho_solve_bit_for_bit():
     W, gamma = rng.normal(size=(50, reg.total_rows)), 1.7
     factor = v_update_factor(reg)
     rhs = (gamma * U + eta[:, :4]) + (gamma * W + eta[:, 4:]) @ reg.G_stack
-    assert np.array_equal(update_v_all(U, W, eta, reg, gamma, factor),
+    assert np.array_equal(update_v_all(U, W, eta[:, :4], eta[:, 4:], reg, gamma, factor),
                           cho_solve(factor, rhs.T).T / gamma)
 
 
@@ -160,7 +179,7 @@ def test_update_v_stationarity(seed):
     u_t = rng.normal(size=3)
     w_t = rng.normal(size=reg.total_rows)
     eta_t = rng.normal(size=3 + reg.total_rows)
-    v = update_v_all(u_t[None], w_t[None], eta_t[None], reg, gamma,
+    v = update_v_all(u_t[None], w_t[None], eta_t[None, :3], eta_t[None, 3:], reg, gamma,
                      v_update_factor(reg))[0]
     G = reg.G_stack
     grad = (-gamma * (u_t - v + eta_t[:3] / gamma)
@@ -174,7 +193,8 @@ def test_update_dual_formula():
     w = np.array([0.5, 0.5])
     v = np.array([0.25, 0.75])
     eta = np.array([0.1, 0.2, 0.3, 0.4])
-    out = update_dual_all(u[None], w[None], v[None], eta[None], reg, 2.0)[0]
+    out = np.concatenate(update_dual_all(u[None], w[None], v[None], eta[None, :2],
+                                         eta[None, 2:], reg, 2.0), axis=1)[0]
     resid = np.concatenate([u - v, w - reg.G_stack @ v])
     np.testing.assert_allclose(out, eta + 2.0 * resid)
 
@@ -323,8 +343,9 @@ def test_shared_diagnostics_equal_the_standalone_values(case):
         assert rep.lagrangian[k] == augmented_lagrangian(prob, state, gamma), (case, k)
         U = prob.u(state.x)
         W = update_w_all(prev.v, prev.eta_under, reg, gamma)
-        V = update_v_all(U, W, prev.eta, reg, gamma)
-        eta = update_dual_all(U, W, V, prev.eta, reg, gamma)
+        V = update_v_all(U, W, prev.eta_bar, prev.eta_under, reg, gamma)
+        eta = np.concatenate(update_dual_all(U, W, V, prev.eta_bar, prev.eta_under, reg, gamma),
+                             axis=1)
         for got, want in ((state.w, W), (state.v, V), (state.eta, eta)):
             assert got.tobytes() == want.tobytes(), (case, k)
         assert (rep.r_primal[k], rep.r_dual[k]) == residuals(U, W, V, prev.v, reg, gamma)

@@ -516,6 +516,25 @@ def test_a_coupled_system_is_one_group_solved_as_the_whole_matrix(name):
     np.testing.assert_array_equal(batch_x_affine(eqs), want)
 
 
+@pytest.mark.parametrize("name", ["random SPD", "range", "damped"])
+def test_a_coupled_system_factors_its_own_equations(name, monkeypatch):
+    """A coupled system's factor is the bytes its identity gather gave, taken
+    from eqs with no _group_equations call, and its x is the one
+    back-substitution's."""
+    eqs = coupled_equations(name)
+    n = eqs.h.shape[1]
+    gathered = batch._dense_factor(batch._group_equations(eqs, tuple(range(n))), "m")
+
+    def no_gather(eqs, group):
+        raise AssertionError(f"gathered the group {group}")
+
+    monkeypatch.setattr(batch, "_group_equations", no_gather)
+    ((columns, c),) = batch._dense_factors(eqs, "m")
+    assert columns == list(range(n))
+    assert c.shape == gathered.shape and c.tobytes("F") == gathered.tobytes("F")
+    np.testing.assert_array_equal(batch_x_affine(eqs), batch._back_substitute(c, eqs.h))
+
+
 @pytest.mark.parametrize("T", [1, 5])
 def test_group_equations_are_the_permuted_matrix_blocks(T):
     """Each group's band and h are its rows and columns of the whole

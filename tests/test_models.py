@@ -25,6 +25,7 @@ from tracklasso.models import (
     make_regularizer,
     objective,
     penalty_value,
+    row_norms,
     sparsity_target,
     x_subproblem_cost,
 )
@@ -262,6 +263,53 @@ def test_group_norms_shape():
     assert norms.shape == (3, 2)
     np.testing.assert_allclose(norms[0, 0], np.hypot(0.0, 1.0))
     np.testing.assert_allclose(norms[2, 1], np.hypot(10.0, 11.0))
+
+
+def row_norm_cases(n):
+    """(rows, n) inputs for row_norms: ordinary values, values whose sums
+    round differently in another order, and a mix with +-0, +-inf, nan,
+    subnormals and scales of 1e+-300, whose squares overflow or underflow;
+    each as C- and F-ordered arrays, strided group slices and a 3-d stack."""
+    rng = np.random.default_rng(n)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                         1e300, -1e300, 1e-300, 3e-160, 1e160])
+    mixed = rng.normal(size=(200, n)) * 10.0 ** rng.integers(-300, 301, size=(200, n))
+    hit = rng.random(mixed.shape) < 0.3
+    mixed[hit] = rng.choice(specials, size=hit.sum())
+    for Z in (rng.normal(size=(40, n)),
+              rng.normal(size=(200, n)) * 10.0 ** rng.integers(-3, 4, size=(200, n)), mixed):
+        wide = np.hstack([Z, -Z, 2 * Z])
+        yield from (Z, np.asfortranarray(Z), wide[:, n:2 * n], wide[::3, 2 * n:],
+                    np.asfortranarray(wide)[:, :n], Z[:40].reshape(4, 10, n))
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_row_norms_is_numpy_norm_bit_for_bit(n):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for Z in row_norm_cases(n):
+            got, want = row_norms(Z), np.linalg.norm(Z, axis=-1)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), Z.strides
+        z = np.array([3.0, 4.0, 12.0])[:min(n, 3)]  # one row, as block_shrink may pass
+        assert row_norms(z) == np.linalg.norm(z, axis=-1)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_row_norms_takes_numpy_norm_at_width_0_and_from_width_8(n, monkeypatch):
+    """Below width 8 NumPy sums a row left to right and row_norms sums by
+    columns; from 8 its pairwise sum rounds otherwise, so row_norms calls
+    np.linalg.norm itself, as it does at width 0."""
+    rng = np.random.default_rng(n)
+    Z = rng.normal(size=(2000, n)) * 10.0 ** rng.integers(-2, 3, size=(2000, n))
+    by_columns = np.zeros(2000)
+    for j in range(n):
+        by_columns += Z[:, j] * Z[:, j]
+    assert (np.sqrt(by_columns) == np.linalg.norm(Z, axis=-1)).all() == (n < 8)
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm",
+                        lambda a, axis: calls.append(a.shape) or norm(a, axis=axis))
+    row_norms(Z)
+    assert calls == ([] if 0 < n < 8 else [(2000, n)])
 
 
 def test_model_validation_rejects_bad_covariances():
